@@ -17,15 +17,21 @@ Axiom ids reported by ``check_axioms``:
 
 The last two are the conditions cutting out the reduced subcategory; they
 are checked only when ``require_reduced`` is set.
+
+Each axiom is a numpy violation mask scanned along its leading index in
+chunks of at most ``_CHUNK_CELLS`` (2^18) cells, so memory stays flat
+whatever the order, and the scan stops at the first chunk with a violation.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from itertools import product
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import InputError, UnsupportedInputError, ValidationError
 from .report import CheckReport, Violation
@@ -34,7 +40,9 @@ Table = tuple[tuple[int, ...], ...]
 
 
 def as_index(value) -> int:
-    """Coerce to an element index, rejecting floats, strings and the like."""
+    """Coerce to an element index, rejecting bools, floats, strings and the like."""
+    if isinstance(value, bool):
+        raise InputError(f"table entry {value!r} is not an integer")
     try:
         return operator.index(value)
     except TypeError:
@@ -58,6 +66,87 @@ def _check_table(order: int, table, what: str) -> Table:
     return frozen
 
 
+# Upper bound on the cells of one violation mask.  Scans walk the leading
+# axis in chunks of at most this many cells, so an n^3 condition never
+# materialises more than a fixed slice of its mask.
+_CHUNK_CELLS = 1 << 18
+
+
+def _first_witness(n: int, inner: int, mask) -> tuple[int, ...] | None:
+    """Lexicographically minimal True cell of a chunked violation mask.
+
+    ``mask(lo, hi)`` returns the violations whose leading index lies in
+    lo..hi-1, as an array whose leading axis has length hi - lo; each leading
+    index spans n**inner cells of work.  Chunks are scanned in order and the
+    scan stops at the first chunk holding a violation, so the C-order first
+    hit of that chunk is the minimal witness overall.
+    """
+    step = max(1, _CHUNK_CELLS // n**inner)
+    for lo in range(0, n, step):
+        hits = mask(lo, min(n, lo + step))
+        if hits.any():
+            first = np.argwhere(hits)[0]
+            return (lo + int(first[0]),) + tuple(int(v) for v in first[1:])
+    return None
+
+
+def _v_assoc(add, act, ar, lo, hi):
+    # (x+y)+z = x+(y+z)
+    return add[add[lo:hi]] != add[lo:hi][:, add]
+
+
+def _v_identity(add, act, ar, lo, hi):
+    # 0+x = x = x+0
+    return (add[0, lo:hi] != ar[lo:hi]) | (add[lo:hi, 0] != ar[lo:hi])
+
+
+def _v_inverse(add, act, ar, lo, hi):
+    # some y has x+y = 0 = y+x
+    return ~((add[lo:hi] == 0) & (add[:, lo:hi].T == 0)).any(axis=1)
+
+
+def _v_action_add(add, act, ar, lo, hi):
+    # (g+g')^h = g^h + g'^h
+    return act[add[lo:hi]] != add[act[lo:hi, None, :], act[None, :, :]]
+
+
+def _v_action_compose(add, act, ar, lo, hi):
+    # g^(h+h') = (g^h)^h'
+    return act[lo:hi][:, add] != act[act[lo:hi]]
+
+
+def _v_action_zero(add, act, ar, lo, hi):
+    # g^0 = g
+    return act[lo:hi, 0] != ar[lo:hi]
+
+
+def _v_central(add, act, ar, lo, hi):
+    # x^y + z = z + x^y  for y != 0
+    powers = act[lo:hi]
+    v = add[powers] != add.T[powers]
+    v[:, 0, :] = False
+    return v
+
+
+def _v_collapse(add, act, ar, lo, hi):
+    # x^(y^z) = x^y
+    return act[lo:hi][:, act] != act[lo:hi, :, None]
+
+
+# (id, cells of work per leading index as a power of n, violation mask), in
+# report order; the reduced.* entries run only under require_reduced.
+_AXIOMS = (
+    ("group.assoc", 2, _v_assoc),
+    ("group.identity", 0, _v_identity),
+    ("group.inverse", 1, _v_inverse),
+    ("action.add", 2, _v_action_add),
+    ("action.compose", 2, _v_action_compose),
+    ("action.zero", 0, _v_action_zero),
+    ("reduced.central", 2, _v_central),
+    ("reduced.collapse", 2, _v_collapse),
+)
+
+
 def check_axioms(order: int, add, act, require_reduced: bool = False) -> CheckReport:
     """Scan the full group, action and (optionally) reduced axioms.
 
@@ -66,54 +155,18 @@ def check_axioms(order: int, add, act, require_reduced: bool = False) -> CheckRe
     """
     if order < 1:
         raise InputError(f"order must be positive, got {order}")
-    add = _check_table(order, add, "add")
-    act = _check_table(order, act, "act")
-    rng = range(order)
-    violations: list[Violation] = []
-
-    def record(condition: str, witness: tuple[int, ...]) -> None:
-        violations.append(Violation(condition, witness))
-
-    for x, y, z in product(rng, rng, rng):
-        if add[add[x][y]][z] != add[x][add[y][z]]:
-            record("group.assoc", (x, y, z))
-            break
-    for x in rng:
-        if add[0][x] != x or add[x][0] != x:
-            record("group.identity", (x,))
-            break
-    for x in rng:
-        if not any(add[x][y] == 0 == add[y][x] for y in rng):
-            record("group.inverse", (x,))
-            break
-    for g, g2, h in product(rng, rng, rng):
-        if act[add[g][g2]][h] != add[act[g][h]][act[g2][h]]:
-            record("action.add", (g, g2, h))
-            break
-    for g, h, h2 in product(rng, rng, rng):
-        if act[g][add[h][h2]] != act[act[g][h]][h2]:
-            record("action.compose", (g, h, h2))
-            break
-    for g in rng:
-        if act[g][0] != g:
-            record("action.zero", (g,))
-            break
-    if require_reduced:
-        done = False
-        for x, y in product(rng, rng):
-            if y == 0:
-                continue
-            for z in rng:
-                if add[act[x][y]][z] != add[z][act[x][y]]:
-                    record("reduced.central", (x, y, z))
-                    done = True
-                    break
-            if done:
-                break
-        for x, y, z in product(rng, rng, rng):
-            if act[x][act[y][z]] != act[x][y]:
-                record("reduced.collapse", (x, y, z))
-                break
+    add = np.asarray(_check_table(order, add, "add"), dtype=np.intp)
+    act = np.asarray(_check_table(order, act, "act"), dtype=np.intp)
+    ar = np.arange(order, dtype=np.intp)
+    violations = []
+    for cid, inner, fn in _AXIOMS:
+        if cid.startswith("reduced.") and not require_reduced:
+            continue
+        witness = _first_witness(
+            order, inner, lambda lo, hi: fn(add, act, ar, lo, hi)
+        )
+        if witness is not None:
+            violations.append(Violation(cid, witness))
     return CheckReport(tuple(violations))
 
 
@@ -142,6 +195,11 @@ class FiniteGwaObject:
                     out[x] = y
                     break
         return tuple(out)
+
+    @cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """The add and act tables as index arrays, for the vectorized scans."""
+        return (np.asarray(self.add, dtype=np.intp), np.asarray(self.act, dtype=np.intp))
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -218,16 +276,17 @@ def is_morphism(f: GwaMorphism) -> CheckReport:
     for x, v in enumerate(f.map):
         if not 0 <= v < f.target.order:
             raise InputError(f"map[{x}] = {v} is out of range for the target")
+    src, tgt = f.source._arrays, f.target._arrays
+    mp = np.asarray(f.map, dtype=np.intp)
     violations = []
-    src, tgt, m = f.source, f.target, f.map
-    for x, y in product(range(src.order), range(src.order)):
-        if m[src.add[x][y]] != tgt.add[m[x]][m[y]]:
-            violations.append(Violation("hom.add", (x, y)))
-            break
-    for x, y in product(range(src.order), range(src.order)):
-        if m[src.act[x][y]] != tgt.act[m[x]][m[y]]:
-            violations.append(Violation("hom.act", (x, y)))
-            break
+    for cid, src_op, tgt_op in (("hom.add", src[0], tgt[0]), ("hom.act", src[1], tgt[1])):
+        # f(x op y) = f(x) op f(y)
+        witness = _first_witness(
+            f.source.order, 1,
+            lambda lo, hi: mp[src_op[lo:hi]] != tgt_op[mp[lo:hi, None], mp[None, :]],
+        )
+        if witness is not None:
+            violations.append(Violation(cid, witness))
     return CheckReport(tuple(violations))
 
 
@@ -322,6 +381,27 @@ def is_perfect(obj: FiniteGwaObject) -> bool:
     return len(derived_subobject(obj)) == obj.order
 
 
+def object_cache(maxsize: int):
+    """``lru_cache`` for a function of one object, keyed on its tables and
+    its name.
+
+    Object equality ignores the name, so a plain ``lru_cache`` would hand one
+    object's results, which may point back at it, to an equal-table object
+    with another name.  Reloading the same document still hits the cache.
+    """
+    def decorate(fn):
+        cached = lru_cache(maxsize=maxsize)(lambda obj, name: fn(obj))
+
+        @wraps(fn)
+        def wrapper(obj):
+            return cached(obj, obj.name)
+
+        wrapper.cache_clear = cached.cache_clear
+        return wrapper
+
+    return decorate
+
+
 # ---------------------------------------------------------------------------
 # Generator machinery: greedy generating sets plus BFS words, used to extend
 # maps that are determined by their values on additive generators.
@@ -333,7 +413,7 @@ def is_perfect(obj: FiniteGwaObject) -> bool:
 Step = tuple[int, int, int, int]
 
 
-@lru_cache(maxsize=64)
+@object_cache(maxsize=64)
 def generating_words(obj: FiniteGwaObject) -> tuple[tuple[int, ...], tuple[Step, ...]]:
     """Greedy additive generating set and a BFS step list covering the carrier."""
     gens: list[int] = []
@@ -404,7 +484,7 @@ def _is_additive(obj: FiniteGwaObject, f: Sequence[int]) -> bool:
     )
 
 
-@lru_cache(maxsize=64)
+@object_cache(maxsize=64)
 def _additive_bijections_cached(obj: FiniteGwaObject) -> tuple[tuple[int, ...], ...]:
     gens, steps = generating_words(obj)
     found = set()

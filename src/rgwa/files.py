@@ -47,7 +47,7 @@ def parse_object_json(data: dict) -> tuple[str, int, list, list]:
     name, order = data["name"], data["order"]
     if not isinstance(name, str):
         raise InputError("object name must be a string")
-    if not isinstance(order, int) or order < 1:
+    if not isinstance(order, int) or isinstance(order, bool) or order < 1:
         raise InputError("object order must be a positive integer")
     return name, order, data["add"], data["act"]
 

@@ -21,7 +21,6 @@ concatenated tables dotL | dotR | up | upL | pow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Callable, Sequence
 
@@ -34,6 +33,7 @@ from .core import (
     generating_words,
     invert_map,
     is_perfect,
+    object_cache,
 )
 from .errors import BudgetExceededError, InputError, UnsupportedInputError
 from .report import CheckReport, Violation
@@ -358,7 +358,7 @@ def enumerate_pentactions(
     return list(_enumerate_pentactions_uncapped(obj))
 
 
-@lru_cache(maxsize=32)
+@object_cache(maxsize=32)
 def _enumerate_pentactions_uncapped(obj: FiniteGwaObject) -> tuple[Pentaction, ...]:
     n = obj.order
     ups = additive_bijections(obj)

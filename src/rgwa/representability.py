@@ -11,6 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
+from typing import Sequence
+
+import numpy as np
 
 from .core import FiniteGwaObject, GwaMorphism, check_axioms, is_morphism
 from .corpus import standard_corpus
@@ -21,8 +24,6 @@ from .pentactions import (
     Pentaction,
     check_pentaction,
     enumerate_pentactions,
-    pent_add,
-    pent_pow,
     zero_pentaction,
 )
 from .report import CheckReport, Violation
@@ -54,6 +55,61 @@ class PAObject:
         return {p.key(): i for i, p in enumerate(self.elements)}
 
 
+def _pa_tables(
+    obj: FiniteGwaObject, elements: Sequence[Pentaction]
+) -> tuple[np.ndarray, np.ndarray, tuple[Violation, ...]]:
+    """Index tables of pentaction sum and power over ``elements``.
+
+    Both operations are array arithmetic on the stacked (m, n) component
+    tables, one row p at a time, so memory stays O(m*n).  Each resulting
+    pentaction is looked up among the element keys by a sorted byte-view
+    search.  A result outside the set is a closure gap: the first (i, j) in
+    row-major order is reported as "pa.closure.add" or "pa.closure.act" and
+    its cell is left at -1.
+    """
+    m, n = len(elements), obj.order
+    dotL, dotR, up, upL, pw = (
+        np.asarray([getattr(p, slot) for p in elements], dtype=np.intp).reshape(m, n)
+        for slot in ("dotL", "dotR", "up", "upL", "pow")
+    )
+    base_add = np.asarray(obj.add, dtype=np.intp)
+    keys = np.concatenate([dotL, dotR, up, upL, pw], axis=1)
+    as_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
+    order = np.argsort(keys.view(as_bytes).ravel())
+    sorted_bytes = keys[order].view(as_bytes).ravel()
+
+    def lookup(rows: np.ndarray) -> np.ndarray:
+        pos = np.searchsorted(sorted_bytes, np.ascontiguousarray(rows).view(as_bytes).ravel())
+        hit = order[np.minimum(pos, m - 1)]
+        return np.where((keys[hit] == rows).all(axis=1), hit, -1)
+
+    ident = np.broadcast_to(np.arange(n, dtype=np.intp), (m, n))
+    add = np.empty((m, m), dtype=np.intp)
+    act = np.empty((m, m), dtype=np.intp)
+    first_gap: dict[str, Violation] = {}
+    for i in range(m):
+        # q ranges over the rows: sum p+q and power p^q for every q at once
+        add[i] = lookup(np.concatenate([
+            dotL[i][dotL],
+            dotR[:, dotR[i]],
+            up[:, up[i]],
+            upL[i][upL],
+            base_add[pw[i], dotL[i][pw]],
+        ], axis=1))
+        act[i] = lookup(np.concatenate([
+            ident,
+            ident,
+            np.broadcast_to(up[i], (m, n)),
+            np.broadcast_to(upL[i], (m, n)),
+            np.take_along_axis(up, pw[i][dotL], axis=1),
+        ], axis=1))
+        for condition, row in (("pa.closure.add", add[i]), ("pa.closure.act", act[i])):
+            if condition not in first_gap and (row < 0).any():
+                first_gap[condition] = Violation(condition, (i, int(np.argmax(row < 0))))
+    gaps = tuple(first_gap[c] for c in ("pa.closure.add", "pa.closure.act") if c in first_gap)
+    return add, act, gaps
+
+
 def build_pa_object(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> PAObject:
     """Assemble addition (pentaction sum) and action (pentaction power)
     tables over the enumerated pentaction set and scan the reduced axioms.
@@ -64,35 +120,17 @@ def build_pa_object(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> PAObj
     """
     zero = zero_pentaction(obj)
     elements = [zero] + [p for p in enumerate_pentactions(obj, budget=budget) if p != zero]
-    index = {p.key(): i for i, p in enumerate(elements)}
     m = len(elements)
-    add = [[0] * m for _ in range(m)]
-    act = [[0] * m for _ in range(m)]
-    closure_failures: list[Violation] = []
-
-    def fill(table, operation, condition):
-        first_gap = None
-        for i, p in enumerate(elements):
-            for j, q in enumerate(elements):
-                s = index.get(operation(p, q).key(), -1)
-                if s < 0:
-                    if first_gap is None:
-                        first_gap = Violation(condition, (i, j))
-                    continue
-                table[i][j] = s
-        if first_gap is not None:
-            closure_failures.append(first_gap)
-
-    fill(add, pent_add, "pa.closure.add")
-    fill(act, pent_pow, "pa.closure.act")
-    if closure_failures:
-        return PAObject(obj, tuple(elements), None, CheckReport(tuple(closure_failures)))
+    add, act, gaps = _pa_tables(obj, elements)
+    if gaps:
+        return PAObject(obj, tuple(elements), None, CheckReport(gaps))
+    add, act = add.tolist(), act.tolist()
     report = check_axioms(m, add, act, require_reduced=True)
     assembled = FiniteGwaObject(
         name=f"PA({obj.name})",
         order=m,
-        add=tuple(tuple(row) for row in add),
-        act=tuple(tuple(row) for row in act),
+        add=tuple(map(tuple, add)),
+        act=tuple(map(tuple, act)),
         reduced=report.passed,
     )
     return PAObject(obj, tuple(elements), assembled, report)

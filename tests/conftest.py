@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 import rgwa
@@ -66,3 +68,47 @@ def shear_object() -> rgwa.FiniteGwaObject:
 @pytest.fixture(scope="session")
 def shear16():
     return shear_object()
+
+
+def reference_check_axioms(order, add, act, require_reduced=False) -> rgwa.CheckReport:
+    """Pure-Python loop-nest scan of the axioms, in report order; the oracle
+    for the vectorized ``check_axioms`` on in-range tables."""
+    rng = range(order)
+    violations = []
+
+    def first(condition, cells, violated):
+        for cell in cells:
+            if violated(*cell):
+                violations.append(rgwa.Violation(condition, cell))
+                return
+
+    triples = list(product(rng, rng, rng))
+    singles = [(x,) for x in rng]
+    first("group.assoc", triples,
+          lambda x, y, z: add[add[x][y]][z] != add[x][add[y][z]])
+    first("group.identity", singles, lambda x: add[0][x] != x or add[x][0] != x)
+    first("group.inverse", singles,
+          lambda x: not any(add[x][y] == 0 == add[y][x] for y in rng))
+    first("action.add", triples,
+          lambda g, g2, h: act[add[g][g2]][h] != add[act[g][h]][act[g2][h]])
+    first("action.compose", triples,
+          lambda g, h, h2: act[g][add[h][h2]] != act[act[g][h]][h2])
+    first("action.zero", singles, lambda g: act[g][0] != g)
+    if require_reduced:
+        first("reduced.central", triples,
+              lambda x, y, z: y != 0 and add[act[x][y]][z] != add[z][act[x][y]])
+        first("reduced.collapse", triples,
+              lambda x, y, z: act[x][act[y][z]] != act[x][y])
+    return rgwa.CheckReport(tuple(violations))
+
+
+def reference_is_morphism(f: rgwa.GwaMorphism) -> rgwa.CheckReport:
+    """Two-loop scan of the preservation laws; the oracle for ``is_morphism``."""
+    src, tgt, m = f.source, f.target, f.map
+    violations = []
+    for cid, s_op, t_op in (("hom.add", src.add, tgt.add), ("hom.act", src.act, tgt.act)):
+        for x, y in product(range(src.order), repeat=2):
+            if m[s_op[x][y]] != t_op[m[x]][m[y]]:
+                violations.append(rgwa.Violation(cid, (x, y)))
+                break
+    return rgwa.CheckReport(tuple(violations))

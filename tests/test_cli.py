@@ -47,6 +47,18 @@ class TestValidate:
         assert code == 2
 
 
+    @pytest.mark.parametrize("doc", [
+        {"name": "z2", "order": True, "add": [[0]], "act": [[0]]},
+        {"name": "z2", "order": 2, "add": [[False, True], [True, False]],
+         "act": [[0, 0], [1, 1]]},
+    ])
+    def test_bools_as_numbers_exit_two(self, capsys, tmp_path, doc):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run(capsys, "validate", path)
+        assert code == 2
+        assert "error" in json.loads(out)
+
 class TestCorpus:
     def test_writes_eleven_files(self, capsys, tmp_path):
         code, out = run(capsys, "corpus", tmp_path / "c")

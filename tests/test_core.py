@@ -1,10 +1,14 @@
 """Axiom gate, morphisms, closures and quotients."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rgwa
+from conftest import negation_cyclic, reference_check_axioms, reference_is_morphism, shear_object
+from rgwa import core
 from rgwa.core import additive_closure, generating_words, extend_additive
 
 
@@ -75,6 +79,12 @@ class TestCheckAxioms:
         with pytest.raises(rgwa.InputError):
             rgwa.check_axioms(2, [[0, "1"], [1, 0]], [[0, 0], [1, 1]])
 
+    def test_bool_entries_are_input_errors(self):
+        with pytest.raises(rgwa.InputError):
+            core.as_index(True)
+        with pytest.raises(rgwa.InputError):
+            rgwa.check_axioms(2, [[False, True], [True, False]], [[0, 0], [1, 1]])
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_reported_witnesses_are_genuine_on_random_tables(self, data):
@@ -107,6 +117,84 @@ class TestCheckAxioms:
             assert genuine[violation.condition](*violation.witness)
             seen.append(violation.condition)
         assert len(seen) == len(set(seen))  # one witness per condition
+        # and exactly the loop-nest reference scan's report, either mode
+        assert report == reference_check_axioms(n, add, act, True)
+        assert rgwa.check_axioms(n, add, act) == reference_check_axioms(n, add, act)
+
+
+def _valid_bases():
+    """(order, add, act) of valid objects, reduced or not, to corrupt."""
+    objs = rgwa.standard_corpus() + [negation_cyclic(4), negation_cyclic(6), shear_object()]
+    bases = [(o.order, o.add, o.act) for o in objs]
+    add, act = rgwa.s3_conjugation_tables()
+    return bases + [(6, add, act)]
+
+
+VALID_BASES = _valid_bases()
+
+
+def _corrupt(rng_draw, base, count):
+    """Mutable copies of a base's tables with ``count`` cells overwritten."""
+    n, add, act = base
+    tables = [[list(row) for row in add], [list(row) for row in act]]
+    for _ in range(count):
+        which, x, y, v = rng_draw(2), rng_draw(n), rng_draw(n), rng_draw(n)
+        tables[which][x][y] = v
+    return n, tables[0], tables[1]
+
+
+def _random_morphism(rng_draw, objs):
+    src, tgt = objs[rng_draw(len(objs))], objs[rng_draw(len(objs))]
+    if rng_draw(2):
+        mapping = tuple(rng_draw(tgt.order) for _ in range(src.order))
+    else:
+        # a zero or identity map with one entry changed: mostly near-misses
+        mapping = [x if src is tgt else 0 for x in range(src.order)]
+        mapping[rng_draw(src.order)] = rng_draw(tgt.order)
+    return rgwa.GwaMorphism(src, tgt, tuple(mapping))
+
+
+class TestScansAgainstReference:
+    """The vectorized axiom and morphism scans report exactly what the
+    pure-Python loop nests report, witnesses included."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_check_axioms_on_corrupted_tables(self, data):
+        base = VALID_BASES[data.draw(st.integers(0, len(VALID_BASES) - 1))]
+        count = data.draw(st.integers(0, 3))
+        n, add, act = _corrupt(lambda k: data.draw(st.integers(0, k - 1)), base, count)
+        for reduced in (False, True):
+            assert rgwa.check_axioms(n, add, act, reduced) == \
+                reference_check_axioms(n, add, act, reduced)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_is_morphism_on_random_maps(self, data):
+        objs = rgwa.standard_corpus()[:8] + [negation_cyclic(4)]
+        f = _random_morphism(lambda k: data.draw(st.integers(0, k - 1)), objs)
+        assert rgwa.is_morphism(f) == reference_is_morphism(f)
+
+    def test_witnesses_in_later_chunks(self, monkeypatch):
+        # one leading row per chunk: every witness with a nonzero first
+        # coordinate comes from a chunk after the first
+        monkeypatch.setattr(core, "_CHUNK_CELLS", 1)
+        rng = random.Random(0)
+        later = 0
+        for _ in range(300):
+            base = VALID_BASES[rng.randrange(len(VALID_BASES))]
+            n, add, act = _corrupt(rng.randrange, base, rng.randint(1, 2))
+            for reduced in (False, True):
+                report = rgwa.check_axioms(n, add, act, reduced)
+                assert report == reference_check_axioms(n, add, act, reduced)
+                later += sum(v.witness[0] > 0 for v in report.violations)
+        objs = rgwa.standard_corpus() + [negation_cyclic(4), shear_object()]
+        for _ in range(300):
+            f = _random_morphism(rng.randrange, objs)
+            report = rgwa.is_morphism(f)
+            assert report == reference_is_morphism(f)
+            later += sum(v.witness[0] > 0 for v in report.violations)
+        assert later > 1000
 
 
 class TestMakeObject:

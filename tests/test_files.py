@@ -34,6 +34,8 @@ class TestObjectFormat:
             files.object_from_json({"name": 3, "order": 1, "add": [[0]], "act": [[0]]})
         with pytest.raises(rgwa.InputError):
             files.object_from_json({"name": "x", "order": 0, "add": [], "act": []})
+        with pytest.raises(rgwa.InputError):
+            files.object_from_json({"name": "x", "order": True, "add": [[0]], "act": [[0]]})
 
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rgwa
+from rgwa.files import pentaction_to_json
 from rgwa.pentactions import CONDITION_IDS, check_pentactions_batch
 
 
@@ -276,3 +277,15 @@ class TestEnumeration:
         s3 = rgwa.make_object("s3conj", 6, add, act, require_reduced=False)
         with pytest.raises(rgwa.UnsupportedInputError):
             rgwa.enumerate_pentactions(s3)
+
+    def test_caches_keep_equal_objects_with_other_names_apart(self):
+        z2 = rgwa.cyclic_trivial(2)
+        first = rgwa.make_object("cache-first", 2, z2.add, z2.act)
+        rgwa.enumerate_pentactions(first)
+        alias = rgwa.make_object("cache-alias", 2, z2.add, z2.act)
+        pents = rgwa.enumerate_pentactions(alias)
+        assert all(p.parent is alias for p in pents)
+        assert {pentaction_to_json(p)["object"] for p in pents} == {"cache-alias"}
+        # reloading the same document is still served from the cache
+        reload = rgwa.make_object("cache-first", 2, z2.add, z2.act)
+        assert all(p.parent is first for p in rgwa.enumerate_pentactions(reload))

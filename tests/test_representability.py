@@ -4,6 +4,7 @@ import pytest
 
 import rgwa
 from rgwa.extensions import DerivedActionTriple
+from rgwa.representability import _pa_tables
 
 
 def trivial_triple(A, B):
@@ -64,6 +65,67 @@ class TestBuildPaObject:
             pa = rgwa.build_pa_object(obj)
             assert pa.report.passed, pa.report.conditions()
 
+
+
+def pa_elements(obj):
+    zero = rgwa.zero_pentaction(obj)
+    return [zero] + [p for p in rgwa.enumerate_pentactions(obj) if p != zero]
+
+
+def scalar_pa_tables(elements):
+    """Sum and power tables from one pent_add / pent_pow call per cell; a
+    result outside ``elements`` is -1, and the first such cell of each table
+    in row-major order is its closure gap."""
+    index = {p.key(): i for i, p in enumerate(elements)}
+    tables, gaps = [], []
+    for op, condition in ((rgwa.pent_add, "pa.closure.add"), (rgwa.pent_pow, "pa.closure.act")):
+        table = [[index.get(op(p, q).key(), -1) for q in elements] for p in elements]
+        cells = [(i, j) for i, row in enumerate(table) for j, v in enumerate(row) if v < 0]
+        if cells:
+            gaps.append(rgwa.Violation(condition, cells[0]))
+        tables.append(table)
+    return tables[0], tables[1], tuple(gaps)
+
+
+class TestPaFill:
+    def test_array_fill_matches_scalar_operations(self, corpus, z4neg, shear16):
+        objs = [o for o in corpus if len(rgwa.enumerate_pentactions(o)) <= 96]
+        assert len(objs) == len(corpus) - 1  # all but z2xz4 (m = 256)
+        for obj in objs + [z4neg, shear16]:
+            elements = pa_elements(obj)
+            add, act, gaps = _pa_tables(obj, elements)
+            assert (add.tolist(), act.tolist(), gaps) == scalar_pa_tables(elements)
+            assert gaps == ()
+
+    def test_truncated_element_lists_report_the_scalar_gaps(self, corpus, z4neg, shear16):
+        by_name = {o.name: o for o in corpus}
+        seen = set()
+        for obj in (by_name["z3"], by_name["z7"], z4neg, shear16):
+            elements = pa_elements(obj)
+            m = len(elements)
+            variants = [elements[:k] for k in {1, m // 2, m - 1}]
+            variants += [elements[:k] + elements[k + 1:] for k in {0, 1, m // 2, m - 1}]
+            for subset in variants:
+                add, act, gaps = _pa_tables(obj, subset)
+                assert (add.tolist(), act.tolist(), gaps) == scalar_pa_tables(subset)
+                seen.update(v.condition for v in gaps)
+        assert seen == {"pa.closure.add", "pa.closure.act"}
+
+    def test_fill_composes_in_the_scalar_order(self, corpus):
+        # enumerated sets have identity dots (every validated carrier is
+        # perfect), so spread dots and exponents over the non-abelian
+        # automorphism group of klein4 to tell composition orders apart
+        klein4 = next(o for o in corpus if o.name == "klein4")
+        auts = rgwa.additive_bijections(klein4)
+        inv = {f: tuple(sorted(range(4), key=f.__getitem__)) for f in auts}
+        pows = [(0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1)]
+        elements = [
+            rgwa.Pentaction(klein4, f, inv[f], u, inv[u], pw)
+            for f in auts for u in auts for pw in pows
+        ]
+        add, act, gaps = _pa_tables(klein4, elements)
+        assert (add.tolist(), act.tolist(), gaps) == scalar_pa_tables(elements)
+        assert (add >= 0).sum() > len(elements) and (act >= 0).sum() > len(elements)
 
 class TestPaAction:
     def test_zero_object_action_passes(self):
