@@ -48,5 +48,5 @@ triple = rgwa.enumerate_derived_actions(z4neg, z2)[0]
 phi = rgwa.represent(z4neg, z2, triple, pa=pa)
 print(f"\ntrivial z2-action factors through phi = {phi.map}; "
       f"morphism check: {rgwa.is_morphism(phi).passed}")
-print(f"uniqueness by exhaustive search: "
+print(f"uniqueness by per-element lookup: "
       f"{rgwa.verify_uniqueness(z4neg, z2, triple, phi, pa=pa).passed}")

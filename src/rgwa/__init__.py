@@ -61,7 +61,6 @@ from .files import emit_corpus, load_object, save_object
 from .pentactions import (
     DEFAULT_BUDGET,
     Pentaction,
-    PentactionCandidate,
     check_pentaction,
     check_pentactions_batch,
     enumerate_pentactions,

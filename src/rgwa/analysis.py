@@ -7,6 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
     ElementSet,
     FiniteGwaObject,
@@ -48,23 +49,26 @@ def weak_stabilizer(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> Eleme
 
     ranging over all pentactions p, q and all carrier elements a.  Soundness
     of a "zero weak stabilizer" claim needs the full pentaction set, so this
-    always enumerates exhaustively within the budget.
+    always enumerates exhaustively within the budget.  The families are
+    evaluated for p in chunks of at most ``core._CHUNK_CELLS`` (p, q, a)
+    cells and their values marked in a length-n table, so memory stays
+    O(P*n) whatever the pentaction count P.
     """
     pents = enumerate_pentactions(obj, budget=budget)
-    up = np.asarray([p.up for p in pents], dtype=np.int64)
-    pw = np.asarray([p.pow for p in pents], dtype=np.int64)
-    add = np.asarray(obj.add, dtype=np.int64)
-    neg = np.asarray(obj.neg, dtype=np.int64)
+    up = np.asarray([p.up for p in pents], dtype=np.intp)
+    pw = np.asarray([p.pow for p in pents], dtype=np.intp)
+    add = np.asarray(obj.add, dtype=np.intp)
+    neg = np.asarray(obj.neg, dtype=np.intp)
     diff = add[:, neg]  # diff[x, y] = x - y
-
-    family1 = pw[:, pw]  # [p, q, a] = p.pow(q.pow(a))
-    family2 = diff[pw[:, up], pw[:, None, :]]
-    compose = up[:, up]  # [x, y, a] = x.up(y.up(a))
-    family3 = diff[compose.swapaxes(0, 1), compose]
-    members = set(np.unique(family1))
-    members.update(np.unique(family2))
-    members.update(np.unique(family3))
-    return ElementSet(obj, tuple(int(v) for v in sorted(members)))
+    seen = np.zeros(obj.order, dtype=bool)
+    step = max(1, core._CHUNK_CELLS // (len(pents) * obj.order))
+    for lo in range(0, len(pents), step):
+        sl = slice(lo, lo + step)
+        # each family as a [p, q, a] array over the p of this chunk
+        seen[pw[sl][:, pw]] = True
+        seen[diff[pw[sl][:, up], pw[sl][:, None, :]]] = True
+        seen[diff[up[:, up[sl]].swapaxes(0, 1), up[sl][:, up]]] = True
+    return ElementSet(obj, tuple(int(v) for v in np.flatnonzero(seen)))
 
 
 @dataclass(frozen=True)

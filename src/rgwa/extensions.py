@@ -283,14 +283,6 @@ def _map_families(A: FiniteGwaObject, B: FiniteGwaObject, contravariant: bool):
     return out
 
 
-def _antihom_candidates(A: FiniteGwaObject, B: FiniteGwaObject):
-    return _map_families(A, B, contravariant=True)
-
-
-def _hom_candidates(A: FiniteGwaObject, B: FiniteGwaObject):
-    return _map_families(A, B, contravariant=False)
-
-
 # Per-table condition groups, shared by both enumerators so partially built
 # candidates can be rejected before the pow search multiplies them out.
 
@@ -353,6 +345,22 @@ def _up_conditions_hold(A: FiniteGwaObject, B: FiniteGwaObject, up) -> bool:
     )
 
 
+def _pow_row_conditions_hold(A: FiniteGwaObject, row) -> bool:
+    """a9 at b = b2, a4, a8 and 1B on one pow row pw[b]: the conditions
+    that read no other row of the pow table and neither dot nor up."""
+    addA, actA = A.add, A.act
+    ra = range(A.order)
+    return (
+        all(row[row[a]] == 0 for a in ra)
+        and all(row[actA[a][a2]] == row[a] for a in ra for a2 in ra)
+        and all(actA[a][row[a2]] == a for a in ra for a2 in ra if a2 != 0)
+        and all(
+            row[addA[a][a2]] == addA[actA[row[a]][a2]][row[a2]]
+            for a in ra for a2 in ra
+        )
+    )
+
+
 def _coupled_conditions_hold(A: FiniteGwaObject, B: FiniteGwaObject, dot, up, pw) -> bool:
     """The ten conditions mixing tables, cheap rejections first.  Assumes the
     per-table groups above already hold."""
@@ -407,14 +415,18 @@ def enumerate_derived_actions(
     Pruned: the per-element up maps are forced to be additive bijections
     composing anti-homomorphically (1A, 2B, zeroB), the dot maps compose
     homomorphically (ga laws), and the pow table is generated from its
-    values on additive generators of A and B (1B, 2A).  The full condition
-    scan filters the candidates.
+    values on additive generators of A and B (1B, 2A).  A generator g of B
+    is first reached from 0 and dot[0] is the identity, so pw[g] is exactly
+    its generator row: rows failing a9 (at b = b2), a4, a8 or 1B are dropped
+    once per A, and rows failing a10 once per up table, before the rows of
+    the generators are multiplied out.  The full condition scan filters the
+    candidates.
     """
     gensA, stepsA = generating_words(A)
     gensB, stepsB = generating_words(B)
     na = A.order
-    all_ups = _antihom_candidates(A, B)
-    all_dots = _hom_candidates(A, B)
+    all_ups = _map_families(A, B, contravariant=True)
+    all_dots = _map_families(A, B, contravariant=False)
     per_b = na ** len(gensA)
     total = len(all_ups) * len(all_dots) * per_b ** len(gensB)
     if total > budget:
@@ -428,17 +440,20 @@ def enumerate_derived_actions(
         if _up_conditions_hold(A, B, up):
             ups.append(up)
     dots = [dot for dot in all_dots if _dot_conditions_hold(A, B, dot)]
+    rows = [
+        extend_crossed_map(A, gensA, stepsA, images)
+        for images in product(range(na), repeat=len(gensA))
+    ]
+    rows = [row for row in rows if _pow_row_conditions_hold(A, row)]
     zero_row = (0,) * na
     found: list[DerivedActionTriple] = []
     for up in ups:
+        up_rows = [  # a10
+            row for row in rows
+            if all(row[up[a][b]] == row[a] for a in range(na) for b in range(B.order))
+        ]
         for dot in dots:
-            for assignment in product(
-                product(range(na), repeat=len(gensA)), repeat=len(gensB)
-            ):
-                gen_rows = [
-                    extend_crossed_map(A, gensA, stepsA, images)
-                    for images in assignment
-                ]
+            for gen_rows in product(up_rows, repeat=len(gensB)):
                 pw: list[tuple[int, ...]] = [()] * B.order
                 pw[0] = zero_row
                 for elem, parent, gi, sign in stepsB:

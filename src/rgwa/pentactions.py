@@ -74,10 +74,6 @@ class Pentaction:
         }
 
 
-# A candidate is the same value, minus the verification guarantee.
-PentactionCandidate = Pentaction
-
-
 def _require_reduced(obj: FiniteGwaObject) -> None:
     if not obj.reduced:
         raise UnsupportedInputError(
@@ -279,7 +275,7 @@ def zero_pentaction(obj: FiniteGwaObject) -> Pentaction:
     return Pentaction(obj, ident, ident, ident, ident, (0,) * obj.order)
 
 
-def pent_add(p: Pentaction, q: Pentaction) -> PentactionCandidate:
+def pent_add(p: Pentaction, q: Pentaction) -> Pentaction:
     """Componentwise sum: compositions on the four map components and
     pow(a) = p.pow(a) + p.dotL(q.pow(a))."""
     _same_parent(p, q)
@@ -295,7 +291,7 @@ def pent_add(p: Pentaction, q: Pentaction) -> PentactionCandidate:
     )
 
 
-def pent_neg(p: Pentaction) -> PentactionCandidate:
+def pent_neg(p: Pentaction) -> Pentaction:
     """Opposite element: swapped dot/exponent pairs and
     pow(a) = -(p.dotR(p.pow(a)))."""
     obj = p.parent
@@ -309,7 +305,7 @@ def pent_neg(p: Pentaction) -> PentactionCandidate:
     )
 
 
-def pent_pow(p: Pentaction, q: Pentaction) -> PentactionCandidate:
+def pent_pow(p: Pentaction, q: Pentaction) -> Pentaction:
     """Power operation: identity dots, p's exponent components, and
     pow(a) = q.up(p.pow(q.dotL(a)))."""
     _same_parent(p, q)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -53,6 +52,14 @@ class PAObject:
     @cached_property
     def _index(self) -> dict[tuple[int, ...], int]:
         return {p.key(): i for i, p in enumerate(self.elements)}
+
+    @cached_property
+    def _by_action(self) -> dict[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """(dotL, up, pow) -> ascending indices of the elements carrying it."""
+        groups: dict[tuple[tuple[int, ...], ...], list[int]] = {}
+        for i, p in enumerate(self.elements):
+            groups.setdefault((p.dotL, p.up, p.pow), []).append(i)
+        return {k: tuple(v) for k, v in groups.items()}
 
 
 def _pa_tables(
@@ -216,40 +223,50 @@ def verify_uniqueness(
     pa: PAObject | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> CheckReport:
-    """Exhaustively enumerate every map B -> PA(A) reproducing the triple's
-    three action components and confirm phi is the only one.
+    """Confirm phi is the only map B -> PA(A) reproducing the triple's three
+    action components.
+
+    The filter is independent for each b, so the satisfying maps are the
+    product of the per-b sets M_b of indices whose (dotL, up, pow) equals the
+    triple's column for b; each M_b is one lookup in a table built once per
+    PA object.  The budget is charged m + |B| (the table and the lookups),
+    not the m^|B| maps of an exhaustive search.
 
     Violation ids: "uniq.phi" when phi itself fails the filter, "uniq.extra"
-    (witness: the competing map) when the satisfying set is larger.
+    (witness: the lexicographically first satisfying map other than phi)
+    when the satisfying set is larger.
     """
     if pa is None:
         pa = build_pa_object(A)
     m = len(pa.elements)
-    total = m ** B.order
-    if total > budget:
+    cost = m + B.order
+    if cost > budget:
         raise BudgetExceededError(
-            f"uniqueness search over {total} maps exceeds budget {budget}"
+            f"uniqueness lookup over {m} elements for {B.order} columns "
+            f"costs {cost}, exceeds budget {budget}"
         )
-    na = A.order
-
-    def satisfies(psi: tuple[int, ...]) -> bool:
-        for b in range(B.order):
-            pent = pa.elements[psi[b]]
-            if tuple(triple.dot[b]) != pent.dotL:
-                return False
-            if tuple(triple.pow[b]) != pent.pow:
-                return False
-            if any(triple.up[a][b] != pent.up[a] for a in range(na)):
-                return False
-        return True
-
-    matches = [psi for psi in product(range(m), repeat=B.order) if satisfies(psi)]
+    by_action = pa._by_action
+    per_b = [  # M_b for each b
+        by_action.get((
+            tuple(triple.dot[b]),
+            tuple(triple.up[a][b] for a in range(A.order)),
+            tuple(triple.pow[b]),
+        ), ())
+        for b in range(B.order)
+    ]
+    target = tuple(phi.map)
     violations = []
-    if tuple(phi.map) not in matches:
-        violations.append(Violation("uniq.phi", tuple(phi.map)))
-    extras = [psi for psi in matches if psi != tuple(phi.map)]
-    for psi in extras[:1]:
-        violations.append(Violation("uniq.extra", psi))
+    if len(target) != B.order or any(t not in ms for t, ms in zip(target, per_b)):
+        violations.append(Violation("uniq.phi", target))
+    if all(per_b):
+        extra = tuple(ms[0] for ms in per_b)
+        if extra == target:
+            # phi is the first match; the next one in lexicographic order
+            # takes the second choice at the last position that has one
+            last = max((b for b, ms in enumerate(per_b) if len(ms) > 1), default=None)
+            extra = None if last is None else extra[:last] + (per_b[last][1],) + extra[last + 1:]
+        if extra is not None:
+            violations.append(Violation("uniq.extra", extra))
     return CheckReport(tuple(violations))
 
 
@@ -297,7 +314,7 @@ def verify_representability(
     Runs the reduced scan of PA(A) and its canonical action first, then for
     each acting object B (order <= max_b_order) and each enumerated derived
     action: the factorization morphism exists, preserves both operations,
-    and is unique under the exhaustive map search.
+    and is unique under the per-b uniqueness lookup.
     """
     failures: list[dict] = []
     pa = build_pa_object(A, budget=budget)

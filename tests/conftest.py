@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 
 import rgwa
@@ -20,6 +21,16 @@ def negation_cyclic(n: int, name: str | None = None) -> rgwa.FiniteGwaObject:
     add = [[(x + y) % n for y in range(n)] for x in range(n)]
     act = [[(x if y % 2 == 0 else (-x) % n) for y in range(n)] for x in range(n)]
     return rgwa.make_object(name or f"z{n}neg", n, add, act, require_reduced=True)
+
+
+def negation_product(n1: int, n2: int) -> rgwa.FiniteGwaObject:
+    """Z/n1 (+) Z/n2 (n1 even) acted on by negation when the exponent's first
+    coordinate is odd; pairs are indexed x1 * n2 + x2, as in ``direct_sum``."""
+    base = rgwa.direct_sum(rgwa.cyclic_trivial(n1), rgwa.cyclic_trivial(n2))
+    n = n1 * n2
+    act = [[(base.neg[x] if (y // n2) % 2 else x) for y in range(n)] for x in range(n)]
+    return rgwa.make_object(f"neg{n1}x{n2}", n, [list(r) for r in base.add], act,
+                            require_reduced=True)
 
 
 @pytest.fixture(scope="session")
@@ -112,3 +123,98 @@ def reference_is_morphism(f: rgwa.GwaMorphism) -> rgwa.CheckReport:
                 violations.append(rgwa.Violation(cid, (x, y)))
                 break
     return rgwa.CheckReport(tuple(violations))
+
+
+def reference_verify_uniqueness(A, B, triple, phi, pa) -> rgwa.CheckReport:
+    """Exhaustive search over all m^|B| maps B -> PA(A) that reproduce the
+    triple's three action components; the oracle for ``verify_uniqueness``."""
+    m = len(pa.elements)
+
+    def satisfies(psi):
+        for b in range(B.order):
+            pent = pa.elements[psi[b]]
+            if tuple(triple.dot[b]) != pent.dotL:
+                return False
+            if tuple(triple.pow[b]) != pent.pow:
+                return False
+            if any(triple.up[a][b] != pent.up[a] for a in range(A.order)):
+                return False
+        return True
+
+    matches = [psi for psi in product(range(m), repeat=B.order) if satisfies(psi)]
+    violations = []
+    if tuple(phi.map) not in matches:
+        violations.append(rgwa.Violation("uniq.phi", tuple(phi.map)))
+    extras = [psi for psi in matches if psi != tuple(phi.map)]
+    for psi in extras[:1]:
+        violations.append(rgwa.Violation("uniq.extra", psi))
+    return rgwa.CheckReport(tuple(violations))
+
+
+def reference_enumerate_derived_actions(A, B) -> list[rgwa.DerivedActionTriple]:
+    """Derived-action enumeration without pow-row pruning: every assignment
+    of generator rows is multiplied out before any pow condition runs.  The
+    oracle for the pruned ``enumerate_derived_actions``."""
+    from rgwa.core import extend_crossed_map, generating_words
+    from rgwa.extensions import (
+        _coupled_conditions_hold,
+        _dot_conditions_hold,
+        _map_families,
+        _up_conditions_hold,
+    )
+
+    gensA, stepsA = generating_words(A)
+    gensB, stepsB = generating_words(B)
+    na = A.order
+    ups = []
+    for up_fam in _map_families(A, B, contravariant=True):
+        up = tuple(tuple(up_fam[b][a] for b in range(B.order)) for a in range(na))
+        if _up_conditions_hold(A, B, up):
+            ups.append(up)
+    dots = [dot for dot in _map_families(A, B, contravariant=False)
+            if _dot_conditions_hold(A, B, dot)]
+    found = []
+    for up in ups:
+        for dot in dots:
+            for assignment in product(
+                product(range(na), repeat=len(gensA)), repeat=len(gensB)
+            ):
+                gen_rows = [extend_crossed_map(A, gensA, stepsA, images)
+                            for images in assignment]
+                pw = [()] * B.order
+                pw[0] = (0,) * na
+                for elem, parent, gi, sign in stepsB:
+                    row_g = gen_rows[gi]
+                    if sign > 0:
+                        pw[elem] = tuple(A.add[pw[parent][a]][dot[parent][row_g[a]]]
+                                         for a in range(na))
+                    else:
+                        pw[elem] = tuple(A.add[pw[parent][a]][A.neg[dot[elem][row_g[a]]]]
+                                         for a in range(na))
+                if not _coupled_conditions_hold(A, B, dot, up, pw):
+                    continue
+                cand = rgwa.DerivedActionTriple(A, B, dot, up, tuple(pw))
+                if rgwa.check_derived_action(cand).passed:
+                    found.append(cand)
+    found.sort(key=rgwa.DerivedActionTriple.key)
+    return found
+
+
+def reference_weak_stabilizer(obj) -> rgwa.ElementSet:
+    """The three obstruction families as whole P x P x n arrays; the oracle
+    for the chunked ``weak_stabilizer``."""
+    pents = rgwa.enumerate_pentactions(obj)
+    up = np.asarray([p.up for p in pents], dtype=np.int64)
+    pw = np.asarray([p.pow for p in pents], dtype=np.int64)
+    add = np.asarray(obj.add, dtype=np.int64)
+    neg = np.asarray(obj.neg, dtype=np.int64)
+    diff = add[:, neg]  # diff[x, y] = x - y
+
+    family1 = pw[:, pw]  # [p, q, a] = p.pow(q.pow(a))
+    family2 = diff[pw[:, up], pw[:, None, :]]
+    compose = up[:, up]  # [x, y, a] = x.up(y.up(a))
+    family3 = diff[compose.swapaxes(0, 1), compose]
+    members = set(np.unique(family1))
+    members.update(np.unique(family2))
+    members.update(np.unique(family3))
+    return rgwa.ElementSet(obj, tuple(int(v) for v in sorted(members)))

@@ -3,6 +3,7 @@
 import pytest
 
 import rgwa
+from conftest import negation_product, reference_weak_stabilizer
 
 
 def weak_stabilizer_by_definition(obj):
@@ -86,6 +87,15 @@ class TestWeakStabilizer:
         subjects = [o for o in corpus if o.order <= 4] + [z4neg, k4swap]
         for obj in subjects:
             assert rgwa.weak_stabilizer(obj).members == weak_stabilizer_by_definition(obj)
+
+    def test_matches_the_whole_array_version(self, corpus, shear16):
+        for obj in list(corpus) + [shear16, negation_product(4, 4), negation_product(8, 2)]:
+            assert rgwa.weak_stabilizer(obj) == reference_weak_stabilizer(obj), obj.name
+
+    def test_one_pentaction_per_chunk(self, monkeypatch, corpus, z4neg, shear16):
+        monkeypatch.setattr(rgwa.core, "_CHUNK_CELLS", 1)
+        for obj in [o for o in corpus if o.order <= 8] + [z4neg, shear16]:
+            assert rgwa.weak_stabilizer(obj) == reference_weak_stabilizer(obj), obj.name
 
     def test_contained_in_stabilizer(self, corpus, z4neg, k4swap, z6neg):
         for obj in list(corpus) + [z4neg, k4swap, z6neg]:

@@ -3,6 +3,7 @@
 import pytest
 
 import rgwa
+from conftest import reference_enumerate_derived_actions
 from rgwa.extensions import DerivedActionTriple
 
 
@@ -268,6 +269,18 @@ class TestEnumeration:
         pruned = rgwa.enumerate_derived_actions(z1, z4neg)
         brute = rgwa.enumerate_derived_actions_bruteforce(z1, z4neg)
         assert [t.key() for t in pruned] == [t.key() for t in brute]
+
+    def test_pow_row_pruning_matches_the_unpruned_loop(self, corpus, z4neg, k4swap, shear16):
+        # z2xz4 <- klein4 is left out: its unpruned loop takes about 2 s
+        bases = [o for o in corpus if o.order <= 8] + [z4neg, k4swap]
+        acting = [o for o in corpus if o.order <= 4] + [z4neg, k4swap]
+        pairs = [(A, B) for A in bases for B in acting
+                 if (A.name, B.name) != ("z2xz4", "klein4")]
+        pairs += [(shear16, B) for B in acting if B.order <= 2]
+        for A, B in pairs:
+            pruned = rgwa.enumerate_derived_actions(A, B)
+            unpruned = reference_enumerate_derived_actions(A, B)
+            assert [t.key() for t in pruned] == [t.key() for t in unpruned], (A.name, B.name)
 
     def test_verified_triples_satisfy_unit_laws(self):
         for na, nb in [(2, 2), (2, 3), (3, 2), (4, 2)]:

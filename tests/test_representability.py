@@ -1,10 +1,15 @@
 """PA(A) assembly, its action, and the factorization morphism."""
 
+import random
+from dataclasses import replace
+from itertools import product
+
 import pytest
 
 import rgwa
+from conftest import reference_verify_uniqueness
 from rgwa.extensions import DerivedActionTriple
-from rgwa.representability import _pa_tables
+from rgwa.representability import PAObject, _pa_tables
 
 
 def trivial_triple(A, B):
@@ -251,8 +256,100 @@ class TestUniqueness:
         pa = rgwa.build_pa_object(A)
         triple = trivial_triple(A, B)
         phi = rgwa.represent(A, B, triple, pa=pa)
+        cost = len(pa.elements) + B.order  # the lookup table plus one lookup per b
         with pytest.raises(rgwa.BudgetExceededError):
-            rgwa.verify_uniqueness(A, B, triple, phi, pa=pa, budget=10)
+            rgwa.verify_uniqueness(A, B, triple, phi, pa=pa, budget=cost - 1)
+        assert rgwa.verify_uniqueness(A, B, triple, phi, pa=pa, budget=cost).passed
+
+
+# The oracle visits m^|B| maps per phi; pairs above this many are left out
+# (PA(z7) and PA(klein4) at |B| = 3).
+_ORACLE_MAPS = 40_000
+
+
+def uniqueness_phis(B, pa, triple, rng):
+    """phi from ``represent`` when it exists, each one-position corruption of
+    it, and two random maps."""
+    m = len(pa.elements)
+    phis = []
+    try:
+        phis.append(rgwa.represent(pa.base, B, triple, pa=pa).map)
+    except rgwa.StructuralError:
+        pass
+    for phi in list(phis):
+        phis += [phi[:b] + ((phi[b] + 1) % m,) + phi[b + 1:] for b in range(B.order)]
+    phis += [tuple(rng.randrange(m) for _ in range(B.order)) for _ in range(2)]
+    return phis
+
+
+class TestUniquenessAgainstOracle:
+    def test_reports_match_the_exhaustive_search(self, corpus, z4neg, k4swap, shear16):
+        rng = random.Random(0)
+        bases = [o for o in corpus if o.order <= 8] + [z4neg, k4swap, shear16]
+        acting = [o for o in corpus if o.order <= 3]
+        seen = set()
+        for A in bases:
+            if len(rgwa.enumerate_pentactions(A)) > 96:
+                continue  # PA(z2xz4), m = 256: only B = z1 is under the cap
+            pa = rgwa.build_pa_object(A)
+            for B in acting:
+                if len(pa.elements) ** B.order > _ORACLE_MAPS:
+                    continue
+                for triple in rgwa.enumerate_derived_actions(A, B):
+                    for phi_map in uniqueness_phis(B, pa, triple, rng):
+                        phi = rgwa.GwaMorphism(B, pa.object, phi_map)
+                        got = rgwa.verify_uniqueness(A, B, triple, phi, pa=pa)
+                        want = reference_verify_uniqueness(A, B, triple, phi, pa)
+                        assert got.to_json() == want.to_json(), (A.name, B.name, phi_map)
+                        seen.add(got.conditions())
+        assert seen == {(), ("uniq.phi", "uniq.extra")}
+
+    def test_corrupted_triples_match_the_exhaustive_search(self, z4neg):
+        B = rgwa.cyclic_trivial(2)
+        pa = rgwa.build_pa_object(z4neg)
+        for triple in rgwa.enumerate_derived_actions(z4neg, B):
+            phi = rgwa.represent(z4neg, B, triple, pa=pa)
+            for b, a in product(range(B.order), range(z4neg.order)):
+                pw = [list(row) for row in triple.pow]
+                pw[b][a] = (pw[b][a] + 1) % z4neg.order
+                bad = replace(triple, pow=tuple(map(tuple, pw)), report=None)
+                got = rgwa.verify_uniqueness(z4neg, B, bad, phi, pa=pa)
+                want = reference_verify_uniqueness(z4neg, B, bad, phi, pa)
+                assert got.to_json() == want.to_json()
+                assert got.conditions() == ("uniq.phi",)
+
+    def test_duplicate_action_columns_match_the_exhaustive_search(self, corpus, z4neg):
+        # No enumerated PA has two elements with the same (dotL, up, pow), so
+        # copies that differ only in dotR/upL make the per-b match sets large
+        # and exercise the "second choice at the last position" witness.
+        by_name = {o.name: o for o in corpus}
+        rng = random.Random(1)
+        seen, second_choices = set(), 0
+        for A, B in ((by_name["z3"], by_name["z2"]), (z4neg, by_name["z3"]),
+                     (by_name["z4"], by_name["z2"])):
+            pa = rgwa.build_pa_object(A)
+            for _ in range(3):
+                elements = list(pa.elements)
+                for p in pa.elements:
+                    for copy in range(rng.randrange(3)):
+                        elements.append(replace(p, dotR=(copy + 1,) * A.order))
+                rng.shuffle(elements)
+                fake = PAObject(A, tuple(elements), None, pa.report)
+                m = len(elements)
+                for triple in rgwa.enumerate_derived_actions(A, B):
+                    for phi_map in product(range(m), repeat=B.order):
+                        if m ** B.order > 150 and rng.random() > 150 / m ** B.order:
+                            continue
+                        phi = rgwa.GwaMorphism(B, pa.object, phi_map)
+                        got = rgwa.verify_uniqueness(A, B, triple, phi, pa=fake)
+                        want = reference_verify_uniqueness(A, B, triple, phi, fake)
+                        assert got.to_json() == want.to_json(), (A.name, B.name, phi_map)
+                        seen.add(got.conditions())
+                        if got.conditions() == ("uniq.extra",):
+                            # phi below the witness: phi is the first match
+                            second_choices += phi_map < got.violations[0].witness
+        assert seen == {(), ("uniq.extra",), ("uniq.phi", "uniq.extra")}
+        assert second_choices > 0
 
 
 class TestVerifyRepresentability:
