@@ -21,6 +21,8 @@ are checked only when ``require_reduced`` is set.
 Each axiom is a numpy violation mask scanned along its leading index in
 chunks of at most ``_CHUNK_CELLS`` (2^18) cells, so memory stays flat
 whatever the order, and the scan stops at the first chunk with a violation.
+The same scanner, ``_first_witness``, serves ``is_morphism`` and the 22
+derived-action conditions of ``extensions``.
 """
 
 from __future__ import annotations
@@ -72,20 +74,22 @@ def _check_table(order: int, table, what: str) -> Table:
 _CHUNK_CELLS = 1 << 18
 
 
-def _first_witness(n: int, inner: int, mask) -> tuple[int, ...] | None:
+def _first_witness(lead: int, cells: int, mask) -> tuple[int, ...] | None:
     """Lexicographically minimal True cell of a chunked violation mask.
 
     ``mask(lo, hi)`` returns the violations whose leading index lies in
-    lo..hi-1, as an array whose leading axis has length hi - lo; each leading
-    index spans n**inner cells of work.  Chunks are scanned in order and the
-    scan stops at the first chunk holding a violation, so the C-order first
-    hit of that chunk is the minimal witness overall.
+    lo..hi-1, as an array whose leading axis has length hi - lo; the leading
+    axis has ``lead`` indices and each spans ``cells`` cells of work (the
+    product of the other axes' sizes, which may differ from ``lead``).
+    Chunks are scanned in order and the scan stops at the first chunk holding
+    a violation, so the C-order first hit of that chunk is the minimal
+    witness overall.
     """
-    step = max(1, _CHUNK_CELLS // n**inner)
-    for lo in range(0, n, step):
-        hits = mask(lo, min(n, lo + step))
+    step = max(1, _CHUNK_CELLS // cells)
+    for lo in range(0, lead, step):
+        hits = mask(lo, min(lead, lo + step))
         if hits.any():
-            first = np.argwhere(hits)[0]
+            first = np.unravel_index(int(hits.argmax()), hits.shape)
             return (lo + int(first[0]),) + tuple(int(v) for v in first[1:])
     return None
 
@@ -163,7 +167,7 @@ def check_axioms(order: int, add, act, require_reduced: bool = False) -> CheckRe
         if cid.startswith("reduced.") and not require_reduced:
             continue
         witness = _first_witness(
-            order, inner, lambda lo, hi: fn(add, act, ar, lo, hi)
+            order, order**inner, lambda lo, hi: fn(add, act, ar, lo, hi)
         )
         if witness is not None:
             violations.append(Violation(cid, witness))
@@ -282,7 +286,7 @@ def is_morphism(f: GwaMorphism) -> CheckReport:
     for cid, src_op, tgt_op in (("hom.add", src[0], tgt[0]), ("hom.act", src[1], tgt[1])):
         # f(x op y) = f(x) op f(y)
         witness = _first_witness(
-            f.source.order, 1,
+            f.source.order, f.source.order,
             lambda lo, hi: mp[src_op[lo:hi]] != tgt_op[mp[lo:hi, None], mp[None, :]],
         )
         if witness is not None:

@@ -5,20 +5,28 @@ A triple consists of ``dot[b][a] = b . a``, ``up[a][b] = a ^ b`` and
 ``pow[b][a] = b ^ a``.  ``check_derived_action`` scans, in order: the three
 group-action laws for the dot component (ga.1-ga.3), the eight structure
 laws 1A-4A / 1B-4B, the unit law zeroB, and the ten interaction laws
-a1-a10.  Conditions with side constraints skip the excluded tuples rather
-than failing vacuously.
+a1-a10.  Each is one numpy violation mask in the table ``_CONDITIONS``,
+tagged with its index axes and the tables it reads and scanned in chunks by
+``core._first_witness``.  Side constraints clear the excluded cells rather
+than failing vacuously.  The enumerators run subsets of the same table, each
+as soon as the tables it reads are fixed.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
-from itertools import product
+from itertools import combinations, product
+from math import prod
+
+import numpy as np
 
 from .corpus import direct_sum
 from .core import (
     FiniteGwaObject,
     GwaMorphism,
     Table,
+    _first_witness,
     _freeze_table,
     additive_bijections,
     extend_crossed_map,
@@ -27,7 +35,7 @@ from .core import (
     is_morphism,
 )
 from .errors import BudgetExceededError, InputError, StructuralError, ValidationError
-from .report import CheckReport, Violation
+from .report import PASSED, CheckReport, Violation
 
 DEFAULT_BUDGET = 100_000_000
 
@@ -107,29 +115,18 @@ def check_split_extension(ext: SplitExtension) -> CheckReport:
     for label, f in (("i", ext.i), ("p", ext.p), ("j", ext.j)):
         for v in is_morphism(f).violations:
             violations.append(Violation(f"ext.{label}.{v.condition}", v.witness))
-    for x in range(ext.A.order):
-        hit = False
-        for y in range(x + 1, ext.A.order):
-            if ext.i.map[x] == ext.i.map[y]:
-                violations.append(Violation("ext.inj", (x, y)))
-                hit = True
-                break
-        if hit:
-            break
-    image_p = set(ext.p.map)
-    for b in range(ext.B.order):
-        if b not in image_p:
-            violations.append(Violation("ext.surj", (b,)))
-            break
-    image_i = set(ext.i.map)
-    for e in range(ext.E.order):
-        if (ext.p.map[e] == 0) != (e in image_i):
-            violations.append(Violation("ext.ker", (e,)))
-            break
-    for b in range(ext.B.order):
-        if ext.p.map[ext.j.map[b]] != b:
-            violations.append(Violation("ext.section", (b,)))
-            break
+
+    def first(condition, cells, violated):
+        witness = next((c for c in cells if violated(*c)), None)
+        if witness is not None:
+            violations.append(Violation(condition, witness))
+
+    i, p, j = ext.i.map, ext.p.map, ext.j.map
+    image_i, image_p = set(i), set(p)
+    first("ext.inj", combinations(range(ext.A.order), 2), lambda x, y: i[x] == i[y])
+    first("ext.surj", product(range(ext.B.order)), lambda b: b not in image_p)
+    first("ext.ker", product(range(ext.E.order)), lambda e: (p[e] == 0) != (e in image_i))
+    first("ext.section", product(range(ext.B.order)), lambda b: p[j[b]] != b)
     return CheckReport(tuple(violations))
 
 
@@ -183,67 +180,113 @@ def action_from_split_extension(ext: SplitExtension) -> DerivedActionTriple:
     return replace(triple, report=check_derived_action(triple))
 
 
+# ---------------------------------------------------------------------------
+# The 22 conditions as one table, scanned by core._first_witness.
+# ---------------------------------------------------------------------------
+
+
+# Index arrays of A, B and a triple, with the carriers rA and rB as ranges; a
+# table that no scanned condition reads may be None.
+_Tables = namedtuple("_Tables", "addA actA rA addB actB rB dot up pw")
+
+
+def _tables(A: FiniteGwaObject, B: FiniteGwaObject, dot=None, up=None, pw=None) -> _Tables:
+    arrays = (None if x is None else np.asarray(x, dtype=np.intp) for x in (dot, up, pw))
+    return _Tables(*A._arrays, np.arange(A.order), *B._arrays, np.arange(B.order), *arrays)
+
+
+# (id, index axes in witness order, tables read, violation mask), in report
+# order.  A mask takes the tables and a slice s of the leading axis and
+# returns the violated cells whose leading index lies in s; side constraints
+# such as a2 != 0 clear the excluded cells.
+_CONDITIONS = (
+    # dot[b + b2][a] = dot[b][dot[b2][a]]
+    ("ga.1", "BBA", ("dot",), lambda t, s: t.dot[t.addB[s]] != t.dot[s][:, t.dot]),
+    # dot[b][a + a2] = dot[b][a] + dot[b][a2]
+    ("ga.2", "BAA", ("dot",),
+     lambda t, s: t.dot[s][:, t.addA] != t.addA[t.dot[s, :, None], t.dot[s, None, :]]),
+    # dot[0][a] = a
+    ("ga.3", "A", ("dot",), lambda t, s: t.dot[0, s] != t.rA[s]),
+    # up[a + a2][b] = up[a][b] + up[a2][b]
+    ("1A", "AAB", ("up",), lambda t, s: t.up[t.addA[s]] != t.addA[t.up[s, None], t.up]),
+    # pow[b + b2][a] = pow[b][a] + dot[b][pow[b2][a]]
+    ("2A", "BBA", ("pow", "dot"),
+     lambda t, s: t.pw[t.addB[s]] != t.addA[t.pw[s, None], t.dot[s][:, t.pw]]),
+    # dot[b][a] ^ a2 = a ^ a2  for a2 != 0
+    ("3A", "BAA", ("dot",), lambda t, s: (t.actA[t.dot[s]] != t.actA) & (t.rA > 0)),
+    # up[dot[b][a]][b2] = up[a][b2]
+    ("4A", "BAB", ("dot", "up"), lambda t, s: t.up[t.dot[s]] != t.up),
+    # pow[b][a + a2] = pow[b][a] ^ a2 + pow[b][a2]
+    ("1B", "BAA", ("pow",),
+     lambda t, s: t.pw[s][:, t.addA] != t.addA[t.actA[t.pw[s]], t.pw[s, None]]),
+    # up[a][b + b2] = up[up[a][b]][b2]
+    ("2B", "ABB", ("up",), lambda t, s: t.up[s][:, t.addB] != t.up[t.up[s]]),
+    # up[a ^ dot[b][a2]][b] = up[a][b] ^ a2
+    ("3B", "ABA", ("dot", "up"),
+     lambda t, s: t.up[t.actA[t.rA[s, None, None], t.dot], t.rB[:, None]]
+     != t.actA[t.up[s]]),
+    # up[pow[b][dot[b2][a]]][b2] = pow[b ^ b2][a]
+    ("4B", "BBA", ("pow", "dot", "up"),
+     lambda t, s: t.up[t.pw[s][:, t.dot], t.rB[:, None]] != t.pw[t.actB[s]]),
+    # up[a][0] = a
+    ("zeroB", "A", ("up",), lambda t, s: t.up[s, 0] != t.rA[s]),
+    # dot[b][a ^ a2] = a ^ a2  for a2 != 0
+    ("a1", "BAA", ("dot",), lambda t, s: (t.dot[s][:, t.actA] != t.actA) & (t.rA > 0)),
+    # dot[b][up[a][b2]] = up[a][b2]  for b2 != 0
+    ("a2", "BAB", ("dot", "up"), lambda t, s: (t.dot[s][:, t.up] != t.up) & (t.rB > 0)),
+    # dot[b ^ b2][a] = a  for b2 != 0
+    ("a3", "BBA", ("dot",),
+     lambda t, s: (t.dot[t.actB[s]] != t.rA) & (t.rB[:, None] > 0)),
+    # pow[b][a ^ a2] = pow[b][a]
+    ("a4", "BAA", ("pow",), lambda t, s: t.pw[s][:, t.actA] != t.pw[s, :, None]),
+    # up[a][b ^ b2] = up[a][b]
+    ("a5", "ABB", ("up",), lambda t, s: t.up[s][:, t.actB] != t.up[s, :, None]),
+    # up[a][b] + a2 = a2 + up[a][b]  for b != 0
+    ("a6", "ABA", ("up",),
+     lambda t, s: (t.addA[t.up[s]] != t.addA.T[t.up[s]]) & (t.rB[:, None] > 0)),
+    # a ^ up[a2][b] = a ^ a2
+    ("a7", "AAB", ("up",), lambda t, s: t.actA[s][:, t.up] != t.actA[s, :, None]),
+    # a ^ pow[b][a2] = a  for a2 != 0
+    ("a8", "ABA", ("pow",),
+     lambda t, s: (t.actA[s][:, t.pw] != t.rA[s, None, None]) & (t.rA > 0)),
+    # pow[b][pow[b2][a]] = 0
+    ("a9", "BBA", ("pow",), lambda t, s: t.pw[s][:, t.pw] != 0),
+    # pow[b][up[a][b2]] = pow[b][a]
+    ("a10", "BAB", ("pow", "up"), lambda t, s: t.pw[s][:, t.up] != t.pw[s, :, None]),
+)
+
+
+def _reading(*tables: str):
+    """The conditions reading exactly the given tables, in report order."""
+    return tuple(c for c in _CONDITIONS if set(c[2]) == set(tables))
+
+
+# The enumerators run each subset as soon as the tables it reads are fixed.
+_DOT_ONLY, _UP_ONLY, _POW_ONLY, _DOT_UP = (
+    _reading("dot"), _reading("up"), _reading("pow"), _reading("dot", "up")
+)
+_POW_READING = tuple(c for c in _CONDITIONS if "pow" in c[2])
+
+
+def _violations(t: _Tables, conditions):
+    """Yield one minimal-witness Violation per failing condition, in order."""
+    size = {"A": len(t.rA), "B": len(t.rB)}
+    for cid, axes, _, fn in conditions:
+        witness = _first_witness(size[axes[0]], prod(size[x] for x in axes[1:]),
+                                 lambda lo, hi: fn(t, slice(lo, hi)))
+        if witness is not None:
+            yield Violation(cid, witness)
+
+
+def _holds(t: _Tables, conditions) -> bool:
+    return next(_violations(t, conditions), None) is None
+
+
 def check_derived_action(triple: DerivedActionTriple) -> CheckReport:
     """Scan the 22 derived-action conditions; one minimal witness each."""
     _validate_triple_shape(triple)
-    A, B = triple.A, triple.B
-    addA, actA = A.add, A.act
-    addB, actB = B.add, B.act
-    dot, up, pw = triple.dot, triple.up, triple.pow
-    ra, rb = range(A.order), range(B.order)
-    violations: list[Violation] = []
-
-    def scan(condition, space, violated):
-        for w in space:
-            if violated(*w):
-                violations.append(Violation(condition, w))
-                return
-
-    scan("ga.1", product(rb, rb, ra),
-         lambda b, b2, a: dot[addB[b][b2]][a] != dot[b][dot[b2][a]])
-    scan("ga.2", product(rb, ra, ra),
-         lambda b, a, a2: dot[b][addA[a][a2]] != addA[dot[b][a]][dot[b][a2]])
-    scan("ga.3", product(ra),
-         lambda a: dot[0][a] != a)
-    scan("1A", product(ra, ra, rb),
-         lambda a, a2, b: up[addA[a][a2]][b] != addA[up[a][b]][up[a2][b]])
-    scan("2A", product(rb, rb, ra),
-         lambda b, b2, a: pw[addB[b][b2]][a] != addA[pw[b][a]][dot[b][pw[b2][a]]])
-    scan("3A", product(rb, ra, ra),
-         lambda b, a, a2: a2 != 0 and actA[dot[b][a]][a2] != actA[a][a2])
-    scan("4A", product(rb, ra, rb),
-         lambda b, a, b2: up[dot[b][a]][b2] != up[a][b2])
-    scan("1B", product(rb, ra, ra),
-         lambda b, a, a2: pw[b][addA[a][a2]] != addA[actA[pw[b][a]][a2]][pw[b][a2]])
-    scan("2B", product(ra, rb, rb),
-         lambda a, b, b2: up[a][addB[b][b2]] != up[up[a][b]][b2])
-    scan("3B", product(ra, rb, ra),
-         lambda a, b, a2: up[actA[a][dot[b][a2]]][b] != actA[up[a][b]][a2])
-    scan("4B", product(rb, rb, ra),
-         lambda b, b2, a: up[pw[b][dot[b2][a]]][b2] != pw[actB[b][b2]][a])
-    scan("zeroB", product(ra),
-         lambda a: up[a][0] != a)
-    scan("a1", product(rb, ra, ra),
-         lambda b, a, a2: a2 != 0 and dot[b][actA[a][a2]] != actA[a][a2])
-    scan("a2", product(rb, ra, rb),
-         lambda b, a, b2: b2 != 0 and dot[b][up[a][b2]] != up[a][b2])
-    scan("a3", product(rb, rb, ra),
-         lambda b, b2, a: b2 != 0 and dot[actB[b][b2]][a] != a)
-    scan("a4", product(rb, ra, ra),
-         lambda b, a, a2: pw[b][actA[a][a2]] != pw[b][a])
-    scan("a5", product(ra, rb, rb),
-         lambda a, b, b2: up[a][actB[b][b2]] != up[a][b])
-    scan("a6", product(ra, rb, ra),
-         lambda a, b, a2: b != 0 and addA[up[a][b]][a2] != addA[a2][up[a][b]])
-    scan("a7", product(ra, ra, rb),
-         lambda a, a2, b: actA[a][up[a2][b]] != actA[a][a2])
-    scan("a8", product(ra, rb, ra),
-         lambda a, b, a2: a2 != 0 and actA[a][pw[b][a2]] != a)
-    scan("a9", product(rb, rb, ra),
-         lambda b, b2, a: pw[b][pw[b2][a]] != 0)
-    scan("a10", product(rb, ra, rb),
-         lambda b, a, b2: pw[b][up[a][b2]] != pw[b][a])
-    return CheckReport(tuple(violations))
+    t = _tables(triple.A, triple.B, triple.dot, triple.up, triple.pow)
+    return CheckReport(tuple(_violations(t, _CONDITIONS)))
 
 
 # ---------------------------------------------------------------------------
@@ -252,159 +295,37 @@ def check_derived_action(triple: DerivedActionTriple) -> CheckReport:
 
 
 def _map_families(A: FiniteGwaObject, B: FiniteGwaObject, contravariant: bool):
-    """Families b -> (additive bijection of A) respecting B's addition:
-    f(x+y) = f(y) o f(x) when contravariant, f(x) o f(y) otherwise.
+    """Up tables (contravariant) or dot tables whose per-element maps are
+    additive bijections of A respecting B's addition (2B, resp. ga.1).
 
-    Generated from bijections assigned to B's generators and filtered by the
-    full composition law, so doomed families never reach the pow search.
+    Generated from bijections assigned to B's generators and filtered by
+    that composition law, so doomed families never reach the pow search.
     """
     bij = additive_bijections(A)
     inverses = {f: invert_map(f) for f in bij}
     gensB, stepsB = generating_words(B)
-    identity = tuple(range(A.order))
     ra = range(A.order)
+    name, law = ("up", "2B") if contravariant else ("dot", "ga.1")
+    law = [c for c in _CONDITIONS if c[0] == law]
     out = []
     for images in product(bij, repeat=len(gensB)):
         fam: list[tuple[int, ...]] = [()] * B.order
-        fam[0] = identity
+        fam[0] = tuple(ra)
         for elem, parent, gi, sign in stepsB:
             g = images[gi] if sign > 0 else inverses[images[gi]]
             if contravariant:
                 fam[elem] = tuple(g[fam[parent][a]] for a in ra)
             else:
                 fam[elem] = tuple(fam[parent][g[a]] for a in ra)
-        if all(
-            fam[B.add[x][y]]
-            == tuple((fam[y][fam[x][a]] if contravariant else fam[x][fam[y][a]]) for a in ra)
-            for x in range(B.order)
-            for y in range(B.order)
-        ):
-            out.append(tuple(fam))
+        table = tuple(zip(*fam)) if contravariant else tuple(fam)
+        if _holds(_tables(A, B, **{name: table}), law):
+            out.append(table)
     return out
 
 
-# Per-table condition groups, shared by both enumerators so partially built
-# candidates can be rejected before the pow search multiplies them out.
-
-
-def _dot_conditions_hold(A: FiniteGwaObject, B: FiniteGwaObject, dot) -> bool:
-    """ga.1-ga.3, 3A, a1 and a3: everything touching only the dot table."""
-    addA, actA, addB, actB = A.add, A.act, B.add, B.act
-    ra, rb = range(A.order), range(B.order)
-    return (
-        all(dot[0][a] == a for a in ra)
-        and all(
-            dot[addB[b][b2]][a] == dot[b][dot[b2][a]]
-            for b in rb for b2 in rb for a in ra
-        )
-        and all(
-            dot[b][addA[a][a2]] == addA[dot[b][a]][dot[b][a2]]
-            for b in rb for a in ra for a2 in ra
-        )
-        and all(
-            actA[dot[b][a]][a2] == actA[a][a2]
-            for b in rb for a in ra for a2 in ra if a2 != 0
-        )
-        and all(
-            dot[b][actA[a][a2]] == actA[a][a2]
-            for b in rb for a in ra for a2 in ra if a2 != 0
-        )
-        and all(
-            dot[actB[b][b2]][a] == a
-            for b in rb for b2 in rb for a in ra if b2 != 0
-        )
-    )
-
-
-def _up_conditions_hold(A: FiniteGwaObject, B: FiniteGwaObject, up) -> bool:
-    """1A, 2B, zeroB, a5, a6 and a7: everything touching only the up table."""
-    addA, actA, addB, actB = A.add, A.act, B.add, B.act
-    ra, rb = range(A.order), range(B.order)
-    return (
-        all(up[a][0] == a for a in ra)
-        and all(
-            up[addA[a][a2]][b] == addA[up[a][b]][up[a2][b]]
-            for a in ra for a2 in ra for b in rb
-        )
-        and all(
-            up[a][addB[b][b2]] == up[up[a][b]][b2]
-            for a in ra for b in rb for b2 in rb
-        )
-        and all(
-            up[a][actB[b][b2]] == up[a][b]
-            for a in ra for b in rb for b2 in rb
-        )
-        and all(
-            addA[up[a][b]][a2] == addA[a2][up[a][b]]
-            for a in ra for b in rb for a2 in ra if b != 0
-        )
-        and all(
-            actA[a][up[a2][b]] == actA[a][a2]
-            for a in ra for a2 in ra for b in rb
-        )
-    )
-
-
-def _pow_row_conditions_hold(A: FiniteGwaObject, row) -> bool:
-    """a9 at b = b2, a4, a8 and 1B on one pow row pw[b]: the conditions
-    that read no other row of the pow table and neither dot nor up."""
-    addA, actA = A.add, A.act
-    ra = range(A.order)
-    return (
-        all(row[row[a]] == 0 for a in ra)
-        and all(row[actA[a][a2]] == row[a] for a in ra for a2 in ra)
-        and all(actA[a][row[a2]] == a for a in ra for a2 in ra if a2 != 0)
-        and all(
-            row[addA[a][a2]] == addA[actA[row[a]][a2]][row[a2]]
-            for a in ra for a2 in ra
-        )
-    )
-
-
-def _coupled_conditions_hold(A: FiniteGwaObject, B: FiniteGwaObject, dot, up, pw) -> bool:
-    """The ten conditions mixing tables, cheap rejections first.  Assumes the
-    per-table groups above already hold."""
-    addA, actA, addB, actB = A.add, A.act, B.add, B.act
-    ra, rb = range(A.order), range(B.order)
-    return (
-        all(pw[b][pw[b2][a]] == 0 for b in rb for b2 in rb for a in ra)  # a9
-        and all(  # 2A
-            pw[addB[b][b2]][a] == addA[pw[b][a]][dot[b][pw[b2][a]]]
-            for b in rb for b2 in rb for a in ra
-        )
-        and all(  # 4B
-            up[pw[b][dot[b2][a]]][b2] == pw[actB[b][b2]][a]
-            for b in rb for b2 in rb for a in ra
-        )
-        and all(  # a2
-            dot[b][up[a][b2]] == up[a][b2]
-            for b in rb for a in ra for b2 in rb if b2 != 0
-        )
-        and all(  # 4A
-            up[dot[b][a]][b2] == up[a][b2]
-            for b in rb for a in ra for b2 in rb
-        )
-        and all(  # a10
-            pw[b][up[a][b2]] == pw[b][a]
-            for b in rb for a in ra for b2 in rb
-        )
-        and all(  # 1B
-            pw[b][addA[a][a2]] == addA[actA[pw[b][a]][a2]][pw[b][a2]]
-            for b in rb for a in ra for a2 in ra
-        )
-        and all(  # a4
-            pw[b][actA[a][a2]] == pw[b][a]
-            for b in rb for a in ra for a2 in ra
-        )
-        and all(  # a8
-            actA[a][pw[b][a2]] == a
-            for a in ra for b in rb for a2 in ra if a2 != 0
-        )
-        and all(  # 3B
-            up[actA[a][dot[b][a2]]][b] == actA[up[a][b]][a2]
-            for a in ra for b in rb for a2 in ra
-        )
-    )
+# The zero object: a pow row read as the one-row pow table of a B of order 1,
+# where a9 at b = b2 is the only a9 cell.
+_POINT = FiniteGwaObject("0", 1, ((0,),), ((0,),))
 
 
 def enumerate_derived_actions(
@@ -413,69 +334,53 @@ def enumerate_derived_actions(
     """All verified derived actions of B on A, canonically ordered.
 
     Pruned: the per-element up maps are forced to be additive bijections
-    composing anti-homomorphically (1A, 2B, zeroB), the dot maps compose
-    homomorphically (ga laws), and the pow table is generated from its
-    values on additive generators of A and B (1B, 2A).  A generator g of B
-    is first reached from 0 and dot[0] is the identity, so pw[g] is exactly
-    its generator row: rows failing a9 (at b = b2), a4, a8 or 1B are dropped
-    once per A, and rows failing a10 once per up table, before the rows of
-    the generators are multiplied out.  The full condition scan filters the
-    candidates.
+    composing anti-homomorphically, the dot maps compose homomorphically,
+    and the pow table is generated from its values on additive generators
+    of A and B (1B, 2A).  Each subset of the condition table runs as soon as
+    the tables it reads are fixed: the dot-only conditions once per dot
+    family, the up-only ones once per up family, and 4A, 3B and a2 once per
+    (up, dot) pair.  A generator g of B is first reached from 0 and dot[0]
+    is the identity, so pw[g] is exactly its generator row: rows failing a
+    pow-only condition (1B, a4, a8, a9 at b = b2) are dropped once per A,
+    before the rows of the generators are multiplied out.  Each candidate
+    then runs the seven pow-reading conditions, so every kept triple has
+    passed all 22 and carries the passing report without a rescan.
     """
     gensA, stepsA = generating_words(A)
     gensB, stepsB = generating_words(B)
-    na = A.order
+    na, ra = A.order, range(A.order)
     all_ups = _map_families(A, B, contravariant=True)
     all_dots = _map_families(A, B, contravariant=False)
-    per_b = na ** len(gensA)
-    total = len(all_ups) * len(all_dots) * per_b ** len(gensB)
+    total = len(all_ups) * len(all_dots) * na ** (len(gensA) * len(gensB))
     if total > budget:
         raise BudgetExceededError(
             f"derived-action enumeration for {B.name!r} on {A.name!r} needs "
             f"{total} candidate visits, budget is {budget}; 0 candidates checked"
         )
-    ups = []
-    for up_fam in all_ups:
-        up = tuple(tuple(up_fam[b][a] for b in range(B.order)) for a in range(na))
-        if _up_conditions_hold(A, B, up):
-            ups.append(up)
-    dots = [dot for dot in all_dots if _dot_conditions_hold(A, B, dot)]
+    ups = [up for up in all_ups if _holds(_tables(A, B, up=up), _UP_ONLY)]
+    dots = [dot for dot in all_dots if _holds(_tables(A, B, dot=dot), _DOT_ONLY)]
     rows = [
         extend_crossed_map(A, gensA, stepsA, images)
         for images in product(range(na), repeat=len(gensA))
     ]
-    rows = [row for row in rows if _pow_row_conditions_hold(A, row)]
+    rows = [row for row in rows if _holds(_tables(A, _POINT, pw=[row]), _POW_ONLY)]
     zero_row = (0,) * na
     found: list[DerivedActionTriple] = []
     for up in ups:
-        up_rows = [  # a10
-            row for row in rows
-            if all(row[up[a][b]] == row[a] for a in range(na) for b in range(B.order))
-        ]
         for dot in dots:
-            for gen_rows in product(up_rows, repeat=len(gensB)):
+            t = _tables(A, B, dot=dot, up=up)
+            if not _holds(t, _DOT_UP):
+                continue
+            for gen_rows in product(rows, repeat=len(gensB)):
                 pw: list[tuple[int, ...]] = [()] * B.order
                 pw[0] = zero_row
                 for elem, parent, gi, sign in stepsB:
-                    row_g = gen_rows[gi]
-                    if sign > 0:
-                        pw[elem] = tuple(
-                            A.add[pw[parent][a]][dot[parent][row_g[a]]]
-                            for a in range(na)
-                        )
-                    else:
-                        pw[elem] = tuple(
-                            A.add[pw[parent][a]][A.neg[dot[elem][row_g[a]]]]
-                            for a in range(na)
-                        )
-                if not _coupled_conditions_hold(A, B, dot, up, pw):
-                    continue
-                cand = DerivedActionTriple(A, B, dot, up, tuple(pw))
-                report = check_derived_action(cand)
-                if report.passed:
-                    found.append(
-                        DerivedActionTriple(A, B, dot, up, tuple(pw), report=report)
-                    )
+                    # pw[parent + g] = pw[parent] + dot[parent] pw[g], and
+                    # pw[parent - g] = pw[parent] - dot[parent - g] pw[g]
+                    step = dot[parent] if sign > 0 else [A.neg[v] for v in dot[elem]]
+                    pw[elem] = tuple(A.add[pw[parent][a]][step[gen_rows[gi][a]]] for a in ra)
+                if _holds(t._replace(pw=np.asarray(pw)), _POW_READING):
+                    found.append(DerivedActionTriple(A, B, dot, up, tuple(pw), report=PASSED))
     found.sort(key=DerivedActionTriple.key)
     return found
 
@@ -485,9 +390,10 @@ def enumerate_derived_actions_bruteforce(
 ) -> list[DerivedActionTriple]:
     """Exhaustive oracle: filter all n_A^(3 n_A n_B) raw table triples.
 
-    Conditions touching only the dot (resp. up) table are applied as soon as
-    that table is fixed, which rejects exactly the triples the full scan
-    would reject; every surviving candidate runs check_derived_action.
+    It runs the stages of the pruned enumerator over unpruned tables: the
+    dot-only conditions once per dot table, the up-only ones once per up
+    table, 4A, 3B and a2 once per (dot, up) pair, and the seven pow-reading
+    conditions on every pow table.
     """
     na, nb = A.order, B.order
     if na ** (3 * na * nb) > _BRUTEFORCE_CAP:
@@ -501,20 +407,18 @@ def enumerate_derived_actions_bruteforce(
         for flat in product(ra, repeat=rows * cols):
             yield tuple(flat[r * cols:(r + 1) * cols] for r in range(rows))
 
+    ups = [up for up in tables(na, nb) if _holds(_tables(A, B, up=up), _UP_ONLY)]
     found = []
     for dot in tables(nb, na):
-        if not _dot_conditions_hold(A, B, dot):
+        if not _holds(_tables(A, B, dot=dot), _DOT_ONLY):
             continue
-        for up in tables(na, nb):
-            if not _up_conditions_hold(A, B, up):
+        for up in ups:
+            t = _tables(A, B, dot=dot, up=up)
+            if not _holds(t, _DOT_UP):
                 continue
             for pw in tables(nb, na):
-                cand = DerivedActionTriple(A, B, dot, up, pw)
-                report = check_derived_action(cand)
-                if report.passed:
-                    found.append(
-                        DerivedActionTriple(A, B, dot, up, pw, report=report)
-                    )
+                if _holds(t._replace(pw=np.asarray(pw)), _POW_READING):
+                    found.append(DerivedActionTriple(A, B, dot, up, pw, report=PASSED))
     return found
 
 

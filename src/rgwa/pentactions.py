@@ -250,11 +250,15 @@ def check_pentactions_batch(cands: Sequence[Pentaction]) -> np.ndarray:
     """Boolean pass vector for a batch of candidates over one parent."""
     if not cands:
         return np.zeros(0, dtype=bool)
-    parent = cands[0].parent
     for c in cands:
         _same_parent(cands[0], c)
         _validate_shape(c)
-    t = _ctx(parent)
+    return _passing(cands)
+
+
+def _passing(cands: Sequence[Pentaction]) -> np.ndarray:
+    """Pass vector of a non-empty batch of in-range candidates over one parent."""
+    t = _ctx(cands[0].parent)
     ok = np.ones(len(cands), dtype=bool)
     slots = _slot_arrays(cands)
     for _, needed, fn in _CONDITIONS:
@@ -361,13 +365,17 @@ def _enumerate_pentactions_uncapped(obj: FiniteGwaObject) -> tuple[Pentaction, .
     identity = tuple(range(n))
     dotls = [identity] if is_perfect(obj) else ups
     gens, steps = generating_words(obj)
+    rows = [
+        extend_crossed_map(obj, gens, steps, images)
+        for images in product(range(n), repeat=len(gens))
+    ]
     found: list[Pentaction] = []
     chunk: list[Pentaction] = []
 
     def flush() -> None:
         if not chunk:
             return
-        for cand, ok in zip(chunk, check_pentactions_batch(chunk)):
+        for cand, ok in zip(chunk, _passing(chunk)):
             if ok:
                 found.append(cand)
         chunk.clear()
@@ -376,8 +384,7 @@ def _enumerate_pentactions_uncapped(obj: FiniteGwaObject) -> tuple[Pentaction, .
         upl = invert_map(up)
         for dotl in dotls:
             dotr = invert_map(dotl)
-            for images in product(range(n), repeat=len(gens)):
-                pw = extend_crossed_map(obj, gens, steps, images)
+            for pw in rows:
                 chunk.append(Pentaction(obj, dotl, dotr, up, upl, pw))
                 if len(chunk) >= _BATCH_CHUNK:
                     flush()

@@ -43,8 +43,7 @@ def z6neg():
     return negation_cyclic(6)
 
 
-@pytest.fixture(scope="session")
-def k4swap():
+def k4swap_object() -> rgwa.FiniteGwaObject:
     """Klein four group acted on by the automorphism swapping the two
     middle elements at exponents 1 and 2."""
     base = rgwa.direct_sum(rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(2))
@@ -52,6 +51,11 @@ def k4swap():
     act = [[(x if y in (0, 3) else swap[x]) for y in range(4)] for x in range(4)]
     return rgwa.make_object("k4swap", 4, [list(r) for r in base.add], act,
                             require_reduced=True)
+
+
+@pytest.fixture(scope="session")
+def k4swap():
+    return k4swap_object()
 
 
 def shear_object() -> rgwa.FiniteGwaObject:
@@ -151,31 +155,97 @@ def reference_verify_uniqueness(A, B, triple, phi, pa) -> rgwa.CheckReport:
     return rgwa.CheckReport(tuple(violations))
 
 
+def reference_check_derived_action(triple) -> rgwa.CheckReport:
+    """Pure-Python loop-nest scan of the 22 derived-action conditions, in
+    report order; the oracle for the vectorized ``check_derived_action`` on
+    in-range tables."""
+    A, B = triple.A, triple.B
+    addA, actA = A.add, A.act
+    addB, actB = B.add, B.act
+    dot, up, pw = triple.dot, triple.up, triple.pow
+    ra, rb = range(A.order), range(B.order)
+    violations = []
+
+    def scan(condition, space, violated):
+        for w in space:
+            if violated(*w):
+                violations.append(rgwa.Violation(condition, w))
+                return
+
+    scan("ga.1", product(rb, rb, ra),
+         lambda b, b2, a: dot[addB[b][b2]][a] != dot[b][dot[b2][a]])
+    scan("ga.2", product(rb, ra, ra),
+         lambda b, a, a2: dot[b][addA[a][a2]] != addA[dot[b][a]][dot[b][a2]])
+    scan("ga.3", product(ra),
+         lambda a: dot[0][a] != a)
+    scan("1A", product(ra, ra, rb),
+         lambda a, a2, b: up[addA[a][a2]][b] != addA[up[a][b]][up[a2][b]])
+    scan("2A", product(rb, rb, ra),
+         lambda b, b2, a: pw[addB[b][b2]][a] != addA[pw[b][a]][dot[b][pw[b2][a]]])
+    scan("3A", product(rb, ra, ra),
+         lambda b, a, a2: a2 != 0 and actA[dot[b][a]][a2] != actA[a][a2])
+    scan("4A", product(rb, ra, rb),
+         lambda b, a, b2: up[dot[b][a]][b2] != up[a][b2])
+    scan("1B", product(rb, ra, ra),
+         lambda b, a, a2: pw[b][addA[a][a2]] != addA[actA[pw[b][a]][a2]][pw[b][a2]])
+    scan("2B", product(ra, rb, rb),
+         lambda a, b, b2: up[a][addB[b][b2]] != up[up[a][b]][b2])
+    scan("3B", product(ra, rb, ra),
+         lambda a, b, a2: up[actA[a][dot[b][a2]]][b] != actA[up[a][b]][a2])
+    scan("4B", product(rb, rb, ra),
+         lambda b, b2, a: up[pw[b][dot[b2][a]]][b2] != pw[actB[b][b2]][a])
+    scan("zeroB", product(ra),
+         lambda a: up[a][0] != a)
+    scan("a1", product(rb, ra, ra),
+         lambda b, a, a2: a2 != 0 and dot[b][actA[a][a2]] != actA[a][a2])
+    scan("a2", product(rb, ra, rb),
+         lambda b, a, b2: b2 != 0 and dot[b][up[a][b2]] != up[a][b2])
+    scan("a3", product(rb, rb, ra),
+         lambda b, b2, a: b2 != 0 and dot[actB[b][b2]][a] != a)
+    scan("a4", product(rb, ra, ra),
+         lambda b, a, a2: pw[b][actA[a][a2]] != pw[b][a])
+    scan("a5", product(ra, rb, rb),
+         lambda a, b, b2: up[a][actB[b][b2]] != up[a][b])
+    scan("a6", product(ra, rb, ra),
+         lambda a, b, a2: b != 0 and addA[up[a][b]][a2] != addA[a2][up[a][b]])
+    scan("a7", product(ra, ra, rb),
+         lambda a, a2, b: actA[a][up[a2][b]] != actA[a][a2])
+    scan("a8", product(ra, rb, ra),
+         lambda a, b, a2: a2 != 0 and actA[a][pw[b][a2]] != a)
+    scan("a9", product(rb, rb, ra),
+         lambda b, b2, a: pw[b][pw[b2][a]] != 0)
+    scan("a10", product(rb, ra, rb),
+         lambda b, a, b2: pw[b][up[a][b2]] != pw[b][a])
+    return rgwa.CheckReport(tuple(violations))
+
+
 def reference_enumerate_derived_actions(A, B) -> list[rgwa.DerivedActionTriple]:
     """Derived-action enumeration without pow-row pruning: every assignment
     of generator rows is multiplied out before any pow condition runs.  The
     oracle for the pruned ``enumerate_derived_actions``."""
     from rgwa.core import extend_crossed_map, generating_words
     from rgwa.extensions import (
-        _coupled_conditions_hold,
-        _dot_conditions_hold,
+        _DOT_ONLY,
+        _DOT_UP,
+        _POW_READING,
+        _UP_ONLY,
+        _holds,
         _map_families,
-        _up_conditions_hold,
+        _tables,
     )
 
     gensA, stepsA = generating_words(A)
     gensB, stepsB = generating_words(B)
     na = A.order
-    ups = []
-    for up_fam in _map_families(A, B, contravariant=True):
-        up = tuple(tuple(up_fam[b][a] for b in range(B.order)) for a in range(na))
-        if _up_conditions_hold(A, B, up):
-            ups.append(up)
+    ups = [up for up in _map_families(A, B, contravariant=True)
+           if _holds(_tables(A, B, up=up), _UP_ONLY)]
     dots = [dot for dot in _map_families(A, B, contravariant=False)
-            if _dot_conditions_hold(A, B, dot)]
+            if _holds(_tables(A, B, dot=dot), _DOT_ONLY)]
     found = []
     for up in ups:
         for dot in dots:
+            if not _holds(_tables(A, B, dot=dot, up=up), _DOT_UP):
+                continue
             for assignment in product(
                 product(range(na), repeat=len(gensA)), repeat=len(gensB)
             ):
@@ -191,11 +261,8 @@ def reference_enumerate_derived_actions(A, B) -> list[rgwa.DerivedActionTriple]:
                     else:
                         pw[elem] = tuple(A.add[pw[parent][a]][A.neg[dot[elem][row_g[a]]]]
                                          for a in range(na))
-                if not _coupled_conditions_hold(A, B, dot, up, pw):
-                    continue
-                cand = rgwa.DerivedActionTriple(A, B, dot, up, tuple(pw))
-                if rgwa.check_derived_action(cand).passed:
-                    found.append(cand)
+                if _holds(_tables(A, B, dot, up, pw), _POW_READING):
+                    found.append(rgwa.DerivedActionTriple(A, B, dot, up, tuple(pw)))
     found.sort(key=rgwa.DerivedActionTriple.key)
     return found
 

@@ -1,10 +1,12 @@
-"""The benchmark's self-check and its represent session pass against this
-checkout."""
+"""The benchmark's self-check and its represent and pa-assembly sessions
+pass against this checkout."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -19,13 +21,16 @@ def test_benchmark_selfcheck_passes():
     assert "selfcheck ok" in proc.stdout
 
 
-def test_represent_session_matches_the_pinned_outputs(tmp_path):
-    # represent --max-order 4 on z8neg and z5 and the derived-action tables
-    # of klein4 on z2xz4, each checked against perfbench/expected.json
-    # (exit code, fields and stdout digest)
+@pytest.mark.parametrize("workload", ["represent", "pa-assembly"])
+def test_session_matches_the_pinned_outputs(tmp_path, workload):
+    # represent: represent --max-order 4 on z8neg and z5 and the
+    # derived-action tables of klein4 on z2xz4; pa-assembly: rgwa pa on
+    # z2xz4, neg2x8 and z16neg, whose digests pin the pa_action witnesses.
+    # Each job is checked against perfbench/expected.json (exit code,
+    # fields and stdout digest).
     result = tmp_path / "r.json"
     proc = subprocess.run(
-        [sys.executable, "perfbench/session.py", "represent", "0", "0",
+        [sys.executable, "perfbench/session.py", workload, "0", "0",
          str(tmp_path), str(result)],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )

@@ -1,9 +1,21 @@
 """Split extensions, the derived triple, and the 22-condition scan."""
 
+import random
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rgwa
-from conftest import reference_enumerate_derived_actions
+from conftest import (
+    k4swap_object,
+    negation_cyclic,
+    reference_check_derived_action,
+    reference_enumerate_derived_actions,
+    shear_object,
+)
+from rgwa import core
 from rgwa.extensions import DerivedActionTriple
 
 
@@ -131,6 +143,66 @@ class TestCheckDerivedAction:
             rgwa.check_derived_action(
                 DerivedActionTriple(z2, z3, t.dot, t.up, (t.pow[0], (0, 9), t.pow[2]))
             )
+
+
+@lru_cache(maxsize=None)
+def _scan_pairs():
+    """(A, B) pairs, most of unequal orders, with the action-carrying
+    carriers on either side, each with its enumerated derived actions plus
+    the trivial triple as corruption bases.  The non-abelian s3 (validated without the
+    reduced checks) is the only base on which a6 can fail."""
+    z1, z2, z3 = (rgwa.cyclic_trivial(n) for n in (1, 2, 3))
+    corpus = {o.name: o for o in rgwa.standard_corpus()}
+    z4neg, k4swap, shear16 = negation_cyclic(4), k4swap_object(), shear_object()
+    s3 = rgwa.make_object("s3", 6, *rgwa.s3_conjugation_tables(), require_reduced=False)
+    pairs = [
+        (z2, z3), (z3, z2), (z1, z4neg), (z4neg, z2), (z2, z4neg), (k4swap, z3),
+        (z3, k4swap), (z4neg, k4swap), (k4swap, z2), (shear16, z2), (z2, shear16),
+        (corpus["z2xz4"], corpus["klein4"]), (corpus["klein4"], z4neg), (s3, z2), (z2, s3),
+    ]
+    return [
+        (A, B, [trivial_triple(A, B)] + rgwa.enumerate_derived_actions(A, B))
+        for A, B in pairs
+    ]
+
+
+def _corrupted_triple(draw) -> DerivedActionTriple:
+    """A derived action of some scan pair with up to four entries replaced;
+    ``draw(k)`` picks an integer in 0..k-1."""
+    A, B, bases = _scan_pairs()[draw(len(_scan_pairs()))]
+    base = bases[draw(len(bases))]
+    tables = [[list(r) for r in table] for table in (base.dot, base.up, base.pow)]
+    for _ in range(draw(5)):
+        table = tables[draw(3)]
+        row = table[draw(len(table))]
+        row[draw(len(row))] = draw(A.order)
+    return DerivedActionTriple(A, B, *(tuple(map(tuple, table)) for table in tables))
+
+
+class TestScanAgainstReference:
+    """The vectorized 22-condition scan reports exactly what the pure-Python
+    loop nest reports, witnesses included."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_triples(self, data):
+        t = _corrupted_triple(lambda k: data.draw(st.integers(0, k - 1)))
+        assert rgwa.check_derived_action(t) == reference_check_derived_action(t)
+
+    def test_witnesses_in_later_chunks(self, monkeypatch):
+        # one leading index per chunk: every witness with a nonzero first
+        # coordinate comes from a chunk after the first
+        monkeypatch.setattr(core, "_CHUNK_CELLS", 1)
+        rng = random.Random(0)
+        later, seen = 0, set()
+        for _ in range(300):
+            t = _corrupted_triple(rng.randrange)
+            report = rgwa.check_derived_action(t)
+            assert report == reference_check_derived_action(t)
+            later += sum(v.witness[0] > 0 for v in report.violations)
+            seen.update(report.conditions())
+        assert later > 600
+        assert len(seen) == 22
 
 
 class TestTwistedExtension:
@@ -263,6 +335,8 @@ class TestEnumeration:
         pruned = rgwa.enumerate_derived_actions(A, B)
         brute = rgwa.enumerate_derived_actions_bruteforce(A, B)
         assert [t.key() for t in pruned] == [t.key() for t in brute]
+        for t in pruned + brute:
+            assert t.report == rgwa.check_derived_action(t)
 
     def test_oracle_equivalence_nontrivial_base(self, z4neg):
         z1 = rgwa.cyclic_trivial(1)
@@ -281,6 +355,8 @@ class TestEnumeration:
             pruned = rgwa.enumerate_derived_actions(A, B)
             unpruned = reference_enumerate_derived_actions(A, B)
             assert [t.key() for t in pruned] == [t.key() for t in unpruned], (A.name, B.name)
+            for t in pruned:
+                assert t.report == rgwa.check_derived_action(t)
 
     def test_verified_triples_satisfy_unit_laws(self):
         for na, nb in [(2, 2), (2, 3), (3, 2), (4, 2)]:
