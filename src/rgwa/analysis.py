@@ -17,7 +17,7 @@ from .core import (
     subobject_closure,
 )
 from .errors import UnsupportedInputError, WorkbenchError
-from .pentactions import DEFAULT_BUDGET, enumerate_pentactions
+from .pentactions import DEFAULT_BUDGET, _check_budget, _pentaction_factors
 
 __all__ = [
     "derived_subobject",
@@ -48,26 +48,34 @@ def weak_stabilizer(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> Eleme
         up-of-(p+q) at a minus up-of-(q+p) at a,
 
     ranging over all pentactions p, q and all carrier elements a.  Soundness
-    of a "zero weak stabilizer" claim needs the full pentaction set, so this
-    always enumerates exhaustively within the budget.  The families are
-    evaluated for p in chunks of at most ``core._CHUNK_CELLS`` (p, q, a)
-    cells and their values marked in a length-n table, so memory stays
-    O(P*n) whatever the pentaction count P.
+    of a "zero weak stabilizer" claim needs the full pentaction set, so the
+    budget is charged as for its exhaustive enumeration.  That set is the
+    product of its map parts and its pow tables, so the families depend only
+    on the set W of pow tables and the set U of up tables: the first ranges
+    over W x W, the second over W x U and the third over U x U.  Each is
+    evaluated in chunks of at most ``core._CHUNK_CELLS`` cells and its values
+    marked in a length-n table, so memory stays O((|U|+|W|)*n).
     """
-    pents = enumerate_pentactions(obj, budget=budget)
-    up = np.asarray([p.up for p in pents], dtype=np.intp)
-    pw = np.asarray([p.pow for p in pents], dtype=np.intp)
+    _check_budget(obj, budget)
+    maps, rows = _pentaction_factors(obj)
+    n = obj.order
+    seen = np.zeros(n, dtype=bool)
+    up = np.asarray(sorted({m[2] for m in maps}), dtype=np.intp)
+    pw = np.asarray(rows, dtype=np.intp)
     add = np.asarray(obj.add, dtype=np.intp)
     neg = np.asarray(obj.neg, dtype=np.intp)
     diff = add[:, neg]  # diff[x, y] = x - y
-    seen = np.zeros(obj.order, dtype=bool)
-    step = max(1, core._CHUNK_CELLS // (len(pents) * obj.order))
-    for lo in range(0, len(pents), step):
-        sl = slice(lo, lo + step)
-        # each family as a [p, q, a] array over the p of this chunk
-        seen[pw[sl][:, pw]] = True
-        seen[diff[pw[sl][:, up], pw[sl][:, None, :]]] = True
-        seen[diff[up[:, up[sl]].swapaxes(0, 1), up[sl][:, up]]] = True
+
+    def mark(first: np.ndarray, second: np.ndarray, family) -> None:
+        # family(first[chunk], second) is a [chunk, len(second), a] array
+        step = max(1, core._CHUNK_CELLS // (len(second) * n))
+        for lo in range(0, len(first), step):
+            seen[family(first[lo:lo + step], second)] = True
+
+    mark(pw, pw, lambda p, q: p[:, q])  # p.pow(q.pow(a))
+    mark(pw, up, lambda p, q: diff[p[:, q], p[:, None, :]])  # p.pow(q.up(a)) - p.pow(a)
+    # (p+q).up = q.up o p.up, so family 3 is q.up(p.up(a)) - p.up(q.up(a))
+    mark(up, up, lambda p, q: diff[q[:, p].swapaxes(0, 1), p[:, q]])
     return ElementSet(obj, tuple(int(v) for v in np.flatnonzero(seen)))
 
 

@@ -15,7 +15,11 @@ that the prefix action of b is the action of -b.
 The set of all pentactions of A is produced by :func:`enumerate_pentactions`
 (pruned) and :func:`enumerate_pentactions_bruteforce` (independent oracle,
 tiny orders only), both in the canonical lexicographic order of the
-concatenated tables dotL | dotR | up | upL | pow.
+concatenated tables dotL | dotR | up | upL | pow.  Only p4, p7 and p10 read
+pow, and they read nothing else, so the set is the product of its map parts
+(dotL, dotR, up, upL) and its pow tables; the pruned enumerator scans the two
+factors apart, visiting |ups|*|dotLs| + n^|gens| candidates, while its budget
+is still charged the |ups|*|dotLs|*n^|gens| candidates of the product.
 """
 
 from __future__ import annotations
@@ -214,6 +218,16 @@ _CONDITIONS: tuple[tuple[str, _Slots, Callable[..., np.ndarray]], ...] = (
 
 CONDITION_IDS = tuple(cid for cid, _, _ in _CONDITIONS)
 
+# No condition couples pow to the four maps: p4, p7 and p10 read pow alone
+# and the other sixteen never read it.  So the pentactions are exactly the
+# maps passing the sixteen times the pow tables passing the three, and the
+# enumerator scans the two factors apart.
+_MAP_SLOTS = ("dotL", "dotR", "up", "upL")
+_Table = tuple[int, ...]
+_Maps = tuple[_Table, _Table, _Table, _Table]  # one table per map slot
+_MAP_CONDITIONS = tuple(c for c in _CONDITIONS if "pow" not in c[1])
+_POW_CONDITIONS = tuple(c for c in _CONDITIONS if c[1] == ("pow",))
+
 
 def _slot_arrays(cands: Sequence[Pentaction]) -> dict[str, np.ndarray]:
     return {
@@ -258,12 +272,21 @@ def check_pentactions_batch(cands: Sequence[Pentaction]) -> np.ndarray:
 
 def _passing(cands: Sequence[Pentaction]) -> np.ndarray:
     """Pass vector of a non-empty batch of in-range candidates over one parent."""
-    t = _ctx(cands[0].parent)
-    ok = np.ones(len(cands), dtype=bool)
-    slots = _slot_arrays(cands)
-    for _, needed, fn in _CONDITIONS:
+    return _passing_slots(_ctx(cands[0].parent), _slot_arrays(cands), _CONDITIONS)
+
+
+def _passing_slots(
+    t: _Ctx,
+    slots: dict[str, np.ndarray],
+    conditions: Sequence[tuple[str, _Slots, Callable[..., np.ndarray]]],
+) -> np.ndarray:
+    """Pass vector of the conditions over candidates given as slot arrays;
+    a condition reading a slot that is not given raises ``KeyError``."""
+    count = len(next(iter(slots.values())))
+    ok = np.ones(count, dtype=bool)
+    for _, needed, fn in conditions:
         mask = fn(t, *(slots[s] for s in needed))
-        ok &= ~mask.reshape(len(cands), -1).any(axis=1)
+        ok &= ~mask.reshape(count, -1).any(axis=1)
     return ok
 
 
@@ -338,59 +361,89 @@ def enumerate_pentactions(
     Pruned search: up ranges over additive bijections with upL forced as its
     inverse, dotL likewise (restricted to the identity when obj is perfect,
     since the dot components then fix every element), and pow is generated
-    from its values on additive generators.  The full condition scan filters
-    the surviving candidates, so the pruning is completeness-preserving.
+    from its values on additive generators.  No condition links pow to the
+    four maps, so the set is the product of the maps passing the sixteen
+    map conditions and the pow tables passing p4, p7 and p10: the search
+    visits |ups|*|dotLs| + n^|gens| candidates and builds only kept values.
+    The full condition scan still filters every factor, so the pruning is
+    completeness-preserving.
 
-    The budget is compared against the candidate count implied by the input
-    itself, so refusals do not depend on what happens to be cached.
+    The budget is charged the size of the product candidate space,
+    |ups|*|dotLs|*n^|gens|, computed from the input itself, so refusals do
+    not depend on what happens to be cached.
+    """
+    _check_budget(obj, budget)
+    return list(_enumerate_pentactions_uncapped(obj))
+
+
+def _check_budget(obj: FiniteGwaObject, budget: int) -> None:
+    """Refuse an enumeration whose candidate space exceeds the budget.
+
+    The space is at least n^|gens| (the identity is an additive bijection),
+    so that bound is checked before the n^|gens| additive-bijection search.
     """
     _require_reduced(obj)
     n = obj.order
+    gens, _ = generating_words(obj)
+    rows = n ** len(gens)
+    if rows > budget:
+        raise BudgetExceededError(
+            f"pentaction enumeration over {obj.name!r} needs at least {rows} "
+            f"candidate visits (refused before the additive-bijection search), "
+            f"budget is {budget}"
+        )
     ups = additive_bijections(obj)
     dotl_count = 1 if is_perfect(obj) else len(ups)
-    gens, _ = generating_words(obj)
-    total = len(ups) * dotl_count * n ** len(gens)
+    total = len(ups) * dotl_count * rows
     if total > budget:
         raise BudgetExceededError(
             f"pentaction enumeration over {obj.name!r} needs {total} candidate "
             f"visits, budget is {budget}"
         )
-    return list(_enumerate_pentactions_uncapped(obj))
 
 
 @object_cache(maxsize=32)
-def _enumerate_pentactions_uncapped(obj: FiniteGwaObject) -> tuple[Pentaction, ...]:
+def _pentaction_factors(obj: FiniteGwaObject) -> tuple[tuple[_Maps, ...], tuple[_Table, ...]]:
+    """The two factors of the pentaction set, each sorted: the map parts
+    (dotL, dotR, up, upL) passing the conditions that do not read pow, and
+    the pow tables passing the conditions that read only pow."""
     n = obj.order
+    t = _ctx(obj)
     ups = additive_bijections(obj)
-    identity = tuple(range(n))
-    dotls = [identity] if is_perfect(obj) else ups
+    dotls = [tuple(range(n))] if is_perfect(obj) else ups
+    maps = [
+        (dotl, invert_map(dotl), up, invert_map(up)) for up in ups for dotl in dotls
+    ]
     gens, steps = generating_words(obj)
     rows = [
         extend_crossed_map(obj, gens, steps, images)
         for images in product(range(n), repeat=len(gens))
     ]
-    found: list[Pentaction] = []
-    chunk: list[Pentaction] = []
 
-    def flush() -> None:
-        if not chunk:
-            return
-        for cand, ok in zip(chunk, _passing(chunk)):
-            if ok:
-                found.append(cand)
-        chunk.clear()
+    def kept(cands: list, slots: Sequence[str], conditions) -> tuple:
+        # each candidate is one table per slot (a pow row is its own table)
+        out = []
+        for lo in range(0, len(cands), _BATCH_CHUNK):
+            chunk = cands[lo:lo + _BATCH_CHUNK]
+            arrays = np.asarray(chunk, dtype=np.int64).reshape(len(chunk), len(slots), n)
+            ok = _passing_slots(
+                t, {s: arrays[:, i] for i, s in enumerate(slots)}, conditions
+            )
+            out.extend(c for c, good in zip(chunk, ok) if good)
+        return tuple(sorted(out))
 
-    for up in ups:
-        upl = invert_map(up)
-        for dotl in dotls:
-            dotr = invert_map(dotl)
-            for pw in rows:
-                chunk.append(Pentaction(obj, dotl, dotr, up, upl, pw))
-                if len(chunk) >= _BATCH_CHUNK:
-                    flush()
-    flush()
-    found.sort(key=Pentaction.key)
-    return tuple(found)
+    return (
+        kept(maps, _MAP_SLOTS, _MAP_CONDITIONS),
+        kept(rows, ("pow",), _POW_CONDITIONS),
+    )
+
+
+@object_cache(maxsize=32)
+def _enumerate_pentactions_uncapped(obj: FiniteGwaObject) -> tuple[Pentaction, ...]:
+    # Maps outer, pow inner is the canonical key order: the map parts are
+    # distinct and of equal length, and each factor is sorted.
+    maps, rows = _pentaction_factors(obj)
+    return tuple(Pentaction(obj, *m, pw) for m in maps for pw in rows)
 
 
 def enumerate_pentactions_bruteforce(obj: FiniteGwaObject) -> list[Pentaction]:

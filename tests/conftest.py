@@ -267,6 +267,52 @@ def reference_enumerate_derived_actions(A, B) -> list[rgwa.DerivedActionTriple]:
     return found
 
 
+def reference_enumerate_pentactions(obj) -> list[rgwa.Pentaction]:
+    """Every (up, dotL, pow row) candidate built and run through all 19
+    conditions, then sorted; the oracle for the factored
+    ``enumerate_pentactions``."""
+    from rgwa.core import (
+        additive_bijections,
+        extend_crossed_map,
+        generating_words,
+        invert_map,
+        is_perfect,
+    )
+    from rgwa.pentactions import _BATCH_CHUNK, Pentaction, _passing
+
+    n = obj.order
+    ups = additive_bijections(obj)
+    identity = tuple(range(n))
+    dotls = [identity] if is_perfect(obj) else ups
+    gens, steps = generating_words(obj)
+    rows = [
+        extend_crossed_map(obj, gens, steps, images)
+        for images in product(range(n), repeat=len(gens))
+    ]
+    found: list[Pentaction] = []
+    chunk: list[Pentaction] = []
+
+    def flush() -> None:
+        if not chunk:
+            return
+        for cand, ok in zip(chunk, _passing(chunk)):
+            if ok:
+                found.append(cand)
+        chunk.clear()
+
+    for up in ups:
+        upl = invert_map(up)
+        for dotl in dotls:
+            dotr = invert_map(dotl)
+            for pw in rows:
+                chunk.append(Pentaction(obj, dotl, dotr, up, upl, pw))
+                if len(chunk) >= _BATCH_CHUNK:
+                    flush()
+    flush()
+    found.sort(key=Pentaction.key)
+    return found
+
+
 def reference_weak_stabilizer(obj) -> rgwa.ElementSet:
     """The three obstruction families as whole P x P x n arrays; the oracle
     for the chunked ``weak_stabilizer``."""

@@ -88,8 +88,9 @@ class TestWeakStabilizer:
         for obj in subjects:
             assert rgwa.weak_stabilizer(obj).members == weak_stabilizer_by_definition(obj)
 
-    def test_matches_the_whole_array_version(self, corpus, shear16):
-        for obj in list(corpus) + [shear16, negation_product(4, 4), negation_product(8, 2)]:
+    def test_matches_the_whole_array_version(self, corpus, z4neg, k4swap, shear16):
+        for obj in list(corpus) + [z4neg, k4swap, shear16,
+                                   negation_product(4, 4), negation_product(8, 2)]:
             assert rgwa.weak_stabilizer(obj) == reference_weak_stabilizer(obj), obj.name
 
     def test_one_pentaction_per_chunk(self, monkeypatch, corpus, z4neg, shear16):

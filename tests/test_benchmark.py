@@ -1,7 +1,8 @@
-"""The benchmark's self-check and its represent and pa-assembly sessions
-pass against this checkout."""
+"""The benchmark's self-check and its three sessions pass against this
+checkout."""
 
 import json
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -21,13 +22,14 @@ def test_benchmark_selfcheck_passes():
     assert "selfcheck ok" in proc.stdout
 
 
-@pytest.mark.parametrize("workload", ["represent", "pa-assembly"])
+@pytest.mark.parametrize("workload", ["represent", "pa-assembly", "census"])
 def test_session_matches_the_pinned_outputs(tmp_path, workload):
     # represent: represent --max-order 4 on z8neg and z5 and the
     # derived-action tables of klein4 on z2xz4; pa-assembly: rgwa pa on
-    # z2xz4, neg2x8 and z16neg, whose digests pin the pa_action witnesses.
-    # Each job is checked against perfbench/expected.json (exit code,
-    # fields and stdout digest).
+    # z2xz4, neg2x8 and z16neg, whose digests pin the pa_action witnesses;
+    # census: validate, pentactions, analyze, oracle and noether, and the
+    # budget refusal of pentactions on neg4x4.  Each job is checked against
+    # perfbench/expected.json (exit code, fields and stdout digest).
     result = tmp_path / "r.json"
     proc = subprocess.run(
         [sys.executable, "perfbench/session.py", workload, "0", "0",
@@ -36,5 +38,6 @@ def test_session_matches_the_pinned_outputs(tmp_path, workload):
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     jobs = json.loads(result.read_text())["jobs"]
-    assert len(jobs) == 3
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
+    assert len(jobs) == len(workloads[workload])
     assert all(job["ok"] for job in jobs), jobs

@@ -1,10 +1,15 @@
 """Pentaction conditions, operations, and the two enumerators."""
 
+import random
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rgwa
+from conftest import negation_product, reference_enumerate_pentactions
+from rgwa import pentactions
 from rgwa.files import pentaction_to_json
 from rgwa.pentactions import CONDITION_IDS, check_pentactions_batch
 
@@ -264,9 +269,61 @@ class TestEnumeration:
         assert check_pentactions_batch(sums).all()
         assert check_pentactions_batch(powers).all()
 
+    def test_factors_match_the_product_scan(self, corpus, z4neg, z6neg, k4swap, shear16):
+        # order included: the product of the sorted factors is already canonical
+        subjects = list(corpus) + [z4neg, z6neg, k4swap, shear16,
+                                   negation_product(4, 4), negation_product(8, 2)]
+        for obj in subjects:
+            assert rgwa.enumerate_pentactions(obj) == reference_enumerate_pentactions(obj), obj.name
+
+    def test_no_condition_couples_pow_to_the_maps(self):
+        # the set is the product of its two factors only while this holds
+        for cid, needed, _ in pentactions._CONDITIONS:
+            assert needed == ("pow",) or "pow" not in needed, cid
+        staged = pentactions._MAP_CONDITIONS + pentactions._POW_CONDITIONS
+        assert sorted(c[0] for c in staged) == sorted(CONDITION_IDS)
+
+    def test_only_kept_pentactions_are_built(self, monkeypatch, shear16):
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return rgwa.Pentaction(*args)
+
+        monkeypatch.setattr(pentactions, "Pentaction", counting)
+        obj = rgwa.make_object("built-count", 16, shear16.add, shear16.act)
+        pents = rgwa.enumerate_pentactions(obj)
+        assert len(built) == len(pents) == 16
+
     def test_budget_is_enforced(self):
         with pytest.raises(rgwa.BudgetExceededError):
             rgwa.enumerate_pentactions(rgwa.cyclic_trivial(3), budget=2)
+
+    def test_refuses_before_the_additive_bijection_search(self, monkeypatch):
+        # 8^3 = 512 pow rows already exceed the budget, whatever the maps
+        def unreachable(obj):
+            raise AssertionError("additive_bijections ran before the budget check")
+
+        monkeypatch.setattr(pentactions, "additive_bijections", unreachable)
+        z2 = rgwa.cyclic_trivial(2)
+        obj = rgwa.direct_sum(rgwa.direct_sum(z2, z2), z2, name="refuse-early")
+        stage = re.escape(
+            "needs at least 512 candidate visits (refused before the additive-bijection search)"
+        )
+        with pytest.raises(rgwa.BudgetExceededError, match=stage):
+            rgwa.enumerate_pentactions(obj, budget=511)
+        with pytest.raises(rgwa.BudgetExceededError, match=stage):
+            rgwa.weak_stabilizer(obj, budget=511)
+
+    def test_product_refusal_charges_the_whole_space(self):
+        # 3 pow rows fit; 2 ups x 1 dotL x 3 rows = 6 candidates do not
+        z3 = rgwa.cyclic_trivial(3)
+        with pytest.raises(rgwa.BudgetExceededError) as err:
+            rgwa.enumerate_pentactions(z3, budget=5)
+        assert str(err.value) == (
+            "pentaction enumeration over 'z3' needs 6 candidate visits, budget is 5"
+        )
+        assert len(rgwa.enumerate_pentactions(z3, budget=6)) == 6
 
     def test_bruteforce_refuses_order_four(self):
         with pytest.raises(rgwa.InputError):
@@ -289,3 +346,20 @@ class TestEnumeration:
         # reloading the same document is still served from the cache
         reload = rgwa.make_object("cache-first", 2, z2.add, z2.act)
         assert all(p.parent is first for p in rgwa.enumerate_pentactions(reload))
+
+
+class TestLargerCarriers:
+    @pytest.mark.parametrize("orders,count", [((3, 3), 3888), ((2, 2, 2), 86016)],
+                             ids=["z3xz3", "z2xz2xz2"])
+    def test_enumerates_under_the_default_budget(self, orders, count):
+        # kept out of standard_corpus; on z2xz2xz2 the product scan builds and
+        # checks 168 x 512 candidates, the factored one 168 + 512
+        obj = rgwa.cyclic_trivial(orders[0])
+        for k in orders[1:]:
+            obj = rgwa.direct_sum(obj, rgwa.cyclic_trivial(k))
+        pents = rgwa.enumerate_pentactions(obj)
+        assert len(pents) == count
+        keys = [p.key() for p in pents]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        for p in random.Random(0).sample(pents, 256):
+            assert rgwa.check_pentaction(p).passed
