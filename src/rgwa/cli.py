@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from .analysis import analysis_report, noether_quotient
@@ -110,6 +111,7 @@ def _cmd_oracle(args) -> tuple[int, dict]:
     return (EXIT_PASSED if equal else EXIT_VIOLATION), payload
 
 
+@cache  # built once: every call of main shares the tree
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,

@@ -23,14 +23,19 @@ chunks of at most ``_CHUNK_CELLS`` (2^18) cells, so memory stays flat
 whatever the order, and the scan stops at the first chunk with a violation.
 The same scanner, ``_first_witness``, serves ``is_morphism`` and the 22
 derived-action conditions of ``extensions``.
+
+Maps fixed by their values on additive generators (additive bijections,
+pow tables, dot and up families) are all built by ``_generator_walk``, one
+gather per BFS step for a chunk of candidate generator images from
+``_image_chunks``; each caller filters the chunk with its violation masks.
 """
 
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -39,6 +44,7 @@ from .errors import InputError, UnsupportedInputError, ValidationError
 from .report import CheckReport, Violation
 
 Table = tuple[tuple[int, ...], ...]
+_Arrays = namedtuple("_Arrays", "add act")
 
 
 def as_index(value) -> int:
@@ -201,9 +207,9 @@ class FiniteGwaObject:
         return tuple(out)
 
     @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+    def _arrays(self) -> _Arrays:
         """The add and act tables as index arrays, for the vectorized scans."""
-        return (np.asarray(self.add, dtype=np.intp), np.asarray(self.act, dtype=np.intp))
+        return _Arrays(np.asarray(self.add, dtype=np.intp), np.asarray(self.act, dtype=np.intp))
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -442,61 +448,54 @@ def generating_words(obj: FiniteGwaObject) -> tuple[tuple[int, ...], tuple[Step,
     return tuple(gens), tuple(steps)
 
 
-def extend_additive(
-    obj: FiniteGwaObject,
-    gens: Sequence[int],
-    steps: Sequence[Step],
-    images: Sequence[int],
-) -> tuple[int, ...]:
-    """Value table of the additive extension of gens -> images (unverified)."""
-    out = [0] * obj.order
-    for elem, parent, gi, sign in steps:
-        img = images[gi] if sign > 0 else obj.neg[images[gi]]
-        out[elem] = obj.add[out[parent]][img]
-    return tuple(out)
+def _image_chunks(base: int, count: int, cells: int):
+    """All base**count generator-image rows in product order, in (k, count)
+    chunks of at most ``_CHUNK_CELLS`` cells, each row costing ``cells``."""
+    total, step = base**count, max(1, _CHUNK_CELLS // cells)
+    for lo in range(0, total, step):
+        rest = np.arange(lo, min(total, lo + step))
+        images = np.empty((len(rest), count), dtype=np.intp)
+        for gi in reversed(range(count)):
+            rest, images[:, gi] = np.divmod(rest, base)
+        yield images
 
 
-def extend_crossed_map(
-    obj: FiniteGwaObject,
-    gens: Sequence[int],
-    steps: Sequence[Step],
-    images: Sequence[int],
-) -> tuple[int, ...]:
-    """Extend generator values along f(x+y) = f(x)^y + f(y) (unverified).
-
-    This is the shape shared by the fifth pentaction component and the
-    b^(-) table of a derived action; the rule determines f from its values
-    on additive generators.
-    """
-    add, act, neg = obj.add, obj.act, obj.neg
-    out = [0] * obj.order
-    for elem, parent, gi, sign in steps:
-        g, img = gens[gi], images[gi]
-        if sign > 0:
-            out[elem] = add[act[out[parent]][g]][img]
-        else:
-            out[elem] = act[add[out[parent]][neg[img]]][neg[g]]
-    return tuple(out)
+def _generator_walk(steps: Sequence[Step], images: np.ndarray, start, rule) -> np.ndarray:
+    """Value tables (k, n, ...) of the k maps fixed by k rows of generator
+    images, with value ``start`` at 0.  Per BFS step, ``rule(prev, img,
+    step)`` gathers the values at the step's element from ``prev``, those at
+    its parent, and ``img``, its generator's column of images."""
+    start = np.asarray(start)
+    values = np.empty((len(images), len(steps) + 1) + start.shape, dtype=np.intp)
+    values[:, 0] = start
+    for step in steps:
+        values[:, step[0]] = rule(values[:, step[1]], images[:, step[2]], step)
+    return values
 
 
-def _is_additive(obj: FiniteGwaObject, f: Sequence[int]) -> bool:
-    add = obj.add
-    return all(
-        f[add[x][y]] == add[f[x]][f[y]]
-        for x in range(obj.order)
-        for y in range(obj.order)
-    )
+def _violated(mask: np.ndarray) -> np.ndarray:
+    """Per-candidate verdict of a (k, ...) violation mask; k may be 0."""
+    return mask.any(axis=tuple(range(1, mask.ndim)))
+
+
+def _v_additive(t, f: np.ndarray) -> np.ndarray:
+    # f(a + a') = f(a) + f(a'), for k value tables f over the add table t.add
+    return f[:, t.add] != t.add[f[:, :, None], f[:, None, :]]
 
 
 @object_cache(maxsize=64)
 def _additive_bijections_cached(obj: FiniteGwaObject) -> tuple[tuple[int, ...], ...]:
+    n, (add, _) = obj.order, obj._arrays
+    neg = np.asarray(obj.neg, dtype=np.intp)
     gens, steps = generating_words(obj)
-    found = set()
-    for images in product(range(obj.order), repeat=len(gens)):
-        f = extend_additive(obj, gens, steps, images)
-        if len(set(f)) == obj.order and _is_additive(obj, f):
-            found.add(f)
-    return tuple(sorted(found))
+    found: list[list[int]] = []
+    for images in _image_chunks(n, len(gens), n * n):
+        # f(x + g) = f(x) + f(g) and f(x - g) = f(x) - f(g)
+        f = _generator_walk(steps, images, 0, lambda prev, img, step: add[
+            prev, img if step[3] > 0 else neg[img]])
+        f = f[(np.sort(f, axis=1) == np.arange(n)).all(axis=1)]
+        found.extend(f[~_violated(_v_additive(obj._arrays, f))].tolist())
+    return tuple(sorted(map(tuple, found)))
 
 
 def additive_bijections(obj: FiniteGwaObject) -> list[tuple[int, ...]]:

@@ -28,13 +28,15 @@ from .core import (
     Table,
     _first_witness,
     _freeze_table,
+    _generator_walk,
+    _image_chunks,
+    _violated,
     additive_bijections,
-    extend_crossed_map,
     generating_words,
-    invert_map,
     is_morphism,
 )
 from .errors import BudgetExceededError, InputError, StructuralError, ValidationError
+from .pentactions import _pow_factor
 from .report import PASSED, CheckReport, Violation
 
 DEFAULT_BUDGET = 100_000_000
@@ -298,28 +300,26 @@ def _map_families(A: FiniteGwaObject, B: FiniteGwaObject, contravariant: bool):
     """Up tables (contravariant) or dot tables whose per-element maps are
     additive bijections of A respecting B's addition (2B, resp. ga.1).
 
-    Generated from bijections assigned to B's generators and filtered by
-    that composition law, so doomed families never reach the pow search.
+    Walked from every assignment of bijections to B's generators and
+    filtered by that composition law one chunk at a time, so doomed
+    families never reach the pow search.
     """
-    bij = additive_bijections(A)
-    inverses = {f: invert_map(f) for f in bij}
+    bij = np.asarray(additive_bijections(A), dtype=np.intp)
+    inverses = np.argsort(bij, axis=1)
     gensB, stepsB = generating_words(B)
-    ra = range(A.order)
-    name, law = ("up", "2B") if contravariant else ("dot", "ga.1")
-    law = [c for c in _CONDITIONS if c[0] == law]
+    na, nb, addB = A.order, B.order, B._arrays.add
+
+    def star(f, g):
+        # the product the families respect: f o g for dot, g o f for up
+        return np.take_along_axis(g, f, -1) if contravariant else np.take_along_axis(f, g, -1)
+
     out = []
-    for images in product(bij, repeat=len(gensB)):
-        fam: list[tuple[int, ...]] = [()] * B.order
-        fam[0] = tuple(ra)
-        for elem, parent, gi, sign in stepsB:
-            g = images[gi] if sign > 0 else inverses[images[gi]]
-            if contravariant:
-                fam[elem] = tuple(g[fam[parent][a]] for a in ra)
-            else:
-                fam[elem] = tuple(fam[parent][g[a]] for a in ra)
-        table = tuple(zip(*fam)) if contravariant else tuple(fam)
-        if _holds(_tables(A, B, **{name: table}), law):
-            out.append(table)
+    for images in _image_chunks(len(bij), len(gensB), nb * nb * na):
+        fam = _generator_walk(stepsB, images, np.arange(na), lambda prev, img, step: star(
+            prev, (bij if step[3] > 0 else inverses)[img]))
+        fam = fam[~_violated(fam[:, addB] != star(fam[:, :, None], fam[:, None]))]
+        tables = fam.swapaxes(1, 2) if contravariant else fam
+        out.extend(tuple(map(tuple, table)) for table in tables.tolist())
     return out
 
 
@@ -340,15 +340,23 @@ def enumerate_derived_actions(
     the tables it reads are fixed: the dot-only conditions once per dot
     family, the up-only ones once per up family, and 4A, 3B and a2 once per
     (up, dot) pair.  A generator g of B is first reached from 0 and dot[0]
-    is the identity, so pw[g] is exactly its generator row: rows failing a
-    pow-only condition (1B, a4, a8, a9 at b = b2) are dropped once per A,
-    before the rows of the generators are multiplied out.  Each candidate
-    then runs the seven pow-reading conditions, so every kept triple has
-    passed all 22 and carries the passing report without a rescan.
+    is the identity, so pw[g] is exactly its generator row.  The rows are
+    A's cached pentaction pow factor (p4, p7, p10 are 1B, a4, a8 at one b)
+    less those failing a9 at b = b2, and per (up, dot) pair the rows of B's
+    generators are multiplied out in one chunked walk.  Each candidate then
+    runs the seven pow-reading conditions, so every kept triple has passed
+    all 22 and carries the passing report without a rescan.  The budget is
+    charged |bij|^|gensB| before the family searches run.
     """
-    gensA, stepsA = generating_words(A)
+    gensA, _ = generating_words(A)
     gensB, stepsB = generating_words(B)
-    na, ra = A.order, range(A.order)
+    na, nb = A.order, B.order
+    families = len(additive_bijections(A)) ** len(gensB)
+    if families > budget:
+        raise BudgetExceededError(
+            f"derived-action enumeration for {B.name!r} on {A.name!r} needs at least "
+            f"{families} candidate visits (refused before the family search), budget is {budget}"
+        )
     all_ups = _map_families(A, B, contravariant=True)
     all_dots = _map_families(A, B, contravariant=False)
     total = len(all_ups) * len(all_dots) * na ** (len(gensA) * len(gensB))
@@ -359,28 +367,26 @@ def enumerate_derived_actions(
         )
     ups = [up for up in all_ups if _holds(_tables(A, B, up=up), _UP_ONLY)]
     dots = [dot for dot in all_dots if _holds(_tables(A, B, dot=dot), _DOT_ONLY)]
-    rows = [
-        extend_crossed_map(A, gensA, stepsA, images)
-        for images in product(range(na), repeat=len(gensA))
-    ]
-    rows = [row for row in rows if _holds(_tables(A, _POINT, pw=[row]), _POW_ONLY)]
-    zero_row = (0,) * na
+    rows = [row for row in _pow_factor(A) if _holds(_tables(A, _POINT, pw=[row]), _POW_ONLY)]
+    rows = np.asarray(rows, dtype=np.intp)
+    addA, negA = A._arrays.add, np.asarray(A.neg, dtype=np.intp)
     found: list[DerivedActionTriple] = []
     for up in ups:
         for dot in dots:
             t = _tables(A, B, dot=dot, up=up)
             if not _holds(t, _DOT_UP):
                 continue
-            for gen_rows in product(rows, repeat=len(gensB)):
-                pw: list[tuple[int, ...]] = [()] * B.order
-                pw[0] = zero_row
-                for elem, parent, gi, sign in stepsB:
-                    # pw[parent + g] = pw[parent] + dot[parent] pw[g], and
-                    # pw[parent - g] = pw[parent] - dot[parent - g] pw[g]
-                    step = dot[parent] if sign > 0 else [A.neg[v] for v in dot[elem]]
-                    pw[elem] = tuple(A.add[pw[parent][a]][step[gen_rows[gi][a]]] for a in ra)
-                if _holds(t._replace(pw=np.asarray(pw)), _POW_READING):
-                    found.append(DerivedActionTriple(A, B, dot, up, tuple(pw), report=PASSED))
+
+            def rule(prev, row, step):
+                # pw[x + g] = pw[x] + dot[x] pw[g], pw[x - g] = pw[x] - dot[x - g] pw[g]
+                elem, parent, _, sign = step
+                return addA[prev, (t.dot[parent] if sign > 0 else negA[t.dot[elem]])[row]]
+
+            for images in _image_chunks(len(rows), len(gensB), nb * na):
+                for pw in _generator_walk(stepsB, rows[images], np.zeros(na, np.intp), rule):
+                    if _holds(t._replace(pw=pw), _POW_READING):
+                        pw = tuple(map(tuple, pw.tolist()))
+                        found.append(DerivedActionTriple(A, B, dot, up, pw, report=PASSED))
     found.sort(key=DerivedActionTriple.key)
     return found
 

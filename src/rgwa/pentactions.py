@@ -32,8 +32,11 @@ import numpy as np
 
 from .core import (
     FiniteGwaObject,
+    _generator_walk,
+    _image_chunks,
+    _v_additive,
+    _violated,
     additive_bijections,
-    extend_crossed_map,
     generating_words,
     invert_map,
     is_perfect,
@@ -125,11 +128,6 @@ def _bg3(f: np.ndarray, idx: np.ndarray) -> np.ndarray:
 def _bg2(f: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Per-candidate gather: out[i, a] = f[i, idx[i, a]]."""
     return f[np.arange(len(f))[:, None], idx]
-
-
-def _v_additive(t: _Ctx, f: np.ndarray) -> np.ndarray:
-    # f(a + a') = f(a) + f(a')
-    return f[:, t.add] != t.add[f[:, :, None], f[:, None, :]]
 
 
 def _v_act_first_invariant(t: _Ctx, f: np.ndarray) -> np.ndarray:
@@ -282,11 +280,9 @@ def _passing_slots(
 ) -> np.ndarray:
     """Pass vector of the conditions over candidates given as slot arrays;
     a condition reading a slot that is not given raises ``KeyError``."""
-    count = len(next(iter(slots.values())))
-    ok = np.ones(count, dtype=bool)
+    ok = np.ones(len(next(iter(slots.values()))), dtype=bool)
     for _, needed, fn in conditions:
-        mask = fn(t, *(slots[s] for s in needed))
-        ok &= ~mask.reshape(count, -1).any(axis=1)
+        ok &= ~_violated(fn(t, *(slots[s] for s in needed)))
     return ok
 
 
@@ -403,6 +399,28 @@ def _check_budget(obj: FiniteGwaObject, budget: int) -> None:
 
 
 @object_cache(maxsize=32)
+def _pow_factor(obj: FiniteGwaObject) -> tuple[_Table, ...]:
+    """The pow tables passing p4, p7 and p10, sorted; by p4 they are crossed
+    maps, walked from all n^|gens| generator images."""
+    n = obj.order
+    t = _ctx(obj)
+    gens, steps = generating_words(obj)
+
+    def rule(prev, img, step):
+        # f(x + g) = f(x)^g + f(g), so f(x - g) = (f(x) - f(g))^(-g)
+        g = gens[step[2]]
+        if step[3] > 0:
+            return t.add[t.act[prev, g], img]
+        return t.act[t.add[prev, t.neg[img]], t.neg[g]]
+
+    kept: list[list[int]] = []
+    for images in _image_chunks(n, len(gens), n * n):
+        rows = _generator_walk(steps, images, 0, rule)
+        kept.extend(rows[_passing_slots(t, {"pow": rows}, _POW_CONDITIONS)].tolist())
+    return tuple(sorted(map(tuple, kept)))
+
+
+@object_cache(maxsize=32)
 def _pentaction_factors(obj: FiniteGwaObject) -> tuple[tuple[_Maps, ...], tuple[_Table, ...]]:
     """The two factors of the pentaction set, each sorted: the map parts
     (dotL, dotR, up, upL) passing the conditions that do not read pow, and
@@ -414,28 +432,13 @@ def _pentaction_factors(obj: FiniteGwaObject) -> tuple[tuple[_Maps, ...], tuple[
     maps = [
         (dotl, invert_map(dotl), up, invert_map(up)) for up in ups for dotl in dotls
     ]
-    gens, steps = generating_words(obj)
-    rows = [
-        extend_crossed_map(obj, gens, steps, images)
-        for images in product(range(n), repeat=len(gens))
-    ]
-
-    def kept(cands: list, slots: Sequence[str], conditions) -> tuple:
-        # each candidate is one table per slot (a pow row is its own table)
-        out = []
-        for lo in range(0, len(cands), _BATCH_CHUNK):
-            chunk = cands[lo:lo + _BATCH_CHUNK]
-            arrays = np.asarray(chunk, dtype=np.int64).reshape(len(chunk), len(slots), n)
-            ok = _passing_slots(
-                t, {s: arrays[:, i] for i, s in enumerate(slots)}, conditions
-            )
-            out.extend(c for c, good in zip(chunk, ok) if good)
-        return tuple(sorted(out))
-
-    return (
-        kept(maps, _MAP_SLOTS, _MAP_CONDITIONS),
-        kept(rows, ("pow",), _POW_CONDITIONS),
-    )
+    kept = []
+    for lo in range(0, len(maps), _BATCH_CHUNK):
+        chunk = maps[lo:lo + _BATCH_CHUNK]
+        arrays = np.asarray(chunk, dtype=np.int64).reshape(len(chunk), len(_MAP_SLOTS), n)
+        ok = _passing_slots(t, dict(zip(_MAP_SLOTS, arrays.swapaxes(0, 1))), _MAP_CONDITIONS)
+        kept.extend(c for c, good in zip(chunk, ok) if good)
+    return tuple(sorted(kept)), _pow_factor(obj)
 
 
 @object_cache(maxsize=32)
@@ -450,8 +453,9 @@ def enumerate_pentactions_bruteforce(obj: FiniteGwaObject) -> list[Pentaction]:
     """Independent oracle: filter every n^(5n) five-tuple of self-maps.
 
     Per-condition verdicts are evaluated exhaustively over single maps and
-    map pairs and combined over the full five-fold product, which is the
-    unpruned filter in factored form.  Refused above order 3.
+    map pairs and combined over the five-fold product of the maps passing
+    each slot's single-map conditions, which is the unpruned filter in
+    factored form.  Refused above order 3.
     """
     _require_reduced(obj)
     n = obj.order
@@ -470,36 +474,22 @@ def enumerate_pentactions_bruteforce(obj: FiniteGwaObject) -> list[Pentaction]:
     right = np.tile(maps, (m, 1))
     for cid, needed, fn in _CONDITIONS:
         if len(needed) == 1:
-            mask = fn(t, maps)
-            unary_ok[needed[0]] &= ~mask.reshape(m, -1).any(axis=1)
+            unary_ok[needed[0]] &= ~_violated(fn(t, maps))
         else:
-            mask = fn(t, left, right)
-            ok = ~mask.reshape(m * m, -1).any(axis=1)
-            key = needed
-            pair_ok[key] = pair_ok.get(key, np.ones((m, m), dtype=bool)) & ok.reshape(m, m)
+            ok = ~_violated(fn(t, left, right)).reshape(m, m)
+            pair_ok[needed] = pair_ok.get(needed, True) & ok
 
-    valid = (
-        unary_ok["dotL"][:, None, None, None, None]
-        & unary_ok["dotR"][None, :, None, None, None]
-        & unary_ok["up"][None, None, :, None, None]
-        & unary_ok["upL"][None, None, None, :, None]
-        & unary_ok["pow"][None, None, None, None, :]
-    )
-    valid &= pair_ok[("dotL", "dotR")][:, :, None, None, None]
-    valid &= pair_ok[("up", "dotL")].T[:, None, :, None, None]
-    valid &= pair_ok[("upL", "dotR")].T[None, :, None, :, None]
-    valid &= pair_ok[("up", "upL")][None, None, :, :, None]
+    # Each axis is indexed only by the maps passing its slot's unary
+    # conditions; the pair verdicts are combined over that smaller product.
+    axes = [np.flatnonzero(unary_ok[s]) for s in slot_names]
+    dl, dr, u, ul, _ = axes
+    valid = np.ones(tuple(len(axis) for axis in axes), dtype=bool)
+    valid &= pair_ok[("dotL", "dotR")][np.ix_(dl, dr)][:, :, None, None, None]
+    valid &= pair_ok[("up", "dotL")][np.ix_(u, dl)].T[:, None, :, None, None]
+    valid &= pair_ok[("upL", "dotR")][np.ix_(ul, dr)].T[None, :, None, :, None]
+    valid &= pair_ok[("up", "upL")][np.ix_(u, ul)][None, None, :, :, None]
 
-    out = []
-    for dl, dr, u, ul, pw in np.argwhere(valid):
-        out.append(
-            Pentaction(
-                obj,
-                tuple(int(v) for v in maps[dl]),
-                tuple(int(v) for v in maps[dr]),
-                tuple(int(v) for v in maps[u]),
-                tuple(int(v) for v in maps[ul]),
-                tuple(int(v) for v in maps[pw]),
-            )
-        )
-    return out
+    return [
+        Pentaction(obj, *(tuple(maps[axis[i]].tolist()) for axis, i in zip(axes, cell)))
+        for cell in np.argwhere(valid)
+    ]

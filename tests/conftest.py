@@ -219,27 +219,90 @@ def reference_check_derived_action(triple) -> rgwa.CheckReport:
     return rgwa.CheckReport(tuple(violations))
 
 
+def reference_extend_additive(obj, gens, steps, images) -> tuple[int, ...]:
+    """Value table of the additive extension of gens -> images, one step at
+    a time (unverified)."""
+    out = [0] * obj.order
+    for elem, parent, gi, sign in steps:
+        img = images[gi] if sign > 0 else obj.neg[images[gi]]
+        out[elem] = obj.add[out[parent]][img]
+    return tuple(out)
+
+
+def reference_extend_crossed_map(obj, gens, steps, images) -> tuple[int, ...]:
+    """Extend generator values along f(x+y) = f(x)^y + f(y), one step at a
+    time (unverified)."""
+    add, act, neg = obj.add, obj.act, obj.neg
+    out = [0] * obj.order
+    for elem, parent, gi, sign in steps:
+        g, img = gens[gi], images[gi]
+        if sign > 0:
+            out[elem] = add[act[out[parent]][g]][img]
+        else:
+            out[elem] = act[add[out[parent]][neg[img]]][neg[g]]
+    return tuple(out)
+
+
+def reference_additive_bijections(obj) -> list[tuple[int, ...]]:
+    """Every generator image extended one candidate at a time and kept when
+    bijective and additive by a two-loop check; the oracle for the walked
+    ``additive_bijections``."""
+    from rgwa.core import generating_words
+
+    gens, steps = generating_words(obj)
+    rng = range(obj.order)
+    found = set()
+    for images in product(rng, repeat=len(gens)):
+        f = reference_extend_additive(obj, gens, steps, images)
+        if len(set(f)) == obj.order and all(
+            f[obj.add[x][y]] == obj.add[f[x]][f[y]] for x in rng for y in rng
+        ):
+            found.add(f)
+    return sorted(found)
+
+
+def reference_map_families(A, B, contravariant: bool) -> list:
+    """One family per assignment of bijections to B's generators, composed
+    one step at a time and checked alone by the 2B (up) or ga.1 (dot) scan;
+    the oracle for the walked ``_map_families``."""
+    from rgwa.core import generating_words, invert_map
+    from rgwa.extensions import _CONDITIONS, _holds, _tables
+
+    bij = reference_additive_bijections(A)
+    gensB, stepsB = generating_words(B)
+    ra = range(A.order)
+    name, law = ("up", "2B") if contravariant else ("dot", "ga.1")
+    law = [c for c in _CONDITIONS if c[0] == law]
+    out = []
+    for images in product(bij, repeat=len(gensB)):
+        fam = [()] * B.order
+        fam[0] = tuple(ra)
+        for elem, parent, gi, sign in stepsB:
+            g = images[gi] if sign > 0 else invert_map(images[gi])
+            if contravariant:
+                fam[elem] = tuple(g[fam[parent][a]] for a in ra)
+            else:
+                fam[elem] = tuple(fam[parent][g[a]] for a in ra)
+        table = tuple(zip(*fam)) if contravariant else tuple(fam)
+        if _holds(_tables(A, B, **{name: table}), law):
+            out.append(table)
+    return out
+
+
 def reference_enumerate_derived_actions(A, B) -> list[rgwa.DerivedActionTriple]:
     """Derived-action enumeration without pow-row pruning: every assignment
     of generator rows is multiplied out before any pow condition runs.  The
-    oracle for the pruned ``enumerate_derived_actions``."""
-    from rgwa.core import extend_crossed_map, generating_words
-    from rgwa.extensions import (
-        _DOT_ONLY,
-        _DOT_UP,
-        _POW_READING,
-        _UP_ONLY,
-        _holds,
-        _map_families,
-        _tables,
-    )
+    oracle for the pruned ``enumerate_derived_actions``; its families come
+    from ``reference_map_families``."""
+    from rgwa.core import generating_words
+    from rgwa.extensions import _DOT_ONLY, _DOT_UP, _POW_READING, _UP_ONLY, _holds, _tables
 
     gensA, stepsA = generating_words(A)
     gensB, stepsB = generating_words(B)
     na = A.order
-    ups = [up for up in _map_families(A, B, contravariant=True)
+    ups = [up for up in reference_map_families(A, B, contravariant=True)
            if _holds(_tables(A, B, up=up), _UP_ONLY)]
-    dots = [dot for dot in _map_families(A, B, contravariant=False)
+    dots = [dot for dot in reference_map_families(A, B, contravariant=False)
             if _holds(_tables(A, B, dot=dot), _DOT_ONLY)]
     found = []
     for up in ups:
@@ -249,7 +312,7 @@ def reference_enumerate_derived_actions(A, B) -> list[rgwa.DerivedActionTriple]:
             for assignment in product(
                 product(range(na), repeat=len(gensA)), repeat=len(gensB)
             ):
-                gen_rows = [extend_crossed_map(A, gensA, stepsA, images)
+                gen_rows = [reference_extend_crossed_map(A, gensA, stepsA, images)
                             for images in assignment]
                 pw = [()] * B.order
                 pw[0] = (0,) * na
@@ -271,13 +334,7 @@ def reference_enumerate_pentactions(obj) -> list[rgwa.Pentaction]:
     """Every (up, dotL, pow row) candidate built and run through all 19
     conditions, then sorted; the oracle for the factored
     ``enumerate_pentactions``."""
-    from rgwa.core import (
-        additive_bijections,
-        extend_crossed_map,
-        generating_words,
-        invert_map,
-        is_perfect,
-    )
+    from rgwa.core import additive_bijections, generating_words, invert_map, is_perfect
     from rgwa.pentactions import _BATCH_CHUNK, Pentaction, _passing
 
     n = obj.order
@@ -286,7 +343,7 @@ def reference_enumerate_pentactions(obj) -> list[rgwa.Pentaction]:
     dotls = [identity] if is_perfect(obj) else ups
     gens, steps = generating_words(obj)
     rows = [
-        extend_crossed_map(obj, gens, steps, images)
+        reference_extend_crossed_map(obj, gens, steps, images)
         for images in product(range(n), repeat=len(gens))
     ]
     found: list[Pentaction] = []

@@ -163,6 +163,13 @@ class TestOutputHandling:
         assert json.loads(compact) == json.loads(pretty)
         assert pretty.count("\n") > compact.count("\n")
 
+    def test_pretty_does_not_carry_over_to_the_next_call(self, capsys, corpus_dir):
+        # the parser is built once and shared, so no option may stick to it
+        _, pretty = run(capsys, "validate", corpus_dir / "z2.json", "--pretty")
+        _, plain = run(capsys, "validate", corpus_dir / "z2.json")
+        assert pretty.count("\n") > 1
+        assert plain == '{"passed":true,"violations":[]}\n'
+
     def test_repeated_runs_are_byte_identical(self, capsys, corpus_dir):
         _, first = run(capsys, "pentactions", corpus_dir / "z3.json")
         _, second = run(capsys, "pentactions", corpus_dir / "z3.json")

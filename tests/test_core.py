@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 import rgwa
 from conftest import negation_cyclic, reference_check_axioms, reference_is_morphism, shear_object
 from rgwa import core
-from rgwa.core import additive_closure, generating_words, extend_additive
+from rgwa.core import _generator_walk, additive_closure, generating_words
 
 
 def cyclic_tables(n):
@@ -323,8 +324,10 @@ class TestGeneratorMachinery:
         z6 = rgwa.cyclic_trivial(6)
         gens, steps = generating_words(z6)
         assert gens == (1,)
-        f = extend_additive(z6, gens, steps, (5,))
-        assert f == tuple((5 * x) % 6 for x in range(6))
+        add = np.asarray(z6.add)
+        f = _generator_walk(steps, np.array([[5], [1]]), 0, lambda prev, img, step: add[
+            prev, img if step[3] > 0 else -img % 6])
+        assert f.tolist() == [[(5 * x) % 6 for x in range(6)], list(range(6))]
 
 
 class TestQuotients:

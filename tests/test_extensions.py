@@ -1,6 +1,7 @@
 """Split extensions, the derived triple, and the 22-condition scan."""
 
 import random
+import re
 from functools import lru_cache
 
 import pytest
@@ -15,7 +16,7 @@ from conftest import (
     reference_enumerate_derived_actions,
     shear_object,
 )
-from rgwa import core
+from rgwa import core, extensions
 from rgwa.extensions import DerivedActionTriple
 
 
@@ -377,6 +378,31 @@ class TestEnumeration:
         with pytest.raises(rgwa.BudgetExceededError) as exc:
             rgwa.enumerate_derived_actions(A, B, budget=1)
         assert "candidate" in str(exc.value)
+
+    def test_refuses_before_the_family_search(self, monkeypatch):
+        # z2^4 has |GL(4,2)| = 20160 additive bijections, so each family kind
+        # of klein4 (two generators) on it has 20160^2 candidates
+        def unreachable(*args, **kwargs):
+            raise AssertionError("_map_families ran before the budget check")
+
+        monkeypatch.setattr(extensions, "_map_families", unreachable)
+        z2 = rgwa.cyclic_trivial(2)
+        z2_4 = rgwa.direct_sum(rgwa.direct_sum(z2, z2), rgwa.direct_sum(z2, z2))
+        klein4 = rgwa.direct_sum(z2, z2, name="klein4")
+        stage = re.escape(
+            f"needs at least {20160 ** 2} candidate visits (refused before the family search)"
+        )
+        with pytest.raises(rgwa.BudgetExceededError, match=stage):
+            rgwa.enumerate_derived_actions(z2_4, klein4)
+
+    def test_family_refusal_charges_the_family_count(self, monkeypatch):
+        # klein4 has 6 additive bijections and two generators: 36 families
+        monkeypatch.setattr(extensions, "_map_families", lambda *args, **kwargs: [])
+        z2 = rgwa.cyclic_trivial(2)
+        klein4 = rgwa.direct_sum(z2, z2, name="klein4")
+        with pytest.raises(rgwa.BudgetExceededError, match="at least 36 candidate"):
+            rgwa.enumerate_derived_actions(klein4, klein4, budget=35)
+        assert rgwa.enumerate_derived_actions(klein4, klein4, budget=36) == []
 
     def test_bruteforce_cap(self):
         A, B = rgwa.cyclic_trivial(3), rgwa.cyclic_trivial(2)

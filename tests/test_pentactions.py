@@ -348,15 +348,32 @@ class TestEnumeration:
         assert all(p.parent is first for p in rgwa.enumerate_pentactions(reload))
 
 
+def direct_sum_of_cyclics(orders):
+    obj = rgwa.cyclic_trivial(orders[0])
+    for k in orders[1:]:
+        obj = rgwa.direct_sum(obj, rgwa.cyclic_trivial(k))
+    return obj
+
+
 class TestLargerCarriers:
+    @pytest.mark.parametrize(
+        "orders,count",
+        [((3, 3), 48), ((2, 2, 2), 168), ((4, 4), 96), ((2, 2, 4), 192), ((2, 2, 2, 2), 20160)],
+        ids=["z3xz3", "z2xz2xz2", "z4xz4", "z2xz2xz4", "z2xz2xz2xz2"],
+    )
+    def test_additive_bijections_are_the_automorphism_group(self, orders, count):
+        # the counts are |GL(2,3)|, |GL(3,2)|, |Aut(Z4+Z4)|, |Aut(Z2+Z2+Z4)|
+        # and |GL(4,2)|
+        bijections = rgwa.additive_bijections(direct_sum_of_cyclics(orders))
+        assert len(bijections) == count
+        assert all(a < b for a, b in zip(bijections, bijections[1:]))
+
     @pytest.mark.parametrize("orders,count", [((3, 3), 3888), ((2, 2, 2), 86016)],
                              ids=["z3xz3", "z2xz2xz2"])
     def test_enumerates_under_the_default_budget(self, orders, count):
         # kept out of standard_corpus; on z2xz2xz2 the product scan builds and
         # checks 168 x 512 candidates, the factored one 168 + 512
-        obj = rgwa.cyclic_trivial(orders[0])
-        for k in orders[1:]:
-            obj = rgwa.direct_sum(obj, rgwa.cyclic_trivial(k))
+        obj = direct_sum_of_cyclics(orders)
         pents = rgwa.enumerate_pentactions(obj)
         assert len(pents) == count
         keys = [p.key() for p in pents]
