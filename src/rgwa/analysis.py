@@ -62,9 +62,7 @@ def weak_stabilizer(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> Eleme
     seen = np.zeros(n, dtype=bool)
     up = np.asarray(sorted({m[2] for m in maps}), dtype=np.intp)
     pw = np.asarray(rows, dtype=np.intp)
-    add = np.asarray(obj.add, dtype=np.intp)
-    neg = np.asarray(obj.neg, dtype=np.intp)
-    diff = add[:, neg]  # diff[x, y] = x - y
+    diff = obj._arrays.add[:, obj._arrays.neg]  # diff[x, y] = x - y
 
     def mark(first: np.ndarray, second: np.ndarray, family) -> None:
         # family(first[chunk], second) is a [chunk, len(second), a] array

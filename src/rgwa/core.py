@@ -18,11 +18,15 @@ Axiom ids reported by ``check_axioms``:
 The last two are the conditions cutting out the reduced subcategory; they
 are checked only when ``require_reduced`` is set.
 
-Each axiom is a numpy violation mask scanned along its leading index in
+Each axiom is one row (id, axes, violation mask) of the table ``_AXIOMS``.
+One loop, ``_violations``, scans such tables along their leading index in
 chunks of at most ``_CHUNK_CELLS`` (2^18) cells, so memory stays flat
-whatever the order, and the scan stops at the first chunk with a violation.
-The same scanner, ``_first_witness``, serves ``is_morphism`` and the 22
-derived-action conditions of ``extensions``.
+whatever the order, and stops each scan at the first chunk with a
+violation.  It serves the axioms, the two morphism laws of
+``is_morphism`` and the 22 derived-action conditions of ``extensions``.
+The masks read an object's cached ``_arrays``: add, act, neg and the
+carrier ar as index arrays.  Outside tables are validated once by
+``_check_table``; ``_scan_axioms`` then scans index arrays directly.
 
 Maps fixed by their values on additive generators (additive bijections,
 pow tables, dot and up families) are all built by ``_generator_walk``, one
@@ -36,6 +40,7 @@ import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -44,7 +49,7 @@ from .errors import InputError, UnsupportedInputError, ValidationError
 from .report import CheckReport, Violation
 
 Table = tuple[tuple[int, ...], ...]
-_Arrays = namedtuple("_Arrays", "add act")
+_Arrays = namedtuple("_Arrays", "add act neg ar")
 
 
 def as_index(value) -> int:
@@ -80,81 +85,72 @@ def _check_table(order: int, table, what: str) -> Table:
 _CHUNK_CELLS = 1 << 18
 
 
-def _first_witness(lead: int, cells: int, mask) -> tuple[int, ...] | None:
-    """Lexicographically minimal True cell of a chunked violation mask.
+def _violations(t, conditions, sizes):
+    """Yield one minimal-witness Violation per failing condition, in order.
 
-    ``mask(lo, hi)`` returns the violations whose leading index lies in
-    lo..hi-1, as an array whose leading axis has length hi - lo; the leading
-    axis has ``lead`` indices and each spans ``cells`` cells of work (the
-    product of the other axes' sizes, which may differ from ``lead``).
-    Chunks are scanned in order and the scan stops at the first chunk holding
-    a violation, so the C-order first hit of that chunk is the minimal
-    witness overall.
+    A condition is (id, axes, ..., mask): ``axes`` names its index axes in
+    witness order, one letter each, and ``sizes`` maps every letter to its
+    length.  ``mask(t, s)`` returns the violated cells whose leading index
+    lies in the slice s, as an array led by that axis; a mask may report
+    fewer axes than it scans, as group.inverse does.  The leading axis is
+    scanned in chunks of at most ``_CHUNK_CELLS`` cells and each scan stops
+    at the first chunk holding a violation, so the C-order first hit of that
+    chunk is the minimal witness.
     """
-    step = max(1, _CHUNK_CELLS // cells)
-    for lo in range(0, lead, step):
-        hits = mask(lo, min(lead, lo + step))
-        if hits.any():
-            first = np.unravel_index(int(hits.argmax()), hits.shape)
-            return (lo + int(first[0]),) + tuple(int(v) for v in first[1:])
-    return None
+    for cid, axes, *_, mask in conditions:
+        lead = sizes[axes[0]]
+        step = max(1, _CHUNK_CELLS // prod(sizes[x] for x in axes[1:]))
+        for lo in range(0, lead, step):
+            hits = mask(t, slice(lo, min(lead, lo + step)))
+            if hits.any():
+                first = np.unravel_index(int(hits.argmax()), hits.shape)
+                yield Violation(cid, (lo + int(first[0]),) + tuple(int(v) for v in first[1:]))
+                break
 
 
-def _v_assoc(add, act, ar, lo, hi):
-    # (x+y)+z = x+(y+z)
-    return add[add[lo:hi]] != add[lo:hi][:, add]
+def _holds(t, conditions, sizes) -> bool:
+    return next(_violations(t, conditions, sizes), None) is None
 
 
-def _v_identity(add, act, ar, lo, hi):
-    # 0+x = x = x+0
-    return (add[0, lo:hi] != ar[lo:hi]) | (add[lo:hi, 0] != ar[lo:hi])
+def _inverses(add: np.ndarray) -> np.ndarray:
+    """Per x, the first y with x+y = 0 = y+x, or 0 when there is none."""
+    return ((add == 0) & (add.T == 0)).argmax(axis=1)
 
 
-def _v_inverse(add, act, ar, lo, hi):
-    # some y has x+y = 0 = y+x
-    return ~((add[lo:hi] == 0) & (add[:, lo:hi].T == 0)).any(axis=1)
-
-
-def _v_action_add(add, act, ar, lo, hi):
-    # (g+g')^h = g^h + g'^h
-    return act[add[lo:hi]] != add[act[lo:hi, None, :], act[None, :, :]]
-
-
-def _v_action_compose(add, act, ar, lo, hi):
-    # g^(h+h') = (g^h)^h'
-    return act[lo:hi][:, add] != act[act[lo:hi]]
-
-
-def _v_action_zero(add, act, ar, lo, hi):
-    # g^0 = g
-    return act[lo:hi, 0] != ar[lo:hi]
-
-
-def _v_central(add, act, ar, lo, hi):
-    # x^y + z = z + x^y  for y != 0
-    powers = act[lo:hi]
-    v = add[powers] != add.T[powers]
-    v[:, 0, :] = False
-    return v
-
-
-def _v_collapse(add, act, ar, lo, hi):
-    # x^(y^z) = x^y
-    return act[lo:hi][:, act] != act[lo:hi, :, None]
-
-
-# (id, cells of work per leading index as a power of n, violation mask), in
-# report order; the reduced.* entries run only under require_reduced.
+# (id, axes, violation mask) over an _Arrays t, in report order; the
+# reduced.* entries run only under require_reduced.
 _AXIOMS = (
-    ("group.assoc", 2, _v_assoc),
-    ("group.identity", 0, _v_identity),
-    ("group.inverse", 1, _v_inverse),
-    ("action.add", 2, _v_action_add),
-    ("action.compose", 2, _v_action_compose),
-    ("action.zero", 0, _v_action_zero),
-    ("reduced.central", 2, _v_central),
-    ("reduced.collapse", 2, _v_collapse),
+    # (x+y)+z = x+(y+z)
+    ("group.assoc", "XXX", lambda t, s: t.add[t.add[s]] != t.add[s][:, t.add]),
+    # 0+x = x = x+0
+    ("group.identity", "X", lambda t, s: (t.add[0, s] != t.ar[s]) | (t.add[s, 0] != t.ar[s])),
+    # some y has x+y = 0 = y+x; scans (x, y), reports x
+    ("group.inverse", "XX", lambda t, s: ~((t.add[s] == 0) & (t.add[:, s].T == 0)).any(axis=1)),
+    # (g+g')^h = g^h + g'^h
+    ("action.add", "XXX", lambda t, s: t.act[t.add[s]] != t.add[t.act[s, None], t.act]),
+    # g^(h+h') = (g^h)^h'
+    ("action.compose", "XXX", lambda t, s: t.act[s][:, t.add] != t.act[t.act[s]]),
+    # g^0 = g
+    ("action.zero", "X", lambda t, s: t.act[s, 0] != t.ar[s]),
+    # x^y + z = z + x^y  for y != 0
+    ("reduced.central", "XXX",
+     lambda t, s: (t.add[t.act[s]] != t.add.T[t.act[s]]) & (t.ar[:, None] > 0)),
+    # x^(y^z) = x^y
+    ("reduced.collapse", "XXX", lambda t, s: t.act[s][:, t.act] != t.act[s, :, None]),
 )
+
+
+def _check_tables(order: int, add, act) -> tuple[Table, Table]:
+    if order < 1:
+        raise InputError(f"order must be positive, got {order}")
+    return _check_table(order, add, "add"), _check_table(order, act, "act")
+
+
+def _scan_axioms(add: np.ndarray, act: np.ndarray, require_reduced: bool) -> CheckReport:
+    """The axiom scan over in-range (n, n) index arrays; the axioms read no neg."""
+    t = _Arrays(add, act, None, np.arange(len(add), dtype=np.intp))
+    axioms = [a for a in _AXIOMS if require_reduced or not a[0].startswith("reduced.")]
+    return CheckReport(tuple(_violations(t, axioms, {"X": len(add)})))
 
 
 def check_axioms(order: int, add, act, require_reduced: bool = False) -> CheckReport:
@@ -163,21 +159,8 @@ def check_axioms(order: int, add, act, require_reduced: bool = False) -> CheckRe
     Returns one lexicographically minimal witness per violated axiom.
     Malformed tables raise InputError instead of reporting a violation.
     """
-    if order < 1:
-        raise InputError(f"order must be positive, got {order}")
-    add = np.asarray(_check_table(order, add, "add"), dtype=np.intp)
-    act = np.asarray(_check_table(order, act, "act"), dtype=np.intp)
-    ar = np.arange(order, dtype=np.intp)
-    violations = []
-    for cid, inner, fn in _AXIOMS:
-        if cid.startswith("reduced.") and not require_reduced:
-            continue
-        witness = _first_witness(
-            order, order**inner, lambda lo, hi: fn(add, act, ar, lo, hi)
-        )
-        if witness is not None:
-            violations.append(Violation(cid, witness))
-    return CheckReport(tuple(violations))
+    add, act = (np.asarray(x, dtype=np.intp) for x in _check_tables(order, add, act))
+    return _scan_axioms(add, act, require_reduced)
 
 
 @dataclass(frozen=True)
@@ -198,18 +181,15 @@ class FiniteGwaObject:
     @cached_property
     def neg(self) -> tuple[int, ...]:
         """Additive inverse of each element, derived from the add table."""
-        out = [0] * self.order
-        for x in range(self.order):
-            for y in range(self.order):
-                if self.add[x][y] == 0 == self.add[y][x]:
-                    out[x] = y
-                    break
-        return tuple(out)
+        return tuple(self._arrays.neg.tolist())
 
     @cached_property
     def _arrays(self) -> _Arrays:
-        """The add and act tables as index arrays, for the vectorized scans."""
-        return _Arrays(np.asarray(self.add, dtype=np.intp), np.asarray(self.act, dtype=np.intp))
+        """The add, act and neg tables and the carrier as index arrays, for
+        the vectorized scans."""
+        add = np.asarray(self.add, dtype=np.intp)
+        return _Arrays(add, np.asarray(self.act, dtype=np.intp), _inverses(add),
+                       np.arange(self.order, dtype=np.intp))
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -244,18 +224,14 @@ class FiniteGwaObject:
 
 def make_object(name: str, order: int, add, act, require_reduced: bool = True) -> FiniteGwaObject:
     """Validate tables and build an object, or raise with the failing report."""
-    report = check_axioms(order, add, act, require_reduced=require_reduced)
+    add, act = _check_tables(order, add, act)
+    obj = FiniteGwaObject(name=name, order=order, add=add, act=act, reduced=require_reduced)
+    report = _scan_axioms(obj._arrays.add, obj._arrays.act, require_reduced)
     if not report.passed:
         raise ValidationError(
             f"{name!r} violates {', '.join(report.conditions())}", report
         )
-    return FiniteGwaObject(
-        name=name,
-        order=order,
-        add=_freeze_table(add),
-        act=_freeze_table(act),
-        reduced=require_reduced,
-    )
+    return obj
 
 
 @dataclass(frozen=True)
@@ -274,6 +250,16 @@ def identity_morphism(obj: FiniteGwaObject) -> GwaMorphism:
     return GwaMorphism(obj, obj, tuple(range(obj.order)))
 
 
+# The map f as an index array with its source's and target's _Arrays.
+_Hom = namedtuple("_Hom", "f src tgt")
+
+# f(x op y) = f(x) op f(y), in report order
+_HOM_LAWS = (
+    ("hom.add", "XX", lambda t, s: t.f[t.src.add[s]] != t.tgt.add[t.f[s, None], t.f]),
+    ("hom.act", "XX", lambda t, s: t.f[t.src.act[s]] != t.tgt.act[t.f[s, None], t.f]),
+)
+
+
 def is_morphism(f: GwaMorphism) -> CheckReport:
     """Check the two preservation laws; ids "hom.add" and "hom.act".
 
@@ -286,18 +272,8 @@ def is_morphism(f: GwaMorphism) -> CheckReport:
     for x, v in enumerate(f.map):
         if not 0 <= v < f.target.order:
             raise InputError(f"map[{x}] = {v} is out of range for the target")
-    src, tgt = f.source._arrays, f.target._arrays
-    mp = np.asarray(f.map, dtype=np.intp)
-    violations = []
-    for cid, src_op, tgt_op in (("hom.add", src[0], tgt[0]), ("hom.act", src[1], tgt[1])):
-        # f(x op y) = f(x) op f(y)
-        witness = _first_witness(
-            f.source.order, f.source.order,
-            lambda lo, hi: mp[src_op[lo:hi]] != tgt_op[mp[lo:hi, None], mp[None, :]],
-        )
-        if witness is not None:
-            violations.append(Violation(cid, witness))
-    return CheckReport(tuple(violations))
+    t = _Hom(np.asarray(f.map, dtype=np.intp), f.source._arrays, f.target._arrays)
+    return CheckReport(tuple(_violations(t, _HOM_LAWS, {"X": f.source.order})))
 
 
 def make_morphism(source: FiniteGwaObject, target: FiniteGwaObject, mapping) -> GwaMorphism:
@@ -485,16 +461,15 @@ def _v_additive(t, f: np.ndarray) -> np.ndarray:
 
 @object_cache(maxsize=64)
 def _additive_bijections_cached(obj: FiniteGwaObject) -> tuple[tuple[int, ...], ...]:
-    n, (add, _) = obj.order, obj._arrays
-    neg = np.asarray(obj.neg, dtype=np.intp)
+    n, t = obj.order, obj._arrays
     gens, steps = generating_words(obj)
     found: list[list[int]] = []
     for images in _image_chunks(n, len(gens), n * n):
         # f(x + g) = f(x) + f(g) and f(x - g) = f(x) - f(g)
-        f = _generator_walk(steps, images, 0, lambda prev, img, step: add[
-            prev, img if step[3] > 0 else neg[img]])
-        f = f[(np.sort(f, axis=1) == np.arange(n)).all(axis=1)]
-        found.extend(f[~_violated(_v_additive(obj._arrays, f))].tolist())
+        f = _generator_walk(steps, images, 0, lambda prev, img, step: t.add[
+            prev, img if step[3] > 0 else t.neg[img]])
+        f = f[(np.sort(f, axis=1) == t.ar).all(axis=1)]
+        found.extend(f[~_violated(_v_additive(t, f))].tolist())
     return tuple(sorted(map(tuple, found)))
 
 

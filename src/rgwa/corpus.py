@@ -5,7 +5,9 @@ from __future__ import annotations
 
 from itertools import permutations
 
-from .core import FiniteGwaObject, Table, _freeze_table, make_object
+import numpy as np
+
+from .core import FiniteGwaObject, Table, _freeze_table, _inverses, make_object
 from .errors import InputError, UnsupportedInputError
 
 
@@ -65,12 +67,7 @@ def conjugation_object(add) -> tuple[Table, Table]:
     """
     add = _freeze_table(add)
     n = len(add)
-    neg = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if add[x][y] == 0 == add[y][x]:
-                neg[x] = y
-                break
+    neg = _inverses(np.asarray(add, dtype=np.intp)).tolist()
     act = tuple(
         tuple(add[add[neg[y]][x]][y] for y in range(n)) for x in range(n)
     )

@@ -6,10 +6,12 @@ A triple consists of ``dot[b][a] = b . a``, ``up[a][b] = a ^ b`` and
 group-action laws for the dot component (ga.1-ga.3), the eight structure
 laws 1A-4A / 1B-4B, the unit law zeroB, and the ten interaction laws
 a1-a10.  Each is one numpy violation mask in the table ``_CONDITIONS``,
-tagged with its index axes and the tables it reads and scanned in chunks by
-``core._first_witness``.  Side constraints clear the excluded cells rather
-than failing vacuously.  The enumerators run subsets of the same table, each
-as soon as the tables it reads are fixed.
+tagged with its index axes (A or B, sized per call) and the tables it
+reads.  The masks read the cached ``_arrays`` of A and B, and the one scan
+loop ``core._violations``, shared with the axioms and the morphism laws,
+runs the table in chunks.  Side constraints clear the excluded cells rather
+than failing vacuously.  The enumerators run subsets of the same table
+through ``core._holds``, each as soon as the tables it reads are fixed.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from itertools import combinations, product
-from math import prod
 
 import numpy as np
 
@@ -26,11 +27,12 @@ from .core import (
     FiniteGwaObject,
     GwaMorphism,
     Table,
-    _first_witness,
     _freeze_table,
     _generator_walk,
+    _holds,
     _image_chunks,
     _violated,
+    _violations,
     additive_bijections,
     generating_words,
     is_morphism,
@@ -183,18 +185,22 @@ def action_from_split_extension(ext: SplitExtension) -> DerivedActionTriple:
 
 
 # ---------------------------------------------------------------------------
-# The 22 conditions as one table, scanned by core._first_witness.
+# The 22 conditions as one table, scanned by core._violations.
 # ---------------------------------------------------------------------------
 
 
-# Index arrays of A, B and a triple, with the carriers rA and rB as ranges; a
-# table that no scanned condition reads may be None.
-_Tables = namedtuple("_Tables", "addA actA rA addB actB rB dot up pw")
+# The _arrays of A and B and the index arrays of a triple; a table that no
+# scanned condition reads may be None.
+_Tables = namedtuple("_Tables", "addA actA negA rA addB actB negB rB dot up pw")
 
 
 def _tables(A: FiniteGwaObject, B: FiniteGwaObject, dot=None, up=None, pw=None) -> _Tables:
     arrays = (None if x is None else np.asarray(x, dtype=np.intp) for x in (dot, up, pw))
-    return _Tables(*A._arrays, np.arange(A.order), *B._arrays, np.arange(B.order), *arrays)
+    return _Tables(*A._arrays, *B._arrays, *arrays)
+
+
+def _sizes(A: FiniteGwaObject, B: FiniteGwaObject) -> dict[str, int]:
+    return {"A": A.order, "B": B.order}
 
 
 # (id, index axes in witness order, tables read, violation mask), in report
@@ -270,25 +276,11 @@ _DOT_ONLY, _UP_ONLY, _POW_ONLY, _DOT_UP = (
 _POW_READING = tuple(c for c in _CONDITIONS if "pow" in c[2])
 
 
-def _violations(t: _Tables, conditions):
-    """Yield one minimal-witness Violation per failing condition, in order."""
-    size = {"A": len(t.rA), "B": len(t.rB)}
-    for cid, axes, _, fn in conditions:
-        witness = _first_witness(size[axes[0]], prod(size[x] for x in axes[1:]),
-                                 lambda lo, hi: fn(t, slice(lo, hi)))
-        if witness is not None:
-            yield Violation(cid, witness)
-
-
-def _holds(t: _Tables, conditions) -> bool:
-    return next(_violations(t, conditions), None) is None
-
-
 def check_derived_action(triple: DerivedActionTriple) -> CheckReport:
     """Scan the 22 derived-action conditions; one minimal witness each."""
     _validate_triple_shape(triple)
     t = _tables(triple.A, triple.B, triple.dot, triple.up, triple.pow)
-    return CheckReport(tuple(_violations(t, _CONDITIONS)))
+    return CheckReport(tuple(_violations(t, _CONDITIONS, _sizes(triple.A, triple.B))))
 
 
 # ---------------------------------------------------------------------------
@@ -365,26 +357,27 @@ def enumerate_derived_actions(
             f"derived-action enumeration for {B.name!r} on {A.name!r} needs "
             f"{total} candidate visits, budget is {budget}; 0 candidates checked"
         )
-    ups = [up for up in all_ups if _holds(_tables(A, B, up=up), _UP_ONLY)]
-    dots = [dot for dot in all_dots if _holds(_tables(A, B, dot=dot), _DOT_ONLY)]
-    rows = [row for row in _pow_factor(A) if _holds(_tables(A, _POINT, pw=[row]), _POW_ONLY)]
+    sizes = _sizes(A, B)
+    ups = [up for up in all_ups if _holds(_tables(A, B, up=up), _UP_ONLY, sizes)]
+    dots = [dot for dot in all_dots if _holds(_tables(A, B, dot=dot), _DOT_ONLY, sizes)]
+    rows = [row for row in _pow_factor(A)
+            if _holds(_tables(A, _POINT, pw=[row]), _POW_ONLY, _sizes(A, _POINT))]
     rows = np.asarray(rows, dtype=np.intp)
-    addA, negA = A._arrays.add, np.asarray(A.neg, dtype=np.intp)
     found: list[DerivedActionTriple] = []
     for up in ups:
         for dot in dots:
             t = _tables(A, B, dot=dot, up=up)
-            if not _holds(t, _DOT_UP):
+            if not _holds(t, _DOT_UP, sizes):
                 continue
 
             def rule(prev, row, step):
                 # pw[x + g] = pw[x] + dot[x] pw[g], pw[x - g] = pw[x] - dot[x - g] pw[g]
                 elem, parent, _, sign = step
-                return addA[prev, (t.dot[parent] if sign > 0 else negA[t.dot[elem]])[row]]
+                return t.addA[prev, (t.dot[parent] if sign > 0 else t.negA[t.dot[elem]])[row]]
 
             for images in _image_chunks(len(rows), len(gensB), nb * na):
                 for pw in _generator_walk(stepsB, rows[images], np.zeros(na, np.intp), rule):
-                    if _holds(t._replace(pw=pw), _POW_READING):
+                    if _holds(t._replace(pw=pw), _POW_READING, sizes):
                         pw = tuple(map(tuple, pw.tolist()))
                         found.append(DerivedActionTriple(A, B, dot, up, pw, report=PASSED))
     found.sort(key=DerivedActionTriple.key)
@@ -407,23 +400,23 @@ def enumerate_derived_actions_bruteforce(
             f"brute-force enumeration of actions of {B.name!r} on {A.name!r} "
             f"would visit {na ** (3 * na * nb)} triples, above the cap"
         )
-    ra = range(na)
+    ra, sizes = range(na), _sizes(A, B)
 
     def tables(rows: int, cols: int):
         for flat in product(ra, repeat=rows * cols):
             yield tuple(flat[r * cols:(r + 1) * cols] for r in range(rows))
 
-    ups = [up for up in tables(na, nb) if _holds(_tables(A, B, up=up), _UP_ONLY)]
+    ups = [up for up in tables(na, nb) if _holds(_tables(A, B, up=up), _UP_ONLY, sizes)]
     found = []
     for dot in tables(nb, na):
-        if not _holds(_tables(A, B, dot=dot), _DOT_ONLY):
+        if not _holds(_tables(A, B, dot=dot), _DOT_ONLY, sizes):
             continue
         for up in ups:
             t = _tables(A, B, dot=dot, up=up)
-            if not _holds(t, _DOT_UP):
+            if not _holds(t, _DOT_UP, sizes):
                 continue
             for pw in tables(nb, na):
-                if _holds(t._replace(pw=np.asarray(pw)), _POW_READING):
+                if _holds(t._replace(pw=np.asarray(pw)), _POW_READING, sizes):
                     found.append(DerivedActionTriple(A, B, dot, up, pw, report=PASSED))
     return found
 

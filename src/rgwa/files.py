@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import FiniteGwaObject, GwaMorphism, as_index, make_object
+from .core import FiniteGwaObject, GwaMorphism, _freeze_table, as_index, make_object
 from .corpus import s3_conjugation_tables, standard_corpus
 from .errors import InputError
 from .extensions import DerivedActionTriple, SplitExtension
@@ -96,9 +96,9 @@ def triple_from_json(data: dict, A: FiniteGwaObject, B: FiniteGwaObject) -> Deri
             f"triple references ({data['A']!r}, {data['B']!r}), "
             f"got objects ({A.name!r}, {B.name!r})"
         )
-    def table(rows):
-        return tuple(tuple(as_index(v) for v in row) for row in rows)
-    return DerivedActionTriple(A, B, table(data["dot"]), table(data["up"]), table(data["pow"]))
+    return DerivedActionTriple(
+        A, B, *(_freeze_table(data[key]) for key in ("dot", "up", "pow"))
+    )
 
 
 def pentaction_to_json(pent: Pentaction) -> dict:

@@ -30,8 +30,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import core
 from .core import (
     FiniteGwaObject,
+    _Arrays,
     _generator_walk,
     _image_chunks,
     _v_additive,
@@ -46,8 +48,6 @@ from .errors import BudgetExceededError, InputError, UnsupportedInputError
 from .report import CheckReport, Violation
 
 DEFAULT_BUDGET = 100_000_000
-
-_BATCH_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -101,25 +101,6 @@ def _same_parent(p: Pentaction, q: Pentaction) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Ctx:
-    n: int
-    add: np.ndarray
-    act: np.ndarray
-    neg: np.ndarray
-    ar: np.ndarray
-
-
-def _ctx(obj: FiniteGwaObject) -> _Ctx:
-    return _Ctx(
-        n=obj.order,
-        add=np.asarray(obj.add, dtype=np.int64),
-        act=np.asarray(obj.act, dtype=np.int64),
-        neg=np.asarray(obj.neg, dtype=np.int64),
-        ar=np.arange(obj.order, dtype=np.int64),
-    )
-
-
 def _bg3(f: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Per-candidate gather: out[i, a, b] = f[i, idx[i, a, b]]."""
     return f[np.arange(len(f))[:, None, None], idx]
@@ -130,63 +111,63 @@ def _bg2(f: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return f[np.arange(len(f))[:, None], idx]
 
 
-def _v_act_first_invariant(t: _Ctx, f: np.ndarray) -> np.ndarray:
+def _v_act_first_invariant(t: _Arrays, f: np.ndarray) -> np.ndarray:
     # f(a) ^ a' = a ^ a'  for a' != 0
     v = t.act[f] != t.act[None, :, :]
     v[:, :, 0] = False
     return v
 
 
-def _v_pow_cocycle(t: _Ctx, pw: np.ndarray) -> np.ndarray:
+def _v_pow_cocycle(t: _Arrays, pw: np.ndarray) -> np.ndarray:
     # pow(a + a') = pow(a) ^ a' + pow(a')
     return pw[:, t.add] != t.add[t.act[pw], pw[:, None, :]]
 
 
-def _v_up_dot_exchange(t: _Ctx, up: np.ndarray, dotL: np.ndarray) -> np.ndarray:
+def _v_up_dot_exchange(t: _Arrays, up: np.ndarray, dotL: np.ndarray) -> np.ndarray:
     # up(a ^ dotL(a')) = up(a) ^ a'
     inner = t.act[t.ar[None, :, None], dotL[:, None, :]]
     return _bg3(up, inner) != t.act[up]
 
 
-def _v_upL_dotR_exchange(t: _Ctx, upL: np.ndarray, dotR: np.ndarray) -> np.ndarray:
+def _v_upL_dotR_exchange(t: _Arrays, upL: np.ndarray, dotR: np.ndarray) -> np.ndarray:
     # dual of the exchange law; carrier prefix exponents negate:
     # upL(a ^ (-dotR(a'))) = upL(a) ^ (-a')
     inner = t.act[t.ar[None, :, None], t.neg[dotR][:, None, :]]
     return _bg3(upL, inner) != t.act[upL][:, :, t.neg]
 
 
-def _v_fixes_action_values(t: _Ctx, f: np.ndarray) -> np.ndarray:
+def _v_fixes_action_values(t: _Arrays, f: np.ndarray) -> np.ndarray:
     # f(a ^ a') = a ^ a'  for a' != 0
     v = f[:, t.act] != t.act[None, :, :]
     v[:, :, 0] = False
     return v
 
 
-def _v_pow_collapses_action(t: _Ctx, pw: np.ndarray) -> np.ndarray:
+def _v_pow_collapses_action(t: _Arrays, pw: np.ndarray) -> np.ndarray:
     # pow(a ^ a') = pow(a)
     return pw[:, t.act] != pw[:, :, None]
 
 
-def _v_central_if_moving(t: _Ctx, f: np.ndarray) -> np.ndarray:
+def _v_central_if_moving(t: _Arrays, f: np.ndarray) -> np.ndarray:
     # images commute with everything, provided f moves at least one element
     hyp = (f != t.ar[None, :]).any(axis=1)
     comm = t.add[f[:, :, None], t.ar[None, None, :]] != t.add[t.ar[None, None, :], f[:, :, None]]
     return comm & hyp[:, None, None]
 
 
-def _v_exponent_equivalent(t: _Ctx, f: np.ndarray) -> np.ndarray:
+def _v_exponent_equivalent(t: _Arrays, f: np.ndarray) -> np.ndarray:
     # a ^ f(a') = a ^ a'
     return t.act[t.ar[None, :, None], f[:, None, :]] != t.act[None, :, :]
 
 
-def _v_pow_exponent_trivial(t: _Ctx, pw: np.ndarray) -> np.ndarray:
+def _v_pow_exponent_trivial(t: _Arrays, pw: np.ndarray) -> np.ndarray:
     # a ^ pow(a') = a  for a' != 0
     v = t.act[t.ar[None, :, None], pw[:, None, :]] != t.ar[None, :, None]
     v[:, :, 0] = False
     return v
 
 
-def _v_mutual_inverse(t: _Ctx, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _v_mutual_inverse(t: _Arrays, f: np.ndarray, g: np.ndarray) -> np.ndarray:
     # g(f(a)) = a = f(g(a)); witness is (a,)
     return (_bg2(g, f) != t.ar[None, :]) | (_bg2(f, g) != t.ar[None, :])
 
@@ -247,7 +228,7 @@ def _validate_shape(cand: Pentaction) -> None:
 def check_pentaction(cand: Pentaction) -> CheckReport:
     """Scan all nineteen conditions; one minimal witness per violation."""
     _validate_shape(cand)
-    t = _ctx(cand.parent)
+    t = cand.parent._arrays
     slots = _slot_arrays([cand])
     violations = []
     for cid, needed, fn in _CONDITIONS:
@@ -270,11 +251,11 @@ def check_pentactions_batch(cands: Sequence[Pentaction]) -> np.ndarray:
 
 def _passing(cands: Sequence[Pentaction]) -> np.ndarray:
     """Pass vector of a non-empty batch of in-range candidates over one parent."""
-    return _passing_slots(_ctx(cands[0].parent), _slot_arrays(cands), _CONDITIONS)
+    return _passing_slots(cands[0].parent._arrays, _slot_arrays(cands), _CONDITIONS)
 
 
 def _passing_slots(
-    t: _Ctx,
+    t: _Arrays,
     slots: dict[str, np.ndarray],
     conditions: Sequence[tuple[str, _Slots, Callable[..., np.ndarray]]],
 ) -> np.ndarray:
@@ -402,8 +383,7 @@ def _check_budget(obj: FiniteGwaObject, budget: int) -> None:
 def _pow_factor(obj: FiniteGwaObject) -> tuple[_Table, ...]:
     """The pow tables passing p4, p7 and p10, sorted; by p4 they are crossed
     maps, walked from all n^|gens| generator images."""
-    n = obj.order
-    t = _ctx(obj)
+    n, t = obj.order, obj._arrays
     gens, steps = generating_words(obj)
 
     def rule(prev, img, step):
@@ -425,16 +405,16 @@ def _pentaction_factors(obj: FiniteGwaObject) -> tuple[tuple[_Maps, ...], tuple[
     """The two factors of the pentaction set, each sorted: the map parts
     (dotL, dotR, up, upL) passing the conditions that do not read pow, and
     the pow tables passing the conditions that read only pow."""
-    n = obj.order
-    t = _ctx(obj)
+    n, t = obj.order, obj._arrays
     ups = additive_bijections(obj)
     dotls = [tuple(range(n))] if is_perfect(obj) else ups
     maps = [
         (dotl, invert_map(dotl), up, invert_map(up)) for up in ups for dotl in dotls
     ]
     kept = []
-    for lo in range(0, len(maps), _BATCH_CHUNK):
-        chunk = maps[lo:lo + _BATCH_CHUNK]
+    step = max(1, core._CHUNK_CELLS // (n * n))  # the largest map masks are (k, n, n)
+    for lo in range(0, len(maps), step):
+        chunk = maps[lo:lo + step]
         arrays = np.asarray(chunk, dtype=np.int64).reshape(len(chunk), len(_MAP_SLOTS), n)
         ok = _passing_slots(t, dict(zip(_MAP_SLOTS, arrays.swapaxes(0, 1))), _MAP_CONDITIONS)
         kept.extend(c for c, good in zip(chunk, ok) if good)
@@ -463,7 +443,7 @@ def enumerate_pentactions_bruteforce(obj: FiniteGwaObject) -> list[Pentaction]:
         raise InputError(
             f"brute-force pentaction enumeration is refused for order {n} > 3"
         )
-    t = _ctx(obj)
+    t = obj._arrays
     maps = np.asarray(list(product(range(n), repeat=n)), dtype=np.int64)
     m = len(maps)
 

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import FiniteGwaObject, GwaMorphism, check_axioms, is_morphism
+from .core import FiniteGwaObject, GwaMorphism, _scan_axioms, is_morphism
 from .corpus import standard_corpus
 from .errors import BudgetExceededError, InputError, StructuralError
 from .extensions import DerivedActionTriple, check_derived_action, enumerate_derived_actions
@@ -79,7 +79,7 @@ def _pa_tables(
         np.asarray([getattr(p, slot) for p in elements], dtype=np.intp).reshape(m, n)
         for slot in ("dotL", "dotR", "up", "upL", "pow")
     )
-    base_add = np.asarray(obj.add, dtype=np.intp)
+    base_add = obj._arrays.add
     keys = np.concatenate([dotL, dotR, up, upL, pw], axis=1)
     as_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
     order = np.argsort(keys.view(as_bytes).ravel())
@@ -131,13 +131,12 @@ def build_pa_object(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> PAObj
     add, act, gaps = _pa_tables(obj, elements)
     if gaps:
         return PAObject(obj, tuple(elements), None, CheckReport(gaps))
-    add, act = add.tolist(), act.tolist()
-    report = check_axioms(m, add, act, require_reduced=True)
+    report = _scan_axioms(add, act, require_reduced=True)
     assembled = FiniteGwaObject(
         name=f"PA({obj.name})",
         order=m,
-        add=tuple(map(tuple, add)),
-        act=tuple(map(tuple, act)),
+        add=tuple(map(tuple, add.tolist())),
+        act=tuple(map(tuple, act.tolist())),
         reduced=report.passed,
     )
     return PAObject(obj, tuple(elements), assembled, report)

@@ -117,6 +117,18 @@ def reference_check_axioms(order, add, act, require_reduced=False) -> rgwa.Check
     return rgwa.CheckReport(tuple(violations))
 
 
+def reference_neg(obj) -> tuple[int, ...]:
+    """Per x, the first y with x+y = 0 = y+x, or 0 when there is none; the
+    loop oracle for ``FiniteGwaObject.neg``."""
+    out = [0] * obj.order
+    for x in range(obj.order):
+        for y in range(obj.order):
+            if obj.add[x][y] == 0 == obj.add[y][x]:
+                out[x] = y
+                break
+    return tuple(out)
+
+
 def reference_is_morphism(f: rgwa.GwaMorphism) -> rgwa.CheckReport:
     """Two-loop scan of the preservation laws; the oracle for ``is_morphism``."""
     src, tgt, m = f.source, f.target, f.map
@@ -265,8 +277,8 @@ def reference_map_families(A, B, contravariant: bool) -> list:
     """One family per assignment of bijections to B's generators, composed
     one step at a time and checked alone by the 2B (up) or ga.1 (dot) scan;
     the oracle for the walked ``_map_families``."""
-    from rgwa.core import generating_words, invert_map
-    from rgwa.extensions import _CONDITIONS, _holds, _tables
+    from rgwa.core import _holds, generating_words, invert_map
+    from rgwa.extensions import _CONDITIONS, _sizes, _tables
 
     bij = reference_additive_bijections(A)
     gensB, stepsB = generating_words(B)
@@ -284,7 +296,7 @@ def reference_map_families(A, B, contravariant: bool) -> list:
             else:
                 fam[elem] = tuple(fam[parent][g[a]] for a in ra)
         table = tuple(zip(*fam)) if contravariant else tuple(fam)
-        if _holds(_tables(A, B, **{name: table}), law):
+        if _holds(_tables(A, B, **{name: table}), law, _sizes(A, B)):
             out.append(table)
     return out
 
@@ -294,20 +306,20 @@ def reference_enumerate_derived_actions(A, B) -> list[rgwa.DerivedActionTriple]:
     of generator rows is multiplied out before any pow condition runs.  The
     oracle for the pruned ``enumerate_derived_actions``; its families come
     from ``reference_map_families``."""
-    from rgwa.core import generating_words
-    from rgwa.extensions import _DOT_ONLY, _DOT_UP, _POW_READING, _UP_ONLY, _holds, _tables
+    from rgwa.core import _holds, generating_words
+    from rgwa.extensions import _DOT_ONLY, _DOT_UP, _POW_READING, _UP_ONLY, _sizes, _tables
 
     gensA, stepsA = generating_words(A)
     gensB, stepsB = generating_words(B)
-    na = A.order
+    na, sizes = A.order, _sizes(A, B)
     ups = [up for up in reference_map_families(A, B, contravariant=True)
-           if _holds(_tables(A, B, up=up), _UP_ONLY)]
+           if _holds(_tables(A, B, up=up), _UP_ONLY, sizes)]
     dots = [dot for dot in reference_map_families(A, B, contravariant=False)
-            if _holds(_tables(A, B, dot=dot), _DOT_ONLY)]
+            if _holds(_tables(A, B, dot=dot), _DOT_ONLY, sizes)]
     found = []
     for up in ups:
         for dot in dots:
-            if not _holds(_tables(A, B, dot=dot, up=up), _DOT_UP):
+            if not _holds(_tables(A, B, dot=dot, up=up), _DOT_UP, sizes):
                 continue
             for assignment in product(
                 product(range(na), repeat=len(gensA)), repeat=len(gensB)
@@ -324,7 +336,7 @@ def reference_enumerate_derived_actions(A, B) -> list[rgwa.DerivedActionTriple]:
                     else:
                         pw[elem] = tuple(A.add[pw[parent][a]][A.neg[dot[elem][row_g[a]]]]
                                          for a in range(na))
-                if _holds(_tables(A, B, dot, up, pw), _POW_READING):
+                if _holds(_tables(A, B, dot, up, pw), _POW_READING, sizes):
                     found.append(rgwa.DerivedActionTriple(A, B, dot, up, tuple(pw)))
     found.sort(key=rgwa.DerivedActionTriple.key)
     return found
@@ -335,8 +347,9 @@ def reference_enumerate_pentactions(obj) -> list[rgwa.Pentaction]:
     conditions, then sorted; the oracle for the factored
     ``enumerate_pentactions``."""
     from rgwa.core import additive_bijections, generating_words, invert_map, is_perfect
-    from rgwa.pentactions import _BATCH_CHUNK, Pentaction, _passing
+    from rgwa.pentactions import Pentaction, _passing
 
+    batch = 8192
     n = obj.order
     ups = additive_bijections(obj)
     identity = tuple(range(n))
@@ -363,7 +376,7 @@ def reference_enumerate_pentactions(obj) -> list[rgwa.Pentaction]:
             dotr = invert_map(dotl)
             for pw in rows:
                 chunk.append(Pentaction(obj, dotl, dotr, up, upl, pw))
-                if len(chunk) >= _BATCH_CHUNK:
+                if len(chunk) >= batch:
                     flush()
     flush()
     found.sort(key=Pentaction.key)

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -170,8 +171,10 @@ def test_criterion_9_determinism(tmp_path):
 
         # byte-identical CLI output across processes and hash seeds
         outputs = []
+        src = str(Path(__file__).resolve().parent.parent / "src")
         for seed in ("0", "1"):
             env = dict(os.environ, PYTHONHASHSEED=seed)
+            env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
             proc = subprocess.run(
                 [sys.executable, "-m", "rgwa.cli", "pentactions",
                  str(tmp_path / "a" / "z3.json")],

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rgwa
-from conftest import negation_cyclic, reference_check_axioms, reference_is_morphism, shear_object
+from conftest import (
+    negation_cyclic,
+    reference_check_axioms,
+    reference_is_morphism,
+    reference_neg,
+    shear_object,
+)
 from rgwa import core
 from rgwa.core import _generator_walk, additive_closure, generating_words
 
@@ -225,6 +231,18 @@ class TestMakeObject:
         for obj in corpus:
             for x in range(obj.order):
                 assert obj.add[x][obj.neg[x]] == 0 == obj.add[obj.neg[x]][x]
+
+    def test_neg_matches_the_loop_oracle(self, corpus, z4neg, k4swap, shear16):
+        by_name = {o.name: o for o in corpus}
+        objs = list(corpus) + [z4neg, k4swap, shear16]
+        # PA(z2xz4) fails reduced.central, so its neg comes off a failed scan
+        objs += [rgwa.build_pa_object(by_name[name]).object for name in ("z3", "z2xz4")]
+        # 1 has the two-sided inverses 1 and 2 (the first is taken), 3 has none (0)
+        add = ((0, 1, 2, 3), (1, 0, 0, 3), (2, 0, 3, 3), (3, 3, 3, 3))
+        unchecked = rgwa.FiniteGwaObject("no-inverses", 4, add, tuple((x,) * 4 for x in range(4)))
+        assert unchecked.neg == (0, 1, 1, 0)
+        for obj in objs + [unchecked]:
+            assert obj.neg == reference_neg(obj), obj.name
 
 
 class TestMorphisms:

@@ -68,6 +68,14 @@ class TestTripleAndPentactionFormats:
         with pytest.raises(rgwa.InputError):
             files.triple_from_json(files.triple_to_json(triple), z2, z3)
 
+    @pytest.mark.parametrize("entry", [True, "1"])
+    def test_triple_entries_must_be_integers(self, entry):
+        z2 = rgwa.cyclic_trivial(2)
+        doc = files.triple_to_json(rgwa.enumerate_derived_actions(z2, z2)[0])
+        doc["pow"][1][1] = entry
+        with pytest.raises(rgwa.InputError):
+            files.triple_from_json(doc, z2, z2)
+
     def test_pentaction_round_trip(self, corpus):
         for obj in corpus[:4]:
             for pent in rgwa.enumerate_pentactions(obj):

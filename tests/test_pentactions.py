@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import rgwa
 from conftest import negation_product, reference_enumerate_pentactions
-from rgwa import pentactions
+from rgwa import core, pentactions
 from rgwa.files import pentaction_to_json
 from rgwa.pentactions import CONDITION_IDS, check_pentactions_batch
 
@@ -269,8 +269,16 @@ class TestEnumeration:
         assert check_pentactions_batch(sums).all()
         assert check_pentactions_batch(powers).all()
 
-    def test_factors_match_the_product_scan(self, corpus, z4neg, z6neg, k4swap, shear16):
+    @pytest.mark.parametrize("chunk_cells", [None, 1],
+                             ids=["default-chunks", "one-candidate-chunks"])
+    def test_factors_match_the_product_scan(self, monkeypatch, chunk_cells,
+                                            corpus, z4neg, z6neg, k4swap, shear16):
         # order included: the product of the sorted factors is already canonical
+        if chunk_cells is not None:
+            # one cell per chunk: the map factor is scanned one candidate at a time
+            monkeypatch.setattr(core, "_CHUNK_CELLS", chunk_cells)
+        pentactions._pentaction_factors.cache_clear()
+        pentactions._enumerate_pentactions_uncapped.cache_clear()
         subjects = list(corpus) + [z4neg, z6neg, k4swap, shear16,
                                    negation_product(4, 4), negation_product(8, 2)]
         for obj in subjects:

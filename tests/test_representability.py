@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 import rgwa
-from conftest import reference_verify_uniqueness
+from conftest import negation_product, reference_verify_uniqueness
 from rgwa.extensions import DerivedActionTriple
 from rgwa.representability import PAObject, _pa_tables
 
@@ -62,6 +62,14 @@ class TestBuildPaObject:
             pa = rgwa.build_pa_object(obj)
             for i, p in enumerate(pa.elements):
                 assert pa.object.neg[i] == pa.index_of(rgwa.pent_neg(p))
+
+    def test_report_is_the_axiom_scan_of_the_tables(self, corpus, z4neg, k4swap, shear16):
+        # every base whose PA(A) has at most 256 elements
+        for obj in list(corpus) + [z4neg, k4swap, shear16, negation_product(2, 8)]:
+            pa = rgwa.build_pa_object(obj)
+            m = pa.object.order
+            assert m <= 256
+            assert pa.report == rgwa.check_axioms(m, pa.object.add, pa.object.act, True), obj.name
 
     def test_perfect_zero_wst_witness_passes(self, z4neg, k4swap):
         for obj in (z4neg, k4swap):
