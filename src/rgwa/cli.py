@@ -40,6 +40,11 @@ EXIT_BUDGET = 3
 
 def _cmd_validate(args) -> tuple[int, dict]:
     name, order, add, act = parse_object_json(read_json(args.file))
+    cells = order**3
+    if cells > args.budget:
+        raise BudgetExceededError(
+            f"axiom scan of {name!r} visits {cells} cells (order^3), budget is {args.budget}"
+        )
     report = check_axioms(order, add, act, require_reduced=True)
     return (EXIT_PASSED if report.passed else EXIT_VIOLATION), report.to_json()
 

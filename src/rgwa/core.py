@@ -23,7 +23,8 @@ One loop, ``_violations``, scans such tables along their leading index in
 chunks of at most ``_CHUNK_CELLS`` (2^18) cells, so memory stays flat
 whatever the order, and stops each scan at the first chunk with a
 violation.  It serves the axioms, the two morphism laws of
-``is_morphism`` and the 22 derived-action conditions of ``extensions``.
+``is_morphism``, the 22 derived-action conditions of ``extensions`` and
+the factored PA(A) axiom rows of ``representability``.
 The masks read an object's cached ``_arrays``: add, act, neg and the
 carrier ar as index arrays.  Outside tables are validated once by
 ``_check_table``; ``_scan_axioms`` then scans index arrays directly.
@@ -63,7 +64,15 @@ def as_index(value) -> int:
 
 
 def _freeze_table(table) -> Table:
-    return tuple(tuple(as_index(v) for v in row) for row in table)
+    """A table given as rows of integers, frozen; any other shape of input
+    raises InputError."""
+    if not isinstance(table, Iterable):
+        raise InputError(f"table {table!r} is not a list of rows")
+    rows = tuple(table)
+    for x, row in enumerate(rows):
+        if not isinstance(row, Iterable):
+            raise InputError(f"table row {x} is {row!r}, not a list of entries")
+    return tuple(tuple(as_index(v) for v in row) for row in rows)
 
 
 def _check_table(order: int, table, what: str) -> Table:

@@ -4,26 +4,36 @@ arbitrary derived actions through it.
 The conditional theorems hold when the base object is perfect with zero weak
 stabilizer; outside that regime every builder here stays diagnostic: reports
 carry the failing conditions instead of raising.
+
+PA(A) is built over the two factors of the pentaction set, the sorted map
+parts Maps (dotL, dotR, up, upL) and the sorted pow tables W: the element
+with map part i and pow table j has index i*|W| + j.  The sum and the power
+are index arithmetic over the factor tables Cm, P, E and Q (``_PaFactors``),
+and the cubic axioms are scanned as a map-part row and a pow-part row each,
+over the factor indices the row reads: |Maps|^3 and |W|^3 cells in place of
+m^3 on a perfect base.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .core import FiniteGwaObject, GwaMorphism, _scan_axioms, is_morphism
+from . import core
+from .core import _AXIOMS, FiniteGwaObject, GwaMorphism, _Arrays, _violations, is_morphism
 from .corpus import standard_corpus
 from .errors import BudgetExceededError, InputError, StructuralError
 from .extensions import DerivedActionTriple, check_derived_action, enumerate_derived_actions
 from .pentactions import (
     DEFAULT_BUDGET,
     Pentaction,
+    _pentaction_factors,
     check_pentaction,
     enumerate_pentactions,
-    zero_pentaction,
 )
 from .report import CheckReport, Violation
 
@@ -32,8 +42,16 @@ from .report import CheckReport, Violation
 class PAObject:
     """The pentaction set of a base object assembled into operation tables.
 
-    ``elements[i]`` is the pentaction behind index i, with the zero
-    pentaction relocated to index 0 and the remainder in canonical order.
+    The pentactions are the product Maps(A) x Pow(A) of their map parts
+    (dotL, dotR, up, upL) and their pow tables W, each sorted, so
+    ``elements[i * |W| + j]`` is the pentaction with map part i and pow
+    table j.  The zero pentaction sits at index 0: identity maps are the
+    least permutations and the constant 0 is the least pow table.  The sum
+    and the power are index arithmetic over small factor tables:
+
+        add[x, y] = Cm[i_x, i_y] * |W| + P[dotL(i_x), j_x, j_y]
+        act[x, y] = E[i_x] * |W| + Q[i_y, j_x]
+
     ``object`` is None exactly when a sum or power of two pentactions left
     the enumerated set (possible only for imperfect bases); the closure
     failures are then recorded in ``report``.  Otherwise ``report`` is the
@@ -62,84 +80,180 @@ class PAObject:
         return {k: tuple(v) for k, v in groups.items()}
 
 
-def _pa_tables(
-    obj: FiniteGwaObject, elements: Sequence[Pentaction]
-) -> tuple[np.ndarray, np.ndarray, tuple[Violation, ...]]:
-    """Index tables of pentaction sum and power over ``elements``.
+# The factor tables of PA(A).  With p = (i, j) for map part i and pow table j,
+#   p+q = (Cm[i_p, i_q], P[dot[i_p], j_p, j_q])   p^q = (E[i_p], Q[i_q, j_p])
+# where dot[i] is the dotL class of map part i (one class on a perfect base)
+# and W is the number of pow tables.  A result outside the factors is -1.
+_PaFactors = namedtuple("_PaFactors", "Cm P E Q dot W")
 
-    Both operations are array arithmetic on the stacked (m, n) component
-    tables, one row p at a time, so memory stays O(m*n).  Each resulting
-    pentaction is looked up among the element keys by a sorted byte-view
-    search.  A result outside the set is a closure gap: the first (i, j) in
-    row-major order is reported as "pa.closure.add" or "pa.closure.act" and
-    its cell is left at -1.
-    """
-    m, n = len(elements), obj.order
-    dotL, dotR, up, upL, pw = (
-        np.asarray([getattr(p, slot) for p in elements], dtype=np.intp).reshape(m, n)
-        for slot in ("dotL", "dotR", "up", "upL", "pow")
-    )
-    base_add = obj._arrays.add
-    keys = np.concatenate([dotL, dotR, up, upL, pw], axis=1)
+
+def _row_finder(keys: np.ndarray):
+    """Lookup of (..., k) rows among the rows of the (r, k) array ``keys``:
+    the index of each, or -1."""
     as_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
     order = np.argsort(keys.view(as_bytes).ravel())
     sorted_bytes = keys[order].view(as_bytes).ravel()
 
-    def lookup(rows: np.ndarray) -> np.ndarray:
-        pos = np.searchsorted(sorted_bytes, np.ascontiguousarray(rows).view(as_bytes).ravel())
-        hit = order[np.minimum(pos, m - 1)]
-        return np.where((keys[hit] == rows).all(axis=1), hit, -1)
+    def find(rows: np.ndarray) -> np.ndarray:
+        flat = np.ascontiguousarray(rows).reshape(-1, keys.shape[1])
+        hit = order[np.minimum(np.searchsorted(sorted_bytes, flat.view(as_bytes).ravel()),
+                               len(keys) - 1)]
+        return np.where((keys[hit] == flat).all(axis=1), hit, -1).reshape(rows.shape[:-1])
 
-    ident = np.broadcast_to(np.arange(n, dtype=np.intp), (m, n))
-    add = np.empty((m, m), dtype=np.intp)
-    act = np.empty((m, m), dtype=np.intp)
-    first_gap: dict[str, Violation] = {}
-    for i in range(m):
-        # q ranges over the rows: sum p+q and power p^q for every q at once
-        add[i] = lookup(np.concatenate([
-            dotL[i][dotL],
-            dotR[:, dotR[i]],
-            up[:, up[i]],
-            upL[i][upL],
-            base_add[pw[i], dotL[i][pw]],
-        ], axis=1))
-        act[i] = lookup(np.concatenate([
-            ident,
-            ident,
-            np.broadcast_to(up[i], (m, n)),
-            np.broadcast_to(upL[i], (m, n)),
-            np.take_along_axis(up, pw[i][dotL], axis=1),
-        ], axis=1))
-        for condition, row in (("pa.closure.add", add[i]), ("pa.closure.act", act[i])):
-            if condition not in first_gap and (row < 0).any():
-                first_gap[condition] = Violation(condition, (i, int(np.argmax(row < 0))))
-    gaps = tuple(first_gap[c] for c in ("pa.closure.add", "pa.closure.act") if c in first_gap)
-    return add, act, gaps
+    return find
+
+
+def _pa_factors(obj: FiniteGwaObject, maps: Sequence, pows: Sequence) -> _PaFactors:
+    """The factor tables of the sum and the power over the product of the
+    map parts ``maps`` (dotL, dotR, up, upL) and the pow tables ``pows``."""
+    n, add = obj.order, obj._arrays.add
+    dl, dr, up, ul = np.asarray(maps, dtype=np.intp).reshape(len(maps), 4, n).swapaxes(0, 1)
+    w = np.asarray(pows, dtype=np.intp).reshape(len(pows), n)
+    find_map = _row_finder(np.concatenate([dl, dr, up, ul], axis=1))
+    find_pow = _row_finder(w)
+    classes, dot = np.unique(dl, axis=0, return_inverse=True)
+    # map part of p+q: p.dotL(q.dotL), q.dotR(p.dotR), q.up(p.up), p.upL(q.upL)
+    Cm = np.stack([
+        find_map(np.concatenate([dl[i][dl], dr[:, dr[i]], up[:, up[i]], ul[i][ul]], axis=1))
+        for i in range(len(dl))
+    ])
+    # pow part of p+q: p.pow + p.dotL(q.pow), in chunks of p.pow
+    step = max(1, core._CHUNK_CELLS // (len(w) * n))
+    P = np.stack([
+        np.concatenate([find_pow(add[w[lo:lo + step, None], d[w]])
+                        for lo in range(0, len(w), step)])
+        for d in classes
+    ])
+    # p^q: identity dots with p's up and upL, and pow q.up(p.pow(q.dotL))
+    ident = np.broadcast_to(np.arange(n), dl.shape)
+    E = find_map(np.concatenate([ident, ident, up, ul], axis=1))
+    Q = np.stack([find_pow(up[i][w[:, dl[i]]]) for i in range(len(dl))])
+    return _PaFactors(Cm, P, E, Q, dot.reshape(-1), len(w))
+
+
+def _assemble(f: _PaFactors) -> tuple[np.ndarray, np.ndarray]:
+    """The m x m sum and power tables, -1 where a result leaves the set."""
+    m = len(f.E) * f.W
+    Cm, P = f.Cm[:, None, :, None], f.P[f.dot][:, :, None, :]
+    E, Q = f.E[:, None, None, None], f.Q.T[None, :, :, None]
+    add = np.where((Cm < 0) | (P < 0), -1, Cm * f.W + P)
+    act = np.where((E < 0) | (Q < 0), -1, E * f.W + Q)
+    shape = (len(f.E), f.W, len(f.E), f.W)
+    return (np.broadcast_to(add, shape).reshape(m, m),
+            np.broadcast_to(act, shape).reshape(m, m))
+
+
+def _closure_gaps(add: np.ndarray, act: np.ndarray) -> tuple[Violation, ...]:
+    """The first cell (x, y) in row-major order of the sum and of the power
+    table whose result leaves the set, as "pa.closure.add" / "pa.closure.act"."""
+    return tuple(
+        Violation(condition, divmod(int((table < 0).argmax()), len(table)))
+        for condition, table in (("pa.closure.add", add), ("pa.closure.act", act))
+        if (table < 0).any()
+    )
+
+
+# The five cubic axioms over the factor tables, each a map-part row and a
+# pow-part row (reduced.collapse has no map part: both sides have map part
+# E[i1]).  A row is (id, variables, violation formula) where x, y, z are
+# (i1, j1), (i2, j2), (i3, j3), the variables are listed in witness order,
+# and dk is ik read only through its dotL class.
+_PA_AXIOMS = (
+    # (x+y)+z = x+(y+z)
+    ("group.assoc", "i1 i2 i3",
+     lambda f, i1, i2, i3: f.Cm[f.Cm[i1, i2], i3] != f.Cm[i1, f.Cm[i2, i3]]),
+    ("group.assoc", "d1 j1 d2 j2 j3",
+     lambda f, d1, j1, d2, j2, j3: f.P[f.dot[f.Cm[d1, d2]], f.P[f.dot[d1], j1, j2], j3]
+     != f.P[f.dot[d1], j1, f.P[f.dot[d2], j2, j3]]),
+    # (g+g')^h = g^h + g'^h
+    ("action.add", "i1 i2",
+     lambda f, i1, i2: f.E[f.Cm[i1, i2]] != f.Cm[f.E[i1], f.E[i2]]),
+    ("action.add", "d1 j1 j2 i3",
+     lambda f, d1, j1, j2, i3: f.Q[i3, f.P[f.dot[d1], j1, j2]]
+     != f.P[f.dot[f.E[d1]], f.Q[i3, j1], f.Q[i3, j2]]),
+    # g^(h+h') = (g^h)^h'
+    ("action.compose", "i1", lambda f, i1: f.E[i1] != f.E[f.E[i1]]),
+    ("action.compose", "j1 i2 i3",
+     lambda f, j1, i2, i3: f.Q[f.Cm[i2, i3], j1] != f.Q[i3, f.Q[i2, j1]]),
+    # x^y + z = z + x^y for y != 0.  No row reads j2, so the witness takes
+    # j2 = 1 when i2 = 0; with |W| = 1 that is index 1 = (1, 0), and there
+    # the pow row cannot fail.
+    ("reduced.central", "i1 i3", lambda f, i1, i3: f.Cm[f.E[i1], i3] != f.Cm[i3, f.E[i1]]),
+    ("reduced.central", "d1 j1 i2 d3 j3",
+     lambda f, d1, j1, i2, d3, j3: f.P[f.dot[f.E[d1]], f.Q[i2, j1], j3]
+     != f.P[f.dot[d3], j3, f.Q[i2, j1]]),
+    # x^(y^z) = x^y
+    ("reduced.collapse", "j1 i2", lambda f, j1, i2: f.Q[f.E[i2], j1] != f.Q[i2, j1]),
+)
+
+
+def _row_mask(formula, names: list[str], scanned: list[str], sizes: list[int]):
+    """A ``core._violations`` mask of one factor row: each scanned variable
+    is an open-grid axis of the given size, and the variables left out
+    read 0."""
+    def mask(f, s):
+        axes = [np.arange(size) for size in sizes]
+        axes[0] = axes[0][s]
+        grid = dict(zip(scanned, np.ix_(*axes)))
+        return np.broadcast_to(formula(f, *(grid.get(v, 0) for v in names)), tuple(map(len, axes)))
+    return mask
+
+
+def _pa_report(f: _PaFactors, add: np.ndarray, act: np.ndarray) -> CheckReport:
+    """The reduced-axiom scan of PA(A), the same report as ``check_axioms``
+    on the assembled tables.  The five cubic axioms scan their factor rows:
+    a row's witness sets the indices it does not read to 0, except that
+    reduced.central, which holds only for y != 0, takes j2 = 1 when i2 = 0;
+    an axiom's witness is the least of its rows'.  With one dotL class the d variables
+    are not scanned.  The other three axioms scan the assembled tables."""
+    W, one_class = f.W, len(f.P) == 1
+    sizes = {"I": len(f.E), "J": W}
+    found: dict[str, tuple[int, ...]] = {}
+    for cid, names, formula in _PA_AXIOMS:
+        names = names.split()
+        scanned = [v for v in names if not (v[0] == "d" and one_class)]
+        axes = "".join("J" if v[0] == "j" else "I" for v in scanned)
+        row = (cid, axes, _row_mask(formula, names, scanned, [sizes[a] for a in axes]))
+        hit = next(_violations(f, [row], sizes), None)
+        if hit is None:
+            continue
+        cell = dict(zip((v.replace("d", "i") for v in scanned), hit.witness))
+        i, j = ([cell.get(f"{a}{k}", 0) for k in (1, 2, 3)] for a in "ij")
+        if cid == "reduced.central" and i[1] == 0:
+            j[1] = 1
+        witness = tuple(a * W + b for a, b in zip(i, j))
+        found[cid] = min(found.get(cid, witness), witness)
+    t = _Arrays(add, act, None, np.arange(len(add), dtype=np.intp))
+    rest = [a for a in _AXIOMS if a[0] not in {r[0] for r in _PA_AXIOMS}]
+    found.update((v.condition, v.witness) for v in _violations(t, rest, {"X": len(add)}))
+    return CheckReport(tuple(Violation(a[0], found[a[0]]) for a in _AXIOMS if a[0] in found))
 
 
 def build_pa_object(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> PAObject:
     """Assemble addition (pentaction sum) and action (pentaction power)
     tables over the enumerated pentaction set and scan the reduced axioms.
 
-    Failures are reported, not raised: when the base is perfect with zero
-    weak stabilizer the scan must pass, otherwise the report documents how
-    the construction degrades.
+    The tables and the scan work on the factor tables of Maps(A) x Pow(A),
+    so the cubic axioms visit |Maps|^3 and |W|^3 cells, not m^3.  Failures
+    are reported, not raised: when the base is perfect with zero weak
+    stabilizer the scan must pass, otherwise the report documents how the
+    construction degrades.
     """
-    zero = zero_pentaction(obj)
-    elements = [zero] + [p for p in enumerate_pentactions(obj, budget=budget) if p != zero]
-    m = len(elements)
-    add, act, gaps = _pa_tables(obj, elements)
+    elements = tuple(enumerate_pentactions(obj, budget=budget))
+    factors = _pa_factors(obj, *_pentaction_factors(obj))
+    add, act = _assemble(factors)
+    gaps = _closure_gaps(add, act)
     if gaps:
-        return PAObject(obj, tuple(elements), None, CheckReport(gaps))
-    report = _scan_axioms(add, act, require_reduced=True)
+        return PAObject(obj, elements, None, CheckReport(gaps))
+    report = _pa_report(factors, add, act)
     assembled = FiniteGwaObject(
         name=f"PA({obj.name})",
-        order=m,
+        order=len(elements),
         add=tuple(map(tuple, add.tolist())),
         act=tuple(map(tuple, act.tolist())),
         reduced=report.passed,
     )
-    return PAObject(obj, tuple(elements), assembled, report)
+    return PAObject(obj, elements, assembled, report)
 
 
 def pa_action(pa: PAObject) -> DerivedActionTriple:

@@ -129,6 +129,74 @@ def reference_neg(obj) -> tuple[int, ...]:
     return tuple(out)
 
 
+def reference_pa_tables(obj, elements):
+    """Index tables of pentaction sum and power over ``elements``, filled one
+    row p at a time by array arithmetic on the stacked component tables and
+    a sorted byte-view lookup of each result among the element keys.  A
+    result outside the set is -1, and the first such cell of each table in
+    row-major order is its closure gap ("pa.closure.add" / "pa.closure.act").
+    The oracle for the factored tables of ``build_pa_object``."""
+    m, n = len(elements), obj.order
+    dotL, dotR, up, upL, pw = (
+        np.asarray([getattr(p, slot) for p in elements], dtype=np.intp).reshape(m, n)
+        for slot in ("dotL", "dotR", "up", "upL", "pow")
+    )
+    base_add = obj._arrays.add
+    keys = np.concatenate([dotL, dotR, up, upL, pw], axis=1)
+    as_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
+    order = np.argsort(keys.view(as_bytes).ravel())
+    sorted_bytes = keys[order].view(as_bytes).ravel()
+
+    def lookup(rows):
+        pos = np.searchsorted(sorted_bytes, np.ascontiguousarray(rows).view(as_bytes).ravel())
+        hit = order[np.minimum(pos, m - 1)]
+        return np.where((keys[hit] == rows).all(axis=1), hit, -1)
+
+    ident = np.broadcast_to(np.arange(n, dtype=np.intp), (m, n))
+    add = np.empty((m, m), dtype=np.intp)
+    act = np.empty((m, m), dtype=np.intp)
+    first_gap = {}
+    for i in range(m):
+        # q ranges over the rows: sum p+q and power p^q for every q at once
+        add[i] = lookup(np.concatenate([
+            dotL[i][dotL],
+            dotR[:, dotR[i]],
+            up[:, up[i]],
+            upL[i][upL],
+            base_add[pw[i], dotL[i][pw]],
+        ], axis=1))
+        act[i] = lookup(np.concatenate([
+            ident,
+            ident,
+            np.broadcast_to(up[i], (m, n)),
+            np.broadcast_to(upL[i], (m, n)),
+            np.take_along_axis(up, pw[i][dotL], axis=1),
+        ], axis=1))
+        for condition, row in (("pa.closure.add", add[i]), ("pa.closure.act", act[i])):
+            if condition not in first_gap and (row < 0).any():
+                first_gap[condition] = rgwa.Violation(condition, (i, int(np.argmax(row < 0))))
+    gaps = tuple(first_gap[c] for c in ("pa.closure.add", "pa.closure.act") if c in first_gap)
+    return add, act, gaps
+
+
+def reference_build_pa_object(obj) -> rgwa.PAObject:
+    """PA(A) from the m x m reference tables over the zero pentaction and
+    the rest of the enumerated set, scanned by ``check_axioms``; the oracle
+    for the factored ``build_pa_object``."""
+    zero = rgwa.zero_pentaction(obj)
+    elements = [zero] + [p for p in rgwa.enumerate_pentactions(obj) if p != zero]
+    add, act, gaps = reference_pa_tables(obj, elements)
+    if gaps:
+        return rgwa.PAObject(obj, tuple(elements), None, rgwa.CheckReport(gaps))
+    m = len(elements)
+    report = rgwa.check_axioms(m, add.tolist(), act.tolist(), require_reduced=True)
+    assembled = rgwa.FiniteGwaObject(
+        name=f"PA({obj.name})", order=m, add=tuple(map(tuple, add.tolist())),
+        act=tuple(map(tuple, act.tolist())), reduced=report.passed,
+    )
+    return rgwa.PAObject(obj, tuple(elements), assembled, report)
+
+
 def reference_is_morphism(f: rgwa.GwaMorphism) -> rgwa.CheckReport:
     """Two-loop scan of the preservation laws; the oracle for ``is_morphism``."""
     src, tgt, m = f.source, f.target, f.map

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import rgwa
+from conftest import negation_product
 from rgwa.cli import main
 from rgwa.files import emit_corpus, save_object
 
@@ -59,6 +60,24 @@ class TestValidate:
         assert code == 2
         assert "error" in json.loads(out)
 
+    @pytest.mark.parametrize("verb", ["validate", "pa"])
+    @pytest.mark.parametrize("add", [[5, [1, 0]], 5, [None, [1, 0]]])
+    def test_tables_that_are_not_rows_exit_two(self, capsys, tmp_path, verb, add):
+        path = tmp_path / "bad.json"
+        doc = {"name": "bad", "order": 2, "add": add, "act": [[0, 0], [1, 1]]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out = run(capsys, verb, path)
+        assert code == 2
+        assert "not a list" in json.loads(out)["error"]
+
+    def test_budget_refuses_the_axiom_scan(self, capsys, corpus_dir):
+        code, out = run(capsys, "validate", "--budget", "511", corpus_dir / "z8.json")
+        assert code == 3
+        assert "axiom scan of 'z8' visits 512 cells" in json.loads(out)["error"]
+        code, out = run(capsys, "validate", "--budget", "512", corpus_dir / "z8.json")
+        assert code == 0
+
+
 class TestCorpus:
     def test_writes_eleven_files(self, capsys, tmp_path):
         code, out = run(capsys, "corpus", tmp_path / "c")
@@ -108,6 +127,22 @@ class TestStructureVerbs:
         payload = json.loads(out)
         assert payload["pa_rgwa"]["passed"] is True
         assert payload["pa_action"]["violations"][0]["condition"] == "a9"
+
+    def test_pa_on_neg4x4_reports_the_pinned_results(self, capsys, tmp_path):
+        # PA(neg4x4) has m = 1,024 elements; the reports are those of the
+        # m x m tables scanned by check_axioms and the full pa_action scan
+        path = tmp_path / "neg4x4.json"
+        save_object(negation_product(4, 4), path)
+        code, out = run(capsys, "pa", path)
+        assert code == 1
+        assert json.loads(out) == {
+            "pa_order": 1024,
+            "pa_rgwa": {"passed": False, "violations": [
+                {"condition": "reduced.central", "witness": [32, 1, 128]}]},
+            "pa_action": {"passed": False, "violations": [
+                {"condition": "a9", "witness": [8, 1, 4]},
+                {"condition": "a10", "witness": [8, 4, 32]}]},
+        }
 
     def test_analyze_shape(self, capsys, corpus_dir):
         code, out = run(capsys, "analyze", corpus_dir / "z2.json")

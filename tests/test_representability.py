@@ -4,12 +4,33 @@ import random
 from dataclasses import replace
 from itertools import product
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rgwa
-from conftest import negation_product, reference_verify_uniqueness
+from conftest import (
+    k4swap_object,
+    negation_cyclic,
+    negation_product,
+    reference_build_pa_object,
+    reference_pa_tables,
+    reference_verify_uniqueness,
+    shear_object,
+)
+from rgwa import core
+from rgwa.core import _AXIOMS
 from rgwa.extensions import DerivedActionTriple
-from rgwa.representability import PAObject, _pa_tables
+from rgwa.pentactions import _pentaction_factors
+from rgwa.representability import (
+    PAObject,
+    _PaFactors,
+    _assemble,
+    _closure_gaps,
+    _pa_factors,
+    _pa_report,
+)
 
 
 def trivial_triple(A, B):
@@ -64,12 +85,17 @@ class TestBuildPaObject:
                 assert pa.object.neg[i] == pa.index_of(rgwa.pent_neg(p))
 
     def test_report_is_the_axiom_scan_of_the_tables(self, corpus, z4neg, k4swap, shear16):
-        # every base whose PA(A) has at most 256 elements
-        for obj in list(corpus) + [z4neg, k4swap, shear16, negation_product(2, 8)]:
-            pa = rgwa.build_pa_object(obj)
+        # every base whose PA(A) has at most 256 elements, against the m x m
+        # reference tables scanned by check_axioms
+        for obj in list(corpus) + [z4neg, k4swap, shear16, negation_cyclic(16),
+                                   negation_product(2, 8)]:
+            pa, want = rgwa.build_pa_object(obj), reference_build_pa_object(obj)
             m = pa.object.order
             assert m <= 256
-            assert pa.report == rgwa.check_axioms(m, pa.object.add, pa.object.act, True), obj.name
+            assert pa.elements == want.elements, obj.name
+            assert pa.object.table_equal(want.object), obj.name
+            assert (pa.object.name, pa.object.reduced) == (want.object.name, want.object.reduced)
+            assert pa.report == want.report, obj.name
 
     def test_perfect_zero_wst_witness_passes(self, z4neg, k4swap):
         for obj in (z4neg, k4swap):
@@ -77,12 +103,6 @@ class TestBuildPaObject:
             assert rgwa.weak_stabilizer(obj).is_zero()
             pa = rgwa.build_pa_object(obj)
             assert pa.report.passed, pa.report.conditions()
-
-
-
-def pa_elements(obj):
-    zero = rgwa.zero_pentaction(obj)
-    return [zero] + [p for p in rgwa.enumerate_pentactions(obj) if p != zero]
 
 
 def scalar_pa_tables(elements):
@@ -100,45 +120,142 @@ def scalar_pa_tables(elements):
     return tables[0], tables[1], tuple(gaps)
 
 
+def factored_tables(obj, maps, pows):
+    """The assembled tables and closure gaps of the product maps x pows."""
+    add, act = _assemble(_pa_factors(obj, maps, pows))
+    return add.tolist(), act.tolist(), _closure_gaps(add, act)
+
+
+def spread_dot_factors(klein4):
+    """Map parts whose dotL and up spread over the non-abelian automorphism
+    group of klein4, so that composition orders differ and P has one dotL
+    class per automorphism; enumerated sets have identity dots (every
+    validated carrier is perfect)."""
+    auts = rgwa.additive_bijections(klein4)
+    inv = {f: tuple(sorted(range(4), key=f.__getitem__)) for f in auts}
+    maps = [(f, inv[f], u, inv[u]) for f in auts for u in auts]
+    return maps, [(0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1)]
+
+
 class TestPaFill:
     def test_array_fill_matches_scalar_operations(self, corpus, z4neg, shear16):
         objs = [o for o in corpus if len(rgwa.enumerate_pentactions(o)) <= 96]
         assert len(objs) == len(corpus) - 1  # all but z2xz4 (m = 256)
         for obj in objs + [z4neg, shear16]:
-            elements = pa_elements(obj)
-            add, act, gaps = _pa_tables(obj, elements)
-            assert (add.tolist(), act.tolist(), gaps) == scalar_pa_tables(elements)
-            assert gaps == ()
+            elements = rgwa.enumerate_pentactions(obj)
+            got = factored_tables(obj, *_pentaction_factors(obj))
+            assert got == scalar_pa_tables(elements), obj.name
+            assert got[2] == ()
 
     def test_truncated_element_lists_report_the_scalar_gaps(self, corpus, z4neg, shear16):
+        # drop one map part or one pow table from the factors; the elements
+        # are the product of what is left
         by_name = {o.name: o for o in corpus}
         seen = set()
         for obj in (by_name["z3"], by_name["z7"], z4neg, shear16):
-            elements = pa_elements(obj)
-            m = len(elements)
-            variants = [elements[:k] for k in {1, m // 2, m - 1}]
-            variants += [elements[:k] + elements[k + 1:] for k in {0, 1, m // 2, m - 1}]
-            for subset in variants:
-                add, act, gaps = _pa_tables(obj, subset)
-                assert (add.tolist(), act.tolist(), gaps) == scalar_pa_tables(subset)
+            maps, pows = _pentaction_factors(obj)
+            variants = [(maps[:k] + maps[k + 1:], pows) for k in {0, 1, len(maps) // 2, len(maps) - 1}]
+            variants += [(maps, pows[:k] + pows[k + 1:]) for k in {0, 1, len(pows) // 2, len(pows) - 1}]
+            for sub_maps, sub_pows in variants:
+                elements = [rgwa.Pentaction(obj, *mp, pw) for mp in sub_maps for pw in sub_pows]
+                got = factored_tables(obj, sub_maps, sub_pows)
+                add, act, gaps = reference_pa_tables(obj, elements)
+                assert got == (add.tolist(), act.tolist(), gaps) == scalar_pa_tables(elements)
                 seen.update(v.condition for v in gaps)
         assert seen == {"pa.closure.add", "pa.closure.act"}
 
     def test_fill_composes_in_the_scalar_order(self, corpus):
-        # enumerated sets have identity dots (every validated carrier is
-        # perfect), so spread dots and exponents over the non-abelian
-        # automorphism group of klein4 to tell composition orders apart
         klein4 = next(o for o in corpus if o.name == "klein4")
-        auts = rgwa.additive_bijections(klein4)
-        inv = {f: tuple(sorted(range(4), key=f.__getitem__)) for f in auts}
-        pows = [(0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1)]
-        elements = [
-            rgwa.Pentaction(klein4, f, inv[f], u, inv[u], pw)
-            for f in auts for u in auts for pw in pows
-        ]
-        add, act, gaps = _pa_tables(klein4, elements)
-        assert (add.tolist(), act.tolist(), gaps) == scalar_pa_tables(elements)
-        assert (add >= 0).sum() > len(elements) and (act >= 0).sum() > len(elements)
+        maps, pows = spread_dot_factors(klein4)
+        elements = [rgwa.Pentaction(klein4, *mp, pw) for mp in maps for pw in pows]
+        assert len(_pa_factors(klein4, maps, pows).P) == 6  # one P slab per dotL
+        add, act, gaps = factored_tables(klein4, maps, pows)
+        assert (add, act, gaps) == scalar_pa_tables(elements)
+        m = len(elements)
+        assert sum(v >= 0 for row in add for v in row) > m
+        assert sum(v >= 0 for row in act for v in row) > m
+
+
+def _factor_bases():
+    """Factor tables to corrupt: genuine ones, including |Maps| = 1 (z1, z2)
+    and several dotL classes (spread klein4 dots, gaps filled with 0)."""
+    objs = rgwa.standard_corpus()
+    by_name = {o.name: o for o in objs}
+    bases = [_pa_factors(o, *_pentaction_factors(o))
+             for o in (by_name["z1"], by_name["z2"], by_name["z3"], by_name["z5"],
+                       negation_cyclic(4), k4swap_object(), shear_object())]
+    maps, pows = spread_dot_factors(by_name["klein4"])
+    spread = _pa_factors(by_name["klein4"], maps[::3], pows[:2])
+    return bases + [spread._replace(**{k: np.maximum(getattr(spread, k), 0)
+                                       for k in ("Cm", "P", "E", "Q")})]
+
+
+FACTOR_BASES = _factor_bases()
+
+
+def _corrupt_factors(draw, count):
+    """Factor tables with ``count`` in-range cells overwritten: a genuine
+    base, or random tables with |Maps|, |W| and the dotL classes in 1..3.
+    ``draw(k)`` picks an integer in 0..k-1."""
+    if draw(2):
+        f = FACTOR_BASES[draw(len(FACTOR_BASES))]
+    else:
+        M, W, C = draw(3) + 1, draw(3) + 1, draw(3) + 1
+        shapes = {"Cm": (M, M), "P": (C, W, W), "E": (M,), "Q": (M, W), "dot": (M,)}
+        bounds = {"Cm": M, "P": W, "E": M, "Q": W, "dot": C}
+        f = _PaFactors(**{k: np.array([draw(bounds[k]) for _ in range(int(np.prod(shape)))],
+                                      dtype=np.intp).reshape(shape)
+                          for k, shape in shapes.items()}, W=W)
+    tables = {k: getattr(f, k).copy() for k in ("Cm", "P", "E", "Q")}
+    bounds = {"Cm": len(f.E), "E": len(f.E), "P": f.W, "Q": f.W}
+    for _ in range(count):
+        name = ("Cm", "P", "E", "Q")[draw(4)]
+        tables[name].flat[draw(tables[name].size)] = draw(bounds[name])
+    return f._replace(**tables)
+
+
+def assert_report_is_the_axiom_scan(f):
+    add, act = _assemble(f)
+    report = _pa_report(f, add, act)
+    assert report == rgwa.check_axioms(len(add), add.tolist(), act.tolist(), True)
+    return report
+
+
+class TestPaAxiomScan:
+    """The factored scan reports exactly what ``check_axioms`` reports on the
+    assembled tables, witnesses included."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_factor_tables(self, data):
+        def draw(k):
+            return data.draw(st.integers(0, k - 1))
+        assert_report_is_the_axiom_scan(_corrupt_factors(draw, draw(4)))
+
+    def test_every_axiom_in_one_cell_chunks(self, monkeypatch):
+        # one leading index per chunk, so witnesses also come from later chunks
+        monkeypatch.setattr(core, "_CHUNK_CELLS", 1)
+        rng = random.Random(0)
+        seen = set()
+        for _ in range(400):
+            f = _corrupt_factors(rng.randrange, rng.randrange(4))
+            seen.update(assert_report_is_the_axiom_scan(f).conditions())
+        assert seen == {a[0] for a in _AXIOMS}
+
+    @pytest.mark.parametrize("M, W", [(1, 1), (1, 3), (3, 1)])
+    def test_central_witness_at_one_map_or_one_pow(self, M, W):
+        # x^y + z and z + x^y differ at z = 1 for every x and y, but
+        # reduced.central excludes y = 0: the witness y is the least nonzero
+        # element, (0, 1) or (1, 0), and PA(z1) has none
+        f = _PaFactors(Cm=np.zeros((M, M), dtype=np.intp), P=np.zeros((1, W, W), dtype=np.intp),
+                       E=np.zeros(M, dtype=np.intp), Q=np.zeros((M, W), dtype=np.intp),
+                       dot=np.zeros(M, dtype=np.intp), W=W)
+        f.Cm[0, 1 % M] = 1 % M
+        f.P[0, 0, 1 % W] = 1 % W
+        report = assert_report_is_the_axiom_scan(f)
+        central = [v.witness for v in report.violations if v.condition == "reduced.central"]
+        assert central == ([] if M * W == 1 else [(0, 1, 1)])
+
 
 class TestPaAction:
     def test_zero_object_action_passes(self):
