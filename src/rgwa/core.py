@@ -23,8 +23,10 @@ One loop, ``_violations``, scans such tables along their leading index in
 chunks of at most ``_CHUNK_CELLS`` (2^18) cells, so memory stays flat
 whatever the order, and stops each scan at the first chunk with a
 violation.  It serves the axioms, the two morphism laws of
-``is_morphism``, the 22 derived-action conditions of ``extensions`` and
-the factored PA(A) axiom rows of ``representability``.
+``is_morphism``, the factored PA(A) axiom rows of ``representability``, and
+the candidate rows (id, axes, reads, mask) of the 22 derived-action and 19
+pentaction conditions, whose tables carry a leading candidate axis: it scans
+one candidate, and ``_passing`` gives the verdicts of a batch.
 The masks read an object's cached ``_arrays``: add, act, neg and the
 carrier ar as index arrays.  Outside tables are validated once by
 ``_check_table``; ``_scan_axioms`` then scans index arrays directly.
@@ -97,28 +99,57 @@ _CHUNK_CELLS = 1 << 18
 def _violations(t, conditions, sizes):
     """Yield one minimal-witness Violation per failing condition, in order.
 
-    A condition is (id, axes, ..., mask): ``axes`` names its index axes in
-    witness order, one letter each, and ``sizes`` maps every letter to its
-    length.  ``mask(t, s)`` returns the violated cells whose leading index
-    lies in the slice s, as an array led by that axis; a mask may report
-    fewer axes than it scans, as group.inverse does.  The leading axis is
-    scanned in chunks of at most ``_CHUNK_CELLS`` cells and each scan stops
-    at the first chunk holding a violation, so the C-order first hit of that
-    chunk is the minimal witness.
+    A condition is (id, axes, mask) or (id, axes, reads, mask): ``axes``
+    names its index axes in witness order, one letter each, and ``sizes``
+    maps every letter to its length.  ``mask(t, s)`` returns the violated
+    cells whose leading index lies in the slice s, as an array led by that
+    axis; a mask may report fewer axes than it scans, as group.inverse does.
+    In a candidate row, naming the tables it ``reads``, those tables and the
+    mask are led by a candidate axis k; candidate 0 is scanned.  The leading
+    axis is scanned in chunks of at most ``_CHUNK_CELLS`` cells, stopping at
+    the first chunk with a violation, whose C-order first hit is minimal.
     """
-    for cid, axes, *_, mask in conditions:
+    for cid, axes, *reads, mask in conditions:
         lead = sizes[axes[0]]
         step = max(1, _CHUNK_CELLS // prod(sizes[x] for x in axes[1:]))
         for lo in range(0, lead, step):
             hits = mask(t, slice(lo, min(lead, lo + step)))
+            if reads:
+                hits = hits[0]
             if hits.any():
                 first = np.unravel_index(int(hits.argmax()), hits.shape)
                 yield Violation(cid, (lo + int(first[0]),) + tuple(int(v) for v in first[1:]))
                 break
 
 
-def _holds(t, conditions, sizes) -> bool:
-    return next(_violations(t, conditions, sizes), None) is None
+def _passing(t, conditions, sizes) -> np.ndarray:
+    """Per candidate, whether it passes every candidate row.  Each row runs
+    on the candidates that passed the rows before, in chunks sliced from the
+    tables the rows read.  Unlike a scan, a batch never stops early, so its
+    masks get an eighth of the ``_CHUNK_CELLS`` cells, to bound peak memory."""
+    reads = {r for _, _, needed, _ in conditions for r in needed}
+    k = len(getattr(t, next(iter(reads))))
+    ok = np.zeros(k, dtype=bool)
+    cells = max(prod(sizes[x] for x in axes) for _, axes, _, _ in conditions)
+    step = max(1, _CHUNK_CELLS // (8 * cells))
+    for lo in range(0, k, step):
+        live = np.arange(lo, min(k, lo + step))
+        for *_, mask in conditions:
+            if not len(live):
+                break
+            chunk = t._replace(**{r: getattr(t, r)[live] for r in reads})
+            live = live[~_violated(mask(chunk, slice(None)))]
+        ok[live] = True
+    return ok
+
+
+def _pick(f: np.ndarray, *index) -> np.ndarray:
+    """f[k, *index] per candidate k, the index arrays led by k or broadcast
+    against it, as one flat index: numpy gathers that faster than several."""
+    flat = np.arange(len(f)).reshape((-1,) + (1,) * (max(map(np.ndim, index)) - 1))
+    for size, i in zip(f.shape[1:], index):
+        flat = flat * size + i
+    return f.reshape((-1,) + f.shape[1 + len(index):])[flat]
 
 
 def _inverses(add: np.ndarray) -> np.ndarray:
@@ -463,9 +494,9 @@ def _violated(mask: np.ndarray) -> np.ndarray:
     return mask.any(axis=tuple(range(1, mask.ndim)))
 
 
-def _v_additive(t, f: np.ndarray) -> np.ndarray:
-    # f(a + a') = f(a) + f(a'), for k value tables f over the add table t.add
-    return f[:, t.add] != t.add[f[:, :, None], f[:, None, :]]
+def _v_additive(t, f: np.ndarray, s: slice) -> np.ndarray:
+    # f(a + a') = f(a) + f(a') for a in s, for k value tables f over t.add
+    return f[:, t.add[s]] != t.add[f[:, s, None], f[:, None]]
 
 
 @object_cache(maxsize=64)
@@ -478,7 +509,7 @@ def _additive_bijections_cached(obj: FiniteGwaObject) -> tuple[tuple[int, ...], 
         f = _generator_walk(steps, images, 0, lambda prev, img, step: t.add[
             prev, img if step[3] > 0 else t.neg[img]])
         f = f[(np.sort(f, axis=1) == t.ar).all(axis=1)]
-        found.extend(f[~_violated(_v_additive(t, f))].tolist())
+        found.extend(f[~_violated(_v_additive(t, f, slice(None)))].tolist())
     return tuple(sorted(map(tuple, found)))
 
 

@@ -7,11 +7,11 @@ group-action laws for the dot component (ga.1-ga.3), the eight structure
 laws 1A-4A / 1B-4B, the unit law zeroB, and the ten interaction laws
 a1-a10.  Each is one numpy violation mask in the table ``_CONDITIONS``,
 tagged with its index axes (A or B, sized per call) and the tables it
-reads.  The masks read the cached ``_arrays`` of A and B, and the one scan
-loop ``core._violations``, shared with the axioms and the morphism laws,
-runs the table in chunks.  Side constraints clear the excluded cells rather
-than failing vacuously.  The enumerators run subsets of the same table
-through ``core._holds``, each as soon as the tables it reads are fixed.
+reads, each led by a candidate axis.  As for the pentaction conditions,
+``core._violations`` scans one candidate for minimal witnesses and
+``core._passing`` gives a batch's verdicts.  Side constraints clear the
+excluded cells rather than failing vacuously.  The enumerators filter each
+stage's batch by the subset of the table reading the tables fixed so far.
 """
 
 from __future__ import annotations
@@ -27,11 +27,10 @@ from .core import (
     FiniteGwaObject,
     GwaMorphism,
     Table,
-    _freeze_table,
     _generator_walk,
-    _holds,
     _image_chunks,
-    _violated,
+    _passing,
+    _pick,
     _violations,
     additive_bijections,
     generating_words,
@@ -189,13 +188,13 @@ def action_from_split_extension(ext: SplitExtension) -> DerivedActionTriple:
 # ---------------------------------------------------------------------------
 
 
-# The _arrays of A and B and the index arrays of a triple; a table that no
-# scanned condition reads may be None.
-_Tables = namedtuple("_Tables", "addA actA negA rA addB actB negB rB dot up pw")
+# The _arrays of A and B and a batch of k triples as (k, ...) index arrays;
+# a table that no scanned condition reads may be None.
+_Tables = namedtuple("_Tables", "addA actA negA rA addB actB negB rB dot up pow")
 
 
-def _tables(A: FiniteGwaObject, B: FiniteGwaObject, dot=None, up=None, pw=None) -> _Tables:
-    arrays = (None if x is None else np.asarray(x, dtype=np.intp) for x in (dot, up, pw))
+def _tables(A: FiniteGwaObject, B: FiniteGwaObject, dot=None, up=None, pow=None) -> _Tables:
+    arrays = (None if x is None else np.asarray(x, dtype=np.intp) for x in (dot, up, pow))
     return _Tables(*A._arrays, *B._arrays, *arrays)
 
 
@@ -203,64 +202,77 @@ def _sizes(A: FiniteGwaObject, B: FiniteGwaObject) -> dict[str, int]:
     return {"A": A.order, "B": B.order}
 
 
+def _after(f: np.ndarray, s: slice, g: np.ndarray) -> np.ndarray:
+    """f[k, b, g[k, x, y]] over (k, b in s, x, y): row b of f after g, as one
+    index array into the rows b of all candidates laid side by side."""
+    k, n = len(f), f.shape[2]
+    rows = f[:, s].swapaxes(0, 1).reshape(-1, k * n)
+    return rows[:, g + n * np.arange(k)[:, None, None]].swapaxes(0, 1)
+
+
 # (id, index axes in witness order, tables read, violation mask), in report
-# order.  A mask takes the tables and a slice s of the leading axis and
-# returns the violated cells whose leading index lies in s; side constraints
-# such as a2 != 0 clear the excluded cells.
+# order; every table read is led by a candidate axis k.  A mask takes the
+# tables and a slice s of the first index axis and returns the violated cells
+# (k, s, ...); side constraints such as a2 != 0 clear the excluded cells.
 _CONDITIONS = (
     # dot[b + b2][a] = dot[b][dot[b2][a]]
-    ("ga.1", "BBA", ("dot",), lambda t, s: t.dot[t.addB[s]] != t.dot[s][:, t.dot]),
+    ("ga.1", "BBA", ("dot",), lambda t, s: t.dot[:, t.addB[s]] != _after(t.dot, s, t.dot)),
     # dot[b][a + a2] = dot[b][a] + dot[b][a2]
     ("ga.2", "BAA", ("dot",),
-     lambda t, s: t.dot[s][:, t.addA] != t.addA[t.dot[s, :, None], t.dot[s, None, :]]),
+     lambda t, s: t.dot[:, s, t.addA] != t.addA[t.dot[:, s, :, None], t.dot[:, s, None]]),
     # dot[0][a] = a
-    ("ga.3", "A", ("dot",), lambda t, s: t.dot[0, s] != t.rA[s]),
+    ("ga.3", "A", ("dot",), lambda t, s: t.dot[:, 0, s] != t.rA[s]),
     # up[a + a2][b] = up[a][b] + up[a2][b]
-    ("1A", "AAB", ("up",), lambda t, s: t.up[t.addA[s]] != t.addA[t.up[s, None], t.up]),
+    ("1A", "AAB", ("up",),
+     lambda t, s: t.up[:, t.addA[s]] != t.addA[t.up[:, s, None], t.up[:, None]]),
     # pow[b + b2][a] = pow[b][a] + dot[b][pow[b2][a]]
     ("2A", "BBA", ("pow", "dot"),
-     lambda t, s: t.pw[t.addB[s]] != t.addA[t.pw[s, None], t.dot[s][:, t.pw]]),
+     lambda t, s: t.pow[:, t.addB[s]] != t.addA[t.pow[:, s, None], _after(t.dot, s, t.pow)]),
     # dot[b][a] ^ a2 = a ^ a2  for a2 != 0
-    ("3A", "BAA", ("dot",), lambda t, s: (t.actA[t.dot[s]] != t.actA) & (t.rA > 0)),
+    ("3A", "BAA", ("dot",), lambda t, s: (t.actA[t.dot[:, s]] != t.actA) & (t.rA > 0)),
     # up[dot[b][a]][b2] = up[a][b2]
-    ("4A", "BAB", ("dot", "up"), lambda t, s: t.up[t.dot[s]] != t.up),
+    ("4A", "BAB", ("dot", "up"), lambda t, s: _pick(t.up, t.dot[:, s]) != t.up[:, None]),
     # pow[b][a + a2] = pow[b][a] ^ a2 + pow[b][a2]
     ("1B", "BAA", ("pow",),
-     lambda t, s: t.pw[s][:, t.addA] != t.addA[t.actA[t.pw[s]], t.pw[s, None]]),
+     lambda t, s: t.pow[:, s, t.addA] != t.addA[t.actA[t.pow[:, s]], t.pow[:, s, None]]),
     # up[a][b + b2] = up[up[a][b]][b2]
-    ("2B", "ABB", ("up",), lambda t, s: t.up[s][:, t.addB] != t.up[t.up[s]]),
-    # up[a ^ dot[b][a2]][b] = up[a][b] ^ a2
+    ("2B", "ABB", ("up",), lambda t, s: t.up[:, s, t.addB] != _pick(t.up, t.up[:, s])),
+    # up[a ^ dot[b][a2]][b] = up[a][b] ^ a2; up is read by column b
     ("3B", "ABA", ("dot", "up"),
-     lambda t, s: t.up[t.actA[t.rA[s, None, None], t.dot], t.rB[:, None]]
-     != t.actA[t.up[s]]),
-    # up[pow[b][dot[b2][a]]][b2] = pow[b ^ b2][a]
+     lambda t, s: _pick(t.up.swapaxes(1, 2), t.rB[:, None],
+                        t.actA[t.rA[s, None, None], t.dot[:, None]]) != t.actA[t.up[:, s]]),
+    # up[pow[b][dot[b2][a]]][b2] = pow[b ^ b2][a]; up is read by column b2
     ("4B", "BBA", ("pow", "dot", "up"),
-     lambda t, s: t.up[t.pw[s][:, t.dot], t.rB[:, None]] != t.pw[t.actB[s]]),
+     lambda t, s: _pick(t.up.swapaxes(1, 2), t.rB[:, None], _after(t.pow, s, t.dot))
+     != t.pow[:, t.actB[s]]),
     # up[a][0] = a
-    ("zeroB", "A", ("up",), lambda t, s: t.up[s, 0] != t.rA[s]),
+    ("zeroB", "A", ("up",), lambda t, s: t.up[:, s, 0] != t.rA[s]),
     # dot[b][a ^ a2] = a ^ a2  for a2 != 0
-    ("a1", "BAA", ("dot",), lambda t, s: (t.dot[s][:, t.actA] != t.actA) & (t.rA > 0)),
+    ("a1", "BAA", ("dot",), lambda t, s: (t.dot[:, s, t.actA] != t.actA) & (t.rA > 0)),
     # dot[b][up[a][b2]] = up[a][b2]  for b2 != 0
-    ("a2", "BAB", ("dot", "up"), lambda t, s: (t.dot[s][:, t.up] != t.up) & (t.rB > 0)),
+    ("a2", "BAB", ("dot", "up"),
+     lambda t, s: (_after(t.dot, s, t.up) != t.up[:, None]) & (t.rB > 0)),
     # dot[b ^ b2][a] = a  for b2 != 0
     ("a3", "BBA", ("dot",),
-     lambda t, s: (t.dot[t.actB[s]] != t.rA) & (t.rB[:, None] > 0)),
+     lambda t, s: (t.dot[:, t.actB[s]] != t.rA) & (t.rB[:, None] > 0)),
     # pow[b][a ^ a2] = pow[b][a]
-    ("a4", "BAA", ("pow",), lambda t, s: t.pw[s][:, t.actA] != t.pw[s, :, None]),
+    ("a4", "BAA", ("pow",), lambda t, s: t.pow[:, s, t.actA] != t.pow[:, s, :, None]),
     # up[a][b ^ b2] = up[a][b]
-    ("a5", "ABB", ("up",), lambda t, s: t.up[s][:, t.actB] != t.up[s, :, None]),
+    ("a5", "ABB", ("up",), lambda t, s: t.up[:, s, t.actB] != t.up[:, s, :, None]),
     # up[a][b] + a2 = a2 + up[a][b]  for b != 0
     ("a6", "ABA", ("up",),
-     lambda t, s: (t.addA[t.up[s]] != t.addA.T[t.up[s]]) & (t.rB[:, None] > 0)),
+     lambda t, s: (t.addA[t.up[:, s]] != t.addA.T[t.up[:, s]]) & (t.rB[:, None] > 0)),
     # a ^ up[a2][b] = a ^ a2
-    ("a7", "AAB", ("up",), lambda t, s: t.actA[s][:, t.up] != t.actA[s, :, None]),
+    ("a7", "AAB", ("up",),
+     lambda t, s: t.actA[t.rA[s, None, None], t.up[:, None]] != t.actA[s, :, None]),
     # a ^ pow[b][a2] = a  for a2 != 0
     ("a8", "ABA", ("pow",),
-     lambda t, s: (t.actA[s][:, t.pw] != t.rA[s, None, None]) & (t.rA > 0)),
+     lambda t, s: (t.actA[t.rA[s, None, None], t.pow[:, None]] != t.rA[s, None, None])
+     & (t.rA > 0)),
     # pow[b][pow[b2][a]] = 0
-    ("a9", "BBA", ("pow",), lambda t, s: t.pw[s][:, t.pw] != 0),
+    ("a9", "BBA", ("pow",), lambda t, s: _after(t.pow, s, t.pow) != 0),
     # pow[b][up[a][b2]] = pow[b][a]
-    ("a10", "BAB", ("pow", "up"), lambda t, s: t.pw[s][:, t.up] != t.pw[s, :, None]),
+    ("a10", "BAB", ("pow", "up"), lambda t, s: _after(t.pow, s, t.up) != t.pow[:, s, :, None]),
 )
 
 
@@ -279,7 +291,7 @@ _POW_READING = tuple(c for c in _CONDITIONS if "pow" in c[2])
 def check_derived_action(triple: DerivedActionTriple) -> CheckReport:
     """Scan the 22 derived-action conditions; one minimal witness each."""
     _validate_triple_shape(triple)
-    t = _tables(triple.A, triple.B, triple.dot, triple.up, triple.pow)
+    t = _tables(triple.A, triple.B, [triple.dot], [triple.up], [triple.pow])
     return CheckReport(tuple(_violations(t, _CONDITIONS, _sizes(triple.A, triple.B))))
 
 
@@ -299,18 +311,20 @@ def _map_families(A: FiniteGwaObject, B: FiniteGwaObject, contravariant: bool):
     bij = np.asarray(additive_bijections(A), dtype=np.intp)
     inverses = np.argsort(bij, axis=1)
     gensB, stepsB = generating_words(B)
-    na, nb, addB = A.order, B.order, B._arrays.add
+    na, nb = A.order, B.order
+    name, law = ("up", "2B") if contravariant else ("dot", "ga.1")
+    law = [c for c in _CONDITIONS if c[0] == law]
 
-    def star(f, g):
-        # the product the families respect: f o g for dot, g o f for up
-        return np.take_along_axis(g, f, -1) if contravariant else np.take_along_axis(f, g, -1)
+    def rule(prev, img, step):
+        # per element b, the map of b + g: f o g for dot, g o f for up
+        g = (bij if step[3] > 0 else inverses)[img]
+        return _pick(g, prev) if contravariant else _pick(prev, g)
 
     out = []
     for images in _image_chunks(len(bij), len(gensB), nb * nb * na):
-        fam = _generator_walk(stepsB, images, np.arange(na), lambda prev, img, step: star(
-            prev, (bij if step[3] > 0 else inverses)[img]))
-        fam = fam[~_violated(fam[:, addB] != star(fam[:, :, None], fam[:, None]))]
+        fam = _generator_walk(stepsB, images, np.arange(na), rule)
         tables = fam.swapaxes(1, 2) if contravariant else fam
+        tables = tables[_passing(_tables(A, B, **{name: tables}), law, _sizes(A, B))]
         out.extend(tuple(map(tuple, table)) for table in tables.tolist())
     return out
 
@@ -328,17 +342,16 @@ def enumerate_derived_actions(
     Pruned: the per-element up maps are forced to be additive bijections
     composing anti-homomorphically, the dot maps compose homomorphically,
     and the pow table is generated from its values on additive generators
-    of A and B (1B, 2A).  Each subset of the condition table runs as soon as
-    the tables it reads are fixed: the dot-only conditions once per dot
-    family, the up-only ones once per up family, and 4A, 3B and a2 once per
-    (up, dot) pair.  A generator g of B is first reached from 0 and dot[0]
-    is the identity, so pw[g] is exactly its generator row.  The rows are
-    A's cached pentaction pow factor (p4, p7, p10 are 1B, a4, a8 at one b)
-    less those failing a9 at b = b2, and per (up, dot) pair the rows of B's
-    generators are multiplied out in one chunked walk.  Each candidate then
-    runs the seven pow-reading conditions, so every kept triple has passed
-    all 22 and carries the passing report without a rescan.  The budget is
-    charged |bij|^|gensB| before the family searches run.
+    of A and B (1B, 2A).  Each subset of the condition table filters one
+    batch as soon as the tables it reads are fixed: the up families, the dot
+    families, then every (up, dot) pair (4A, 3B, a2).  A generator g of B is
+    first reached from 0 and dot[0] is the identity, so pw[g] is exactly its
+    generator row.  The rows are A's cached pentaction pow factor (p4, p7,
+    p10 are 1B, a4, a8 at one b) less those failing a9 at b = b2; all kept
+    pairs multiply them out in one chunked walk, filtered by the seven
+    pow-reading conditions, so every kept triple carries the passing report
+    without a rescan.  The budget is charged |bij|^|gensB| before the family
+    searches run.
     """
     gensA, _ = generating_words(A)
     gensB, stepsB = generating_words(B)
@@ -358,28 +371,38 @@ def enumerate_derived_actions(
             f"{total} candidate visits, budget is {budget}; 0 candidates checked"
         )
     sizes = _sizes(A, B)
-    ups = [up for up in all_ups if _holds(_tables(A, B, up=up), _UP_ONLY, sizes)]
-    dots = [dot for dot in all_dots if _holds(_tables(A, B, dot=dot), _DOT_ONLY, sizes)]
-    rows = [row for row in _pow_factor(A)
-            if _holds(_tables(A, _POINT, pw=[row]), _POW_ONLY, _sizes(A, _POINT))]
-    rows = np.asarray(rows, dtype=np.intp)
+    ups = np.asarray(all_ups, dtype=np.intp).reshape(-1, na, nb)
+    ups = ups[_passing(_tables(A, B, up=ups), _UP_ONLY, sizes)]
+    dots = np.asarray(all_dots, dtype=np.intp).reshape(-1, nb, na)
+    dots = dots[_passing(_tables(A, B, dot=dots), _DOT_ONLY, sizes)]
+    rows = np.asarray(_pow_factor(A), dtype=np.intp)
+    rows = rows[_passing(_tables(A, _POINT, pow=rows[:, None]), _POW_ONLY, _sizes(A, _POINT))]
+    u, d = (x.ravel() for x in np.indices((len(ups), len(dots))))
+    keep = _passing(_tables(A, B, dot=dots[d], up=ups[u]), _DOT_UP, sizes)
+    ups, dots = ups[u[keep]], dots[d[keep]]
     found: list[DerivedActionTriple] = []
-    for up in ups:
-        for dot in dots:
-            t = _tables(A, B, dot=dot, up=up)
-            if not _holds(t, _DOT_UP, sizes):
-                continue
+    if not len(ups):
+        return found
+    addA, negA = A._arrays.add, A._arrays.neg
+    # each kept pair's dot and up tables, shared by all its triples
+    pairs = [tuple(tuple(map(tuple, x)) for x in pair) for pair in zip(dots.tolist(), ups.tolist())]
+    for images in _image_chunks(len(rows), len(gensB), len(ups) * nb * na):
+        # every kept pair p with every image row i of the chunk
+        p, i = (x.ravel() for x in np.indices((len(ups), len(images))))
+        dot, up = dots[p], ups[p]
 
-            def rule(prev, row, step):
-                # pw[x + g] = pw[x] + dot[x] pw[g], pw[x - g] = pw[x] - dot[x - g] pw[g]
-                elem, parent, _, sign = step
-                return t.addA[prev, (t.dot[parent] if sign > 0 else t.negA[t.dot[elem]])[row]]
+        def rule(prev, row, step):
+            # pw[x + g] = pw[x] + dot[x] pw[g], pw[x - g] = pw[x] - dot[x - g] pw[g]
+            elem, parent, _, sign = step
+            moved = _pick(dot, parent if sign > 0 else elem, row)
+            return addA[prev, moved if sign > 0 else negA[moved]]
 
-            for images in _image_chunks(len(rows), len(gensB), nb * na):
-                for pw in _generator_walk(stepsB, rows[images], np.zeros(na, np.intp), rule):
-                    if _holds(t._replace(pw=pw), _POW_READING, sizes):
-                        pw = tuple(map(tuple, pw.tolist()))
-                        found.append(DerivedActionTriple(A, B, dot, up, pw, report=PASSED))
+        pw = _generator_walk(stepsB, rows[images[i]], np.zeros(na, np.intp), rule)
+        keep = _passing(_tables(A, B, dot=dot, up=up, pow=pw), _POW_READING, sizes)
+        found.extend(
+            DerivedActionTriple(A, B, *pairs[j], tuple(map(tuple, table)), report=PASSED)
+            for j, table in zip(p[keep].tolist(), pw[keep].tolist())
+        )
     found.sort(key=DerivedActionTriple.key)
     return found
 
@@ -390,9 +413,9 @@ def enumerate_derived_actions_bruteforce(
     """Exhaustive oracle: filter all n_A^(3 n_A n_B) raw table triples.
 
     It runs the stages of the pruned enumerator over unpruned tables: the
-    dot-only conditions once per dot table, the up-only ones once per up
-    table, 4A, 3B and a2 once per (dot, up) pair, and the seven pow-reading
-    conditions on every pow table.
+    dot-only conditions on every dot table, the up-only ones on every up
+    table, 4A, 3B and a2 on every (dot, up) pair, and the seven pow-reading
+    conditions on every pair with every pow table.
     """
     na, nb = A.order, B.order
     if na ** (3 * na * nb) > _BRUTEFORCE_CAP:
@@ -400,25 +423,21 @@ def enumerate_derived_actions_bruteforce(
             f"brute-force enumeration of actions of {B.name!r} on {A.name!r} "
             f"would visit {na ** (3 * na * nb)} triples, above the cap"
         )
-    ra, sizes = range(na), _sizes(A, B)
-
-    def tables(rows: int, cols: int):
-        for flat in product(ra, repeat=rows * cols):
-            yield tuple(flat[r * cols:(r + 1) * cols] for r in range(rows))
-
-    ups = [up for up in tables(na, nb) if _holds(_tables(A, B, up=up), _UP_ONLY, sizes)]
-    found = []
-    for dot in tables(nb, na):
-        if not _holds(_tables(A, B, dot=dot), _DOT_ONLY, sizes):
-            continue
-        for up in ups:
-            t = _tables(A, B, dot=dot, up=up)
-            if not _holds(t, _DOT_UP, sizes):
-                continue
-            for pw in tables(nb, na):
-                if _holds(t._replace(pw=np.asarray(pw)), _POW_READING, sizes):
-                    found.append(DerivedActionTriple(A, B, dot, up, pw, report=PASSED))
-    return found
+    sizes = _sizes(A, B)
+    flat = np.asarray(list(product(range(na), repeat=na * nb)), dtype=np.intp)
+    ups, pws = flat.reshape(-1, na, nb), flat.reshape(-1, nb, na)
+    ups = ups[_passing(_tables(A, B, up=ups), _UP_ONLY, sizes)]
+    dots = pws[_passing(_tables(A, B, dot=pws), _DOT_ONLY, sizes)]
+    d, u = (x.ravel() for x in np.indices((len(dots), len(ups))))
+    keep = _passing(_tables(A, B, dot=dots[d], up=ups[u]), _DOT_UP, sizes)
+    d, u = d[keep], u[keep]
+    pair, w = (x.ravel() for x in np.indices((len(d), len(pws))))
+    dot, up, pw = dots[d[pair]], ups[u[pair]], pws[w]
+    keep = _passing(_tables(A, B, dot=dot, up=up, pow=pw), _POW_READING, sizes)
+    return [
+        DerivedActionTriple(A, B, *(tuple(map(tuple, x)) for x in table), report=PASSED)
+        for table in zip(*(x[keep].tolist() for x in (dot, up, pw)))
+    ]
 
 
 def direct_sum_extension(A: FiniteGwaObject, B: FiniteGwaObject) -> SplitExtension:

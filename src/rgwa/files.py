@@ -36,14 +36,24 @@ def object_to_json(obj: FiniteGwaObject) -> dict:
     }
 
 
+def _require_keys(data, keys: set[str], what: str) -> None:
+    if not isinstance(data, dict):
+        raise InputError(f"{what} document must be a JSON object")
+    missing = keys - data.keys()
+    if missing:
+        raise InputError(f"{what} document is missing keys: {sorted(missing)}")
+
+
+def _indices(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(as_index(v) for v in value)
+
+
 def parse_object_json(data: dict) -> tuple[str, int, list, list]:
     """Pull the raw fields out of an object document without validating the
     axioms (the caller decides whether failures are errors or reports)."""
-    if not isinstance(data, dict):
-        raise InputError("object document must be a JSON object")
-    missing = {"name", "order", "add", "act"} - data.keys()
-    if missing:
-        raise InputError(f"object document is missing keys: {sorted(missing)}")
+    _require_keys(data, {"name", "order", "add", "act"}, "object")
     name, order = data["name"], data["order"]
     if not isinstance(name, str):
         raise InputError("object name must be a string")
@@ -88,9 +98,7 @@ def triple_to_json(triple: DerivedActionTriple) -> dict:
 
 
 def triple_from_json(data: dict, A: FiniteGwaObject, B: FiniteGwaObject) -> DerivedActionTriple:
-    missing = {"A", "B", "dot", "up", "pow"} - data.keys()
-    if missing:
-        raise InputError(f"triple document is missing keys: {sorted(missing)}")
+    _require_keys(data, {"A", "B", "dot", "up", "pow"}, "triple")
     if data["A"] != A.name or data["B"] != B.name:
         raise InputError(
             f"triple references ({data['A']!r}, {data['B']!r}), "
@@ -109,17 +117,13 @@ def pentaction_to_json(pent: Pentaction) -> dict:
 
 
 def pentaction_from_json(data: dict, obj: FiniteGwaObject) -> Pentaction:
-    missing = {"object", "dotL", "dotR", "up", "upL", "pow"} - data.keys()
-    if missing:
-        raise InputError(f"pentaction document is missing keys: {sorted(missing)}")
+    _require_keys(data, {"object", "dotL", "dotR", "up", "upL", "pow"}, "pentaction")
     if data["object"] != obj.name:
         raise InputError(
             f"pentaction references object {data['object']!r}, got {obj.name!r}"
         )
-    return Pentaction(
-        obj,
-        *(tuple(as_index(v) for v in data[slot]) for slot in ("dotL", "dotR", "up", "upL", "pow")),
-    )
+    slots = ("dotL", "dotR", "up", "upL", "pow")
+    return Pentaction(obj, *(_indices(data[slot], f"pentaction {slot}") for slot in slots))
 
 
 def extension_to_json(object_paths: dict[str, str], ext: SplitExtension) -> dict:
@@ -140,18 +144,16 @@ def extension_to_json(object_paths: dict[str, str], ext: SplitExtension) -> dict
 def load_split_extension(path) -> SplitExtension:
     """Load an extension file, resolving object paths relative to it."""
     data = read_json(path)
-    missing = {"A", "E", "B", "i", "p", "j"} - data.keys()
-    if missing:
-        raise InputError(f"{path}: extension document is missing keys: {sorted(missing)}")
+    _require_keys(data, {"A", "E", "B", "i", "p", "j"}, f"{path}: extension")
     base = Path(path).parent
     a = load_object(base / data["A"])
     e = load_object(base / data["E"])
     b = load_object(base / data["B"])
     return SplitExtension(
         a, e, b,
-        i=GwaMorphism(a, e, tuple(as_index(v) for v in data["i"])),
-        p=GwaMorphism(e, b, tuple(as_index(v) for v in data["p"])),
-        j=GwaMorphism(b, e, tuple(as_index(v) for v in data["j"])),
+        i=GwaMorphism(a, e, _indices(data["i"], f"{path}: map i")),
+        p=GwaMorphism(e, b, _indices(data["p"], f"{path}: map p")),
+        j=GwaMorphism(b, e, _indices(data["j"], f"{path}: map j")),
     )
 
 

@@ -10,7 +10,9 @@ subject to nineteen closure conditions scanned by :func:`check_pentaction`
 their commutation clause applies only when the corresponding map moves at
 least one element.  In p5d a prefix exponent taken from the carrier itself
 is read as exponentiation by the additive inverse, matching the convention
-that the prefix action of b is the action of -b.
+that the prefix action of b is the action of -b.  The conditions are
+candidate rows, the format of the derived-action table, run by
+``core._violations`` on one candidate and by ``core._passing`` on a batch.
 
 The set of all pentactions of A is produced by :func:`enumerate_pentactions`
 (pruned) and :func:`enumerate_pentactions_bruteforce` (independent oracle,
@@ -24,28 +26,28 @@ is still charged the |ups|*|dotLs|*n^|gens| candidates of the product.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from . import core
 from .core import (
     FiniteGwaObject,
-    _Arrays,
     _generator_walk,
     _image_chunks,
+    _passing,
+    _pick,
     _v_additive,
-    _violated,
+    _violations,
     additive_bijections,
     generating_words,
-    invert_map,
     is_perfect,
     object_cache,
 )
 from .errors import BudgetExceededError, InputError, UnsupportedInputError
-from .report import CheckReport, Violation
+from .report import CheckReport
 
 DEFAULT_BUDGET = 100_000_000
 
@@ -95,124 +97,94 @@ def _same_parent(p: Pentaction, q: Pentaction) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Condition scan.  Every condition is a vectorized violation mask over a
-# batch of candidates; the scalar checker reuses the same masks with a batch
-# of one and extracts lexicographically minimal witnesses.
+# Condition scan.
 # ---------------------------------------------------------------------------
 
 
-def _bg3(f: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Per-candidate gather: out[i, a, b] = f[i, idx[i, a, b]]."""
-    return f[np.arange(len(f))[:, None, None], idx]
+# The parent's _arrays and a batch of k pentactions as (k, n) slot arrays; a
+# slot that no scanned condition reads may be None.
+_SLOTS = ("dotL", "dotR", "up", "upL", "pow")
+_Tables = namedtuple("_Tables", ("add", "act", "neg", "ar") + _SLOTS, defaults=(None,) * 5)
 
 
-def _bg2(f: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Per-candidate gather: out[i, a] = f[i, idx[i, a]]."""
-    return f[np.arange(len(f))[:, None], idx]
+def _tables(obj: FiniteGwaObject, cands: Sequence[Pentaction] = (), **slots) -> _Tables:
+    """The tables of a batch given as pentactions or as named slot arrays."""
+    if cands:
+        slots = {slot: [getattr(c, slot) for c in cands] for slot in _SLOTS}
+    return _Tables(*obj._arrays, **{s: np.asarray(v, dtype=np.intp) for s, v in slots.items()})
 
 
-def _v_act_first_invariant(t: _Arrays, f: np.ndarray) -> np.ndarray:
+def _v_act_first_invariant(t, f: np.ndarray, s: slice) -> np.ndarray:
     # f(a) ^ a' = a ^ a'  for a' != 0
-    v = t.act[f] != t.act[None, :, :]
-    v[:, :, 0] = False
-    return v
+    return (t.act[f[:, s]] != t.act[s]) & (t.ar > 0)
 
 
-def _v_pow_cocycle(t: _Arrays, pw: np.ndarray) -> np.ndarray:
-    # pow(a + a') = pow(a) ^ a' + pow(a')
-    return pw[:, t.add] != t.add[t.act[pw], pw[:, None, :]]
-
-
-def _v_up_dot_exchange(t: _Arrays, up: np.ndarray, dotL: np.ndarray) -> np.ndarray:
-    # up(a ^ dotL(a')) = up(a) ^ a'
-    inner = t.act[t.ar[None, :, None], dotL[:, None, :]]
-    return _bg3(up, inner) != t.act[up]
-
-
-def _v_upL_dotR_exchange(t: _Arrays, upL: np.ndarray, dotR: np.ndarray) -> np.ndarray:
-    # dual of the exchange law; carrier prefix exponents negate:
-    # upL(a ^ (-dotR(a'))) = upL(a) ^ (-a')
-    inner = t.act[t.ar[None, :, None], t.neg[dotR][:, None, :]]
-    return _bg3(upL, inner) != t.act[upL][:, :, t.neg]
-
-
-def _v_fixes_action_values(t: _Arrays, f: np.ndarray) -> np.ndarray:
+def _v_fixes_action_values(t, f: np.ndarray, s: slice) -> np.ndarray:
     # f(a ^ a') = a ^ a'  for a' != 0
-    v = f[:, t.act] != t.act[None, :, :]
-    v[:, :, 0] = False
-    return v
+    return (f[:, t.act[s]] != t.act[s]) & (t.ar > 0)
 
 
-def _v_pow_collapses_action(t: _Arrays, pw: np.ndarray) -> np.ndarray:
-    # pow(a ^ a') = pow(a)
-    return pw[:, t.act] != pw[:, :, None]
-
-
-def _v_central_if_moving(t: _Arrays, f: np.ndarray) -> np.ndarray:
+def _v_central_if_moving(t, f: np.ndarray, s: slice) -> np.ndarray:
     # images commute with everything, provided f moves at least one element
-    hyp = (f != t.ar[None, :]).any(axis=1)
-    comm = t.add[f[:, :, None], t.ar[None, None, :]] != t.add[t.ar[None, None, :], f[:, :, None]]
-    return comm & hyp[:, None, None]
+    moves = (f != t.ar).any(axis=1)
+    return (t.add[f[:, s]] != t.add.T[f[:, s]]) & moves[:, None, None]
 
 
-def _v_exponent_equivalent(t: _Arrays, f: np.ndarray) -> np.ndarray:
+def _v_exponent_equivalent(t, f: np.ndarray, s: slice) -> np.ndarray:
     # a ^ f(a') = a ^ a'
-    return t.act[t.ar[None, :, None], f[:, None, :]] != t.act[None, :, :]
+    return t.act[t.ar[s, None], f[:, None]] != t.act[s]
 
 
-def _v_pow_exponent_trivial(t: _Arrays, pw: np.ndarray) -> np.ndarray:
+def _v_mutual_inverse(t, f: np.ndarray, g: np.ndarray, s: slice) -> np.ndarray:
+    # g(f(a)) = a = f(g(a))
+    return (_pick(g, f[:, s]) != t.ar[s]) | (_pick(f, g[:, s]) != t.ar[s])
+
+
+# (id, index axes in witness order, slots read, violation mask), in report
+# order; every slot read carries a leading candidate axis k.
+_CONDITIONS = (
+    ("p1", "AA", ("dotL",), lambda t, s: _v_additive(t, t.dotL, s)),
+    ("p1d", "AA", ("dotR",), lambda t, s: _v_additive(t, t.dotR, s)),
+    ("p2", "AA", ("up",), lambda t, s: _v_additive(t, t.up, s)),
+    ("p2d", "AA", ("upL",), lambda t, s: _v_additive(t, t.upL, s)),
+    ("p3", "AA", ("dotL",), lambda t, s: _v_act_first_invariant(t, t.dotL, s)),
+    ("p3d", "AA", ("dotR",), lambda t, s: _v_act_first_invariant(t, t.dotR, s)),
+    # pow(a + a') = pow(a) ^ a' + pow(a')
+    ("p4", "AA", ("pow",),
+     lambda t, s: t.pow[:, t.add[s]] != t.add[t.act[t.pow[:, s]], t.pow[:, None]]),
+    # up(a ^ dotL(a')) = up(a) ^ a'
+    ("p5", "AA", ("up", "dotL"),
+     lambda t, s: _pick(t.up, t.act[t.ar[s, None], t.dotL[:, None]]) != t.act[t.up[:, s]]),
+    # the dual exchange law; carrier prefix exponents negate:
+    # upL(a ^ (-dotR(a'))) = upL(a) ^ (-a')
+    ("p5d", "AA", ("upL", "dotR"),
+     lambda t, s: _pick(t.upL, t.act[t.ar[s, None], t.neg[t.dotR][:, None]])
+     != t.act[t.upL[:, s]][:, :, t.neg]),
+    ("p6", "AA", ("dotL",), lambda t, s: _v_fixes_action_values(t, t.dotL, s)),
+    ("p6d", "AA", ("dotR",), lambda t, s: _v_fixes_action_values(t, t.dotR, s)),
+    # pow(a ^ a') = pow(a)
+    ("p7", "AA", ("pow",), lambda t, s: t.pow[:, t.act[s]] != t.pow[:, s, None]),
+    ("p8", "AA", ("up",), lambda t, s: _v_central_if_moving(t, t.up, s)),
+    ("p8d", "AA", ("upL",), lambda t, s: _v_central_if_moving(t, t.upL, s)),
+    ("p9", "AA", ("up",), lambda t, s: _v_exponent_equivalent(t, t.up, s)),
+    ("p9d", "AA", ("upL",), lambda t, s: _v_exponent_equivalent(t, t.upL, s)),
     # a ^ pow(a') = a  for a' != 0
-    v = t.act[t.ar[None, :, None], pw[:, None, :]] != t.ar[None, :, None]
-    v[:, :, 0] = False
-    return v
-
-
-def _v_mutual_inverse(t: _Arrays, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    # g(f(a)) = a = f(g(a)); witness is (a,)
-    return (_bg2(g, f) != t.ar[None, :]) | (_bg2(f, g) != t.ar[None, :])
-
-
-_Slots = tuple[str, ...]
-_CONDITIONS: tuple[tuple[str, _Slots, Callable[..., np.ndarray]], ...] = (
-    ("p1", ("dotL",), _v_additive),
-    ("p1d", ("dotR",), _v_additive),
-    ("p2", ("up",), _v_additive),
-    ("p2d", ("upL",), _v_additive),
-    ("p3", ("dotL",), _v_act_first_invariant),
-    ("p3d", ("dotR",), _v_act_first_invariant),
-    ("p4", ("pow",), _v_pow_cocycle),
-    ("p5", ("up", "dotL"), _v_up_dot_exchange),
-    ("p5d", ("upL", "dotR"), _v_upL_dotR_exchange),
-    ("p6", ("dotL",), _v_fixes_action_values),
-    ("p6d", ("dotR",), _v_fixes_action_values),
-    ("p7", ("pow",), _v_pow_collapses_action),
-    ("p8", ("up",), _v_central_if_moving),
-    ("p8d", ("upL",), _v_central_if_moving),
-    ("p9", ("up",), _v_exponent_equivalent),
-    ("p9d", ("upL",), _v_exponent_equivalent),
-    ("p10", ("pow",), _v_pow_exponent_trivial),
-    ("p11", ("dotL", "dotR"), _v_mutual_inverse),
-    ("p12", ("up", "upL"), _v_mutual_inverse),
+    ("p10", "AA", ("pow",),
+     lambda t, s: (t.act[t.ar[s, None], t.pow[:, None]] != t.ar[s, None]) & (t.ar > 0)),
+    ("p11", "A", ("dotL", "dotR"), lambda t, s: _v_mutual_inverse(t, t.dotL, t.dotR, s)),
+    ("p12", "A", ("up", "upL"), lambda t, s: _v_mutual_inverse(t, t.up, t.upL, s)),
 )
 
-CONDITION_IDS = tuple(cid for cid, _, _ in _CONDITIONS)
+CONDITION_IDS = tuple(c[0] for c in _CONDITIONS)
 
 # No condition couples pow to the four maps: p4, p7 and p10 read pow alone
 # and the other sixteen never read it.  So the pentactions are exactly the
 # maps passing the sixteen times the pow tables passing the three, and the
 # enumerator scans the two factors apart.
-_MAP_SLOTS = ("dotL", "dotR", "up", "upL")
 _Table = tuple[int, ...]
 _Maps = tuple[_Table, _Table, _Table, _Table]  # one table per map slot
-_MAP_CONDITIONS = tuple(c for c in _CONDITIONS if "pow" not in c[1])
-_POW_CONDITIONS = tuple(c for c in _CONDITIONS if c[1] == ("pow",))
-
-
-def _slot_arrays(cands: Sequence[Pentaction]) -> dict[str, np.ndarray]:
-    return {
-        slot: np.asarray([getattr(c, slot) for c in cands], dtype=np.int64)
-        for slot in ("dotL", "dotR", "up", "upL", "pow")
-    }
+_MAP_CONDITIONS = tuple(c for c in _CONDITIONS if "pow" not in c[2])
+_POW_CONDITIONS = tuple(c for c in _CONDITIONS if c[2] == ("pow",))
 
 
 def _validate_shape(cand: Pentaction) -> None:
@@ -228,15 +200,8 @@ def _validate_shape(cand: Pentaction) -> None:
 def check_pentaction(cand: Pentaction) -> CheckReport:
     """Scan all nineteen conditions; one minimal witness per violation."""
     _validate_shape(cand)
-    t = cand.parent._arrays
-    slots = _slot_arrays([cand])
-    violations = []
-    for cid, needed, fn in _CONDITIONS:
-        mask = fn(t, *(slots[s] for s in needed))
-        if mask.any():
-            first = np.argwhere(mask)[0]
-            violations.append(Violation(cid, tuple(int(v) for v in first[1:])))
-    return CheckReport(tuple(violations))
+    obj = cand.parent
+    return CheckReport(tuple(_violations(_tables(obj, [cand]), _CONDITIONS, {"A": obj.order})))
 
 
 def check_pentactions_batch(cands: Sequence[Pentaction]) -> np.ndarray:
@@ -246,25 +211,8 @@ def check_pentactions_batch(cands: Sequence[Pentaction]) -> np.ndarray:
     for c in cands:
         _same_parent(cands[0], c)
         _validate_shape(c)
-    return _passing(cands)
-
-
-def _passing(cands: Sequence[Pentaction]) -> np.ndarray:
-    """Pass vector of a non-empty batch of in-range candidates over one parent."""
-    return _passing_slots(cands[0].parent._arrays, _slot_arrays(cands), _CONDITIONS)
-
-
-def _passing_slots(
-    t: _Arrays,
-    slots: dict[str, np.ndarray],
-    conditions: Sequence[tuple[str, _Slots, Callable[..., np.ndarray]]],
-) -> np.ndarray:
-    """Pass vector of the conditions over candidates given as slot arrays;
-    a condition reading a slot that is not given raises ``KeyError``."""
-    ok = np.ones(len(next(iter(slots.values()))), dtype=bool)
-    for _, needed, fn in conditions:
-        ok &= ~_violated(fn(t, *(slots[s] for s in needed)))
-    return ok
+    obj = cands[0].parent
+    return _passing(_tables(obj, cands), _CONDITIONS, {"A": obj.order})
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +344,7 @@ def _pow_factor(obj: FiniteGwaObject) -> tuple[_Table, ...]:
     kept: list[list[int]] = []
     for images in _image_chunks(n, len(gens), n * n):
         rows = _generator_walk(steps, images, 0, rule)
-        kept.extend(rows[_passing_slots(t, {"pow": rows}, _POW_CONDITIONS)].tolist())
+        kept.extend(rows[_passing(_tables(obj, pow=rows), _POW_CONDITIONS, {"A": n})].tolist())
     return tuple(sorted(map(tuple, kept)))
 
 
@@ -405,20 +353,15 @@ def _pentaction_factors(obj: FiniteGwaObject) -> tuple[tuple[_Maps, ...], tuple[
     """The two factors of the pentaction set, each sorted: the map parts
     (dotL, dotR, up, upL) passing the conditions that do not read pow, and
     the pow tables passing the conditions that read only pow."""
-    n, t = obj.order, obj._arrays
-    ups = additive_bijections(obj)
-    dotls = [tuple(range(n))] if is_perfect(obj) else ups
-    maps = [
-        (dotl, invert_map(dotl), up, invert_map(up)) for up in ups for dotl in dotls
-    ]
-    kept = []
-    step = max(1, core._CHUNK_CELLS // (n * n))  # the largest map masks are (k, n, n)
-    for lo in range(0, len(maps), step):
-        chunk = maps[lo:lo + step]
-        arrays = np.asarray(chunk, dtype=np.int64).reshape(len(chunk), len(_MAP_SLOTS), n)
-        ok = _passing_slots(t, dict(zip(_MAP_SLOTS, arrays.swapaxes(0, 1))), _MAP_CONDITIONS)
-        kept.extend(c for c, good in zip(chunk, ok) if good)
-    return tuple(sorted(kept)), _pow_factor(obj)
+    n = obj.order
+    ups = np.asarray(additive_bijections(obj), dtype=np.intp)
+    dotls = np.arange(n)[None] if is_perfect(obj) else ups
+    # every up with every dotL, each slot with its inverse beside it
+    u, d = (x.ravel() for x in np.indices((len(ups), len(dotls))))
+    maps = [dotls[d], np.argsort(dotls[d], axis=1), ups[u], np.argsort(ups[u], axis=1)]
+    keep = _passing(_tables(obj, **dict(zip(_SLOTS, maps))), _MAP_CONDITIONS, {"A": n})
+    kept = zip(*(m[keep].tolist() for m in maps))
+    return tuple(sorted(tuple(map(tuple, m)) for m in kept)), _pow_factor(obj)
 
 
 @object_cache(maxsize=32)
@@ -443,31 +386,24 @@ def enumerate_pentactions_bruteforce(obj: FiniteGwaObject) -> list[Pentaction]:
         raise InputError(
             f"brute-force pentaction enumeration is refused for order {n} > 3"
         )
-    t = obj._arrays
-    maps = np.asarray(list(product(range(n), repeat=n)), dtype=np.int64)
+    maps = np.asarray(list(product(range(n), repeat=n)), dtype=np.intp)
     m = len(maps)
-
-    slot_names = ("dotL", "dotR", "up", "upL", "pow")
-    unary_ok = {s: np.ones(m, dtype=bool) for s in slot_names}
-    pair_ok: dict[tuple[str, str], np.ndarray] = {}
-    left = np.repeat(maps, m, axis=0)
-    right = np.tile(maps, (m, 1))
-    for cid, needed, fn in _CONDITIONS:
-        if len(needed) == 1:
-            unary_ok[needed[0]] &= ~_violated(fn(t, maps))
-        else:
-            ok = ~_violated(fn(t, left, right)).reshape(m, m)
-            pair_ok[needed] = pair_ok.get(needed, True) & ok
+    pairs = (np.repeat(maps, m, axis=0), np.tile(maps, (m, 1)))
+    ok = {}  # per tuple of slots, the verdict of the conditions reading exactly those
+    for needed in dict.fromkeys(c[2] for c in _CONDITIONS):
+        cands = dict(zip(needed, pairs if len(needed) == 2 else (maps,)))
+        rows = [c for c in _CONDITIONS if c[2] == needed]
+        ok[needed] = _passing(_tables(obj, **cands), rows, {"A": n}).reshape((m,) * len(needed))
 
     # Each axis is indexed only by the maps passing its slot's unary
     # conditions; the pair verdicts are combined over that smaller product.
-    axes = [np.flatnonzero(unary_ok[s]) for s in slot_names]
+    axes = [np.flatnonzero(ok[(s,)]) for s in _SLOTS]
     dl, dr, u, ul, _ = axes
     valid = np.ones(tuple(len(axis) for axis in axes), dtype=bool)
-    valid &= pair_ok[("dotL", "dotR")][np.ix_(dl, dr)][:, :, None, None, None]
-    valid &= pair_ok[("up", "dotL")][np.ix_(u, dl)].T[:, None, :, None, None]
-    valid &= pair_ok[("upL", "dotR")][np.ix_(ul, dr)].T[None, :, None, :, None]
-    valid &= pair_ok[("up", "upL")][np.ix_(u, ul)][None, None, :, :, None]
+    valid &= ok[("dotL", "dotR")][np.ix_(dl, dr)][:, :, None, None, None]
+    valid &= ok[("up", "dotL")][np.ix_(u, dl)].T[:, None, :, None, None]
+    valid &= ok[("upL", "dotR")][np.ix_(ul, dr)].T[None, :, None, :, None]
+    valid &= ok[("up", "upL")][np.ix_(u, ul)][None, None, :, :, None]
 
     return [
         Pentaction(obj, *(tuple(maps[axis[i]].tolist()) for axis, i in zip(axes, cell)))

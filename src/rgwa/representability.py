@@ -276,6 +276,12 @@ def pa_action(pa: PAObject) -> DerivedActionTriple:
                                report=check_derived_action(triple))
 
 
+def _require_action_of(A: FiniteGwaObject, B: FiniteGwaObject, triple: DerivedActionTriple):
+    if not (triple.A.table_equal(A) and triple.B.table_equal(B)):
+        raise InputError(f"the triple is an action of {triple.B.name!r} on {triple.A.name!r}, "
+                         f"not of {B.name!r} on {A.name!r}")
+
+
 def represent(
     A: FiniteGwaObject,
     B: FiniteGwaObject,
@@ -289,6 +295,7 @@ def represent(
     (naming the failing condition) when some image is not a pentaction of A
     or is missing from the enumerated set.
     """
+    _require_action_of(A, B, triple)
     pre = triple.report or check_derived_action(triple)
     if not pre.passed:
         raise InputError(
@@ -349,6 +356,7 @@ def verify_uniqueness(
     (witness: the lexicographically first satisfying map other than phi)
     when the satisfying set is larger.
     """
+    _require_action_of(A, B, triple)
     if pa is None:
         pa = build_pa_object(A)
     m = len(pa.elements)

@@ -299,6 +299,64 @@ def reference_check_derived_action(triple) -> rgwa.CheckReport:
     return rgwa.CheckReport(tuple(violations))
 
 
+def reference_check_pentaction(cand) -> rgwa.CheckReport:
+    """Pure-Python loop-nest scan of the 19 pentaction conditions, in report
+    order; the oracle for the vectorized ``check_pentaction`` on in-range
+    tables."""
+    obj = cand.parent
+    add, act, neg = obj.add, obj.act, obj.neg
+    dotL, dotR, up, upL, pw = cand.dotL, cand.dotR, cand.up, cand.upL, cand.pow
+    rng = range(obj.order)
+    pairs, singles = list(product(rng, rng)), [(a,) for a in rng]
+    violations = []
+
+    def scan(condition, space, violated):
+        for w in space:
+            if violated(*w):
+                violations.append(rgwa.Violation(condition, w))
+                return
+
+    def additive(f):
+        return lambda a, a2: f[add[a][a2]] != add[f[a]][f[a2]]
+
+    def act_first_invariant(f):
+        return lambda a, a2: a2 != 0 and act[f[a]][a2] != act[a][a2]
+
+    def fixes_action_values(f):
+        return lambda a, a2: a2 != 0 and f[act[a][a2]] != act[a][a2]
+
+    def central_if_moving(f):
+        moves = any(f[a] != a for a in rng)
+        return lambda a, z: moves and add[f[a]][z] != add[z][f[a]]
+
+    def exponent_equivalent(f):
+        return lambda a, a2: act[a][f[a2]] != act[a][a2]
+
+    def mutual_inverse(f, g):
+        return lambda a: g[f[a]] != a or f[g[a]] != a
+
+    scan("p1", pairs, additive(dotL))
+    scan("p1d", pairs, additive(dotR))
+    scan("p2", pairs, additive(up))
+    scan("p2d", pairs, additive(upL))
+    scan("p3", pairs, act_first_invariant(dotL))
+    scan("p3d", pairs, act_first_invariant(dotR))
+    scan("p4", pairs, lambda a, a2: pw[add[a][a2]] != add[act[pw[a]][a2]][pw[a2]])
+    scan("p5", pairs, lambda a, a2: up[act[a][dotL[a2]]] != act[up[a]][a2])
+    scan("p5d", pairs, lambda a, a2: upL[act[a][neg[dotR[a2]]]] != act[upL[a]][neg[a2]])
+    scan("p6", pairs, fixes_action_values(dotL))
+    scan("p6d", pairs, fixes_action_values(dotR))
+    scan("p7", pairs, lambda a, a2: pw[act[a][a2]] != pw[a])
+    scan("p8", pairs, central_if_moving(up))
+    scan("p8d", pairs, central_if_moving(upL))
+    scan("p9", pairs, exponent_equivalent(up))
+    scan("p9d", pairs, exponent_equivalent(upL))
+    scan("p10", pairs, lambda a, a2: a2 != 0 and act[a][pw[a2]] != a)
+    scan("p11", singles, mutual_inverse(dotL, dotR))
+    scan("p12", singles, mutual_inverse(up, upL))
+    return rgwa.CheckReport(tuple(violations))
+
+
 def reference_extend_additive(obj, gens, steps, images) -> tuple[int, ...]:
     """Value table of the additive extension of gens -> images, one step at
     a time (unverified)."""
@@ -341,11 +399,49 @@ def reference_additive_bijections(obj) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
+def scan_passes(t, conditions, sizes) -> bool:
+    """True when the one-candidate scan ``core._violations`` finds no
+    violation of the candidate rows on the candidate in t."""
+    from rgwa.core import _violations
+
+    return next(_violations(t, conditions, sizes), None) is None
+
+
+def assert_rows_read_only_their_tables(make, tables, conditions, sizes) -> None:
+    """Each candidate row, run on tables built by ``make`` from only the
+    candidate tables it reads (every other candidate table None), reports
+    what the full scan of ``tables`` reports for it."""
+    from rgwa.core import _passing, _violations
+
+    full = list(_violations(make(**tables), conditions, sizes))
+    for row in conditions:
+        only = make(**{name: tables[name] for name in row[2]})
+        assert list(_violations(only, [row], sizes)) == [
+            v for v in full if v.condition == row[0]
+        ], row[0]
+        assert _passing(only, [row], sizes).tolist() == [row[0] not in {v.condition for v in full}]
+
+
+def assert_batch_verdicts(make, batch, conditions, sizes) -> None:
+    """``core._passing`` over a batch of (k, ...) candidate tables equals one
+    ``core._violations`` scan per candidate, for each row alone and for the
+    whole table."""
+    from rgwa.core import _passing
+
+    k = len(next(iter(batch.values())))
+    for rows in [[row] for row in conditions] + [list(conditions)]:
+        one_by_one = [
+            scan_passes(make(**{name: table[i:i + 1] for name, table in batch.items()}), rows, sizes)
+            for i in range(k)
+        ]
+        assert _passing(make(**batch), rows, sizes).tolist() == one_by_one, [r[0] for r in rows]
+
+
 def reference_map_families(A, B, contravariant: bool) -> list:
     """One family per assignment of bijections to B's generators, composed
     one step at a time and checked alone by the 2B (up) or ga.1 (dot) scan;
     the oracle for the walked ``_map_families``."""
-    from rgwa.core import _holds, generating_words, invert_map
+    from rgwa.core import generating_words, invert_map
     from rgwa.extensions import _CONDITIONS, _sizes, _tables
 
     bij = reference_additive_bijections(A)
@@ -364,7 +460,7 @@ def reference_map_families(A, B, contravariant: bool) -> list:
             else:
                 fam[elem] = tuple(fam[parent][g[a]] for a in ra)
         table = tuple(zip(*fam)) if contravariant else tuple(fam)
-        if _holds(_tables(A, B, **{name: table}), law, _sizes(A, B)):
+        if scan_passes(_tables(A, B, **{name: [table]}), law, _sizes(A, B)):
             out.append(table)
     return out
 
@@ -374,20 +470,20 @@ def reference_enumerate_derived_actions(A, B) -> list[rgwa.DerivedActionTriple]:
     of generator rows is multiplied out before any pow condition runs.  The
     oracle for the pruned ``enumerate_derived_actions``; its families come
     from ``reference_map_families``."""
-    from rgwa.core import _holds, generating_words
+    from rgwa.core import generating_words
     from rgwa.extensions import _DOT_ONLY, _DOT_UP, _POW_READING, _UP_ONLY, _sizes, _tables
 
     gensA, stepsA = generating_words(A)
     gensB, stepsB = generating_words(B)
     na, sizes = A.order, _sizes(A, B)
     ups = [up for up in reference_map_families(A, B, contravariant=True)
-           if _holds(_tables(A, B, up=up), _UP_ONLY, sizes)]
+           if scan_passes(_tables(A, B, up=[up]), _UP_ONLY, sizes)]
     dots = [dot for dot in reference_map_families(A, B, contravariant=False)
-            if _holds(_tables(A, B, dot=dot), _DOT_ONLY, sizes)]
+            if scan_passes(_tables(A, B, dot=[dot]), _DOT_ONLY, sizes)]
     found = []
     for up in ups:
         for dot in dots:
-            if not _holds(_tables(A, B, dot=dot, up=up), _DOT_UP, sizes):
+            if not scan_passes(_tables(A, B, dot=[dot], up=[up]), _DOT_UP, sizes):
                 continue
             for assignment in product(
                 product(range(na), repeat=len(gensA)), repeat=len(gensB)
@@ -404,7 +500,7 @@ def reference_enumerate_derived_actions(A, B) -> list[rgwa.DerivedActionTriple]:
                     else:
                         pw[elem] = tuple(A.add[pw[parent][a]][A.neg[dot[elem][row_g[a]]]]
                                          for a in range(na))
-                if _holds(_tables(A, B, dot, up, pw), _POW_READING, sizes):
+                if scan_passes(_tables(A, B, [dot], [up], [pw]), _POW_READING, sizes):
                     found.append(rgwa.DerivedActionTriple(A, B, dot, up, tuple(pw)))
     found.sort(key=rgwa.DerivedActionTriple.key)
     return found
@@ -414,8 +510,8 @@ def reference_enumerate_pentactions(obj) -> list[rgwa.Pentaction]:
     """Every (up, dotL, pow row) candidate built and run through all 19
     conditions, then sorted; the oracle for the factored
     ``enumerate_pentactions``."""
-    from rgwa.core import additive_bijections, generating_words, invert_map, is_perfect
-    from rgwa.pentactions import Pentaction, _passing
+    from rgwa.core import _violated, additive_bijections, generating_words, invert_map, is_perfect
+    from rgwa.pentactions import _CONDITIONS, Pentaction, _tables
 
     batch = 8192
     n = obj.order
@@ -433,9 +529,11 @@ def reference_enumerate_pentactions(obj) -> list[rgwa.Pentaction]:
     def flush() -> None:
         if not chunk:
             return
-        for cand, ok in zip(chunk, _passing(chunk)):
-            if ok:
-                found.append(cand)
+        # every mask over the whole batch, unchunked
+        t, ok = _tables(obj, chunk), np.ones(len(chunk), dtype=bool)
+        for *_, mask in _CONDITIONS:
+            ok &= ~_violated(mask(t, slice(None)))
+        found.extend(cand for cand, good in zip(chunk, ok) if good)
         chunk.clear()
 
     for up in ups:

@@ -2,14 +2,17 @@
 
 import random
 import re
-from functools import lru_cache
+from functools import lru_cache, partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rgwa
 from conftest import (
+    assert_batch_verdicts,
+    assert_rows_read_only_their_tables,
     k4swap_object,
     negation_cyclic,
     reference_check_derived_action,
@@ -171,7 +174,10 @@ def _corrupted_triple(draw) -> DerivedActionTriple:
     """A derived action of some scan pair with up to four entries replaced;
     ``draw(k)`` picks an integer in 0..k-1."""
     A, B, bases = _scan_pairs()[draw(len(_scan_pairs()))]
-    base = bases[draw(len(bases))]
+    return _corrupted(A, B, bases[draw(len(bases))], draw)
+
+
+def _corrupted(A, B, base, draw) -> DerivedActionTriple:
     tables = [[list(r) for r in table] for table in (base.dot, base.up, base.pow)]
     for _ in range(draw(5)):
         table = tables[draw(3)]
@@ -204,6 +210,40 @@ class TestScanAgainstReference:
             seen.update(report.conditions())
         assert later > 600
         assert len(seen) == 22
+
+
+class TestRowFormat:
+    """Every row of ``_CONDITIONS`` reads only the tables it names, each led
+    by a candidate axis, and ``core._passing`` over a batch gives the
+    verdicts of one ``core._violations`` scan per candidate."""
+
+    def test_rows_read_only_their_tables(self):
+        rng = random.Random(1)
+        for _ in range(60):
+            t = _corrupted_triple(rng.randrange)
+            assert_rows_read_only_their_tables(
+                partial(extensions._tables, t.A, t.B),
+                {"dot": [t.dot], "up": [t.up], "pow": [t.pow]},
+                extensions._CONDITIONS, extensions._sizes(t.A, t.B),
+            )
+
+    @pytest.mark.parametrize("chunk_cells", [None, 1], ids=["default-chunks", "one-cell-chunks"])
+    def test_batch_verdicts_match_one_scan_per_candidate(self, monkeypatch, chunk_cells):
+        if chunk_cells is not None:
+            monkeypatch.setattr(core, "_CHUNK_CELLS", chunk_cells)
+        rng = random.Random(2)
+        passed = 0
+        for A, B, bases in _scan_pairs():
+            batch = [_corrupted(A, B, rng.choice(bases), rng.randrange) for _ in range(6)]
+            tables = {name: np.asarray([getattr(t, name) for t in batch])
+                      for name in ("dot", "up", "pow")}
+            sizes = extensions._sizes(A, B)
+            make = partial(extensions._tables, A, B)
+            assert_batch_verdicts(make, tables, extensions._CONDITIONS, sizes)
+            empty = make(**{name: table[:0] for name, table in tables.items()})
+            assert core._passing(empty, extensions._CONDITIONS, sizes).shape == (0,)
+            passed += sum(rgwa.check_derived_action(t).passed for t in batch)
+        assert passed > 0
 
 
 class TestTwistedExtension:

@@ -87,6 +87,53 @@ class TestTripleAndPentactionFormats:
         assert set(data) == {"object", "dotL", "dotR", "up", "upL", "pow"}
 
 
+class TestMalformedDocuments:
+    """The triple, pentaction and extension loaders refuse a document that is
+    not a JSON object, or whose table, slot or map is not a list, with
+    InputError."""
+
+    @pytest.fixture()
+    def load(self, tmp_path):
+        z2 = rgwa.cyclic_trivial(2)
+        ext = rgwa.direct_sum_extension(z2, z2)
+        for key in ("A", "E", "B"):
+            files.save_object(getattr(ext, key), tmp_path / f"{key}.json")
+
+        def extension(doc):
+            (tmp_path / "ext.json").write_text(json.dumps(doc), encoding="utf-8")
+            return files.load_split_extension(tmp_path / "ext.json")
+
+        loaders = {
+            "triple": (lambda doc: files.triple_from_json(doc, z2, z2),
+                       files.triple_to_json(rgwa.enumerate_derived_actions(z2, z2)[0])),
+            "pentaction": (lambda doc: files.pentaction_from_json(doc, z2),
+                           files.pentaction_to_json(rgwa.zero_pentaction(z2))),
+            "extension": (extension, files.extension_to_json(
+                {"A": "A.json", "E": "E.json", "B": "B.json"}, ext)),
+        }
+
+        def load(kind, change):
+            loader, doc = loaders[kind]
+            loader(doc)  # the unchanged document loads
+            return loader(change(doc))
+
+        return load
+
+    @pytest.mark.parametrize("kind,change", [
+        ("triple", lambda doc: [doc]),
+        ("triple", lambda doc: {**doc, "dot": 5}),
+        ("pentaction", lambda doc: list(doc.values())),
+        ("pentaction", lambda doc: {**doc, "dotL": 5}),
+        ("pentaction", lambda doc: {**doc, "pow": None}),
+        ("extension", lambda doc: [doc]),
+        ("extension", lambda doc: {**doc, "i": 5}),
+    ], ids=["triple-list", "triple-dot-int", "pentaction-list", "pentaction-dotL-int",
+            "pentaction-pow-null", "extension-list", "extension-map-int"])
+    def test_raises_input_error(self, load, kind, change):
+        with pytest.raises(rgwa.InputError):
+            load(kind, change)
+
+
 class TestExtensionFormat:
     def test_round_trip_with_relative_paths(self, tmp_path):
         z2, z3 = rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(3)

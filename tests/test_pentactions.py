@@ -2,13 +2,24 @@
 
 import random
 import re
+from functools import lru_cache, partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rgwa
-from conftest import negation_product, reference_enumerate_pentactions
+from conftest import (
+    assert_batch_verdicts,
+    assert_rows_read_only_their_tables,
+    k4swap_object,
+    negation_cyclic,
+    negation_product,
+    reference_check_pentaction,
+    reference_enumerate_pentactions,
+    shear_object,
+)
 from rgwa import core, pentactions
 from rgwa.files import pentaction_to_json
 from rgwa.pentactions import CONDITION_IDS, check_pentactions_batch
@@ -86,15 +97,102 @@ class TestCheckPentaction:
         objs = [rgwa.cyclic_trivial(3), negation_cyclic(4)]
         obj = objs[data.draw(st.integers(0, 1))]
         n = obj.order
-        tables = [
-            tuple(data.draw(st.integers(0, n - 1)) for _ in range(n))
-            for _ in range(5)
+        batch = [
+            rgwa.Pentaction(obj, *(
+                tuple(data.draw(st.integers(0, n - 1)) for _ in range(n)) for _ in range(5)
+            ))
+            for _ in range(data.draw(st.integers(1, 4)))
         ]
-        cand = rgwa.Pentaction(obj, *tables)
-        assert (
-            rgwa.check_pentaction(cand).passed
-            == bool(check_pentactions_batch([cand])[0])
-        )
+        assert check_pentactions_batch(batch).tolist() == [
+            rgwa.check_pentaction(cand).passed for cand in batch
+        ]
+
+
+@lru_cache(maxsize=None)
+def _pentaction_bases():
+    """Objects with candidates to corrupt: their enumerated pentactions, or
+    for s3 (validated without the reduced checks) the identity maps with a
+    zero pow table.  s3 is not abelian, so only there can p8 and p8d fail."""
+    s3 = rgwa.make_object("s3", 6, *rgwa.s3_conjugation_tables(), require_reduced=False)
+    objs = [rgwa.cyclic_trivial(3), negation_cyclic(4), k4swap_object(), shear_object(),
+            negation_product(4, 2)]
+    ident = tuple(range(6))
+    return [(obj, rgwa.enumerate_pentactions(obj)) for obj in objs] + [
+        (s3, [rgwa.Pentaction(s3, ident, ident, ident, ident, (0,) * 6)])
+    ]
+
+
+def _corrupted_pentaction(draw) -> rgwa.Pentaction:
+    """A base candidate of some object with up to four entries replaced;
+    ``draw(k)`` picks an integer in 0..k-1."""
+    obj, bases = _pentaction_bases()[draw(len(_pentaction_bases()))]
+    return _corrupted(obj, bases[draw(len(bases))], draw)
+
+
+def _corrupted(obj, base, draw) -> rgwa.Pentaction:
+    tables = [list(table) for table in base.tables().values()]
+    for _ in range(draw(5)):
+        tables[draw(5)][draw(obj.order)] = draw(obj.order)
+    return rgwa.Pentaction(obj, *map(tuple, tables))
+
+
+class TestScanAgainstReference:
+    """The vectorized 19-condition scan reports exactly what the pure-Python
+    loop nest reports, witnesses included."""
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_candidates(self, data):
+        cand = _corrupted_pentaction(lambda k: data.draw(st.integers(0, k - 1)))
+        assert rgwa.check_pentaction(cand) == reference_check_pentaction(cand)
+
+    def test_witnesses_in_later_chunks(self, monkeypatch):
+        # one leading index per chunk: every witness with a nonzero first
+        # coordinate comes from a chunk after the first
+        monkeypatch.setattr(core, "_CHUNK_CELLS", 1)
+        rng = random.Random(0)
+        later, seen = 0, set()
+        for _ in range(300):
+            cand = _corrupted_pentaction(rng.randrange)
+            report = rgwa.check_pentaction(cand)
+            assert report == reference_check_pentaction(cand)
+            later += sum(v.witness[0] > 0 for v in report.violations)
+            seen.update(report.conditions())
+        assert later > 600
+        assert len(seen) == 19
+
+
+class TestRowFormat:
+    """Every row of ``_CONDITIONS`` reads only the slots it names, each led
+    by a candidate axis, and ``core._passing`` over a batch gives the
+    verdicts of one ``core._violations`` scan per candidate."""
+
+    def test_rows_read_only_their_slots(self):
+        rng = random.Random(1)
+        for _ in range(60):
+            cand = _corrupted_pentaction(rng.randrange)
+            assert_rows_read_only_their_tables(
+                partial(pentactions._tables, cand.parent),
+                {slot: [table] for slot, table in cand.tables().items()},
+                pentactions._CONDITIONS, {"A": cand.parent.order},
+            )
+
+    @pytest.mark.parametrize("chunk_cells", [None, 1], ids=["default-chunks", "one-cell-chunks"])
+    def test_batch_verdicts_match_one_scan_per_candidate(self, monkeypatch, chunk_cells):
+        if chunk_cells is not None:
+            monkeypatch.setattr(core, "_CHUNK_CELLS", chunk_cells)
+        rng = random.Random(2)
+        passed = 0
+        for obj, bases in _pentaction_bases():
+            batch = [_corrupted(obj, rng.choice(bases), rng.randrange) for _ in range(6)]
+            slots = {slot: np.asarray([getattr(c, slot) for c in batch])
+                     for slot in pentactions._SLOTS}
+            make, sizes = partial(pentactions._tables, obj), {"A": obj.order}
+            assert_batch_verdicts(make, slots, pentactions._CONDITIONS, sizes)
+            empty = make(**{slot: table[:0] for slot, table in slots.items()})
+            assert core._passing(empty, pentactions._CONDITIONS, sizes).shape == (0,)
+            passed += sum(rgwa.check_pentaction(c).passed for c in batch)
+        assert passed > 0
 
 
 class TestZeroPentaction:
@@ -286,7 +384,7 @@ class TestEnumeration:
 
     def test_no_condition_couples_pow_to_the_maps(self):
         # the set is the product of its two factors only while this holds
-        for cid, needed, _ in pentactions._CONDITIONS:
+        for cid, _, needed, _ in pentactions._CONDITIONS:
             assert needed == ("pow",) or "pow" not in needed, cid
         staged = pentactions._MAP_CONDITIONS + pentactions._POW_CONDITIONS
         assert sorted(c[0] for c in staged) == sorted(CONDITION_IDS)

@@ -315,6 +315,17 @@ class TestRepresent:
         phi = rgwa.represent(z4neg, pa.object, action, pa=pa)
         assert phi.map == tuple(range(len(pa.elements)))
 
+    def test_triple_over_other_objects_is_refused(self):
+        # a derived action of z4 on z2 is not one of z2 on z2, nor of z4 on z3
+        z2, z3, z4 = (rgwa.cyclic_trivial(n) for n in (2, 3, 4))
+        triple = rgwa.enumerate_derived_actions(z2, z4)[0]
+        phi = rgwa.represent(z2, z4, triple)
+        for A, B in ((z2, z2), (z3, z4)):
+            with pytest.raises(rgwa.InputError, match="is an action of 'z4' on 'z2'"):
+                rgwa.represent(A, B, triple)
+            with pytest.raises(rgwa.InputError, match="is an action of 'z4' on 'z2'"):
+                rgwa.verify_uniqueness(A, B, triple, phi)
+
     def test_unverified_triple_is_refused(self):
         z2 = rgwa.cyclic_trivial(2)
         t = trivial_triple(z2, z2)
