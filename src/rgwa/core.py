@@ -23,10 +23,11 @@ One loop, ``_violations``, scans such tables along their leading index in
 chunks of at most ``_CHUNK_CELLS`` (2^18) cells, so memory stays flat
 whatever the order, and stops each scan at the first chunk with a
 violation.  It serves the axioms, the two morphism laws of
-``is_morphism``, the factored PA(A) axiom rows of ``representability``, and
-the candidate rows (id, axes, reads, mask) of the 22 derived-action and 19
-pentaction conditions, whose tables carry a leading candidate axis: it scans
-one candidate, and ``_passing`` gives the verdicts of a batch.
+``is_morphism``, the factored PA(A) axiom and action rows of
+``representability``, and the candidate rows (id, axes, reads, mask) of the
+22 derived-action and 19 pentaction conditions, whose tables carry a leading
+candidate axis: it scans one candidate, and ``_passing`` gives the verdicts
+of a batch.
 The masks read an object's cached ``_arrays``: add, act, neg and the
 carrier ar as index arrays.  Outside tables are validated once by
 ``_check_table``; ``_scan_axioms`` then scans index arrays directly.

@@ -146,9 +146,10 @@ def load_split_extension(path) -> SplitExtension:
     data = read_json(path)
     _require_keys(data, {"A", "E", "B", "i", "p", "j"}, f"{path}: extension")
     base = Path(path).parent
-    a = load_object(base / data["A"])
-    e = load_object(base / data["E"])
-    b = load_object(base / data["B"])
+    for key in ("A", "E", "B"):
+        if not isinstance(data[key], str):
+            raise InputError(f"{path}: object path {key} must be a string, got {data[key]!r}")
+    a, e, b = (load_object(base / data[key]) for key in ("A", "E", "B"))
     return SplitExtension(
         a, e, b,
         i=GwaMorphism(a, e, _indices(data["i"], f"{path}: map i")),

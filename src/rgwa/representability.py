@@ -11,7 +11,11 @@ with map part i and pow table j has index i*|W| + j.  The sum and the power
 are index arithmetic over the factor tables Cm, P, E and Q (``_PaFactors``),
 and the cubic axioms are scanned as a map-part row and a pow-part row each,
 over the factor indices the row reads: |Maps|^3 and |W|^3 cells in place of
-m^3 on a perfect base.
+m^3 on a perfect base.  The action of PA(A) on A is scanned the same way:
+the ten derived-action conditions with two B axes are factor rows, over at
+most |W|^2 * n or |Maps|^2 * n cells on a perfect base, and the other
+twelve read B only through the m x n dot, up and pow tables, over at most
+m * n^2 cells, so no m x m table is scanned.
 """
 
 from __future__ import annotations
@@ -24,13 +28,28 @@ from typing import Sequence
 import numpy as np
 
 from . import core
-from .core import _AXIOMS, FiniteGwaObject, GwaMorphism, _Arrays, _violations, is_morphism
+from .core import (
+    _AXIOMS,
+    FiniteGwaObject,
+    GwaMorphism,
+    _Arrays,
+    _violations,
+    is_morphism,
+    object_cache,
+)
 from .corpus import standard_corpus
 from .errors import BudgetExceededError, InputError, StructuralError
-from .extensions import DerivedActionTriple, check_derived_action, enumerate_derived_actions
+from .extensions import (
+    _CONDITIONS,
+    DerivedActionTriple,
+    _Tables,
+    check_derived_action,
+    enumerate_derived_actions,
+)
 from .pentactions import (
     DEFAULT_BUDGET,
     Pentaction,
+    _enumerate_pentactions_uncapped,
     _pentaction_factors,
     check_pentaction,
     enumerate_pentactions,
@@ -84,7 +103,10 @@ class PAObject:
 #   p+q = (Cm[i_p, i_q], P[dot[i_p], j_p, j_q])   p^q = (E[i_p], Q[i_q, j_p])
 # where dot[i] is the dotL class of map part i (one class on a perfect base)
 # and W is the number of pow tables.  A result outside the factors is -1.
-_PaFactors = namedtuple("_PaFactors", "Cm P E Q dot W")
+# The action of PA(A) on A reads the dotL and up maps of the map parts and
+# the pow tables, as (|Maps|, n), (|Maps|, n) and (W, n) arrays, and A's
+# _arrays; the axiom scan does not need them.
+_PaFactors = namedtuple("_PaFactors", "Cm P E Q dot W dotL up pow A", defaults=(None,) * 4)
 
 
 def _row_finder(keys: np.ndarray):
@@ -128,7 +150,13 @@ def _pa_factors(obj: FiniteGwaObject, maps: Sequence, pows: Sequence) -> _PaFact
     ident = np.broadcast_to(np.arange(n), dl.shape)
     E = find_map(np.concatenate([ident, ident, up, ul], axis=1))
     Q = np.stack([find_pow(up[i][w[:, dl[i]]]) for i in range(len(dl))])
-    return _PaFactors(Cm, P, E, Q, dot.reshape(-1), len(w))
+    return _PaFactors(Cm, P, E, Q, dot.reshape(-1), len(w), dl, up, w, obj._arrays)
+
+
+@object_cache(maxsize=32)
+def _canonical_factors(obj: FiniteGwaObject) -> _PaFactors:
+    """The factor tables of PA(obj), over the enumerated factors."""
+    return _pa_factors(obj, *_pentaction_factors(obj))
 
 
 def _assemble(f: _PaFactors) -> tuple[np.ndarray, np.ndarray]:
@@ -187,46 +215,118 @@ _PA_AXIOMS = (
 )
 
 
-def _row_mask(formula, names: list[str], scanned: list[str], sizes: list[int]):
+# The derived-action conditions with two B axes, with B = PA(A) read
+# through the factors: dot[x] = dotL[i_x], up[a][x] = up[i_x][a] and
+# pow[x] = pow[j_x].  Rows are (id, variables, violation formula) as in
+# _PA_AXIOMS, over the condition's witness slots in ``extensions._CONDITIONS``;
+# ak is the element of A in slot k.
+_PA_ACTION = (
+    # dot[b + b2][a] = dot[b][dot[b2][a]]
+    ("ga.1", "i1 i2 a3",
+     lambda f, i1, i2, a3: f.dotL[f.Cm[i1, i2], a3] != f.dotL[i1, f.dotL[i2, a3]]),
+    # pow[b + b2][a] = pow[b][a] + dot[b][pow[b2][a]]
+    ("2A", "d1 j1 j2 a3",
+     lambda f, d1, j1, j2, a3: f.pow[f.P[f.dot[d1], j1, j2], a3]
+     != f.A.add[f.pow[j1, a3], f.dotL[d1, f.pow[j2, a3]]]),
+    # up[dot[b][a]][b2] = up[a][b2]
+    ("4A", "i1 a2 i3", lambda f, i1, a2, i3: f.up[i3, f.dotL[i1, a2]] != f.up[i3, a2]),
+    # up[a][b + b2] = up[up[a][b]][b2]
+    ("2B", "a1 i2 i3", lambda f, a1, i2, i3: f.up[f.Cm[i2, i3], a1] != f.up[i3, f.up[i2, a1]]),
+    # up[pow[b][dot[b2][a]]][b2] = pow[b ^ b2][a]
+    ("4B", "j1 i2 a3",
+     lambda f, j1, i2, a3: f.up[i2, f.pow[j1, f.dotL[i2, a3]]] != f.pow[f.Q[i2, j1], a3]),
+    # dot[b][up[a][b2]] = up[a][b2]  for b2 != 0
+    ("a2", "i1 a2 i3", lambda f, i1, a2, i3: f.dotL[i1, f.up[i3, a2]] != f.up[i3, a2]),
+    # dot[b ^ b2][a] = a  for b2 != 0
+    ("a3", "i1 a3", lambda f, i1, a3: f.dotL[f.E[i1], a3] != a3),
+    # up[a][b ^ b2] = up[a][b]
+    ("a5", "a1 i2", lambda f, a1, i2: f.up[f.E[i2], a1] != f.up[i2, a1]),
+    # pow[b][pow[b2][a]] = 0
+    ("a9", "j1 j2 a3", lambda f, j1, j2, a3: f.pow[j1, f.pow[j2, a3]] != 0),
+    # pow[b][up[a][b2]] = pow[b][a]
+    ("a10", "j1 a2 i3", lambda f, j1, a2, i3: f.pow[j1, f.up[i3, a2]] != f.pow[j1, a2]),
+)
+
+# The witness slot whose element must be nonzero, per factor-row condition.
+_NONZERO_SLOT = {"reduced.central": "2", "a2": "3", "a3": "2"}
+
+
+def _row_mask(formula, names: list[str], scanned: list[str], sizes: list[int], slot):
     """A ``core._violations`` mask of one factor row: each scanned variable
-    is an open-grid axis of the given size, and the variables left out
-    read 0."""
+    is an open-grid axis of the given size, and the variables left out read
+    0.  When witness slot ``slot`` must be nonzero, the cells with no nonzero
+    element there are cleared: map part 0 when |W| = 1, or every cell when
+    the slot is unread and m = 1."""
     def mask(f, s):
         axes = [np.arange(size) for size in sizes]
         axes[0] = axes[0][s]
         grid = dict(zip(scanned, np.ix_(*axes)))
-        return np.broadcast_to(formula(f, *(grid.get(v, 0) for v in names)), tuple(map(len, axes)))
+        hits = formula(f, *(grid.get(v, 0) for v in names))
+        if slot:
+            i = grid.get(f"i{slot}")
+            hits = hits & (len(f.E) * f.W > 1 if i is None else (i > 0) | (f.W > 1))
+        return np.broadcast_to(hits, tuple(map(len, axes)))
     return mask
+
+
+def _factor_violations(f: _PaFactors, rows):
+    """Scan factor rows of PA(A) with ``core._violations``; yield each
+    failing row's id and minimal witness.
+
+    A row's variables name its three witness slots: ak is an element of A,
+    and ik, jk are the map part and pow table of the element i*W + j of
+    PA(A); dk is ik read only through its dotL class, not scanned when P has
+    one slab.  Unread indices are 0, except in the slot of ``_NONZERO_SLOT``,
+    which reads at most ik: there j = 1 when i = 0, the least nonzero
+    element with that map part, and a cell with no such element (|W| = 1,
+    or m = 1 when the slot is unread) is cleared in the mask."""
+    W, one_class = f.W, len(f.P) == 1
+    sizes = {"I": len(f.E), "J": W, "A": 0 if f.A is None else len(f.A.ar)}
+    for cid, names, formula in rows:
+        names = names.split()
+        scanned = [v for v in names if not (v[0] == "d" and one_class)]
+        axes = "".join({"a": "A", "j": "J"}.get(v[0], "I") for v in scanned)
+        slot = _NONZERO_SLOT.get(cid)
+        mask = _row_mask(formula, names, scanned, [sizes[a] for a in axes], slot)
+        hit = next(_violations(f, [(cid, axes, mask)], sizes), None)
+        if hit is None:
+            continue
+        cell = dict(zip((v.replace("d", "i") for v in scanned), hit.witness))
+        witness = []
+        for k in "123":
+            i, j = cell.get(f"i{k}", 0), cell.get(f"j{k}", 0)
+            witness.append(cell.get(f"a{k}", i * W + (1 if k == slot and i == 0 else j)))
+        yield cid, tuple(witness)
 
 
 def _pa_report(f: _PaFactors, add: np.ndarray, act: np.ndarray) -> CheckReport:
     """The reduced-axiom scan of PA(A), the same report as ``check_axioms``
-    on the assembled tables.  The five cubic axioms scan their factor rows:
-    a row's witness sets the indices it does not read to 0, except that
-    reduced.central, which holds only for y != 0, takes j2 = 1 when i2 = 0;
-    an axiom's witness is the least of its rows'.  With one dotL class the d variables
-    are not scanned.  The other three axioms scan the assembled tables."""
-    W, one_class = f.W, len(f.P) == 1
-    sizes = {"I": len(f.E), "J": W}
+    on the assembled tables.  The five cubic axioms scan their factor rows,
+    and an axiom's witness is the least of its rows'.  The other three
+    axioms scan the assembled tables."""
     found: dict[str, tuple[int, ...]] = {}
-    for cid, names, formula in _PA_AXIOMS:
-        names = names.split()
-        scanned = [v for v in names if not (v[0] == "d" and one_class)]
-        axes = "".join("J" if v[0] == "j" else "I" for v in scanned)
-        row = (cid, axes, _row_mask(formula, names, scanned, [sizes[a] for a in axes]))
-        hit = next(_violations(f, [row], sizes), None)
-        if hit is None:
-            continue
-        cell = dict(zip((v.replace("d", "i") for v in scanned), hit.witness))
-        i, j = ([cell.get(f"{a}{k}", 0) for k in (1, 2, 3)] for a in "ij")
-        if cid == "reduced.central" and i[1] == 0:
-            j[1] = 1
-        witness = tuple(a * W + b for a, b in zip(i, j))
+    for cid, witness in _factor_violations(f, _PA_AXIOMS):
         found[cid] = min(found.get(cid, witness), witness)
     t = _Arrays(add, act, None, np.arange(len(add), dtype=np.intp))
     rest = [a for a in _AXIOMS if a[0] not in {r[0] for r in _PA_AXIOMS}]
     found.update((v.condition, v.witness) for v in _violations(t, rest, {"X": len(add)}))
     return CheckReport(tuple(Violation(a[0], found[a[0]]) for a in _AXIOMS if a[0] in found))
+
+
+def _pa_action_report(f: _PaFactors) -> CheckReport:
+    """The 22-condition report of the action of PA(A) on A, the same as
+    ``check_derived_action`` on the assembled triple.  The conditions with
+    two B axes scan their factor rows; the others read B only through
+    dot, up, pow and its carrier, and scan the m x n tables of the triple."""
+    W, factored = f.W, {r[0] for r in _PA_ACTION}
+    found = dict(_factor_violations(f, _PA_ACTION))
+    i, j = np.divmod(np.arange(len(f.E) * W), W)
+    t = _Tables(*f.A, None, None, None, np.arange(len(i)),
+                f.dotL[i][None], f.up[i].T[None], f.pow[j][None])
+    rest = [c for c in _CONDITIONS if c[0] not in factored]
+    found.update((v.condition, v.witness)
+                 for v in _violations(t, rest, {"A": len(f.A.ar), "B": len(i)}))
+    return CheckReport(tuple(Violation(c[0], found[c[0]]) for c in _CONDITIONS if c[0] in found))
 
 
 def build_pa_object(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> PAObject:
@@ -240,7 +340,7 @@ def build_pa_object(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> PAObj
     construction degrades.
     """
     elements = tuple(enumerate_pentactions(obj, budget=budget))
-    factors = _pa_factors(obj, *_pentaction_factors(obj))
+    factors = _canonical_factors(obj)
     add, act = _assemble(factors)
     gaps = _closure_gaps(add, act)
     if gaps:
@@ -259,27 +359,41 @@ def build_pa_object(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> PAObj
 def pa_action(pa: PAObject) -> DerivedActionTriple:
     """The componentwise action of the assembled object on its base:
     dot/up/pow read off each pentaction's own tables.  Carries the full
-    22-condition report (diagnostic when the theorem hypotheses fail)."""
+    22-condition report (diagnostic when the theorem hypotheses fail),
+    scanned over the factor tables of ``build_pa_object``; a ``pa`` whose
+    elements are not the enumerated pentactions of its base in order raises
+    InputError."""
     if pa.object is None:
         raise StructuralError(
             f"PA({pa.base.name}) did not close under its operations; "
             f"no carrier object to act with"
         )
     base = pa.base
+    if pa.elements != _enumerate_pentactions_uncapped(base):
+        raise InputError(
+            f"the elements of PA({base.name}) are not the enumerated pentactions "
+            f"of {base.name!r} in order"
+        )
     dot = tuple(p.dotL for p in pa.elements)
-    up = tuple(
-        tuple(p.up[a] for p in pa.elements) for a in range(base.order)
-    )
+    up = tuple(zip(*(p.up for p in pa.elements)))
     pw = tuple(p.pow for p in pa.elements)
-    triple = DerivedActionTriple(base, pa.object, dot, up, pw)
     return DerivedActionTriple(base, pa.object, dot, up, pw,
-                               report=check_derived_action(triple))
+                               report=_pa_action_report(_canonical_factors(base)))
 
 
 def _require_action_of(A: FiniteGwaObject, B: FiniteGwaObject, triple: DerivedActionTriple):
     if not (triple.A.table_equal(A) and triple.B.table_equal(B)):
         raise InputError(f"the triple is an action of {triple.B.name!r} on {triple.A.name!r}, "
                          f"not of {B.name!r} on {A.name!r}")
+
+
+def _require_pa_of(A: FiniteGwaObject, pa: PAObject | None) -> PAObject:
+    """``pa``, or PA(A) built when it is None; a PA of another base raises."""
+    if pa is None:
+        return build_pa_object(A)
+    if not pa.base.table_equal(A):
+        raise InputError(f"pa is PA({pa.base.name}), not PA({A.name})")
+    return pa
 
 
 def represent(
@@ -302,8 +416,7 @@ def represent(
             f"represent needs a verified derived action; check fails "
             f"{', '.join(pre.conditions())}"
         )
-    if pa is None:
-        pa = build_pa_object(A)
+    pa = _require_pa_of(A, pa)
     if pa.object is None or not pa.report.passed:
         raise StructuralError(
             f"PA({A.name}) is not a verified reduced object; "
@@ -357,8 +470,7 @@ def verify_uniqueness(
     when the satisfying set is larger.
     """
     _require_action_of(A, B, triple)
-    if pa is None:
-        pa = build_pa_object(A)
+    pa = _require_pa_of(A, pa)
     m = len(pa.elements)
     cost = m + B.order
     if cost > budget:

@@ -197,6 +197,22 @@ def reference_build_pa_object(obj) -> rgwa.PAObject:
     return rgwa.PAObject(obj, tuple(elements), assembled, report)
 
 
+def reference_pa_action(pa) -> rgwa.DerivedActionTriple:
+    """The action of the assembled object on its base, read off each
+    pentaction's tables and scanned by ``check_derived_action`` with
+    B = PA(A) over the m x m tables; the oracle for the factored
+    ``pa_action``."""
+    if pa.object is None:
+        raise rgwa.StructuralError(f"PA({pa.base.name}) did not close under its operations")
+    base = pa.base
+    dot = tuple(p.dotL for p in pa.elements)
+    up = tuple(tuple(p.up[a] for p in pa.elements) for a in range(base.order))
+    pw = tuple(p.pow for p in pa.elements)
+    triple = rgwa.DerivedActionTriple(base, pa.object, dot, up, pw)
+    return rgwa.DerivedActionTriple(base, pa.object, dot, up, pw,
+                                    report=rgwa.check_derived_action(triple))
+
+
 def reference_is_morphism(f: rgwa.GwaMorphism) -> rgwa.CheckReport:
     """Two-loop scan of the preservation laws; the oracle for ``is_morphism``."""
     src, tgt, m = f.source, f.target, f.map

@@ -130,7 +130,8 @@ class TestStructureVerbs:
 
     def test_pa_on_neg4x4_reports_the_pinned_results(self, capsys, tmp_path):
         # PA(neg4x4) has m = 1,024 elements; the reports are those of the
-        # m x m tables scanned by check_axioms and the full pa_action scan
+        # m x m tables scanned by check_axioms and of the 22 derived-action
+        # conditions scanned by check_derived_action with B = PA(neg4x4)
         path = tmp_path / "neg4x4.json"
         save_object(negation_product(4, 4), path)
         code, out = run(capsys, "pa", path)

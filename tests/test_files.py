@@ -133,6 +133,11 @@ class TestMalformedDocuments:
         with pytest.raises(rgwa.InputError):
             load(kind, change)
 
+    @pytest.mark.parametrize("key", ["A", "E", "B"])
+    def test_object_path_that_is_not_a_string(self, load, key):
+        with pytest.raises(rgwa.InputError, match=f"object path {key} must be a string"):
+            load("extension", lambda doc: {**doc, key: 5})
+
 
 class TestExtensionFormat:
     def test_round_trip_with_relative_paths(self, tmp_path):

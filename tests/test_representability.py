@@ -15,19 +15,22 @@ from conftest import (
     negation_cyclic,
     negation_product,
     reference_build_pa_object,
+    reference_pa_action,
     reference_pa_tables,
     reference_verify_uniqueness,
     shear_object,
 )
 from rgwa import core
 from rgwa.core import _AXIOMS
-from rgwa.extensions import DerivedActionTriple
+from rgwa.extensions import _CONDITIONS, DerivedActionTriple
 from rgwa.pentactions import _pentaction_factors
 from rgwa.representability import (
+    _PA_ACTION,
     PAObject,
     _PaFactors,
     _assemble,
     _closure_gaps,
+    _pa_action_report,
     _pa_factors,
     _pa_report,
 )
@@ -257,6 +260,143 @@ class TestPaAxiomScan:
         assert central == ([] if M * W == 1 else [(0, 1, 1)])
 
 
+def pa_of_factors(f):
+    """The PAObject over the product of the factors' map parts and pow
+    tables, with the assembled tables; its elements carry only the dotL, up
+    and pow the action reads (dotR and upL repeat them)."""
+    A = rgwa.FiniteGwaObject("A", len(f.A.ar), tuple(map(tuple, f.A.add.tolist())),
+                             tuple(map(tuple, f.A.act.tolist())))
+    add, act = _assemble(f)
+    B = rgwa.FiniteGwaObject("PA(A)", len(add), tuple(map(tuple, add.tolist())),
+                             tuple(map(tuple, act.tolist())))
+    i, j = np.divmod(np.arange(len(add)), f.W)
+    rows = (map(tuple, x.tolist()) for x in (f.dotL[i], f.up[i], f.pow[j]))
+    elements = tuple(rgwa.Pentaction(A, dl, dl, up, up, pw) for dl, up, pw in zip(*rows))
+    return PAObject(A, elements, B, rgwa.CheckReport(()))
+
+
+# Carriers for the random factor tables of _corrupt_action_factors; s3 (not
+# reduced) is the one that is not abelian, so only there can a6 fail.
+ACTION_CARRIERS = [rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(3), negation_cyclic(4),
+                   k4swap_object(),
+                   rgwa.make_object("s3", 6, *rgwa.s3_conjugation_tables(), require_reduced=False)]
+
+
+def _corrupt_action_factors(draw, count):
+    """``_corrupt_factors`` with its dotL, up and pow arrays corrupted in
+    ``count`` in-range cells too.  Random factor tables get a carrier from
+    ACTION_CARRIERS and random arrays.  A dotL cell is overwritten in every
+    map part of one dotL class, so a class keeps one dotL."""
+    f = _corrupt_factors(draw, count)
+    if f.A is None:
+        A = ACTION_CARRIERS[draw(len(ACTION_CARRIERS))]
+        n = A.order
+
+        def random_table(rows):
+            return np.array([[draw(n) for _ in range(n)] for _ in range(rows)], dtype=np.intp)
+
+        f = f._replace(dotL=random_table(len(f.P))[f.dot], up=random_table(len(f.E)),
+                       pow=random_table(f.W), A=A._arrays)
+    n = len(f.A.ar)
+    tables = {k: getattr(f, k).copy() for k in ("dotL", "up", "pow")}
+    for _ in range(count):
+        name = ("dotL", "up", "pow")[draw(3)]
+        if name == "dotL":
+            tables[name][f.dot == draw(len(f.P)), draw(n)] = draw(n)
+        else:
+            tables[name].flat[draw(tables[name].size)] = draw(n)
+    return f._replace(**tables)
+
+
+def assert_action_report_is_the_reference(f, chunk_cells=None, monkeypatch=None):
+    """The factored report equals the reference scan with B = PA(A),
+    witnesses included; the factored scan runs at ``chunk_cells``."""
+    want = reference_pa_action(pa_of_factors(f)).report
+    if chunk_cells is None:
+        got = _pa_action_report(f)
+    else:
+        with monkeypatch.context() as patch:
+            patch.setattr(core, "_CHUNK_CELLS", chunk_cells)
+            got = _pa_action_report(f)
+    assert got == want
+    return got
+
+
+def _a2_fails_at_map_part_zero(f):
+    """Whether the a2 formula fails at some cell with b2's map part 0."""
+    formula = next(row[2] for row in _PA_ACTION if row[0] == "a2")
+    i1, a2 = np.ix_(np.arange(len(f.E)), np.arange(len(f.A.ar)))
+    return bool(formula(f, i1, a2, 0).any())
+
+
+class TestPaActionScan:
+    """The factored ``pa_action`` reports exactly what the reference scan
+    with B = PA(A) over the m x m tables reports, witnesses included."""
+
+    @pytest.fixture(scope="class")
+    def references(self):
+        bases = list(rgwa.standard_corpus()) + [
+            negation_cyclic(4), k4swap_object(), shear_object(), negation_product(2, 8),
+            negation_product(8, 2), negation_cyclic(8), negation_cyclic(16)]
+        return [(pa, reference_pa_action(pa)) for pa in map(rgwa.build_pa_object, bases)]
+
+    @pytest.mark.parametrize("chunk_cells", [None, 1], ids=["default-chunks", "one-cell-chunks"])
+    def test_real_objects(self, references, chunk_cells, monkeypatch):
+        if chunk_cells is not None:
+            monkeypatch.setattr(core, "_CHUNK_CELLS", chunk_cells)
+        for pa, want in references:
+            got = rgwa.pa_action(pa)
+            assert got == want, pa.base.name
+            assert got.report == want.report, pa.base.name
+
+    def test_factor_rows_are_the_two_b_conditions(self):
+        # a row's slots are the condition's axes: ak names an A slot, and
+        # every other slot is a B slot
+        axes = {c[0]: c[1] for c in _CONDITIONS}
+        assert {r[0] for r in _PA_ACTION} == {cid for cid, ax in axes.items() if ax.count("B") == 2}
+        for cid, names, _ in _PA_ACTION:
+            slots = "".join("A" if f"a{k}" in names.split() else "B" for k in "123")
+            assert slots == axes[cid], cid
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_corrupted_factor_tables(self, data):
+        def draw(k):
+            return data.draw(st.integers(0, k - 1))
+        assert_action_report_is_the_reference(_corrupt_action_factors(draw, draw(4)))
+
+    def test_every_condition_in_one_cell_chunks(self, monkeypatch):
+        # one leading index per chunk, so witnesses also come from later chunks
+        rng = random.Random(0)
+        seen, several_classes, a2_cleared = set(), 0, 0
+        for _ in range(300):
+            f = _corrupt_action_factors(rng.randrange, rng.randrange(4))
+            report = assert_action_report_is_the_reference(f, 1, monkeypatch)
+            seen.update(report.conditions())
+            several_classes += len(f.P) > 1 and "2A" in report.conditions()
+            a2_cleared += f.W == 1 and _a2_fails_at_map_part_zero(f)
+        assert seen == {c[0] for c in _CONDITIONS}
+        assert several_classes > 0 and a2_cleared > 0
+
+    @pytest.mark.parametrize("M, W", [(1, 1), (1, 3), (3, 1)])
+    def test_nonzero_witness_at_one_map_or_one_pow(self, M, W):
+        # dotL swaps the two elements of z2, so a2 and a3 fail wherever
+        # b2 != 0 is allowed: the witness b2 is the least nonzero element,
+        # (0, 1) or (1, 0), and PA(z1) has none
+        z2 = rgwa.cyclic_trivial(2)
+        zeros = np.zeros((M, M), dtype=np.intp)
+        f = _PaFactors(Cm=zeros, P=np.zeros((1, W, W), dtype=np.intp), E=zeros[0],
+                       Q=np.zeros((M, W), dtype=np.intp), dot=zeros[0], W=W,
+                       dotL=np.tile([1, 0], (M, 1)), up=np.tile([0, 1], (M, 1)),
+                       pow=np.zeros((W, 2), dtype=np.intp), A=z2._arrays)
+        report = assert_action_report_is_the_reference(f)
+        witnesses = {v.condition: v.witness for v in report.violations}
+        if M * W == 1:
+            assert "a2" not in witnesses and "a3" not in witnesses
+        else:
+            assert (witnesses["a2"], witnesses["a3"]) == ((0, 0, 1), (0, 1, 0))
+
+
 class TestPaAction:
     def test_zero_object_action_passes(self):
         pa = rgwa.build_pa_object(rgwa.cyclic_trivial(1))
@@ -281,6 +421,22 @@ class TestPaAction:
         for obj in (z4neg, k4swap):
             action = rgwa.pa_action(rgwa.build_pa_object(obj))
             assert action.report.passed
+
+    def test_assembled_arrays_are_not_built(self):
+        pa = rgwa.build_pa_object(negation_cyclic(8))
+        rgwa.pa_action(pa)
+        assert "_arrays" not in pa.object.__dict__
+
+    def test_elements_that_are_not_the_enumerated_product_are_refused(self, z4neg):
+        pa = rgwa.build_pa_object(rgwa.cyclic_trivial(3))
+        first, *rest = pa.elements
+        for elements in ((first, *reversed(rest)), pa.elements[:-1],
+                         rgwa.build_pa_object(z4neg).elements):
+            by_hand = PAObject(pa.base, elements, pa.object, pa.report)
+            with pytest.raises(rgwa.InputError, match="not the enumerated pentactions"):
+                rgwa.pa_action(by_hand)
+        copy = PAObject(pa.base, tuple(map(replace, pa.elements)), pa.object, pa.report)
+        assert rgwa.pa_action(copy).report == rgwa.pa_action(pa).report
 
     def test_negative_component_identities(self, z4neg):
         # the action of the opposite pentaction: (-p).a = a.p, a^(-p) is the
@@ -325,6 +481,20 @@ class TestRepresent:
                 rgwa.represent(A, B, triple)
             with pytest.raises(rgwa.InputError, match="is an action of 'z4' on 'z2'"):
                 rgwa.verify_uniqueness(A, B, triple, phi)
+
+    def test_pa_of_another_base_is_refused(self):
+        # a derived action of z3 on z2 with PA(z3) in place of PA(z2)
+        z2, z3 = rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(3)
+        triple = rgwa.enumerate_derived_actions(z2, z3)[0]
+        with pytest.raises(rgwa.InputError, match=r"pa is PA\(z3\), not PA\(z2\)"):
+            rgwa.represent(z2, z3, triple, pa=rgwa.build_pa_object(z3))
+
+    def test_uniqueness_with_pa_of_another_base_is_refused(self):
+        z2, z3 = rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(3)
+        triple = rgwa.enumerate_derived_actions(z2, z3)[0]
+        phi = rgwa.represent(z2, z3, triple)
+        with pytest.raises(rgwa.InputError, match=r"pa is PA\(z3\), not PA\(z2\)"):
+            rgwa.verify_uniqueness(z2, z3, triple, phi, pa=rgwa.build_pa_object(z3))
 
     def test_unverified_triple_is_refused(self):
         z2 = rgwa.cyclic_trivial(2)
