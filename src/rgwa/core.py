@@ -144,6 +144,14 @@ def _passing(t, conditions, sizes) -> np.ndarray:
     return ok
 
 
+def _chunked(count: int, cells: int, build) -> np.ndarray:
+    """``build(s)`` over the slices s of range(count) that hold at most
+    ``_CHUNK_CELLS`` cells at ``cells`` per index, concatenated.  With count
+    0, ``build`` gets one empty slice, so the result keeps its trailing shape."""
+    step = max(1, _CHUNK_CELLS // cells)
+    return np.concatenate([build(slice(lo, lo + step)) for lo in range(0, max(count, 1), step)])
+
+
 def _pick(f: np.ndarray, *index) -> np.ndarray:
     """f[k, *index] per candidate k, the index arrays led by k or broadcast
     against it, as one flat index: numpy gathers that faster than several."""
@@ -151,6 +159,22 @@ def _pick(f: np.ndarray, *index) -> np.ndarray:
     for size, i in zip(f.shape[1:], index):
         flat = flat * size + i
     return f.reshape((-1,) + f.shape[1 + len(index):])[flat]
+
+
+def _row_finder(keys: np.ndarray):
+    """Lookup of (..., k) rows among the rows of the (r, k) array ``keys``:
+    the index of each, or -1."""
+    as_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
+    order = np.argsort(keys.view(as_bytes).ravel())
+    sorted_bytes = keys[order].view(as_bytes).ravel()
+
+    def find(rows: np.ndarray) -> np.ndarray:
+        flat = np.ascontiguousarray(rows).reshape(-1, keys.shape[1])
+        hit = order[np.minimum(np.searchsorted(sorted_bytes, flat.view(as_bytes).ravel()),
+                               len(keys) - 1)]
+        return np.where((keys[hit] == flat).all(axis=1), hit, -1).reshape(rows.shape[:-1])
+
+    return find
 
 
 def _inverses(add: np.ndarray) -> np.ndarray:

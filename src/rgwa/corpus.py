@@ -3,6 +3,7 @@ plus conjugation tables as a negative-test generator."""
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import permutations
 
 import numpy as np
@@ -79,10 +80,15 @@ def s3_conjugation_tables() -> tuple[Table, Table]:
     return conjugation_object(symmetric_group_table(3))
 
 
-def standard_corpus() -> list[FiniteGwaObject]:
-    """The validated desk-scale corpus: z1..z8, klein4, z2xz4."""
+@cache  # validated once per process; each call returns a fresh list
+def _standard_corpus() -> tuple[FiniteGwaObject, ...]:
     objs = [cyclic_trivial(n) for n in range(1, 9)]
     z2, z4 = objs[1], objs[3]
     objs.append(direct_sum(z2, z2, name="klein4"))
     objs.append(direct_sum(z2, z4, name="z2xz4"))
-    return objs
+    return tuple(objs)
+
+
+def standard_corpus() -> list[FiniteGwaObject]:
+    """The validated desk-scale corpus: z1..z8, klein4, z2xz4."""
+    return list(_standard_corpus())

@@ -12,6 +12,13 @@ reads, each led by a candidate axis.  As for the pentaction conditions,
 ``core._passing`` gives a batch's verdicts.  Side constraints clear the
 excluded cells rather than failing vacuously.  The enumerators filter each
 stage's batch by the subset of the table reading the tables fixed so far.
+
+``enumerate_derived_actions`` keeps its triples as one columnar batch
+(``_DerivedBatch``): the kept (dot, up) pairs, the pow rows W' that can
+occur, and per triple its pair and the index in W' of each of its pow
+rows.  Its pow stage reads the seven pow-reading conditions through those
+indices (``_POW_INDEX_CHECKS``), and one ``np.lexsort`` puts the batch in
+canonical order.  ``verify_representability`` checks the batch as it is.
 """
 
 from __future__ import annotations
@@ -27,10 +34,13 @@ from .core import (
     FiniteGwaObject,
     GwaMorphism,
     Table,
+    _chunked,
     _generator_walk,
     _image_chunks,
     _passing,
     _pick,
+    _row_finder,
+    _violated,
     _violations,
     additive_bijections,
     generating_words,
@@ -334,6 +344,123 @@ def _map_families(A: FiniteGwaObject, B: FiniteGwaObject, contravariant: bool):
 _POINT = FiniteGwaObject("0", 1, ((0,),), ((0,),))
 
 
+# The derived actions of B on A as columns, in canonical order.  Triple t is
+# the kept pair pair[t] of the dot tables dots (P, nB, nA) and the up tables
+# ups (P, nA, nB), and its pow row b is the row J[t, b] of rows (W', nA), so
+# its tables are dots[pair[t]], ups[pair[t]] and rows[J[t]].  The pairs are
+# sorted by their dot | up tables and the rows ascending, so ascending
+# (pair, J) is the order of ``DerivedActionTriple.key``.
+_DerivedBatch = namedtuple("_DerivedBatch", "dots ups rows pair J")
+
+
+# The pow stage's lookup of rows in W' (w of them) and its index tables for P
+# kept pairs, -1 marking a row outside W': Z[j, j2] is whether W'[j] o W'[j2] = 0;
+# S[d, j, j2] is the index of W'[j] + dt_d o W'[j2] for the distinct dot maps
+# dt_d, and D[p, b] the d of dot_p[b]; T[p, b2, j] is the index of
+# up_p(., b2) o W'[j] o dot_p[b2]; R[p, b2, j] is whether
+# W'[j] o up_p(., b2) = W'[j].
+_PowIndex = namedtuple("_PowIndex", "find Z S D T R addB actB")
+
+# The seven pow-reading conditions of walked candidates with kept pairs p
+# and J[k, b] the index of row b in W', -1 outside, as violation masks led
+# by k.  1B, a4 and a8 read one row each, and W' is exactly the rows passing
+# them and a9 at b = b2, so those three hold iff J >= 0.  The other four
+# compare indices over (k, b, b2).
+_POW_INDEX_CHECKS = (
+    ("1B a4 a8", lambda x, p, J: J < 0),
+    # pow[b][pow[b2][a]] = 0
+    ("a9", lambda x, p, J: ~x.Z[J[:, :, None], J[:, None]]),
+    # pow[b + b2] = pow[b] + dot[b] o pow[b2]
+    ("2A", lambda x, p, J: J[:, x.addB] != x.S[x.D[p][:, :, None], J[:, :, None], J[:, None]]),
+    # pow[b ^ b2] = up(., b2) o pow[b] o dot[b2]
+    ("4B", lambda x, p, J: J[:, x.actB]
+     != x.T[p[:, None, None], np.arange(J.shape[1]), J[:, :, None]]),
+    # pow[b][up[a][b2]] = pow[b][a]
+    ("a10", lambda x, p, J: ~x.R[p[:, None, None], np.arange(J.shape[1]), J[:, :, None]]),
+)
+
+
+def _pow_index(A, B, dots, ups, rows, deltas, D) -> _PowIndex:
+    """The ``_PowIndex`` of the rows W' and the sorted kept pairs, each table
+    built in chunks of its first axis."""
+    na, nb, w = A.order, B.order, len(rows)
+    find = _row_finder(rows)
+    add = A._arrays.add
+    Z = _chunked(w, w * na, lambda s: (rows[s][:, rows] == 0).all(axis=2))
+    S = np.stack([_chunked(w, w * na, lambda s: find(add[rows[s, None], dt[rows]]))
+                  for dt in deltas])
+    # upc[p, b2, x] = up_p[x][b2]
+    upc, b2 = ups.swapaxes(1, 2), np.arange(nb)[:, None, None]
+    T = _chunked(len(ups), nb * w * na, lambda s: find(
+        _pick(upc[s], b2, rows[:, dots[s]].transpose(1, 2, 0, 3))))
+    R = _chunked(len(ups), nb * w * na, lambda s: (
+        rows[:, upc[s]] == rows[:, None, None]).all(axis=3).transpose(1, 2, 0))
+    return _PowIndex(find, Z, S, D, T, R, B._arrays.add, B._arrays.act)
+
+
+def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -> _DerivedBatch:
+    """The derived actions of B on A as one sorted batch; the stages are
+    those of ``enumerate_derived_actions``."""
+    gensB, stepsB = generating_words(B)
+    na, nb = A.order, B.order
+    families = len(additive_bijections(A)) ** len(gensB)
+    if families > budget:
+        raise BudgetExceededError(
+            f"derived-action enumeration for {B.name!r} on {A.name!r} needs at least "
+            f"{families} candidate visits (refused before the family search), budget is {budget}"
+        )
+    sizes = _sizes(A, B)
+    ups = np.asarray(_map_families(A, B, contravariant=True), dtype=np.intp).reshape(-1, na, nb)
+    ups = ups[_passing(_tables(A, B, up=ups), _UP_ONLY, sizes)]
+    dots = np.asarray(_map_families(A, B, contravariant=False), dtype=np.intp).reshape(-1, nb, na)
+    dots = dots[_passing(_tables(A, B, dot=dots), _DOT_ONLY, sizes)]
+    rows = np.asarray(_pow_factor(A), dtype=np.intp)
+    rows = rows[_passing(_tables(A, _POINT, pow=rows[:, None]), _POW_ONLY, _sizes(A, _POINT))]
+    if len(ups) * len(dots) > budget:
+        raise BudgetExceededError(
+            f"derived-action enumeration for {B.name!r} on {A.name!r} needs at least "
+            f"{len(ups) * len(dots)} candidate visits (refused before the pair filter), "
+            f"budget is {budget}"
+        )
+    u, d = (x.ravel() for x in np.indices((len(ups), len(dots))))
+    keep = _passing(_tables(A, B, dot=dots[d], up=ups[u]), _DOT_UP, sizes)
+    ups, dots = ups[u[keep]], dots[d[keep]]
+    if not len(ups):
+        return _DerivedBatch(dots, ups, rows, np.zeros(0, np.intp), np.zeros((0, nb), np.intp))
+    order = np.lexsort(np.concatenate([dots.reshape(len(dots), -1),
+                                       ups.reshape(len(ups), -1)], axis=1).T[::-1])
+    ups, dots = ups[order], dots[order]
+    deltas, D = np.unique(dots.reshape(-1, na), axis=0, return_inverse=True)
+    total = len(ups) * len(rows) ** len(gensB) + len(deltas) * len(rows) ** 2
+    if total > budget:
+        raise BudgetExceededError(
+            f"derived-action enumeration for {B.name!r} on {A.name!r} needs "
+            f"{total} candidate visits, budget is {budget}; 0 candidates checked"
+        )
+    x = _pow_index(A, B, dots, ups, rows, deltas, D.reshape(len(dots), nb))
+    addA, negA = A._arrays.add, A._arrays.neg
+    found = []
+    for images in _image_chunks(len(rows), len(gensB), len(ups) * nb * na):
+        # every kept pair p with every image row i of the chunk
+        p, i = (v.ravel() for v in np.indices((len(ups), len(images))))
+        dot = dots[p]
+
+        def rule(prev, row, step):
+            # pw[x + g] = pw[x] + dot[x] pw[g], pw[x - g] = pw[x] - dot[x - g] pw[g]
+            elem, parent, _, sign = step
+            moved = _pick(dot, parent if sign > 0 else elem, row)
+            return addA[prev, moved if sign > 0 else negA[moved]]
+
+        J = x.find(_generator_walk(stepsB, rows[images[i]], np.zeros(na, np.intp), rule))
+        live = np.arange(len(J))
+        for _, mask in _POW_INDEX_CHECKS:
+            live = live[~_violated(mask(x, p[live], J[live]))]
+        found.append((p[live], J[live]))
+    pair, J = (np.concatenate(c) for c in zip(*found))
+    order = np.lexsort((*J.T[::-1], pair))
+    return _DerivedBatch(dots, ups, rows, pair[order], J[order])
+
+
 def enumerate_derived_actions(
     A: FiniteGwaObject, B: FiniteGwaObject, budget: int = DEFAULT_BUDGET
 ) -> list[DerivedActionTriple]:
@@ -346,65 +473,26 @@ def enumerate_derived_actions(
     batch as soon as the tables it reads are fixed: the up families, the dot
     families, then every (up, dot) pair (4A, 3B, a2).  A generator g of B is
     first reached from 0 and dot[0] is the identity, so pw[g] is exactly its
-    generator row.  The rows are A's cached pentaction pow factor (p4, p7,
-    p10 are 1B, a4, a8 at one b) less those failing a9 at b = b2; all kept
-    pairs multiply them out in one chunked walk, filtered by the seven
-    pow-reading conditions, so every kept triple carries the passing report
-    without a rescan.  The budget is charged |bij|^|gensB| before the family
-    searches run.
+    generator row.  The rows W' are A's cached pentaction pow factor (p4,
+    p7, p10 are 1B, a4, a8 at one b) less those failing a9 at b = b2.  All
+    kept pairs multiply them out in one chunked walk, and each walked row is
+    looked up in W'; the seven pow-reading conditions are then index
+    comparisons against tables built once per call (``_POW_INDEX_CHECKS``),
+    so every kept triple carries the passing report without a rescan.  The
+    triples are sorted as one batch by one ``np.lexsort`` on their kept pair
+    and their row indices.
+
+    The budget is charged |bij|^|gensB| before the family searches run,
+    the |ups| * |dots| pairs before the pair filter, and after it the walk's
+    |kept pairs| * |W'|^|gensB| candidates plus the |dot maps| * |W'|^2
+    entries of its 2A table.
     """
-    gensA, _ = generating_words(A)
-    gensB, stepsB = generating_words(B)
-    na, nb = A.order, B.order
-    families = len(additive_bijections(A)) ** len(gensB)
-    if families > budget:
-        raise BudgetExceededError(
-            f"derived-action enumeration for {B.name!r} on {A.name!r} needs at least "
-            f"{families} candidate visits (refused before the family search), budget is {budget}"
-        )
-    all_ups = _map_families(A, B, contravariant=True)
-    all_dots = _map_families(A, B, contravariant=False)
-    total = len(all_ups) * len(all_dots) * na ** (len(gensA) * len(gensB))
-    if total > budget:
-        raise BudgetExceededError(
-            f"derived-action enumeration for {B.name!r} on {A.name!r} needs "
-            f"{total} candidate visits, budget is {budget}; 0 candidates checked"
-        )
-    sizes = _sizes(A, B)
-    ups = np.asarray(all_ups, dtype=np.intp).reshape(-1, na, nb)
-    ups = ups[_passing(_tables(A, B, up=ups), _UP_ONLY, sizes)]
-    dots = np.asarray(all_dots, dtype=np.intp).reshape(-1, nb, na)
-    dots = dots[_passing(_tables(A, B, dot=dots), _DOT_ONLY, sizes)]
-    rows = np.asarray(_pow_factor(A), dtype=np.intp)
-    rows = rows[_passing(_tables(A, _POINT, pow=rows[:, None]), _POW_ONLY, _sizes(A, _POINT))]
-    u, d = (x.ravel() for x in np.indices((len(ups), len(dots))))
-    keep = _passing(_tables(A, B, dot=dots[d], up=ups[u]), _DOT_UP, sizes)
-    ups, dots = ups[u[keep]], dots[d[keep]]
-    found: list[DerivedActionTriple] = []
-    if not len(ups):
-        return found
-    addA, negA = A._arrays.add, A._arrays.neg
-    # each kept pair's dot and up tables, shared by all its triples
-    pairs = [tuple(tuple(map(tuple, x)) for x in pair) for pair in zip(dots.tolist(), ups.tolist())]
-    for images in _image_chunks(len(rows), len(gensB), len(ups) * nb * na):
-        # every kept pair p with every image row i of the chunk
-        p, i = (x.ravel() for x in np.indices((len(ups), len(images))))
-        dot, up = dots[p], ups[p]
-
-        def rule(prev, row, step):
-            # pw[x + g] = pw[x] + dot[x] pw[g], pw[x - g] = pw[x] - dot[x - g] pw[g]
-            elem, parent, _, sign = step
-            moved = _pick(dot, parent if sign > 0 else elem, row)
-            return addA[prev, moved if sign > 0 else negA[moved]]
-
-        pw = _generator_walk(stepsB, rows[images[i]], np.zeros(na, np.intp), rule)
-        keep = _passing(_tables(A, B, dot=dot, up=up, pow=pw), _POW_READING, sizes)
-        found.extend(
-            DerivedActionTriple(A, B, *pairs[j], tuple(map(tuple, table)), report=PASSED)
-            for j, table in zip(p[keep].tolist(), pw[keep].tolist())
-        )
-    found.sort(key=DerivedActionTriple.key)
-    return found
+    batch = _derived_action_batch(A, B, budget)
+    pairs = [tuple(tuple(map(tuple, x)) for x in pair)
+             for pair in zip(batch.dots.tolist(), batch.ups.tolist())]
+    rows = tuple(map(tuple, batch.rows.tolist()))
+    return [DerivedActionTriple(A, B, *pairs[p], tuple(rows[j] for j in js), report=PASSED)
+            for p, js in zip(batch.pair.tolist(), batch.J.tolist())]
 
 
 def enumerate_derived_actions_bruteforce(

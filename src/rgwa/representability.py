@@ -16,6 +16,12 @@ the ten derived-action conditions with two B axes are factor rows, over at
 most |W|^2 * n or |Maps|^2 * n cells on a perfect base, and the other
 twelve read B only through the m x n dot, up and pow tables, over at most
 m * n^2 cells, so no m x m table is scanned.
+
+``verify_representability`` checks the derived actions of each acting
+object B as one batch of index arrays: the images of all triples are
+factor lookups, the morphism laws are (T, |B|, |B|) gathers, and
+uniqueness needs no search, since no two enumerated elements share
+(dotL, up, pow).
 """
 
 from __future__ import annotations
@@ -27,12 +33,14 @@ from typing import Sequence
 
 import numpy as np
 
-from . import core
 from .core import (
     _AXIOMS,
     FiniteGwaObject,
     GwaMorphism,
     _Arrays,
+    _chunked,
+    _row_finder,
+    _violated,
     _violations,
     is_morphism,
     object_cache,
@@ -42,9 +50,10 @@ from .errors import BudgetExceededError, InputError, StructuralError
 from .extensions import (
     _CONDITIONS,
     DerivedActionTriple,
+    _DerivedBatch,
+    _derived_action_batch,
     _Tables,
     check_derived_action,
-    enumerate_derived_actions,
 )
 from .pentactions import (
     DEFAULT_BUDGET,
@@ -54,7 +63,7 @@ from .pentactions import (
     check_pentaction,
     enumerate_pentactions,
 )
-from .report import CheckReport, Violation
+from .report import PASSED, CheckReport, Violation
 
 
 @dataclass(frozen=True)
@@ -105,24 +114,10 @@ class PAObject:
 # and W is the number of pow tables.  A result outside the factors is -1.
 # The action of PA(A) on A reads the dotL and up maps of the map parts and
 # the pow tables, as (|Maps|, n), (|Maps|, n) and (W, n) arrays, and A's
-# _arrays; the axiom scan does not need them.
-_PaFactors = namedtuple("_PaFactors", "Cm P E Q dot W dotL up pow A", defaults=(None,) * 4)
-
-
-def _row_finder(keys: np.ndarray):
-    """Lookup of (..., k) rows among the rows of the (r, k) array ``keys``:
-    the index of each, or -1."""
-    as_bytes = np.dtype((np.void, keys.itemsize * keys.shape[1]))
-    order = np.argsort(keys.view(as_bytes).ravel())
-    sorted_bytes = keys[order].view(as_bytes).ravel()
-
-    def find(rows: np.ndarray) -> np.ndarray:
-        flat = np.ascontiguousarray(rows).reshape(-1, keys.shape[1])
-        hit = order[np.minimum(np.searchsorted(sorted_bytes, flat.view(as_bytes).ravel()),
-                               len(keys) - 1)]
-        return np.where((keys[hit] == flat).all(axis=1), hit, -1).reshape(rows.shape[:-1])
-
-    return find
+# _arrays; the axiom scan does not need them.  find_map and find_pow give the
+# index of a map part (a dotL | dotR | up | upL row) and of a pow table.
+_PaFactors = namedtuple("_PaFactors", "Cm P E Q dot W dotL up pow A find_map find_pow",
+                        defaults=(None,) * 6)
 
 
 def _pa_factors(obj: FiniteGwaObject, maps: Sequence, pows: Sequence) -> _PaFactors:
@@ -140,17 +135,14 @@ def _pa_factors(obj: FiniteGwaObject, maps: Sequence, pows: Sequence) -> _PaFact
         for i in range(len(dl))
     ])
     # pow part of p+q: p.pow + p.dotL(q.pow), in chunks of p.pow
-    step = max(1, core._CHUNK_CELLS // (len(w) * n))
-    P = np.stack([
-        np.concatenate([find_pow(add[w[lo:lo + step, None], d[w]])
-                        for lo in range(0, len(w), step)])
-        for d in classes
-    ])
+    P = np.stack([_chunked(len(w), len(w) * n, lambda s: find_pow(add[w[s, None], d[w]]))
+                  for d in classes])
     # p^q: identity dots with p's up and upL, and pow q.up(p.pow(q.dotL))
     ident = np.broadcast_to(np.arange(n), dl.shape)
     E = find_map(np.concatenate([ident, ident, up, ul], axis=1))
     Q = np.stack([find_pow(up[i][w[:, dl[i]]]) for i in range(len(dl))])
-    return _PaFactors(Cm, P, E, Q, dot.reshape(-1), len(w), dl, up, w, obj._arrays)
+    return _PaFactors(Cm, P, E, Q, dot.reshape(-1), len(w), dl, up, w, obj._arrays,
+                      find_map, find_pow)
 
 
 @object_cache(maxsize=32)
@@ -396,6 +388,14 @@ def _require_pa_of(A: FiniteGwaObject, pa: PAObject | None) -> PAObject:
     return pa
 
 
+def _require_verified(A: FiniteGwaObject, pa: PAObject) -> None:
+    if pa.object is None or not pa.report.passed:
+        raise StructuralError(
+            f"PA({A.name}) is not a verified reduced object; "
+            f"failing: {', '.join(pa.report.conditions())}"
+        )
+
+
 def represent(
     A: FiniteGwaObject,
     B: FiniteGwaObject,
@@ -417,11 +417,7 @@ def represent(
             f"{', '.join(pre.conditions())}"
         )
     pa = _require_pa_of(A, pa)
-    if pa.object is None or not pa.report.passed:
-        raise StructuralError(
-            f"PA({A.name}) is not a verified reduced object; "
-            f"failing: {', '.join(pa.report.conditions())}"
-        )
+    _require_verified(A, pa)
     mapping = []
     for b in range(B.order):
         nb = B.neg[b]
@@ -535,6 +531,78 @@ class RepresentabilityReport:
         }
 
 
+def _batch_images(A: FiniteGwaObject, B: FiniteGwaObject, batch: _DerivedBatch) -> np.ndarray:
+    """phi[t, b]: the index in PA(A) of the image of b under ``represent``
+    for the triple t of the batch, or -1 when it is not an element.  The map
+    part (dot[b], dot[-b], up[., b], up[., -b]) depends only on the kept
+    pair; the pow part is row J[t, b] of W'."""
+    f = _canonical_factors(A)
+    neg, upc = B._arrays.neg, batch.ups.swapaxes(1, 2)
+    i = f.find_map(np.concatenate([batch.dots, batch.dots[:, neg], upc, upc[:, neg]], axis=2))
+    i, j = i[batch.pair], f.find_pow(batch.rows)[batch.J]
+    return np.where((i < 0) | (j < 0), -1, i * f.W + j)
+
+
+def _preserves(phi: np.ndarray, B: FiniteGwaObject, target: FiniteGwaObject) -> np.ndarray:
+    """Per row of the (T, |B|) index array phi, whether it preserves the sum
+    and the power (hom.add, hom.act), in chunks of (k, |B|, |B|) gathers."""
+    src, tgt = B._arrays, target._arrays
+
+    def preserves(s):
+        f = phi[s]
+        return ~_violated((f[:, src.add] != tgt.add[f[:, :, None], f[:, None]])
+                          | (f[:, src.act] != tgt.act[f[:, :, None], f[:, None]]))
+
+    return _chunked(len(phi), B.order**2, preserves)
+
+
+def _batch_failures(A, B, batch, pa, budget) -> list[dict]:
+    """The represent, morphism and uniqueness failures of a batch of derived
+    actions, in triple order, as ``verify_representability`` reports them.
+    The images and the two laws are array steps; only a failing triple goes
+    through ``represent`` or ``is_morphism``, to give its exact conditions.
+    ``verify_uniqueness`` runs per triple only when its m + |B| charge
+    exceeds the budget, so it refuses as before."""
+    def failure(stage, t, conditions):
+        return {"stage": stage, "B": B.name, "triple": t, "conditions": conditions}
+
+    try:
+        _require_verified(A, pa)
+    except StructuralError as exc:
+        return [failure("represent", t, [str(exc)]) for t in range(len(batch.pair))]
+    phi = _batch_images(A, B, batch)
+    represented = (phi >= 0).all(axis=1)
+    hom = _preserves(phi, B, pa.object)
+    # dotR = dotL^-1 and upL = up^-1 on every enumerated element, so its
+    # (dotL, up, pow) is unique and each M_b is {phi(b)}
+    per_triple = len(pa.elements) + B.order > budget
+    failures = []
+    for t in np.flatnonzero(~represented | ~hom | per_triple).tolist():
+        tables = (batch.dots[batch.pair[t]], batch.ups[batch.pair[t]], batch.rows[batch.J[t]])
+        triple = DerivedActionTriple(A, B, *(tuple(map(tuple, x.tolist())) for x in tables),
+                                     report=PASSED)
+        if not represented[t]:
+            try:
+                represent(A, B, triple, pa=pa)
+            except (InputError, StructuralError) as exc:
+                failures.append(failure("represent", t, [str(exc)]))
+            continue
+        phi_t = GwaMorphism(B, pa.object, tuple(phi[t].tolist()))
+        if not hom[t]:
+            failures.append(failure("morphism", t, list(is_morphism(phi_t).conditions())))
+        if per_triple:
+            try:
+                uniq = verify_uniqueness(A, B, triple, phi_t, pa=pa, budget=budget)
+            except BudgetExceededError as exc:
+                raise BudgetExceededError(
+                    f"representability check for {A.name!r}, "
+                    f"B={B.name!r}, triple {t}: {exc}"
+                ) from exc
+            if not uniq.passed:
+                failures.append(failure("uniqueness", t, list(uniq.conditions())))
+    return failures
+
+
 def verify_representability(
     A: FiniteGwaObject,
     max_b_order: int = 3,
@@ -547,7 +615,10 @@ def verify_representability(
     Runs the reduced scan of PA(A) and its canonical action first, then for
     each acting object B (order <= max_b_order) and each enumerated derived
     action: the factorization morphism exists, preserves both operations,
-    and is unique under the per-b uniqueness lookup.
+    and is unique under the per-b uniqueness lookup.  Each B's derived
+    actions are checked as one batch (``_batch_failures``); the report is
+    the one of ``represent``, ``is_morphism`` and ``verify_uniqueness`` run
+    per triple.
     """
     failures: list[dict] = []
     pa = build_pa_object(A, budget=budget)
@@ -576,45 +647,13 @@ def verify_representability(
             if B.order > max_b_order:
                 continue
             try:
-                triples = enumerate_derived_actions(A, B, budget=budget)
+                batch = _derived_action_batch(A, B, budget)
             except BudgetExceededError as exc:
                 raise BudgetExceededError(
                     f"representability check for {A.name!r}: {exc}"
                 ) from exc
-            for t_index, triple in enumerate(triples):
-                pairs += 1
-                try:
-                    phi = represent(A, B, triple, pa=pa)
-                except (InputError, StructuralError) as exc:
-                    failures.append({
-                        "stage": "represent",
-                        "B": B.name,
-                        "triple": t_index,
-                        "conditions": [str(exc)],
-                    })
-                    continue
-                hom = is_morphism(phi)
-                if not hom.passed:
-                    failures.append({
-                        "stage": "morphism",
-                        "B": B.name,
-                        "triple": t_index,
-                        "conditions": list(hom.conditions()),
-                    })
-                try:
-                    uniq = verify_uniqueness(A, B, triple, phi, pa=pa, budget=budget)
-                except BudgetExceededError as exc:
-                    raise BudgetExceededError(
-                        f"representability check for {A.name!r}, "
-                        f"B={B.name!r}, triple {t_index}: {exc}"
-                    ) from exc
-                if not uniq.passed:
-                    failures.append({
-                        "stage": "uniqueness",
-                        "B": B.name,
-                        "triple": t_index,
-                        "conditions": list(uniq.conditions()),
-                    })
+            pairs += len(batch.pair)
+            failures.extend(_batch_failures(A, B, batch, pa, budget))
     return RepresentabilityReport(
         base=A.name,
         pa_order=len(pa.elements),

@@ -85,6 +85,22 @@ def shear16():
     return shear_object()
 
 
+def relabeled(obj: rgwa.FiniteGwaObject, seed: int) -> rgwa.FiniteGwaObject:
+    """The same object under a seeded relabeling of its elements that fixes
+    0, named ``<name>@<seed>``."""
+    import random
+
+    rest = list(range(1, obj.order))
+    random.Random(seed).shuffle(rest)
+    sigma = [0] + rest
+    add = [[0] * obj.order for _ in range(obj.order)]
+    act = [[0] * obj.order for _ in range(obj.order)]
+    for x, y in product(range(obj.order), repeat=2):
+        add[sigma[x]][sigma[y]] = sigma[obj.add[x][y]]
+        act[sigma[x]][sigma[y]] = sigma[obj.act[x][y]]
+    return rgwa.make_object(f"{obj.name}@{seed}", obj.order, add, act, require_reduced=True)
+
+
 def reference_check_axioms(order, add, act, require_reduced=False) -> rgwa.CheckReport:
     """Pure-Python loop-nest scan of the axioms, in report order; the oracle
     for the vectorized ``check_axioms`` on in-range tables."""
@@ -249,6 +265,66 @@ def reference_verify_uniqueness(A, B, triple, phi, pa) -> rgwa.CheckReport:
     for psi in extras[:1]:
         violations.append(rgwa.Violation("uniq.extra", psi))
     return rgwa.CheckReport(tuple(violations))
+
+
+def reference_triple_failures(A, B, triples, pa, budget=rgwa.DEFAULT_BUDGET) -> list:
+    """The represent, morphism and uniqueness failures of derived actions of
+    B on A, one triple at a time through ``represent``, ``is_morphism`` and
+    ``verify_uniqueness``; the oracle for the batch check."""
+    failures = []
+    for t_index, triple in enumerate(triples):
+        def failure(stage, conditions):
+            failures.append({"stage": stage, "B": B.name, "triple": t_index,
+                             "conditions": conditions})
+
+        try:
+            phi = rgwa.represent(A, B, triple, pa=pa)
+        except (rgwa.InputError, rgwa.StructuralError) as exc:
+            failure("represent", [str(exc)])
+            continue
+        hom = rgwa.is_morphism(phi)
+        if not hom.passed:
+            failure("morphism", list(hom.conditions()))
+        try:
+            uniq = rgwa.verify_uniqueness(A, B, triple, phi, pa=pa, budget=budget)
+        except rgwa.BudgetExceededError as exc:
+            raise rgwa.BudgetExceededError(
+                f"representability check for {A.name!r}, "
+                f"B={B.name!r}, triple {t_index}: {exc}") from exc
+        if not uniq.passed:
+            failure("uniqueness", list(uniq.conditions()))
+    return failures
+
+
+def reference_verify_representability(A, max_b_order=3, budget=rgwa.DEFAULT_BUDGET,
+                                      acting_objects=None) -> rgwa.RepresentabilityReport:
+    """``verify_representability`` over the public triple list of each B,
+    checked by ``reference_triple_failures``."""
+    failures = []
+    pa = rgwa.build_pa_object(A, budget=budget)
+    if not pa.report.passed:
+        failures.append({"stage": "pa_rgwa", "B": None, "triple": None,
+                         "conditions": list(pa.report.conditions())})
+    action_report = None
+    if pa.object is not None:
+        action_report = rgwa.pa_action(pa).report
+        if not action_report.passed:
+            failures.append({"stage": "pa_action", "B": None, "triple": None,
+                             "conditions": list(action_report.conditions())})
+    pairs = 0
+    if pa.object is not None:
+        for B in acting_objects if acting_objects is not None else rgwa.standard_corpus():
+            if B.order > max_b_order:
+                continue
+            try:
+                triples = rgwa.enumerate_derived_actions(A, B, budget=budget)
+            except rgwa.BudgetExceededError as exc:
+                raise rgwa.BudgetExceededError(
+                    f"representability check for {A.name!r}: {exc}") from exc
+            pairs += len(triples)
+            failures += reference_triple_failures(A, B, triples, pa, budget)
+    return rgwa.RepresentabilityReport(A.name, len(pa.elements), pa.report, action_report,
+                                       pairs, tuple(failures))
 
 
 def reference_check_derived_action(triple) -> rgwa.CheckReport:

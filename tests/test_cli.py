@@ -1,6 +1,10 @@
 """CLI verbs, exit codes, and output determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,3 +214,22 @@ class TestOutputHandling:
         _, first = run(capsys, "pentactions", corpus_dir / "z3.json")
         _, second = run(capsys, "pentactions", corpus_dir / "z3.json")
         assert first == second
+
+
+def test_verbs_do_not_import_numpy_ma(corpus_dir):
+    # numpy.ma costs several milliseconds to import, and np.unique without
+    # return_inverse imports it; a fresh process must run these verbs without
+    script = (
+        "import contextlib, io, sys\n"
+        "from rgwa.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main(['pa', {str(corpus_dir / 'z4.json')!r}])\n"
+        f"    main(['represent', '--max-order', '4', {str(corpus_dir / 'klein4.json')!r}])\n"
+        f"    main(['pentactions', {str(corpus_dir / 'z2xz4.json')!r}])\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = Path(rgwa.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

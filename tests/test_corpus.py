@@ -64,3 +64,11 @@ def test_standard_corpus_contents(corpus):
     ]
     assert [o.order for o in corpus] == [1, 2, 3, 4, 5, 6, 7, 8, 4, 8]
     assert all(o.reduced for o in corpus)
+
+
+def test_standard_corpus_is_built_once_and_returned_fresh():
+    first = rgwa.standard_corpus()
+    first.append(first[0])
+    second = rgwa.standard_corpus()
+    assert len(second) == 10 and second is not first
+    assert all(x is y for x, y in zip(first, second))

@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -444,7 +445,136 @@ class TestEnumeration:
             rgwa.enumerate_derived_actions(klein4, klein4, budget=35)
         assert rgwa.enumerate_derived_actions(klein4, klein4, budget=36) == []
 
+    def test_pairs_are_charged_before_the_pair_filter(self, monkeypatch):
+        # each family listed five times: the 36 families of klein4 on klein4
+        # pass the family check at budget 249, but 50 ups x 5 dots = 250
+        # pairs are refused before any (dot, up) table is built
+        families, tables = extensions._map_families, extensions._tables
+        built = []
+
+        def counting_tables(A, B, dot=None, up=None, pow=None):
+            built.append(dot is not None and up is not None)
+            return tables(A, B, dot=dot, up=up, pow=pow)
+
+        monkeypatch.setattr(extensions, "_map_families", lambda *a, **k: families(*a, **k) * 5)
+        monkeypatch.setattr(extensions, "_tables", counting_tables)
+        klein4 = rgwa.direct_sum(rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(2), name="klein4")
+        stage = re.escape("needs at least 250 candidate visits (refused before the pair filter)")
+        with pytest.raises(rgwa.BudgetExceededError, match=stage):
+            rgwa.enumerate_derived_actions(klein4, klein4, budget=249)
+        assert built and not any(built)
+        rgwa.enumerate_derived_actions(klein4, klein4, budget=10**6)
+        assert any(built)
+
+    def test_walk_is_charged_what_it_visits(self, shear16):
+        # 4 kept pairs x 4^2 rows: admitted at the default budget, where the
+        # product |ups| |dots| n^(|gensA| |gensB|) charge refused it
+        klein4 = rgwa.direct_sum(rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(2), name="klein4")
+        triples = rgwa.enumerate_derived_actions(shear16, klein4)
+        assert len(triples) == 16
+        assert triples == rgwa.enumerate_derived_actions(shear16, klein4, budget=10**12)
+
+    def test_walk_charge_counts_candidates_and_the_2a_table(self):
+        # z8neg <- klein4: 16 kept pairs, |W'| = 4 and one dot map, so the
+        # walk visits 16 * 4^2 candidates and the 2A table has 4^2 entries;
+        # the family check charges 4^2 = 16 before
+        klein4 = rgwa.direct_sum(rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(2), name="klein4")
+        z8neg = negation_cyclic(8)
+        with pytest.raises(rgwa.BudgetExceededError, match=r"needs 272 candidate visits"):
+            rgwa.enumerate_derived_actions(z8neg, klein4, budget=271)
+        assert len(rgwa.enumerate_derived_actions(z8neg, klein4, budget=272)) == 64
+
     def test_bruteforce_cap(self):
         A, B = rgwa.cyclic_trivial(3), rgwa.cyclic_trivial(2)
         with pytest.raises(rgwa.InputError):
             rgwa.enumerate_derived_actions_bruteforce(A, B)
+
+
+def _check(name):
+    checks = dict(extensions._POW_INDEX_CHECKS)
+    assert name in checks, f"no pow index check for {name}"
+    return checks[name]
+
+
+class TestPowIndexChecks:
+    """The pow stage of the enumerator checks walked candidates by their row
+    indices J in W' against tables built once per call; each check must be
+    the conditions it names."""
+
+    def test_checks_name_the_seven_pow_reading_conditions(self):
+        names = [c for name, _ in extensions._POW_INDEX_CHECKS for c in name.split()]
+        assert sorted(names) == sorted(c[0] for c in extensions._POW_READING)
+
+    @staticmethod
+    def _index(A, B, batch):
+        deltas, D = np.unique(batch.dots.reshape(-1, A.order), axis=0, return_inverse=True)
+        return extensions._pow_index(A, B, batch.dots, batch.ups, batch.rows, deltas,
+                                     D.reshape(len(batch.dots), B.order))
+
+    def _pairs(self, z4neg, k4swap):
+        corpus = {o.name: o for o in rgwa.standard_corpus()}
+        return [(z4neg, corpus["z3"]), (z4neg, k4swap), (corpus["z2xz4"], corpus["klein4"]),
+                (corpus["klein4"], corpus["klein4"]), (k4swap, corpus["z4"]),
+                (negation_cyclic(6), corpus["z4"])]
+
+    def test_index_checks_are_their_conditions(self, z4neg, k4swap):
+        # every enumerated triple, and each with one row index replaced at
+        # random: the candidates keep every row in W', so each check after
+        # the first gives the verdict of its conditions' masks
+        from rgwa.core import _passing, _violated
+
+        rng = np.random.default_rng(0)
+        seen = set()
+        for A, B in self._pairs(z4neg, k4swap):
+            batch = extensions._derived_action_batch(A, B, extensions.DEFAULT_BUDGET)
+            k, nb = len(batch.pair), B.order
+            p, J = np.concatenate([batch.pair] * 2), np.concatenate([batch.J] * 2)
+            J[np.arange(k, 2 * k), rng.integers(0, nb, k)] = rng.integers(0, len(batch.rows), k)
+            x = self._index(A, B, batch)
+            t = extensions._tables(A, B, batch.dots[p], batch.ups[p], batch.rows[J])
+            for name in ("a9", "2A", "4B", "a10"):
+                rows = [c for c in extensions._CONDITIONS if c[0] == name]
+                got = ~_violated(_check(name)(x, p, J))
+                assert got.tolist() == _passing(t, rows, extensions._sizes(A, B)).tolist(), (
+                    A.name, B.name, name)
+                seen.update((name, bool(v)) for v in got)
+        assert seen == {(name, v) for name in ("a9", "2A", "4B", "a10") for v in (False, True)}
+
+    def test_rows_outside_w_prime_fail_the_first_check(self, z4neg, k4swap):
+        # pow tables drawn from A's crossed maps and from random rows: the
+        # first check passes exactly when every row passes 1B, a4 and a8 and
+        # squares to 0 (a9 at b = b2)
+        from rgwa.core import _passing, _violated
+        from rgwa.pentactions import _pow_factor
+
+        rng = np.random.default_rng(1)
+        seen = set()
+        for A, B in self._pairs(z4neg, k4swap):
+            batch = extensions._derived_action_batch(A, B, extensions.DEFAULT_BUDGET)
+            pool = np.concatenate([np.asarray(_pow_factor(A), dtype=np.intp),
+                                   rng.integers(0, A.order, (4, A.order))])
+            pw = pool[rng.integers(0, len(pool), (200, B.order))]
+            J = self._index(A, B, batch).find(pw)
+            got = ~_violated(_check("1B a4 a8")(None, None, J))
+            rows = [c for c in extensions._CONDITIONS if c[0] in ("1B", "a4", "a8")]
+            squares = (np.take_along_axis(pw, pw, axis=2) == 0).all(axis=(1, 2))
+            want = _passing(extensions._tables(A, B, pow=pw), rows, extensions._sizes(A, B))
+            assert got.tolist() == (want & squares).tolist(), (A.name, B.name)
+            seen.update(got.tolist())
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize("dropped,pair", [
+        ("2A", ("z4neg", "z3")), ("4B", ("z4neg", "k4swap")), ("a10", ("z2xz4", "z2")),
+    ])
+    def test_dropping_a_check_admits_its_violations(self, monkeypatch, z4neg, k4swap,
+                                                    dropped, pair):
+        # on walked candidates 1B, a4, a8 and a9 are never the only failing
+        # conditions: a walked row outside W' also breaks 2A at (0, b), and
+        # no tested pair has a candidate failing a9 alone
+        objs = {o.name: o for o in rgwa.standard_corpus() + [z4neg, k4swap]}
+        A, B = (objs[name] for name in pair)
+        monkeypatch.setattr(extensions, "_POW_INDEX_CHECKS", tuple(
+            c for c in extensions._POW_INDEX_CHECKS if c[0] != dropped))
+        failing = {c for t in rgwa.enumerate_derived_actions(A, B)
+                   for c in rgwa.check_derived_action(replace(t, report=None)).conditions()}
+        assert failing == {dropped}

@@ -15,6 +15,7 @@ from conftest import (
     reference_enumerate_derived_actions,
     reference_extend_crossed_map,
     reference_map_families,
+    relabeled,
     shear_object,
 )
 from rgwa import core, extensions, pentactions
@@ -105,11 +106,21 @@ def test_pow_factor_matches_the_scalar_filter(chunking):
 
 
 def test_derived_actions_match_the_reference(chunking):
-    z2 = rgwa.cyclic_trivial(2)
+    # the batch's columns and the public list, both in the reference order,
+    # on relabeled carriers and with B = A too
+    z2, z3, klein4, z2xz4 = (_carriers()[i] for i in (1, 2, 8, 9))
     z4neg, k4swap = _carriers()[10:12]
-    klein4 = _carriers()[8]
-    for A, B in ((z4neg, k4swap), (klein4, z4neg), (k4swap, z2), (z4neg, z2)):
-        pruned = rgwa.enumerate_derived_actions(A, B)
-        assert [t.key() for t in pruned] == [
-            t.key() for t in reference_enumerate_derived_actions(A, B)
-        ], (A.name, B.name)
+    z4neg1, k4swap2 = relabeled(z4neg, 1), relabeled(k4swap, 2)
+    pairs = [(z4neg, k4swap), (klein4, z4neg), (k4swap, z2), (z4neg, z2),
+             (z4neg1, k4swap), (k4swap2, z2), (relabeled(klein4, 3), z4neg1),
+             (relabeled(z2xz4, 5), z2)]
+    pairs += [(A, A) for A in (z3, z4neg, k4swap, klein4, z4neg1, k4swap2)]
+    for A, B in pairs:
+        want = reference_enumerate_derived_actions(A, B)
+        batch = extensions._derived_action_batch(A, B, extensions.DEFAULT_BUDGET)
+        columns = {"dot": batch.dots[batch.pair], "up": batch.ups[batch.pair],
+                   "pow": batch.rows[batch.J]}
+        for name, column in columns.items():
+            got = [tuple(map(tuple, x)) for x in column.tolist()]
+            assert got == [getattr(t, name) for t in want], (A.name, B.name, name)
+        assert rgwa.enumerate_derived_actions(A, B) == want, (A.name, B.name)

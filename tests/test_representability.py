@@ -17,13 +17,16 @@ from conftest import (
     reference_build_pa_object,
     reference_pa_action,
     reference_pa_tables,
+    reference_triple_failures,
+    reference_verify_representability,
     reference_verify_uniqueness,
     shear_object,
 )
-from rgwa import core
+from rgwa import core, representability
 from rgwa.core import _AXIOMS
 from rgwa.extensions import _CONDITIONS, DerivedActionTriple
 from rgwa.pentactions import _pentaction_factors
+from rgwa.report import PASSED
 from rgwa.representability import (
     _PA_ACTION,
     PAObject,
@@ -696,3 +699,76 @@ class TestVerifyRepresentability:
         with pytest.raises(rgwa.BudgetExceededError) as exc:
             rgwa.verify_representability(rgwa.cyclic_trivial(2), max_b_order=3, budget=3)
         assert "z2" in str(exc.value)
+
+
+def _bases():
+    corpus = {o.name: o for o in rgwa.standard_corpus()}
+    return {**corpus, "z8neg": negation_cyclic(8), "z4neg": negation_cyclic(4),
+            "k4swap": k4swap_object(), "shear16": shear_object()}
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except rgwa.BudgetExceededError as exc:
+        return str(exc)
+
+
+class TestBatchAgainstPerTriple:
+    """``verify_representability`` checks each B's derived actions as one
+    batch; its report is the one of the per-triple loop."""
+
+    @pytest.mark.parametrize("name,max_b_order", [
+        ("z5", 4),  # pa_action fails; every triple still factors
+        ("z8neg", 4), ("z4neg", 4), ("k4swap", 4), ("shear16", 4),
+        ("klein4", 4), ("z2xz4", 3),  # PA not reduced: one represent message each
+    ])
+    def test_reports_match_the_per_triple_loop(self, name, max_b_order):
+        A = _bases()[name]
+        report = rgwa.verify_representability(A, max_b_order=max_b_order)
+        assert report == reference_verify_representability(A, max_b_order=max_b_order)
+        assert report.pairs_checked > 0
+
+    def test_enumerated_pa_keys_are_distinct(self):
+        # the batch takes each M_b of verify_uniqueness to be {phi(b)}
+        for A in _bases().values():
+            pa = rgwa.build_pa_object(A)
+            assert all(len(v) == 1 for v in pa._by_action.values()), A.name
+            assert len(pa._by_action) == len(pa.elements), A.name
+
+    def test_budget_refusals_match(self, corpus):
+        # PA(z5) has m = 20 elements, so the uniqueness charge m + |B| is
+        # refused at budgets 20..23 after the enumeration charges passed
+        z5, acting = corpus[4], corpus[:4]
+        kinds = set()
+        for budget in range(1, 30):
+            got = _outcome(rgwa.verify_representability, z5, 4, budget, acting)
+            assert got == _outcome(reference_verify_representability, z5, 4, budget, acting)
+            kinds.add("uniqueness lookup" in got if isinstance(got, str) else "report")
+        assert kinds == {False, True, "report"}
+
+    def test_corrupted_batches_report_as_the_per_triple_loop(self, z4neg):
+        # pow rows replaced by other rows of W' keep each image in PA(A) but
+        # break the laws; up columns moved off their map parts leave PA(A)
+        from rgwa.extensions import DEFAULT_BUDGET, _derived_action_batch
+
+        rng = np.random.default_rng(0)
+        pa = rgwa.build_pa_object(z4neg)
+        stages = set()
+        for B in (_bases()["klein4"], _bases()["z4"], k4swap_object()):
+            batch = _derived_action_batch(z4neg, B, DEFAULT_BUDGET)
+            J = batch.J.copy()
+            J[:, 1:] = rng.integers(0, len(batch.rows), (len(J), B.order - 1))
+            ups = batch.ups.copy()
+            ups[::2, :, 1] = rng.permuted(ups[::2, :, 1], axis=1)
+            bad = batch._replace(ups=ups, J=J)
+            triples = [
+                DerivedActionTriple(z4neg, B, *(tuple(map(tuple, x)) for x in tables),
+                                    report=PASSED)
+                for tables in zip(bad.dots[bad.pair].tolist(), bad.ups[bad.pair].tolist(),
+                                  bad.rows[bad.J].tolist())
+            ]
+            got = representability._batch_failures(z4neg, B, bad, pa, DEFAULT_BUDGET)
+            assert got == reference_triple_failures(z4neg, B, triples, pa), B.name
+            stages.update(f["stage"] for f in got)
+        assert stages == {"represent", "morphism"}
