@@ -22,10 +22,10 @@ Each axiom is one row (id, axes, violation mask) of the table ``_AXIOMS``.
 One loop, ``_violations``, scans such tables along their leading index in
 chunks of at most ``_CHUNK_CELLS`` (2^18) cells, so memory stays flat
 whatever the order, and stops each scan at the first chunk with a
-violation.  It serves the axioms, the two morphism laws of
-``is_morphism``, the factored PA(A) axiom and action rows of
-``representability``, and the candidate rows (id, axes, reads, mask) of the
-22 derived-action and 19 pentaction conditions, whose tables carry a leading
+violation.  It serves the axioms, the factored PA(A) axiom and action rows
+of ``representability``, and the candidate rows (id, axes, reads, mask) of
+the two morphism laws of ``is_morphism`` and of the 22 derived-action and
+19 pentaction conditions, whose tables carry a leading
 candidate axis: it scans one candidate, and ``_passing`` gives the verdicts
 of a batch.
 The masks read an object's cached ``_arrays``: add, act, neg and the
@@ -315,13 +315,16 @@ def identity_morphism(obj: FiniteGwaObject) -> GwaMorphism:
     return GwaMorphism(obj, obj, tuple(range(obj.order)))
 
 
-# The map f as an index array with its source's and target's _Arrays.
+# A batch of k maps as a (k, n) index array f, with their source's and
+# target's _Arrays.
 _Hom = namedtuple("_Hom", "f src tgt")
 
-# f(x op y) = f(x) op f(y), in report order
+# f(x op y) = f(x) op f(y), in report order, as candidate rows reading f
 _HOM_LAWS = (
-    ("hom.add", "XX", lambda t, s: t.f[t.src.add[s]] != t.tgt.add[t.f[s, None], t.f]),
-    ("hom.act", "XX", lambda t, s: t.f[t.src.act[s]] != t.tgt.act[t.f[s, None], t.f]),
+    ("hom.add", "XX", ("f",),
+     lambda t, s: t.f[:, t.src.add[s]] != t.tgt.add[t.f[:, s, None], t.f[:, None]]),
+    ("hom.act", "XX", ("f",),
+     lambda t, s: t.f[:, t.src.act[s]] != t.tgt.act[t.f[:, s, None], t.f[:, None]]),
 )
 
 
@@ -337,7 +340,7 @@ def is_morphism(f: GwaMorphism) -> CheckReport:
     for x, v in enumerate(f.map):
         if not 0 <= v < f.target.order:
             raise InputError(f"map[{x}] = {v} is out of range for the target")
-    t = _Hom(np.asarray(f.map, dtype=np.intp), f.source._arrays, f.target._arrays)
+    t = _Hom(np.asarray([f.map], dtype=np.intp), f.source._arrays, f.target._arrays)
     return CheckReport(tuple(_violations(t, _HOM_LAWS, {"X": f.source.order})))
 
 

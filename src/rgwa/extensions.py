@@ -47,10 +47,8 @@ from .core import (
     is_morphism,
 )
 from .errors import BudgetExceededError, InputError, StructuralError, ValidationError
-from .pentactions import _pow_factor
+from .pentactions import DEFAULT_BUDGET, _pow_factor
 from .report import PASSED, CheckReport, Violation
-
-DEFAULT_BUDGET = 100_000_000
 
 _BRUTEFORCE_CAP = 4_194_304
 
@@ -403,6 +401,13 @@ def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -
     those of ``enumerate_derived_actions``."""
     gensB, stepsB = generating_words(B)
     na, nb = A.order, B.order
+    walked = na ** len(generating_words(A)[0])
+    if walked > budget:
+        raise BudgetExceededError(
+            f"derived-action enumeration for {B.name!r} on {A.name!r} needs at least "
+            f"{walked} candidate visits (refused before the additive-bijection search), "
+            f"budget is {budget}"
+        )
     families = len(additive_bijections(A)) ** len(gensB)
     if families > budget:
         raise BudgetExceededError(
@@ -482,17 +487,24 @@ def enumerate_derived_actions(
     triples are sorted as one batch by one ``np.lexsort`` on their kept pair
     and their row indices.
 
-    The budget is charged |bij|^|gensB| before the family searches run,
+    The budget is charged n_A^|gensA| before the additive bijections of A
+    and its pow factor are walked, |bij|^|gensB| before the family searches,
     the |ups| * |dots| pairs before the pair filter, and after it the walk's
     |kept pairs| * |W'|^|gensB| candidates plus the |dot maps| * |W'|^2
     entries of its 2A table.
     """
-    batch = _derived_action_batch(A, B, budget)
+    return _batch_triples(A, B, _derived_action_batch(A, B, budget))
+
+
+def _batch_triples(A: FiniteGwaObject, B: FiniteGwaObject, batch: _DerivedBatch,
+                   ts=slice(None)) -> list[DerivedActionTriple]:
+    """The triples ts of a batch (all of them by default) as verified
+    DerivedActionTriples; each kept pair and row of W' becomes tuples once."""
     pairs = [tuple(tuple(map(tuple, x)) for x in pair)
              for pair in zip(batch.dots.tolist(), batch.ups.tolist())]
     rows = tuple(map(tuple, batch.rows.tolist()))
     return [DerivedActionTriple(A, B, *pairs[p], tuple(rows[j] for j in js), report=PASSED)
-            for p, js in zip(batch.pair.tolist(), batch.J.tolist())]
+            for p, js in zip(batch.pair[ts].tolist(), batch.J[ts].tolist())]
 
 
 def enumerate_derived_actions_bruteforce(

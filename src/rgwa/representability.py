@@ -17,30 +17,36 @@ most |W|^2 * n or |Maps|^2 * n cells on a perfect base, and the other
 twelve read B only through the m x n dot, up and pow tables, over at most
 m * n^2 cells, so no m x m table is scanned.
 
+A ``PAObject`` is PA(base) by construction, so every lookup into it is a
+factor lookup, find_map * |W| + find_pow: ``index_of``, the images of
+``represent`` and of the batch check (``_images``), and the match sets of
+``verify_uniqueness``, which hold at most one element each, since every
+element has dotR = dotL^-1 and upL = up^-1.
+
 ``verify_representability`` checks the derived actions of each acting
 object B as one batch of index arrays: the images of all triples are
-factor lookups, the morphism laws are (T, |B|, |B|) gathers, and
-uniqueness needs no search, since no two enumerated elements share
-(dotL, up, pow).
+factor lookups, the morphism laws are one ``core._passing`` batch of the
+rows of ``is_morphism``, and uniqueness needs no search.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .core import (
     _AXIOMS,
+    _HOM_LAWS,
     FiniteGwaObject,
     GwaMorphism,
     _Arrays,
     _chunked,
+    _Hom,
+    _passing,
     _row_finder,
-    _violated,
     _violations,
     is_morphism,
     object_cache,
@@ -50,25 +56,27 @@ from .errors import BudgetExceededError, InputError, StructuralError
 from .extensions import (
     _CONDITIONS,
     DerivedActionTriple,
-    _DerivedBatch,
+    _batch_triples,
     _derived_action_batch,
     _Tables,
+    _validate_triple_shape,
     check_derived_action,
 )
 from .pentactions import (
     DEFAULT_BUDGET,
     Pentaction,
+    _check_budget,
     _enumerate_pentactions_uncapped,
     _pentaction_factors,
     check_pentaction,
-    enumerate_pentactions,
 )
 from .report import PASSED, CheckReport, Violation
 
 
 @dataclass(frozen=True)
 class PAObject:
-    """The pentaction set of a base object assembled into operation tables.
+    """PA(base): the pentaction set of a base object assembled into
+    operation tables.
 
     The pentactions are the product Maps(A) x Pow(A) of their map parts
     (dotL, dotR, up, upL) and their pow tables W, each sorted, so
@@ -79,6 +87,9 @@ class PAObject:
 
         add[x, y] = Cm[i_x, i_y] * |W| + P[dotL(i_x), j_x, j_y]
         act[x, y] = E[i_x] * |W| + Q[i_y, j_x]
+
+    Elements other than the enumerated pentactions of ``base`` in order
+    raise InputError, so lookups read the base's factor finders.
 
     ``object`` is None exactly when a sum or power of two pentactions left
     the enumerated set (possible only for imperfect bases); the closure
@@ -91,21 +102,21 @@ class PAObject:
     object: FiniteGwaObject | None
     report: CheckReport
 
+    def __post_init__(self):
+        if self.elements != _enumerate_pentactions_uncapped(self.base):
+            raise InputError(
+                f"the elements of PA({self.base.name}) are not the enumerated pentactions "
+                f"of {self.base.name!r} in order"
+            )
+
     def index_of(self, pent: Pentaction) -> int:
         """Index of a pentaction given extensionally, or -1."""
-        return self._index.get(pent.key(), -1)
-
-    @cached_property
-    def _index(self) -> dict[tuple[int, ...], int]:
-        return {p.key(): i for i, p in enumerate(self.elements)}
-
-    @cached_property
-    def _by_action(self) -> dict[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """(dotL, up, pow) -> ascending indices of the elements carrying it."""
-        groups: dict[tuple[tuple[int, ...], ...], list[int]] = {}
-        for i, p in enumerate(self.elements):
-            groups.setdefault((p.dotL, p.up, p.pow), []).append(i)
-        return {k: tuple(v) for k, v in groups.items()}
+        n, tables = self.base.order, tuple(pent.tables().values())
+        if any(len(x) != n for x in tables) or not set(pent.key()) <= set(range(n)):
+            return -1
+        f = _canonical_factors(self.base)
+        rows = np.asarray(tables, dtype=np.intp)
+        return int(_element(f, f.find_map(rows[:4].ravel()), f.find_pow(rows[4])))
 
 
 # The factor tables of PA(A).  With p = (i, j) for map part i and pow table j,
@@ -149,6 +160,20 @@ def _pa_factors(obj: FiniteGwaObject, maps: Sequence, pows: Sequence) -> _PaFact
 def _canonical_factors(obj: FiniteGwaObject) -> _PaFactors:
     """The factor tables of PA(obj), over the enumerated factors."""
     return _pa_factors(obj, *_pentaction_factors(obj))
+
+
+def _element(f: _PaFactors, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The index i * |W| + j of the element with map part i and pow table j,
+    or -1 where either is -1."""
+    return np.where((i < 0) | (j < 0), -1, i * f.W + j)
+
+
+def _images(f: _PaFactors, negB: np.ndarray, dots: np.ndarray, ups: np.ndarray) -> np.ndarray:
+    """i[k, b]: the map part (dot[b], dot[-b], up[., b], up[., -b]) of the
+    image of b under ``represent``, for k pairs of dot tables (k, |B|, n)
+    and up tables (k, n, |B|), or -1 when it is not a map part of PA(A)."""
+    upc = ups.swapaxes(1, 2)
+    return f.find_map(np.concatenate([dots, dots[:, negB], upc, upc[:, negB]], axis=2))
 
 
 def _assemble(f: _PaFactors) -> tuple[np.ndarray, np.ndarray]:
@@ -331,7 +356,8 @@ def build_pa_object(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> PAObj
     stabilizer the scan must pass, otherwise the report documents how the
     construction degrades.
     """
-    elements = tuple(enumerate_pentactions(obj, budget=budget))
+    _check_budget(obj, budget)
+    elements = _enumerate_pentactions_uncapped(obj)
     factors = _canonical_factors(obj)
     add, act = _assemble(factors)
     gaps = _closure_gaps(add, act)
@@ -352,20 +378,13 @@ def pa_action(pa: PAObject) -> DerivedActionTriple:
     """The componentwise action of the assembled object on its base:
     dot/up/pow read off each pentaction's own tables.  Carries the full
     22-condition report (diagnostic when the theorem hypotheses fail),
-    scanned over the factor tables of ``build_pa_object``; a ``pa`` whose
-    elements are not the enumerated pentactions of its base in order raises
-    InputError."""
+    scanned over the factor tables of ``build_pa_object``."""
     if pa.object is None:
         raise StructuralError(
             f"PA({pa.base.name}) did not close under its operations; "
             f"no carrier object to act with"
         )
     base = pa.base
-    if pa.elements != _enumerate_pentactions_uncapped(base):
-        raise InputError(
-            f"the elements of PA({base.name}) are not the enumerated pentactions "
-            f"of {base.name!r} in order"
-        )
     dot = tuple(p.dotL for p in pa.elements)
     up = tuple(zip(*(p.up for p in pa.elements)))
     pw = tuple(p.pow for p in pa.elements)
@@ -410,6 +429,7 @@ def represent(
     or is missing from the enumerated set.
     """
     _require_action_of(A, B, triple)
+    _validate_triple_shape(triple)
     pre = triple.report or check_derived_action(triple)
     if not pre.passed:
         raise InputError(
@@ -418,30 +438,16 @@ def represent(
         )
     pa = _require_pa_of(A, pa)
     _require_verified(A, pa)
-    mapping = []
-    for b in range(B.order):
-        nb = B.neg[b]
-        cand = Pentaction(
-            A,
-            dotL=tuple(triple.dot[b]),
-            dotR=tuple(triple.dot[nb]),
-            up=tuple(triple.up[a][b] for a in range(A.order)),
-            upL=tuple(triple.up[a][nb] for a in range(A.order)),
-            pow=tuple(triple.pow[b]),
-        )
-        idx = pa.index_of(cand)
-        if idx < 0:
-            cand_report = check_pentaction(cand)
-            detail = (
-                ", ".join(cand_report.conditions())
-                if not cand_report.passed
-                else "valid pentaction missing from the enumerated set"
-            )
-            raise StructuralError(
-                f"image of b={b} is not available in PA({A.name}): {detail}"
-            )
-        mapping.append(idx)
-    return GwaMorphism(B, pa.object, tuple(mapping))
+    f = _canonical_factors(pa.base)
+    dot, up, pw = (np.asarray(x, dtype=np.intp) for x in (triple.dot, triple.up, triple.pow))
+    phi = _element(f, _images(f, B._arrays.neg, dot[None], up[None])[0], f.find_pow(pw))
+    for b in np.flatnonzero(phi < 0)[:1].tolist():
+        tables = (dot[b], dot[B.neg[b]], up[:, b], up[:, B.neg[b]], pw[b])
+        cand = Pentaction(A, *(tuple(x.tolist()) for x in tables))
+        detail = (", ".join(check_pentaction(cand).conditions())
+                  or "valid pentaction missing from the enumerated set")
+        raise StructuralError(f"image of b={b} is not available in PA({A.name}): {detail}")
+    return GwaMorphism(B, pa.object, tuple(phi.tolist()))
 
 
 def verify_uniqueness(
@@ -456,47 +462,40 @@ def verify_uniqueness(
     action components.
 
     The filter is independent for each b, so the satisfying maps are the
-    product of the per-b sets M_b of indices whose (dotL, up, pow) equals the
-    triple's column for b; each M_b is one lookup in a table built once per
-    PA object.  The budget is charged m + |B| (the table and the lookups),
-    not the m^|B| maps of an exhaustive search.
+    product of the per-b sets M_b of elements whose (dotL, up, pow) equals
+    the triple's column for b.  Every element of PA(A) has dotR = dotL^-1
+    and upL = up^-1, so M_b holds at most the one element keyed by
+    (dot[b], dot[b]^-1, up[., b], up[., b]^-1, pow[b]): one factor lookup
+    per b.  The budget is charged m + |B|, not the m^|B| maps of an
+    exhaustive search.  A malformed triple raises InputError.
 
     Violation ids: "uniq.phi" when phi itself fails the filter, "uniq.extra"
-    (witness: the lexicographically first satisfying map other than phi)
-    when the satisfying set is larger.
+    (witness: the one satisfying map) when that map is not phi.
     """
     _require_action_of(A, B, triple)
+    _validate_triple_shape(triple)
     pa = _require_pa_of(A, pa)
-    m = len(pa.elements)
-    cost = m + B.order
-    if cost > budget:
-        raise BudgetExceededError(
-            f"uniqueness lookup over {m} elements for {B.order} columns "
-            f"costs {cost}, exceeds budget {budget}"
-        )
-    by_action = pa._by_action
-    per_b = [  # M_b for each b
-        by_action.get((
-            tuple(triple.dot[b]),
-            tuple(triple.up[a][b] for a in range(A.order)),
-            tuple(triple.pow[b]),
-        ), ())
-        for b in range(B.order)
-    ]
+    _charge_uniqueness(len(pa.elements), B.order, budget)
+    f = _canonical_factors(pa.base)
+    dot, up, pw = (np.asarray(x, dtype=np.intp) for x in (triple.dot, triple.up, triple.pow))
+    keys = np.concatenate([dot, np.argsort(dot, axis=1), up.T, np.argsort(up.T, axis=1)], axis=1)
+    found = tuple(_element(f, f.find_map(keys), f.find_pow(pw)).tolist())
     target = tuple(phi.map)
     violations = []
-    if len(target) != B.order or any(t not in ms for t, ms in zip(target, per_b)):
+    if -1 in found or target != found:
         violations.append(Violation("uniq.phi", target))
-    if all(per_b):
-        extra = tuple(ms[0] for ms in per_b)
-        if extra == target:
-            # phi is the first match; the next one in lexicographic order
-            # takes the second choice at the last position that has one
-            last = max((b for b, ms in enumerate(per_b) if len(ms) > 1), default=None)
-            extra = None if last is None else extra[:last] + (per_b[last][1],) + extra[last + 1:]
-        if extra is not None:
-            violations.append(Violation("uniq.extra", extra))
+    if -1 not in found and target != found:
+        violations.append(Violation("uniq.extra", found))
     return CheckReport(tuple(violations))
+
+
+def _charge_uniqueness(m: int, columns: int, budget: int) -> None:
+    """Refuse the m + |B| uniqueness lookup over the budget."""
+    if m + columns > budget:
+        raise BudgetExceededError(
+            f"uniqueness lookup over {m} elements for {columns} columns "
+            f"costs {m + columns}, exceeds budget {budget}"
+        )
 
 
 @dataclass(frozen=True)
@@ -531,75 +530,49 @@ class RepresentabilityReport:
         }
 
 
-def _batch_images(A: FiniteGwaObject, B: FiniteGwaObject, batch: _DerivedBatch) -> np.ndarray:
-    """phi[t, b]: the index in PA(A) of the image of b under ``represent``
-    for the triple t of the batch, or -1 when it is not an element.  The map
-    part (dot[b], dot[-b], up[., b], up[., -b]) depends only on the kept
-    pair; the pow part is row J[t, b] of W'."""
-    f = _canonical_factors(A)
-    neg, upc = B._arrays.neg, batch.ups.swapaxes(1, 2)
-    i = f.find_map(np.concatenate([batch.dots, batch.dots[:, neg], upc, upc[:, neg]], axis=2))
-    i, j = i[batch.pair], f.find_pow(batch.rows)[batch.J]
-    return np.where((i < 0) | (j < 0), -1, i * f.W + j)
-
-
-def _preserves(phi: np.ndarray, B: FiniteGwaObject, target: FiniteGwaObject) -> np.ndarray:
-    """Per row of the (T, |B|) index array phi, whether it preserves the sum
-    and the power (hom.add, hom.act), in chunks of (k, |B|, |B|) gathers."""
-    src, tgt = B._arrays, target._arrays
-
-    def preserves(s):
-        f = phi[s]
-        return ~_violated((f[:, src.add] != tgt.add[f[:, :, None], f[:, None]])
-                          | (f[:, src.act] != tgt.act[f[:, :, None], f[:, None]]))
-
-    return _chunked(len(phi), B.order**2, preserves)
+def _failure(stage: str, B: FiniteGwaObject | None, t: int | None, conditions: list) -> dict:
+    """One entry of ``RepresentabilityReport.failures``."""
+    return {"stage": stage, "B": None if B is None else B.name, "triple": t,
+            "conditions": conditions}
 
 
 def _batch_failures(A, B, batch, pa, budget) -> list[dict]:
     """The represent, morphism and uniqueness failures of a batch of derived
     actions, in triple order, as ``verify_representability`` reports them.
-    The images and the two laws are array steps; only a failing triple goes
-    through ``represent`` or ``is_morphism``, to give its exact conditions.
-    ``verify_uniqueness`` runs per triple only when its m + |B| charge
-    exceeds the budget, so it refuses as before."""
-    def failure(stage, t, conditions):
-        return {"stage": stage, "B": B.name, "triple": t, "conditions": conditions}
-
+    The images are one lookup per kept pair and row of W', and the two laws
+    one ``core._passing`` batch; only a failing triple goes through
+    ``represent`` or ``is_morphism``, to give its exact conditions.  Each
+    M_b of ``verify_uniqueness`` is {phi(b)}, so uniqueness cannot fail; its
+    m + |B| charge is made once, at the first triple with an image, as the
+    per-triple loop makes it."""
     try:
         _require_verified(A, pa)
     except StructuralError as exc:
-        return [failure("represent", t, [str(exc)]) for t in range(len(batch.pair))]
-    phi = _batch_images(A, B, batch)
+        return [_failure("represent", B, t, [str(exc)]) for t in range(len(batch.pair))]
+    f = _canonical_factors(pa.base)
+    i = _images(f, B._arrays.neg, batch.dots, batch.ups)[batch.pair]
+    phi = _element(f, i, f.find_pow(batch.rows)[batch.J])
     represented = (phi >= 0).all(axis=1)
-    hom = _preserves(phi, B, pa.object)
-    # dotR = dotL^-1 and upL = up^-1 on every enumerated element, so its
-    # (dotL, up, pow) is unique and each M_b is {phi(b)}
-    per_triple = len(pa.elements) + B.order > budget
+    if represented.any():
+        try:
+            _charge_uniqueness(len(pa.elements), B.order, budget)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(
+                f"representability check for {A.name!r}, "
+                f"B={B.name!r}, triple {int(represented.argmax())}: {exc}"
+            ) from exc
+    hom = _passing(_Hom(phi, B._arrays, pa.object._arrays), _HOM_LAWS, {"X": B.order})
+    bad = np.flatnonzero(~represented | ~hom)
     failures = []
-    for t in np.flatnonzero(~represented | ~hom | per_triple).tolist():
-        tables = (batch.dots[batch.pair[t]], batch.ups[batch.pair[t]], batch.rows[batch.J[t]])
-        triple = DerivedActionTriple(A, B, *(tuple(map(tuple, x.tolist())) for x in tables),
-                                     report=PASSED)
+    for t, triple, image in zip(bad.tolist(), _batch_triples(A, B, batch, bad), phi[bad].tolist()):
         if not represented[t]:
             try:
                 represent(A, B, triple, pa=pa)
             except (InputError, StructuralError) as exc:
-                failures.append(failure("represent", t, [str(exc)]))
-            continue
-        phi_t = GwaMorphism(B, pa.object, tuple(phi[t].tolist()))
-        if not hom[t]:
-            failures.append(failure("morphism", t, list(is_morphism(phi_t).conditions())))
-        if per_triple:
-            try:
-                uniq = verify_uniqueness(A, B, triple, phi_t, pa=pa, budget=budget)
-            except BudgetExceededError as exc:
-                raise BudgetExceededError(
-                    f"representability check for {A.name!r}, "
-                    f"B={B.name!r}, triple {t}: {exc}"
-                ) from exc
-            if not uniq.passed:
-                failures.append(failure("uniqueness", t, list(uniq.conditions())))
+                failures.append(_failure("represent", B, t, [str(exc)]))
+        else:
+            phi_t = GwaMorphism(B, pa.object, tuple(image))
+            failures.append(_failure("morphism", B, t, list(is_morphism(phi_t).conditions())))
     return failures
 
 
@@ -623,23 +596,13 @@ def verify_representability(
     failures: list[dict] = []
     pa = build_pa_object(A, budget=budget)
     if not pa.report.passed:
-        failures.append({
-            "stage": "pa_rgwa",
-            "B": None,
-            "triple": None,
-            "conditions": list(pa.report.conditions()),
-        })
+        failures.append(_failure("pa_rgwa", None, None, list(pa.report.conditions())))
     action_report: CheckReport | None = None
     if pa.object is not None:
         action = pa_action(pa)
         action_report = action.report
         if not action_report.passed:
-            failures.append({
-                "stage": "pa_action",
-                "B": None,
-                "triple": None,
-                "conditions": list(action_report.conditions()),
-            })
+            failures.append(_failure("pa_action", None, None, list(action_report.conditions())))
     pairs = 0
     if pa.object is not None:
         candidates = acting_objects if acting_objects is not None else standard_corpus()

@@ -267,18 +267,52 @@ def reference_verify_uniqueness(A, B, triple, phi, pa) -> rgwa.CheckReport:
     return rgwa.CheckReport(tuple(violations))
 
 
+def reference_index(pa) -> dict:
+    """The five tables of each element of ``pa`` -> its index, from a scan
+    of pa.elements."""
+    return {tuple(p.tables().values()): i for i, p in enumerate(pa.elements)}
+
+
+def reference_represent(A, B, triple, pa, index=None) -> rgwa.GwaMorphism:
+    """``represent`` for a verified derived action, with each image
+    (dot[b], dot[-b], up[., b], up[., -b], pow[b]) looked up in
+    ``reference_index(pa)``; the oracle for the factor lookups of
+    ``represent`` and of the batch check, with the same error messages."""
+    if pa.object is None or not pa.report.passed:
+        raise rgwa.StructuralError(f"PA({A.name}) is not a verified reduced object; "
+                                   f"failing: {', '.join(pa.report.conditions())}")
+    index = reference_index(pa) if index is None else index
+    mapping = []
+    for b in range(B.order):
+        nb = B.neg[b]
+        cand = rgwa.Pentaction(A, tuple(triple.dot[b]), tuple(triple.dot[nb]),
+                               tuple(row[b] for row in triple.up),
+                               tuple(row[nb] for row in triple.up), tuple(triple.pow[b]))
+        key = tuple(cand.tables().values())
+        if key not in index:
+            report = rgwa.check_pentaction(cand)
+            detail = (", ".join(report.conditions()) if not report.passed
+                      else "valid pentaction missing from the enumerated set")
+            raise rgwa.StructuralError(
+                f"image of b={b} is not available in PA({A.name}): {detail}")
+        mapping.append(index[key])
+    return rgwa.GwaMorphism(B, pa.object, tuple(mapping))
+
+
 def reference_triple_failures(A, B, triples, pa, budget=rgwa.DEFAULT_BUDGET) -> list:
     """The represent, morphism and uniqueness failures of derived actions of
-    B on A, one triple at a time through ``represent``, ``is_morphism`` and
-    ``verify_uniqueness``; the oracle for the batch check."""
+    B on A, one triple at a time through ``reference_represent``,
+    ``is_morphism`` and ``verify_uniqueness``; the oracle for the batch
+    check."""
     failures = []
+    index = reference_index(pa)
     for t_index, triple in enumerate(triples):
         def failure(stage, conditions):
             failures.append({"stage": stage, "B": B.name, "triple": t_index,
                              "conditions": conditions})
 
         try:
-            phi = rgwa.represent(A, B, triple, pa=pa)
+            phi = reference_represent(A, B, triple, pa, index)
         except (rgwa.InputError, rgwa.StructuralError) as exc:
             failure("represent", [str(exc)])
             continue

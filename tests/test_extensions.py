@@ -420,6 +420,23 @@ class TestEnumeration:
             rgwa.enumerate_derived_actions(A, B, budget=1)
         assert "candidate" in str(exc.value)
 
+    def test_refuses_before_the_additive_bijection_search(self, monkeypatch):
+        # z2^4 has four generators, so its walks visit 16^4 generator images
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a walk over A ran before the budget check")
+
+        monkeypatch.setattr(extensions, "additive_bijections", unreachable)
+        monkeypatch.setattr(extensions, "_pow_factor", unreachable)
+        z2 = rgwa.cyclic_trivial(2)
+        z2_4 = rgwa.direct_sum(rgwa.direct_sum(z2, z2), rgwa.direct_sum(z2, z2))
+        stage = re.escape(f"needs at least {16 ** 4} candidate visits "
+                          f"(refused before the additive-bijection search)")
+        for budget in (1, 16 ** 4 - 1):
+            with pytest.raises(rgwa.BudgetExceededError, match=stage):
+                rgwa.enumerate_derived_actions(z2_4, rgwa.cyclic_trivial(1), budget=budget)
+        with pytest.raises(AssertionError, match="ran before the budget check"):
+            rgwa.enumerate_derived_actions(z2_4, rgwa.cyclic_trivial(1), budget=16 ** 4)
+
     def test_refuses_before_the_family_search(self, monkeypatch):
         # z2^4 has |GL(4,2)| = 20160 additive bijections, so each family kind
         # of klein4 (two generators) on it has 20160^2 candidates

@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from conftest import (
     reference_build_pa_object,
     reference_pa_action,
     reference_pa_tables,
+    reference_represent,
     reference_triple_failures,
     reference_verify_representability,
     reference_verify_uniqueness,
@@ -264,9 +266,11 @@ class TestPaAxiomScan:
 
 
 def pa_of_factors(f):
-    """The PAObject over the product of the factors' map parts and pow
-    tables, with the assembled tables; its elements carry only the dotL, up
-    and pow the action reads (dotR and upL repeat them)."""
+    """The base, elements and object of a PA over the product of the
+    factors' map parts and pow tables, with the assembled tables, as a plain
+    namespace: a PAObject must be the enumerated PA(base).  Its elements
+    carry only the dotL, up and pow the action reads (dotR and upL repeat
+    them)."""
     A = rgwa.FiniteGwaObject("A", len(f.A.ar), tuple(map(tuple, f.A.add.tolist())),
                              tuple(map(tuple, f.A.act.tolist())))
     add, act = _assemble(f)
@@ -275,7 +279,7 @@ def pa_of_factors(f):
     i, j = np.divmod(np.arange(len(add)), f.W)
     rows = (map(tuple, x.tolist()) for x in (f.dotL[i], f.up[i], f.pow[j]))
     elements = tuple(rgwa.Pentaction(A, dl, dl, up, up, pw) for dl, up, pw in zip(*rows))
-    return PAObject(A, elements, B, rgwa.CheckReport(()))
+    return SimpleNamespace(base=A, elements=elements, object=B)
 
 
 # Carriers for the random factor tables of _corrupt_action_factors; s3 (not
@@ -435,9 +439,8 @@ class TestPaAction:
         first, *rest = pa.elements
         for elements in ((first, *reversed(rest)), pa.elements[:-1],
                          rgwa.build_pa_object(z4neg).elements):
-            by_hand = PAObject(pa.base, elements, pa.object, pa.report)
             with pytest.raises(rgwa.InputError, match="not the enumerated pentactions"):
-                rgwa.pa_action(by_hand)
+                PAObject(pa.base, elements, pa.object, pa.report)
         copy = PAObject(pa.base, tuple(map(replace, pa.elements)), pa.object, pa.report)
         assert rgwa.pa_action(copy).report == rgwa.pa_action(pa).report
 
@@ -537,6 +540,65 @@ class TestRepresent:
                             )
 
 
+class TestLookupsAgainstScans:
+    """``index_of`` and ``represent`` read the factor finders of PA(A); the
+    oracles scan its elements."""
+
+    def test_index_of_is_a_scan_of_the_elements(self, corpus, z4neg, shear16):
+        rng = random.Random(2)
+        by_name = {o.name: o for o in corpus}
+        hits = misses = 0
+        for A in (by_name["z3"], by_name["z5"], by_name["klein4"], z4neg, shear16):
+            pa, n = rgwa.build_pa_object(A), A.order
+            cands = list(pa.elements) + [rgwa.pent_neg(p) for p in pa.elements]
+            for p in rng.sample(pa.elements, min(20, len(pa.elements))):
+                # one cell changed in range and out of range, and tables of
+                # the wrong length, the first with p's concatenated key
+                slot, a = rng.choice(("dotL", "dotR", "up", "upL", "pow")), rng.randrange(n)
+                for v in (rng.randrange(n), n):
+                    table = list(getattr(p, slot))
+                    table[a] = v
+                    cands.append(replace(p, **{slot: tuple(table)}))
+                cands.append(replace(p, dotL=p.dotL + p.dotR[:1], dotR=p.dotR[1:]))
+                cands.append(replace(p, pow=p.pow[:-1]))
+            for q in cands:
+                want = next((i for i, p in enumerate(pa.elements)
+                             if p.tables() == q.tables()), -1)
+                assert pa.index_of(q) == want, (A.name, q)
+                hits, misses = hits + (want >= 0), misses + (want < 0)
+        assert hits and misses
+
+    def test_represent_is_the_reference_scan(self, corpus, z4neg, k4swap):
+        # enumerated triples, and the same with one pow cell, one up column
+        # or the dot row of -1 changed to the negation, so that dot[-1] is
+        # not dot[1]^-1; all passed as verified, so that represent looks them up
+        by_name = {o.name: o for o in corpus}
+
+        def outcome(fn, *args, **kwargs):
+            try:
+                return fn(*args, **kwargs).map
+            except (rgwa.InputError, rgwa.StructuralError) as exc:
+                return type(exc), str(exc)
+
+        kinds = set()
+        for A in (by_name["z2"], by_name["z5"], by_name["klein4"], z4neg, k4swap):
+            pa = rgwa.build_pa_object(A)
+            for B in (by_name["z2"], by_name["z3"], by_name["klein4"]):
+                for triple in rgwa.enumerate_derived_actions(A, B):
+                    pw = [list(row) for row in triple.pow]
+                    pw[-1][-1] = (pw[-1][-1] + 1) % A.order
+                    up = [row[:1] + row[1:][::-1] for row in triple.up]
+                    dot = list(triple.dot)
+                    dot[B.neg[1]] = tuple(A.neg)
+                    for t in (triple, replace(triple, pow=tuple(map(tuple, pw))),
+                              replace(triple, up=tuple(map(tuple, up))),
+                              replace(triple, dot=tuple(dot))):
+                        got = outcome(rgwa.represent, A, B, t, pa=pa)
+                        assert got == outcome(reference_represent, A, B, t, pa), (A.name, B.name)
+                        kinds.add(got[0] if isinstance(got[0], type) else "phi")
+        assert kinds == {"phi", rgwa.StructuralError}
+
+
 class TestUniqueness:
     def test_zero_acting_object_is_trivially_unique(self):
         A, B = rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(1)
@@ -559,6 +621,19 @@ class TestUniqueness:
         corrupted = rgwa.GwaMorphism(B, pa.object, (phi.map[0], 1 - phi.map[1], phi.map[2]))
         report = rgwa.verify_uniqueness(A, B, triple, corrupted, pa=pa)
         assert "uniq.phi" in report.conditions()
+
+    def test_malformed_triple_is_an_input_error(self):
+        A, B = rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(3)
+        triple = trivial_triple(A, B)
+        phi = rgwa.represent(A, B, triple)
+        for bad in (replace(triple, dot=triple.dot[:-1]),
+                    replace(triple, up=((0, 0, 0), (1, 1))),
+                    replace(triple, pow=((0, 0, 0),) * 3),
+                    replace(triple, pow=((0, 2),) * 3)):
+            with pytest.raises(rgwa.InputError):
+                rgwa.verify_uniqueness(A, B, bad, phi)
+            with pytest.raises(rgwa.InputError):  # even when it carries a passing report
+                rgwa.represent(A, B, replace(bad, report=PASSED))
 
     def test_budget(self):
         A, B = rgwa.cyclic_trivial(3), rgwa.cyclic_trivial(3)
@@ -627,38 +702,17 @@ class TestUniquenessAgainstOracle:
                 assert got.to_json() == want.to_json()
                 assert got.conditions() == ("uniq.phi",)
 
-    def test_duplicate_action_columns_match_the_exhaustive_search(self, corpus, z4neg):
-        # No enumerated PA has two elements with the same (dotL, up, pow), so
-        # copies that differ only in dotR/upL make the per-b match sets large
-        # and exercise the "second choice at the last position" witness.
+    def test_duplicate_action_columns_are_refused(self, corpus, z4neg):
+        # Copies of elements that differ only in dotR would give the per-b
+        # match sets a second member; no PAObject can hold them.
         by_name = {o.name: o for o in corpus}
-        rng = random.Random(1)
-        seen, second_choices = set(), 0
-        for A, B in ((by_name["z3"], by_name["z2"]), (z4neg, by_name["z3"]),
-                     (by_name["z4"], by_name["z2"])):
+        for A in (by_name["z3"], z4neg, by_name["z4"]):
             pa = rgwa.build_pa_object(A)
-            for _ in range(3):
-                elements = list(pa.elements)
-                for p in pa.elements:
-                    for copy in range(rng.randrange(3)):
-                        elements.append(replace(p, dotR=(copy + 1,) * A.order))
-                rng.shuffle(elements)
-                fake = PAObject(A, tuple(elements), None, pa.report)
-                m = len(elements)
-                for triple in rgwa.enumerate_derived_actions(A, B):
-                    for phi_map in product(range(m), repeat=B.order):
-                        if m ** B.order > 150 and rng.random() > 150 / m ** B.order:
-                            continue
-                        phi = rgwa.GwaMorphism(B, pa.object, phi_map)
-                        got = rgwa.verify_uniqueness(A, B, triple, phi, pa=fake)
-                        want = reference_verify_uniqueness(A, B, triple, phi, fake)
-                        assert got.to_json() == want.to_json(), (A.name, B.name, phi_map)
-                        seen.add(got.conditions())
-                        if got.conditions() == ("uniq.extra",):
-                            # phi below the witness: phi is the first match
-                            second_choices += phi_map < got.violations[0].witness
-        assert seen == {(), ("uniq.extra",), ("uniq.phi", "uniq.extra")}
-        assert second_choices > 0
+            for p in (pa.elements[0], pa.elements[-1]):
+                copy = replace(p, dotR=(1,) * A.order)
+                for elements in (pa.elements + (copy,), (copy,) + pa.elements[1:]):
+                    with pytest.raises(rgwa.InputError, match="not the enumerated pentactions"):
+                        PAObject(A, elements, None, pa.report)
 
 
 class TestVerifyRepresentability:
@@ -733,8 +787,8 @@ class TestBatchAgainstPerTriple:
         # the batch takes each M_b of verify_uniqueness to be {phi(b)}
         for A in _bases().values():
             pa = rgwa.build_pa_object(A)
-            assert all(len(v) == 1 for v in pa._by_action.values()), A.name
-            assert len(pa._by_action) == len(pa.elements), A.name
+            keys = {(p.dotL, p.up, p.pow) for p in pa.elements}
+            assert len(keys) == len(pa.elements), A.name
 
     def test_budget_refusals_match(self, corpus):
         # PA(z5) has m = 20 elements, so the uniqueness charge m + |B| is
