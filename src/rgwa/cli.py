@@ -4,7 +4,13 @@ Verbs: validate, corpus, pentactions, pa, analyze, noether, represent,
 oracle.  Exit codes: 0 all checks passed, 1 a verified violation (with
 witnesses in the JSON), 2 input or format error, 3 enumeration budget
 exceeded.  Output is canonical JSON on stdout (--pretty for indentation);
---out additionally writes the same document to a file.
+--out first writes the same document to a file, and a failed write exits 2
+with only its error on stdout.  --budget and --max-order are non-negative.
+
+`pentactions` writes its document from the factors Maps x W of the set, in
+canonical key order: (4*|Maps| + |W|)*n encoded integers and m = |Maps|*|W|
+string joins.  Its budget still charges the product |ups|*|dotLs|*n^|gens|,
+since all m entries are written.
 """
 
 from __future__ import annotations
@@ -19,14 +25,16 @@ from .core import check_axioms
 from .errors import BudgetExceededError, InputError, ValidationError
 from .files import (
     dumps_canonical,
+    dumps_pentactions,
     emit_corpus,
     load_object,
     parse_object_json,
-    pentaction_to_json,
     read_json,
 )
 from .pentactions import (
     DEFAULT_BUDGET,
+    _check_budget,
+    _pentaction_factors,
     enumerate_pentactions,
     enumerate_pentactions_bruteforce,
 )
@@ -54,14 +62,10 @@ def _cmd_corpus(args) -> tuple[int, dict]:
     return EXIT_PASSED, {"written": written}
 
 
-def _cmd_pentactions(args) -> tuple[int, dict]:
+def _cmd_pentactions(args) -> tuple[int, str]:
     obj = load_object(args.file)
-    pents = enumerate_pentactions(obj, budget=args.budget)
-    return EXIT_PASSED, {
-        "object": obj.name,
-        "count": len(pents),
-        "pentactions": [pentaction_to_json(p) for p in pents],
-    }
+    _check_budget(obj, args.budget)
+    return EXIT_PASSED, dumps_pentactions(obj.name, *_pentaction_factors(obj), pretty=args.pretty)
 
 
 def _cmd_pa(args) -> tuple[int, dict]:
@@ -116,12 +120,23 @@ def _cmd_oracle(args) -> tuple[int, dict]:
     return (EXIT_PASSED if equal else EXIT_VIOLATION), payload
 
 
+def _count(text: str) -> int:
+    """A non-negative integer option; anything else is a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 @cache  # built once: every call of main shares the tree
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    common.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
                         help="candidate-visit budget for enumerations")
-    common.add_argument("--max-order", type=int, default=3, dest="max_order",
+    common.add_argument("--max-order", type=_count, default=3, dest="max_order",
                         help="largest acting-object order for represent")
     common.add_argument("--pretty", action="store_true",
                         help="indent the JSON output")
@@ -164,10 +179,13 @@ def main(argv=None) -> int:
         code, payload = EXIT_INPUT, {"error": str(exc)}
     except OSError as exc:
         code, payload = EXIT_INPUT, {"error": str(exc)}
-    text = dumps_canonical(payload, pretty=args.pretty)
+    text = payload if isinstance(payload, str) else dumps_canonical(payload, pretty=args.pretty)
+    if args.out:  # before stdout, so a failed write prints only its error
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            code, text = EXIT_INPUT, dumps_canonical({"error": str(exc)}, pretty=args.pretty)
     sys.stdout.write(text)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
     return code
 
 

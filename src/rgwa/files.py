@@ -4,6 +4,9 @@ Object file:     {"name": str, "order": n, "add": [[...]], "act": [[...]]}
 Report:          {"passed": bool, "violations": [{"condition", "witness"}]}
 Triple file:     {"A": name, "B": name, "dot": [[...]], "up": [[...]], "pow": [[...]]}
 Pentaction file: {"object": name, "dotL": [...], ..., "pow": [...]}
+Pentactions:     {"count": m, "object": name, "pentactions": [pentaction file, ...]},
+                 written from the Maps x W factors in canonical key order
+                 (``dumps_pentactions``): (4*|Maps| + |W|)*n encoded integers
 Extension file:  {"A": path, "E": path, "B": path, "i": [...], "p": [...], "j": [...]}
 
 All emitters are byte-stable: keys sorted, fixed separators, trailing newline.
@@ -25,6 +28,37 @@ def dumps_canonical(data, pretty: bool = False) -> str:
     if pretty:
         return json.dumps(data, sort_keys=True, indent=2) + "\n"
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def dumps_pentactions(name: str, maps, rows, pretty: bool = False) -> str:
+    """``dumps_canonical`` of the `rgwa pentactions` document of an object
+    whose pentactions have the map parts ``maps`` and the pow tables ``rows``.
+
+    Entry i*len(rows) + j pairs maps[i] with rows[j], the canonical key
+    order.  Its sorted keys put pow between the map slots, so the entry is
+    prefix(i) + pow(j) + suffix(i), and each fragment is encoded once per
+    factor row rather than once per entry.
+    """
+    enc = json.JSONEncoder(indent=2 if pretty else None,
+                           separators=(",", ": " if pretty else ":"))
+
+    def pad(depth: int) -> str:  # the line break before an item at depth
+        return "\n" + "  " * depth if pretty else ""
+
+    def member(key: str, depth: int, value=None) -> str:  # None: the key alone
+        text = pad(depth) + enc.encode(key) + enc.key_separator
+        return text if value is None else text + enc.encode(value).replace("\n", pad(depth))
+
+    pows = [enc.encode(row).replace("\n", pad(3)) for row in rows]
+    entries = []
+    for dotl, dotr, up, upl in maps:
+        prefix = (pad(2) + "{" + member("dotL", 3, dotl) + "," + member("dotR", 3, dotr) + ","
+                  + member("object", 3, name) + "," + member("pow", 3))
+        suffix = "," + member("up", 3, up) + "," + member("upL", 3, upl) + pad(2) + "}"
+        entries.append(prefix + (suffix + "," + prefix).join(pows) + suffix)
+    return ("{" + member("count", 1, len(maps) * len(rows)) + "," + member("object", 1, name)
+            + "," + member("pentactions", 1) + "[" + ",".join(entries) + pad(1) + "]"
+            + pad(0) + "}\n")
 
 
 def object_to_json(obj: FiniteGwaObject) -> dict:

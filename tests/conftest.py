@@ -693,3 +693,18 @@ def reference_weak_stabilizer(obj) -> rgwa.ElementSet:
     members.update(np.unique(family2))
     members.update(np.unique(family3))
     return rgwa.ElementSet(obj, tuple(int(v) for v in sorted(members)))
+
+
+def reference_pentactions_document(obj, pretty: bool = False) -> str:
+    """The `rgwa pentactions` document built entry by entry: every
+    pentaction enumerated as an object, turned into a dict and dumped with
+    ``dumps_canonical``; the oracle for ``files.dumps_pentactions``, which
+    encodes each factor row once."""
+    from rgwa.files import dumps_canonical, pentaction_to_json
+
+    pents = rgwa.enumerate_pentactions(obj)
+    return dumps_canonical({
+        "object": obj.name,
+        "count": len(pents),
+        "pentactions": [pentaction_to_json(p) for p in pents],
+    }, pretty=pretty)

@@ -9,9 +9,16 @@ from pathlib import Path
 import pytest
 
 import rgwa
-from conftest import negation_product
+from conftest import (
+    k4swap_object,
+    negation_cyclic,
+    negation_product,
+    reference_pentactions_document,
+    relabeled,
+    shear_object,
+)
 from rgwa.cli import main
-from rgwa.files import emit_corpus, save_object
+from rgwa.files import dumps_canonical, emit_corpus, save_object
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +124,99 @@ class TestEnumerationVerbs:
         assert code == 2
 
 
+_PENTACTION_BASES = {
+    **{obj.name: (lambda obj=obj: obj) for obj in rgwa.standard_corpus()},
+    "z4neg": lambda: negation_cyclic(4),
+    "k4swap": k4swap_object,
+    "shear16": shear_object,
+    "neg2x8": lambda: negation_product(2, 8),
+    "neg4x4": lambda: negation_product(4, 4),
+    "neg8x2": lambda: negation_product(8, 2),
+}
+
+
+def assert_same_text(out: str, expected: str) -> None:
+    # names the first difference; pytest's own diff of two long documents
+    # can take minutes
+    if out != expected:
+        at = next((i for i, (a, b) in enumerate(zip(out, expected)) if a != b),
+                  min(len(out), len(expected)))
+        lo = max(0, at - 30)
+        pytest.fail(f"documents differ at character {at} (lengths {len(out)} and "
+                    f"{len(expected)}): {out[lo:at + 30]!r} != {expected[lo:at + 30]!r}")
+
+
+class TestPentactionsDocument:
+    """`rgwa pentactions` writes its document from the Maps x W factors; it
+    must equal the entry-by-entry dict path byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", list(_PENTACTION_BASES))
+    def test_matches_the_dict_path(self, capsys, tmp_path, name, seed):
+        obj = _PENTACTION_BASES[name]()
+        if seed:
+            obj = relabeled(obj, seed)
+        path, copy = tmp_path / "obj.json", tmp_path / "copy.json"
+        save_object(obj, path)
+        for pretty in (False, True):
+            code, out = run(capsys, "pentactions", path, "--out", copy,
+                            *(["--pretty"] if pretty else []))
+            assert code == 0
+            assert_same_text(out, reference_pentactions_document(obj, pretty=pretty))
+            assert_same_text(copy.read_text(encoding="utf-8"), out)
+
+    def test_equal_tables_keep_their_own_names(self, capsys, tmp_path):
+        # the factor caches are keyed by name as well as tables
+        for name in ("alias-first", "alias-second", "alias-first"):
+            obj = negation_cyclic(4, name)
+            path = tmp_path / f"{name}.json"
+            save_object(obj, path)
+            code, out = run(capsys, "pentactions", path)
+            assert code == 0
+            assert_same_text(out, reference_pentactions_document(obj))
+            doc = json.loads(out)
+            assert {doc["object"]} | {p["object"] for p in doc["pentactions"]} == {name}
+
+    def test_budget_refusal_is_unchanged(self, capsys, tmp_path):
+        obj = negation_product(4, 4)
+        path = tmp_path / "neg4x4.json"
+        save_object(obj, path)
+        code, out = run(capsys, "pentactions", "--budget", "1000", path)
+        assert code == 3
+        with pytest.raises(rgwa.BudgetExceededError) as refusal:
+            rgwa.enumerate_pentactions(obj, budget=1000)
+        assert out == dumps_canonical({"error": str(refusal.value)})
+        assert out == ('{"error":"pentaction enumeration over \'neg4x4\' needs 24576 '
+                       'candidate visits, budget is 1000"}\n')
+
+    def test_non_reduced_input_reports_the_reduced_violations(self, capsys, corpus_dir):
+        code, out = run(capsys, "pentactions", corpus_dir / "s3_conjugation.json")
+        assert code == 1
+        assert out == ('{"passed":false,"violations":['
+                       '{"condition":"reduced.central","witness":[1,1,2]},'
+                       '{"condition":"reduced.collapse","witness":[1,1,2]}]}\n')
+
+    def test_builds_no_pentaction(self, capsys, tmp_path, monkeypatch):
+        built = []
+        init = rgwa.Pentaction.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(rgwa.Pentaction, "__init__", counting_init)
+        # a name of its own, so no cached enumeration can hide a construction
+        neg4x4 = negation_product(4, 4)
+        obj = rgwa.make_object("neg4x4-unenumerated", 16, neg4x4.add, neg4x4.act)
+        path = tmp_path / "neg4x4.json"
+        save_object(obj, path)
+        code, out = run(capsys, "pentactions", path)
+        assert code == 0 and json.loads(out)["count"] == 1024
+        assert built == []
+        rgwa.zero_pentaction(obj)  # the patched constructor does see constructions
+        assert len(built) == 1
+
+
 class TestStructureVerbs:
     def test_pa_on_the_zero_object(self, capsys, corpus_dir):
         code, out = run(capsys, "pa", corpus_dir / "z1.json")
@@ -209,6 +309,33 @@ class TestOutputHandling:
         _, plain = run(capsys, "validate", corpus_dir / "z2.json")
         assert pretty.count("\n") > 1
         assert plain == '{"passed":true,"violations":[]}\n'
+
+    @pytest.mark.parametrize("verb", ["validate", "pentactions", "analyze", "pa"])
+    def test_unwritable_out_is_an_input_error(self, capsys, corpus_dir, tmp_path, verb):
+        # --out is written first, so stdout carries only the error document
+        code, out = run(capsys, verb, corpus_dir / "z2.json", "--out", tmp_path)
+        assert code == 2
+        assert "Is a directory" in json.loads(out)["error"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pentactions", "--budget", "-5"], "must not be negative, got -5"),
+        (["represent", "--max-order", "-1"], "must not be negative, got -1"),
+        (["validate", "--budget", "abc"], "invalid int value: 'abc'"),
+    ])
+    def test_counts_that_are_not_non_negative_are_usage_errors(
+            self, capsys, corpus_dir, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(corpus_dir / "z2.json")])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
+    def test_zero_counts_stay_valid(self, capsys, corpus_dir):
+        code, out = run(capsys, "pentactions", "--budget", "0", corpus_dir / "z2.json")
+        assert code == 3 and "budget is 0" in json.loads(out)["error"]
+        code, out = run(capsys, "represent", "--max-order", "0", corpus_dir / "z1.json")
+        assert code == 0
+        assert json.loads(out)["representability"]["pairs_checked"] == 0
 
     def test_repeated_runs_are_byte_identical(self, capsys, corpus_dir):
         _, first = run(capsys, "pentactions", corpus_dir / "z3.json")
