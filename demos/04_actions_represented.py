@@ -33,7 +33,7 @@ print(f"\nz4neg: perfect={rgwa.is_perfect(z4neg)}, "
       f"wSt={rgwa.weak_stabilizer(z4neg).members}")
 
 pa = rgwa.build_pa_object(z4neg)
-print(f"PA(z4neg): order {len(pa.elements)}, reduced-object check passed={pa.report.passed}")
+print(f"PA(z4neg): order {pa.order}, reduced-object check passed={pa.report.passed}")
 
 action = rgwa.pa_action(pa)
 print(f"canonical action of PA(z4neg) on z4neg is derived: {action.report.passed}")

@@ -38,7 +38,7 @@ from .pentactions import (
     enumerate_pentactions,
     enumerate_pentactions_bruteforce,
 )
-from .representability import build_pa_object, pa_action, verify_representability
+from .representability import build_pa_object, verify_representability
 
 EXIT_PASSED = 0
 EXIT_VIOLATION = 1
@@ -71,16 +71,13 @@ def _cmd_pentactions(args) -> tuple[int, str]:
 def _cmd_pa(args) -> tuple[int, dict]:
     obj = load_object(args.file)
     pa = build_pa_object(obj, budget=args.budget)
+    action = pa.action_report
     payload: dict = {
-        "pa_order": len(pa.elements),
+        "pa_order": pa.order,
         "pa_rgwa": pa.report.to_json(),
-        "pa_action": None,
+        "pa_action": None if action is None else action.to_json(),
     }
-    passed = pa.object is not None and pa.report.passed
-    if pa.object is not None:
-        action = pa_action(pa)
-        payload["pa_action"] = action.report.to_json()
-        passed = passed and action.report.passed
+    passed = action is not None and action.passed and pa.report.passed
     return (EXIT_PASSED if passed else EXIT_VIOLATION), payload
 
 

@@ -1,4 +1,5 @@
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -195,22 +196,24 @@ def reference_pa_tables(obj, elements):
     return add, act, gaps
 
 
-def reference_build_pa_object(obj) -> rgwa.PAObject:
+def reference_build_pa_object(obj) -> SimpleNamespace:
     """PA(A) from the m x m reference tables over the zero pentaction and
-    the rest of the enumerated set, scanned by ``check_axioms``; the oracle
-    for the factored ``build_pa_object``."""
+    the rest of the enumerated set, scanned by ``check_axioms``, as a record
+    of its base, elements, object and report; the oracle for the factored
+    ``build_pa_object``."""
     zero = rgwa.zero_pentaction(obj)
     elements = [zero] + [p for p in rgwa.enumerate_pentactions(obj) if p != zero]
     add, act, gaps = reference_pa_tables(obj, elements)
     if gaps:
-        return rgwa.PAObject(obj, tuple(elements), None, rgwa.CheckReport(gaps))
+        return SimpleNamespace(base=obj, elements=tuple(elements), object=None,
+                               report=rgwa.CheckReport(gaps))
     m = len(elements)
     report = rgwa.check_axioms(m, add.tolist(), act.tolist(), require_reduced=True)
     assembled = rgwa.FiniteGwaObject(
         name=f"PA({obj.name})", order=m, add=tuple(map(tuple, add.tolist())),
         act=tuple(map(tuple, act.tolist())), reduced=report.passed,
     )
-    return rgwa.PAObject(obj, tuple(elements), assembled, report)
+    return SimpleNamespace(base=obj, elements=tuple(elements), object=assembled, report=report)
 
 
 def reference_pa_action(pa) -> rgwa.DerivedActionTriple:
@@ -333,9 +336,11 @@ def reference_triple_failures(A, B, triples, pa, budget=rgwa.DEFAULT_BUDGET) -> 
 def reference_verify_representability(A, max_b_order=3, budget=rgwa.DEFAULT_BUDGET,
                                       acting_objects=None) -> rgwa.RepresentabilityReport:
     """``verify_representability`` over the public triple list of each B,
-    checked by ``reference_triple_failures``."""
+    checked by ``reference_triple_failures``.  The triples read PA(A) built
+    under the default budget, since ``budget`` bounds the searches and the
+    per-triple loop reads the assembled tables."""
     failures = []
-    pa = rgwa.build_pa_object(A, budget=budget)
+    pa = rgwa.PAObject(A, rgwa.build_pa_object(A, budget=budget).report)
     if not pa.report.passed:
         failures.append({"stage": "pa_rgwa", "B": None, "triple": None,
                          "conditions": list(pa.report.conditions())})

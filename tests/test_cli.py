@@ -17,6 +17,7 @@ from conftest import (
     relabeled,
     shear_object,
 )
+from rgwa import representability
 from rgwa.cli import main
 from rgwa.files import dumps_canonical, emit_corpus, save_object
 
@@ -249,6 +250,28 @@ class TestStructureVerbs:
                 {"condition": "a10", "witness": [8, 4, 32]}]},
         }
 
+    def test_pa_builds_no_pentaction_and_no_table(self, capsys, tmp_path, monkeypatch):
+        # `rgwa pa` reads only the factor tables of PA(A); a name of its own,
+        # so that no cached enumeration hides a construction
+        built = []
+        init = rgwa.Pentaction.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(args)
+            init(self, *args, **kwargs)
+
+        def no_assembly(f):
+            raise AssertionError("the m x m tables were assembled")
+
+        monkeypatch.setattr(rgwa.Pentaction, "__init__", counting_init)
+        monkeypatch.setattr(representability, "_assemble", no_assembly)
+        neg4x4 = negation_product(4, 4)
+        path = tmp_path / "neg4x4.json"
+        save_object(rgwa.make_object("neg4x4-unassembled", 16, neg4x4.add, neg4x4.act), path)
+        code, out = run(capsys, "pa", path)
+        assert code == 1 and json.loads(out)["pa_order"] == 1024
+        assert built == []
+
     def test_analyze_shape(self, capsys, corpus_dir):
         code, out = run(capsys, "analyze", corpus_dir / "z2.json")
         assert code == 0
@@ -360,3 +383,34 @@ def test_verbs_do_not_import_numpy_ma(corpus_dir):
                           env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_pa_on_a_large_base_in_a_subprocess(tmp_path):
+    # Z/3 + Z/3 with trivial action, outside standard_corpus: PA(A) has
+    # m = 3,888 elements (48 map parts x 81 pow tables), so one m x m table
+    # alone would be 15 M cells.  The pinned output is that of the assembled
+    # m x m tables; the child's peak resident memory stays under 100 MB.  A
+    # small launcher starts the child, because Linux carries the RSS peak of
+    # the process that starts a program into that program's ru_maxrss.
+    z3 = rgwa.cyclic_trivial(3)
+    path = tmp_path / "z3xz3.json"
+    save_object(rgwa.direct_sum(z3, z3, name="z3xz3"), path)
+    launcher = (
+        "import os, subprocess, sys\n"
+        "proc = subprocess.Popen(sys.argv[1:])\n"
+        "_, status, usage = os.wait4(proc.pid, 0)\n"
+        "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+        "print(proc.returncode, usage.ru_maxrss, file=sys.stderr)\n"
+    )
+    src = Path(rgwa.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", launcher, sys.executable, "-m", "rgwa.cli", "pa", str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    code, maxrss_kib = map(int, proc.stderr.split())
+    assert code == 1
+    assert proc.stdout == (
+        '{"pa_action":{"passed":false,"violations":[{"condition":"a9","witness":[1,3,3]},'
+        '{"condition":"a10","witness":[1,1,972]}]},"pa_order":3888,"pa_rgwa":{"passed":false,'
+        '"violations":[{"condition":"reduced.central","witness":[81,1,243]}]}}\n'
+    )
+    assert maxrss_kib < 100 * 1024

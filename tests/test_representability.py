@@ -1,7 +1,8 @@
 """PA(A) assembly, its action, and the factorization morphism."""
 
+import json
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from itertools import product
 from types import SimpleNamespace
 
@@ -22,23 +23,26 @@ from conftest import (
     reference_triple_failures,
     reference_verify_representability,
     reference_verify_uniqueness,
+    relabeled,
     shear_object,
 )
 from rgwa import core, representability
+from rgwa.cli import main
 from rgwa.core import _AXIOMS
 from rgwa.extensions import _CONDITIONS, DerivedActionTriple
 from rgwa.pentactions import _pentaction_factors
 from rgwa.report import PASSED
-from rgwa.representability import (
+from rgwa.pa import (
     _PA_ACTION,
-    PAObject,
     _PaFactors,
     _assemble,
+    _canonical_factors,
     _closure_gaps,
     _pa_action_report,
     _pa_factors,
     _pa_report,
 )
+from rgwa.representability import PAObject
 
 
 def trivial_triple(A, B):
@@ -113,6 +117,52 @@ class TestBuildPaObject:
             assert pa.report.passed, pa.report.conditions()
 
 
+class TestPaObjectViews:
+    """A PAObject reads the factor tables of its base; its m elements and
+    its m x m tables are built only when read."""
+
+    def test_views_are_built_on_first_access(self, z4neg):
+        pa, want = rgwa.build_pa_object(z4neg), reference_build_pa_object(z4neg)
+        assert pa.action_report == reference_pa_action(want).report
+        assert not {"elements", "object"} & set(pa.__dict__)
+        assert pa.order == len(want.elements) == len(pa.elements)
+        assert pa.elements == want.elements and pa.object.table_equal(want.object)
+
+    def test_object_is_charged_its_cells(self, z4neg):
+        report, m = rgwa.build_pa_object(z4neg).report, rgwa.build_pa_object(z4neg).order
+        pa = PAObject(z4neg, report, budget=m * m - 1)
+        assert pa.action_report.passed
+        with pytest.raises(rgwa.BudgetExceededError,
+                           match=rf"assembling the operation tables of PA\({z4neg.name}\) "
+                                 rf"needs {m * m} cells, budget is {m * m - 1}"):
+            pa.object
+        assert PAObject(z4neg, report, budget=m * m).object.order == m
+
+    def test_factors_that_do_not_close_leave_no_object(self, monkeypatch, capsys, tmp_path):
+        # the product without its first map part (the identity maps) is not
+        # closed; PA(A) then reports the closure gaps of the reference tables
+        z7 = rgwa.cyclic_trivial(7)
+        maps, pows = _pentaction_factors(z7)
+        elements = [rgwa.Pentaction(z7, *mp, pw) for mp in maps[1:] for pw in pows]
+        gaps = reference_pa_tables(z7, elements)[2]
+        assert gaps
+        truncated = _pa_factors(z7, maps[1:], pows)
+        monkeypatch.setattr(representability, "_canonical_factors", lambda obj: truncated)
+        pa = rgwa.build_pa_object(z7)
+        assert pa.report == rgwa.CheckReport(gaps)
+        assert (pa.closed, pa.object, pa.action_report) == (False, None, None)
+        with pytest.raises(rgwa.StructuralError, match="did not close"):
+            rgwa.pa_action(pa)
+        report = rgwa.verify_representability(z7)
+        assert (report.pa_action, report.pairs_checked) == (None, 0)
+        assert [f["stage"] for f in report.failures] == ["pa_rgwa"]
+        path = tmp_path / "z7.json"
+        rgwa.save_object(z7, path)
+        assert main(["pa", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "pa_order": len(elements), "pa_rgwa": pa.report.to_json(), "pa_action": None}
+
+
 def scalar_pa_tables(elements):
     """Sum and power tables from one pent_add / pent_pow call per cell; a
     result outside ``elements`` is -1, and the first such cell of each table
@@ -129,9 +179,11 @@ def scalar_pa_tables(elements):
 
 
 def factored_tables(obj, maps, pows):
-    """The assembled tables and closure gaps of the product maps x pows."""
-    add, act = _assemble(_pa_factors(obj, maps, pows))
-    return add.tolist(), act.tolist(), _closure_gaps(add, act)
+    """The assembled tables of the product maps x pows, and its closure gaps
+    read off the factors."""
+    f = _pa_factors(obj, maps, pows)
+    add, act = _assemble(f)
+    return add.tolist(), act.tolist(), _closure_gaps(f)
 
 
 def spread_dot_factors(klein4):
@@ -224,7 +276,7 @@ def _corrupt_factors(draw, count):
 
 def assert_report_is_the_axiom_scan(f):
     add, act = _assemble(f)
-    report = _pa_report(f, add, act)
+    report = _pa_report(f)
     assert report == rgwa.check_axioms(len(add), add.tolist(), act.tolist(), True)
     return report
 
@@ -249,6 +301,26 @@ class TestPaAxiomScan:
             f = _corrupt_factors(rng.randrange, rng.randrange(4))
             seen.update(assert_report_is_the_axiom_scan(f).conditions())
         assert seen == {a[0] for a in _AXIOMS}
+
+    def test_element_axioms_at_single_cell_corruptions(self):
+        # group.identity, group.inverse and action.zero read each factor
+        # table per element; genuine tables with one cell overwritten, a
+        # zero cell of Cm or P made nonzero and a nonzero one made zero
+        rng = random.Random(1)
+        seen = set()
+        for f in FACTOR_BASES:
+            if len(f.E) * f.W > 64:
+                continue
+            for name, bound in (("Cm", len(f.E)), ("P", f.W), ("E", len(f.E)), ("Q", f.W)):
+                size = getattr(f, name).size
+                for cell in range(size) if size <= 64 else rng.sample(range(size), 64):
+                    table = getattr(f, name).copy()
+                    old = table.flat[cell]
+                    table.flat[cell] = (old == 0) if name in ("Cm", "P") else rng.randrange(bound)
+                    if table.flat[cell] < bound and table.flat[cell] != old:
+                        report = assert_report_is_the_axiom_scan(f._replace(**{name: table}))
+                        seen.update(report.conditions())
+        assert {"group.identity", "group.inverse", "action.zero"} <= seen
 
     @pytest.mark.parametrize("M, W", [(1, 1), (1, 3), (3, 1)])
     def test_central_witness_at_one_map_or_one_pow(self, M, W):
@@ -385,6 +457,18 @@ class TestPaActionScan:
         assert seen == {c[0] for c in _CONDITIONS}
         assert several_classes > 0 and a2_cleared > 0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_one_b_rows_on_relabeled_bases(self, seed, monkeypatch):
+        # the twelve one-B conditions scan the map parts or the pow tables
+        # in one-cell chunks; the reference scans B = PA(A) whole
+        for obj in list(rgwa.standard_corpus()) + [
+                negation_cyclic(4), k4swap_object(), negation_product(2, 8)]:
+            A = relabeled(obj, seed) if seed else obj
+            want = reference_pa_action(rgwa.build_pa_object(A)).report
+            with monkeypatch.context() as patch:
+                patch.setattr(core, "_CHUNK_CELLS", 1)
+                assert _pa_action_report(_canonical_factors(A)) == want, A.name
+
     @pytest.mark.parametrize("M, W", [(1, 1), (1, 3), (3, 1)])
     def test_nonzero_witness_at_one_map_or_one_pow(self, M, W):
         # dotL swaps the two elements of z2, so a2 and a3 fail wherever
@@ -435,13 +519,18 @@ class TestPaAction:
         assert "_arrays" not in pa.object.__dict__
 
     def test_elements_that_are_not_the_enumerated_product_are_refused(self, z4neg):
+        # the elements are read off the base: a PAObject takes none, and
+        # they cannot be replaced
         pa = rgwa.build_pa_object(rgwa.cyclic_trivial(3))
         first, *rest = pa.elements
         for elements in ((first, *reversed(rest)), pa.elements[:-1],
                          rgwa.build_pa_object(z4neg).elements):
-            with pytest.raises(rgwa.InputError, match="not the enumerated pentactions"):
+            with pytest.raises(TypeError):
                 PAObject(pa.base, elements, pa.object, pa.report)
-        copy = PAObject(pa.base, tuple(map(replace, pa.elements)), pa.object, pa.report)
+            with pytest.raises(FrozenInstanceError):
+                pa.elements = elements
+        copy = PAObject(pa.base, pa.report)
+        assert copy.elements == pa.elements == tuple(rgwa.enumerate_pentactions(pa.base))
         assert rgwa.pa_action(copy).report == rgwa.pa_action(pa).report
 
     def test_negative_component_identities(self, z4neg):
@@ -640,7 +729,7 @@ class TestUniqueness:
         pa = rgwa.build_pa_object(A)
         triple = trivial_triple(A, B)
         phi = rgwa.represent(A, B, triple, pa=pa)
-        cost = len(pa.elements) + B.order  # the lookup table plus one lookup per b
+        cost = B.order  # one factor lookup per b
         with pytest.raises(rgwa.BudgetExceededError):
             rgwa.verify_uniqueness(A, B, triple, phi, pa=pa, budget=cost - 1)
         assert rgwa.verify_uniqueness(A, B, triple, phi, pa=pa, budget=cost).passed
@@ -711,8 +800,9 @@ class TestUniquenessAgainstOracle:
             for p in (pa.elements[0], pa.elements[-1]):
                 copy = replace(p, dotR=(1,) * A.order)
                 for elements in (pa.elements + (copy,), (copy,) + pa.elements[1:]):
-                    with pytest.raises(rgwa.InputError, match="not the enumerated pentactions"):
+                    with pytest.raises(TypeError):
                         PAObject(A, elements, None, pa.report)
+            assert copy not in PAObject(A, pa.report).elements
 
 
 class TestVerifyRepresentability:
@@ -750,9 +840,10 @@ class TestVerifyRepresentability:
         assert set(data["representability"]) == {"pairs_checked", "all_passed", "failures"}
 
     def test_budget_error_carries_context(self):
+        # the |B| = 3 uniqueness lookups of B = z3 are over budget 2
         with pytest.raises(rgwa.BudgetExceededError) as exc:
-            rgwa.verify_representability(rgwa.cyclic_trivial(2), max_b_order=3, budget=3)
-        assert "z2" in str(exc.value)
+            rgwa.verify_representability(rgwa.cyclic_trivial(2), max_b_order=3, budget=2)
+        assert "representability check for 'z2', B='z3'" in str(exc.value)
 
 
 def _bases():
@@ -791,15 +882,16 @@ class TestBatchAgainstPerTriple:
             assert len(keys) == len(pa.elements), A.name
 
     def test_budget_refusals_match(self, corpus):
-        # PA(z5) has m = 20 elements, so the uniqueness charge m + |B| is
-        # refused at budgets 20..23 after the enumeration charges passed
-        z5, acting = corpus[4], corpus[:4]
+        # the uniqueness charge is the |B| <= 4 lookups: below every budget
+        # at which the enumeration charges pass on z5, and above them on z1,
+        # where B = z3 and z4 are refused at budgets 2 and 3
+        z1, z5, acting = corpus[0], corpus[4], corpus[:4]
         kinds = set()
-        for budget in range(1, 30):
-            got = _outcome(rgwa.verify_representability, z5, 4, budget, acting)
-            assert got == _outcome(reference_verify_representability, z5, 4, budget, acting)
-            kinds.add("uniqueness lookup" in got if isinstance(got, str) else "report")
-        assert kinds == {False, True, "report"}
+        for A, budget in product((z5, z1), range(1, 30)):
+            got = _outcome(rgwa.verify_representability, A, 4, budget, acting)
+            assert got == _outcome(reference_verify_representability, A, 4, budget, acting)
+            kinds.add(("uniqueness lookup" in got, A.name) if isinstance(got, str) else "report")
+        assert kinds == {(False, "z5"), (False, "z1"), (True, "z1"), "report"}
 
     def test_corrupted_batches_report_as_the_per_triple_loop(self, z4neg):
         # pow rows replaced by other rows of W' keep each image in PA(A) but
