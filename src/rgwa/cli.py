@@ -9,8 +9,8 @@ with only its error on stdout.  --budget and --max-order are non-negative.
 
 `pentactions` writes its document from the factors Maps x W of the set, in
 canonical key order: (4*|Maps| + |W|)*n encoded integers and m = |Maps|*|W|
-string joins.  Its budget still charges the product |ups|*|dotLs|*n^|gens|,
-since all m entries are written.
+string joins.  Its budget still charges the product |ups|*n^|gens|, since
+all m entries are written.
 """
 
 from __future__ import annotations

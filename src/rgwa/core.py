@@ -125,9 +125,10 @@ def _violations(t, conditions, sizes):
 
 def _passing(t, conditions, sizes) -> np.ndarray:
     """Per candidate, whether it passes every candidate row.  Each row runs
-    on the candidates that passed the rows before, in chunks sliced from the
-    tables the rows read.  Unlike a scan, a batch never stops early, so its
-    masks get an eighth of the ``_CHUNK_CELLS`` cells, to bound peak memory."""
+    on the candidates that passed the rows before, in chunks gathered once
+    from the tables the rows read and gathered again only after a row drops
+    a candidate.  Unlike a scan, a batch never stops early, so its masks get
+    an eighth of the ``_CHUNK_CELLS`` cells, to bound peak memory."""
     reads = {r for _, _, needed, _ in conditions for r in needed}
     k = len(getattr(t, next(iter(reads))))
     ok = np.zeros(k, dtype=bool)
@@ -135,11 +136,15 @@ def _passing(t, conditions, sizes) -> np.ndarray:
     step = max(1, _CHUNK_CELLS // (8 * cells))
     for lo in range(0, k, step):
         live = np.arange(lo, min(k, lo + step))
+        chunk = t._replace(**{r: getattr(t, r)[live] for r in reads})
         for *_, mask in conditions:
+            keep = ~_violated(mask(chunk, slice(None)))
+            if keep.all():
+                continue
+            live = live[keep]
             if not len(live):
                 break
-            chunk = t._replace(**{r: getattr(t, r)[live] for r in reads})
-            live = live[~_violated(mask(chunk, slice(None)))]
+            chunk = chunk._replace(**{r: getattr(chunk, r)[keep] for r in reads})
         ok[live] = True
     return ok
 

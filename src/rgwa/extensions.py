@@ -13,12 +13,23 @@ reads, each led by a candidate axis.  As for the pentaction conditions,
 excluded cells rather than failing vacuously.  The enumerators filter each
 stage's batch by the subset of the table reading the tables fixed so far.
 
+Every dot map of a derived action is the identity.  Lemma: let n_A >= 2
+and let f satisfy f(a)^g = a^g for all a and all g != 0.  Then -g != 0
+too, so by action.zero and action.compose
+
+    f(a) = f(a)^(g + (-g)) = (f(a)^g)^(-g) = (a^g)^(-g) = a,
+
+and f is the identity; when n_A = 1 the identity is the only map.  3A
+applies this to every dot[b], and p3 and p3d apply it to the dotL and dotR
+of a pentaction.  So a derived action is its up family and its pow rows.
+
 ``enumerate_derived_actions`` keeps its triples as one columnar batch
-(``_DerivedBatch``): the kept (dot, up) pairs, the pow rows W' that can
-occur, and per triple its pair and the index in W' of each of its pow
-rows.  Its pow stage reads the seven pow-reading conditions through those
-indices (``_POW_INDEX_CHECKS``), and one ``np.lexsort`` puts the batch in
-canonical order.  ``verify_representability`` checks the batch as it is.
+(``_DerivedBatch``): the kept up families, the pow rows W' that can occur,
+and per triple its up family and the index in W' of each of its pow rows.
+Its pow stage reads the seven pow-reading conditions through those indices
+(``_POW_INDEX_CHECKS``), against tables of which all but two depend on A
+alone, and one ``np.lexsort`` puts the batch in canonical order.
+``verify_representability`` checks the batch as it is.
 """
 
 from __future__ import annotations
@@ -45,6 +56,7 @@ from .core import (
     additive_bijections,
     generating_words,
     is_morphism,
+    object_cache,
 )
 from .errors import BudgetExceededError, InputError, StructuralError, ValidationError
 from .pentactions import DEFAULT_BUDGET, _pow_factor
@@ -290,9 +302,7 @@ def _reading(*tables: str):
 
 
 # The enumerators run each subset as soon as the tables it reads are fixed.
-_DOT_ONLY, _UP_ONLY, _POW_ONLY, _DOT_UP = (
-    _reading("dot"), _reading("up"), _reading("pow"), _reading("dot", "up")
-)
+_DOT_ONLY, _UP_ONLY, _DOT_UP = _reading("dot"), _reading("up"), _reading("dot", "up")
 _POW_READING = tuple(c for c in _CONDITIONS if "pow" in c[2])
 
 
@@ -308,59 +318,67 @@ def check_derived_action(triple: DerivedActionTriple) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _map_families(A: FiniteGwaObject, B: FiniteGwaObject, contravariant: bool):
-    """Up tables (contravariant) or dot tables whose per-element maps are
-    additive bijections of A respecting B's addition (2B, resp. ga.1).
+def _up_families(A: FiniteGwaObject, B: FiniteGwaObject) -> np.ndarray:
+    """The up tables (k, n_A, n_B) whose per-element maps up(., b) are
+    additive bijections of A composing anti-homomorphically (2B) and that
+    pass the other up-only conditions and, with dot = id, 4A, 3B and a2.
 
-    Walked from every assignment of bijections to B's generators and
-    filtered by that composition law one chunk at a time, so doomed
-    families never reach the pow search.
+    Walked from every assignment of bijections to B's generators, in
+    product order, and filtered one chunk at a time.
     """
     bij = np.asarray(additive_bijections(A), dtype=np.intp)
     inverses = np.argsort(bij, axis=1)
     gensB, stepsB = generating_words(B)
     na, nb = A.order, B.order
-    name, law = ("up", "2B") if contravariant else ("dot", "ga.1")
-    law = [c for c in _CONDITIONS if c[0] == law]
 
     def rule(prev, img, step):
-        # per element b, the map of b + g: f o g for dot, g o f for up
-        g = (bij if step[3] > 0 else inverses)[img]
-        return _pick(g, prev) if contravariant else _pick(prev, g)
+        # up(., b + g) = up(., g) o up(., b)
+        return _pick((bij if step[3] > 0 else inverses)[img], prev)
 
-    out = []
+    out = [np.zeros((0, na, nb), dtype=np.intp)]
     for images in _image_chunks(len(bij), len(gensB), nb * nb * na):
-        fam = _generator_walk(stepsB, images, np.arange(na), rule)
-        tables = fam.swapaxes(1, 2) if contravariant else fam
-        tables = tables[_passing(_tables(A, B, **{name: tables}), law, _sizes(A, B))]
-        out.extend(tuple(map(tuple, table)) for table in tables.tolist())
-    return out
+        ups = _generator_walk(stepsB, images, np.arange(na), rule).swapaxes(1, 2)
+        t = _tables(A, B, dot=np.broadcast_to(np.arange(na), (len(ups), nb, na)), up=ups)
+        out.append(ups[_passing(t, _UP_ONLY + _DOT_UP, _sizes(A, B))])
+    return np.concatenate(out)
 
 
-# The zero object: a pow row read as the one-row pow table of a B of order 1,
-# where a9 at b = b2 is the only a9 cell.
-_POINT = FiniteGwaObject("0", 1, ((0,),), ((0,),))
+@object_cache(maxsize=32)
+def _pow_rows(A: FiniteGwaObject):
+    """W', the rows r of A's pentaction pow factor with r o r = 0, and its
+    row finder; the rows are shared by every batch on A, so read-only."""
+    rows = np.asarray(_pow_factor(A), dtype=np.intp)
+    rows = rows[(np.take_along_axis(rows, rows, axis=1) == 0).all(axis=1)]
+    rows.setflags(write=False)
+    return rows, _row_finder(rows)
 
 
-# The derived actions of B on A as columns, in canonical order.  Triple t is
-# the kept pair pair[t] of the dot tables dots (P, nB, nA) and the up tables
-# ups (P, nA, nB), and its pow row b is the row J[t, b] of rows (W', nA), so
-# its tables are dots[pair[t]], ups[pair[t]] and rows[J[t]].  The pairs are
-# sorted by their dot | up tables and the rows ascending, so ascending
-# (pair, J) is the order of ``DerivedActionTriple.key``.
+@object_cache(maxsize=32)
+def _pow_products(A: FiniteGwaObject):
+    """The Z and S of ``_PowIndex``, each built in chunks of j."""
+    (rows, find), add = _pow_rows(A), A._arrays.add
+    Z = _chunked(len(rows), rows.size, lambda s: (rows[s][:, rows] == 0).all(axis=2))
+    S = _chunked(len(rows), rows.size, lambda s: find(add[rows[s, None], rows]))
+    return Z, S
+
+
+# The derived actions of B on A as columns, in canonical order.  Triple t
+# has the identity dot table dots[pair[t]], the up table ups[pair[t]] of the
+# sorted kept up tables ups (P, nA, nB), and as pow row b the row J[t, b] of
+# rows (W', nA), so ascending (pair, J) is the order of
+# ``DerivedActionTriple.key``.
 _DerivedBatch = namedtuple("_DerivedBatch", "dots ups rows pair J")
 
 
 # The pow stage's lookup of rows in W' (w of them) and its index tables for P
-# kept pairs, -1 marking a row outside W': Z[j, j2] is whether W'[j] o W'[j2] = 0;
-# S[d, j, j2] is the index of W'[j] + dt_d o W'[j2] for the distinct dot maps
-# dt_d, and D[p, b] the d of dot_p[b]; T[p, b2, j] is the index of
-# up_p(., b2) o W'[j] o dot_p[b2]; R[p, b2, j] is whether
-# W'[j] o up_p(., b2) = W'[j].
-_PowIndex = namedtuple("_PowIndex", "find Z S D T R addB actB")
+# kept up tables, -1 marking a row outside W': Z[j, j2] is whether
+# W'[j] o W'[j2] = 0 and S[j, j2] the index of W'[j] + W'[j2], both of A
+# alone; T[p, b2, j] is the index of up_p(., b2) o W'[j], and R[p, b2, j]
+# whether W'[j] o up_p(., b2) = W'[j].
+_PowIndex = namedtuple("_PowIndex", "find Z S T R addB actB")
 
-# The seven pow-reading conditions of walked candidates with kept pairs p
-# and J[k, b] the index of row b in W', -1 outside, as violation masks led
+# The seven pow-reading conditions of walked candidates with kept up tables
+# p and J[k, b] the index of row b in W', -1 outside, as violation masks led
 # by k.  1B, a4 and a8 read one row each, and W' is exactly the rows passing
 # them and a9 at b = b2, so those three hold iff J >= 0.  The other four
 # compare indices over (k, b, b2).
@@ -368,9 +386,9 @@ _POW_INDEX_CHECKS = (
     ("1B a4 a8", lambda x, p, J: J < 0),
     # pow[b][pow[b2][a]] = 0
     ("a9", lambda x, p, J: ~x.Z[J[:, :, None], J[:, None]]),
-    # pow[b + b2] = pow[b] + dot[b] o pow[b2]
-    ("2A", lambda x, p, J: J[:, x.addB] != x.S[x.D[p][:, :, None], J[:, :, None], J[:, None]]),
-    # pow[b ^ b2] = up(., b2) o pow[b] o dot[b2]
+    # pow[b + b2] = pow[b] + pow[b2]
+    ("2A", lambda x, p, J: J[:, x.addB] != x.S[J[:, :, None], J[:, None]]),
+    # pow[b ^ b2] = up(., b2) o pow[b]
     ("4B", lambda x, p, J: J[:, x.actB]
      != x.T[p[:, None, None], np.arange(J.shape[1]), J[:, :, None]]),
     # pow[b][up[a][b2]] = pow[b][a]
@@ -378,22 +396,18 @@ _POW_INDEX_CHECKS = (
 )
 
 
-def _pow_index(A, B, dots, ups, rows, deltas, D) -> _PowIndex:
-    """The ``_PowIndex`` of the rows W' and the sorted kept pairs, each table
-    built in chunks of its first axis."""
-    na, nb, w = A.order, B.order, len(rows)
-    find = _row_finder(rows)
-    add = A._arrays.add
-    Z = _chunked(w, w * na, lambda s: (rows[s][:, rows] == 0).all(axis=2))
-    S = np.stack([_chunked(w, w * na, lambda s: find(add[rows[s, None], dt[rows]]))
-                  for dt in deltas])
+def _pow_index(A: FiniteGwaObject, B: FiniteGwaObject, ups: np.ndarray) -> _PowIndex:
+    """The ``_PowIndex`` of the sorted kept up tables; T and R are built in
+    chunks of their first axis, the rest is cached per A."""
+    rows, find = _pow_rows(A)
+    Z, S = _pow_products(A)
+    nb, (w, na) = B.order, rows.shape
     # upc[p, b2, x] = up_p[x][b2]
-    upc, b2 = ups.swapaxes(1, 2), np.arange(nb)[:, None, None]
-    T = _chunked(len(ups), nb * w * na, lambda s: find(
-        _pick(upc[s], b2, rows[:, dots[s]].transpose(1, 2, 0, 3))))
+    upc = ups.swapaxes(1, 2)
+    T = _chunked(len(ups), nb * w * na, lambda s: find(upc[s][:, :, rows]))
     R = _chunked(len(ups), nb * w * na, lambda s: (
         rows[:, upc[s]] == rows[:, None, None]).all(axis=3).transpose(1, 2, 0))
-    return _PowIndex(find, Z, S, D, T, R, B._arrays.add, B._arrays.act)
+    return _PowIndex(find, Z, S, T, R, B._arrays.add, B._arrays.act)
 
 
 def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -> _DerivedBatch:
@@ -414,49 +428,31 @@ def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -
             f"derived-action enumeration for {B.name!r} on {A.name!r} needs at least "
             f"{families} candidate visits (refused before the family search), budget is {budget}"
         )
-    sizes = _sizes(A, B)
-    ups = np.asarray(_map_families(A, B, contravariant=True), dtype=np.intp).reshape(-1, na, nb)
-    ups = ups[_passing(_tables(A, B, up=ups), _UP_ONLY, sizes)]
-    dots = np.asarray(_map_families(A, B, contravariant=False), dtype=np.intp).reshape(-1, nb, na)
-    dots = dots[_passing(_tables(A, B, dot=dots), _DOT_ONLY, sizes)]
-    rows = np.asarray(_pow_factor(A), dtype=np.intp)
-    rows = rows[_passing(_tables(A, _POINT, pow=rows[:, None]), _POW_ONLY, _sizes(A, _POINT))]
-    if len(ups) * len(dots) > budget:
-        raise BudgetExceededError(
-            f"derived-action enumeration for {B.name!r} on {A.name!r} needs at least "
-            f"{len(ups) * len(dots)} candidate visits (refused before the pair filter), "
-            f"budget is {budget}"
-        )
-    u, d = (x.ravel() for x in np.indices((len(ups), len(dots))))
-    keep = _passing(_tables(A, B, dot=dots[d], up=ups[u]), _DOT_UP, sizes)
-    ups, dots = ups[u[keep]], dots[d[keep]]
+    ups = _up_families(A, B)
+    dots = np.broadcast_to(np.arange(na), (len(ups), nb, na))
+    rows, find = _pow_rows(A)
     if not len(ups):
         return _DerivedBatch(dots, ups, rows, np.zeros(0, np.intp), np.zeros((0, nb), np.intp))
-    order = np.lexsort(np.concatenate([dots.reshape(len(dots), -1),
-                                       ups.reshape(len(ups), -1)], axis=1).T[::-1])
-    ups, dots = ups[order], dots[order]
-    deltas, D = np.unique(dots.reshape(-1, na), axis=0, return_inverse=True)
-    total = len(ups) * len(rows) ** len(gensB) + len(deltas) * len(rows) ** 2
+    ups = ups[np.lexsort(ups.reshape(len(ups), -1).T[::-1])]
+    total = len(ups) * len(rows) ** len(gensB) + len(rows) ** 2
     if total > budget:
         raise BudgetExceededError(
             f"derived-action enumeration for {B.name!r} on {A.name!r} needs "
             f"{total} candidate visits, budget is {budget}; 0 candidates checked"
         )
-    x = _pow_index(A, B, dots, ups, rows, deltas, D.reshape(len(dots), nb))
+    x = _pow_index(A, B, ups)
     addA, negA = A._arrays.add, A._arrays.neg
+
+    def rule(prev, row, step):
+        # pw[x + g] = pw[x] + pw[g], pw[x - g] = pw[x] - pw[g]
+        return addA[prev, row if step[3] > 0 else negA[row]]
+
     found = []
     for images in _image_chunks(len(rows), len(gensB), len(ups) * nb * na):
-        # every kept pair p with every image row i of the chunk
+        # one walk per image row i, then every kept up table p with every i
+        walk = find(_generator_walk(stepsB, rows[images], np.zeros(na, np.intp), rule))
         p, i = (v.ravel() for v in np.indices((len(ups), len(images))))
-        dot = dots[p]
-
-        def rule(prev, row, step):
-            # pw[x + g] = pw[x] + dot[x] pw[g], pw[x - g] = pw[x] - dot[x - g] pw[g]
-            elem, parent, _, sign = step
-            moved = _pick(dot, parent if sign > 0 else elem, row)
-            return addA[prev, moved if sign > 0 else negA[moved]]
-
-        J = x.find(_generator_walk(stepsB, rows[images[i]], np.zeros(na, np.intp), rule))
+        J = walk[i]
         live = np.arange(len(J))
         for _, mask in _POW_INDEX_CHECKS:
             live = live[~_violated(mask(x, p[live], J[live]))]
@@ -471,27 +467,25 @@ def enumerate_derived_actions(
 ) -> list[DerivedActionTriple]:
     """All verified derived actions of B on A, canonically ordered.
 
-    Pruned: the per-element up maps are forced to be additive bijections
-    composing anti-homomorphically, the dot maps compose homomorphically,
-    and the pow table is generated from its values on additive generators
-    of A and B (1B, 2A).  Each subset of the condition table filters one
-    batch as soon as the tables it reads are fixed: the up families, the dot
-    families, then every (up, dot) pair (4A, 3B, a2).  A generator g of B is
-    first reached from 0 and dot[0] is the identity, so pw[g] is exactly its
-    generator row.  The rows W' are A's cached pentaction pow factor (p4,
-    p7, p10 are 1B, a4, a8 at one b) less those failing a9 at b = b2.  All
-    kept pairs multiply them out in one chunked walk, and each walked row is
-    looked up in W'; the seven pow-reading conditions are then index
-    comparisons against tables built once per call (``_POW_INDEX_CHECKS``),
-    so every kept triple carries the passing report without a rescan.  The
-    triples are sorted as one batch by one ``np.lexsort`` on their kept pair
-    and their row indices.
+    Pruned: every dot map is the identity (the lemma of the module
+    docstring), the per-element up maps are forced to be additive
+    bijections composing anti-homomorphically, and the pow table is
+    generated from its values on additive generators of A and B (1B, 2A).
+    The up families are filtered as they are walked by every condition
+    reading up and not pow, with dot = id.  The rows W' are the rows r of
+    A's cached pentaction pow factor (p4, p7, p10 are 1B, a4, a8 at one b)
+    with r o r = 0 (a9 at b = b2).  With dot = id, 2A is pw[b + b2] =
+    pw[b] + pw[b2], so each assignment of rows of W' to B's generators is
+    walked once, for every kept up table, and each walked row is looked up
+    in W'; the seven pow-reading conditions are then index comparisons
+    (``_POW_INDEX_CHECKS``), so every kept triple carries the passing report
+    without a rescan.  One ``np.lexsort`` on the up table and the row
+    indices sorts the batch.
 
     The budget is charged n_A^|gensA| before the additive bijections of A
-    and its pow factor are walked, |bij|^|gensB| before the family searches,
-    the |ups| * |dots| pairs before the pair filter, and after it the walk's
-    |kept pairs| * |W'|^|gensB| candidates plus the |dot maps| * |W'|^2
-    entries of its 2A table.
+    and its pow factor are walked, |bij|^|gensB| before the family search,
+    and after it the |kept ups| * |W'|^|gensB| candidates of the pow stage
+    plus the |W'|^2 entries of its 2A table.
     """
     return _batch_triples(A, B, _derived_action_batch(A, B, budget))
 

@@ -19,9 +19,12 @@ The set of all pentactions of A is produced by :func:`enumerate_pentactions`
 tiny orders only), both in the canonical lexicographic order of the
 concatenated tables dotL | dotR | up | upL | pow.  Only p4, p7 and p10 read
 pow, and they read nothing else, so the set is the product of its map parts
-(dotL, dotR, up, upL) and its pow tables; the pruned enumerator scans the two
-factors apart, visiting |ups|*|dotLs| + n^|gens| candidates, while its budget
-is still charged the |ups|*|dotLs|*n^|gens| candidates of the product.
+(dotL, dotR, up, upL) and its pow tables.  By p3 and p3d, dotL and dotR are
+the identity (the lemma in ``rgwa.extensions``), so the map parts are the
+additive bijections up passing the map conditions, each with upL = up^-1.
+The pruned enumerator scans the two factors apart, visiting |ups| + n^|gens|
+candidates, while its budget is still charged the |ups|*n^|gens| candidates
+of the product.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from .core import (
     _violations,
     additive_bijections,
     generating_words,
-    is_perfect,
     object_cache,
 )
 from .errors import BudgetExceededError, InputError, UnsupportedInputError
@@ -284,18 +286,17 @@ def enumerate_pentactions(
     """All pentactions of obj, canonically ordered.
 
     Pruned search: up ranges over additive bijections with upL forced as its
-    inverse, dotL likewise (restricted to the identity when obj is perfect,
-    since the dot components then fix every element), and pow is generated
-    from its values on additive generators.  No condition links pow to the
-    four maps, so the set is the product of the maps passing the sixteen
-    map conditions and the pow tables passing p4, p7 and p10: the search
-    visits |ups|*|dotLs| + n^|gens| candidates and builds only kept values.
+    inverse, dotL and dotR are the identity (p3 and p3d force it), and pow
+    is generated from its values on additive generators.  No condition links
+    pow to the four maps, so the set is the product of the maps passing the
+    sixteen map conditions and the pow tables passing p4, p7 and p10: the
+    search visits |ups| + n^|gens| candidates and builds only kept values.
     The full condition scan still filters every factor, so the pruning is
     completeness-preserving.
 
     The budget is charged the size of the product candidate space,
-    |ups|*|dotLs|*n^|gens|, computed from the input itself, so refusals do
-    not depend on what happens to be cached.
+    |ups|*n^|gens|, computed from the input itself, so refusals do not
+    depend on what happens to be cached.
     """
     _check_budget(obj, budget)
     return list(_enumerate_pentactions_uncapped(obj))
@@ -317,9 +318,7 @@ def _check_budget(obj: FiniteGwaObject, budget: int) -> None:
             f"candidate visits (refused before the additive-bijection search), "
             f"budget is {budget}"
         )
-    ups = additive_bijections(obj)
-    dotl_count = 1 if is_perfect(obj) else len(ups)
-    total = len(ups) * dotl_count * rows
+    total = len(additive_bijections(obj)) * rows
     if total > budget:
         raise BudgetExceededError(
             f"pentaction enumeration over {obj.name!r} needs {total} candidate "
@@ -352,14 +351,12 @@ def _pow_factor(obj: FiniteGwaObject) -> tuple[_Table, ...]:
 def _pentaction_factors(obj: FiniteGwaObject) -> tuple[tuple[_Maps, ...], tuple[_Table, ...]]:
     """The two factors of the pentaction set, each sorted: the map parts
     (dotL, dotR, up, upL) passing the conditions that do not read pow, and
-    the pow tables passing the conditions that read only pow."""
-    n = obj.order
+    the pow tables passing the conditions that read only pow.  dotL and
+    dotR are the identity, which p3 and p3d force."""
     ups = np.asarray(additive_bijections(obj), dtype=np.intp)
-    dotls = np.arange(n)[None] if is_perfect(obj) else ups
-    # every up with every dotL, each slot with its inverse beside it
-    u, d = (x.ravel() for x in np.indices((len(ups), len(dotls))))
-    maps = [dotls[d], np.argsort(dotls[d], axis=1), ups[u], np.argsort(ups[u], axis=1)]
-    keep = _passing(_tables(obj, **dict(zip(_SLOTS, maps))), _MAP_CONDITIONS, {"A": n})
+    ident = np.broadcast_to(np.arange(obj.order), ups.shape)
+    maps = [ident, ident, ups, np.argsort(ups, axis=1)]
+    keep = _passing(_tables(obj, **dict(zip(_SLOTS, maps))), _MAP_CONDITIONS, {"A": obj.order})
     kept = zip(*(m[keep].tolist() for m in maps))
     return tuple(sorted(tuple(map(tuple, m)) for m in kept)), _pow_factor(obj)
 

@@ -261,7 +261,8 @@ class RepresentabilityReport:
 
     ``failures`` entries are JSON-ready dicts naming the stage that broke
     ("pa_rgwa", "pa_action", "represent", "morphism", "uniqueness"), the
-    acting object and triple index where applicable, and the conditions."""
+    acting object and triple index where applicable, and the conditions.
+    An unverified PA(A) gives one "represent" entry per B, triple None."""
 
     base: str
     pa_order: int
@@ -305,7 +306,7 @@ def _batch_failures(A, B, batch, pa, budget) -> list[dict]:
     try:
         _require_verified(A, pa)
     except StructuralError as exc:
-        return [_failure("represent", B, t, [str(exc)]) for t in range(len(batch.pair))]
+        return [_failure("represent", B, None, [str(exc)])] if len(batch.pair) else []
     f = pa._factors
     i = _images(f, B._arrays.neg, batch.dots, batch.ups)[batch.pair]
     phi = _element(f, i, f.find_pow(batch.rows)[batch.J])

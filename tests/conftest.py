@@ -336,9 +336,10 @@ def reference_triple_failures(A, B, triples, pa, budget=rgwa.DEFAULT_BUDGET) -> 
 def reference_verify_representability(A, max_b_order=3, budget=rgwa.DEFAULT_BUDGET,
                                       acting_objects=None) -> rgwa.RepresentabilityReport:
     """``verify_representability`` over the public triple list of each B,
-    checked by ``reference_triple_failures``.  The triples read PA(A) built
-    under the default budget, since ``budget`` bounds the searches and the
-    per-triple loop reads the assembled tables."""
+    checked by ``reference_triple_failures``, or reported once per B when
+    PA(A) is not reduced.  The triples read PA(A) built under the default
+    budget, since ``budget`` bounds the searches and the per-triple loop
+    reads the assembled tables."""
     failures = []
     pa = rgwa.PAObject(A, rgwa.build_pa_object(A, budget=budget).report)
     if not pa.report.passed:
@@ -351,6 +352,8 @@ def reference_verify_representability(A, max_b_order=3, budget=rgwa.DEFAULT_BUDG
             failures.append({"stage": "pa_action", "B": None, "triple": None,
                              "conditions": list(action_report.conditions())})
     pairs = 0
+    unverified = (f"PA({A.name}) is not a verified reduced object; "
+                  f"failing: {', '.join(pa.report.conditions())}")
     if pa.object is not None:
         for B in acting_objects if acting_objects is not None else rgwa.standard_corpus():
             if B.order > max_b_order:
@@ -361,7 +364,12 @@ def reference_verify_representability(A, max_b_order=3, budget=rgwa.DEFAULT_BUDG
                 raise rgwa.BudgetExceededError(
                     f"representability check for {A.name!r}: {exc}") from exc
             pairs += len(triples)
-            failures += reference_triple_failures(A, B, triples, pa, budget)
+            if triples and not pa.report.passed:
+                # every triple fails represent with one message: once per B
+                failures.append({"stage": "represent", "B": B.name, "triple": None,
+                                 "conditions": [unverified]})
+            else:
+                failures += reference_triple_failures(A, B, triples, pa, budget)
     return rgwa.RepresentabilityReport(A.name, len(pa.elements), pa.report, action_report,
                                        pairs, tuple(failures))
 
@@ -571,7 +579,8 @@ def assert_batch_verdicts(make, batch, conditions, sizes) -> None:
 def reference_map_families(A, B, contravariant: bool) -> list:
     """One family per assignment of bijections to B's generators, composed
     one step at a time and checked alone by the 2B (up) or ga.1 (dot) scan;
-    the oracle for the walked ``_map_families``."""
+    the oracle for the walked ``_up_families`` (contravariant) and for the
+    lemma that every dot map is the identity (covariant)."""
     from rgwa.core import generating_words, invert_map
     from rgwa.extensions import _CONDITIONS, _sizes, _tables
 

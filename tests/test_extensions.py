@@ -16,8 +16,12 @@ from conftest import (
     assert_rows_read_only_their_tables,
     k4swap_object,
     negation_cyclic,
+    negation_product,
     reference_check_derived_action,
     reference_enumerate_derived_actions,
+    reference_map_families,
+    relabeled,
+    scan_passes,
     shear_object,
 )
 from rgwa import core, extensions
@@ -441,9 +445,9 @@ class TestEnumeration:
         # z2^4 has |GL(4,2)| = 20160 additive bijections, so each family kind
         # of klein4 (two generators) on it has 20160^2 candidates
         def unreachable(*args, **kwargs):
-            raise AssertionError("_map_families ran before the budget check")
+            raise AssertionError("_up_families ran before the budget check")
 
-        monkeypatch.setattr(extensions, "_map_families", unreachable)
+        monkeypatch.setattr(extensions, "_up_families", unreachable)
         z2 = rgwa.cyclic_trivial(2)
         z2_4 = rgwa.direct_sum(rgwa.direct_sum(z2, z2), rgwa.direct_sum(z2, z2))
         klein4 = rgwa.direct_sum(z2, z2, name="klein4")
@@ -455,36 +459,16 @@ class TestEnumeration:
 
     def test_family_refusal_charges_the_family_count(self, monkeypatch):
         # klein4 has 6 additive bijections and two generators: 36 families
-        monkeypatch.setattr(extensions, "_map_families", lambda *args, **kwargs: [])
+        monkeypatch.setattr(extensions, "_up_families",
+                            lambda A, B: np.zeros((0, A.order, B.order), dtype=np.intp))
         z2 = rgwa.cyclic_trivial(2)
         klein4 = rgwa.direct_sum(z2, z2, name="klein4")
         with pytest.raises(rgwa.BudgetExceededError, match="at least 36 candidate"):
             rgwa.enumerate_derived_actions(klein4, klein4, budget=35)
         assert rgwa.enumerate_derived_actions(klein4, klein4, budget=36) == []
 
-    def test_pairs_are_charged_before_the_pair_filter(self, monkeypatch):
-        # each family listed five times: the 36 families of klein4 on klein4
-        # pass the family check at budget 249, but 50 ups x 5 dots = 250
-        # pairs are refused before any (dot, up) table is built
-        families, tables = extensions._map_families, extensions._tables
-        built = []
-
-        def counting_tables(A, B, dot=None, up=None, pow=None):
-            built.append(dot is not None and up is not None)
-            return tables(A, B, dot=dot, up=up, pow=pow)
-
-        monkeypatch.setattr(extensions, "_map_families", lambda *a, **k: families(*a, **k) * 5)
-        monkeypatch.setattr(extensions, "_tables", counting_tables)
-        klein4 = rgwa.direct_sum(rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(2), name="klein4")
-        stage = re.escape("needs at least 250 candidate visits (refused before the pair filter)")
-        with pytest.raises(rgwa.BudgetExceededError, match=stage):
-            rgwa.enumerate_derived_actions(klein4, klein4, budget=249)
-        assert built and not any(built)
-        rgwa.enumerate_derived_actions(klein4, klein4, budget=10**6)
-        assert any(built)
-
     def test_walk_is_charged_what_it_visits(self, shear16):
-        # 4 kept pairs x 4^2 rows: admitted at the default budget, where the
+        # 4 kept ups x 4^2 rows: admitted at the default budget, where the
         # product |ups| |dots| n^(|gensA| |gensB|) charge refused it
         klein4 = rgwa.direct_sum(rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(2), name="klein4")
         triples = rgwa.enumerate_derived_actions(shear16, klein4)
@@ -492,9 +476,9 @@ class TestEnumeration:
         assert triples == rgwa.enumerate_derived_actions(shear16, klein4, budget=10**12)
 
     def test_walk_charge_counts_candidates_and_the_2a_table(self):
-        # z8neg <- klein4: 16 kept pairs, |W'| = 4 and one dot map, so the
-        # walk visits 16 * 4^2 candidates and the 2A table has 4^2 entries;
-        # the family check charges 4^2 = 16 before
+        # z8neg <- klein4: 16 kept ups and |W'| = 4, so the walk visits
+        # 16 * 4^2 candidates and the 2A table has 4^2 entries; the family
+        # check charges 4^2 = 16 before
         klein4 = rgwa.direct_sum(rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(2), name="klein4")
         z8neg = negation_cyclic(8)
         with pytest.raises(rgwa.BudgetExceededError, match=r"needs 272 candidate visits"):
@@ -505,6 +489,45 @@ class TestEnumeration:
         A, B = rgwa.cyclic_trivial(3), rgwa.cyclic_trivial(2)
         with pytest.raises(rgwa.InputError):
             rgwa.enumerate_derived_actions_bruteforce(A, B)
+
+
+class TestDotMapsAreTheIdentity:
+    """The lemma of the ``extensions`` docstring: 3A makes every dot map of
+    a derived action the identity, and p3 and p3d every dotL and dotR of a
+    pentaction.  The enumerators build only identity dots, so these searches
+    run without that restriction."""
+
+    @staticmethod
+    def _carriers(corpus, z4neg, k4swap):
+        bases = list(corpus) + [z4neg, k4swap, negation_product(2, 8)]
+        return [relabeled(A, seed) for A in bases for seed in range(4)]
+
+    def test_the_covariant_walk_keeps_only_the_identity(self, corpus, z4neg, k4swap):
+        acting = [B for B in corpus if B.order <= 4]
+        for A in self._carriers(corpus, z4neg, k4swap):
+            for B in acting:
+                sizes = extensions._sizes(A, B)
+                dots = [dot for dot in reference_map_families(A, B, contravariant=False)
+                        if scan_passes(extensions._tables(A, B, dot=[dot]),
+                                       extensions._DOT_ONLY, sizes)]
+                assert dots == [tuple(tuple(range(A.order)) for _ in range(B.order))], (
+                    A.name, B.name)
+
+    def test_every_map_part_has_identity_dots(self, corpus, z4neg, k4swap):
+        # every additive bijection as dotL, dotR its inverse, with every up
+        from rgwa.core import _passing
+        from rgwa.pentactions import _MAP_CONDITIONS, _SLOTS, _pentaction_factors, _tables
+
+        for A in self._carriers(corpus, z4neg, k4swap):
+            bij = np.asarray(rgwa.additive_bijections(A), dtype=np.intp)
+            d, u = (x.ravel() for x in np.indices((len(bij), len(bij))))
+            maps = [bij[d], np.argsort(bij[d], axis=1), bij[u], np.argsort(bij[u], axis=1)]
+            keep = _passing(_tables(A, **dict(zip(_SLOTS, maps))), _MAP_CONDITIONS,
+                            {"A": A.order})
+            kept = sorted(tuple(map(tuple, m)) for m in zip(*(m[keep].tolist() for m in maps)))
+            identity = tuple(range(A.order))
+            assert kept and all(m[0] == m[1] == identity for m in kept), A.name
+            assert tuple(kept) == _pentaction_factors(A)[0], A.name
 
 
 def _check(name):
@@ -524,9 +547,7 @@ class TestPowIndexChecks:
 
     @staticmethod
     def _index(A, B, batch):
-        deltas, D = np.unique(batch.dots.reshape(-1, A.order), axis=0, return_inverse=True)
-        return extensions._pow_index(A, B, batch.dots, batch.ups, batch.rows, deltas,
-                                     D.reshape(len(batch.dots), B.order))
+        return extensions._pow_index(A, B, batch.ups)
 
     def _pairs(self, z4neg, k4swap):
         corpus = {o.name: o for o in rgwa.standard_corpus()}
@@ -556,6 +577,24 @@ class TestPowIndexChecks:
                     A.name, B.name, name)
                 seen.update((name, bool(v)) for v in got)
         assert seen == {(name, v) for name in ("a9", "2A", "4B", "a10") for v in (False, True)}
+
+    def test_w_prime_is_the_pow_factor_passing_the_pow_only_conditions(self, z4neg, k4swap):
+        # each row read as the one pow row of an acting object of order 1,
+        # where 1B, a4 and a8 are p4, p7 and p10 and a9 is r o r = 0
+        from rgwa.core import _passing
+        from rgwa.pentactions import _pow_factor
+
+        point = rgwa.FiniteGwaObject("0", 1, ((0,),), ((0,),))
+        rows = [c for c in extensions._CONDITIONS if c[2] == ("pow",)]
+        assert [c[0] for c in rows] == ["1B", "a4", "a8", "a9"]
+        seen = set()
+        for A in [p[0] for p in self._pairs(z4neg, k4swap)] + [negation_cyclic(8)]:
+            pool = np.asarray(_pow_factor(A), dtype=np.intp)
+            keep = _passing(extensions._tables(A, point, pow=pool[:, None]), rows,
+                            extensions._sizes(A, point))
+            assert extensions._pow_rows(A)[0].tolist() == pool[keep].tolist(), A.name
+            seen.add(bool(keep.all()))
+        assert seen == {False, True}
 
     def test_rows_outside_w_prime_fail_the_first_check(self, z4neg, k4swap):
         # pow tables drawn from A's crossed maps and from random rows: the

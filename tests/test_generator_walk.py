@@ -16,6 +16,7 @@ from conftest import (
     reference_extend_crossed_map,
     reference_map_families,
     relabeled,
+    scan_passes,
     shear_object,
 )
 from rgwa import core, extensions, pentactions
@@ -48,8 +49,13 @@ def _reference_bijections(obj):
 
 
 @lru_cache(maxsize=None)
-def _reference_families(A, B, contravariant):
-    return reference_map_families(A, B, contravariant)
+def _reference_up_families(A, B):
+    """The reference up families that pass every up-only condition and,
+    read with identity dot tables, 4A, 3B and a2."""
+    ident = tuple(tuple(range(A.order)) for _ in range(B.order))
+    rows, sizes = extensions._UP_ONLY + extensions._DOT_UP, extensions._sizes(A, B)
+    return [up for up in reference_map_families(A, B, contravariant=True)
+            if scan_passes(extensions._tables(A, B, dot=[ident], up=[up]), rows, sizes)]
 
 
 def _reference_pow_rows(obj):
@@ -70,6 +76,7 @@ def _reference_pow_rows(obj):
 
 def _clear_caches():
     for cached in (core._additive_bijections_cached, pentactions._pow_factor,
+                   extensions._pow_rows, extensions._pow_products,
                    pentactions._pentaction_factors,
                    pentactions._enumerate_pentactions_uncapped):
         cached.cache_clear()
@@ -94,10 +101,8 @@ def test_additive_bijections_match_the_reference(chunking):
 def test_map_families_match_the_reference(chunking):
     # order included: both list the families in product order of the images
     for A, B in _family_pairs():
-        for contravariant in (True, False):
-            assert extensions._map_families(A, B, contravariant) == _reference_families(
-                A, B, contravariant
-            ), (A.name, B.name, contravariant)
+        got = [tuple(map(tuple, up)) for up in extensions._up_families(A, B).tolist()]
+        assert got == _reference_up_families(A, B), (A.name, B.name)
 
 
 def test_pow_factor_matches_the_scalar_filter(chunking):
@@ -115,6 +120,8 @@ def test_derived_actions_match_the_reference(chunking):
              (z4neg1, k4swap), (k4swap2, z2), (relabeled(klein4, 3), z4neg1),
              (relabeled(z2xz4, 5), z2)]
     pairs += [(A, A) for A in (z3, z4neg, k4swap, klein4, z4neg1, k4swap2)]
+    # pow rows with entries of order 3, walked from two generators
+    pairs += [(rgwa.cyclic_trivial(9), rgwa.direct_sum(z3, z3))]
     for A, B in pairs:
         want = reference_enumerate_derived_actions(A, B)
         batch = extensions._derived_action_batch(A, B, extensions.DEFAULT_BUDGET)

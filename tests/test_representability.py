@@ -866,13 +866,27 @@ class TestBatchAgainstPerTriple:
     @pytest.mark.parametrize("name,max_b_order", [
         ("z5", 4),  # pa_action fails; every triple still factors
         ("z8neg", 4), ("z4neg", 4), ("k4swap", 4), ("shear16", 4),
-        ("klein4", 4), ("z2xz4", 3),  # PA not reduced: one represent message each
+        ("klein4", 4), ("z2xz4", 3),  # PA not reduced: one represent message per B
     ])
     def test_reports_match_the_per_triple_loop(self, name, max_b_order):
         A = _bases()[name]
         report = rgwa.verify_representability(A, max_b_order=max_b_order)
         assert report == reference_verify_representability(A, max_b_order=max_b_order)
         assert report.pairs_checked > 0
+
+    def test_unreduced_pa_is_reported_once_per_acting_object(self, corpus):
+        # z2xz4: PA(A) fails reduced.central, so every derived action fails
+        # represent with the same message, reported once per B that has one
+        A = _bases()["z2xz4"]
+        acting = [B for B in corpus if B.order <= 4]
+        report = rgwa.verify_representability(A, max_b_order=4)
+        message = "PA(z2xz4) is not a verified reduced object; failing: reduced.central"
+        counts = {B.name: len(rgwa.enumerate_derived_actions(A, B)) for B in acting}
+        assert [f["stage"] for f in report.failures[:2]] == ["pa_rgwa", "pa_action"]
+        assert list(report.failures[2:]) == [
+            {"stage": "represent", "B": name, "triple": None, "conditions": [message]}
+            for name, count in counts.items() if count]
+        assert report.pairs_checked == sum(counts.values()) == 558
 
     def test_enumerated_pa_keys_are_distinct(self):
         # the batch takes each M_b of verify_uniqueness to be {phi(b)}
