@@ -20,8 +20,10 @@ import sys
 from functools import cache
 from pathlib import Path
 
+import numpy as np
+
 from .analysis import analysis_report, noether_quotient
-from .core import check_axioms
+from .core import _check_tables, _scan_axioms
 from .errors import BudgetExceededError, InputError, ValidationError
 from .files import (
     dumps_canonical,
@@ -48,12 +50,13 @@ EXIT_BUDGET = 3
 
 def _cmd_validate(args) -> tuple[int, dict]:
     name, order, add, act = parse_object_json(read_json(args.file))
+    tables = _check_tables(order, add, act)  # before the charge: costs only the document's size
     cells = order**3
     if cells > args.budget:
         raise BudgetExceededError(
             f"axiom scan of {name!r} visits {cells} cells (order^3), budget is {args.budget}"
         )
-    report = check_axioms(order, add, act, require_reduced=True)
+    report = _scan_axioms(*(np.asarray(x, dtype=np.intp) for x in tables), require_reduced=True)
     return (EXIT_PASSED if report.passed else EXIT_VIOLATION), report.to_json()
 
 

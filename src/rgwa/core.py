@@ -153,7 +153,7 @@ def _chunked(count: int, cells: int, build) -> np.ndarray:
     """``build(s)`` over the slices s of range(count) that hold at most
     ``_CHUNK_CELLS`` cells at ``cells`` per index, concatenated.  With count
     0, ``build`` gets one empty slice, so the result keeps its trailing shape."""
-    step = max(1, _CHUNK_CELLS // cells)
+    step = max(1, _CHUNK_CELLS // max(cells, 1))
     return np.concatenate([build(slice(lo, lo + step)) for lo in range(0, max(count, 1), step)])
 
 

@@ -110,15 +110,18 @@ def save_object(obj: FiniteGwaObject, path, pretty: bool = True) -> None:
 
 
 def read_json(path):
-    """Load a JSON document, turning parse failures into position-bearing
-    input errors."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Load a JSON document, turning parse failures into input errors that
+    name the path: malformed JSON with its position, and bytes that are not
+    UTF-8, nesting past the recursion limit or an integer literal past
+    Python's digit limit with the decoder's message."""
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise InputError(
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise InputError(f"{path}: unreadable JSON: {exc}") from exc
 
 
 def triple_to_json(triple: DerivedActionTriple) -> dict:

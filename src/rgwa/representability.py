@@ -63,7 +63,7 @@ class PAObject:
 
     Element i*|W| + j is the pentaction with map part i and pow table j; the
     zero pentaction sits at index 0 (identity maps and the constant 0 sort
-    first).  add[x, y] = Cm[i_x, i_y]*|W| + P[dotL(i_x), j_x, j_y] and
+    first).  add[x, y] = Cm[i_x, i_y]*|W| + P[j_x, j_y] and
     act[x, y] = E[i_x]*|W| + Q[i_y, j_x] over the factors of the base.
     ``order`` and ``action_report`` read the factors; ``elements`` (m
     Pentactions) and ``object`` (the m x m tables, charged m^2 cells against
@@ -146,7 +146,8 @@ def pa_action(pa: PAObject) -> DerivedActionTriple:
         )
     f = pa._factors
     i, j = np.divmod(np.arange(pa.order), f.W)
-    dot, up, pw = (tuple(map(tuple, x.tolist())) for x in (f.dotL[i], f.up[i].T, f.pow[j]))
+    up, pw = (tuple(map(tuple, x.tolist())) for x in (f.up[i].T, f.pow[j]))
+    dot = (tuple(f.dot.tolist()),) * pa.order
     return DerivedActionTriple(pa.base, pa.object, dot, up, pw, report=pa.action_report)
 
 

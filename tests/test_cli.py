@@ -59,6 +59,34 @@ class TestValidate:
         code, out = run(capsys, "validate", tmp_path / "absent.json")
         assert code == 2
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{",
+        b"[" * 100_000 + b"]" * 100_000,
+        b"1" * 5_000,
+    ], ids=["not-utf8", "nested-past-the-recursion-limit", "integer-past-the-digit-limit"])
+    def test_unreadable_json_exits_two_without_a_traceback(self, tmp_path, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        src = Path(rgwa.__file__).resolve().parent.parent
+        for verb in ("validate", "pa"):
+            proc = subprocess.run([sys.executable, "-m", "rgwa.cli", verb, str(path)],
+                                  capture_output=True, text=True, timeout=120,
+                                  env={**os.environ, "PYTHONPATH": str(src)})
+            assert proc.returncode == 2, proc.stderr
+            assert "Traceback" not in proc.stderr
+            assert json.loads(proc.stdout)["error"].startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("order, rows, budget", [(1_000_000, 1, None), (3, 2, 1)])
+    def test_table_shape_is_checked_before_the_budget(
+            self, capsys, tmp_path, order, rows, budget):
+        path = tmp_path / "shape.json"
+        table = [[0] * rows for _ in range(rows)]
+        path.write_text(json.dumps({"name": "x", "order": order, "add": table, "act": table}),
+                        encoding="utf-8")
+        code, out = run(capsys, "validate", *(["--budget", budget] if budget else []), path)
+        assert code == 2
+        assert json.loads(out) == {"error": f"add table has {rows} rows, expected {order}"}
+
 
     @pytest.mark.parametrize("doc", [
         {"name": "z2", "order": True, "add": [[0]], "act": [[0]]},

@@ -1,6 +1,7 @@
 """JSON formats: round trips, error positions, corpus emission."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -138,6 +139,15 @@ class TestMalformedDocuments:
         with pytest.raises(rgwa.InputError, match=f"object path {key} must be a string"):
             load("extension", lambda doc: {**doc, key: 5})
 
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000, b"1" * 5_000,
+    ], ids=["not-utf8", "nested-past-the-recursion-limit", "integer-past-the-digit-limit"])
+    def test_unreadable_extension_names_the_path(self, tmp_path, content):
+        path = tmp_path / "ext.json"
+        path.write_bytes(content)
+        with pytest.raises(rgwa.InputError, match=f"^{path}: unreadable JSON: "):
+            files.load_split_extension(path)
+
 
 class TestExtensionFormat:
     def test_round_trip_with_relative_paths(self, tmp_path):
@@ -168,7 +178,7 @@ class TestCorpusEmission:
         first = files.emit_corpus(tmp_path / "one")
         second = files.emit_corpus(tmp_path / "two")
         for a, b in zip(first, second):
-            assert open(a, "rb").read() == open(b, "rb").read()
+            assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_every_positive_file_validates(self, tmp_path):
         for path in files.emit_corpus(tmp_path / "corpus"):

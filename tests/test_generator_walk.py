@@ -58,6 +58,7 @@ def _reference_up_families(A, B):
             if scan_passes(extensions._tables(A, B, dot=[ident], up=[up]), rows, sizes)]
 
 
+@lru_cache(maxsize=None)
 def _reference_pow_rows(obj):
     """Every crossed map kept when the scalar checker finds no p4, p7 or p10
     violation, sorted."""

@@ -187,13 +187,13 @@ def factored_tables(obj, maps, pows):
 
 
 def spread_dot_factors(klein4):
-    """Map parts whose dotL and up spread over the non-abelian automorphism
-    group of klein4, so that composition orders differ and P has one dotL
-    class per automorphism; enumerated sets have identity dots (every
-    validated carrier is perfect)."""
+    """Map parts with identity dots whose up spreads over the non-abelian
+    automorphism group of klein4, so that Cm depends on the order of
+    composition."""
     auts = rgwa.additive_bijections(klein4)
     inv = {f: tuple(sorted(range(4), key=f.__getitem__)) for f in auts}
-    maps = [(f, inv[f], u, inv[u]) for f in auts for u in auts]
+    ident = tuple(range(4))
+    maps = [(ident, ident, u, inv[u]) for u in auts]
     return maps, [(0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1)]
 
 
@@ -228,24 +228,35 @@ class TestPaFill:
         klein4 = next(o for o in corpus if o.name == "klein4")
         maps, pows = spread_dot_factors(klein4)
         elements = [rgwa.Pentaction(klein4, *mp, pw) for mp in maps for pw in pows]
-        assert len(_pa_factors(klein4, maps, pows).P) == 6  # one P slab per dotL
         add, act, gaps = factored_tables(klein4, maps, pows)
         assert (add, act, gaps) == scalar_pa_tables(elements)
         m = len(elements)
         assert sum(v >= 0 for row in add for v in row) > m
         assert sum(v >= 0 for row in act for v in row) > m
 
+    def test_map_parts_share_one_dotl(self, corpus):
+        # PA(A) has one dotL row: the identity when there are no map parts,
+        # and map parts with two different rows are refused
+        klein4 = next(o for o in corpus if o.name == "klein4")
+        maps, pows = spread_dot_factors(klein4)
+        assert _pa_factors(klein4, [], pows).dot.tolist() == [0, 1, 2, 3]
+        swapped = maps[-1][2:] * 2  # dotL, dotR = up, upL of the last map part
+        assert swapped[0] != maps[0][0]
+        with pytest.raises(rgwa.InputError, match=r"PA\(klein4\) do not share one dotL"):
+            _pa_factors(klein4, [maps[0], swapped], pows)
+        assert _pa_factors(klein4, [swapped], pows).dot.tolist() == list(swapped[0])
+
 
 def _factor_bases():
     """Factor tables to corrupt: genuine ones, including |Maps| = 1 (z1, z2)
-    and several dotL classes (spread klein4 dots, gaps filled with 0)."""
+    and a non-abelian Cm (spread klein4 ups, gaps filled with 0)."""
     objs = rgwa.standard_corpus()
     by_name = {o.name: o for o in objs}
     bases = [_pa_factors(o, *_pentaction_factors(o))
              for o in (by_name["z1"], by_name["z2"], by_name["z3"], by_name["z5"],
                        negation_cyclic(4), k4swap_object(), shear_object())]
     maps, pows = spread_dot_factors(by_name["klein4"])
-    spread = _pa_factors(by_name["klein4"], maps[::3], pows[:2])
+    spread = _pa_factors(by_name["klein4"], maps, pows[:2])
     return bases + [spread._replace(**{k: np.maximum(getattr(spread, k), 0)
                                        for k in ("Cm", "P", "E", "Q")})]
 
@@ -255,14 +266,14 @@ FACTOR_BASES = _factor_bases()
 
 def _corrupt_factors(draw, count):
     """Factor tables with ``count`` in-range cells overwritten: a genuine
-    base, or random tables with |Maps|, |W| and the dotL classes in 1..3.
-    ``draw(k)`` picks an integer in 0..k-1."""
+    base, or random tables with |Maps| and |W| in 1..3.  ``draw(k)`` picks
+    an integer in 0..k-1."""
     if draw(2):
         f = FACTOR_BASES[draw(len(FACTOR_BASES))]
     else:
-        M, W, C = draw(3) + 1, draw(3) + 1, draw(3) + 1
-        shapes = {"Cm": (M, M), "P": (C, W, W), "E": (M,), "Q": (M, W), "dot": (M,)}
-        bounds = {"Cm": M, "P": W, "E": M, "Q": W, "dot": C}
+        M, W = draw(3) + 1, draw(3) + 1
+        shapes = {"Cm": (M, M), "P": (W, W), "E": (M,), "Q": (M, W)}
+        bounds = {"Cm": M, "P": W, "E": M, "Q": W}
         f = _PaFactors(**{k: np.array([draw(bounds[k]) for _ in range(int(np.prod(shape)))],
                                       dtype=np.intp).reshape(shape)
                           for k, shape in shapes.items()}, W=W)
@@ -327,11 +338,10 @@ class TestPaAxiomScan:
         # x^y + z and z + x^y differ at z = 1 for every x and y, but
         # reduced.central excludes y = 0: the witness y is the least nonzero
         # element, (0, 1) or (1, 0), and PA(z1) has none
-        f = _PaFactors(Cm=np.zeros((M, M), dtype=np.intp), P=np.zeros((1, W, W), dtype=np.intp),
-                       E=np.zeros(M, dtype=np.intp), Q=np.zeros((M, W), dtype=np.intp),
-                       dot=np.zeros(M, dtype=np.intp), W=W)
+        f = _PaFactors(Cm=np.zeros((M, M), dtype=np.intp), P=np.zeros((W, W), dtype=np.intp),
+                       E=np.zeros(M, dtype=np.intp), Q=np.zeros((M, W), dtype=np.intp), W=W)
         f.Cm[0, 1 % M] = 1 % M
-        f.P[0, 0, 1 % W] = 1 % W
+        f.P[0, 1 % W] = 1 % W
         report = assert_report_is_the_axiom_scan(f)
         central = [v.witness for v in report.violations if v.condition == "reduced.central"]
         assert central == ([] if M * W == 1 else [(0, 1, 1)])
@@ -349,8 +359,9 @@ def pa_of_factors(f):
     B = rgwa.FiniteGwaObject("PA(A)", len(add), tuple(map(tuple, add.tolist())),
                              tuple(map(tuple, act.tolist())))
     i, j = np.divmod(np.arange(len(add)), f.W)
-    rows = (map(tuple, x.tolist()) for x in (f.dotL[i], f.up[i], f.pow[j]))
-    elements = tuple(rgwa.Pentaction(A, dl, dl, up, up, pw) for dl, up, pw in zip(*rows))
+    dot = tuple(f.dot.tolist())
+    rows = (map(tuple, x.tolist()) for x in (f.up[i], f.pow[j]))
+    elements = tuple(rgwa.Pentaction(A, dot, dot, up, up, pw) for up, pw in zip(*rows))
     return SimpleNamespace(base=A, elements=elements, object=B)
 
 
@@ -362,10 +373,9 @@ ACTION_CARRIERS = [rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(3), negation_cycl
 
 
 def _corrupt_action_factors(draw, count):
-    """``_corrupt_factors`` with its dotL, up and pow arrays corrupted in
+    """``_corrupt_factors`` with its dot, up and pow arrays corrupted in
     ``count`` in-range cells too.  Random factor tables get a carrier from
-    ACTION_CARRIERS and random arrays.  A dotL cell is overwritten in every
-    map part of one dotL class, so a class keeps one dotL."""
+    ACTION_CARRIERS and random arrays."""
     f = _corrupt_factors(draw, count)
     if f.A is None:
         A = ACTION_CARRIERS[draw(len(ACTION_CARRIERS))]
@@ -374,16 +384,13 @@ def _corrupt_action_factors(draw, count):
         def random_table(rows):
             return np.array([[draw(n) for _ in range(n)] for _ in range(rows)], dtype=np.intp)
 
-        f = f._replace(dotL=random_table(len(f.P))[f.dot], up=random_table(len(f.E)),
+        f = f._replace(dot=random_table(1)[0], up=random_table(len(f.E)),
                        pow=random_table(f.W), A=A._arrays)
     n = len(f.A.ar)
-    tables = {k: getattr(f, k).copy() for k in ("dotL", "up", "pow")}
+    tables = {k: getattr(f, k).copy() for k in ("dot", "up", "pow")}
     for _ in range(count):
-        name = ("dotL", "up", "pow")[draw(3)]
-        if name == "dotL":
-            tables[name][f.dot == draw(len(f.P)), draw(n)] = draw(n)
-        else:
-            tables[name].flat[draw(tables[name].size)] = draw(n)
+        name = ("dot", "up", "pow")[draw(3)]
+        tables[name].flat[draw(tables[name].size)] = draw(n)
     return f._replace(**tables)
 
 
@@ -404,8 +411,7 @@ def assert_action_report_is_the_reference(f, chunk_cells=None, monkeypatch=None)
 def _a2_fails_at_map_part_zero(f):
     """Whether the a2 formula fails at some cell with b2's map part 0."""
     formula = next(row[2] for row in _PA_ACTION if row[0] == "a2")
-    i1, a2 = np.ix_(np.arange(len(f.E)), np.arange(len(f.A.ar)))
-    return bool(formula(f, i1, a2, 0).any())
+    return bool(formula(f, np.arange(len(f.A.ar)), 0).any())
 
 
 class TestPaActionScan:
@@ -447,15 +453,14 @@ class TestPaActionScan:
     def test_every_condition_in_one_cell_chunks(self, monkeypatch):
         # one leading index per chunk, so witnesses also come from later chunks
         rng = random.Random(0)
-        seen, several_classes, a2_cleared = set(), 0, 0
+        seen, a2_cleared = set(), 0
         for _ in range(300):
             f = _corrupt_action_factors(rng.randrange, rng.randrange(4))
             report = assert_action_report_is_the_reference(f, 1, monkeypatch)
             seen.update(report.conditions())
-            several_classes += len(f.P) > 1 and "2A" in report.conditions()
             a2_cleared += f.W == 1 and _a2_fails_at_map_part_zero(f)
         assert seen == {c[0] for c in _CONDITIONS}
-        assert several_classes > 0 and a2_cleared > 0
+        assert a2_cleared > 0
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_one_b_rows_on_relabeled_bases(self, seed, monkeypatch):
@@ -476,9 +481,9 @@ class TestPaActionScan:
         # (0, 1) or (1, 0), and PA(z1) has none
         z2 = rgwa.cyclic_trivial(2)
         zeros = np.zeros((M, M), dtype=np.intp)
-        f = _PaFactors(Cm=zeros, P=np.zeros((1, W, W), dtype=np.intp), E=zeros[0],
-                       Q=np.zeros((M, W), dtype=np.intp), dot=zeros[0], W=W,
-                       dotL=np.tile([1, 0], (M, 1)), up=np.tile([0, 1], (M, 1)),
+        f = _PaFactors(Cm=zeros, P=np.zeros((W, W), dtype=np.intp), E=zeros[0],
+                       Q=np.zeros((M, W), dtype=np.intp), W=W, dot=np.array([1, 0]),
+                       up=np.tile([0, 1], (M, 1)),
                        pow=np.zeros((W, 2), dtype=np.intp), A=z2._arrays)
         report = assert_action_report_is_the_reference(f)
         witnesses = {v.condition: v.witness for v in report.violations}
