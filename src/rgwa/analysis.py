@@ -57,11 +57,9 @@ def weak_stabilizer(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> Eleme
     marked in a length-n table, so memory stays O((|U|+|W|)*n).
     """
     _check_budget(obj, budget)
-    maps, rows = _pentaction_factors(obj)
     n = obj.order
     seen = np.zeros(n, dtype=bool)
-    up = np.asarray(sorted({m[2] for m in maps}), dtype=np.intp)
-    pw = np.asarray(rows, dtype=np.intp)
+    up, pw = (np.asarray(x, dtype=np.intp) for x in _pentaction_factors(obj))
     diff = obj._arrays.add[:, obj._arrays.neg]  # diff[x, y] = x - y
 
     def mark(first: np.ndarray, second: np.ndarray, family) -> None:

@@ -8,8 +8,8 @@ exceeded.  Output is canonical JSON on stdout (--pretty for indentation);
 with only its error on stdout.  --budget and --max-order are non-negative.
 
 `pentactions` writes its document from the factors Maps x W of the set, in
-canonical key order: (4*|Maps| + |W|)*n encoded integers and m = |Maps|*|W|
-string joins.  Its budget still charges the product |ups|*n^|gens|, since
+canonical key order: (2*|Maps| + |W| + 2)*n encoded integers and
+m = |Maps|*|W| string joins.  Its budget still charges the product |ups|*n^|gens|, since
 all m entries are written.
 """
 

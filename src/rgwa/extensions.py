@@ -363,11 +363,11 @@ def _pow_products(A: FiniteGwaObject):
 
 
 # The derived actions of B on A as columns, in canonical order.  Triple t
-# has the identity dot table dots[pair[t]], the up table ups[pair[t]] of the
-# sorted kept up tables ups (P, nA, nB), and as pow row b the row J[t, b] of
-# rows (W', nA), so ascending (pair, J) is the order of
+# has the identity dot table, the up table ups[pair[t]] of the sorted kept
+# up tables ups (P, nA, nB), and as pow row b the row J[t, b] of rows
+# (W', nA), so ascending (pair, J) is the order of
 # ``DerivedActionTriple.key``.
-_DerivedBatch = namedtuple("_DerivedBatch", "dots ups rows pair J")
+_DerivedBatch = namedtuple("_DerivedBatch", "ups rows pair J")
 
 
 # The pow stage's lookup of rows in W' (w of them) and its index tables for P
@@ -429,10 +429,9 @@ def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -
             f"{families} candidate visits (refused before the family search), budget is {budget}"
         )
     ups = _up_families(A, B)
-    dots = np.broadcast_to(np.arange(na), (len(ups), nb, na))
     rows, find = _pow_rows(A)
     if not len(ups):
-        return _DerivedBatch(dots, ups, rows, np.zeros(0, np.intp), np.zeros((0, nb), np.intp))
+        return _DerivedBatch(ups, rows, np.zeros(0, np.intp), np.zeros((0, nb), np.intp))
     ups = ups[np.lexsort(ups.reshape(len(ups), -1).T[::-1])]
     total = len(ups) * len(rows) ** len(gensB) + len(rows) ** 2
     if total > budget:
@@ -459,7 +458,7 @@ def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -
         found.append((p[live], J[live]))
     pair, J = (np.concatenate(c) for c in zip(*found))
     order = np.lexsort((*J.T[::-1], pair))
-    return _DerivedBatch(dots, ups, rows, pair[order], J[order])
+    return _DerivedBatch(ups, rows, pair[order], J[order])
 
 
 def enumerate_derived_actions(
@@ -493,11 +492,12 @@ def enumerate_derived_actions(
 def _batch_triples(A: FiniteGwaObject, B: FiniteGwaObject, batch: _DerivedBatch,
                    ts=slice(None)) -> list[DerivedActionTriple]:
     """The triples ts of a batch (all of them by default) as verified
-    DerivedActionTriples; each kept pair and row of W' becomes tuples once."""
-    pairs = [tuple(tuple(map(tuple, x)) for x in pair)
-             for pair in zip(batch.dots.tolist(), batch.ups.tolist())]
+    DerivedActionTriples; the identity dot table, each kept up table and
+    each row of W' become tuples once."""
+    dot = (tuple(range(A.order)),) * B.order
+    ups = [tuple(map(tuple, up)) for up in batch.ups.tolist()]
     rows = tuple(map(tuple, batch.rows.tolist()))
-    return [DerivedActionTriple(A, B, *pairs[p], tuple(rows[j] for j in js), report=PASSED)
+    return [DerivedActionTriple(A, B, dot, ups[p], tuple(rows[j] for j in js), report=PASSED)
             for p, js in zip(batch.pair[ts].tolist(), batch.J[ts].tolist())]
 
 

@@ -6,7 +6,8 @@ Triple file:     {"A": name, "B": name, "dot": [[...]], "up": [[...]], "pow": [[
 Pentaction file: {"object": name, "dotL": [...], ..., "pow": [...]}
 Pentactions:     {"count": m, "object": name, "pentactions": [pentaction file, ...]},
                  written from the Maps x W factors in canonical key order
-                 (``dumps_pentactions``): (4*|Maps| + |W|)*n encoded integers
+                 (``dumps_pentactions``): (2*|Maps| + |W| + 2)*n encoded
+                 integers, since the dots are the identity
 Extension file:  {"A": path, "E": path, "B": path, "i": [...], "p": [...], "j": [...]}
 
 All emitters are byte-stable: keys sorted, fixed separators, trailing newline.
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import FiniteGwaObject, GwaMorphism, _freeze_table, as_index, make_object
+from .core import FiniteGwaObject, GwaMorphism, _freeze_table, as_index, invert_map, make_object
 from .corpus import s3_conjugation_tables, standard_corpus
 from .errors import InputError
 from .extensions import DerivedActionTriple, SplitExtension
@@ -30,14 +31,15 @@ def dumps_canonical(data, pretty: bool = False) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def dumps_pentactions(name: str, maps, rows, pretty: bool = False) -> str:
+def dumps_pentactions(name: str, ups, rows, pretty: bool = False) -> str:
     """``dumps_canonical`` of the `rgwa pentactions` document of an object
-    whose pentactions have the map parts ``maps`` and the pow tables ``rows``.
+    whose pentactions have the map parts (id, id, up, up^-1) for up in
+    ``ups`` and the pow tables ``rows``.
 
-    Entry i*len(rows) + j pairs maps[i] with rows[j], the canonical key
+    Entry i*len(rows) + j pairs ups[i] with rows[j], the canonical key
     order.  Its sorted keys put pow between the map slots, so the entry is
     prefix(i) + pow(j) + suffix(i), and each fragment is encoded once per
-    factor row rather than once per entry.
+    factor row rather than once per entry; the identity dots once in all.
     """
     enc = json.JSONEncoder(indent=2 if pretty else None,
                            separators=(",", ": " if pretty else ":"))
@@ -50,13 +52,14 @@ def dumps_pentactions(name: str, maps, rows, pretty: bool = False) -> str:
         return text if value is None else text + enc.encode(value).replace("\n", pad(depth))
 
     pows = [enc.encode(row).replace("\n", pad(3)) for row in rows]
+    ident = list(range(len(rows[0])))  # rows holds the zero table at least
+    prefix = (pad(2) + "{" + member("dotL", 3, ident) + "," + member("dotR", 3, ident) + ","
+              + member("object", 3, name) + "," + member("pow", 3))
     entries = []
-    for dotl, dotr, up, upl in maps:
-        prefix = (pad(2) + "{" + member("dotL", 3, dotl) + "," + member("dotR", 3, dotr) + ","
-                  + member("object", 3, name) + "," + member("pow", 3))
-        suffix = "," + member("up", 3, up) + "," + member("upL", 3, upl) + pad(2) + "}"
+    for up in ups:
+        suffix = "," + member("up", 3, up) + "," + member("upL", 3, invert_map(up)) + pad(2) + "}"
         entries.append(prefix + (suffix + "," + prefix).join(pows) + suffix)
-    return ("{" + member("count", 1, len(maps) * len(rows)) + "," + member("object", 1, name)
+    return ("{" + member("count", 1, len(ups) * len(rows)) + "," + member("object", 1, name)
             + "," + member("pentactions", 1) + "[" + ",".join(entries) + pad(1) + "]"
             + pad(0) + "}\n")
 

@@ -46,6 +46,7 @@ from .core import (
     _violations,
     additive_bijections,
     generating_words,
+    invert_map,
     object_cache,
 )
 from .errors import BudgetExceededError, InputError, UnsupportedInputError
@@ -184,7 +185,6 @@ CONDITION_IDS = tuple(c[0] for c in _CONDITIONS)
 # maps passing the sixteen times the pow tables passing the three, and the
 # enumerator scans the two factors apart.
 _Table = tuple[int, ...]
-_Maps = tuple[_Table, _Table, _Table, _Table]  # one table per map slot
 _MAP_CONDITIONS = tuple(c for c in _CONDITIONS if "pow" not in c[2])
 _POW_CONDITIONS = tuple(c for c in _CONDITIONS if c[2] == ("pow",))
 
@@ -348,25 +348,26 @@ def _pow_factor(obj: FiniteGwaObject) -> tuple[_Table, ...]:
 
 
 @object_cache(maxsize=32)
-def _pentaction_factors(obj: FiniteGwaObject) -> tuple[tuple[_Maps, ...], tuple[_Table, ...]]:
-    """The two factors of the pentaction set, each sorted: the map parts
-    (dotL, dotR, up, upL) passing the conditions that do not read pow, and
-    the pow tables passing the conditions that read only pow.  dotL and
-    dotR are the identity, which p3 and p3d force."""
+def _pentaction_factors(obj: FiniteGwaObject) -> tuple[tuple[_Table, ...], tuple[_Table, ...]]:
+    """The two factors of the pentaction set, each sorted: the up tables of
+    the map parts passing the conditions that do not read pow, and the pow
+    tables passing the conditions that read only pow.  A map part is
+    (id, id, up, up^-1): p3 and p3d force the identity dots, p12 the upL."""
     ups = np.asarray(additive_bijections(obj), dtype=np.intp)
     ident = np.broadcast_to(np.arange(obj.order), ups.shape)
     maps = [ident, ident, ups, np.argsort(ups, axis=1)]
     keep = _passing(_tables(obj, **dict(zip(_SLOTS, maps))), _MAP_CONDITIONS, {"A": obj.order})
-    kept = zip(*(m[keep].tolist() for m in maps))
-    return tuple(sorted(tuple(map(tuple, m)) for m in kept)), _pow_factor(obj)
+    return tuple(sorted(map(tuple, ups[keep].tolist()))), _pow_factor(obj)
 
 
 @object_cache(maxsize=32)
 def _enumerate_pentactions_uncapped(obj: FiniteGwaObject) -> tuple[Pentaction, ...]:
-    # Maps outer, pow inner is the canonical key order: the map parts are
-    # distinct and of equal length, and each factor is sorted.
-    maps, rows = _pentaction_factors(obj)
-    return tuple(Pentaction(obj, *m, pw) for m in maps for pw in rows)
+    # Maps outer, pow inner is the canonical key order: the dots are the
+    # identity, the up tables are distinct and each factor is sorted.
+    ups, rows = _pentaction_factors(obj)
+    ident = tuple(range(obj.order))
+    return tuple(Pentaction(obj, ident, ident, up, upl, pw)
+                 for up, upl in zip(ups, map(invert_map, ups)) for pw in rows)
 
 
 def enumerate_pentactions_bruteforce(obj: FiniteGwaObject) -> list[Pentaction]:

@@ -10,8 +10,8 @@ no m x m table and no Pentaction per element.  A ``PAObject`` is PA(base) by
 construction, so every lookup into it is a factor lookup, find_map * |W| +
 find_pow: ``index_of``, the images of ``represent`` and of the batch check
 (``_images``), and the match sets of ``verify_uniqueness``, which hold at
-most one element each, since every element has dotR = dotL^-1 and upL =
-up^-1.
+most one element each, since find_map finds a map part only where dotL =
+dotR = id and upL = up^-1, as in every element.
 
 ``verify_representability`` checks the derived actions of each acting
 object B as one batch of index arrays: the images of all triples are
@@ -64,7 +64,8 @@ class PAObject:
     Element i*|W| + j is the pentaction with map part i and pow table j; the
     zero pentaction sits at index 0 (identity maps and the constant 0 sort
     first).  add[x, y] = Cm[i_x, i_y]*|W| + P[j_x, j_y] and
-    act[x, y] = E[i_x]*|W| + Q[i_y, j_x] over the factors of the base.
+    act[x, y] = i_x*|W| + Q[i_y, j_x] over the factors of the base (a
+    power keeps the map part of its first argument).
     ``order`` and ``action_report`` read the factors; ``elements`` (m
     Pentactions) and ``object`` (the m x m tables, charged m^2 cells against
     ``budget``) are built on first access.  ``object`` and ``action_report``
@@ -83,7 +84,7 @@ class PAObject:
 
     @cached_property
     def order(self) -> int:
-        return len(self._factors.E) * self._factors.W
+        return len(self._factors.Cm) * self._factors.W
 
     @cached_property
     def elements(self) -> tuple[Pentaction, ...]:
@@ -118,7 +119,7 @@ class PAObject:
         if any(len(x) != n for x in tables) or not set(pent.key()) <= set(range(n)):
             return -1
         f, rows = self._factors, np.asarray(tables, dtype=np.intp)
-        return int(_element(f, f.find_map(rows[:4].ravel()), f.find_pow(rows[4])))
+        return int(_element(f, f.find_map(*rows[:4]), f.find_pow(rows[4])))
 
 
 def build_pa_object(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> PAObject:
@@ -147,7 +148,7 @@ def pa_action(pa: PAObject) -> DerivedActionTriple:
     f = pa._factors
     i, j = np.divmod(np.arange(pa.order), f.W)
     up, pw = (tuple(map(tuple, x.tolist())) for x in (f.up[i].T, f.pow[j]))
-    dot = (tuple(f.dot.tolist()),) * pa.order
+    dot = (tuple(range(pa.base.order)),) * pa.order
     return DerivedActionTriple(pa.base, pa.object, dot, up, pw, report=pa.action_report)
 
 
@@ -222,9 +223,9 @@ def verify_uniqueness(
 
     The filter is independent for each b, so the satisfying maps are the
     product of the per-b sets M_b of elements whose (dotL, up, pow) equals
-    the triple's column for b.  Every element of PA(A) has dotR = dotL^-1
-    and upL = up^-1, so M_b holds at most the one element keyed by
-    (dot[b], dot[b]^-1, up[., b], up[., b]^-1, pow[b]): one factor lookup
+    the triple's column for b.  Every element of PA(A) has dotL = dotR = id
+    and upL = up^-1, so M_b is empty unless dot[b] is the identity, and
+    holds at most the element with up[., b] and pow[b]: one factor lookup
     per b.  The budget is charged those |B| lookups, not the m^|B| maps of
     an exhaustive search.  A malformed triple raises InputError.
 
@@ -237,8 +238,8 @@ def verify_uniqueness(
     _charge_uniqueness(B.order, budget)
     f = pa._factors
     dot, up, pw = (np.asarray(x, dtype=np.intp) for x in (triple.dot, triple.up, triple.pow))
-    keys = np.concatenate([dot, np.argsort(dot, axis=1), up.T, np.argsort(up.T, axis=1)], axis=1)
-    found = tuple(_element(f, f.find_map(keys), f.find_pow(pw)).tolist())
+    i = f.find_map(dot, np.argsort(dot, axis=1), up.T, np.argsort(up.T, axis=1))
+    found = tuple(_element(f, i, f.find_pow(pw)).tolist())
     target = tuple(phi.map)
     violations = []
     if -1 in found or target != found:
@@ -298,7 +299,7 @@ def _failure(stage: str, B: FiniteGwaObject | None, t: int | None, conditions: l
 def _batch_failures(A, B, batch, pa, budget) -> list[dict]:
     """The represent, morphism and uniqueness failures of a batch of derived
     actions, in triple order, as ``verify_representability`` reports them.
-    The images are one lookup per kept pair and row of W', and the two laws
+    The images are one lookup per kept up table and row of W', and the two laws
     one ``core._passing`` batch over the factors; only a failing triple goes
     through ``represent`` or a scan of the laws, to give its exact
     conditions.  Each M_b of ``verify_uniqueness`` is {phi(b)}, so uniqueness
@@ -309,7 +310,8 @@ def _batch_failures(A, B, batch, pa, budget) -> list[dict]:
     except StructuralError as exc:
         return [_failure("represent", B, None, [str(exc)])] if len(batch.pair) else []
     f = pa._factors
-    i = _images(f, B._arrays.neg, batch.dots, batch.ups)[batch.pair]
+    dots = np.broadcast_to(np.arange(A.order), (len(batch.ups), B.order, A.order))
+    i = _images(f, B._arrays.neg, dots, batch.ups)[batch.pair]
     phi = _element(f, i, f.find_pow(batch.rows)[batch.J])
     represented = (phi >= 0).all(axis=1)
     if represented.any():

@@ -527,7 +527,8 @@ class TestDotMapsAreTheIdentity:
             kept = sorted(tuple(map(tuple, m)) for m in zip(*(m[keep].tolist() for m in maps)))
             identity = tuple(range(A.order))
             assert kept and all(m[0] == m[1] == identity for m in kept), A.name
-            assert tuple(kept) == _pentaction_factors(A)[0], A.name
+            assert all(m[3] == tuple(np.argsort(m[2]).tolist()) for m in kept), A.name
+            assert tuple(m[2] for m in kept) == _pentaction_factors(A)[0], A.name
 
 
 def _check(name):
@@ -569,7 +570,8 @@ class TestPowIndexChecks:
             p, J = np.concatenate([batch.pair] * 2), np.concatenate([batch.J] * 2)
             J[np.arange(k, 2 * k), rng.integers(0, nb, k)] = rng.integers(0, len(batch.rows), k)
             x = self._index(A, B, batch)
-            t = extensions._tables(A, B, batch.dots[p], batch.ups[p], batch.rows[J])
+            dots = np.broadcast_to(np.arange(A.order), (len(p), nb, A.order))
+            t = extensions._tables(A, B, dots, batch.ups[p], batch.rows[J])
             for name in ("a9", "2A", "4B", "a10"):
                 rows = [c for c in extensions._CONDITIONS if c[0] == name]
                 got = ~_violated(_check(name)(x, p, J))

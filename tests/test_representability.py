@@ -28,7 +28,7 @@ from conftest import (
 )
 from rgwa import core, representability
 from rgwa.cli import main
-from rgwa.core import _AXIOMS
+from rgwa.core import _AXIOMS, invert_map
 from rgwa.extensions import _CONDITIONS, DerivedActionTriple
 from rgwa.pentactions import _pentaction_factors
 from rgwa.report import PASSED
@@ -142,11 +142,11 @@ class TestPaObjectViews:
         # the product without its first map part (the identity maps) is not
         # closed; PA(A) then reports the closure gaps of the reference tables
         z7 = rgwa.cyclic_trivial(7)
-        maps, pows = _pentaction_factors(z7)
-        elements = [rgwa.Pentaction(z7, *mp, pw) for mp in maps[1:] for pw in pows]
+        ups, pows = _pentaction_factors(z7)
+        elements = product_elements(z7, ups[1:], pows)
         gaps = reference_pa_tables(z7, elements)[2]
         assert gaps
-        truncated = _pa_factors(z7, maps[1:], pows)
+        truncated = _pa_factors(z7, ups[1:], pows)
         monkeypatch.setattr(representability, "_canonical_factors", lambda obj: truncated)
         pa = rgwa.build_pa_object(z7)
         assert pa.report == rgwa.CheckReport(gaps)
@@ -161,6 +161,14 @@ class TestPaObjectViews:
         assert main(["pa", str(path)]) == 1
         assert json.loads(capsys.readouterr().out) == {
             "pa_order": len(elements), "pa_rgwa": pa.report.to_json(), "pa_action": None}
+
+
+def product_elements(obj, ups, pows):
+    """The pentactions (id, id, up, up^-1, pow) of the product ups x pows,
+    up outer."""
+    ident = tuple(range(obj.order))
+    return [rgwa.Pentaction(obj, ident, ident, up, invert_map(up), pw)
+            for up in ups for pw in pows]
 
 
 def scalar_pa_tables(elements):
@@ -178,23 +186,18 @@ def scalar_pa_tables(elements):
     return tables[0], tables[1], tuple(gaps)
 
 
-def factored_tables(obj, maps, pows):
-    """The assembled tables of the product maps x pows, and its closure gaps
+def factored_tables(obj, ups, pows):
+    """The assembled tables of the product ups x pows, and its closure gaps
     read off the factors."""
-    f = _pa_factors(obj, maps, pows)
+    f = _pa_factors(obj, ups, pows)
     add, act = _assemble(f)
     return add.tolist(), act.tolist(), _closure_gaps(f)
 
 
-def spread_dot_factors(klein4):
-    """Map parts with identity dots whose up spreads over the non-abelian
-    automorphism group of klein4, so that Cm depends on the order of
-    composition."""
-    auts = rgwa.additive_bijections(klein4)
-    inv = {f: tuple(sorted(range(4), key=f.__getitem__)) for f in auts}
-    ident = tuple(range(4))
-    maps = [(ident, ident, u, inv[u]) for u in auts]
-    return maps, [(0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1)]
+def spread_up_factors(klein4):
+    """Up tables spread over the non-abelian automorphism group of klein4,
+    so that Cm depends on the order of composition."""
+    return rgwa.additive_bijections(klein4), [(0, 0, 0, 0), (0, 1, 2, 3), (0, 2, 3, 1)]
 
 
 class TestPaFill:
@@ -213,12 +216,12 @@ class TestPaFill:
         by_name = {o.name: o for o in corpus}
         seen = set()
         for obj in (by_name["z3"], by_name["z7"], z4neg, shear16):
-            maps, pows = _pentaction_factors(obj)
-            variants = [(maps[:k] + maps[k + 1:], pows) for k in {0, 1, len(maps) // 2, len(maps) - 1}]
-            variants += [(maps, pows[:k] + pows[k + 1:]) for k in {0, 1, len(pows) // 2, len(pows) - 1}]
-            for sub_maps, sub_pows in variants:
-                elements = [rgwa.Pentaction(obj, *mp, pw) for mp in sub_maps for pw in sub_pows]
-                got = factored_tables(obj, sub_maps, sub_pows)
+            ups, pows = _pentaction_factors(obj)
+            variants = [(ups[:k] + ups[k + 1:], pows) for k in {0, 1, len(ups) // 2, len(ups) - 1}]
+            variants += [(ups, pows[:k] + pows[k + 1:]) for k in {0, 1, len(pows) // 2, len(pows) - 1}]
+            for sub_ups, sub_pows in variants:
+                elements = product_elements(obj, sub_ups, sub_pows)
+                got = factored_tables(obj, sub_ups, sub_pows)
                 add, act, gaps = reference_pa_tables(obj, elements)
                 assert got == (add.tolist(), act.tolist(), gaps) == scalar_pa_tables(elements)
                 seen.update(v.condition for v in gaps)
@@ -226,25 +229,23 @@ class TestPaFill:
 
     def test_fill_composes_in_the_scalar_order(self, corpus):
         klein4 = next(o for o in corpus if o.name == "klein4")
-        maps, pows = spread_dot_factors(klein4)
-        elements = [rgwa.Pentaction(klein4, *mp, pw) for mp in maps for pw in pows]
-        add, act, gaps = factored_tables(klein4, maps, pows)
+        ups, pows = spread_up_factors(klein4)
+        elements = product_elements(klein4, ups, pows)
+        add, act, gaps = factored_tables(klein4, ups, pows)
         assert (add, act, gaps) == scalar_pa_tables(elements)
         m = len(elements)
         assert sum(v >= 0 for row in add for v in row) > m
         assert sum(v >= 0 for row in act for v in row) > m
 
-    def test_map_parts_share_one_dotl(self, corpus):
-        # PA(A) has one dotL row: the identity when there are no map parts,
-        # and map parts with two different rows are refused
+    def test_no_map_parts_give_empty_tables(self, corpus):
+        # the product with no map parts has no elements: empty factor and
+        # assembled tables, and no closure gap
         klein4 = next(o for o in corpus if o.name == "klein4")
-        maps, pows = spread_dot_factors(klein4)
-        assert _pa_factors(klein4, [], pows).dot.tolist() == [0, 1, 2, 3]
-        swapped = maps[-1][2:] * 2  # dotL, dotR = up, upL of the last map part
-        assert swapped[0] != maps[0][0]
-        with pytest.raises(rgwa.InputError, match=r"PA\(klein4\) do not share one dotL"):
-            _pa_factors(klein4, [maps[0], swapped], pows)
-        assert _pa_factors(klein4, [swapped], pows).dot.tolist() == list(swapped[0])
+        pows = spread_up_factors(klein4)[1]
+        f = _pa_factors(klein4, [], pows)
+        assert (f.Cm.shape, f.P.shape, f.Q.shape) == ((0, 0), (3, 3), (0, 3))
+        assert [x.shape for x in _assemble(f)] == [(0, 0), (0, 0)]
+        assert _closure_gaps(f) == ()
 
 
 def _factor_bases():
@@ -255,10 +256,10 @@ def _factor_bases():
     bases = [_pa_factors(o, *_pentaction_factors(o))
              for o in (by_name["z1"], by_name["z2"], by_name["z3"], by_name["z5"],
                        negation_cyclic(4), k4swap_object(), shear_object())]
-    maps, pows = spread_dot_factors(by_name["klein4"])
-    spread = _pa_factors(by_name["klein4"], maps, pows[:2])
+    ups, pows = spread_up_factors(by_name["klein4"])
+    spread = _pa_factors(by_name["klein4"], ups, pows[:2])
     return bases + [spread._replace(**{k: np.maximum(getattr(spread, k), 0)
-                                       for k in ("Cm", "P", "E", "Q")})]
+                                       for k in ("Cm", "P", "Q")})]
 
 
 FACTOR_BASES = _factor_bases()
@@ -272,15 +273,15 @@ def _corrupt_factors(draw, count):
         f = FACTOR_BASES[draw(len(FACTOR_BASES))]
     else:
         M, W = draw(3) + 1, draw(3) + 1
-        shapes = {"Cm": (M, M), "P": (W, W), "E": (M,), "Q": (M, W)}
-        bounds = {"Cm": M, "P": W, "E": M, "Q": W}
+        shapes = {"Cm": (M, M), "P": (W, W), "Q": (M, W)}
+        bounds = {"Cm": M, "P": W, "Q": W}
         f = _PaFactors(**{k: np.array([draw(bounds[k]) for _ in range(int(np.prod(shape)))],
                                       dtype=np.intp).reshape(shape)
                           for k, shape in shapes.items()}, W=W)
-    tables = {k: getattr(f, k).copy() for k in ("Cm", "P", "E", "Q")}
-    bounds = {"Cm": len(f.E), "E": len(f.E), "P": f.W, "Q": f.W}
+    tables = {k: getattr(f, k).copy() for k in ("Cm", "P", "Q")}
+    bounds = {"Cm": len(f.Cm), "P": f.W, "Q": f.W}
     for _ in range(count):
-        name = ("Cm", "P", "E", "Q")[draw(4)]
+        name = ("Cm", "P", "Q")[draw(3)]
         tables[name].flat[draw(tables[name].size)] = draw(bounds[name])
     return f._replace(**tables)
 
@@ -304,14 +305,16 @@ class TestPaAxiomScan:
         assert_report_is_the_axiom_scan(_corrupt_factors(draw, draw(4)))
 
     def test_every_axiom_in_one_cell_chunks(self, monkeypatch):
-        # one leading index per chunk, so witnesses also come from later chunks
+        # one leading index per chunk, so witnesses also come from later
+        # chunks; reduced.collapse holds whatever the factors, since a power
+        # keeps the map part of its first argument
         monkeypatch.setattr(core, "_CHUNK_CELLS", 1)
         rng = random.Random(0)
         seen = set()
         for _ in range(400):
             f = _corrupt_factors(rng.randrange, rng.randrange(4))
             seen.update(assert_report_is_the_axiom_scan(f).conditions())
-        assert seen == {a[0] for a in _AXIOMS}
+        assert seen == {a[0] for a in _AXIOMS} - {"reduced.collapse"}
 
     def test_element_axioms_at_single_cell_corruptions(self):
         # group.identity, group.inverse and action.zero read each factor
@@ -320,9 +323,9 @@ class TestPaAxiomScan:
         rng = random.Random(1)
         seen = set()
         for f in FACTOR_BASES:
-            if len(f.E) * f.W > 64:
+            if len(f.Cm) * f.W > 64:
                 continue
-            for name, bound in (("Cm", len(f.E)), ("P", f.W), ("E", len(f.E)), ("Q", f.W)):
+            for name, bound in (("Cm", len(f.Cm)), ("P", f.W), ("Q", f.W)):
                 size = getattr(f, name).size
                 for cell in range(size) if size <= 64 else rng.sample(range(size), 64):
                     table = getattr(f, name).copy()
@@ -339,7 +342,7 @@ class TestPaAxiomScan:
         # reduced.central excludes y = 0: the witness y is the least nonzero
         # element, (0, 1) or (1, 0), and PA(z1) has none
         f = _PaFactors(Cm=np.zeros((M, M), dtype=np.intp), P=np.zeros((W, W), dtype=np.intp),
-                       E=np.zeros(M, dtype=np.intp), Q=np.zeros((M, W), dtype=np.intp), W=W)
+                       Q=np.zeros((M, W), dtype=np.intp), W=W)
         f.Cm[0, 1 % M] = 1 % M
         f.P[0, 1 % W] = 1 % W
         report = assert_report_is_the_axiom_scan(f)
@@ -352,14 +355,14 @@ def pa_of_factors(f):
     factors' map parts and pow tables, with the assembled tables, as a plain
     namespace: a PAObject must be the enumerated PA(base).  Its elements
     carry only the dotL, up and pow the action reads (dotR and upL repeat
-    them)."""
+    them), with the identity dots of every pentaction."""
     A = rgwa.FiniteGwaObject("A", len(f.A.ar), tuple(map(tuple, f.A.add.tolist())),
                              tuple(map(tuple, f.A.act.tolist())))
     add, act = _assemble(f)
     B = rgwa.FiniteGwaObject("PA(A)", len(add), tuple(map(tuple, add.tolist())),
                              tuple(map(tuple, act.tolist())))
     i, j = np.divmod(np.arange(len(add)), f.W)
-    dot = tuple(f.dot.tolist())
+    dot = tuple(range(len(f.A.ar)))
     rows = (map(tuple, x.tolist()) for x in (f.up[i], f.pow[j]))
     elements = tuple(rgwa.Pentaction(A, dot, dot, up, up, pw) for up, pw in zip(*rows))
     return SimpleNamespace(base=A, elements=elements, object=B)
@@ -373,7 +376,7 @@ ACTION_CARRIERS = [rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(3), negation_cycl
 
 
 def _corrupt_action_factors(draw, count):
-    """``_corrupt_factors`` with its dot, up and pow arrays corrupted in
+    """``_corrupt_factors`` with its up and pow arrays corrupted in
     ``count`` in-range cells too.  Random factor tables get a carrier from
     ACTION_CARRIERS and random arrays."""
     f = _corrupt_factors(draw, count)
@@ -384,12 +387,11 @@ def _corrupt_action_factors(draw, count):
         def random_table(rows):
             return np.array([[draw(n) for _ in range(n)] for _ in range(rows)], dtype=np.intp)
 
-        f = f._replace(dot=random_table(1)[0], up=random_table(len(f.E)),
-                       pow=random_table(f.W), A=A._arrays)
+        f = f._replace(up=random_table(len(f.Cm)), pow=random_table(f.W), A=A._arrays)
     n = len(f.A.ar)
-    tables = {k: getattr(f, k).copy() for k in ("dot", "up", "pow")}
+    tables = {k: getattr(f, k).copy() for k in ("up", "pow")}
     for _ in range(count):
-        name = ("dot", "up", "pow")[draw(3)]
+        name = ("up", "pow")[draw(2)]
         tables[name].flat[draw(tables[name].size)] = draw(n)
     return f._replace(**tables)
 
@@ -408,10 +410,9 @@ def assert_action_report_is_the_reference(f, chunk_cells=None, monkeypatch=None)
     return got
 
 
-def _a2_fails_at_map_part_zero(f):
-    """Whether the a2 formula fails at some cell with b2's map part 0."""
-    formula = next(row[2] for row in _PA_ACTION if row[0] == "a2")
-    return bool(formula(f, np.arange(len(f.A.ar)), 0).any())
+# The conditions with two B axes that hold on every product of factors: the
+# dot is the identity, and b ^ b2 has the map part of b.
+TWO_B_HOLDING = {"ga.1", "4A", "a2", "a3", "a5"}
 
 
 class TestPaActionScan:
@@ -435,10 +436,12 @@ class TestPaActionScan:
             assert got.report == want.report, pa.base.name
 
     def test_factor_rows_are_the_two_b_conditions(self):
-        # a row's slots are the condition's axes: ak names an A slot, and
-        # every other slot is a B slot
+        # the rows and the five two-B conditions that hold by construction
+        # are the two-B conditions, each once; a row's slots are the
+        # condition's axes: ak names an A slot, and every other slot is a B slot
         axes = {c[0]: c[1] for c in _CONDITIONS}
-        assert {r[0] for r in _PA_ACTION} == {cid for cid, ax in axes.items() if ax.count("B") == 2}
+        rows = [r[0] for r in _PA_ACTION] + sorted(TWO_B_HOLDING)
+        assert sorted(rows) == sorted(cid for cid, ax in axes.items() if ax.count("B") == 2)
         for cid, names, _ in _PA_ACTION:
             slots = "".join("A" if f"a{k}" in names.split() else "B" for k in "123")
             assert slots == axes[cid], cid
@@ -451,16 +454,22 @@ class TestPaActionScan:
         assert_action_report_is_the_reference(_corrupt_action_factors(draw, draw(4)))
 
     def test_every_condition_in_one_cell_chunks(self, monkeypatch):
-        # one leading index per chunk, so witnesses also come from later chunks
+        # one leading index per chunk, so witnesses also come from later
+        # chunks.  The conditions that read only the identity dot, or only
+        # the map part of a power, hold: the reference scans of the
+        # assembled tables never report them, nor reduced.collapse
         rng = random.Random(0)
-        seen, a2_cleared = set(), 0
+        holding = TWO_B_HOLDING | {"ga.2", "ga.3", "3A", "a1"}
+        seen = set()
         for _ in range(300):
             f = _corrupt_action_factors(rng.randrange, rng.randrange(4))
             report = assert_action_report_is_the_reference(f, 1, monkeypatch)
+            add, act = _assemble(f)
+            axioms = rgwa.check_axioms(len(add), add.tolist(), act.tolist(), True)
+            assert not holding & set(report.conditions())
+            assert "reduced.collapse" not in axioms.conditions()
             seen.update(report.conditions())
-            a2_cleared += f.W == 1 and _a2_fails_at_map_part_zero(f)
-        assert seen == {c[0] for c in _CONDITIONS}
-        assert a2_cleared > 0
+        assert seen == {c[0] for c in _CONDITIONS} - holding
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_one_b_rows_on_relabeled_bases(self, seed, monkeypatch):
@@ -473,24 +482,6 @@ class TestPaActionScan:
             with monkeypatch.context() as patch:
                 patch.setattr(core, "_CHUNK_CELLS", 1)
                 assert _pa_action_report(_canonical_factors(A)) == want, A.name
-
-    @pytest.mark.parametrize("M, W", [(1, 1), (1, 3), (3, 1)])
-    def test_nonzero_witness_at_one_map_or_one_pow(self, M, W):
-        # dotL swaps the two elements of z2, so a2 and a3 fail wherever
-        # b2 != 0 is allowed: the witness b2 is the least nonzero element,
-        # (0, 1) or (1, 0), and PA(z1) has none
-        z2 = rgwa.cyclic_trivial(2)
-        zeros = np.zeros((M, M), dtype=np.intp)
-        f = _PaFactors(Cm=zeros, P=np.zeros((W, W), dtype=np.intp), E=zeros[0],
-                       Q=np.zeros((M, W), dtype=np.intp), W=W, dot=np.array([1, 0]),
-                       up=np.tile([0, 1], (M, 1)),
-                       pow=np.zeros((W, 2), dtype=np.intp), A=z2._arrays)
-        report = assert_action_report_is_the_reference(f)
-        witnesses = {v.condition: v.witness for v in report.violations}
-        if M * W == 1:
-            assert "a2" not in witnesses and "a3" not in witnesses
-        else:
-            assert (witnesses["a2"], witnesses["a3"]) == ((0, 0, 1), (0, 1, 0))
 
 
 class TestPaAction:
@@ -783,18 +774,24 @@ class TestUniquenessAgainstOracle:
         assert seen == {(), ("uniq.phi", "uniq.extra")}
 
     def test_corrupted_triples_match_the_exhaustive_search(self, z4neg):
+        # one cell of dot[b], of the up column b or of pow[b] changed, per
+        # (b, a): the lookup and the exhaustive search agree that no map
+        # reproduces the changed triple
         B = rgwa.cyclic_trivial(2)
         pa = rgwa.build_pa_object(z4neg)
+        seen = set()
         for triple in rgwa.enumerate_derived_actions(z4neg, B):
             phi = rgwa.represent(z4neg, B, triple, pa=pa)
-            for b, a in product(range(B.order), range(z4neg.order)):
-                pw = [list(row) for row in triple.pow]
-                pw[b][a] = (pw[b][a] + 1) % z4neg.order
-                bad = replace(triple, pow=tuple(map(tuple, pw)), report=None)
+            for b, a, key in product(range(B.order), range(z4neg.order), ("dot", "up", "pow")):
+                table = [list(row) for row in getattr(triple, key)]
+                row, col = (a, b) if key == "up" else (b, a)
+                table[row][col] = (table[row][col] + 1) % z4neg.order
+                bad = replace(triple, **{key: tuple(map(tuple, table))}, report=None)
                 got = rgwa.verify_uniqueness(z4neg, B, bad, phi, pa=pa)
                 want = reference_verify_uniqueness(z4neg, B, bad, phi, pa)
-                assert got.to_json() == want.to_json()
-                assert got.conditions() == ("uniq.phi",)
+                assert got.to_json() == want.to_json(), (key, b, a)
+                seen.add((key, got.conditions()))
+        assert seen == {(key, ("uniq.phi",)) for key in ("dot", "up", "pow")}
 
     def test_duplicate_action_columns_are_refused(self, corpus, z4neg):
         # Copies of elements that differ only in dotR would give the per-b
@@ -927,11 +924,11 @@ class TestBatchAgainstPerTriple:
             ups = batch.ups.copy()
             ups[::2, :, 1] = rng.permuted(ups[::2, :, 1], axis=1)
             bad = batch._replace(ups=ups, J=J)
+            dot = (tuple(range(z4neg.order)),) * B.order
             triples = [
-                DerivedActionTriple(z4neg, B, *(tuple(map(tuple, x)) for x in tables),
+                DerivedActionTriple(z4neg, B, dot, *(tuple(map(tuple, x)) for x in tables),
                                     report=PASSED)
-                for tables in zip(bad.dots[bad.pair].tolist(), bad.ups[bad.pair].tolist(),
-                                  bad.rows[bad.J].tolist())
+                for tables in zip(bad.ups[bad.pair].tolist(), bad.rows[bad.J].tolist())
             ]
             got = representability._batch_failures(z4neg, B, bad, pa, DEFAULT_BUDGET)
             assert got == reference_triple_failures(z4neg, B, triples, pa), B.name
