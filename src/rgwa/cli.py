@@ -1,11 +1,13 @@
 """Command-line surface emitting machine-readable JSON verdicts.
 
 Verbs: validate, corpus, pentactions, pa, analyze, noether, represent,
-oracle.  Exit codes: 0 all checks passed, 1 a verified violation (with
-witnesses in the JSON), 2 input or format error, 3 enumeration budget
-exceeded.  Output is canonical JSON on stdout (--pretty for indentation);
---out first writes the same document to a file, and a failed write exits 2
-with only its error on stdout.  --budget and --max-order are non-negative.
+oracle.  One parser reads a verb, a path (the object file, or the output
+directory of corpus) and four flags shared by every verb.  Exit codes: 0
+all checks passed, 1 a verified violation (with witnesses in the JSON), 2
+input or format error, 3 enumeration budget exceeded.  Output is canonical
+JSON on stdout (--pretty for indentation); --out first writes the same
+document to a file, and a failed write exits 2 with only its error on
+stdout.  --budget and --max-order are non-negative.
 
 `pentactions` writes its document from the factors Maps x W of the set, in
 canonical key order: (2*|Maps| + |W| + 2)*n encoded integers and
@@ -49,7 +51,7 @@ EXIT_BUDGET = 3
 
 
 def _cmd_validate(args) -> tuple[int, dict]:
-    name, order, add, act = parse_object_json(read_json(args.file))
+    name, order, add, act = parse_object_json(read_json(args.path))
     tables = _check_tables(order, add, act)  # before the charge: costs only the document's size
     cells = order**3
     if cells > args.budget:
@@ -61,18 +63,18 @@ def _cmd_validate(args) -> tuple[int, dict]:
 
 
 def _cmd_corpus(args) -> tuple[int, dict]:
-    written = emit_corpus(args.out_dir)
+    written = emit_corpus(args.path)
     return EXIT_PASSED, {"written": written}
 
 
 def _cmd_pentactions(args) -> tuple[int, str]:
-    obj = load_object(args.file)
+    obj = load_object(args.path)
     _check_budget(obj, args.budget)
     return EXIT_PASSED, dumps_pentactions(obj.name, *_pentaction_factors(obj), pretty=args.pretty)
 
 
 def _cmd_pa(args) -> tuple[int, dict]:
-    obj = load_object(args.file)
+    obj = load_object(args.path)
     pa = build_pa_object(obj, budget=args.budget)
     action = pa.action_report
     payload: dict = {
@@ -85,12 +87,12 @@ def _cmd_pa(args) -> tuple[int, dict]:
 
 
 def _cmd_analyze(args) -> tuple[int, dict]:
-    obj = load_object(args.file)
+    obj = load_object(args.path)
     return EXIT_PASSED, analysis_report(obj, budget=args.budget)
 
 
 def _cmd_noether(args) -> tuple[int, dict]:
-    obj = load_object(args.file)
+    obj = load_object(args.path)
     chain = noether_quotient(obj, budget=args.budget)
     return EXIT_PASSED, {
         "subgroup_orders": [len(w) for w in chain.subgroups],
@@ -101,13 +103,13 @@ def _cmd_noether(args) -> tuple[int, dict]:
 
 
 def _cmd_represent(args) -> tuple[int, dict]:
-    obj = load_object(args.file)
+    obj = load_object(args.path)
     report = verify_representability(obj, max_b_order=args.max_order, budget=args.budget)
     return (EXIT_PASSED if report.all_passed else EXIT_VIOLATION), report.to_json()
 
 
 def _cmd_oracle(args) -> tuple[int, dict]:
-    obj = load_object(args.file)
+    obj = load_object(args.path)
     pruned = enumerate_pentactions(obj, budget=args.budget)
     brute = enumerate_pentactions_bruteforce(obj)
     equal = [p.key() for p in pruned] == [p.key() for p in brute]
@@ -131,46 +133,42 @@ def _count(text: str) -> int:
     return value
 
 
-@cache  # built once: every call of main shares the tree
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
-                        help="candidate-visit budget for enumerations")
-    common.add_argument("--max-order", type=_count, default=3, dest="max_order",
-                        help="largest acting-object order for represent")
-    common.add_argument("--pretty", action="store_true",
-                        help="indent the JSON output")
-    common.add_argument("--out", type=str, default=None,
-                        help="also write the JSON document to this path")
+_VERBS = {
+    "validate": _cmd_validate,
+    "corpus": _cmd_corpus,
+    "pentactions": _cmd_pentactions,
+    "pa": _cmd_pa,
+    "analyze": _cmd_analyze,
+    "noether": _cmd_noether,
+    "represent": _cmd_represent,
+    "oracle": _cmd_oracle,
+}
 
+
+@cache  # built once: every call of main shares the parser
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rgwa",
         description="Finite-model workbench for reduced groups with action.",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, handler in (
-        ("validate", _cmd_validate),
-        ("pentactions", _cmd_pentactions),
-        ("pa", _cmd_pa),
-        ("analyze", _cmd_analyze),
-        ("noether", _cmd_noether),
-        ("represent", _cmd_represent),
-        ("oracle", _cmd_oracle),
-    ):
-        p = sub.add_parser(verb, parents=[common])
-        p.add_argument("file", help="object file (JSON)")
-        p.set_defaults(handler=handler)
-
-    p = sub.add_parser("corpus", parents=[common])
-    p.add_argument("out_dir", help="directory receiving the corpus files")
-    p.set_defaults(handler=_cmd_corpus)
+    parser.add_argument("verb", choices=_VERBS, help="what to run")
+    parser.add_argument("path", help="object file (JSON); for corpus, the directory "
+                                     "receiving the corpus files")
+    parser.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
+                        help="candidate-visit budget for enumerations")
+    parser.add_argument("--max-order", type=_count, default=3, dest="max_order",
+                        help="largest acting-object order for represent")
+    parser.add_argument("--pretty", action="store_true",
+                        help="indent the JSON output")
+    parser.add_argument("--out", type=str, default=None,
+                        help="also write the JSON document to this path")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        code, payload = args.handler(args)
+        code, payload = _VERBS[args.verb](args)
     except ValidationError as exc:
         code, payload = EXIT_VIOLATION, exc.report.to_json()
     except BudgetExceededError as exc:

@@ -27,7 +27,12 @@ of ``representability``, and the candidate rows (id, axes, reads, mask) of
 the two morphism laws of ``is_morphism`` and of the 22 derived-action and
 19 pentaction conditions, whose tables carry a leading
 candidate axis: it scans one candidate, and ``_passing`` gives the verdicts
-of a batch.
+of a batch.  The walked filters (additive bijections, the pentaction pow and
+map factors, the up families of derived actions) and the morphism laws of
+``representability._batch_failures`` have ``_passing`` check their rows at
+the additive generators only, which the closure lemma (Clifford & Preston
+I, section 1.2) makes the full verdict; ``_violations``, which must give
+minimal witnesses, and the brute-force oracles scan in full.
 The masks read an object's cached ``_arrays``: add, act, neg and the
 carrier ar as index arrays.  Outside tables are validated once by
 ``_check_table``; ``_scan_axioms`` then scans index arrays directly.
@@ -44,6 +49,7 @@ import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
+from itertools import chain
 from math import prod
 from typing import Iterable, Sequence
 
@@ -68,14 +74,19 @@ def as_index(value) -> int:
 
 def _freeze_table(table) -> Table:
     """A table given as rows of integers, frozen; any other shape of input
-    raises InputError."""
+    raises InputError.  A table of plain ints is taken as it is; only
+    another entry type needs the per-entry ``as_index``, which also names
+    the first bad entry."""
     if not isinstance(table, Iterable):
         raise InputError(f"table {table!r} is not a list of rows")
     rows = tuple(table)
     for x, row in enumerate(rows):
         if not isinstance(row, Iterable):
             raise InputError(f"table row {x} is {row!r}, not a list of entries")
-    return tuple(tuple(as_index(v) for v in row) for row in rows)
+    frozen = tuple(map(tuple, rows))
+    if set(map(type, chain.from_iterable(frozen))) <= {int}:
+        return frozen
+    return tuple(tuple(as_index(v) for v in row) for row in frozen)
 
 
 def _check_table(order: int, table, what: str) -> Table:
@@ -85,9 +96,9 @@ def _check_table(order: int, table, what: str) -> Table:
     for x, row in enumerate(frozen):
         if len(row) != order:
             raise InputError(f"{what} table row {x} has {len(row)} entries, expected {order}")
-        for y, v in enumerate(row):
-            if not 0 <= v < order:
-                raise InputError(f"{what}[{x}][{y}] = {v} is out of range 0..{order - 1}")
+        if min(row) < 0 or max(row) >= order:
+            y, v = next((y, v) for y, v in enumerate(row) if not 0 <= v < order)
+            raise InputError(f"{what}[{x}][{y}] = {v} is out of range 0..{order - 1}")
     return frozen
 
 
@@ -123,22 +134,35 @@ def _violations(t, conditions, sizes):
                 break
 
 
-def _passing(t, conditions, sizes) -> np.ndarray:
+def _passing(t, conditions, sizes, lead=None) -> np.ndarray:
     """Per candidate, whether it passes every candidate row.  Each row runs
     on the candidates that passed the rows before, in chunks gathered once
     from the tables the rows read and gathered again only after a row drops
     a candidate.  Unlike a scan, a batch never stops early, so its masks get
-    an eighth of the ``_CHUNK_CELLS`` cells, to bound peak memory."""
+    an eighth of the ``_CHUNK_CELLS`` cells, to bound peak memory.
+
+    ``lead`` maps an axis letter to the index array that a row led by that
+    axis scans in place of the whole axis (by default, the whole axis).  The
+    callers pass an object's additive generators (``_generator_lead``) where
+    the closure lemma makes that verdict the full one: when the leading
+    values at which a row holds for all its other variables are closed under
+    + and include the generators, they are the whole finite group, since the
+    subsemigroup a nonempty set generates is the subgroup.  Each such row
+    owes its closure to the axioms of the objects it reads and to rows
+    before it, so every candidate it sees has it."""
+    lead = lead or {}
     reads = {r for _, _, needed, _ in conditions for r in needed}
     k = len(getattr(t, next(iter(reads))))
     ok = np.zeros(k, dtype=bool)
-    cells = max(prod(sizes[x] for x in axes) for _, axes, _, _ in conditions)
+    rows = [(lead.get(axes[0], slice(None)), mask) for _, axes, _, mask in conditions]
+    cells = max(len(lead[axes[0]]) * prod(sizes[x] for x in axes[1:]) if axes[0] in lead
+                else prod(sizes[x] for x in axes) for _, axes, _, _ in conditions)
     step = max(1, _CHUNK_CELLS // (8 * cells))
     for lo in range(0, k, step):
         live = np.arange(lo, min(k, lo + step))
         chunk = t._replace(**{r: getattr(t, r)[live] for r in reads})
-        for *_, mask in conditions:
-            keep = ~_violated(mask(chunk, slice(None)))
+        for s, mask in rows:
+            keep = ~_violated(mask(chunk, s))
             if keep.all():
                 continue
             live = live[keep]
@@ -174,6 +198,8 @@ def _row_finder(keys: np.ndarray):
     sorted_bytes = keys[order].view(as_bytes).ravel()
 
     def find(rows: np.ndarray) -> np.ndarray:
+        if not len(keys):
+            return np.full(np.shape(rows)[:-1], -1, dtype=np.intp)
         flat = np.ascontiguousarray(rows).reshape(-1, keys.shape[1])
         hit = order[np.minimum(np.searchsorted(sorted_bytes, flat.view(as_bytes).ravel()),
                                len(keys) - 1)]
@@ -527,8 +553,16 @@ def _violated(mask: np.ndarray) -> np.ndarray:
     return mask.any(axis=tuple(range(1, mask.ndim)))
 
 
-def _v_additive(t, f: np.ndarray, s: slice) -> np.ndarray:
-    # f(a + a') = f(a) + f(a') for a in s, for k value tables f over t.add
+def _generator_lead(obj: FiniteGwaObject) -> np.ndarray:
+    """The additive generators of obj as an index array, [0] on the trivial
+    carrier: the leading values that ``_passing`` checks a row at when the
+    closure lemma applies to it."""
+    return np.asarray(generating_words(obj)[0] or (0,), dtype=np.intp)
+
+
+def _v_additive(t, f: np.ndarray, s) -> np.ndarray:
+    # f(a + a') = f(a) + f(a') for a in s, for k value tables f over t.add;
+    # the a at which it holds are closed under + by associativity alone
     return f[:, t.add[s]] != t.add[f[:, s, None], f[:, None]]
 
 
@@ -536,13 +570,14 @@ def _v_additive(t, f: np.ndarray, s: slice) -> np.ndarray:
 def _additive_bijections_cached(obj: FiniteGwaObject) -> tuple[tuple[int, ...], ...]:
     n, t = obj.order, obj._arrays
     gens, steps = generating_words(obj)
+    lead = _generator_lead(obj)
     found: list[list[int]] = []
     for images in _image_chunks(n, len(gens), n * n):
         # f(x + g) = f(x) + f(g) and f(x - g) = f(x) - f(g)
         f = _generator_walk(steps, images, 0, lambda prev, img, step: t.add[
             prev, img if step[3] > 0 else t.neg[img]])
         f = f[(np.sort(f, axis=1) == t.ar).all(axis=1)]
-        found.extend(f[~_violated(_v_additive(t, f, slice(None)))].tolist())
+        found.extend(f[~_violated(_v_additive(t, f, lead))].tolist())
     return tuple(sorted(map(tuple, found)))
 
 

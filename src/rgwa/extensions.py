@@ -23,6 +23,15 @@ and f is the identity; when n_A = 1 the identity is the only map.  3A
 applies this to every dot[b], and p3 and p3d apply it to the dotL and dotR
 of a pentaction.  So a derived action is its up family and its pow rows.
 
+The up families are walked (``_up_walk``) with up(., 0) = id and each
+up(., b) a composition of additive bijections, so with dot = id they meet
+1A, zeroB, 4A and a2 by construction (``_UP_BY_CONSTRUCTION``).
+``_up_families`` scans the other up rows, 2B, a5, a6, a7 and 3B, at A's
+additive generators only (the closure lemma of ``core._passing``): the
+values a at which one holds are closed under + by the additivity of each
+up(., b) and action.add.  ``check_derived_action`` and the brute-force
+oracle scan every cell.
+
 ``enumerate_derived_actions`` keeps its triples as one columnar batch
 (``_DerivedBatch``): the kept up families, the pow rows W' that can occur,
 and per triple its up family and the index in W' of each of its pow rows.
@@ -46,6 +55,7 @@ from .core import (
     GwaMorphism,
     Table,
     _chunked,
+    _generator_lead,
     _generator_walk,
     _image_chunks,
     _passing,
@@ -222,7 +232,7 @@ def _sizes(A: FiniteGwaObject, B: FiniteGwaObject) -> dict[str, int]:
     return {"A": A.order, "B": B.order}
 
 
-def _after(f: np.ndarray, s: slice, g: np.ndarray) -> np.ndarray:
+def _after(f: np.ndarray, s, g: np.ndarray) -> np.ndarray:
     """f[k, b, g[k, x, y]] over (k, b in s, x, y): row b of f after g, as one
     index array into the rows b of all candidates laid side by side."""
     k, n = len(f), f.shape[2]
@@ -232,14 +242,16 @@ def _after(f: np.ndarray, s: slice, g: np.ndarray) -> np.ndarray:
 
 # (id, index axes in witness order, tables read, violation mask), in report
 # order; every table read is led by a candidate axis k.  A mask takes the
-# tables and a slice s of the first index axis and returns the violated cells
-# (k, s, ...); side constraints such as a2 != 0 clear the excluded cells.
+# tables and a slice or index array s of the first index axis and returns
+# the violated cells (k, s, ...); side constraints such as a2 != 0 clear the
+# excluded cells.  A row indexes s on its own, as t.up[:, s][:, :, t.addB]:
+# next to another index array, a one-entry s would broadcast against it.
 _CONDITIONS = (
     # dot[b + b2][a] = dot[b][dot[b2][a]]
     ("ga.1", "BBA", ("dot",), lambda t, s: t.dot[:, t.addB[s]] != _after(t.dot, s, t.dot)),
     # dot[b][a + a2] = dot[b][a] + dot[b][a2]
     ("ga.2", "BAA", ("dot",),
-     lambda t, s: t.dot[:, s, t.addA] != t.addA[t.dot[:, s, :, None], t.dot[:, s, None]]),
+     lambda t, s: t.dot[:, s][:, :, t.addA] != t.addA[t.dot[:, s, :, None], t.dot[:, s, None]]),
     # dot[0][a] = a
     ("ga.3", "A", ("dot",), lambda t, s: t.dot[:, 0, s] != t.rA[s]),
     # up[a + a2][b] = up[a][b] + up[a2][b]
@@ -254,9 +266,9 @@ _CONDITIONS = (
     ("4A", "BAB", ("dot", "up"), lambda t, s: _pick(t.up, t.dot[:, s]) != t.up[:, None]),
     # pow[b][a + a2] = pow[b][a] ^ a2 + pow[b][a2]
     ("1B", "BAA", ("pow",),
-     lambda t, s: t.pow[:, s, t.addA] != t.addA[t.actA[t.pow[:, s]], t.pow[:, s, None]]),
+     lambda t, s: t.pow[:, s][:, :, t.addA] != t.addA[t.actA[t.pow[:, s]], t.pow[:, s, None]]),
     # up[a][b + b2] = up[up[a][b]][b2]
-    ("2B", "ABB", ("up",), lambda t, s: t.up[:, s, t.addB] != _pick(t.up, t.up[:, s])),
+    ("2B", "ABB", ("up",), lambda t, s: t.up[:, s][:, :, t.addB] != _pick(t.up, t.up[:, s])),
     # up[a ^ dot[b][a2]][b] = up[a][b] ^ a2; up is read by column b
     ("3B", "ABA", ("dot", "up"),
      lambda t, s: _pick(t.up.swapaxes(1, 2), t.rB[:, None],
@@ -268,7 +280,7 @@ _CONDITIONS = (
     # up[a][0] = a
     ("zeroB", "A", ("up",), lambda t, s: t.up[:, s, 0] != t.rA[s]),
     # dot[b][a ^ a2] = a ^ a2  for a2 != 0
-    ("a1", "BAA", ("dot",), lambda t, s: (t.dot[:, s, t.actA] != t.actA) & (t.rA > 0)),
+    ("a1", "BAA", ("dot",), lambda t, s: (t.dot[:, s][:, :, t.actA] != t.actA) & (t.rA > 0)),
     # dot[b][up[a][b2]] = up[a][b2]  for b2 != 0
     ("a2", "BAB", ("dot", "up"),
      lambda t, s: (_after(t.dot, s, t.up) != t.up[:, None]) & (t.rB > 0)),
@@ -276,9 +288,9 @@ _CONDITIONS = (
     ("a3", "BBA", ("dot",),
      lambda t, s: (t.dot[:, t.actB[s]] != t.rA) & (t.rB[:, None] > 0)),
     # pow[b][a ^ a2] = pow[b][a]
-    ("a4", "BAA", ("pow",), lambda t, s: t.pow[:, s, t.actA] != t.pow[:, s, :, None]),
+    ("a4", "BAA", ("pow",), lambda t, s: t.pow[:, s][:, :, t.actA] != t.pow[:, s, :, None]),
     # up[a][b ^ b2] = up[a][b]
-    ("a5", "ABB", ("up",), lambda t, s: t.up[:, s, t.actB] != t.up[:, s, :, None]),
+    ("a5", "ABB", ("up",), lambda t, s: t.up[:, s][:, :, t.actB] != t.up[:, s, :, None]),
     # up[a][b] + a2 = a2 + up[a][b]  for b != 0
     ("a6", "ABA", ("up",),
      lambda t, s: (t.addA[t.up[:, s]] != t.addA.T[t.up[:, s]]) & (t.rB[:, None] > 0)),
@@ -305,6 +317,11 @@ def _reading(*tables: str):
 _DOT_ONLY, _UP_ONLY, _DOT_UP = _reading("dot"), _reading("up"), _reading("dot", "up")
 _POW_READING = tuple(c for c in _CONDITIONS if "pow" in c[2])
 
+# The up-only and dot-and-up rows that every walked up table (``_up_walk``)
+# meets with dot = id; the family search scans the rest.
+_UP_BY_CONSTRUCTION = ("1A", "zeroB", "4A", "a2")
+_UP_WALKED = tuple(c for c in _UP_ONLY + _DOT_UP if c[0] not in _UP_BY_CONSTRUCTION)
+
 
 def check_derived_action(triple: DerivedActionTriple) -> CheckReport:
     """Scan the 22 derived-action conditions; one minimal witness each."""
@@ -318,14 +335,12 @@ def check_derived_action(triple: DerivedActionTriple) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _up_families(A: FiniteGwaObject, B: FiniteGwaObject) -> np.ndarray:
-    """The up tables (k, n_A, n_B) whose per-element maps up(., b) are
-    additive bijections of A composing anti-homomorphically (2B) and that
-    pass the other up-only conditions and, with dot = id, 4A, 3B and a2.
-
-    Walked from every assignment of bijections to B's generators, in
-    product order, and filtered one chunk at a time.
-    """
+def _up_walk(A: FiniteGwaObject, B: FiniteGwaObject):
+    """The walked up tables (k, n_A, n_B), one chunk at a time, in product
+    order of every assignment of additive bijections of A to B's
+    generators: up(., 0) = id and up(., b + g) = up(., g) o up(., b).  So
+    every up(., b) is an additive bijection and each table meets the
+    ``_UP_BY_CONSTRUCTION`` rows with dot = id."""
     bij = np.asarray(additive_bijections(A), dtype=np.intp)
     inverses = np.argsort(bij, axis=1)
     gensB, stepsB = generating_words(B)
@@ -335,11 +350,20 @@ def _up_families(A: FiniteGwaObject, B: FiniteGwaObject) -> np.ndarray:
         # up(., b + g) = up(., g) o up(., b)
         return _pick((bij if step[3] > 0 else inverses)[img], prev)
 
-    out = [np.zeros((0, na, nb), dtype=np.intp)]
     for images in _image_chunks(len(bij), len(gensB), nb * nb * na):
-        ups = _generator_walk(stepsB, images, np.arange(na), rule).swapaxes(1, 2)
+        yield _generator_walk(stepsB, images, np.arange(na), rule).swapaxes(1, 2)
+
+
+def _up_families(A: FiniteGwaObject, B: FiniteGwaObject) -> np.ndarray:
+    """The walked up tables that, with dot = id, pass the up-only conditions
+    and 4A, 3B and a2, filtered one chunk at a time by the rows that do not
+    hold by construction, each at A's generators (``core._passing``)."""
+    na, nb = A.order, B.order
+    lead = {"A": _generator_lead(A)}
+    out = [np.zeros((0, na, nb), dtype=np.intp)]
+    for ups in _up_walk(A, B):
         t = _tables(A, B, dot=np.broadcast_to(np.arange(na), (len(ups), nb, na)), up=ups)
-        out.append(ups[_passing(t, _UP_ONLY + _DOT_UP, _sizes(A, B))])
+        out.append(ups[_passing(t, _UP_WALKED, _sizes(A, B), lead)])
     return np.concatenate(out)
 
 

@@ -25,6 +25,18 @@ additive bijections up passing the map conditions, each with upL = up^-1.
 The pruned enumerator scans the two factors apart, visiting |ups| + n^|gens|
 candidates, while its budget is still charged the |ups|*n^|gens| candidates
 of the product.
+
+Every walked map part (id, id, up, up^-1), up an additive bijection, meets
+p1, p1d, p2, p2d, p3, p3d, p6, p6d, p11 and p12 by construction
+(``_MAP_BY_CONSTRUCTION``), so the map factor scans only p5, p5d, p8, p8d,
+p9 and p9d (``_MAP_WALKED``).  Both factors check their rows at the additive
+generators only (the closure lemma of ``core._passing``).  The set of
+leading values a at which a row holds is closed under + given: for p5, p5d,
+p8 and p8d, the additivity of up or upL; for p9, p9d and p10, action.add;
+for p4, associativity, action.add and action.compose; for p7, p4 (an earlier
+row) and reduced.collapse, so on an object validated without the reduced
+checks the pow factor scans in full.  ``check_pentaction``,
+``check_pentactions_batch`` and the brute-force oracle scan every cell.
 """
 
 from __future__ import annotations
@@ -38,6 +50,7 @@ import numpy as np
 
 from .core import (
     FiniteGwaObject,
+    _generator_lead,
     _generator_walk,
     _image_chunks,
     _passing,
@@ -117,28 +130,28 @@ def _tables(obj: FiniteGwaObject, cands: Sequence[Pentaction] = (), **slots) -> 
     return _Tables(*obj._arrays, **{s: np.asarray(v, dtype=np.intp) for s, v in slots.items()})
 
 
-def _v_act_first_invariant(t, f: np.ndarray, s: slice) -> np.ndarray:
+def _v_act_first_invariant(t, f: np.ndarray, s) -> np.ndarray:
     # f(a) ^ a' = a ^ a'  for a' != 0
     return (t.act[f[:, s]] != t.act[s]) & (t.ar > 0)
 
 
-def _v_fixes_action_values(t, f: np.ndarray, s: slice) -> np.ndarray:
+def _v_fixes_action_values(t, f: np.ndarray, s) -> np.ndarray:
     # f(a ^ a') = a ^ a'  for a' != 0
     return (f[:, t.act[s]] != t.act[s]) & (t.ar > 0)
 
 
-def _v_central_if_moving(t, f: np.ndarray, s: slice) -> np.ndarray:
+def _v_central_if_moving(t, f: np.ndarray, s) -> np.ndarray:
     # images commute with everything, provided f moves at least one element
     moves = (f != t.ar).any(axis=1)
     return (t.add[f[:, s]] != t.add.T[f[:, s]]) & moves[:, None, None]
 
 
-def _v_exponent_equivalent(t, f: np.ndarray, s: slice) -> np.ndarray:
+def _v_exponent_equivalent(t, f: np.ndarray, s) -> np.ndarray:
     # a ^ f(a') = a ^ a'
     return t.act[t.ar[s, None], f[:, None]] != t.act[s]
 
 
-def _v_mutual_inverse(t, f: np.ndarray, g: np.ndarray, s: slice) -> np.ndarray:
+def _v_mutual_inverse(t, f: np.ndarray, g: np.ndarray, s) -> np.ndarray:
     # g(f(a)) = a = f(g(a))
     return (_pick(g, f[:, s]) != t.ar[s]) | (_pick(f, g[:, s]) != t.ar[s])
 
@@ -187,6 +200,11 @@ CONDITION_IDS = tuple(c[0] for c in _CONDITIONS)
 _Table = tuple[int, ...]
 _MAP_CONDITIONS = tuple(c for c in _CONDITIONS if "pow" not in c[2])
 _POW_CONDITIONS = tuple(c for c in _CONDITIONS if c[2] == ("pow",))
+
+# The map conditions that every walked map part (id, id, up, up^-1), up an
+# additive bijection, meets by construction; the map factor scans the rest.
+_MAP_BY_CONSTRUCTION = ("p1", "p1d", "p2", "p2d", "p3", "p3d", "p6", "p6d", "p11", "p12")
+_MAP_WALKED = tuple(c for c in _MAP_CONDITIONS if c[0] not in _MAP_BY_CONSTRUCTION)
 
 
 def _validate_shape(cand: Pentaction) -> None:
@@ -291,8 +309,10 @@ def enumerate_pentactions(
     pow to the four maps, so the set is the product of the maps passing the
     sixteen map conditions and the pow tables passing p4, p7 and p10: the
     search visits |ups| + n^|gens| candidates and builds only kept values.
-    The full condition scan still filters every factor, so the pruning is
-    completeness-preserving.
+    Each factor's filter skips only rows that its walked candidates meet by
+    construction and checks the others at the additive generators, which
+    the closure lemma of ``core._passing`` makes the full verdict, so the
+    pruning is completeness-preserving.
 
     The budget is charged the size of the product candidate space,
     |ups|*n^|gens|, computed from the input itself, so refusals do not
@@ -326,10 +346,9 @@ def _check_budget(obj: FiniteGwaObject, budget: int) -> None:
         )
 
 
-@object_cache(maxsize=32)
-def _pow_factor(obj: FiniteGwaObject) -> tuple[_Table, ...]:
-    """The pow tables passing p4, p7 and p10, sorted; by p4 they are crossed
-    maps, walked from all n^|gens| generator images."""
+def _pow_walk(obj: FiniteGwaObject):
+    """The crossed maps walked from all n^|gens| generator images, in
+    product order, one (k, n) chunk at a time."""
     n, t = obj.order, obj._arrays
     gens, steps = generating_words(obj)
 
@@ -340,10 +359,21 @@ def _pow_factor(obj: FiniteGwaObject) -> tuple[_Table, ...]:
             return t.add[t.act[prev, g], img]
         return t.act[t.add[prev, t.neg[img]], t.neg[g]]
 
-    kept: list[list[int]] = []
     for images in _image_chunks(n, len(gens), n * n):
-        rows = _generator_walk(steps, images, 0, rule)
-        kept.extend(rows[_passing(_tables(obj, pow=rows), _POW_CONDITIONS, {"A": n})].tolist())
+        yield _generator_walk(steps, images, 0, rule)
+
+
+@object_cache(maxsize=32)
+def _pow_factor(obj: FiniteGwaObject) -> tuple[_Table, ...]:
+    """The pow tables passing p4, p7 and p10, sorted; by p4 they are crossed
+    maps, so the walked ones are filtered.  On a reduced obj each row is
+    checked at the generators (``core._passing``); p7 closes under + only
+    through reduced.collapse, so on another obj the rows scan in full."""
+    lead = {"A": _generator_lead(obj)} if obj.reduced else None
+    kept: list[list[int]] = []
+    for rows in _pow_walk(obj):
+        keep = _passing(_tables(obj, pow=rows), _POW_CONDITIONS, {"A": obj.order}, lead)
+        kept.extend(rows[keep].tolist())
     return tuple(sorted(map(tuple, kept)))
 
 
@@ -353,11 +383,18 @@ def _pentaction_factors(obj: FiniteGwaObject) -> tuple[tuple[_Table, ...], tuple
     the map parts passing the conditions that do not read pow, and the pow
     tables passing the conditions that read only pow.  A map part is
     (id, id, up, up^-1): p3 and p3d force the identity dots, p12 the upL."""
+    t = _map_parts(obj)
+    keep = _passing(t, _MAP_WALKED, {"A": obj.order}, {"A": _generator_lead(obj)})
+    return tuple(sorted(map(tuple, t.up[keep].tolist()))), _pow_factor(obj)
+
+
+def _map_parts(obj: FiniteGwaObject) -> _Tables:
+    """The walked map parts (id, id, up, up^-1), one per additive bijection
+    up, as a batch; each meets the ``_MAP_BY_CONSTRUCTION`` rows."""
     ups = np.asarray(additive_bijections(obj), dtype=np.intp)
     ident = np.broadcast_to(np.arange(obj.order), ups.shape)
     maps = [ident, ident, ups, np.argsort(ups, axis=1)]
-    keep = _passing(_tables(obj, **dict(zip(_SLOTS, maps))), _MAP_CONDITIONS, {"A": obj.order})
-    return tuple(sorted(map(tuple, ups[keep].tolist()))), _pow_factor(obj)
+    return _tables(obj, **dict(zip(_SLOTS, maps)))
 
 
 @object_cache(maxsize=32)

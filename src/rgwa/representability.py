@@ -26,7 +26,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import _HOM_LAWS, FiniteGwaObject, GwaMorphism, _Hom, _passing, _violations
+from .core import (
+    _HOM_LAWS,
+    FiniteGwaObject,
+    GwaMorphism,
+    _generator_lead,
+    _Hom,
+    _passing,
+    _violations,
+)
 from .corpus import standard_corpus
 from .errors import BudgetExceededError, InputError, StructuralError
 from .extensions import (
@@ -323,7 +331,9 @@ def _batch_failures(A, B, batch, pa, budget) -> list[dict]:
                 f"B={B.name!r}, triple {int(represented.argmax())}: {exc}"
             ) from exc
     laws, sizes = _Hom(phi, B._arrays, _factor_arrays(f)), {"X": B.order}
-    bad = np.flatnonzero(~represented | ~_passing(laws, _HOM_LAWS, sizes))
+    # hom.add closes under + by associativity, hom.act by hom.add and action.add
+    holds = _passing(laws, _HOM_LAWS, sizes, {"X": _generator_lead(B)})
+    bad = np.flatnonzero(~represented | ~holds)
     failures = []
     for t, triple in zip(bad.tolist(), _batch_triples(A, B, batch, bad)):
         if not represented[t]:

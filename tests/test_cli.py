@@ -394,6 +394,27 @@ class TestOutputHandling:
         assert first == second
 
 
+class TestUsage:
+    VERBS = ("validate", "corpus", "pentactions", "pa", "analyze", "noether",
+             "represent", "oracle")
+
+    @pytest.mark.parametrize("argv", [["--help"], ["pentactions", "--help"]])
+    def test_help_exits_zero_and_names_every_verb(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert all(verb in out for verb in self.VERBS)
+
+    @pytest.mark.parametrize("argv", [["bogus", "x.json"], ["pa"], []])
+    def test_unknown_verb_or_missing_path_exits_two(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "usage: rgwa" in captured.err
+
+
 def test_verbs_do_not_import_numpy_ma(corpus_dir):
     # numpy.ma costs several milliseconds to import, and np.unique without
     # return_inverse imports it; a fresh process must run these verbs without

@@ -92,6 +92,44 @@ class TestCheckAxioms:
         with pytest.raises(rgwa.InputError):
             rgwa.check_axioms(2, [[False, True], [True, False]], [[0, 0], [1, 1]])
 
+    @pytest.mark.parametrize("table", [
+        [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
+        [[0, 1, 2], [1, 2, 0]],
+        [[0, 1, 2], [1, 2], [2, 0, 1]],
+        [[0, 1, 2], [1, 3, 0], [2, 0]],
+        [[0, 1, 2], [1, 2, -1], [2, 0, 1]],
+        [[0, 1, 2], [1, 2, 0.0], [2, 0, 7]],
+        [[0, 1, 2], [1, True, 0], [2, 0, 1]],
+        [[0, 1, 2], [np.int64(1), 2, np.int8(0)], [2, 0, 1]],
+        [[0, 1, 2], [np.int64(1), 2, np.int8(5)], [2, 0, 1]],
+        [(0, 1, 2), range(3), "abc"],
+    ])
+    def test_table_check_matches_the_per_entry_loop(self, table):
+        # the fast path for plain int tables accepts and refuses exactly what
+        # the per-entry loop does, with the same message
+        def per_entry(order, table, what):
+            rows = tuple(tuple(core.as_index(v) for v in row) for row in table)
+            if len(rows) != order:
+                raise rgwa.InputError(f"{what} table has {len(rows)} rows, expected {order}")
+            for x, row in enumerate(rows):
+                if len(row) != order:
+                    raise rgwa.InputError(
+                        f"{what} table row {x} has {len(row)} entries, expected {order}")
+                for y, v in enumerate(row):
+                    if not 0 <= v < order:
+                        raise rgwa.InputError(
+                            f"{what}[{x}][{y}] = {v} is out of range 0..{order - 1}")
+            return rows
+
+        outcomes = []
+        for check in (core._check_table, per_entry):
+            try:
+                got = check(3, table, "add")
+                outcomes.append(("ok", got, {type(v) for row in got for v in row}))
+            except rgwa.InputError as exc:
+                outcomes.append(("error", str(exc)))
+        assert outcomes[0] == outcomes[1]
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_reported_witnesses_are_genuine_on_random_tables(self, data):

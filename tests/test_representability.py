@@ -239,13 +239,17 @@ class TestPaFill:
 
     def test_no_map_parts_give_empty_tables(self, corpus):
         # the product with no map parts has no elements: empty factor and
-        # assembled tables, and no closure gap
+        # assembled tables, no closure gap, and no map part to find
         klein4 = next(o for o in corpus if o.name == "klein4")
         pows = spread_up_factors(klein4)[1]
         f = _pa_factors(klein4, [], pows)
         assert (f.Cm.shape, f.P.shape, f.Q.shape) == ((0, 0), (3, 3), (0, 3))
         assert [x.shape for x in _assemble(f)] == [(0, 0), (0, 0)]
         assert _closure_gaps(f) == ()
+        ident = np.arange(4)
+        assert f.find_map(ident, ident, ident, ident) == -1
+        stack = np.broadcast_to(ident, (2, 3, 4))
+        assert f.find_map(stack, stack, stack, stack).tolist() == [[-1] * 3] * 2
 
 
 def _factor_bases():
