@@ -1,28 +1,46 @@
-"""The factor tables of PA(A) and the checks that read them.
+"""The factor tables of PA(A) and the laws that can fail on them.
 
 PA(A) is the product of the sorted map parts Maps and the sorted pow tables
 W of the pentactions of A: element i*|W| + j has map part i and pow table
 j.  A map part is its up table, since every pentaction has dotL = dotR = id
 (p3, p3d and the lemma in the ``extensions`` docstring) and upL = up^-1
-(p12).  So by construction every dot is the identity, and the pow part of
-a sum, p.pow + p.dotL(q.pow), depends on the two pow tables alone; and p^q,
-which has identity dots and p's up and upL, keeps p's map part.  The sum
-and power are index arithmetic over the factor tables Cm, P and Q
-(``_PaFactors``), and every check here reads those factors, never an m x m
-table:
+(p12).  So every dot is the identity, the pow part of a sum, p.pow +
+p.dotL(q.pow), depends on the two pow tables alone, and p^q, which has
+identity dots and p's up and upL, keeps p's map part.  The sum and power
+are index arithmetic over the factor tables Cm, P and Q (``_PaFactors``):
 
-- the five cubic axioms are at most a map-part row and a pow-part row each
-  (``_PA_AXIOMS``), over at most |Maps|^3 or |W|^2 * max(|Maps|, |W|) cells;
-- closure, group.identity, group.inverse and action.zero read the factors
-  of each element, as (|Maps|, |W|) masks;
-- of the 22 conditions of the action of PA(A) on A, the five with two B
-  axes that can fail are factor rows (``_PA_ACTION``), over at most
-  |W|^2 * n or |Maps|^2 * n cells, and the twelve with one read B only
-  through its map part or only through its pow table, so they scan
-  |Maps| * n^2 or |W| * n^2 cells;
-- the morphism laws read PA(A) through ``_factor_arrays``.
+    p+q = (Cm[i_p, i_q], P[j_p, j_q])   Cm: up_q o up_p, P: pow_p + pow_q
+    p^q = (i_p, Q[i_q, j_p])            Q: up_q o pow_p
 
-``_assemble`` builds the m x m tables for the callers that read them.
+Once no sum or power leaves the set (``_closure_gaps`` is empty), only three
+laws can fail: reduced.central on the map parts (``_PA_AXIOMS``), and a9 and
+a10 of the action of PA(A) on A (``_PA_ACTION``).  Every other axiom and
+condition holds by construction, for a reduced A and the canonical factors
+(``_canonical_factors``), as follows.
+
+- Cm, P and Q are exact lookups of composition, pointwise sum and up o pow.
+  Composition and + are associative and every up is additive, so
+  group.assoc, action.add and action.compose hold; so do 2A (the pow of a
+  sum, P), 2B (the up of a sum, Cm) and 4B (the pow of a power, Q).
+- The identity is the least additive bijection and the zero table the least
+  pow table, so map part 0 is the identity and pow table 0 is zero, and
+  group.identity and action.zero hold.  Maps is a finite set of permutations
+  closed under composition, and W a finite set of maps into A closed under
+  pointwise +, so each is a group and group.inverse holds.
+- reduced.collapse: both sides of x^(y^z) = x^y are (i_x, Q[i_y, j_x]),
+  since a power keeps the map part of its first argument.
+- A reduced A is abelian: for y != 0, x -> x^y is a bijection, and
+  reduced.central makes its values central.  So pointwise sums of pow tables
+  commute (the pow part of reduced.central), and a6 holds.
+- ga.1, ga.2, ga.3, 3A, 4A, a1, a2 and a3 read only the identity dot; a5
+  compares up at b and at b^b2, which have the same map part; zeroB holds
+  because map part 0 is the identity; 1A is the additivity of up; and 1B,
+  3B, a4, a7 and a8 are p4, p5, p7, p9 and p10 of the factors.
+
+``build_pa_object`` reports the closure gaps first and otherwise scans the
+three rows, over |Maps|^2, |W|^2 * n and |W| * n * |Maps| cells.  The
+morphism laws read PA(A) through ``_factor_arrays``, and ``_assemble``
+builds the m x m tables for the callers that read them.
 """
 
 from __future__ import annotations
@@ -33,7 +51,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    _AXIOMS,
     FiniteGwaObject,
     _Arrays,
     _chunked,
@@ -41,7 +58,6 @@ from .core import (
     _violations,
     object_cache,
 )
-from .extensions import _CONDITIONS, _Tables
 from .pentactions import _pentaction_factors
 from .report import CheckReport, Violation
 
@@ -148,154 +164,73 @@ def _closure_gaps(f: _PaFactors) -> tuple[Violation, ...]:
     return tuple(gaps)
 
 
-# The five cubic axioms over the factor tables, at most a map-part row and a
-# pow-part row each.  A power keeps its map part, so the map-part rows of
-# action.add and action.compose compare Cm[i1, i2] and i1 with themselves,
-# and reduced.collapse has no row: both sides are (i1, Q[i2, j1]).  A row is
-# (id, variables, violation formula) where x, y, z are (i1, j1), (i2, j2),
-# (i3, j3) and the variables are listed in witness order.  P reads the pow
-# tables alone, so the pow-part rows scan a map part only where Q reads one.
-_PA_AXIOMS = (
-    # (x+y)+z = x+(y+z)
-    ("group.assoc", "i1 i2 i3",
-     lambda f, i1, i2, i3: f.Cm[f.Cm[i1, i2], i3] != f.Cm[i1, f.Cm[i2, i3]]),
-    ("group.assoc", "j1 j2 j3",
-     lambda f, j1, j2, j3: f.P[f.P[j1, j2], j3] != f.P[j1, f.P[j2, j3]]),
-    # (g+g')^h = g^h + g'^h
-    ("action.add", "j1 j2 i3",
-     lambda f, j1, j2, i3: f.Q[i3, f.P[j1, j2]] != f.P[f.Q[i3, j1], f.Q[i3, j2]]),
-    # g^(h+h') = (g^h)^h'
-    ("action.compose", "j1 i2 i3",
-     lambda f, j1, i2, i3: f.Q[f.Cm[i2, i3], j1] != f.Q[i3, f.Q[i2, j1]]),
-    # x^y + z = z + x^y for y != 0.  No row reads j2, so the witness takes
-    # j2 = 1 when i2 = 0; with |W| = 1 that is index 1 = (1, 0), and there
-    # the pow row cannot fail.
-    ("reduced.central", "i1 i3", lambda f, i1, i3: f.Cm[i1, i3] != f.Cm[i3, i1]),
-    ("reduced.central", "j1 i2 j3",
-     lambda f, j1, i2, j3: f.P[f.Q[i2, j1], j3] != f.P[j3, f.Q[i2, j1]]),
-)
+# The rows that can fail (module docstring), as (id, variables, violation
+# formula): ik and jk are the map part and pow table of the element of PA(A)
+# in witness slot k, ak the element of A there, listed in witness order.
+# x^y + z = z + x^y for y != 0, on the map parts, where x^y has x's map part;
+# the row does not read y (_NONZERO_SLOT).
+_PA_AXIOMS = (("reduced.central", "i1 i3", lambda f, i1, i3: f.Cm[i1, i3] != f.Cm[i3, i1]),)
 
-
-# The derived-action conditions with two B axes that can fail, with B =
-# PA(A) read through the factors: up[a][x] = up[i_x][a] and pow[x] =
-# pow[j_x], and every dot the identity.  ga.1, 4A, a2 and a3 read only dot,
-# and a5 compares up at b and at b ^ b2, which has b's map part, so those
-# five hold.  Rows are (id, variables, violation formula) as in _PA_AXIOMS,
-# over the condition's witness slots in ``extensions._CONDITIONS``; ak is
-# the element of A in slot k.
+# The conditions of the action of PA(A) on A that can fail, with B = PA(A)
+# read through the factors, up[a][x] = up[i_x][a] and pow[x] = pow[j_x],
+# over the witness slots of the condition in ``extensions._CONDITIONS``.
 _PA_ACTION = (
-    # pow[b + b2][a] = pow[b][a] + dot[b][pow[b2][a]]
-    ("2A", "j1 j2 a3",
-     lambda f, j1, j2, a3: f.pow[f.P[j1, j2], a3] != f.A.add[f.pow[j1, a3], f.pow[j2, a3]]),
-    # up[a][b + b2] = up[up[a][b]][b2]
-    ("2B", "a1 i2 i3", lambda f, a1, i2, i3: f.up[f.Cm[i2, i3], a1] != f.up[i3, f.up[i2, a1]]),
-    # up[pow[b][dot[b2][a]]][b2] = pow[b ^ b2][a]
-    ("4B", "j1 i2 a3", lambda f, j1, i2, a3: f.up[i2, f.pow[j1, a3]] != f.pow[f.Q[i2, j1], a3]),
     # pow[b][pow[b2][a]] = 0
     ("a9", "j1 j2 a3", lambda f, j1, j2, a3: f.pow[j1, f.pow[j2, a3]] != 0),
     # pow[b][up[a][b2]] = pow[b][a]
     ("a10", "j1 a2 i3", lambda f, j1, a2, i3: f.pow[j1, f.up[i3, a2]] != f.pow[j1, a2]),
 )
 
-# The witness slot whose element must be nonzero, per factor-row condition.
+# The witness slot whose element must be nonzero, per row.  The row does not
+# read it, so it takes 1, the least nonzero element, which exists: the row
+# fails only where there are two map parts.
 _NONZERO_SLOT = {"reduced.central": "2"}
 
 
-def _row_mask(formula, names: list[str], sizes: list[int], slot):
+def _row_mask(formula, sizes: list[int]):
     """A ``core._violations`` mask of one factor row: each variable is an
-    open-grid axis of the given size.  When witness slot ``slot`` must be
-    nonzero, the cells with no nonzero element there are cleared: map part 0
-    when |W| = 1, or every cell when the slot is unread and m = 1."""
+    open-grid axis of the given size."""
     def mask(f, s):
         axes = [np.arange(size) for size in sizes]
         axes[0] = axes[0][s]
-        grid = dict(zip(names, np.ix_(*axes)))
-        hits = formula(f, *grid.values())
-        if slot:
-            i = grid.get(f"i{slot}")
-            hits = hits & (len(f.Cm) * f.W > 1 if i is None else (i > 0) | (f.W > 1))
-        return np.broadcast_to(hits, tuple(map(len, axes)))
+        return np.broadcast_to(formula(f, *np.ix_(*axes)), tuple(map(len, axes)))
     return mask
 
 
-def _factor_violations(f: _PaFactors, rows):
-    """Scan factor rows of PA(A) with ``core._violations``; yield each
-    failing row's id and minimal witness.
+def _factor_report(f: _PaFactors, rows) -> CheckReport:
+    """Scan factor rows of PA(A) with ``core._violations``: each failing
+    row's id and minimal witness, in row order.
 
     A row's variables name its three witness slots: ak is an element of A,
     and ik, jk are the map part and pow table of the element i*W + j of
-    PA(A).  Unread indices are 0, except in the slot of ``_NONZERO_SLOT``,
-    which reads at most ik: there j = 1 when i = 0, the least nonzero
-    element with that map part, and a cell with no such element (|W| = 1,
-    or m = 1 when the slot is unread) is cleared in the mask."""
+    PA(A).  Unread indices are 0, and the slot of ``_NONZERO_SLOT`` is 1."""
     W = f.W
     sizes = {"I": len(f.Cm), "J": W, "A": 0 if f.A is None else len(f.A.ar)}
+    found = []
     for cid, names, formula in rows:
         names = names.split()
         axes = "".join({"a": "A", "j": "J"}.get(v[0], "I") for v in names)
-        slot = _NONZERO_SLOT.get(cid)
-        mask = _row_mask(formula, names, [sizes[a] for a in axes], slot)
+        mask = _row_mask(formula, [sizes[a] for a in axes])
         hit = next(_violations(f, [(cid, axes, mask)], sizes), None)
         if hit is None:
             continue
         cell = dict(zip(names, hit.witness))
-        witness = []
-        for k in "123":
-            i, j = cell.get(f"i{k}", 0), cell.get(f"j{k}", 0)
-            witness.append(cell.get(f"a{k}", i * W + (1 if k == slot and i == 0 else j)))
-        yield cid, tuple(witness)
-
-
-def _element_axioms(f: _PaFactors):
-    """group.identity, group.inverse and action.zero of PA(A), each a
-    (|Maps|, |W|) mask of the failing elements x = (i, j) whose first hit in
-    row-major order is the witness x = i*|W| + j.  The zero is (0, 0), and
-    y = (i2, j2) is an inverse of x when i2 is an inverse of i in Cm and j2
-    one of j in P."""
-    i, j = np.arange(len(f.Cm)), np.arange(f.W)
-    inverse, P0 = (f.Cm == 0) & (f.Cm.T == 0), f.P == 0
-    masks = (
-        ("group.identity", ((f.Cm[0] != i) | (f.Cm[:, 0] != i))[:, None]
-         | (f.P[0] != j) | (f.P[:, 0] != j)),
-        ("group.inverse", ~(inverse.any(1)[:, None] & (P0 & P0.T).any(1))),
-        ("action.zero", np.broadcast_to(f.Q[0] != j, f.Q.shape)),
-    )
-    return [(cid, (int(mask.argmax()),)) for cid, mask in masks if mask.any()]
+        found.append(Violation(cid, tuple(
+            1 if k == _NONZERO_SLOT.get(cid)
+            else cell.get(f"a{k}", cell.get(f"i{k}", 0) * W + cell.get(f"j{k}", 0))
+            for k in "123")))
+    return CheckReport(tuple(found))
 
 
 def _pa_report(f: _PaFactors) -> CheckReport:
-    """The reduced-axiom scan of PA(A), the same report as ``check_axioms``
-    on the assembled tables.  The five cubic axioms scan their factor rows,
-    and an axiom's witness is the least of its rows'; the other three are
-    ``_element_axioms``."""
-    found: dict[str, tuple[int, ...]] = dict(_element_axioms(f))
-    for cid, witness in _factor_violations(f, _PA_AXIOMS):
-        found[cid] = min(found.get(cid, witness), witness)
-    return CheckReport(tuple(Violation(a[0], found[a[0]]) for a in _AXIOMS if a[0] in found))
+    """The reduced-axiom scan of PA(A) once it is closed: the same report as
+    ``check_axioms`` on the assembled tables, since only the
+    reduced.central row can fail."""
+    return _factor_report(f, _PA_AXIOMS)
 
 
 def _pa_action_report(f: _PaFactors) -> CheckReport:
-    """The 22-condition report of the action of PA(A) on A, the same as
-    ``check_derived_action`` on the assembled triple.  The conditions with
-    two B axes scan their factor rows, or hold (``_PA_ACTION``).  The other
-    twelve read B only through dot, the identity, and up, which depends on
-    the map part i alone, or only through pow, which depends on the pow
-    table j alone: each scans its ``_CONDITIONS`` row with the map parts or
-    the pow tables in place of B.  The least element with map part i is
-    i*|W|, or 1 in the nonzero B slot of a6 when i = 0 (a6 is cleared there
-    when |W| = 1); with pow table j it is j."""
-    M, W, n = len(f.Cm), f.W, len(f.A.ar)
-    found = dict(_factor_violations(f, _PA_ACTION))
-    dot = np.broadcast_to(np.arange(n), (1, M, n))
-    by_map = _Tables(*f.A, None, None, None, np.arange(M), dot, f.up.T[None], None)
-    by_pow = _Tables(*f.A, None, None, None, np.arange(W), None, None, f.pow[None])
-    for cid, axes, reads, mask in _CONDITIONS:
-        if axes.count("B") == 2:
-            continue
-        t, size, scale = (by_pow, W, 1) if "pow" in reads else (by_map, M, W)
-        if cid == "a6":  # b != 0 holds at every map part when |W| > 1
-            t = t._replace(rB=t.rB + (W > 1))
-        for v in _violations(t, [(cid, axes, reads, mask)], {"A": n, "B": size}):
-            found[cid] = tuple(x * scale + (cid == "a6" and x == 0) if axis == "B" else x
-                               for axis, x in zip(axes, v.witness))
-    return CheckReport(tuple(Violation(c[0], found[c[0]]) for c in _CONDITIONS if c[0] in found))
+    """The 22-condition report of the action of PA(A) on A once it is
+    closed: the same as ``check_derived_action`` on the assembled triple,
+    since only a9 and a10 can fail."""
+    return _factor_report(f, _PA_ACTION)

@@ -27,15 +27,19 @@ candidates, while its budget is still charged the |ups|*n^|gens| candidates
 of the product.
 
 Every walked map part (id, id, up, up^-1), up an additive bijection, meets
-p1, p1d, p2, p2d, p3, p3d, p6, p6d, p11 and p12 by construction
-(``_MAP_BY_CONSTRUCTION``), so the map factor scans only p5, p5d, p8, p8d,
-p9 and p9d (``_MAP_WALKED``).  Both factors check their rows at the additive
-generators only (the closure lemma of ``core._passing``).  The set of
-leading values a at which a row holds is closed under + given: for p5, p5d,
-p8 and p8d, the additivity of up or upL; for p9, p9d and p10, action.add;
-for p4, associativity, action.add and action.compose; for p7, p4 (an earlier
-row) and reduced.collapse, so on an object validated without the reduced
-checks the pow factor scans in full.  ``check_pentaction``,
+p1, p1d, p2, p2d, p3, p3d, p6, p6d, p11 and p12 by construction, and over a
+reduced parent, which is abelian (x -> x^y is a bijection for y != 0 and
+reduced.central makes its values central), also p8 and p8d
+(``_MAP_BY_CONSTRUCTION``).  On such a map part p5d and p9d are p5 and p9
+read through up^-1: up commutes with every a -> a^a' exactly when up^-1
+does, and a ^ up(a') = a ^ a' for all a' exactly when a ^ up^-1(a') = a ^ a'
+for all a'.  So the map factor scans only p5 and p9 (``_MAP_WALKED``).  Both
+factors check their rows at the additive generators only (the closure lemma
+of ``core._passing``).  The set of leading values a at which a row holds is
+closed under + given: for p5, the additivity of up; for p9 and p10,
+action.add; for p4, associativity, action.add and action.compose; for p7,
+p4 (an earlier row) and reduced.collapse, so on an object validated without
+the reduced checks the pow factor scans in full.  ``check_pentaction``,
 ``check_pentactions_batch`` and the brute-force oracle scan every cell.
 """
 
@@ -202,9 +206,12 @@ _MAP_CONDITIONS = tuple(c for c in _CONDITIONS if "pow" not in c[2])
 _POW_CONDITIONS = tuple(c for c in _CONDITIONS if c[2] == ("pow",))
 
 # The map conditions that every walked map part (id, id, up, up^-1), up an
-# additive bijection, meets by construction; the map factor scans the rest.
-_MAP_BY_CONSTRUCTION = ("p1", "p1d", "p2", "p2d", "p3", "p3d", "p6", "p6d", "p11", "p12")
-_MAP_WALKED = tuple(c for c in _MAP_CONDITIONS if c[0] not in _MAP_BY_CONSTRUCTION)
+# additive bijection of a reduced parent, meets by construction.  Of the
+# rest, p5d and p9d agree with p5 and p9 there, so the map factor scans those
+# two (module docstring).
+_MAP_BY_CONSTRUCTION = ("p1", "p1d", "p2", "p2d", "p3", "p3d", "p6", "p6d", "p8", "p8d",
+                        "p11", "p12")
+_MAP_WALKED = tuple(c for c in _MAP_CONDITIONS if c[0] in ("p5", "p9"))
 
 
 def _validate_shape(cand: Pentaction) -> None:
@@ -382,7 +389,9 @@ def _pentaction_factors(obj: FiniteGwaObject) -> tuple[tuple[_Table, ...], tuple
     """The two factors of the pentaction set, each sorted: the up tables of
     the map parts passing the conditions that do not read pow, and the pow
     tables passing the conditions that read only pow.  A map part is
-    (id, id, up, up^-1): p3 and p3d force the identity dots, p12 the upL."""
+    (id, id, up, up^-1): p3 and p3d force the identity dots, p12 the upL.
+    The map factor scans only p5 and p9, which needs a reduced obj."""
+    _require_reduced(obj)
     t = _map_parts(obj)
     keep = _passing(t, _MAP_WALKED, {"A": obj.order}, {"A": _generator_lead(obj)})
     return tuple(sorted(map(tuple, t.up[keep].tolist()))), _pow_factor(obj)

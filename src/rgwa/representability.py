@@ -79,7 +79,10 @@ class PAObject:
     ``budget``) are built on first access.  ``object`` and ``action_report``
     are None exactly when some sum or power leaves the enumerated set
     (possible only for imperfect bases), and ``report`` then holds the
-    closure failures instead of the reduced-axiom scan.
+    closure failures instead of the reduced-axiom scan.  Otherwise PA(base)
+    is a group with action (the ``rgwa.pa`` docstring), ``report`` can name
+    only reduced.central and ``action_report`` only a9 and a10, and
+    ``object.reduced`` is ``report.passed``: whether the reduced axioms hold.
     """
 
     base: FiniteGwaObject
@@ -132,10 +135,13 @@ class PAObject:
 
 def build_pa_object(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> PAObject:
     """PA(obj) and its reduced-axiom report, read off the factor tables of
-    Maps(A) x Pow(A): the cubic axioms visit |Maps|^3 and |W|^3 cells, not
-    m^3, and no m x m table or Pentaction is built.  Failures are reported,
-    not raised: when the base is perfect with zero weak stabilizer the scan
-    must pass, otherwise the report documents how the construction degrades.
+    Maps(A) x Pow(A), with no m x m table or Pentaction built.  The report
+    holds the closure gaps when some sum or power leaves the set; otherwise
+    it is the scan of reduced.central on the map parts, |Maps|^2 cells, the
+    one axiom that can fail on a closed PA(A) (the ``rgwa.pa`` docstring).
+    Failures are reported, not raised: when the base is perfect with zero
+    weak stabilizer the scan must pass, otherwise the report documents how
+    the construction degrades.
     """
     _check_budget(obj, budget)
     f = _canonical_factors(obj)

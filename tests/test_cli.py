@@ -434,16 +434,35 @@ def test_verbs_do_not_import_numpy_ma(corpus_dir):
     assert proc.stdout.strip() == "False"
 
 
+# Bases outside standard_corpus with trivial action: the cyclic orders of
+# their summands, and the stdout of `rgwa pa`, as the assembled m x m tables
+# give it.
+LARGE_PA_BASES = {
+    # m = 3,888: 48 map parts x 81 pow tables
+    "z3xz3": ((3, 3), (
+        '{"pa_action":{"passed":false,"violations":[{"condition":"a9","witness":[1,3,3]},'
+        '{"condition":"a10","witness":[1,1,972]}]},"pa_order":3888,"pa_rgwa":{"passed":false,'
+        '"violations":[{"condition":"reduced.central","witness":[81,1,243]}]}}\n')),
+    # m = 86,016: 168 map parts x 512 pow tables
+    "z2xz2xz2": ((2, 2, 2), (
+        '{"pa_action":{"passed":false,"violations":[{"condition":"a9","witness":[1,4,4]},'
+        '{"condition":"a10","witness":[1,1,36864]}]},"pa_order":86016,"pa_rgwa":{"passed":false,'
+        '"violations":[{"condition":"reduced.central","witness":[512,1,4096]}]}}\n')),
+    # m = 196,608: 192 map parts x 1,024 pow tables
+    "z2xz2xz4": ((2, 2, 4), (
+        '{"pa_action":{"passed":false,"violations":[{"condition":"a9","witness":[1,4,8]},'
+        '{"condition":"a10","witness":[1,1,98304]}]},"pa_order":196608,"pa_rgwa":{"passed":false,'
+        '"violations":[{"condition":"reduced.central","witness":[1024,1,8192]}]}}\n')),
+}
+
+
 def test_pa_on_a_large_base_in_a_subprocess(tmp_path):
-    # Z/3 + Z/3 with trivial action, outside standard_corpus: PA(A) has
-    # m = 3,888 elements (48 map parts x 81 pow tables), so one m x m table
-    # alone would be 15 M cells.  The pinned output is that of the assembled
-    # m x m tables; the child's peak resident memory stays under 100 MB.  A
-    # small launcher starts the child, because Linux carries the RSS peak of
-    # the process that starts a program into that program's ru_maxrss.
-    z3 = rgwa.cyclic_trivial(3)
-    path = tmp_path / "z3xz3.json"
-    save_object(rgwa.direct_sum(z3, z3, name="z3xz3"), path)
+    # One m x m table of PA(z3xz3) alone would be 15 M cells, and one of
+    # PA(z2xz2xz4) 3.9 G.  Each child exits 1 with the pinned output, its
+    # peak resident memory stays under 100 MB, and it ends within the
+    # timeout.  A small launcher starts the child, because Linux carries the
+    # RSS peak of the process that starts a program into that program's
+    # ru_maxrss.
     launcher = (
         "import os, subprocess, sys\n"
         "proc = subprocess.Popen(sys.argv[1:])\n"
@@ -452,14 +471,16 @@ def test_pa_on_a_large_base_in_a_subprocess(tmp_path):
         "print(proc.returncode, usage.ru_maxrss, file=sys.stderr)\n"
     )
     src = Path(rgwa.__file__).resolve().parent.parent
-    proc = subprocess.run(
-        [sys.executable, "-c", launcher, sys.executable, "-m", "rgwa.cli", "pa", str(path)],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
-    code, maxrss_kib = map(int, proc.stderr.split())
-    assert code == 1
-    assert proc.stdout == (
-        '{"pa_action":{"passed":false,"violations":[{"condition":"a9","witness":[1,3,3]},'
-        '{"condition":"a10","witness":[1,1,972]}]},"pa_order":3888,"pa_rgwa":{"passed":false,'
-        '"violations":[{"condition":"reduced.central","witness":[81,1,243]}]}}\n'
-    )
-    assert maxrss_kib < 100 * 1024
+    for name, (orders, stdout) in LARGE_PA_BASES.items():
+        base = rgwa.cyclic_trivial(orders[0])
+        for k in orders[1:]:
+            base = rgwa.direct_sum(base, rgwa.cyclic_trivial(k), name=name)
+        path = tmp_path / f"{name}.json"
+        save_object(base, path)
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher, sys.executable, "-m", "rgwa.cli", "pa", str(path)],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+            timeout=60)
+        code, maxrss_kib = map(int, proc.stderr.split())
+        assert (code, proc.stdout) == (1, stdout), name
+        assert maxrss_kib < 100 * 1024, name

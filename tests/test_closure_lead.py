@@ -162,6 +162,17 @@ def test_dropped_rows_hold_on_every_walked_candidate():
             assert _passing(t, dropped, extensions._sizes(A, B)).all(), (A.name, B.name)
 
 
+def test_p5d_and_p9d_agree_with_p5_and_p9_on_every_walked_candidate():
+    # on a walked map part upL = up^-1 and dotR = id, so the map factor
+    # scans p5 and p9 alone
+    by_id = {c[0]: c for c in pentactions._MAP_CONDITIONS}
+    for obj in _carriers():
+        t, sizes = pentactions._map_parts(obj), {"A": obj.order}
+        for row, dual in (("p5", "p5d"), ("p9", "p9d")):
+            want = _passing(t, [by_id[row]], sizes)
+            assert _passing(t, [by_id[dual]], sizes).tolist() == want.tolist(), (obj.name, dual)
+
+
 @pytest.mark.parametrize("A, B", [
     (negation_cyclic(4), rgwa.cyclic_trivial(3)),
     (k4swap_object(), rgwa.cyclic_trivial(1)),

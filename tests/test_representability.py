@@ -2,8 +2,11 @@
 
 import json
 import random
+import runpy
 from dataclasses import FrozenInstanceError, replace
+from functools import lru_cache
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,12 +31,13 @@ from conftest import (
 )
 from rgwa import core, representability
 from rgwa.cli import main
-from rgwa.core import _AXIOMS, invert_map
+from rgwa.core import invert_map
 from rgwa.extensions import _CONDITIONS, DerivedActionTriple
 from rgwa.pentactions import _pentaction_factors
 from rgwa.report import PASSED
 from rgwa.pa import (
     _PA_ACTION,
+    _PA_AXIOMS,
     _PaFactors,
     _assemble,
     _canonical_factors,
@@ -290,68 +294,61 @@ def _corrupt_factors(draw, count):
     return f._replace(**tables)
 
 
-def assert_report_is_the_axiom_scan(f):
+def reference_central_on_map_parts(f):
+    """reduced.central over the assembled tables with each sum read by its
+    map part only: the least (x, y, z), y != 0, at which x^y + z and
+    z + x^y have different map parts.  The reference for the one row of
+    ``_PA_AXIOMS``, which can fail on factor tables of any kind."""
     add, act = _assemble(f)
+    z = np.arange(len(add))
+    power = act[:, 1:, None]
+    hits = np.argwhere(add[power, z] // f.W != add[z, power] // f.W)
+    if not len(hits):
+        return PASSED
+    x, y, z = hits[0].tolist()
+    return rgwa.CheckReport((rgwa.Violation("reduced.central", (x, y + 1, z)),))
+
+
+def assert_report_is_the_central_scan(f):
     report = _pa_report(f)
-    assert report == rgwa.check_axioms(len(add), add.tolist(), act.tolist(), True)
+    assert report == reference_central_on_map_parts(f)
     return report
 
 
 class TestPaAxiomScan:
-    """The factored scan reports exactly what ``check_axioms`` reports on the
-    assembled tables, witnesses included."""
+    """On any factor tables, the reduced.central row reports exactly what
+    the map-part reference reports, witness included."""
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_corrupted_factor_tables(self, data):
         def draw(k):
             return data.draw(st.integers(0, k - 1))
-        assert_report_is_the_axiom_scan(_corrupt_factors(draw, draw(4)))
+        assert_report_is_the_central_scan(_corrupt_factors(draw, draw(4)))
 
-    def test_every_axiom_in_one_cell_chunks(self, monkeypatch):
+    def test_central_row_in_one_cell_chunks(self, monkeypatch):
         # one leading index per chunk, so witnesses also come from later
-        # chunks; reduced.collapse holds whatever the factors, since a power
-        # keeps the map part of its first argument
+        # chunks
         monkeypatch.setattr(core, "_CHUNK_CELLS", 1)
         rng = random.Random(0)
-        seen = set()
+        passed = 0
         for _ in range(400):
             f = _corrupt_factors(rng.randrange, rng.randrange(4))
-            seen.update(assert_report_is_the_axiom_scan(f).conditions())
-        assert seen == {a[0] for a in _AXIOMS} - {"reduced.collapse"}
+            passed += assert_report_is_the_central_scan(f).passed
+        assert 0 < passed < 400
 
-    def test_element_axioms_at_single_cell_corruptions(self):
-        # group.identity, group.inverse and action.zero read each factor
-        # table per element; genuine tables with one cell overwritten, a
-        # zero cell of Cm or P made nonzero and a nonzero one made zero
-        rng = random.Random(1)
-        seen = set()
-        for f in FACTOR_BASES:
-            if len(f.Cm) * f.W > 64:
-                continue
-            for name, bound in (("Cm", len(f.Cm)), ("P", f.W), ("Q", f.W)):
-                size = getattr(f, name).size
-                for cell in range(size) if size <= 64 else rng.sample(range(size), 64):
-                    table = getattr(f, name).copy()
-                    old = table.flat[cell]
-                    table.flat[cell] = (old == 0) if name in ("Cm", "P") else rng.randrange(bound)
-                    if table.flat[cell] < bound and table.flat[cell] != old:
-                        report = assert_report_is_the_axiom_scan(f._replace(**{name: table}))
-                        seen.update(report.conditions())
-        assert {"group.identity", "group.inverse", "action.zero"} <= seen
-
-    @pytest.mark.parametrize("M, W", [(1, 1), (1, 3), (3, 1)])
+    @pytest.mark.parametrize("M, W", [(1, 1), (1, 3), (3, 1), (3, 3)])
     def test_central_witness_at_one_map_or_one_pow(self, M, W):
-        # x^y + z and z + x^y differ at z = 1 for every x and y, but
-        # reduced.central excludes y = 0: the witness y is the least nonzero
-        # element, (0, 1) or (1, 0), and PA(z1) has none
+        # x^y + z and z + x^y have different map parts at z = (1, 0) for
+        # every x and y, but reduced.central excludes y = 0: the witness y is
+        # the least nonzero element 1, (0, 1) or (1, 0).  With one map part
+        # the row cannot fail, whatever the pow parts do
         f = _PaFactors(Cm=np.zeros((M, M), dtype=np.intp), P=np.zeros((W, W), dtype=np.intp),
                        Q=np.zeros((M, W), dtype=np.intp), W=W)
         f.Cm[0, 1 % M] = 1 % M
         f.P[0, 1 % W] = 1 % W
-        report = assert_report_is_the_axiom_scan(f)
-        central = [v.witness for v in report.violations if v.condition == "reduced.central"]
-        assert central == ([] if M * W == 1 else [(0, 1, 1)])
+        report = assert_report_is_the_central_scan(f)
+        assert [v.witness for v in report.violations] == ([] if M == 1 else [(0, 1, W)])
 
 
 def pa_of_factors(f):
@@ -372,8 +369,7 @@ def pa_of_factors(f):
     return SimpleNamespace(base=A, elements=elements, object=B)
 
 
-# Carriers for the random factor tables of _corrupt_action_factors; s3 (not
-# reduced) is the one that is not abelian, so only there can a6 fail.
+# Carriers for the random factor tables of _corrupt_action_factors.
 ACTION_CARRIERS = [rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(3), negation_cyclic(4),
                    k4swap_object(),
                    rgwa.make_object("s3", 6, *rgwa.s3_conjugation_tables(), require_reduced=False)]
@@ -401,9 +397,12 @@ def _corrupt_action_factors(draw, count):
 
 
 def assert_action_report_is_the_reference(f, chunk_cells=None, monkeypatch=None):
-    """The factored report equals the reference scan with B = PA(A),
-    witnesses included; the factored scan runs at ``chunk_cells``."""
+    """The factored report equals the reference scan with B = PA(A)
+    restricted to a9 and a10, witnesses included; the factored scan runs at
+    ``chunk_cells``."""
+    rows = {r[0] for r in _PA_ACTION}
     want = reference_pa_action(pa_of_factors(f)).report
+    want = rgwa.CheckReport(tuple(v for v in want.violations if v.condition in rows))
     if chunk_cells is None:
         got = _pa_action_report(f)
     else:
@@ -415,8 +414,10 @@ def assert_action_report_is_the_reference(f, chunk_cells=None, monkeypatch=None)
 
 
 # The conditions with two B axes that hold on every product of factors: the
-# dot is the identity, and b ^ b2 has the map part of b.
+# dot is the identity, and b ^ b2 has the map part of b; and those that hold
+# once the factors close, by the definitions of P, Cm and Q.
 TWO_B_HOLDING = {"ga.1", "4A", "a2", "a3", "a5"}
+TWO_B_BY_DEFINITION = {"2A", "2B", "4B"}
 
 
 class TestPaActionScan:
@@ -440,11 +441,11 @@ class TestPaActionScan:
             assert got.report == want.report, pa.base.name
 
     def test_factor_rows_are_the_two_b_conditions(self):
-        # the rows and the five two-B conditions that hold by construction
-        # are the two-B conditions, each once; a row's slots are the
-        # condition's axes: ak names an A slot, and every other slot is a B slot
+        # the rows and the two-B conditions that hold by construction are
+        # the two-B conditions, each once; a row's slots are the condition's
+        # axes: ak names an A slot, and every other slot is a B slot
         axes = {c[0]: c[1] for c in _CONDITIONS}
-        rows = [r[0] for r in _PA_ACTION] + sorted(TWO_B_HOLDING)
+        rows = [r[0] for r in _PA_ACTION] + sorted(TWO_B_HOLDING | TWO_B_BY_DEFINITION)
         assert sorted(rows) == sorted(cid for cid, ax in axes.items() if ax.count("B") == 2)
         for cid, names, _ in _PA_ACTION:
             slots = "".join("A" if f"a{k}" in names.split() else "B" for k in "123")
@@ -457,11 +458,12 @@ class TestPaActionScan:
             return data.draw(st.integers(0, k - 1))
         assert_action_report_is_the_reference(_corrupt_action_factors(draw, draw(4)))
 
-    def test_every_condition_in_one_cell_chunks(self, monkeypatch):
+    def test_a9_and_a10_in_one_cell_chunks(self, monkeypatch):
         # one leading index per chunk, so witnesses also come from later
         # chunks.  The conditions that read only the identity dot, or only
-        # the map part of a power, hold: the reference scans of the
-        # assembled tables never report them, nor reduced.collapse
+        # the map part of a power, hold on any factor tables: the reference
+        # scans of the assembled tables never report them, nor
+        # reduced.collapse
         rng = random.Random(0)
         holding = TWO_B_HOLDING | {"ga.2", "ga.3", "3A", "a1"}
         seen = set()
@@ -470,15 +472,16 @@ class TestPaActionScan:
             report = assert_action_report_is_the_reference(f, 1, monkeypatch)
             add, act = _assemble(f)
             axioms = rgwa.check_axioms(len(add), add.tolist(), act.tolist(), True)
-            assert not holding & set(report.conditions())
+            assert not holding & set(reference_pa_action(pa_of_factors(f)).report.conditions())
             assert "reduced.collapse" not in axioms.conditions()
             seen.update(report.conditions())
-        assert seen == {c[0] for c in _CONDITIONS} - holding
+        assert seen == {"a9", "a10"}
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_one_b_rows_on_relabeled_bases(self, seed, monkeypatch):
-        # the twelve one-B conditions scan the map parts or the pow tables
-        # in one-cell chunks; the reference scans B = PA(A) whole
+        # the twelve one-B conditions hold on every closed PA(A), so the
+        # factored report, in one-cell chunks, is the reference scan of
+        # B = PA(A) whole
         for obj in list(rgwa.standard_corpus()) + [
                 negation_cyclic(4), k4swap_object(), negation_product(2, 8)]:
             A = relabeled(obj, seed) if seed else obj
@@ -486,6 +489,111 @@ class TestPaActionScan:
             with monkeypatch.context() as patch:
                 patch.setattr(core, "_CHUNK_CELLS", 1)
                 assert _pa_action_report(_canonical_factors(A)) == want, A.name
+
+
+PERFBENCH = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+# The benchmark's reduced carriers, a superset of standard_corpus;
+# s3_conjugation is not reduced.
+PERFBENCH_REDUCED = [name for name in PERFBENCH["CARRIERS"] if name != "s3_conjugation"]
+SUB_FACTOR_BASES = ("klein4", "z2xz4", "z8neg", "z16neg", "neg2x8", "shear16")
+
+
+def perfbench_object(name, seed):
+    add, act = PERFBENCH["carrier_tables"](name, seed)
+    return rgwa.make_object(f"{name}@{seed}", len(add), add, act)
+
+
+def closed_sub_factors(obj, seed):
+    """The factors of the sub-PA(A) of obj generated by two random map parts
+    and one random pow table: the map parts closed under composition, and
+    the sums of the pow table's images under them; each factor sorted."""
+    ups, pows = _pentaction_factors(obj)
+    rng = random.Random(seed)
+
+    def closure(start, gens, step):
+        found, frontier = {start}, [start]
+        while frontier:
+            x = frontier.pop()
+            for y in (step(x, g) for g in gens):
+                if y not in found:
+                    found.add(y)
+                    frontier.append(y)
+        return sorted(found)
+
+    def compose(x, g):
+        return tuple(g[v] for v in x)
+
+    def add(x, g):
+        return tuple(obj.add[u][v] for u, v in zip(x, g))
+
+    ident, zero = tuple(range(obj.order)), (0,) * obj.order
+    maps = closure(ident, rng.sample(ups, min(2, len(ups))), compose)
+    pw = rng.choice(pows)
+    images = {compose(pw, u) for u in maps}
+    return _pa_factors(obj, maps, closure(zero, sorted(images), add))
+
+
+@lru_cache(maxsize=None)
+def genuine_factors(seed):
+    """(name, factors) of every closed PA(A) at ``seed``: the benchmark's
+    reduced carriers relabeled at that seed, and closed sub-factor sets of
+    some of them."""
+    cases = []
+    for name in PERFBENCH_REDUCED:
+        obj = perfbench_object(name, seed)
+        cases.append((obj.name, _canonical_factors(obj)))
+        if name in SUB_FACTOR_BASES:
+            cases.append((f"{obj.name} sub", closed_sub_factors(obj, seed)))
+    for name, f in cases:
+        assert _closure_gaps(f) == (), name
+    return cases
+
+
+@lru_cache(maxsize=None)
+def genuine_references(seed):
+    """(name, factors, axiom report, action report) of the closed PA(A) at
+    ``seed`` with m <= 256, the reports from ``check_axioms`` and
+    ``reference_pa_action`` on the assembled tables."""
+    refs = []
+    for name, f in genuine_factors(seed):
+        if len(f.Cm) * f.W <= 256:
+            add, act = _assemble(f)
+            axioms = rgwa.check_axioms(len(add), add, act, require_reduced=True)
+            refs.append((name, f, axioms, reference_pa_action(pa_of_factors(f)).report))
+    return refs
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+class TestPaOnGenuineFactors:
+    """On the factors of a closed PA(A) every law but the three rows holds,
+    so the factored reports are the full scans of the assembled tables."""
+
+    def test_reports_are_the_full_scans(self, seed):
+        refs = genuine_references(seed)
+        assert len(refs) >= len(PERFBENCH_REDUCED)
+        for name, f, axioms, action in refs:
+            assert _pa_report(f) == axioms, name
+            assert _pa_action_report(f) == action, name
+
+    def test_closed_pa_fails_only_the_scanned_rows(self, seed):
+        seen = set()
+        for name, _, axioms, action in genuine_references(seed):
+            assert set(axioms.conditions()) <= {r[0] for r in _PA_AXIOMS}, name
+            assert set(action.conditions()) <= {r[0] for r in _PA_ACTION}, name
+            seen.update(axioms.conditions() + action.conditions())
+        assert seen == {"reduced.central", "a9", "a10"}
+
+    def test_closed_pa_is_a_group_with_action(self, seed):
+        # so PAObject.object's reduced flag, report.passed, is exactly
+        # whether the reduced axioms hold
+        sizes = []
+        for name, f in genuine_factors(seed):
+            m = len(f.Cm) * f.W
+            if m <= 1000:
+                add, act = _assemble(f)
+                assert rgwa.check_axioms(m, add, act, require_reduced=False).passed, name
+                sizes.append(m)
+        assert max(sizes) == 512
 
 
 class TestPaAction:
