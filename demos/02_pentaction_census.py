@@ -29,8 +29,8 @@ report = rgwa.check_pentaction(candidate)
 print(f"constant dot map fails: {report.conditions()}")
 
 # The set carries an addition (composition plus a twisted pow sum), an
-# opposite, and a power operation; on perfect carriers it is closed under
-# all of them.
+# opposite, and a power operation; on every reduced carrier it is closed
+# under all of them.
 p, q = pruned[3], pruned[5]
 total = rgwa.pent_add(p, q)
 print(f"\np.up={p.up}, q.up={q.up}, (p+q).up={total.up} (composition)")

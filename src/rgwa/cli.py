@@ -76,13 +76,12 @@ def _cmd_pentactions(args) -> tuple[int, str]:
 def _cmd_pa(args) -> tuple[int, dict]:
     obj = load_object(args.path)
     pa = build_pa_object(obj, budget=args.budget)
-    action = pa.action_report
     payload: dict = {
         "pa_order": pa.order,
         "pa_rgwa": pa.report.to_json(),
-        "pa_action": None if action is None else action.to_json(),
+        "pa_action": pa.action_report.to_json(),
     }
-    passed = action is not None and action.passed and pa.report.passed
+    passed = pa.action_report.passed and pa.report.passed
     return (EXIT_PASSED if passed else EXIT_VIOLATION), payload
 
 

@@ -7,28 +7,53 @@ j.  A map part is its up table, since every pentaction has dotL = dotR = id
 (p12).  So every dot is the identity, the pow part of a sum, p.pow +
 p.dotL(q.pow), depends on the two pow tables alone, and p^q, which has
 identity dots and p's up and upL, keeps p's map part.  The sum and power
-are index arithmetic over the factor tables Cm, P and Q (``_PaFactors``):
+are index arithmetic over the factors (``_PaFactors``):
 
-    p+q = (Cm[i_p, i_q], P[j_p, j_q])   Cm: up_q o up_p, P: pow_p + pow_q
-    p^q = (i_p, Q[i_q, j_p])            Q: up_q o pow_p
+    p+q = (Cm[i_p, i_q], pow_p + pow_q)   Cm: up_q o up_p
+    p^q = (i_p, up_q o pow_p)
 
-Once no sum or power leaves the set (``_closure_gaps`` is empty), only three
-laws can fail: reduced.central on the map parts (``_PA_AXIOMS``), and a9 and
-a10 of the action of PA(A) on A (``_PA_ACTION``).  Every other axiom and
-condition holds by construction, for a reduced A and the canonical factors
-(``_canonical_factors``), as follows.
+where Cm is a table and the two pow parts are looked up at the cells read
+(``_pow_sum``, ``_pow_image``).
 
-- Cm, P and Q are exact lookups of composition, pointwise sum and up o pow.
-  Composition and + are associative and every up is additive, so
-  group.assoc, action.add and action.compose hold; so do 2A (the pow of a
-  sum, P), 2B (the up of a sum, Cm) and 4B (the pow of a power, Q).
+For a reduced A and the canonical factors (``_canonical_factors``), no sum
+or power leaves the set: Maps is the set of additive bijections passing p5
+and p9, W the set of maps passing p4, p7 and p10, and both are closed, as
+follows.  With dotL = id, p5 reads up(a^a') = up(a)^a', p9 a^up(a') =
+a^a', p4 w(a+a') = w(a)^a' + w(a'), p7 w(a^a') = w(a), and p10 a^w(a') = a
+for a' != 0.
+
+- Maps under composition, so Cm is total: up_q o up_p is an additive
+  bijection; p5, since up_q(up_p(a^a')) = up_q(up_p(a)^a') =
+  up_q(up_p(a))^a'; p9, since a^up_q(up_p(a')) = a^up_p(a') = a^a'.
+- W under pointwise +: p4 by action.add, since A is abelian (below), so
+  w(a)^a' + w(a') + w'(a)^a' + w'(a') = (w(a) + w'(a))^a' + w(a') + w'(a');
+  p7 termwise; p10 by action.compose, a^(w(a') + w'(a')) =
+  (a^w(a'))^w'(a') = a.
+- W under up o w for up in Maps: p4 by the additivity of up and p5,
+  up(w(a)^a' + w(a')) = up(w(a))^a' + up(w(a')); p7 directly; p10 by p9,
+  a^up(w(a')) = a^w(a') = a.
+- The walked sets are these sets.  Maps is walked from every additive
+  bijection and W from every assignment of the additive generators, each
+  extended by the p4 rule, so every map passing p4 is walked from its own
+  generator values; each row is then checked at the generators, which the
+  closure lemma of ``core._passing`` makes the full verdict.
+
+So only three laws can fail: reduced.central on the map parts
+(``_PA_AXIOMS``), and a9 and a10 of the action of PA(A) on A
+(``_PA_ACTION``).  Every other axiom and condition holds by construction,
+as follows.
+
+- Cm and the pow lookups are exact lookups of composition, pointwise sum
+  and up o pow.  Composition and + are associative and every up is
+  additive, so group.assoc, action.add and action.compose hold; so do 2A
+  (the pow of a sum), 2B (the up of a sum, Cm) and 4B (the pow of a power).
 - The identity is the least additive bijection and the zero table the least
   pow table, so map part 0 is the identity and pow table 0 is zero, and
   group.identity and action.zero hold.  Maps is a finite set of permutations
   closed under composition, and W a finite set of maps into A closed under
   pointwise +, so each is a group and group.inverse holds.
-- reduced.collapse: both sides of x^(y^z) = x^y are (i_x, Q[i_y, j_x]),
-  since a power keeps the map part of its first argument.
+- reduced.collapse: both sides of x^(y^z) = x^y are (i_x, up_{i_y} o
+  pow_{j_x}), since a power keeps the map part of its first argument.
 - A reduced A is abelian: for y != 0, x -> x^y is a bijection, and
   reduced.central makes its values central.  So pointwise sums of pow tables
   commute (the pow part of reduced.central), and a6 holds.
@@ -37,10 +62,10 @@ condition holds by construction, for a reduced A and the canonical factors
   because map part 0 is the identity; 1A is the additivity of up; and 1B,
   3B, a4, a7 and a8 are p4, p5, p7, p9 and p10 of the factors.
 
-``build_pa_object`` reports the closure gaps first and otherwise scans the
-three rows, over |Maps|^2, |W|^2 * n and |W| * n * |Maps| cells.  The
-morphism laws read PA(A) through ``_factor_arrays``, and ``_assemble``
-builds the m x m tables for the callers that read them.
+``build_pa_object`` scans the three rows, over |Maps|^2, |W|^2 * n and
+|W| * n * |Maps| cells.  The morphism laws read PA(A) through
+``_factor_arrays``, and ``_assemble`` builds the m x m tables for the
+callers that read them.
 """
 
 from __future__ import annotations
@@ -62,25 +87,23 @@ from .pentactions import _pentaction_factors
 from .report import CheckReport, Violation
 
 
-# The factor tables of PA(A).  With p = (i, j) for map part i and pow table j,
-#   p+q = (Cm[i_p, i_q], P[j_p, j_q])   p^q = (i_p, Q[i_q, j_p])
-# where W is the number of pow tables.  A result outside the factors is -1.
-# The action of PA(A) on A reads the up and pow tables, as (|Maps|, n) and
-# (W, n) arrays, and A's _arrays; the axiom scan does not need them.
-# find_map and find_pow give the index of a map part (dotL, dotR, up, upL)
-# and of a pow table.
-_PaFactors = namedtuple("_PaFactors", "Cm P Q W up pow A find_map find_pow",
-                        defaults=(None,) * 5)
+# The factors of PA(A).  With p = (i, j) for map part i and pow table j,
+#   p+q = (Cm[i_p, i_q], _pow_sum(j_p, j_q))   p^q = (i_p, _pow_image(i_q, j_p))
+# where W is the number of pow tables.  up and pow are the up and pow tables,
+# as (|Maps|, n) and (W, n) arrays, and A is A's _arrays.  find_map and
+# find_pow give the index of a map part (dotL, dotR, up, upL) and of a pow
+# table, or -1.
+_PaFactors = namedtuple("_PaFactors", "Cm W up pow A find_map find_pow")
 
 
 def _pa_factors(obj: FiniteGwaObject, ups: Sequence, pows: Sequence) -> _PaFactors:
-    """The factor tables of the sum and the power over the product of the
-    map parts with up tables ``ups`` and the pow tables ``pows``.  Cm, P
-    and Q are one lookup each over all their cells, in chunks of p."""
-    n, add = obj.order, obj._arrays.add
+    """The factors of the sum and the power over the product of the map
+    parts with up tables ``ups`` and the pow tables ``pows``.  Cm is one
+    lookup over all its cells, in chunks of p."""
+    n = obj.order
     up = np.asarray(ups, dtype=np.intp).reshape(len(ups), n)
     w = np.asarray(pows, dtype=np.intp).reshape(len(pows), n)
-    find_up, find_pow, ident = _row_finder(up), _row_finder(w), np.arange(n)
+    find_up, ident = _row_finder(up), np.arange(n)
 
     def find_map(dl, dr, u, ul):
         """The map part (dl, dr, u, ul), each over the last axis, or -1: one
@@ -89,20 +112,28 @@ def _pa_factors(obj: FiniteGwaObject, ups: Sequence, pows: Sequence) -> _PaFacto
         return np.where(ok.all(-1), find_up(u), -1)
 
     M = len(up)
-    p, q = np.arange(M)[:, None, None], np.arange(M)[:, None]
+    q = np.arange(M)[:, None]
     # up of p+q: q.up(p.up)
     Cm = _chunked(M, M * n, lambda s: find_up(up[q, up[s, None]]))
-    # pow part of p+q: p.pow + q.pow, in chunks of p.pow
-    P = _chunked(len(w), len(w) * n, lambda s: find_pow(add[w[s, None], w]))
-    # pow part of p^q: q.up(p.pow)
-    Q = _chunked(M, len(w) * n, lambda s: find_pow(up[p[s], w]))
-    return _PaFactors(Cm, P, Q, len(w), up, w, obj._arrays, find_map, find_pow)
+    return _PaFactors(Cm, len(w), up, w, obj._arrays, find_map, _row_finder(w))
 
 
 @object_cache(maxsize=32)
 def _canonical_factors(obj: FiniteGwaObject) -> _PaFactors:
-    """The factor tables of PA(obj), over the enumerated factors."""
+    """The factors of PA(obj), over the enumerated factors."""
     return _pa_factors(obj, *_pentaction_factors(obj))
+
+
+def _pow_sum(f: _PaFactors, jx: np.ndarray, jy: np.ndarray) -> np.ndarray:
+    """The pow part of x+y for pow tables jx and jy (broadcast): the index
+    of pow_x + pow_y, or -1."""
+    return f.find_pow(f.A.add[f.pow[jx], f.pow[jy]])
+
+
+def _pow_image(f: _PaFactors, iy: np.ndarray, jx: np.ndarray) -> np.ndarray:
+    """The pow part of x^y for map parts iy and pow tables jx (broadcast):
+    the index of up_y o pow_x, or -1."""
+    return f.find_pow(f.up[np.expand_dims(iy, -1), f.pow[jx]])
 
 
 def _element(f: _PaFactors, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -120,11 +151,16 @@ def _images(f: _PaFactors, negB: np.ndarray, dots: np.ndarray, ups: np.ndarray) 
 
 
 def _assemble(f: _PaFactors) -> tuple[np.ndarray, np.ndarray]:
-    """The m x m sum and power tables, -1 where a result leaves the set."""
-    M, m = len(f.Cm), len(f.Cm) * f.W
-    add = _element(f, f.Cm[:, None, :, None], f.P[None, :, None, :])
-    act = _element(f, np.arange(M)[:, None, None, None], f.Q.T[None, :, :, None])
-    return tuple(np.broadcast_to(x, (M, f.W, M, f.W)).reshape(m, m) for x in (add, act))
+    """The m x m sum and power tables, -1 where a result leaves the set.
+    The pow parts are looked up once per pair of factors, in chunks of the
+    pow table of x."""
+    M, W, n = len(f.Cm), f.W, f.pow.shape[1]
+    i, j = np.arange(M), np.arange(W)
+    pow_add = _chunked(W, W * n, lambda s: _pow_sum(f, j[s, None], j))
+    pow_act = _chunked(W, M * n, lambda s: _pow_image(f, i, j[s, None]))
+    add = _element(f, f.Cm[:, None, :, None], pow_add[None, :, None, :])
+    act = _element(f, i[:, None, None, None], pow_act[None, :, :, None])
+    return tuple(np.broadcast_to(x, (M, W, M, W)).reshape(M * W, M * W) for x in (add, act))
 
 
 class _FactorTable:
@@ -141,27 +177,8 @@ class _FactorTable:
 def _factor_arrays(f: _PaFactors) -> _Arrays:
     """PA(A) as the add and act of an ``_Arrays``, for the morphism laws."""
     return _Arrays(
-        _FactorTable(f.W, lambda ix, jx, iy, jy: f.Cm[ix, iy] * f.W + f.P[jx, jy]),
-        _FactorTable(f.W, lambda ix, jx, iy, jy: ix * f.W + f.Q[iy, jx]), None, None)
-
-
-def _closure_gaps(f: _PaFactors) -> tuple[Violation, ...]:
-    """The first cell (x, y) in row-major order of the sum and of the power
-    table whose result leaves the set, as "pa.closure.add" / "pa.closure.act".
-    Per table, the rows x = (i, j) holding a gap, then the cells y = (i2, j2)
-    of the first of them, are (|Maps|, |W|) masks over the factors."""
-    Cm, P, Q = (x < 0 for x in (f.Cm, f.P, f.Q))
-    tables = (
-        ("pa.closure.add", Cm.any(1)[:, None] | P.any(1), lambda i, j: Cm[i][:, None] | P[j]),
-        ("pa.closure.act", np.broadcast_to(Q.any(0), Q.shape), lambda i, j: Q[:, j, None]),
-    )
-    gaps = []
-    for condition, rows, cells in tables:
-        if rows.any():
-            x = int(rows.argmax())
-            y = np.broadcast_to(cells(*divmod(x, f.W)), rows.shape).argmax()
-            gaps.append(Violation(condition, (x, int(y))))
-    return tuple(gaps)
+        _FactorTable(f.W, lambda ix, jx, iy, jy: f.Cm[ix, iy] * f.W + _pow_sum(f, jx, jy)),
+        _FactorTable(f.W, lambda ix, jx, iy, jy: ix * f.W + _pow_image(f, iy, jx)), None, None)
 
 
 # The rows that can fail (module docstring), as (id, variables, violation
@@ -205,7 +222,7 @@ def _factor_report(f: _PaFactors, rows) -> CheckReport:
     and ik, jk are the map part and pow table of the element i*W + j of
     PA(A).  Unread indices are 0, and the slot of ``_NONZERO_SLOT`` is 1."""
     W = f.W
-    sizes = {"I": len(f.Cm), "J": W, "A": 0 if f.A is None else len(f.A.ar)}
+    sizes = {"I": len(f.Cm), "J": W, "A": len(f.A.ar)}
     found = []
     for cid, names, formula in rows:
         names = names.split()
@@ -223,14 +240,13 @@ def _factor_report(f: _PaFactors, rows) -> CheckReport:
 
 
 def _pa_report(f: _PaFactors) -> CheckReport:
-    """The reduced-axiom scan of PA(A) once it is closed: the same report as
-    ``check_axioms`` on the assembled tables, since only the
-    reduced.central row can fail."""
+    """The reduced-axiom scan of PA(A): the same report as ``check_axioms``
+    on the assembled tables, since only the reduced.central row can fail."""
     return _factor_report(f, _PA_AXIOMS)
 
 
 def _pa_action_report(f: _PaFactors) -> CheckReport:
-    """The 22-condition report of the action of PA(A) on A once it is
-    closed: the same as ``check_derived_action`` on the assembled triple,
-    since only a9 and a10 can fail."""
+    """The 22-condition report of the action of PA(A) on A: the same as
+    ``check_derived_action`` on the assembled triple, since only a9 and a10
+    can fail."""
     return _factor_report(f, _PA_ACTION)

@@ -47,7 +47,6 @@ from .extensions import (
 from .pa import (
     _assemble,
     _canonical_factors,
-    _closure_gaps,
     _element,
     _factor_arrays,
     _images,
@@ -71,17 +70,13 @@ class PAObject:
 
     Element i*|W| + j is the pentaction with map part i and pow table j; the
     zero pentaction sits at index 0 (identity maps and the constant 0 sort
-    first).  add[x, y] = Cm[i_x, i_y]*|W| + P[j_x, j_y] and
-    act[x, y] = i_x*|W| + Q[i_y, j_x] over the factors of the base (a
-    power keeps the map part of its first argument).
-    ``order`` and ``action_report`` read the factors; ``elements`` (m
-    Pentactions) and ``object`` (the m x m tables, charged m^2 cells against
-    ``budget``) are built on first access.  ``object`` and ``action_report``
-    are None exactly when some sum or power leaves the enumerated set
-    (possible only for imperfect bases), and ``report`` then holds the
-    closure failures instead of the reduced-axiom scan.  Otherwise PA(base)
-    is a group with action (the ``rgwa.pa`` docstring), ``report`` can name
-    only reduced.central and ``action_report`` only a9 and a10, and
+    first).  A sum has map part Cm[i_x, i_y] and the pow table pow_x +
+    pow_y, and a power x^y map part i_x and the pow table up_y o pow_x, over
+    the factors of the base.  ``order`` and ``action_report`` read the
+    factors; ``elements`` (m Pentactions) and ``object`` (the m x m tables,
+    charged m^2 cells against ``budget``) are built on first access.
+    PA(base) is a group with action (the ``rgwa.pa`` docstring), ``report``
+    can name only reduced.central and ``action_report`` only a9 and a10, and
     ``object.reduced`` is ``report.passed``: whether the reduced axioms hold.
     """
 
@@ -102,14 +97,7 @@ class PAObject:
         return _enumerate_pentactions_uncapped(self.base)
 
     @cached_property
-    def closed(self) -> bool:
-        """Whether every sum and power of two elements is an element."""
-        return not _closure_gaps(self._factors)
-
-    @cached_property
-    def object(self) -> FiniteGwaObject | None:
-        if not self.closed:
-            return None
+    def object(self) -> FiniteGwaObject:
         m = self.order
         if m * m > self.budget:
             raise BudgetExceededError(
@@ -120,9 +108,9 @@ class PAObject:
         return FiniteGwaObject(f"PA({self.base.name})", m, add, act, reduced=self.report.passed)
 
     @cached_property
-    def action_report(self) -> CheckReport | None:
+    def action_report(self) -> CheckReport:
         """The 22-condition report of the action of PA(A) on A."""
-        return _pa_action_report(self._factors) if self.closed else None
+        return _pa_action_report(self._factors)
 
     def index_of(self, pent: Pentaction) -> int:
         """Index of a pentaction given extensionally, or -1."""
@@ -136,17 +124,14 @@ class PAObject:
 def build_pa_object(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> PAObject:
     """PA(obj) and its reduced-axiom report, read off the factor tables of
     Maps(A) x Pow(A), with no m x m table or Pentaction built.  The report
-    holds the closure gaps when some sum or power leaves the set; otherwise
-    it is the scan of reduced.central on the map parts, |Maps|^2 cells, the
-    one axiom that can fail on a closed PA(A) (the ``rgwa.pa`` docstring).
+    is the scan of reduced.central on the map parts, |Maps|^2 cells, the one
+    axiom that can fail on PA(A) (the ``rgwa.pa`` docstring).
     Failures are reported, not raised: when the base is perfect with zero
     weak stabilizer the scan must pass, otherwise the report documents how
     the construction degrades.
     """
     _check_budget(obj, budget)
-    f = _canonical_factors(obj)
-    gaps = _closure_gaps(f)
-    return PAObject(obj, CheckReport(gaps) if gaps else _pa_report(f), budget)
+    return PAObject(obj, _pa_report(_canonical_factors(obj)), budget)
 
 
 def pa_action(pa: PAObject) -> DerivedActionTriple:
@@ -154,11 +139,6 @@ def pa_action(pa: PAObject) -> DerivedActionTriple:
     dot, up and pow of each element are those of its map part and pow
     table.  Carries ``pa.action_report``, the full 22-condition report
     (diagnostic when the theorem hypotheses fail)."""
-    if not pa.closed:
-        raise StructuralError(
-            f"PA({pa.base.name}) did not close under its operations; "
-            f"no carrier object to act with"
-        )
     f = pa._factors
     i, j = np.divmod(np.arange(pa.order), f.W)
     up, pw = (tuple(map(tuple, x.tolist())) for x in (f.up[i].T, f.pow[j]))
@@ -182,7 +162,7 @@ def _require_pa_of(A: FiniteGwaObject, pa: PAObject | None) -> PAObject:
 
 
 def _require_verified(A: FiniteGwaObject, pa: PAObject) -> None:
-    if not (pa.closed and pa.report.passed):
+    if not pa.report.passed:
         raise StructuralError(
             f"PA({A.name}) is not a verified reduced object; "
             f"failing: {', '.join(pa.report.conditions())}"
@@ -283,7 +263,7 @@ class RepresentabilityReport:
     base: str
     pa_order: int
     pa_rgwa: CheckReport
-    pa_action: CheckReport | None
+    pa_action: CheckReport
     pairs_checked: int
     failures: tuple[dict, ...]
 
@@ -295,7 +275,7 @@ class RepresentabilityReport:
         return {
             "pa_order": self.pa_order,
             "pa_rgwa": self.pa_rgwa.to_json(),
-            "pa_action": self.pa_action.to_json() if self.pa_action else None,
+            "pa_action": self.pa_action.to_json(),
             "representability": {
                 "pairs_checked": self.pairs_checked,
                 "all_passed": self.all_passed,
@@ -374,28 +354,25 @@ def verify_representability(
     pa = build_pa_object(A, budget=budget)
     if not pa.report.passed:
         failures.append(_failure("pa_rgwa", None, None, list(pa.report.conditions())))
-    action_report = pa.action_report
-    if action_report is not None and not action_report.passed:
-        failures.append(_failure("pa_action", None, None, list(action_report.conditions())))
+    if not pa.action_report.passed:
+        failures.append(_failure("pa_action", None, None, list(pa.action_report.conditions())))
     pairs = 0
-    if pa.closed:
-        candidates = acting_objects if acting_objects is not None else standard_corpus()
-        for B in candidates:
-            if B.order > max_b_order:
-                continue
-            try:
-                batch = _derived_action_batch(A, B, budget)
-            except BudgetExceededError as exc:
-                raise BudgetExceededError(
-                    f"representability check for {A.name!r}: {exc}"
-                ) from exc
-            pairs += len(batch.pair)
-            failures.extend(_batch_failures(A, B, batch, pa, budget))
+    for B in acting_objects if acting_objects is not None else standard_corpus():
+        if B.order > max_b_order:
+            continue
+        try:
+            batch = _derived_action_batch(A, B, budget)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(
+                f"representability check for {A.name!r}: {exc}"
+            ) from exc
+        pairs += len(batch.pair)
+        failures.extend(_batch_failures(A, B, batch, pa, budget))
     return RepresentabilityReport(
         base=A.name,
         pa_order=pa.order,
         pa_rgwa=pa.report,
-        pa_action=action_report,
+        pa_action=pa.action_report,
         pairs_checked=pairs,
         failures=tuple(failures),
     )

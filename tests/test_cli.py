@@ -453,6 +453,11 @@ LARGE_PA_BASES = {
         '{"pa_action":{"passed":false,"violations":[{"condition":"a9","witness":[1,4,8]},'
         '{"condition":"a10","witness":[1,1,98304]}]},"pa_order":196608,"pa_rgwa":{"passed":false,'
         '"violations":[{"condition":"reduced.central","witness":[1024,1,8192]}]}}\n')),
+    # m = 12,582,912: 1,536 map parts x 8,192 pow tables
+    "z4xz4xz2": ((4, 4, 2), (
+        '{"pa_action":{"passed":false,"violations":[{"condition":"a9","witness":[1,8,8]},'
+        '{"condition":"a10","witness":[1,2,524288]}]},"pa_order":12582912,"pa_rgwa":{"passed":false,'
+        '"violations":[{"condition":"reduced.central","witness":[8192,1,524288]}]}}\n')),
 }
 
 

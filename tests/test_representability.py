@@ -1,6 +1,5 @@
 """PA(A) assembly, its action, and the factorization morphism."""
 
-import json
 import random
 import runpy
 from dataclasses import FrozenInstanceError, replace
@@ -30,7 +29,6 @@ from conftest import (
     shear_object,
 )
 from rgwa import core, representability
-from rgwa.cli import main
 from rgwa.core import invert_map
 from rgwa.extensions import _CONDITIONS, DerivedActionTriple
 from rgwa.pentactions import _pentaction_factors
@@ -38,10 +36,8 @@ from rgwa.report import PASSED
 from rgwa.pa import (
     _PA_ACTION,
     _PA_AXIOMS,
-    _PaFactors,
     _assemble,
     _canonical_factors,
-    _closure_gaps,
     _pa_action_report,
     _pa_factors,
     _pa_report,
@@ -142,31 +138,6 @@ class TestPaObjectViews:
             pa.object
         assert PAObject(z4neg, report, budget=m * m).object.order == m
 
-    def test_factors_that_do_not_close_leave_no_object(self, monkeypatch, capsys, tmp_path):
-        # the product without its first map part (the identity maps) is not
-        # closed; PA(A) then reports the closure gaps of the reference tables
-        z7 = rgwa.cyclic_trivial(7)
-        ups, pows = _pentaction_factors(z7)
-        elements = product_elements(z7, ups[1:], pows)
-        gaps = reference_pa_tables(z7, elements)[2]
-        assert gaps
-        truncated = _pa_factors(z7, ups[1:], pows)
-        monkeypatch.setattr(representability, "_canonical_factors", lambda obj: truncated)
-        pa = rgwa.build_pa_object(z7)
-        assert pa.report == rgwa.CheckReport(gaps)
-        assert (pa.closed, pa.object, pa.action_report) == (False, None, None)
-        with pytest.raises(rgwa.StructuralError, match="did not close"):
-            rgwa.pa_action(pa)
-        report = rgwa.verify_representability(z7)
-        assert (report.pa_action, report.pairs_checked) == (None, 0)
-        assert [f["stage"] for f in report.failures] == ["pa_rgwa"]
-        path = tmp_path / "z7.json"
-        rgwa.save_object(z7, path)
-        assert main(["pa", str(path)]) == 1
-        assert json.loads(capsys.readouterr().out) == {
-            "pa_order": len(elements), "pa_rgwa": pa.report.to_json(), "pa_action": None}
-
-
 def product_elements(obj, ups, pows):
     """The pentactions (id, id, up, up^-1, pow) of the product ups x pows,
     up outer."""
@@ -191,11 +162,8 @@ def scalar_pa_tables(elements):
 
 
 def factored_tables(obj, ups, pows):
-    """The assembled tables of the product ups x pows, and its closure gaps
-    read off the factors."""
-    f = _pa_factors(obj, ups, pows)
-    add, act = _assemble(f)
-    return add.tolist(), act.tolist(), _closure_gaps(f)
+    """The assembled tables of the product ups x pows."""
+    return tuple(x.tolist() for x in _assemble(_pa_factors(obj, ups, pows)))
 
 
 def spread_up_factors(klein4):
@@ -210,88 +178,115 @@ class TestPaFill:
         assert len(objs) == len(corpus) - 1  # all but z2xz4 (m = 256)
         for obj in objs + [z4neg, shear16]:
             elements = rgwa.enumerate_pentactions(obj)
-            got = factored_tables(obj, *_pentaction_factors(obj))
-            assert got == scalar_pa_tables(elements), obj.name
-            assert got[2] == ()
+            add, act, gaps = scalar_pa_tables(elements)
+            assert factored_tables(obj, *_pentaction_factors(obj)) == (add, act), obj.name
+            assert gaps == ()
 
     def test_truncated_element_lists_report_the_scalar_gaps(self, corpus, z4neg, shear16):
         # drop one map part or one pow table from the factors; the elements
-        # are the product of what is left
+        # are the product of what is left, which does not close: the
+        # reference tables and their gaps are the scalar ones, and the
+        # assembled tables hold -1 at the same cells
         by_name = {o.name: o for o in corpus}
         seen = set()
         for obj in (by_name["z3"], by_name["z7"], z4neg, shear16):
             ups, pows = _pentaction_factors(obj)
-            variants = [(ups[:k] + ups[k + 1:], pows) for k in {0, 1, len(ups) // 2, len(ups) - 1}]
-            variants += [(ups, pows[:k] + pows[k + 1:]) for k in {0, 1, len(pows) // 2, len(pows) - 1}]
-            for sub_ups, sub_pows in variants:
+            variants = [("map", ups[:k] + ups[k + 1:], pows)
+                        for k in {0, 1, len(ups) // 2, len(ups) - 1}]
+            variants += [("pow", ups, pows[:k] + pows[k + 1:])
+                         for k in {0, 1, len(pows) // 2, len(pows) - 1}]
+            for dropped, sub_ups, sub_pows in variants:
                 elements = product_elements(obj, sub_ups, sub_pows)
-                got = factored_tables(obj, sub_ups, sub_pows)
                 add, act, gaps = reference_pa_tables(obj, elements)
-                assert got == (add.tolist(), act.tolist(), gaps) == scalar_pa_tables(elements)
-                seen.update(v.condition for v in gaps)
-        assert seen == {"pa.closure.add", "pa.closure.act"}
+                assert (add.tolist(), act.tolist(), gaps) == scalar_pa_tables(elements)
+                assert factored_tables(obj, sub_ups, sub_pows) == (add.tolist(), act.tolist())
+                seen.update((obj.name, dropped, v.condition) for v in gaps)
+        # on every base, some lost map part and some lost pow table each
+        # leave a gap, and gaps occur in both tables
+        assert {(name, dropped) for name, dropped, _ in seen} == {
+            (obj.name, dropped) for obj in (by_name["z3"], by_name["z7"], z4neg, shear16)
+            for dropped in ("map", "pow")}
+        assert {condition for *_, condition in seen} == {"pa.closure.add", "pa.closure.act"}
+
+    @pytest.mark.parametrize("chunk_cells", [None, 1], ids=["default-chunks", "one-cell-chunks"])
+    def test_pow_lookups_in_chunks(self, corpus, shear16, chunk_cells, monkeypatch):
+        # at one cell per chunk each chunk of the pow lookups of _assemble
+        # holds one pow table of x
+        if chunk_cells is not None:
+            monkeypatch.setattr(core, "_CHUNK_CELLS", chunk_cells)
+        by_name = {o.name: o for o in corpus}
+        for obj in (by_name["z3"], by_name["z5"], shear16):
+            add, act, _ = scalar_pa_tables(rgwa.enumerate_pentactions(obj))
+            assert factored_tables(obj, *_pentaction_factors(obj)) == (add, act), obj.name
 
     def test_fill_composes_in_the_scalar_order(self, corpus):
         klein4 = next(o for o in corpus if o.name == "klein4")
         ups, pows = spread_up_factors(klein4)
         elements = product_elements(klein4, ups, pows)
-        add, act, gaps = factored_tables(klein4, ups, pows)
-        assert (add, act, gaps) == scalar_pa_tables(elements)
+        add, act = factored_tables(klein4, ups, pows)
+        assert (add, act) == scalar_pa_tables(elements)[:2]
         m = len(elements)
         assert sum(v >= 0 for row in add for v in row) > m
         assert sum(v >= 0 for row in act for v in row) > m
 
     def test_no_map_parts_give_empty_tables(self, corpus):
-        # the product with no map parts has no elements: empty factor and
-        # assembled tables, no closure gap, and no map part to find
+        # the product with no map parts has no elements: an empty Cm and
+        # empty assembled tables, and no map part to find
         klein4 = next(o for o in corpus if o.name == "klein4")
         pows = spread_up_factors(klein4)[1]
         f = _pa_factors(klein4, [], pows)
-        assert (f.Cm.shape, f.P.shape, f.Q.shape) == ((0, 0), (3, 3), (0, 3))
+        assert f.Cm.shape == (0, 0)
         assert [x.shape for x in _assemble(f)] == [(0, 0), (0, 0)]
-        assert _closure_gaps(f) == ()
         ident = np.arange(4)
         assert f.find_map(ident, ident, ident, ident) == -1
         stack = np.broadcast_to(ident, (2, 3, 4))
         assert f.find_map(stack, stack, stack, stack).tolist() == [[-1] * 3] * 2
 
 
+def hand_made_factors(Cm, W):
+    """Factors with the map-part sums ``Cm`` (M x M) over M identity map
+    parts and the W constant pow tables of Z/W, which close under + and
+    under every up: every sum and power lies in the set."""
+    ident = tuple(range(W))
+    f = _pa_factors(rgwa.cyclic_trivial(W), [ident] * len(Cm), [(c,) * W for c in range(W)])
+    return f._replace(Cm=Cm)
+
+
 def _factor_bases():
-    """Factor tables to corrupt: genuine ones, including |Maps| = 1 (z1, z2)
-    and a non-abelian Cm (spread klein4 ups, gaps filled with 0)."""
+    """Factors to corrupt: genuine ones, including |Maps| = 1 (z1, z2), and
+    a non-abelian Cm: every additive bijection of klein4 over the pow tables
+    that vanish at 1, which close under + and under every up.  None of them
+    leaves the set."""
     objs = rgwa.standard_corpus()
     by_name = {o.name: o for o in objs}
     bases = [_pa_factors(o, *_pentaction_factors(o))
              for o in (by_name["z1"], by_name["z2"], by_name["z3"], by_name["z5"],
                        negation_cyclic(4), k4swap_object(), shear_object())]
-    ups, pows = spread_up_factors(by_name["klein4"])
-    spread = _pa_factors(by_name["klein4"], ups, pows[:2])
-    return bases + [spread._replace(**{k: np.maximum(getattr(spread, k), 0)
-                                       for k in ("Cm", "P", "Q")})]
+    klein4 = by_name["klein4"]
+    bases.append(_pa_factors(klein4, spread_up_factors(klein4)[0],
+                             [(0, 0, c, c) for c in range(4)]))
+    assert all((x >= 0).all() for f in bases for x in _assemble(f))
+    return bases
 
 
 FACTOR_BASES = _factor_bases()
 
 
 def _corrupt_factors(draw, count):
-    """Factor tables with ``count`` in-range cells overwritten: a genuine
-    base, or random tables with |Maps| and |W| in 1..3.  ``draw(k)`` picks
-    an integer in 0..k-1."""
+    """Factors with ``count`` in-range cells of Cm overwritten, the one table
+    the reduced.central row reads: a base of FACTOR_BASES, or hand-made
+    factors with |Maps| and |W| in 1..3 and a random Cm.  Their up and pow
+    tables close, so the assembled tables hold no -1.  ``draw(k)`` picks an
+    integer in 0..k-1."""
     if draw(2):
         f = FACTOR_BASES[draw(len(FACTOR_BASES))]
     else:
         M, W = draw(3) + 1, draw(3) + 1
-        shapes = {"Cm": (M, M), "P": (W, W), "Q": (M, W)}
-        bounds = {"Cm": M, "P": W, "Q": W}
-        f = _PaFactors(**{k: np.array([draw(bounds[k]) for _ in range(int(np.prod(shape)))],
-                                      dtype=np.intp).reshape(shape)
-                          for k, shape in shapes.items()}, W=W)
-    tables = {k: getattr(f, k).copy() for k in ("Cm", "P", "Q")}
-    bounds = {"Cm": len(f.Cm), "P": f.W, "Q": f.W}
+        f = hand_made_factors(np.array([draw(M) for _ in range(M * M)]).reshape(M, M), W)
+    Cm = f.Cm.copy()
     for _ in range(count):
-        name = ("Cm", "P", "Q")[draw(3)]
-        tables[name].flat[draw(tables[name].size)] = draw(bounds[name])
-    return f._replace(**tables)
+        Cm.flat[draw(Cm.size)] = draw(len(Cm))
+    return f._replace(Cm=Cm)
 
 
 def reference_central_on_map_parts(f):
@@ -342,12 +337,10 @@ class TestPaAxiomScan:
         # x^y + z and z + x^y have different map parts at z = (1, 0) for
         # every x and y, but reduced.central excludes y = 0: the witness y is
         # the least nonzero element 1, (0, 1) or (1, 0).  With one map part
-        # the row cannot fail, whatever the pow parts do
-        f = _PaFactors(Cm=np.zeros((M, M), dtype=np.intp), P=np.zeros((W, W), dtype=np.intp),
-                       Q=np.zeros((M, W), dtype=np.intp), W=W)
-        f.Cm[0, 1 % M] = 1 % M
-        f.P[0, 1 % W] = 1 % W
-        report = assert_report_is_the_central_scan(f)
+        # the row cannot fail
+        Cm = np.zeros((M, M), dtype=np.intp)
+        Cm[0, 1 % M] = 1 % M
+        report = assert_report_is_the_central_scan(hand_made_factors(Cm, W))
         assert [v.witness for v in report.violations] == ([] if M == 1 else [(0, 1, W)])
 
 
@@ -376,24 +369,23 @@ ACTION_CARRIERS = [rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(3), negation_cycl
 
 
 def _corrupt_action_factors(draw, count):
-    """``_corrupt_factors`` with its up and pow arrays corrupted in
-    ``count`` in-range cells too.  Random factor tables get a carrier from
-    ACTION_CARRIERS and random arrays."""
+    """``_corrupt_factors`` with its up and pow tables corrupted in
+    ``count`` in-range cells too, the tables a9 and a10 read; for one draw
+    in two, they are first replaced by random tables over a carrier from
+    ACTION_CARRIERS.  Sums and powers over such tables may leave the set,
+    so the assembled tables may hold -1."""
     f = _corrupt_factors(draw, count)
-    if f.A is None:
-        A = ACTION_CARRIERS[draw(len(ACTION_CARRIERS))]
-        n = A.order
-
-        def random_table(rows):
-            return np.array([[draw(n) for _ in range(n)] for _ in range(rows)], dtype=np.intp)
-
-        f = f._replace(up=random_table(len(f.Cm)), pow=random_table(f.W), A=A._arrays)
-    n = len(f.A.ar)
-    tables = {k: getattr(f, k).copy() for k in ("up", "pow")}
+    A, tables = f.A, {"up": f.up.copy(), "pow": f.pow.copy()}
+    if draw(2):
+        obj = ACTION_CARRIERS[draw(len(ACTION_CARRIERS))]
+        A, n = obj._arrays, obj.order
+        tables = {k: np.array([[draw(n) for _ in range(n)] for _ in range(rows)], dtype=np.intp)
+                  for k, rows in (("up", len(f.Cm)), ("pow", f.W))}
+    n = len(A.ar)
     for _ in range(count):
         name = ("up", "pow")[draw(2)]
         tables[name].flat[draw(tables[name].size)] = draw(n)
-    return f._replace(**tables)
+    return f._replace(A=A, find_pow=core._row_finder(tables["pow"]), **tables)
 
 
 def assert_action_report_is_the_reference(f, chunk_cells=None, monkeypatch=None):
@@ -413,9 +405,9 @@ def assert_action_report_is_the_reference(f, chunk_cells=None, monkeypatch=None)
     return got
 
 
-# The conditions with two B axes that hold on every product of factors: the
-# dot is the identity, and b ^ b2 has the map part of b; and those that hold
-# once the factors close, by the definitions of P, Cm and Q.
+# The conditions with two B axes that hold on every product of factors that
+# closes: the dot is the identity, and b ^ b2 has the map part of b; and
+# those that hold by the definitions of Cm and of the pow lookups.
 TWO_B_HOLDING = {"ga.1", "4A", "a2", "a3", "a5"}
 TWO_B_BY_DEFINITION = {"2A", "2B", "4B"}
 
@@ -460,22 +452,27 @@ class TestPaActionScan:
 
     def test_a9_and_a10_in_one_cell_chunks(self, monkeypatch):
         # one leading index per chunk, so witnesses also come from later
-        # chunks.  The conditions that read only the identity dot, or only
-        # the map part of a power, hold on any factor tables: the reference
-        # scans of the assembled tables never report them, nor
-        # reduced.collapse
+        # chunks
         rng = random.Random(0)
-        holding = TWO_B_HOLDING | {"ga.2", "ga.3", "3A", "a1"}
         seen = set()
         for _ in range(300):
             f = _corrupt_action_factors(rng.randrange, rng.randrange(4))
-            report = assert_action_report_is_the_reference(f, 1, monkeypatch)
+            seen.update(assert_action_report_is_the_reference(f, 1, monkeypatch).conditions())
+        assert seen == {"a9", "a10"}
+
+    def test_dot_and_map_part_conditions_hold_on_any_cm(self):
+        # The conditions that read only the identity dot, or only the map
+        # part of a power, hold on factors that close, whatever their Cm:
+        # the reference scans of the assembled tables never report them,
+        # nor reduced.collapse
+        rng = random.Random(0)
+        holding = TWO_B_HOLDING | {"ga.2", "ga.3", "3A", "a1"}
+        for _ in range(300):
+            f = _corrupt_factors(rng.randrange, rng.randrange(4))
             add, act = _assemble(f)
             axioms = rgwa.check_axioms(len(add), add.tolist(), act.tolist(), True)
             assert not holding & set(reference_pa_action(pa_of_factors(f)).report.conditions())
             assert "reduced.collapse" not in axioms.conditions()
-            seen.update(report.conditions())
-        assert seen == {"a9", "a10"}
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_one_b_rows_on_relabeled_bases(self, seed, monkeypatch):
@@ -545,8 +542,24 @@ def genuine_factors(seed):
         if name in SUB_FACTOR_BASES:
             cases.append((f"{obj.name} sub", closed_sub_factors(obj, seed)))
     for name, f in cases:
-        assert _closure_gaps(f) == (), name
+        assert all((x >= 0).all() for x in _assemble(f)), name
     return cases
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_canonical_factors_close(seed, z4neg, shear16):
+    # the closure lemma of the rgwa.pa docstring: on a reduced A no sum or
+    # power over the canonical factors leaves the set, so the reference
+    # tables have no gap, and they are the assembled tables
+    checked = []
+    for obj in [perfbench_object(name, seed) for name in PERFBENCH_REDUCED] + [z4neg, shear16]:
+        ups, pows = _pentaction_factors(obj)
+        if len(ups) * len(pows) <= 256:
+            add, act, gaps = reference_pa_tables(obj, product_elements(obj, ups, pows))
+            assert gaps == (), obj.name
+            assert factored_tables(obj, ups, pows) == (add.tolist(), act.tolist()), obj.name
+            checked.append(obj.name)
+    assert len(checked) == len(PERFBENCH_REDUCED)  # all but neg4x4 and neg8x2, and z4neg, shear16
 
 
 @lru_cache(maxsize=None)
