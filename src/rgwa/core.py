@@ -28,17 +28,16 @@ the two morphism laws of ``is_morphism`` and of the 22 derived-action and
 19 pentaction conditions, whose tables carry a leading
 candidate axis: it scans one candidate, and ``_passing`` gives the verdicts
 of a batch.  The walked filters (additive bijections, the pentaction pow and
-map factors, the up families of derived actions) and the morphism laws of
-``representability._batch_failures`` have ``_passing`` check their rows at
-the additive generators only, which the closure lemma (Clifford & Preston
-I, section 1.2) makes the full verdict; ``_violations``, which must give
-minimal witnesses, and the brute-force oracles scan in full.
+map factors) have ``_passing`` check their rows at the additive generators
+only, which the closure lemma (Clifford & Preston I, section 1.2) makes the
+full verdict; ``_violations``, which must give minimal witnesses, and the
+brute-force oracles scan in full.
 The masks read an object's cached ``_arrays``: add, act, neg and the
 carrier ar as index arrays.  Outside tables are validated once by
 ``_check_table``; ``_scan_axioms`` then scans index arrays directly.
 
 Maps fixed by their values on additive generators (additive bijections,
-pow tables, dot and up families) are all built by ``_generator_walk``, one
+pow tables, up families as indices) are all built by ``_generator_walk``, one
 gather per BFS step for a chunk of candidate generator images from
 ``_image_chunks``; each caller filters the chunk with its violation masks.
 """

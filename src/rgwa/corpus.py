@@ -80,15 +80,26 @@ def s3_conjugation_tables() -> tuple[Table, Table]:
     return conjugation_object(symmetric_group_table(3))
 
 
-@cache  # validated once per process; each call returns a fresh list
-def _standard_corpus() -> tuple[FiniteGwaObject, ...]:
-    objs = [cyclic_trivial(n) for n in range(1, 9)]
-    z2, z4 = objs[1], objs[3]
-    objs.append(direct_sum(z2, z2, name="klein4"))
-    objs.append(direct_sum(z2, z4, name="z2xz4"))
-    return tuple(objs)
+# The corpus in order, as (order, builder); klein4 and z2xz4 are built from
+# the corpus's own z2 and z4.
+_CORPUS = (
+    *((n, lambda n=n: cyclic_trivial(n)) for n in range(1, 9)),
+    (4, lambda: direct_sum(_corpus_object(1), _corpus_object(1), name="klein4")),
+    (8, lambda: direct_sum(_corpus_object(1), _corpus_object(3), name="z2xz4")),
+)
+
+
+@cache  # validated once per process, when first read
+def _corpus_object(i: int) -> FiniteGwaObject:
+    return _CORPUS[i][1]()
+
+
+def _corpus_up_to(order: int) -> list[FiniteGwaObject]:
+    """The corpus objects of at most the given order, in corpus order; only
+    these are built."""
+    return [_corpus_object(i) for i, (n, _) in enumerate(_CORPUS) if n <= order]
 
 
 def standard_corpus() -> list[FiniteGwaObject]:
     """The validated desk-scale corpus: z1..z8, klein4, z2xz4."""
-    return list(_standard_corpus())
+    return _corpus_up_to(max(n for n, _ in _CORPUS))

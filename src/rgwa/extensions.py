@@ -23,22 +23,26 @@ and f is the identity; when n_A = 1 the identity is the only map.  3A
 applies this to every dot[b], and p3 and p3d apply it to the dotL and dotR
 of a pentaction.  So a derived action is its up family and its pow rows.
 
-The up families are walked (``_up_walk``) with up(., 0) = id and each
-up(., b) a composition of additive bijections, so with dot = id they meet
-1A, zeroB, 4A and a2 by construction (``_UP_BY_CONSTRUCTION``).
-``_up_families`` scans the other up rows, 2B, a5, a6, a7 and 3B, at A's
-additive generators only (the closure lemma of ``core._passing``): the
-values a at which one holds are closed under + by the additivity of each
-up(., b) and action.add.  ``check_derived_action`` and the brute-force
-oracle scan every cell.
+With dot = id, 3B and a7 for a column up(., b) are its p5 and p9, so each
+column lies in Maps(A) (``pentactions._map_factor``), a group on any
+validated A (the ``rgwa.pa`` docstring).  A family is a (k, n_B) index
+array F into Maps(A), walked (``_families``) from F[0] = 0, the identity,
+by F[b + g] = C[F[b], F[g]] and F[b - g] = C[F[b], inv[F[g]]], C[i, j]
+being the index of up_j o up_i (``_map_index``).  So 1A, zeroB, 4A and a2
+hold by construction, 3B and a7 by membership, and a6 on every abelian A,
+as every reduced A is; on another it fails once n_B > 1, as each column is
+onto A.  The walk checks 2B and a5 as index comparisons
+(``_FAMILY_CHECKS``), 2B at B's generators b2 only: by associativity, the
+b2 at which it holds for all b are closed under +.  ``check_derived_action``
+and the brute-force oracle scan every cell.
 
 ``enumerate_derived_actions`` keeps its triples as one columnar batch
-(``_DerivedBatch``): the kept up families, the pow rows W' that can occur,
+(``_DerivedBatch``): the kept up tables, the pow rows W' that can occur,
 and per triple its up family and the index in W' of each of its pow rows.
 Its pow stage reads the seven pow-reading conditions through those indices
-(``_POW_INDEX_CHECKS``), against tables of which all but two depend on A
-alone, and one ``np.lexsort`` puts the batch in canonical order.
-``verify_representability`` checks the batch as it is.
+(``_POW_INDEX_CHECKS``), against tables of A alone, and one ``np.lexsort``
+puts the batch in canonical order.  ``verify_representability`` reads the
+batch as it is.
 """
 
 from __future__ import annotations
@@ -63,13 +67,13 @@ from .core import (
     _row_finder,
     _violated,
     _violations,
-    additive_bijections,
     generating_words,
     is_morphism,
     object_cache,
 )
 from .errors import BudgetExceededError, InputError, StructuralError, ValidationError
-from .pentactions import DEFAULT_BUDGET, _pow_factor
+from .pa import _compositions
+from .pentactions import DEFAULT_BUDGET, _map_factor, _pow_factor
 from .report import PASSED, CheckReport, Violation
 
 _BRUTEFORCE_CAP = 4_194_304
@@ -317,11 +321,6 @@ def _reading(*tables: str):
 _DOT_ONLY, _UP_ONLY, _DOT_UP = _reading("dot"), _reading("up"), _reading("dot", "up")
 _POW_READING = tuple(c for c in _CONDITIONS if "pow" in c[2])
 
-# The up-only and dot-and-up rows that every walked up table (``_up_walk``)
-# meets with dot = id; the family search scans the rest.
-_UP_BY_CONSTRUCTION = ("1A", "zeroB", "4A", "a2")
-_UP_WALKED = tuple(c for c in _UP_ONLY + _DOT_UP if c[0] not in _UP_BY_CONSTRUCTION)
-
 
 def check_derived_action(triple: DerivedActionTriple) -> CheckReport:
     """Scan the 22 derived-action conditions; one minimal witness each."""
@@ -335,35 +334,44 @@ def check_derived_action(triple: DerivedActionTriple) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-def _up_walk(A: FiniteGwaObject, B: FiniteGwaObject):
-    """The walked up tables (k, n_A, n_B), one chunk at a time, in product
-    order of every assignment of additive bijections of A to B's
-    generators: up(., 0) = id and up(., b + g) = up(., g) o up(., b).  So
-    every up(., b) is an additive bijection and each table meets the
-    ``_UP_BY_CONSTRUCTION`` rows with dot = id."""
-    bij = np.asarray(additive_bijections(A), dtype=np.intp)
-    inverses = np.argsort(bij, axis=1)
+@object_cache(maxsize=32)
+def _map_index(A: FiniteGwaObject):
+    """Maps(A) as an (M, n_A) array, its composition table C, total since
+    Maps(A) is a group, and the inverse index inv: up_inv[i] = up_i^-1."""
+    maps = np.asarray(_map_factor(A), dtype=np.intp).reshape(-1, A.order)
+    C = _compositions(maps, _row_finder(maps))
+    return maps, C, (C == 0).argmax(axis=1)
+
+
+# 2B and a5 of up families F, (k, n_B) indices into Maps(A) with
+# composition table C, as violation masks led by k over B's _arrays; 2B is
+# checked at the b2 in g, B's generators (module docstring).
+_FAMILY_CHECKS = (
+    # up(., b + b2) = up(., b2) o up(., b)
+    ("2B", lambda C, B, g, F: F[:, B.add[:, g]] != C[F[:, :, None], F[:, None, g]]),
+    # up(., b ^ b2) = up(., b)
+    ("a5", lambda C, B, g, F: F[:, B.act] != F[:, :, None]),
+)
+
+
+def _families(A: FiniteGwaObject, B: FiniteGwaObject) -> np.ndarray:
+    """The up families of the derived actions of B on A as (k, n_B) indices
+    into Maps(A), in product order of the generator images (module docstring)."""
+    maps, C, inv = _map_index(A)
     gensB, stepsB = generating_words(B)
-    na, nb = A.order, B.order
+    g = _generator_lead(B)
+    out = [np.zeros((0, B.order), dtype=np.intp)]
+    if B.order > 1 and not A.is_abelian:  # a6
+        return out[0]
 
     def rule(prev, img, step):
-        # up(., b + g) = up(., g) o up(., b)
-        return _pick((bij if step[3] > 0 else inverses)[img], prev)
+        return C[prev, img if step[3] > 0 else inv[img]]
 
-    for images in _image_chunks(len(bij), len(gensB), nb * nb * na):
-        yield _generator_walk(stepsB, images, np.arange(na), rule).swapaxes(1, 2)
-
-
-def _up_families(A: FiniteGwaObject, B: FiniteGwaObject) -> np.ndarray:
-    """The walked up tables that, with dot = id, pass the up-only conditions
-    and 4A, 3B and a2, filtered one chunk at a time by the rows that do not
-    hold by construction, each at A's generators (``core._passing``)."""
-    na, nb = A.order, B.order
-    lead = {"A": _generator_lead(A)}
-    out = [np.zeros((0, na, nb), dtype=np.intp)]
-    for ups in _up_walk(A, B):
-        t = _tables(A, B, dot=np.broadcast_to(np.arange(na), (len(ups), nb, na)), up=ups)
-        out.append(ups[_passing(t, _UP_WALKED, _sizes(A, B), lead)])
+    for images in _image_chunks(len(maps), len(gensB), B.order * B.order):
+        F = _generator_walk(stepsB, images, 0, rule)
+        for _, mask in _FAMILY_CHECKS:
+            F = F[~_violated(mask(C, B._arrays, g, F))]
+        out.append(F)
     return np.concatenate(out)
 
 
@@ -379,11 +387,16 @@ def _pow_rows(A: FiniteGwaObject):
 
 @object_cache(maxsize=32)
 def _pow_products(A: FiniteGwaObject):
-    """The Z and S of ``_PowIndex``, each built in chunks of j."""
+    """The Z, S, TM and RM of ``_PowIndex``, each built in chunks of its
+    first axis."""
     (rows, find), add = _pow_rows(A), A._arrays.add
-    Z = _chunked(len(rows), rows.size, lambda s: (rows[s][:, rows] == 0).all(axis=2))
-    S = _chunked(len(rows), rows.size, lambda s: find(add[rows[s, None], rows]))
-    return Z, S
+    maps, cells = _map_index(A)[0], rows.size
+    Z = _chunked(len(rows), cells, lambda s: (rows[s][:, rows] == 0).all(axis=2))
+    S = _chunked(len(rows), cells, lambda s: find(add[rows[s, None], rows]))
+    TM = _chunked(len(maps), cells, lambda s: find(maps[s][:, rows]))
+    RM = _chunked(len(maps), cells,
+                  lambda s: (rows[:, maps[s]] == rows[:, None]).all(axis=2).T)
+    return Z, S, TM, RM
 
 
 # The derived actions of B on A as columns, in canonical order.  Triple t
@@ -394,14 +407,14 @@ def _pow_products(A: FiniteGwaObject):
 _DerivedBatch = namedtuple("_DerivedBatch", "ups rows pair J")
 
 
-# The pow stage's lookup of rows in W' (w of them) and its index tables for P
-# kept up tables, -1 marking a row outside W': Z[j, j2] is whether
-# W'[j] o W'[j2] = 0 and S[j, j2] the index of W'[j] + W'[j2], both of A
-# alone; T[p, b2, j] is the index of up_p(., b2) o W'[j], and R[p, b2, j]
-# whether W'[j] o up_p(., b2) = W'[j].
-_PowIndex = namedtuple("_PowIndex", "find Z S T R addB actB")
+# The pow stage's lookup of rows in W' (w of them) and its index tables, of
+# A alone, -1 marking a row outside W': Z[j, j2] is whether W'[j] o W'[j2] =
+# 0, S[j, j2] the index of W'[j] + W'[j2], TM[i, j] the index of up_i o
+# W'[j] and RM[i, j] whether W'[j] o up_i = W'[j], for up_i in Maps(A); F
+# holds the P kept up families as indices into Maps(A).
+_PowIndex = namedtuple("_PowIndex", "find Z S TM RM F addB actB")
 
-# The seven pow-reading conditions of walked candidates with kept up tables
+# The seven pow-reading conditions of walked candidates with kept up families
 # p and J[k, b] the index of row b in W', -1 outside, as violation masks led
 # by k.  1B, a4 and a8 read one row each, and W' is exactly the rows passing
 # them and a9 at b = b2, so those three hold iff J >= 0.  The other four
@@ -413,25 +426,10 @@ _POW_INDEX_CHECKS = (
     # pow[b + b2] = pow[b] + pow[b2]
     ("2A", lambda x, p, J: J[:, x.addB] != x.S[J[:, :, None], J[:, None]]),
     # pow[b ^ b2] = up(., b2) o pow[b]
-    ("4B", lambda x, p, J: J[:, x.actB]
-     != x.T[p[:, None, None], np.arange(J.shape[1]), J[:, :, None]]),
+    ("4B", lambda x, p, J: J[:, x.actB] != x.TM[x.F[p][:, None], J[:, :, None]]),
     # pow[b][up[a][b2]] = pow[b][a]
-    ("a10", lambda x, p, J: ~x.R[p[:, None, None], np.arange(J.shape[1]), J[:, :, None]]),
+    ("a10", lambda x, p, J: ~x.RM[x.F[p][:, None], J[:, :, None]]),
 )
-
-
-def _pow_index(A: FiniteGwaObject, B: FiniteGwaObject, ups: np.ndarray) -> _PowIndex:
-    """The ``_PowIndex`` of the sorted kept up tables; T and R are built in
-    chunks of their first axis, the rest is cached per A."""
-    rows, find = _pow_rows(A)
-    Z, S = _pow_products(A)
-    nb, (w, na) = B.order, rows.shape
-    # upc[p, b2, x] = up_p[x][b2]
-    upc = ups.swapaxes(1, 2)
-    T = _chunked(len(ups), nb * w * na, lambda s: find(upc[s][:, :, rows]))
-    R = _chunked(len(ups), nb * w * na, lambda s: (
-        rows[:, upc[s]] == rows[:, None, None]).all(axis=3).transpose(1, 2, 0))
-    return _PowIndex(find, Z, S, T, R, B._arrays.add, B._arrays.act)
 
 
 def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -> _DerivedBatch:
@@ -446,24 +444,28 @@ def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -
             f"{walked} candidate visits (refused before the additive-bijection search), "
             f"budget is {budget}"
         )
-    families = len(additive_bijections(A)) ** len(gensB)
+    # the walk visits |Maps|^|gensB| families and C has |Maps|^2 cells
+    families = len(_map_factor(A)) ** max(len(gensB), 2)
     if families > budget:
         raise BudgetExceededError(
             f"derived-action enumeration for {B.name!r} on {A.name!r} needs at least "
             f"{families} candidate visits (refused before the family search), budget is {budget}"
         )
-    ups = _up_families(A, B)
+    F = _families(A, B)
     rows, find = _pow_rows(A)
-    if not len(ups):
+    # ups[p, a, b] = up_{F[p, b]}(a), sorted by table
+    ups = _map_index(A)[0][F].swapaxes(1, 2)
+    if not len(F):
         return _DerivedBatch(ups, rows, np.zeros(0, np.intp), np.zeros((0, nb), np.intp))
-    ups = ups[np.lexsort(ups.reshape(len(ups), -1).T[::-1])]
+    order = np.lexsort(ups.reshape(len(ups), -1).T[::-1])
+    F, ups = F[order], ups[order]
     total = len(ups) * len(rows) ** len(gensB) + len(rows) ** 2
     if total > budget:
         raise BudgetExceededError(
             f"derived-action enumeration for {B.name!r} on {A.name!r} needs "
             f"{total} candidate visits, budget is {budget}; 0 candidates checked"
         )
-    x = _pow_index(A, B, ups)
+    x = _PowIndex(find, *_pow_products(A), F, B._arrays.add, B._arrays.act)
     addA, negA = A._arrays.add, A._arrays.neg
 
     def rule(prev, row, step):
@@ -490,13 +492,10 @@ def enumerate_derived_actions(
 ) -> list[DerivedActionTriple]:
     """All verified derived actions of B on A, canonically ordered.
 
-    Pruned: every dot map is the identity (the lemma of the module
-    docstring), the per-element up maps are forced to be additive
-    bijections composing anti-homomorphically, and the pow table is
+    Pruned: every dot map is the identity, the up families are walked over
+    Maps(A) by index (both in the module docstring), and the pow table is
     generated from its values on additive generators of A and B (1B, 2A).
-    The up families are filtered as they are walked by every condition
-    reading up and not pow, with dot = id.  The rows W' are the rows r of
-    A's cached pentaction pow factor (p4, p7, p10 are 1B, a4, a8 at one b)
+    The rows W' are the rows r of A's cached pentaction pow factor (p4, p7, p10 are 1B, a4, a8 at one b)
     with r o r = 0 (a9 at b = b2).  With dot = id, 2A is pw[b + b2] =
     pw[b] + pw[b2], so each assignment of rows of W' to B's generators is
     walked once, for every kept up table, and each walked row is looked up
@@ -506,23 +505,24 @@ def enumerate_derived_actions(
     indices sorts the batch.
 
     The budget is charged n_A^|gensA| before the additive bijections of A
-    and its pow factor are walked, |bij|^|gensB| before the family search,
-    and after it the |kept ups| * |W'|^|gensB| candidates of the pow stage
-    plus the |W'|^2 entries of its 2A table.
+    and its pow factor are walked, |Maps(A)|^max(|gensB|, 2) (the family
+    walk and its composition table) before the family search, and after it
+    the |kept ups| * |W'|^|gensB| candidates of the pow stage plus the
+    |W'|^2 entries of its 2A table; with the family charge, that bounds its
+    |Maps(A)| * |W'| tables.
     """
     return _batch_triples(A, B, _derived_action_batch(A, B, budget))
 
 
-def _batch_triples(A: FiniteGwaObject, B: FiniteGwaObject, batch: _DerivedBatch,
-                   ts=slice(None)) -> list[DerivedActionTriple]:
-    """The triples ts of a batch (all of them by default) as verified
-    DerivedActionTriples; the identity dot table, each kept up table and
-    each row of W' become tuples once."""
+def _batch_triples(A: FiniteGwaObject, B: FiniteGwaObject,
+                   batch: _DerivedBatch) -> list[DerivedActionTriple]:
+    """The triples of a batch as verified DerivedActionTriples; the identity
+    dot table, each kept up table and each row of W' become tuples once."""
     dot = (tuple(range(A.order)),) * B.order
     ups = [tuple(map(tuple, up)) for up in batch.ups.tolist()]
     rows = tuple(map(tuple, batch.rows.tolist()))
     return [DerivedActionTriple(A, B, dot, ups[p], tuple(rows[j] for j in js), report=PASSED)
-            for p, js in zip(batch.pair[ts].tolist(), batch.J[ts].tolist())]
+            for p, js in zip(batch.pair.tolist(), batch.J.tolist())]
 
 
 def enumerate_derived_actions_bruteforce(

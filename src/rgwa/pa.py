@@ -63,8 +63,7 @@ as follows.
   3B, a4, a7 and a8 are p4, p5, p7, p9 and p10 of the factors.
 
 ``build_pa_object`` scans the three rows, over |Maps|^2, |W|^2 * n and
-|W| * n * |Maps| cells.  The morphism laws read PA(A) through
-``_factor_arrays``, and ``_assemble`` builds the m x m tables for the
+|W| * n * |Maps| cells, and ``_assemble`` builds the m x m tables for the
 callers that read them.
 """
 
@@ -77,7 +76,6 @@ import numpy as np
 
 from .core import (
     FiniteGwaObject,
-    _Arrays,
     _chunked,
     _row_finder,
     _violations,
@@ -98,8 +96,7 @@ _PaFactors = namedtuple("_PaFactors", "Cm W up pow A find_map find_pow")
 
 def _pa_factors(obj: FiniteGwaObject, ups: Sequence, pows: Sequence) -> _PaFactors:
     """The factors of the sum and the power over the product of the map
-    parts with up tables ``ups`` and the pow tables ``pows``.  Cm is one
-    lookup over all its cells, in chunks of p."""
+    parts with up tables ``ups`` and the pow tables ``pows``."""
     n = obj.order
     up = np.asarray(ups, dtype=np.intp).reshape(len(ups), n)
     w = np.asarray(pows, dtype=np.intp).reshape(len(pows), n)
@@ -111,11 +108,16 @@ def _pa_factors(obj: FiniteGwaObject, ups: Sequence, pows: Sequence) -> _PaFacto
         ok = (dl == ident) & (dr == ident) & (np.take_along_axis(ul, u, -1) == ident)
         return np.where(ok.all(-1), find_up(u), -1)
 
-    M = len(up)
-    q = np.arange(M)[:, None]
-    # up of p+q: q.up(p.up)
-    Cm = _chunked(M, M * n, lambda s: find_up(up[q, up[s, None]]))
-    return _PaFactors(Cm, len(w), up, w, obj._arrays, find_map, _row_finder(w))
+    return _PaFactors(_compositions(up, find_up), len(w), up, w, obj._arrays, find_map,
+                      _row_finder(w))
+
+
+def _compositions(up: np.ndarray, find_up) -> np.ndarray:
+    """C[i, j], the index of up_j o up_i among the (M, n) rows ``up`` by
+    their finder, or -1: the up of the sum of map parts i and j.  One
+    lookup over all M^2 cells, in chunks of i."""
+    M, n = up.shape
+    return _chunked(M, M * n, lambda s: find_up(up[np.arange(M)[:, None], up[s, None]]))
 
 
 @object_cache(maxsize=32)
@@ -161,24 +163,6 @@ def _assemble(f: _PaFactors) -> tuple[np.ndarray, np.ndarray]:
     add = _element(f, f.Cm[:, None, :, None], pow_add[None, :, None, :])
     act = _element(f, i[:, None, None, None], pow_act[None, :, :, None])
     return tuple(np.broadcast_to(x, (M, W, M, W)).reshape(M * W, M * W) for x in (add, act))
-
-
-class _FactorTable:
-    """An m x m table of PA(A) as a lookup op[x, y] over index arrays x and
-    y, computed by ``cell(i_x, j_x, i_y, j_y)`` from their factors."""
-
-    def __init__(self, W: int, cell):
-        self.W, self.cell = W, cell
-
-    def __getitem__(self, xy):
-        return self.cell(*np.divmod(xy[0], self.W), *np.divmod(xy[1], self.W))
-
-
-def _factor_arrays(f: _PaFactors) -> _Arrays:
-    """PA(A) as the add and act of an ``_Arrays``, for the morphism laws."""
-    return _Arrays(
-        _FactorTable(f.W, lambda ix, jx, iy, jy: f.Cm[ix, iy] * f.W + _pow_sum(f, jx, jy)),
-        _FactorTable(f.W, lambda ix, jx, iy, jy: ix * f.W + _pow_image(f, iy, jx)), None, None)
 
 
 # The rows that can fail (module docstring), as (id, variables, violation

@@ -385,16 +385,23 @@ def _pow_factor(obj: FiniteGwaObject) -> tuple[_Table, ...]:
 
 
 @object_cache(maxsize=32)
+def _map_factor(obj: FiniteGwaObject) -> tuple[_Table, ...]:
+    """Maps(obj): the additive bijections passing p5 and p9, sorted, each
+    checked at the generators, since their closure under + needs only the
+    additivity of up and action.add; so on any validated obj."""
+    t = _map_parts(obj)
+    keep = _passing(t, _MAP_WALKED, {"A": obj.order}, {"A": _generator_lead(obj)})
+    return tuple(map(tuple, t.up[keep].tolist()))
+
+
 def _pentaction_factors(obj: FiniteGwaObject) -> tuple[tuple[_Table, ...], tuple[_Table, ...]]:
     """The two factors of the pentaction set, each sorted: the up tables of
     the map parts passing the conditions that do not read pow, and the pow
     tables passing the conditions that read only pow.  A map part is
     (id, id, up, up^-1): p3 and p3d force the identity dots, p12 the upL.
-    The map factor scans only p5 and p9, which needs a reduced obj."""
+    Over a reduced obj the map factor is ``_map_factor`` (module docstring)."""
     _require_reduced(obj)
-    t = _map_parts(obj)
-    keep = _passing(t, _MAP_WALKED, {"A": obj.order}, {"A": _generator_lead(obj)})
-    return tuple(sorted(map(tuple, t.up[keep].tolist()))), _pow_factor(obj)
+    return _map_factor(obj), _pow_factor(obj)
 
 
 def _map_parts(obj: FiniteGwaObject) -> _Tables:

@@ -8,15 +8,33 @@ carry the failing conditions instead of raising.
 PA(A) and its action are checked over the factor tables of ``rgwa.pa``, with
 no m x m table and no Pentaction per element.  A ``PAObject`` is PA(base) by
 construction, so every lookup into it is a factor lookup, find_map * |W| +
-find_pow: ``index_of``, the images of ``represent`` and of the batch check
-(``_images``), and the match sets of ``verify_uniqueness``, which hold at
-most one element each, since find_map finds a map part only where dotL =
-dotR = id and upL = up^-1, as in every element.
+find_pow: ``index_of``, the images of ``represent`` (``_images``), and the
+match sets of ``verify_uniqueness``, which hold at most one element each,
+since find_map finds a map part only where dotL = dotR = id and upL =
+up^-1, as in every element.
 
-``verify_representability`` checks the derived actions of each acting
-object B as one batch of index arrays: the images of all triples are
-factor lookups, the morphism laws are one ``core._passing`` batch of the
-rows of ``is_morphism`` over the factors, and uniqueness needs no search.
+``verify_representability`` reads the derived actions of each acting
+object B as one batch (``_batch_failures``), and on a verified PA(A) no
+image, morphism law or uniqueness check of the batch can fail.  Lemma: let
+PA(A) be verified, so A is reduced, and let (id, up, pow) be an enumerated
+derived action of B on A.  Then the factorization phi(b) = (i_b, j_b) has:
+
+- every image: each column up(., b) lies in Maps(A), as the enumerator
+  walks it there (the ``extensions`` docstring); up(., -b) = up(., b)^-1,
+  by 2B and zeroB, so the map part (id, id, up(., b), up(., -b)) is found;
+  and each pow row lies in W' <= W, so its pow table is found.
+- hom.add: the map part of phi(b) + phi(b2) is up(., b2) o up(., b), which
+  is up(., b + b2) by 2B, and its pow table pow[b] + pow[b2], which is
+  pow[b + b2] by 2A with dot = id.
+- hom.act: phi(b) ^ phi(b2) keeps the map part of phi(b), which is that of
+  b ^ b2 by a5, and its pow table is up(., b2) o pow[b], which is
+  pow[b ^ b2] by 4B.
+- uniqueness: each M_b of ``verify_uniqueness`` is {phi(b)}.
+
+The enumerator keeps only triples passing 2A, 2B, 4B and a5.  So the batch
+check is ``_require_verified`` and the |B| uniqueness charge, and the
+per-triple loop of ``represent``, ``is_morphism`` and
+``verify_uniqueness`` stays the test oracle of the lemma.
 """
 
 from __future__ import annotations
@@ -26,20 +44,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (
-    _HOM_LAWS,
-    FiniteGwaObject,
-    GwaMorphism,
-    _generator_lead,
-    _Hom,
-    _passing,
-    _violations,
-)
-from .corpus import standard_corpus
+from .core import FiniteGwaObject, GwaMorphism
+from .corpus import _corpus_up_to
 from .errors import BudgetExceededError, InputError, StructuralError
 from .extensions import (
     DerivedActionTriple,
-    _batch_triples,
     _derived_action_batch,
     _validate_triple_shape,
     check_derived_action,
@@ -48,7 +57,6 @@ from .pa import (
     _assemble,
     _canonical_factors,
     _element,
-    _factor_arrays,
     _images,
     _pa_action_report,
     _pa_report,
@@ -292,45 +300,24 @@ def _failure(stage: str, B: FiniteGwaObject | None, t: int | None, conditions: l
 
 def _batch_failures(A, B, batch, pa, budget) -> list[dict]:
     """The represent, morphism and uniqueness failures of a batch of derived
-    actions, in triple order, as ``verify_representability`` reports them.
-    The images are one lookup per kept up table and row of W', and the two laws
-    one ``core._passing`` batch over the factors; only a failing triple goes
-    through ``represent`` or a scan of the laws, to give its exact
-    conditions.  Each M_b of ``verify_uniqueness`` is {phi(b)}, so uniqueness
-    cannot fail; its |B| charge is made once, at the first triple with an
-    image, as the per-triple loop makes it."""
+    actions, as ``verify_representability`` reports them: one represent
+    failure when PA(A) is not verified and the batch is not empty, and
+    otherwise none, by the lemma of the module docstring.  The |B| charge
+    of ``verify_uniqueness`` is made once, at triple 0, as the per-triple
+    loop makes it."""
+    if not len(batch.pair):
+        return []
     try:
         _require_verified(A, pa)
     except StructuralError as exc:
-        return [_failure("represent", B, None, [str(exc)])] if len(batch.pair) else []
-    f = pa._factors
-    dots = np.broadcast_to(np.arange(A.order), (len(batch.ups), B.order, A.order))
-    i = _images(f, B._arrays.neg, dots, batch.ups)[batch.pair]
-    phi = _element(f, i, f.find_pow(batch.rows)[batch.J])
-    represented = (phi >= 0).all(axis=1)
-    if represented.any():
-        try:
-            _charge_uniqueness(B.order, budget)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(
-                f"representability check for {A.name!r}, "
-                f"B={B.name!r}, triple {int(represented.argmax())}: {exc}"
-            ) from exc
-    laws, sizes = _Hom(phi, B._arrays, _factor_arrays(f)), {"X": B.order}
-    # hom.add closes under + by associativity, hom.act by hom.add and action.add
-    holds = _passing(laws, _HOM_LAWS, sizes, {"X": _generator_lead(B)})
-    bad = np.flatnonzero(~represented | ~holds)
-    failures = []
-    for t, triple in zip(bad.tolist(), _batch_triples(A, B, batch, bad)):
-        if not represented[t]:
-            try:
-                represent(A, B, triple, pa=pa)
-            except (InputError, StructuralError) as exc:
-                failures.append(_failure("represent", B, t, [str(exc)]))
-        else:
-            hits = _violations(laws._replace(f=phi[t:t + 1]), _HOM_LAWS, sizes)
-            failures.append(_failure("morphism", B, t, [v.condition for v in hits]))
-    return failures
+        return [_failure("represent", B, None, [str(exc)])]
+    try:
+        _charge_uniqueness(B.order, budget)
+    except BudgetExceededError as exc:
+        raise BudgetExceededError(
+            f"representability check for {A.name!r}, B={B.name!r}, triple 0: {exc}"
+        ) from exc
+    return []
 
 
 def verify_representability(
@@ -357,7 +344,7 @@ def verify_representability(
     if not pa.action_report.passed:
         failures.append(_failure("pa_action", None, None, list(pa.action_report.conditions())))
     pairs = 0
-    for B in acting_objects if acting_objects is not None else standard_corpus():
+    for B in acting_objects if acting_objects is not None else _corpus_up_to(max_b_order):
         if B.order > max_b_order:
             continue
         try:

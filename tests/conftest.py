@@ -59,26 +59,27 @@ def k4swap():
     return k4swap_object()
 
 
-def shear_object() -> rgwa.FiniteGwaObject:
-    """Z/4 (+) Z/4 where the exponent (x', y') applies the shear
-    (x, y) -> (x, x'x + y).
+def shear_object(k: int = 4) -> rgwa.FiniteGwaObject:
+    """Z/k (+) Z/k where the exponent (x', y') applies the shear
+    (x, y) -> (x, x'x + y), named ``shear<k*k>``.
 
-    The action family has order 4, so exponentiating by w and by -w genuinely
-    differ; the trivial corpus and the negation carriers never reach that.
+    At k = 4 the action family has order 4, so exponentiating by w and by
+    -w genuinely differ; the trivial corpus and the negation carriers never
+    reach that.
     """
     def idx(x, y):
-        return 4 * x + y
+        return k * x + y
 
-    n = 16
+    n = k * k
     add = [[0] * n for _ in range(n)]
     act = [[0] * n for _ in range(n)]
-    for x in range(4):
-        for y in range(4):
-            for x2 in range(4):
-                for y2 in range(4):
-                    add[idx(x, y)][idx(x2, y2)] = idx((x + x2) % 4, (y + y2) % 4)
-                    act[idx(x, y)][idx(x2, y2)] = idx(x, (x2 * x + y) % 4)
-    return rgwa.make_object("shear16", n, add, act, require_reduced=True)
+    for x in range(k):
+        for y in range(k):
+            for x2 in range(k):
+                for y2 in range(k):
+                    add[idx(x, y)][idx(x2, y2)] = idx((x + x2) % k, (y + y2) % k)
+                    act[idx(x, y)][idx(x2, y2)] = idx(x, (x2 * x + y) % k)
+    return rgwa.make_object(f"shear{n}", n, add, act, require_reduced=True)
 
 
 @pytest.fixture(scope="session")
@@ -579,7 +580,7 @@ def assert_batch_verdicts(make, batch, conditions, sizes) -> None:
 def reference_map_families(A, B, contravariant: bool) -> list:
     """One family per assignment of bijections to B's generators, composed
     one step at a time and checked alone by the 2B (up) or ga.1 (dot) scan;
-    the oracle for the walked ``_up_families`` (contravariant) and for the
+    the oracle for the walked ``extensions._families`` (contravariant) and for the
     lemma that every dot map is the identity (covariant)."""
     from rgwa.core import generating_words, invert_map
     from rgwa.extensions import _CONDITIONS, _sizes, _tables

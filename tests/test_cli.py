@@ -489,3 +489,20 @@ def test_pa_on_a_large_base_in_a_subprocess(tmp_path):
         code, maxrss_kib = map(int, proc.stderr.split())
         assert (code, proc.stdout) == (1, stdout), name
         assert maxrss_kib < 100 * 1024, name
+
+
+def test_represent_on_shear64_in_a_subprocess(tmp_path):
+    # Z/8 (+) Z/8 with (x, y)^(x', y') = (x, x'x + y): PA(A) has 8 map parts
+    # and Aut(A) 1,536 elements, so the families of each two-generator B
+    # walk 8^2 indices into Maps(A), not 1,536^2 up tables
+    import hashlib
+
+    path = tmp_path / "shear64.json"
+    save_object(shear_object(8), path)
+    src = Path(rgwa.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "rgwa.cli", "represent", "--max-order", "8", str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "93234015b19e7c07e58d3c4d2af7747f90cd7566a98edad36317c6c79b5c9142")

@@ -110,18 +110,25 @@ def test_lead_matches_the_full_scan_on_walked_batches(chunking):
 
 
 def test_lead_matches_the_full_scan_on_walked_up_families(chunking):
-    rows = extensions._UP_ONLY + extensions._DOT_UP
+    # the index checks of the family walk, 2B at B's generators b2 and a5,
+    # give the verdicts of the full 2B and a5 scans of the up tables they
+    # stand for, and the lead the verdict of 2B at every b2
+    checks = dict(extensions._FAMILY_CHECKS)
+    rows = [c for c in extensions._CONDITIONS if c[0] in checks]
+    seen = set()
     for A, B in _up_pairs():
-        sizes, lead = extensions._sizes(A, B), {"A": _generator_lead(A)}
-        ups = np.concatenate(list(extensions._up_walk(A, B)))
-        ups = _corrupted(ups, 32, A.order, seed=A.order * B.order)
-        dot = np.broadcast_to(np.arange(A.order), (len(ups), B.order, A.order))
-        t = extensions._tables(A, B, dot=dot, up=ups)
-        _assert_prefixes_match(t, rows, sizes, lead, (A.name, B.name))
-        walked = np.concatenate(list(extensions._up_walk(A, B)))
-        t = extensions._tables(A, B, dot=dot[:len(walked)], up=walked)
-        assert (_passing(t, extensions._UP_WALKED, sizes, lead).tolist()
-                == _passing(t, rows, sizes).tolist()), (A.name, B.name)
+        maps, C, _ = extensions._map_index(A)
+        # the kept families, then copies with one index moved within Maps(A)
+        F = _corrupted(extensions._families(A, B), 32, len(maps), seed=A.order * B.order)
+        dot = np.broadcast_to(np.arange(A.order), (len(F), B.order, A.order))
+        t = extensions._tables(A, B, dot=dot, up=maps[F].swapaxes(1, 2))
+        for row in rows:
+            lead = ~core._violated(checks[row[0]](C, B._arrays, _generator_lead(B), F))
+            full = ~core._violated(checks[row[0]](C, B._arrays, np.arange(B.order), F))
+            want = _passing(t, [row], extensions._sizes(A, B))
+            assert lead.tolist() == full.tolist() == want.tolist(), (A.name, B.name, row[0])
+            seen.update((row[0], v) for v in want.tolist())
+    assert seen == {(c, v) for c in checks for v in (False, True)}
 
 
 def test_lead_matches_the_full_scan_on_the_morphism_laws(chunking):
@@ -147,19 +154,38 @@ def test_the_pow_factor_scans_p7_in_full_on_a_non_reduced_object():
     assert list(pentactions._pow_factor(s3)) == sorted(map(tuple, full.tolist()))
 
 
+def test_the_map_factor_scans_p5_and_p9_at_the_generators_on_a_non_reduced_object():
+    # the closure of p5 and p9 under + needs only the additivity of up and
+    # action.add, so the generator lead holds on s3 too
+    s3 = rgwa.make_object("s3", 6, *s3_conjugation_tables(), require_reduced=False)
+    t = pentactions._map_parts(s3)
+    full = t.up[_passing(t, pentactions._MAP_WALKED, {"A": 6})]
+    assert list(pentactions._map_factor(s3)) == sorted(map(tuple, full.tolist()))
+
+
 def test_dropped_rows_hold_on_every_walked_candidate():
     by_id = {c[0]: c for c in pentactions._MAP_CONDITIONS}
     dropped = [by_id[c] for c in pentactions._MAP_BY_CONSTRUCTION]
     for obj in _carriers():
         assert _passing(pentactions._map_parts(obj), dropped, {"A": obj.order}).all(), obj.name
 
-    by_id = {c[0]: c for c in extensions._UP_ONLY + extensions._DOT_UP}
-    dropped = [by_id[c] for c in extensions._UP_BY_CONSTRUCTION]
+    # every up family with up(., 0) = id and its columns in Maps(A) meets
+    # 1A, zeroB, 4A and a2 by construction, 3B and a7 by membership, and a6
+    # on an abelian A; the family walk checks the other up rows
+    rows = extensions._UP_ONLY + extensions._DOT_UP
+    held = ("1A", "zeroB", "4A", "a2", "3B", "a7", "a6")
+    checked = [c[0] for c in extensions._FAMILY_CHECKS]
+    assert sorted(held + tuple(checked)) == sorted(c[0] for c in rows)
+    dropped = [c for c in rows if c[0] in held]
+    rng = np.random.default_rng(0)
     for A, B in _up_pairs():
-        for ups in extensions._up_walk(A, B):
-            dot = np.broadcast_to(np.arange(A.order), (len(ups), B.order, A.order))
-            t = extensions._tables(A, B, dot=dot, up=ups)
-            assert _passing(t, dropped, extensions._sizes(A, B)).all(), (A.name, B.name)
+        assert A.is_abelian, A.name
+        maps = extensions._map_index(A)[0]
+        F = rng.integers(len(maps), size=(64, B.order))
+        F[:, 0] = 0
+        dot = np.broadcast_to(np.arange(A.order), (len(F), B.order, A.order))
+        t = extensions._tables(A, B, dot=dot, up=maps[F].swapaxes(1, 2))
+        assert _passing(t, dropped, extensions._sizes(A, B)).all(), (A.name, B.name)
 
 
 def test_p5d_and_p9d_agree_with_p5_and_p9_on_every_walked_candidate():

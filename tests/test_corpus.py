@@ -72,3 +72,30 @@ def test_standard_corpus_is_built_once_and_returned_fresh():
     second = rgwa.standard_corpus()
     assert len(second) == 10 and second is not first
     assert all(x is y for x, y in zip(first, second))
+
+
+def test_represent_builds_no_corpus_object_above_its_max_order(tmp_path, monkeypatch, capsys):
+    # the acting objects of `represent --max-order 4` are the corpus objects
+    # of order at most 4, and only those are built
+    from conftest import negation_cyclic
+    from rgwa import corpus
+    from rgwa.cli import main
+    from rgwa.files import save_object
+
+    path = tmp_path / "z8neg.json"
+    save_object(negation_cyclic(8), path)
+    built = []
+
+    def recording(name, order, *args, **kwargs):
+        built.append((name, order))
+        return make_object(name, order, *args, **kwargs)
+
+    make_object = corpus.make_object
+    monkeypatch.setattr(corpus, "make_object", recording)
+    corpus._corpus_object.cache_clear()
+    try:
+        assert main(["represent", "--max-order", "4", str(path)]) == 0
+    finally:
+        corpus._corpus_object.cache_clear()
+    assert '"pairs_checked":86' in capsys.readouterr().out
+    assert sorted(built) == [("klein4", 4), ("z1", 1), ("z2", 2), ("z3", 3), ("z4", 4)]

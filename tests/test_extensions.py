@@ -429,7 +429,7 @@ class TestEnumeration:
         def unreachable(*args, **kwargs):
             raise AssertionError("a walk over A ran before the budget check")
 
-        monkeypatch.setattr(extensions, "additive_bijections", unreachable)
+        monkeypatch.setattr(extensions, "_map_factor", unreachable)
         monkeypatch.setattr(extensions, "_pow_factor", unreachable)
         z2 = rgwa.cyclic_trivial(2)
         z2_4 = rgwa.direct_sum(rgwa.direct_sum(z2, z2), rgwa.direct_sum(z2, z2))
@@ -442,12 +442,13 @@ class TestEnumeration:
             rgwa.enumerate_derived_actions(z2_4, rgwa.cyclic_trivial(1), budget=16 ** 4)
 
     def test_refuses_before_the_family_search(self, monkeypatch):
-        # z2^4 has |GL(4,2)| = 20160 additive bijections, so each family kind
-        # of klein4 (two generators) on it has 20160^2 candidates
+        # z2^4 has |GL(4,2)| = 20160 additive bijections, all in Maps under
+        # the trivial action, so the families of klein4 (two generators) on
+        # it are 20160^2 candidates
         def unreachable(*args, **kwargs):
-            raise AssertionError("_up_families ran before the budget check")
+            raise AssertionError("_families ran before the budget check")
 
-        monkeypatch.setattr(extensions, "_up_families", unreachable)
+        monkeypatch.setattr(extensions, "_families", unreachable)
         z2 = rgwa.cyclic_trivial(2)
         z2_4 = rgwa.direct_sum(rgwa.direct_sum(z2, z2), rgwa.direct_sum(z2, z2))
         klein4 = rgwa.direct_sum(z2, z2, name="klein4")
@@ -458,9 +459,10 @@ class TestEnumeration:
             rgwa.enumerate_derived_actions(z2_4, klein4)
 
     def test_family_refusal_charges_the_family_count(self, monkeypatch):
-        # klein4 has 6 additive bijections and two generators: 36 families
-        monkeypatch.setattr(extensions, "_up_families",
-                            lambda A, B: np.zeros((0, A.order, B.order), dtype=np.intp))
+        # Maps(klein4) is its 6 additive bijections, and klein4 has two
+        # generators: 36 families
+        monkeypatch.setattr(extensions, "_families",
+                            lambda A, B: np.zeros((0, B.order), dtype=np.intp))
         z2 = rgwa.cyclic_trivial(2)
         klein4 = rgwa.direct_sum(z2, z2, name="klein4")
         with pytest.raises(rgwa.BudgetExceededError, match="at least 36 candidate"):
@@ -548,7 +550,12 @@ class TestPowIndexChecks:
 
     @staticmethod
     def _index(A, B, batch):
-        return extensions._pow_index(A, B, batch.ups)
+        # the batch's up families as indices into Maps(A)
+        from rgwa.core import _row_finder
+
+        F = _row_finder(extensions._map_index(A)[0])(batch.ups.swapaxes(1, 2))
+        return extensions._PowIndex(extensions._pow_rows(A)[1], *extensions._pow_products(A), F,
+                                    B._arrays.add, B._arrays.act)
 
     def _pairs(self, z4neg, k4swap):
         corpus = {o.name: o for o in rgwa.standard_corpus()}

@@ -32,14 +32,22 @@ def _carriers():
 
 
 @lru_cache(maxsize=None)
+def _s3():
+    # not reduced and not abelian, so a6 fails for every family when |B| > 1
+    return rgwa.make_object("s3", 6, *rgwa.s3_conjugation_tables(), require_reduced=False)
+
+
+@lru_cache(maxsize=None)
 def _family_pairs():
-    """The pairs of the pow-row pruning test, z2xz4 <- klein4 and the shear
-    carrier against klein4 included."""
+    """The pairs of the pow-row pruning test, z2xz4 <- klein4, the shear
+    carrier against klein4, and the non-reduced s3 on either side included."""
     corpus = _carriers()[:10]
     z4neg, k4swap, shear16 = _carriers()[10:13]
+    z1, z2, klein4 = corpus[0], corpus[1], corpus[8]
     bases = [o for o in corpus if o.order <= 8] + [z4neg, k4swap]
     acting = [o for o in corpus if o.order <= 4] + [z4neg, k4swap]
     pairs = [(A, B) for A in bases for B in acting]
+    pairs += [(_s3(), z1), (_s3(), z2), (_s3(), klein4), (z2, _s3())]
     return tuple(pairs + [(shear16, B) for B in acting if B.order <= 2 or B.name == "klein4"])
 
 
@@ -78,7 +86,7 @@ def _reference_pow_rows(obj):
 def _clear_caches():
     for cached in (core._additive_bijections_cached, pentactions._pow_factor,
                    extensions._pow_rows, extensions._pow_products,
-                   pentactions._pentaction_factors,
+                   pentactions._map_factor, extensions._map_index,
                    pentactions._enumerate_pentactions_uncapped):
         cached.cache_clear()
 
@@ -100,10 +108,15 @@ def test_additive_bijections_match_the_reference(chunking):
 
 
 def test_map_families_match_the_reference(chunking):
-    # order included: both list the families in product order of the images
+    # order included: both list the families in product order of the
+    # images, since Maps(A) is a sorted subset of the additive bijections
+    seen = set()
     for A, B in _family_pairs():
-        got = [tuple(map(tuple, up)) for up in extensions._up_families(A, B).tolist()]
+        ups = extensions._map_index(A)[0][extensions._families(A, B)].swapaxes(1, 2)
+        got = [tuple(map(tuple, up)) for up in ups.tolist()]
         assert got == _reference_up_families(A, B), (A.name, B.name)
+        seen.add(bool(got))
+    assert seen == {False, True}
 
 
 def test_pow_factor_matches_the_scalar_filter(chunking):
@@ -121,6 +134,8 @@ def test_derived_actions_match_the_reference(chunking):
              (z4neg1, k4swap), (k4swap2, z2), (relabeled(klein4, 3), z4neg1),
              (relabeled(z2xz4, 5), z2)]
     pairs += [(A, A) for A in (z3, z4neg, k4swap, klein4, z4neg1, k4swap2)]
+    # the non-reduced s3: one derived action of z1, none of z2 or klein4 (a6)
+    pairs += [(_s3(), B) for B in (_carriers()[0], z2, klein4)] + [(z2, _s3())]
     # pow rows with entries of order 3, walked from two generators
     pairs += [(rgwa.cyclic_trivial(9), rgwa.direct_sum(z3, z3))]
     for A, B in pairs:
@@ -132,3 +147,5 @@ def test_derived_actions_match_the_reference(chunking):
             assert got == [getattr(t, name) for t in want], (A.name, B.name, name)
         assert {t.dot for t in want} <= {(tuple(range(A.order)),) * B.order}, (A.name, B.name)
         assert rgwa.enumerate_derived_actions(A, B) == want, (A.name, B.name)
+    counts = [len(rgwa.enumerate_derived_actions(_s3(), B)) for B in (_carriers()[0], z2, klein4)]
+    assert counts == [1, 0, 0]

@@ -375,7 +375,7 @@ class TestEnumeration:
         if chunk_cells is not None:
             # one cell per chunk: the map factor is scanned one candidate at a time
             monkeypatch.setattr(core, "_CHUNK_CELLS", chunk_cells)
-        pentactions._pentaction_factors.cache_clear()
+        pentactions._map_factor.cache_clear()
         pentactions._enumerate_pentactions_uncapped.cache_clear()
         subjects = list(corpus) + [z4neg, z6neg, k4swap, shear16,
                                    negation_product(4, 4), negation_product(8, 2)]

@@ -22,13 +22,12 @@ from conftest import (
     reference_pa_action,
     reference_pa_tables,
     reference_represent,
-    reference_triple_failures,
     reference_verify_representability,
     reference_verify_uniqueness,
     relabeled,
     shear_object,
 )
-from rgwa import core, representability
+from rgwa import core
 from rgwa.core import invert_map
 from rgwa.extensions import _CONDITIONS, DerivedActionTriple
 from rgwa.pentactions import _pentaction_factors
@@ -1034,28 +1033,17 @@ class TestBatchAgainstPerTriple:
             kinds.add(("uniqueness lookup" in got, A.name) if isinstance(got, str) else "report")
         assert kinds == {(False, "z5"), (False, "z1"), (True, "z1"), "report"}
 
-    def test_corrupted_batches_report_as_the_per_triple_loop(self, z4neg):
-        # pow rows replaced by other rows of W' keep each image in PA(A) but
-        # break the laws; up columns moved off their map parts leave PA(A)
-        from rgwa.extensions import DEFAULT_BUDGET, _derived_action_batch
-
-        rng = np.random.default_rng(0)
-        pa = rgwa.build_pa_object(z4neg)
-        stages = set()
-        for B in (_bases()["klein4"], _bases()["z4"], k4swap_object()):
-            batch = _derived_action_batch(z4neg, B, DEFAULT_BUDGET)
-            J = batch.J.copy()
-            J[:, 1:] = rng.integers(0, len(batch.rows), (len(J), B.order - 1))
-            ups = batch.ups.copy()
-            ups[::2, :, 1] = rng.permuted(ups[::2, :, 1], axis=1)
-            bad = batch._replace(ups=ups, J=J)
-            dot = (tuple(range(z4neg.order)),) * B.order
-            triples = [
-                DerivedActionTriple(z4neg, B, dot, *(tuple(map(tuple, x)) for x in tables),
-                                    report=PASSED)
-                for tables in zip(bad.ups[bad.pair].tolist(), bad.rows[bad.J].tolist())
-            ]
-            got = representability._batch_failures(z4neg, B, bad, pa, DEFAULT_BUDGET)
-            assert got == reference_triple_failures(z4neg, B, triples, pa), B.name
-            stages.update(f["stage"] for f in got)
-        assert stages == {"represent", "morphism"}
+    def test_a_verified_pa_leaves_the_per_triple_loop_nothing_to_report(self):
+        # the lemma of the representability docstring: on a verified PA(A),
+        # every enumerated triple has its images, both morphism laws and
+        # uniqueness, so the batch check reports none of them
+        bases = [perfbench_object(name, seed) for name in PERFBENCH_REDUCED for seed in range(3)]
+        verified = 0
+        for A in bases + [shear_object(5)]:
+            report = reference_verify_representability(A, max_b_order=4)
+            if report.pa_rgwa.passed:
+                verified += report.pairs_checked
+                stages = {f["stage"] for f in report.failures}
+                assert not stages & {"represent", "morphism", "uniqueness"}, A.name
+            assert rgwa.verify_representability(A, max_b_order=4) == report, A.name
+        assert verified > 1000
