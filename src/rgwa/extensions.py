@@ -27,8 +27,9 @@ With dot = id, 3B and a7 for a column up(., b) are its p5 and p9, so each
 column lies in Maps(A) (``pentactions._map_factor``), a group on any
 validated A (the ``rgwa.pa`` docstring).  A family is a (k, n_B) index
 array F into Maps(A), walked (``_families``) from F[0] = 0, the identity,
-by F[b + g] = C[F[b], F[g]] and F[b - g] = C[F[b], inv[F[g]]], C[i, j]
-being the index of up_j o up_i (``_map_index``).  So 1A, zeroB, 4A and a2
+by F[b + g] = Cm[F[b], F[g]] and F[b - g] = Cm[F[b], inv[F[g]]], Cm[i, j]
+being the index of up_j o up_i and inv[i] that of up_i^-1, both read from
+the factors of PA(A) (``pa._canonical_factors``).  So 1A, zeroB, 4A and a2
 hold by construction, 3B and a7 by membership, and a6 on every abelian A,
 as every reduced A is; on another it fails once n_B > 1, as each column is
 onto A.  The walk checks 2B and a5 as index comparisons
@@ -72,7 +73,7 @@ from .core import (
     object_cache,
 )
 from .errors import BudgetExceededError, InputError, StructuralError, ValidationError
-from .pa import _compositions
+from .pa import _canonical_factors
 from .pentactions import DEFAULT_BUDGET, _map_factor, _pow_factor
 from .report import PASSED, CheckReport, Violation
 
@@ -334,18 +335,9 @@ def check_derived_action(triple: DerivedActionTriple) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-@object_cache(maxsize=32)
-def _map_index(A: FiniteGwaObject):
-    """Maps(A) as an (M, n_A) array, its composition table C, total since
-    Maps(A) is a group, and the inverse index inv: up_inv[i] = up_i^-1."""
-    maps = np.asarray(_map_factor(A), dtype=np.intp).reshape(-1, A.order)
-    C = _compositions(maps, _row_finder(maps))
-    return maps, C, (C == 0).argmax(axis=1)
-
-
 # 2B and a5 of up families F, (k, n_B) indices into Maps(A) with
-# composition table C, as violation masks led by k over B's _arrays; 2B is
-# checked at the b2 in g, B's generators (module docstring).
+# composition table C (PA(A)'s Cm), as violation masks led by k over B's
+# _arrays; 2B is checked at the b2 in g, B's generators (module docstring).
 _FAMILY_CHECKS = (
     # up(., b + b2) = up(., b2) o up(., b)
     ("2B", lambda C, B, g, F: F[:, B.add[:, g]] != C[F[:, :, None], F[:, None, g]]),
@@ -357,7 +349,7 @@ _FAMILY_CHECKS = (
 def _families(A: FiniteGwaObject, B: FiniteGwaObject) -> np.ndarray:
     """The up families of the derived actions of B on A as (k, n_B) indices
     into Maps(A), in product order of the generator images (module docstring)."""
-    maps, C, inv = _map_index(A)
+    f = _canonical_factors(A)
     gensB, stepsB = generating_words(B)
     g = _generator_lead(B)
     out = [np.zeros((0, B.order), dtype=np.intp)]
@@ -365,12 +357,12 @@ def _families(A: FiniteGwaObject, B: FiniteGwaObject) -> np.ndarray:
         return out[0]
 
     def rule(prev, img, step):
-        return C[prev, img if step[3] > 0 else inv[img]]
+        return f.Cm[prev, img if step[3] > 0 else f.inv[img]]
 
-    for images in _image_chunks(len(maps), len(gensB), B.order * B.order):
+    for images in _image_chunks(len(f.Cm), len(gensB), B.order * B.order):
         F = _generator_walk(stepsB, images, 0, rule)
         for _, mask in _FAMILY_CHECKS:
-            F = F[~_violated(mask(C, B._arrays, g, F))]
+            F = F[~_violated(mask(f.Cm, B._arrays, g, F))]
         out.append(F)
     return np.concatenate(out)
 
@@ -390,7 +382,7 @@ def _pow_products(A: FiniteGwaObject):
     """The Z, S, TM and RM of ``_PowIndex``, each built in chunks of its
     first axis."""
     (rows, find), add = _pow_rows(A), A._arrays.add
-    maps, cells = _map_index(A)[0], rows.size
+    maps, cells = _canonical_factors(A).up, rows.size
     Z = _chunked(len(rows), cells, lambda s: (rows[s][:, rows] == 0).all(axis=2))
     S = _chunked(len(rows), cells, lambda s: find(add[rows[s, None], rows]))
     TM = _chunked(len(maps), cells, lambda s: find(maps[s][:, rows]))
@@ -444,7 +436,7 @@ def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -
             f"{walked} candidate visits (refused before the additive-bijection search), "
             f"budget is {budget}"
         )
-    # the walk visits |Maps|^|gensB| families and C has |Maps|^2 cells
+    # the walk visits |Maps|^|gensB| families and Cm has |Maps|^2 cells
     families = len(_map_factor(A)) ** max(len(gensB), 2)
     if families > budget:
         raise BudgetExceededError(
@@ -454,7 +446,7 @@ def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -
     F = _families(A, B)
     rows, find = _pow_rows(A)
     # ups[p, a, b] = up_{F[p, b]}(a), sorted by table
-    ups = _map_index(A)[0][F].swapaxes(1, 2)
+    ups = _canonical_factors(A).up[F].swapaxes(1, 2)
     if not len(F):
         return _DerivedBatch(ups, rows, np.zeros(0, np.intp), np.zeros((0, nb), np.intp))
     order = np.lexsort(ups.reshape(len(ups), -1).T[::-1])

@@ -81,26 +81,27 @@ from .core import (
     _violations,
     object_cache,
 )
-from .pentactions import _pentaction_factors
+from .pentactions import _map_factor, _pow_factor
 from .report import CheckReport, Violation
 
 
 # The factors of PA(A).  With p = (i, j) for map part i and pow table j,
 #   p+q = (Cm[i_p, i_q], _pow_sum(j_p, j_q))   p^q = (i_p, _pow_image(i_q, j_p))
 # where W is the number of pow tables.  up and pow are the up and pow tables,
-# as (|Maps|, n) and (W, n) arrays, and A is A's _arrays.  find_map and
-# find_pow give the index of a map part (dotL, dotR, up, upL) and of a pow
-# table, or -1.
-_PaFactors = namedtuple("_PaFactors", "Cm W up pow A find_map find_pow")
+# as (|Maps|, n) and (W, n) arrays, inv[i] the index of up_i^-1 (or -1), and
+# A is A's _arrays.  find_map and find_pow give the index of a map part
+# (dotL, dotR, up, upL) and of a pow table, or -1.
+_PaFactors = namedtuple("_PaFactors", "Cm inv W up pow A find_map find_pow")
 
 
 def _pa_factors(obj: FiniteGwaObject, ups: Sequence, pows: Sequence) -> _PaFactors:
     """The factors of the sum and the power over the product of the map
-    parts with up tables ``ups`` and the pow tables ``pows``."""
+    parts with up tables ``ups`` and the pow tables ``pows``.  Cm is one
+    lookup over all |Maps|^2 cells, in chunks of its first index."""
     n = obj.order
     up = np.asarray(ups, dtype=np.intp).reshape(len(ups), n)
     w = np.asarray(pows, dtype=np.intp).reshape(len(pows), n)
-    find_up, ident = _row_finder(up), np.arange(n)
+    M, find_up, ident = len(up), _row_finder(up), np.arange(n)
 
     def find_map(dl, dr, u, ul):
         """The map part (dl, dr, u, ul), each over the last axis, or -1: one
@@ -108,22 +109,17 @@ def _pa_factors(obj: FiniteGwaObject, ups: Sequence, pows: Sequence) -> _PaFacto
         ok = (dl == ident) & (dr == ident) & (np.take_along_axis(ul, u, -1) == ident)
         return np.where(ok.all(-1), find_up(u), -1)
 
-    return _PaFactors(_compositions(up, find_up), len(w), up, w, obj._arrays, find_map,
-                      _row_finder(w))
-
-
-def _compositions(up: np.ndarray, find_up) -> np.ndarray:
-    """C[i, j], the index of up_j o up_i among the (M, n) rows ``up`` by
-    their finder, or -1: the up of the sum of map parts i and j.  One
-    lookup over all M^2 cells, in chunks of i."""
-    M, n = up.shape
-    return _chunked(M, M * n, lambda s: find_up(up[np.arange(M)[:, None], up[s, None]]))
+    Cm = _chunked(M, M * n, lambda s: find_up(up[np.arange(M)[:, None], up[s, None]]))
+    return _PaFactors(Cm, find_up(np.argsort(up, axis=1)), len(w), up, w, obj._arrays,
+                      find_map, _row_finder(w))
 
 
 @object_cache(maxsize=32)
 def _canonical_factors(obj: FiniteGwaObject) -> _PaFactors:
-    """The factors of PA(obj), over the enumerated factors."""
-    return _pa_factors(obj, *_pentaction_factors(obj))
+    """The factors of PA(obj), over Maps(obj) and the pow factor; both are
+    defined on any validated obj, so the family walk of a non-reduced obj
+    reads them too, and only ``PAObject`` requires a reduced obj."""
+    return _pa_factors(obj, _map_factor(obj), _pow_factor(obj))
 
 
 def _pow_sum(f: _PaFactors, jx: np.ndarray, jy: np.ndarray) -> np.ndarray:
@@ -165,62 +161,39 @@ def _assemble(f: _PaFactors) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.broadcast_to(x, (M, W, M, W)).reshape(M * W, M * W) for x in (add, act))
 
 
-# The rows that can fail (module docstring), as (id, variables, violation
-# formula): ik and jk are the map part and pow table of the element of PA(A)
-# in witness slot k, ak the element of A there, listed in witness order.
+# The rows that can fail (module docstring), as (id, axes, mask, witness):
+# a core._violations row over the axes I (map parts), J (pow tables) and A
+# (elements of A), in witness order, and the witness in PA(A) and A of a
+# hit, where element i*W + j has map part i and pow table j.
 # x^y + z = z + x^y for y != 0, on the map parts, where x^y has x's map part;
-# the row does not read y (_NONZERO_SLOT).
-_PA_AXIOMS = (("reduced.central", "i1 i3", lambda f, i1, i3: f.Cm[i1, i3] != f.Cm[i3, i1]),)
+# the row does not read y, so its witness takes 1, the least nonzero element,
+# which exists since the row fails only where there are two map parts.
+_PA_AXIOMS = (
+    ("reduced.central", "II", lambda f, s: f.Cm[s] != f.Cm[:, s].T,
+     lambda f, i1, i3: (i1 * f.W, 1, i3 * f.W)),
+)
 
 # The conditions of the action of PA(A) on A that can fail, with B = PA(A)
 # read through the factors, up[a][x] = up[i_x][a] and pow[x] = pow[j_x],
-# over the witness slots of the condition in ``extensions._CONDITIONS``.
+# over the witness slots of the condition in ``extensions._CONDITIONS``;
+# the unread map parts are 0.
 _PA_ACTION = (
     # pow[b][pow[b2][a]] = 0
-    ("a9", "j1 j2 a3", lambda f, j1, j2, a3: f.pow[j1, f.pow[j2, a3]] != 0),
+    ("a9", "JJA", lambda f, s: f.pow[s][:, f.pow] != 0, lambda f, j1, j2, a: (j1, j2, a)),
     # pow[b][up[a][b2]] = pow[b][a]
-    ("a10", "j1 a2 i3", lambda f, j1, a2, i3: f.pow[j1, f.up[i3, a2]] != f.pow[j1, a2]),
+    ("a10", "JAI", lambda f, s: f.pow[s][:, f.up.T] != f.pow[s, :, None],
+     lambda f, j1, a, i3: (j1, a, i3 * f.W)),
 )
-
-# The witness slot whose element must be nonzero, per row.  The row does not
-# read it, so it takes 1, the least nonzero element, which exists: the row
-# fails only where there are two map parts.
-_NONZERO_SLOT = {"reduced.central": "2"}
-
-
-def _row_mask(formula, sizes: list[int]):
-    """A ``core._violations`` mask of one factor row: each variable is an
-    open-grid axis of the given size."""
-    def mask(f, s):
-        axes = [np.arange(size) for size in sizes]
-        axes[0] = axes[0][s]
-        return np.broadcast_to(formula(f, *np.ix_(*axes)), tuple(map(len, axes)))
-    return mask
 
 
 def _factor_report(f: _PaFactors, rows) -> CheckReport:
     """Scan factor rows of PA(A) with ``core._violations``: each failing
-    row's id and minimal witness, in row order.
-
-    A row's variables name its three witness slots: ak is an element of A,
-    and ik, jk are the map part and pow table of the element i*W + j of
-    PA(A).  Unread indices are 0, and the slot of ``_NONZERO_SLOT`` is 1."""
-    W = f.W
-    sizes = {"I": len(f.Cm), "J": W, "A": len(f.A.ar)}
-    found = []
-    for cid, names, formula in rows:
-        names = names.split()
-        axes = "".join({"a": "A", "j": "J"}.get(v[0], "I") for v in names)
-        mask = _row_mask(formula, [sizes[a] for a in axes])
-        hit = next(_violations(f, [(cid, axes, mask)], sizes), None)
-        if hit is None:
-            continue
-        cell = dict(zip(names, hit.witness))
-        found.append(Violation(cid, tuple(
-            1 if k == _NONZERO_SLOT.get(cid)
-            else cell.get(f"a{k}", cell.get(f"i{k}", 0) * W + cell.get(f"j{k}", 0))
-            for k in "123")))
-    return CheckReport(tuple(found))
+    row's id and minimal witness, in row order."""
+    sizes = {"I": len(f.Cm), "J": f.W, "A": len(f.A.ar)}
+    witness = {cid: w for cid, _, _, w in rows}
+    hits = _violations(f, [row[:3] for row in rows], sizes)
+    return CheckReport(tuple(Violation(v.condition, witness[v.condition](f, *v.witness))
+                             for v in hits))
 
 
 def _pa_report(f: _PaFactors) -> CheckReport:

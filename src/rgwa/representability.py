@@ -14,10 +14,10 @@ since find_map finds a map part only where dotL = dotR = id and upL =
 up^-1, as in every element.
 
 ``verify_representability`` reads the derived actions of each acting
-object B as one batch (``_batch_failures``), and on a verified PA(A) no
-image, morphism law or uniqueness check of the batch can fail.  Lemma: let
-PA(A) be verified, so A is reduced, and let (id, up, pow) be an enumerated
-derived action of B on A.  Then the factorization phi(b) = (i_b, j_b) has:
+object B as one batch, and on a verified PA(A) no image, morphism law or
+uniqueness check of the batch can fail.  Lemma: let PA(A) be verified, so
+A is reduced, and let (id, up, pow) be an enumerated derived action of B
+on A.  Then the factorization phi(b) = (i_b, j_b) has:
 
 - every image: each column up(., b) lies in Maps(A), as the enumerator
   walks it there (the ``extensions`` docstring); up(., -b) = up(., b)^-1,
@@ -67,6 +67,7 @@ from .pentactions import (
     Pentaction,
     _check_budget,
     _enumerate_pentactions_uncapped,
+    _require_reduced,
     check_pentaction,
 )
 from .report import CheckReport, Violation
@@ -94,6 +95,7 @@ class PAObject:
 
     @cached_property
     def _factors(self) -> _PaFactors:
+        _require_reduced(self.base)
         return _canonical_factors(self.base)
 
     @cached_property
@@ -298,28 +300,6 @@ def _failure(stage: str, B: FiniteGwaObject | None, t: int | None, conditions: l
             "conditions": conditions}
 
 
-def _batch_failures(A, B, batch, pa, budget) -> list[dict]:
-    """The represent, morphism and uniqueness failures of a batch of derived
-    actions, as ``verify_representability`` reports them: one represent
-    failure when PA(A) is not verified and the batch is not empty, and
-    otherwise none, by the lemma of the module docstring.  The |B| charge
-    of ``verify_uniqueness`` is made once, at triple 0, as the per-triple
-    loop makes it."""
-    if not len(batch.pair):
-        return []
-    try:
-        _require_verified(A, pa)
-    except StructuralError as exc:
-        return [_failure("represent", B, None, [str(exc)])]
-    try:
-        _charge_uniqueness(B.order, budget)
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            f"representability check for {A.name!r}, B={B.name!r}, triple 0: {exc}"
-        ) from exc
-    return []
-
-
 def verify_representability(
     A: FiniteGwaObject,
     max_b_order: int = 3,
@@ -333,9 +313,12 @@ def verify_representability(
     each acting object B (order <= max_b_order) and each enumerated derived
     action: the factorization morphism exists, preserves both operations,
     and is unique under the per-b uniqueness lookup.  Each B's derived
-    actions are checked as one batch (``_batch_failures``); the report is
-    the one of ``represent``, ``is_morphism`` and ``verify_uniqueness`` run
-    per triple.
+    actions are checked as one batch: by the lemma of the module docstring,
+    a nonempty batch gives one represent failure when PA(A) is not
+    verified, and otherwise only the |B| charge of ``verify_uniqueness``,
+    made once, at triple 0, as the per-triple loop makes it.  So the report
+    is the one of ``represent``, ``is_morphism`` and ``verify_uniqueness``
+    run per triple.
     """
     failures: list[dict] = []
     pa = build_pa_object(A, budget=budget)
@@ -354,7 +337,19 @@ def verify_representability(
                 f"representability check for {A.name!r}: {exc}"
             ) from exc
         pairs += len(batch.pair)
-        failures.extend(_batch_failures(A, B, batch, pa, budget))
+        if not len(batch.pair):
+            continue
+        try:
+            _require_verified(A, pa)
+        except StructuralError as exc:
+            failures.append(_failure("represent", B, None, [str(exc)]))
+            continue
+        try:
+            _charge_uniqueness(B.order, budget)
+        except BudgetExceededError as exc:
+            raise BudgetExceededError(
+                f"representability check for {A.name!r}, B={B.name!r}, triple 0: {exc}"
+            ) from exc
     return RepresentabilityReport(
         base=A.name,
         pa_order=pa.order,

@@ -23,7 +23,7 @@ from conftest import (
     relabeled,
     shear_object,
 )
-from rgwa import core, extensions, pentactions
+from rgwa import core, extensions, pa, pentactions
 from rgwa.core import _HOM_LAWS, _Hom, _generator_lead, _passing
 from rgwa.corpus import s3_conjugation_tables
 
@@ -117,7 +117,8 @@ def test_lead_matches_the_full_scan_on_walked_up_families(chunking):
     rows = [c for c in extensions._CONDITIONS if c[0] in checks]
     seen = set()
     for A, B in _up_pairs():
-        maps, C, _ = extensions._map_index(A)
+        f = pa._canonical_factors(A)
+        maps, C = f.up, f.Cm
         # the kept families, then copies with one index moved within Maps(A)
         F = _corrupted(extensions._families(A, B), 32, len(maps), seed=A.order * B.order)
         dot = np.broadcast_to(np.arange(A.order), (len(F), B.order, A.order))
@@ -180,7 +181,7 @@ def test_dropped_rows_hold_on_every_walked_candidate():
     rng = np.random.default_rng(0)
     for A, B in _up_pairs():
         assert A.is_abelian, A.name
-        maps = extensions._map_index(A)[0]
+        maps = pa._canonical_factors(A).up
         F = rng.integers(len(maps), size=(64, B.order))
         F[:, 0] = 0
         dot = np.broadcast_to(np.arange(A.order), (len(F), B.order, A.order))

@@ -552,8 +552,9 @@ class TestPowIndexChecks:
     def _index(A, B, batch):
         # the batch's up families as indices into Maps(A)
         from rgwa.core import _row_finder
+        from rgwa.pa import _canonical_factors
 
-        F = _row_finder(extensions._map_index(A)[0])(batch.ups.swapaxes(1, 2))
+        F = _row_finder(_canonical_factors(A).up)(batch.ups.swapaxes(1, 2))
         return extensions._PowIndex(extensions._pow_rows(A)[1], *extensions._pow_products(A), F,
                                     B._arrays.add, B._arrays.act)
 

@@ -19,7 +19,7 @@ from conftest import (
     scan_passes,
     shear_object,
 )
-from rgwa import core, extensions, pentactions
+from rgwa import core, extensions, pa, pentactions
 from rgwa.core import generating_words
 
 
@@ -86,7 +86,7 @@ def _reference_pow_rows(obj):
 def _clear_caches():
     for cached in (core._additive_bijections_cached, pentactions._pow_factor,
                    extensions._pow_rows, extensions._pow_products,
-                   pentactions._map_factor, extensions._map_index,
+                   pentactions._map_factor, pa._canonical_factors,
                    pentactions._enumerate_pentactions_uncapped):
         cached.cache_clear()
 
@@ -112,7 +112,7 @@ def test_map_families_match_the_reference(chunking):
     # images, since Maps(A) is a sorted subset of the additive bijections
     seen = set()
     for A, B in _family_pairs():
-        ups = extensions._map_index(A)[0][extensions._families(A, B)].swapaxes(1, 2)
+        ups = pa._canonical_factors(A).up[extensions._families(A, B)].swapaxes(1, 2)
         got = [tuple(map(tuple, up)) for up in ups.tolist()]
         assert got == _reference_up_families(A, B), (A.name, B.name)
         seen.add(bool(got))

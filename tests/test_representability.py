@@ -433,13 +433,13 @@ class TestPaActionScan:
 
     def test_factor_rows_are_the_two_b_conditions(self):
         # the rows and the two-B conditions that hold by construction are
-        # the two-B conditions, each once; a row's slots are the condition's
-        # axes: ak names an A slot, and every other slot is a B slot
+        # the two-B conditions, each once; a row's axes are the condition's
+        # axes: A is an A axis, and I and J (map parts, pow tables) B axes
         axes = {c[0]: c[1] for c in _CONDITIONS}
         rows = [r[0] for r in _PA_ACTION] + sorted(TWO_B_HOLDING | TWO_B_BY_DEFINITION)
         assert sorted(rows) == sorted(cid for cid, ax in axes.items() if ax.count("B") == 2)
-        for cid, names, _ in _PA_ACTION:
-            slots = "".join("A" if f"a{k}" in names.split() else "B" for k in "123")
+        for cid, row_axes, _, _ in _PA_ACTION:
+            slots = "".join("A" if x == "A" else "B" for x in row_axes)
             assert slots == axes[cid], cid
 
     @given(st.data())
@@ -559,6 +559,24 @@ def test_canonical_factors_close(seed, z4neg, shear16):
             assert factored_tables(obj, ups, pows) == (add.tolist(), act.tolist()), obj.name
             checked.append(obj.name)
     assert len(checked) == len(PERFBENCH_REDUCED)  # all but neg4x4 and neg8x2, and z4neg, shear16
+
+
+def test_the_shared_factors_invert_every_map_part(shear16):
+    # Maps(A) is a group under composition on any validated A, which the
+    # family walk relies on for negative steps: inv names each inverse
+    s3 = rgwa.make_object("s3", 6, *rgwa.s3_conjugation_tables(), require_reduced=False)
+    for obj in [perfbench_object(name, 0) for name in PERFBENCH_REDUCED] + [shear16, s3]:
+        f = _canonical_factors(obj)
+        i = np.arange(len(f.Cm))
+        assert (f.inv >= 0).all(), obj.name
+        assert (f.Cm[i, f.inv] == 0).all() and (f.Cm[f.inv, i] == 0).all(), obj.name
+
+
+def test_pa_object_on_a_non_reduced_base_is_refused():
+    # the shared factors serve any validated object, PA(A) a reduced one only
+    s3 = rgwa.make_object("s3", 6, *rgwa.s3_conjugation_tables(), require_reduced=False)
+    with pytest.raises(rgwa.UnsupportedInputError):
+        PAObject(s3, PASSED).order
 
 
 @lru_cache(maxsize=None)
