@@ -4,6 +4,7 @@ chain of quotients annihilating the weak stabilizer."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .core import (
     subobject_closure,
 )
 from .errors import UnsupportedInputError, WorkbenchError
+from .pa import _OBSTRUCTIONS
 from .pentactions import DEFAULT_BUDGET, _check_budget, _pentaction_factors
 
 __all__ = [
@@ -50,28 +52,22 @@ def weak_stabilizer(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> Eleme
     ranging over all pentactions p, q and all carrier elements a.  Soundness
     of a "zero weak stabilizer" claim needs the full pentaction set, so the
     budget is charged as for its exhaustive enumeration.  That set is the
-    product of its map parts and its pow tables, so the families depend only
-    on the set W of pow tables and the set U of up tables: the first ranges
-    over W x W, the second over W x U and the third over U x U.  Each is
-    evaluated in chunks of at most ``core._CHUNK_CELLS`` cells and its values
-    marked in a length-n table, so memory stays O((|U|+|W|)*n).
+    product of its map parts and its pow tables, so the families are the
+    values of the rows a9, a10 and reduced.central of ``pa._OBSTRUCTIONS``
+    over the up tables U and the pow tables W, and the set is {0} exactly
+    when PA(obj) passes them.  Each row is evaluated in chunks of at most
+    ``core._CHUNK_CELLS`` cells and its values marked in a length-n table,
+    so memory stays O((|U|+|W|)*n).
     """
     _check_budget(obj, budget)
     n = obj.order
     seen = np.zeros(n, dtype=bool)
     up, pw = (np.asarray(x, dtype=np.intp) for x in _pentaction_factors(obj))
-    diff = obj._arrays.add[:, obj._arrays.neg]  # diff[x, y] = x - y
-
-    def mark(first: np.ndarray, second: np.ndarray, family) -> None:
-        # family(first[chunk], second) is a [chunk, len(second), a] array
-        step = max(1, core._CHUNK_CELLS // (len(second) * n))
-        for lo in range(0, len(first), step):
-            seen[family(first[lo:lo + step], second)] = True
-
-    mark(pw, pw, lambda p, q: p[:, q])  # p.pow(q.pow(a))
-    mark(pw, up, lambda p, q: diff[p[:, q], p[:, None, :]])  # p.pow(q.up(a)) - p.pow(a)
-    # (p+q).up = q.up o p.up, so family 3 is q.up(p.up(a)) - p.up(q.up(a))
-    mark(up, up, lambda p, q: diff[q[:, p].swapaxes(0, 1), p[:, q]])
+    sizes = {"I": len(up), "J": len(pw), "A": n}
+    for _, axes, value, _ in _OBSTRUCTIONS:
+        step = max(1, core._CHUNK_CELLS // prod(sizes[x] for x in axes[1:]))
+        for lo in range(0, sizes[axes[0]], step):
+            seen[value(up, pw, obj._arrays, slice(lo, lo + step))] = True
     return ElementSet(obj, tuple(int(v) for v in np.flatnonzero(seen)))
 
 

@@ -208,8 +208,9 @@ def _row_finder(keys: np.ndarray):
 
 
 def _inverses(add: np.ndarray) -> np.ndarray:
-    """Per x, the first y with x+y = 0 = y+x, or 0 when there is none."""
-    return ((add == 0) & (add.T == 0)).argmax(axis=1)
+    """Per x, the first y with x+y = 0 = y+x, or -1 when there is none."""
+    both = (add == 0) & (add.T == 0)
+    return np.where(both.any(axis=1), both.argmax(axis=1), -1)
 
 
 # (id, axes, violation mask) over an _Arrays t, in report order; the

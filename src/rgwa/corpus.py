@@ -8,7 +8,7 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import FiniteGwaObject, Table, _freeze_table, _inverses, make_object
+from .core import FiniteGwaObject, Table, _check_table, _freeze_table, _inverses, make_object
 from .errors import InputError, UnsupportedInputError
 
 
@@ -64,11 +64,15 @@ def conjugation_object(add) -> tuple[Table, Table]:
     x^y = -y + x + y.
 
     A negative-test generator: the result satisfies the group and action
-    axioms but fails the reduced checks for any non-abelian input.
+    axioms but fails the reduced checks for any non-abelian input.  A
+    malformed table or an element with no inverse raises InputError.
     """
     add = _freeze_table(add)
+    add = _check_table(len(add), add, "add")
     n = len(add)
     neg = _inverses(np.asarray(add, dtype=np.intp)).tolist()
+    if -1 in neg:
+        raise InputError(f"element {neg.index(-1)} has no two-sided inverse in the add table")
     act = tuple(
         tuple(add[add[neg[y]][x]][y] for y in range(n)) for x in range(n)
     )

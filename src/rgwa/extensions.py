@@ -73,7 +73,7 @@ from .core import (
     object_cache,
 )
 from .errors import BudgetExceededError, InputError, StructuralError, ValidationError
-from .pa import _canonical_factors
+from .pa import _OBSTRUCTIONS, _canonical_factors
 from .pentactions import DEFAULT_BUDGET, _map_factor, _pow_factor
 from .report import PASSED, CheckReport, Violation
 
@@ -379,15 +379,16 @@ def _pow_rows(A: FiniteGwaObject):
 
 @object_cache(maxsize=32)
 def _pow_products(A: FiniteGwaObject):
-    """The Z, S, TM and RM of ``_PowIndex``, each built in chunks of its
-    first axis."""
+    """The Z, S, TM and RM of ``_PowIndex``, built in chunks; Z and RM are
+    where the a9 and a10 rows of ``pa._OBSTRUCTIONS`` vanish over W'."""
     (rows, find), add = _pow_rows(A), A._arrays.add
     maps, cells = _canonical_factors(A).up, rows.size
-    Z = _chunked(len(rows), cells, lambda s: (rows[s][:, rows] == 0).all(axis=2))
+    value = {cid: v for cid, _, v, _ in _OBSTRUCTIONS}
+    Z = _chunked(len(rows), cells, lambda s: ~value["a9"](maps, rows, A._arrays, s).any(axis=2))
     S = _chunked(len(rows), cells, lambda s: find(add[rows[s, None], rows]))
     TM = _chunked(len(maps), cells, lambda s: find(maps[s][:, rows]))
-    RM = _chunked(len(maps), cells,
-                  lambda s: (rows[:, maps[s]] == rows[:, None]).all(axis=2).T)
+    RM = _chunked(len(rows), maps.size,
+                  lambda s: ~value["a10"](maps, rows, A._arrays, s).any(axis=1)).T
     return Z, S, TM, RM
 
 

@@ -13,7 +13,7 @@ are index arithmetic over the factors (``_PaFactors``):
     p^q = (i_p, up_q o pow_p)
 
 where Cm is a table and the two pow parts are looked up at the cells read
-(``_pow_sum``, ``_pow_image``).
+(``_assemble``).
 
 For a reduced A and the canonical factors (``_canonical_factors``), no sum
 or power leaves the set: Maps is the set of additive bijections passing p5
@@ -38,10 +38,9 @@ for a' != 0.
   generator values; each row is then checked at the generators, which the
   closure lemma of ``core._passing`` makes the full verdict.
 
-So only three laws can fail: reduced.central on the map parts
-(``_PA_AXIOMS``), and a9 and a10 of the action of PA(A) on A
-(``_PA_ACTION``).  Every other axiom and condition holds by construction,
-as follows.
+So only three laws can fail: reduced.central on the map parts, and a9 and
+a10 of the action of PA(A) on A.  Every other axiom and condition holds by
+construction, as follows.
 
 - Cm and the pow lookups are exact lookups of composition, pointwise sum
   and up o pow.  Composition and + are associative and every up is
@@ -62,9 +61,13 @@ as follows.
   because map part 0 is the identity; 1A is the additivity of up; and 1B,
   3B, a4, a7 and a8 are p4, p5, p7, p9 and p10 of the factors.
 
-``build_pa_object`` scans the three rows, over |Maps|^2, |W|^2 * n and
-|W| * n * |Maps| cells, and ``_assemble`` builds the m x m tables for the
-callers that read them.
+The three laws are the rows of ``_OBSTRUCTIONS``, each giving its
+obstruction as an element of A, 0 where it holds, from the up and pow tables
+alone: central compares two compositions of up tables, not Cm.  Their values
+are the weak stabilizer's three families, so A has zero weak stabilizer
+exactly when PA(A) passes them.  ``_factor_report``, ``analysis.weak_stabilizer``
+and ``extensions._pow_products`` read the table, and ``_assemble`` builds
+the m x m tables for the callers that read them.
 """
 
 from __future__ import annotations
@@ -86,7 +89,7 @@ from .report import CheckReport, Violation
 
 
 # The factors of PA(A).  With p = (i, j) for map part i and pow table j,
-#   p+q = (Cm[i_p, i_q], _pow_sum(j_p, j_q))   p^q = (i_p, _pow_image(i_q, j_p))
+#   p+q = (Cm[i_p, i_q], find_pow(pow_p + pow_q))   p^q = (i_p, find_pow(up_q o pow_p))
 # where W is the number of pow tables.  up and pow are the up and pow tables,
 # as (|Maps|, n) and (W, n) arrays, inv[i] the index of up_i^-1 (or -1), and
 # A is A's _arrays.  find_map and find_pow give the index of a map part
@@ -122,18 +125,6 @@ def _canonical_factors(obj: FiniteGwaObject) -> _PaFactors:
     return _pa_factors(obj, _map_factor(obj), _pow_factor(obj))
 
 
-def _pow_sum(f: _PaFactors, jx: np.ndarray, jy: np.ndarray) -> np.ndarray:
-    """The pow part of x+y for pow tables jx and jy (broadcast): the index
-    of pow_x + pow_y, or -1."""
-    return f.find_pow(f.A.add[f.pow[jx], f.pow[jy]])
-
-
-def _pow_image(f: _PaFactors, iy: np.ndarray, jx: np.ndarray) -> np.ndarray:
-    """The pow part of x^y for map parts iy and pow tables jx (broadcast):
-    the index of up_y o pow_x, or -1."""
-    return f.find_pow(f.up[np.expand_dims(iy, -1), f.pow[jx]])
-
-
 def _element(f: _PaFactors, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The index i * |W| + j of the element with map part i and pow table j,
     or -1 where either is -1."""
@@ -150,60 +141,60 @@ def _images(f: _PaFactors, negB: np.ndarray, dots: np.ndarray, ups: np.ndarray) 
 
 def _assemble(f: _PaFactors) -> tuple[np.ndarray, np.ndarray]:
     """The m x m sum and power tables, -1 where a result leaves the set.
-    The pow parts are looked up once per pair of factors, in chunks of the
+    The pow parts of x+y and x^y, the indices of pow_x + pow_y and of
+    up_y o pow_x, are looked up once per pair of factors, in chunks of the
     pow table of x."""
     M, W, n = len(f.Cm), f.W, f.pow.shape[1]
-    i, j = np.arange(M), np.arange(W)
-    pow_add = _chunked(W, W * n, lambda s: _pow_sum(f, j[s, None], j))
-    pow_act = _chunked(W, M * n, lambda s: _pow_image(f, i, j[s, None]))
+    i = np.arange(M)
+    pow_add = _chunked(W, W * n, lambda s: f.find_pow(f.A.add[f.pow[s, None], f.pow]))
+    pow_act = _chunked(W, M * n, lambda s: f.find_pow(f.up[i[:, None], f.pow[s, None]]))
     add = _element(f, f.Cm[:, None, :, None], pow_add[None, :, None, :])
     act = _element(f, i[:, None, None, None], pow_act[None, :, :, None])
     return tuple(np.broadcast_to(x, (M, W, M, W)).reshape(M * W, M * W) for x in (add, act))
 
 
-# The rows that can fail (module docstring), as (id, axes, mask, witness):
-# a core._violations row over the axes I (map parts), J (pow tables) and A
-# (elements of A), in witness order, and the witness in PA(A) and A of a
-# hit, where element i*W + j has map part i and pow table j.
-# x^y + z = z + x^y for y != 0, on the map parts, where x^y has x's map part;
-# the row does not read y, so its witness takes 1, the least nonzero element,
-# which exists since the row fails only where there are two map parts.
-_PA_AXIOMS = (
-    ("reduced.central", "II", lambda f, s: f.Cm[s] != f.Cm[:, s].T,
-     lambda f, i1, i3: (i1 * f.W, 1, i3 * f.W)),
-)
-
-# The conditions of the action of PA(A) on A that can fail, with B = PA(A)
-# read through the factors, up[a][x] = up[i_x][a] and pow[x] = pow[j_x],
-# over the witness slots of the condition in ``extensions._CONDITIONS``;
-# the unread map parts are 0.
-_PA_ACTION = (
+# The laws that can fail (module docstring), as (id, axes, value, witness):
+# value(up, pow, A, s), over up tables (|Maps|, n), pow tables (W, n) and A's
+# _arrays, is the obstruction in A, 0 where the law holds, over the axes I
+# (map parts), J (pow tables) and A, in witness order, the leading index in
+# the slice s; witness(f, *cell) is the witness in PA(A) and A, where element
+# i*W + j has map part i and pow table j.  The action rows read B = PA(A)
+# through the factors, up[a][x] = up[i_x][a] and pow[x] = pow[j_x]; their
+# unread map parts are 0.  x - y is add[:, neg][x, y].
+_OBSTRUCTIONS = (
+    # x^y + z = z + x^y for y != 0 on the map parts, up_i3 o up_i1 = up_i1 o
+    # up_i3, since x^y has x's map part; the witness y is 1, the least nonzero
+    # element, which exists where the row can fail, on two map parts.
+    ("reduced.central", "IIA",
+     lambda up, pw, A, s: A.add[:, A.neg][up[:, up[s]].swapaxes(0, 1), up[s][:, up]],
+     lambda f, i1, i3, a: (i1 * f.W, 1, i3 * f.W)),
     # pow[b][pow[b2][a]] = 0
-    ("a9", "JJA", lambda f, s: f.pow[s][:, f.pow] != 0, lambda f, j1, j2, a: (j1, j2, a)),
+    ("a9", "JJA", lambda up, pw, A, s: pw[s][:, pw], lambda f, j1, j2, a: (j1, j2, a)),
     # pow[b][up[a][b2]] = pow[b][a]
-    ("a10", "JAI", lambda f, s: f.pow[s][:, f.up.T] != f.pow[s, :, None],
+    ("a10", "JAI", lambda up, pw, A, s: A.add[:, A.neg][pw[s][:, up.T], pw[s, :, None]],
      lambda f, j1, a, i3: (j1, a, i3 * f.W)),
 )
 
 
 def _factor_report(f: _PaFactors, rows) -> CheckReport:
-    """Scan factor rows of PA(A) with ``core._violations``: each failing
-    row's id and minimal witness, in row order."""
-    sizes = {"I": len(f.Cm), "J": f.W, "A": len(f.A.ar)}
+    """Scan rows of ``_OBSTRUCTIONS`` for nonzero values with
+    ``core._violations``: each failing row's id and minimal witness."""
+    sizes = {"I": len(f.up), "J": f.W, "A": len(f.A.ar)}
     witness = {cid: w for cid, _, _, w in rows}
-    hits = _violations(f, [row[:3] for row in rows], sizes)
+    masks = [(cid, axes, lambda f, s, value=value: value(f.up, f.pow, f.A, s) != 0)
+             for cid, axes, value, _ in rows]
     return CheckReport(tuple(Violation(v.condition, witness[v.condition](f, *v.witness))
-                             for v in hits))
+                             for v in _violations(f, masks, sizes)))
 
 
 def _pa_report(f: _PaFactors) -> CheckReport:
     """The reduced-axiom scan of PA(A): the same report as ``check_axioms``
     on the assembled tables, since only the reduced.central row can fail."""
-    return _factor_report(f, _PA_AXIOMS)
+    return _factor_report(f, _OBSTRUCTIONS[:1])
 
 
 def _pa_action_report(f: _PaFactors) -> CheckReport:
     """The 22-condition report of the action of PA(A) on A: the same as
     ``check_derived_action`` on the assembled triple, since only a9 and a10
     can fail."""
-    return _factor_report(f, _PA_ACTION)
+    return _factor_report(f, _OBSTRUCTIONS[1:])

@@ -100,7 +100,7 @@ class PAObject:
 
     @cached_property
     def order(self) -> int:
-        return len(self._factors.Cm) * self._factors.W
+        return len(self._factors.up) * self._factors.W
 
     @cached_property
     def elements(self) -> tuple[Pentaction, ...]:
@@ -134,11 +134,11 @@ class PAObject:
 def build_pa_object(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> PAObject:
     """PA(obj) and its reduced-axiom report, read off the factor tables of
     Maps(A) x Pow(A), with no m x m table or Pentaction built.  The report
-    is the scan of reduced.central on the map parts, |Maps|^2 cells, the one
-    axiom that can fail on PA(A) (the ``rgwa.pa`` docstring).
-    Failures are reported, not raised: when the base is perfect with zero
-    weak stabilizer the scan must pass, otherwise the report documents how
-    the construction degrades.
+    is the scan of reduced.central on the map parts, |Maps|^2 * n cells, the
+    one axiom that can fail on PA(A) (the ``rgwa.pa`` docstring).
+    Failures are reported, not raised: the scan and ``action_report`` pass
+    exactly when the base has zero weak stabilizer, and otherwise the report
+    documents how the construction degrades.
     """
     _check_budget(obj, budget)
     return PAObject(obj, _pa_report(_canonical_factors(obj)), budget)

@@ -136,9 +136,9 @@ def reference_check_axioms(order, add, act, require_reduced=False) -> rgwa.Check
 
 
 def reference_neg(obj) -> tuple[int, ...]:
-    """Per x, the first y with x+y = 0 = y+x, or 0 when there is none; the
+    """Per x, the first y with x+y = 0 = y+x, or -1 when there is none; the
     loop oracle for ``FiniteGwaObject.neg``."""
-    out = [0] * obj.order
+    out = [-1] * obj.order
     for x in range(obj.order):
         for y in range(obj.order):
             if obj.add[x][y] == 0 == obj.add[y][x]:

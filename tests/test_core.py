@@ -275,10 +275,10 @@ class TestMakeObject:
         objs = list(corpus) + [z4neg, k4swap, shear16]
         # PA(z2xz4) fails reduced.central, so its neg comes off a failed scan
         objs += [rgwa.build_pa_object(by_name[name]).object for name in ("z3", "z2xz4")]
-        # 1 has the two-sided inverses 1 and 2 (the first is taken), 3 has none (0)
+        # 1 has the two-sided inverses 1 and 2 (the first is taken), 3 has none (-1)
         add = ((0, 1, 2, 3), (1, 0, 0, 3), (2, 0, 3, 3), (3, 3, 3, 3))
         unchecked = rgwa.FiniteGwaObject("no-inverses", 4, add, tuple((x,) * 4 for x in range(4)))
-        assert unchecked.neg == (0, 1, 1, 0)
+        assert unchecked.neg == (0, 1, 1, -1)
         for obj in objs + [unchecked]:
             assert obj.neg == reference_neg(obj), obj.name
 

@@ -99,3 +99,14 @@ def test_represent_builds_no_corpus_object_above_its_max_order(tmp_path, monkeyp
         corpus._corpus_object.cache_clear()
     assert '"pairs_checked":86' in capsys.readouterr().out
     assert sorted(built) == [("klein4", 4), ("z1", 1), ("z2", 2), ("z3", 3), ("z4", 4)]
+
+
+@pytest.mark.parametrize("add, message", [
+    ([[0, 1], [1]], r"add table row 1 has 1 entries, expected 2"),
+    ([[0, 1], [1, 2]], r"add\[1\]\[1\] = 2 is out of range 0..1"),
+    ([[0, 1, 2], [1, 2, 0]], r"add table row 0 has 3 entries, expected 2"),
+    ([[0, 1], [1, 1]], r"element 1 has no two-sided inverse"),
+], ids=["ragged", "out-of-range", "two-by-three", "no-inverse"])
+def test_conjugation_object_refuses_malformed_tables(add, message):
+    with pytest.raises(rgwa.InputError, match=message):
+        rgwa.conjugation_object(add)

@@ -24,17 +24,18 @@ from conftest import (
     reference_represent,
     reference_verify_representability,
     reference_verify_uniqueness,
+    reference_weak_stabilizer,
     relabeled,
     shear_object,
 )
 from rgwa import core
+from rgwa import pa as pa_module
 from rgwa.core import invert_map
 from rgwa.extensions import _CONDITIONS, DerivedActionTriple
 from rgwa.pentactions import _pentaction_factors
 from rgwa.report import PASSED
 from rgwa.pa import (
-    _PA_ACTION,
-    _PA_AXIOMS,
+    _OBSTRUCTIONS,
     _assemble,
     _canonical_factors,
     _pa_action_report,
@@ -272,11 +273,11 @@ FACTOR_BASES = _factor_bases()
 
 
 def _corrupt_factors(draw, count):
-    """Factors with ``count`` in-range cells of Cm overwritten, the one table
-    the reduced.central row reads: a base of FACTOR_BASES, or hand-made
-    factors with |Maps| and |W| in 1..3 and a random Cm.  Their up and pow
-    tables close, so the assembled tables hold no -1.  ``draw(k)`` picks an
-    integer in 0..k-1."""
+    """Factors with ``count`` in-range cells of Cm overwritten, the table the
+    assembled sums read: a base of FACTOR_BASES, or hand-made factors with
+    |Maps| and |W| in 1..3 and a random Cm.  Their up and pow tables close,
+    so the assembled tables hold no -1.  ``draw(k)`` picks an integer in
+    0..k-1."""
     if draw(2):
         f = FACTOR_BASES[draw(len(FACTOR_BASES))]
     else:
@@ -291,8 +292,8 @@ def _corrupt_factors(draw, count):
 def reference_central_on_map_parts(f):
     """reduced.central over the assembled tables with each sum read by its
     map part only: the least (x, y, z), y != 0, at which x^y + z and
-    z + x^y have different map parts.  The reference for the one row of
-    ``_PA_AXIOMS``, which can fail on factor tables of any kind."""
+    z + x^y have different map parts.  On genuine factors, where Cm is the
+    composition of up tables, it is the reduced.central row."""
     add, act = _assemble(f)
     z = np.arange(len(add))
     power = act[:, 1:, None]
@@ -303,22 +304,57 @@ def reference_central_on_map_parts(f):
     return rgwa.CheckReport((rgwa.Violation("reduced.central", (x, y + 1, z)),))
 
 
+def reference_central_on_up_tables(f):
+    """The reduced.central row by plain loops over the up tables: the least
+    (i1, i3) at which up_i3 o up_i1 and up_i1 o up_i3 differ, reported at
+    x = (i1, 0), y = 1 and z = (i3, 0)."""
+    ups = f.up.tolist()
+    for i1, u1 in enumerate(ups):
+        for i3, u3 in enumerate(ups):
+            if any(u3[u1[a]] != u1[u3[a]] for a in range(len(u1))):
+                return rgwa.CheckReport(
+                    (rgwa.Violation("reduced.central", (i1 * f.W, 1, i3 * f.W)),))
+    return PASSED
+
+
+def hand_made_ups(ups, W):
+    """Factors over Z/3 with the up tables ``ups``, any maps of Z/3, and the
+    W <= 3 constant pow tables."""
+    return _pa_factors(rgwa.cyclic_trivial(3), ups, [(c,) * 3 for c in range(W)])
+
+
+def _corrupt_ups(draw, count):
+    """Factors with ``count`` cells of the up tables, the tables the
+    reduced.central row reads, overwritten by elements of A: a base of
+    FACTOR_BASES, or hand-made factors with |Maps| and |W| in 1..3 and
+    random up tables.  ``draw(k)`` picks an integer in 0..k-1."""
+    if draw(2):
+        f = FACTOR_BASES[draw(len(FACTOR_BASES))]
+    else:
+        M, W = draw(3) + 1, draw(3) + 1
+        f = hand_made_ups([[draw(3) for _ in range(3)] for _ in range(M)], W)
+    up = f.up.copy()
+    for _ in range(count):
+        up.flat[draw(up.size)] = draw(up.shape[1])
+    return f._replace(up=up)
+
+
 def assert_report_is_the_central_scan(f):
     report = _pa_report(f)
-    assert report == reference_central_on_map_parts(f)
+    assert report == reference_central_on_up_tables(f)
     return report
 
 
 class TestPaAxiomScan:
-    """On any factor tables, the reduced.central row reports exactly what
-    the map-part reference reports, witness included."""
+    """On any up tables, the reduced.central row reports exactly what the
+    plain-loop reference reports, witness included; it reads no Cm."""
 
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_corrupted_factor_tables(self, data):
         def draw(k):
             return data.draw(st.integers(0, k - 1))
-        assert_report_is_the_central_scan(_corrupt_factors(draw, draw(4)))
+        assert_report_is_the_central_scan(_corrupt_ups(draw, draw(4)))
 
     def test_central_row_in_one_cell_chunks(self, monkeypatch):
         # one leading index per chunk, so witnesses also come from later
@@ -327,20 +363,29 @@ class TestPaAxiomScan:
         rng = random.Random(0)
         passed = 0
         for _ in range(400):
-            f = _corrupt_factors(rng.randrange, rng.randrange(4))
+            f = _corrupt_ups(rng.randrange, rng.randrange(4))
             passed += assert_report_is_the_central_scan(f).passed
         assert 0 < passed < 400
 
     @pytest.mark.parametrize("M, W", [(1, 1), (1, 3), (3, 1), (3, 3)])
     def test_central_witness_at_one_map_or_one_pow(self, M, W):
-        # x^y + z and z + x^y have different map parts at z = (1, 0) for
-        # every x and y, but reduced.central excludes y = 0: the witness y is
-        # the least nonzero element 1, (0, 1) or (1, 0).  With one map part
-        # the row cannot fail
-        Cm = np.zeros((M, M), dtype=np.intp)
-        Cm[0, 1 % M] = 1 % M
-        report = assert_report_is_the_central_scan(hand_made_factors(Cm, W))
+        # up_0 and up_1 are transpositions of Z/3 that do not commute, so
+        # x^y + z and z + x^y have different map parts at x = (0, 0) and
+        # z = (1, 0) for every y, but reduced.central excludes y = 0: the
+        # witness y is the least nonzero element 1, (0, 1) or (1, 0).  With
+        # one map part the row cannot fail
+        ups = [(1, 0, 2), (0, 2, 1), (0, 1, 2)][:M]
+        report = assert_report_is_the_central_scan(hand_made_ups(ups, W))
         assert [v.witness for v in report.violations] == ([] if M == 1 else [(0, 1, W)])
+
+    def test_genuine_factors_match_the_map_part_reference(self):
+        # on genuine factors the sums of the assembled tables compose the up
+        # tables, so the row is also reduced.central read off those sums
+        reports = []
+        for f in FACTOR_BASES:
+            reports.append(assert_report_is_the_central_scan(f))
+            assert reports[-1] == reference_central_on_map_parts(f)
+        assert {r.passed for r in reports} == {True, False}
 
 
 def pa_of_factors(f):
@@ -391,7 +436,7 @@ def assert_action_report_is_the_reference(f, chunk_cells=None, monkeypatch=None)
     """The factored report equals the reference scan with B = PA(A)
     restricted to a9 and a10, witnesses included; the factored scan runs at
     ``chunk_cells``."""
-    rows = {r[0] for r in _PA_ACTION}
+    rows = {r[0] for r in _OBSTRUCTIONS[1:]}
     want = reference_pa_action(pa_of_factors(f)).report
     want = rgwa.CheckReport(tuple(v for v in want.violations if v.condition in rows))
     if chunk_cells is None:
@@ -436,9 +481,9 @@ class TestPaActionScan:
         # the two-B conditions, each once; a row's axes are the condition's
         # axes: A is an A axis, and I and J (map parts, pow tables) B axes
         axes = {c[0]: c[1] for c in _CONDITIONS}
-        rows = [r[0] for r in _PA_ACTION] + sorted(TWO_B_HOLDING | TWO_B_BY_DEFINITION)
+        rows = [r[0] for r in _OBSTRUCTIONS[1:]] + sorted(TWO_B_HOLDING | TWO_B_BY_DEFINITION)
         assert sorted(rows) == sorted(cid for cid, ax in axes.items() if ax.count("B") == 2)
-        for cid, row_axes, _, _ in _PA_ACTION:
+        for cid, row_axes, _, _ in _OBSTRUCTIONS[1:]:
             slots = "".join("A" if x == "A" else "B" for x in row_axes)
             assert slots == axes[cid], cid
 
@@ -608,8 +653,8 @@ class TestPaOnGenuineFactors:
     def test_closed_pa_fails_only_the_scanned_rows(self, seed):
         seen = set()
         for name, _, axioms, action in genuine_references(seed):
-            assert set(axioms.conditions()) <= {r[0] for r in _PA_AXIOMS}, name
-            assert set(action.conditions()) <= {r[0] for r in _PA_ACTION}, name
+            assert set(axioms.conditions()) <= {r[0] for r in _OBSTRUCTIONS[:1]}, name
+            assert set(action.conditions()) <= {r[0] for r in _OBSTRUCTIONS[1:]}, name
             seen.update(axioms.conditions() + action.conditions())
         assert seen == {"reduced.central", "a9", "a10"}
 
@@ -624,6 +669,44 @@ class TestPaOnGenuineFactors:
                 assert rgwa.check_axioms(m, add, act, require_reduced=False).passed, name
                 sizes.append(m)
         assert max(sizes) == 512
+
+
+class TestZeroWeakStabilizerIsPaPassing:
+    """The weak stabilizer is the set of values of ``_OBSTRUCTIONS`` over
+    the factors, each row 0 exactly where it passes, so A has zero weak
+    stabilizer exactly when PA(A) passes its three rows."""
+
+    @staticmethod
+    def assert_equivalent(obj):
+        pa = rgwa.build_pa_object(obj)
+        zero = rgwa.weak_stabilizer(obj).is_zero()
+        assert zero == (pa.report.passed and pa.action_report.passed), obj.name
+        return zero
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_on_the_benchmark_carriers(self, seed):
+        for name in PERFBENCH_REDUCED:
+            self.assert_equivalent(perfbench_object(name, seed))
+
+    def test_on_shears_and_z3xz3(self):
+        z3 = rgwa.cyclic_trivial(3)
+        objs = [shear_object(k) for k in range(2, 7)] + [rgwa.direct_sum(z3, z3)]
+        verdicts = [self.assert_equivalent(obj) for obj in objs]
+        assert set(verdicts) == {True, False}
+
+    def test_weak_stabilizer_builds_no_composition_table(self, monkeypatch):
+        # the rows read the up and pow tables, not PA(A)'s factor record
+        z2 = rgwa.cyclic_trivial(2)
+        fresh = rgwa.direct_sum(z2, z2, name="klein4-fresh")
+        want = reference_weak_stabilizer(fresh)
+
+        def refuse(*args):
+            raise AssertionError("weak_stabilizer built PA(A)'s factors")
+
+        monkeypatch.setattr(pa_module, "_pa_factors", refuse)
+        assert rgwa.weak_stabilizer(fresh) == want
+        with pytest.raises(AssertionError, match="built PA"):
+            rgwa.build_pa_object(fresh)
 
 
 class TestPaAction:
