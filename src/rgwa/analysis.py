@@ -65,7 +65,7 @@ def weak_stabilizer(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> Eleme
     up, pw = (np.asarray(x, dtype=np.intp) for x in _pentaction_factors(obj))
     sizes = {"I": len(up), "J": len(pw), "A": n}
     for _, axes, value, _ in _OBSTRUCTIONS:
-        step = max(1, core._CHUNK_CELLS // prod(sizes[x] for x in axes[1:]))
+        step = max(1, core._CHUNK_CELLS // max(prod(sizes[x] for x in axes[1:]), 1))
         for lo in range(0, sizes[axes[0]], step):
             seen[value(up, pw, obj._arrays, slice(lo, lo + step))] = True
     return ElementSet(obj, tuple(int(v) for v in np.flatnonzero(seen)))

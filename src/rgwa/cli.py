@@ -1,8 +1,13 @@
 """Command-line surface emitting machine-readable JSON verdicts.
 
 Verbs: validate, corpus, pentactions, pa, analyze, noether, represent,
-oracle.  One parser reads a verb, a path (the object file, or the output
-directory of corpus) and four flags shared by every verb.  Exit codes: 0
+oracle.  The command line is a verb, a path (the object file, or the output
+directory of corpus) and four flags shared by every verb, read by
+``getopt.gnu_getopt``: flags go before or after the verb, as ``--flag
+value`` or ``--flag=value``, a unique prefix of a flag name stands for it,
+and ``--`` ends the flags (with POSIXLY_CORRECT set, as for GNU tools, so
+does the verb).  A usage error writes the usage and the error to stderr and
+exits 2; -h/--help prints one help text and exits 0.  Exit codes: 0
 all checks passed, 1 a verified violation (with witnesses in the JSON), 2
 input or format error, 3 enumeration budget exceeded.  Output is canonical
 JSON on stdout (--pretty for indentation); --out first writes the same
@@ -17,10 +22,11 @@ all m entries are written.
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import sys
-from functools import cache
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NoReturn
 
 import numpy as np
 
@@ -121,17 +127,6 @@ def _cmd_oracle(args) -> tuple[int, dict]:
     return (EXIT_PASSED if equal else EXIT_VIOLATION), payload
 
 
-def _count(text: str) -> int:
-    """A non-negative integer option; anything else is a usage error (exit 2)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
-    return value
-
-
 _VERBS = {
     "validate": _cmd_validate,
     "corpus": _cmd_corpus,
@@ -143,29 +138,76 @@ _VERBS = {
     "oracle": _cmd_oracle,
 }
 
+_USAGE = "usage: rgwa [-h] [--budget N] [--max-order N] [--pretty] [--out FILE] VERB PATH\n"
 
-@cache  # built once: every call of main shares the parser
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="rgwa",
-        description="Finite-model workbench for reduced groups with action.",
-    )
-    parser.add_argument("verb", choices=_VERBS, help="what to run")
-    parser.add_argument("path", help="object file (JSON); for corpus, the directory "
-                                     "receiving the corpus files")
-    parser.add_argument("--budget", type=_count, default=DEFAULT_BUDGET,
-                        help="candidate-visit budget for enumerations")
-    parser.add_argument("--max-order", type=_count, default=3, dest="max_order",
-                        help="largest acting-object order for represent")
-    parser.add_argument("--pretty", action="store_true",
-                        help="indent the JSON output")
-    parser.add_argument("--out", type=str, default=None,
-                        help="also write the JSON document to this path")
-    return parser
+_HELP = f"""{_USAGE}
+Finite-model workbench for reduced groups with action.
+
+arguments:
+  VERB             what to run: validate, corpus, pentactions, pa, analyze,
+                   noether, represent, oracle
+  PATH             object file (JSON); for corpus, the directory receiving
+                   the corpus files
+
+options (before or after VERB; --flag=value and unique prefixes such as
+--bud work too):
+  -h, --help       show this help message and exit
+  --budget N       candidate-visit budget for enumerations (default {DEFAULT_BUDGET})
+  --max-order N    largest acting-object order for represent (default 3)
+  --pretty         indent the JSON output
+  --out FILE       also write the JSON document to this path
+"""
+
+
+def _usage_error(message: str) -> NoReturn:
+    sys.stderr.write(f"{_USAGE}rgwa: error: {message}\n")
+    raise SystemExit(EXIT_INPUT)
+
+
+def _count(flag: str, text: str) -> int:
+    """A non-negative integer option; anything else is a usage error (exit 2)."""
+    try:
+        value = int(text)
+    except ValueError:
+        _usage_error(f"argument {flag}: invalid int value: {text!r}")
+    if value < 0:
+        _usage_error(f"argument {flag}: must not be negative, got {value}")
+    return value
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    try:
+        opts, words = getopt.gnu_getopt(argv, "h", ["help", "budget=", "max-order=",
+                                                    "pretty", "out="])
+    except getopt.GetoptError as exc:
+        _usage_error(str(exc))
+    args = SimpleNamespace(budget=DEFAULT_BUDGET, max_order=3, pretty=False, out=None)
+    for flag, value in opts:
+        if flag in ("-h", "--help"):
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        if flag == "--budget":
+            args.budget = _count(flag, value)
+        elif flag == "--max-order":
+            args.max_order = _count(flag, value)
+        elif flag == "--pretty":
+            args.pretty = True
+        else:
+            args.out = value
+    if words and words[0] not in _VERBS:
+        _usage_error(f"argument verb: invalid choice: {words[0]!r} "
+                     f"(choose from {', '.join(map(repr, _VERBS))})")
+    if len(words) < 2:
+        _usage_error("the following arguments are required: "
+                     + ", ".join(("verb", "path")[len(words):]))
+    if len(words) > 2:
+        _usage_error(f"unrecognized arguments: {' '.join(words[2:])}")
+    args.verb, args.path = words
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         code, payload = _VERBS[args.verb](args)
     except ValidationError as exc:

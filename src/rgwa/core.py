@@ -122,7 +122,7 @@ def _violations(t, conditions, sizes):
     """
     for cid, axes, *reads, mask in conditions:
         lead = sizes[axes[0]]
-        step = max(1, _CHUNK_CELLS // prod(sizes[x] for x in axes[1:]))
+        step = max(1, _CHUNK_CELLS // max(prod(sizes[x] for x in axes[1:]), 1))
         for lo in range(0, lead, step):
             hits = mask(t, slice(lo, min(lead, lo + step)))
             if reads:
@@ -156,7 +156,7 @@ def _passing(t, conditions, sizes, lead=None) -> np.ndarray:
     rows = [(lead.get(axes[0], slice(None)), mask) for _, axes, _, mask in conditions]
     cells = max(len(lead[axes[0]]) * prod(sizes[x] for x in axes[1:]) if axes[0] in lead
                 else prod(sizes[x] for x in axes) for _, axes, _, _ in conditions)
-    step = max(1, _CHUNK_CELLS // (8 * cells))
+    step = max(1, _CHUNK_CELLS // max(8 * cells, 1))
     for lo in range(0, k, step):
         live = np.arange(lo, min(k, lo + step))
         chunk = t._replace(**{r: getattr(t, r)[live] for r in reads})

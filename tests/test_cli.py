@@ -34,6 +34,20 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def usage_error(capsys, argv) -> str:
+    """Run a command line that must be refused as a usage error: exit 2,
+    nothing on stdout, and on stderr the usage and the error, which is
+    returned."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: rgwa") and "\nrgwa: error: " in captured.err
+    assert "Traceback" not in captured.err
+    return captured.err
+
+
 class TestValidate:
     def test_valid_object_exits_zero(self, capsys, corpus_dir):
         code, out = run(capsys, "validate", corpus_dir / "z3.json")
@@ -141,6 +155,12 @@ class TestEnumerationVerbs:
     def test_budget_flag_before_the_file(self, capsys, corpus_dir):
         code, _ = run(capsys, "pentactions", "--budget", "1", corpus_dir / "z3.json")
         assert code == 3
+
+    @pytest.mark.parametrize("flag", [["--budget=1"], ["--bud", "1"]])
+    def test_joined_and_abbreviated_flags(self, capsys, corpus_dir, flag):
+        code, out = run(capsys, "pentactions", *flag, corpus_dir / "z3.json")
+        assert code == 3
+        assert "budget is 1" in json.loads(out)["error"]
 
     def test_oracle_equivalence(self, capsys, corpus_dir):
         code, out = run(capsys, "oracle", corpus_dir / "z3.json")
@@ -355,7 +375,7 @@ class TestOutputHandling:
         assert pretty.count("\n") > compact.count("\n")
 
     def test_pretty_does_not_carry_over_to_the_next_call(self, capsys, corpus_dir):
-        # the parser is built once and shared, so no option may stick to it
+        # no option may stick from one call of main to the next
         _, pretty = run(capsys, "validate", corpus_dir / "z2.json", "--pretty")
         _, plain = run(capsys, "validate", corpus_dir / "z2.json")
         assert pretty.count("\n") > 1
@@ -375,11 +395,7 @@ class TestOutputHandling:
     ])
     def test_counts_that_are_not_non_negative_are_usage_errors(
             self, capsys, corpus_dir, argv, message):
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, str(corpus_dir / "z2.json")])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and message in captured.err
+        assert message in usage_error(capsys, [*argv, str(corpus_dir / "z2.json")])
 
     def test_zero_counts_stay_valid(self, capsys, corpus_dir):
         code, out = run(capsys, "pentactions", "--budget", "0", corpus_dir / "z2.json")
@@ -406,13 +422,46 @@ class TestUsage:
         out = capsys.readouterr().out
         assert all(verb in out for verb in self.VERBS)
 
+    def test_help_is_one_text_naming_every_flag(self, capsys):
+        texts = []
+        for argv in (["--help"], ["pa", "--help"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert all(flag in texts[0] for flag in
+                   ("--help", "--budget", "--max-order", "--pretty", "--out"))
+
     @pytest.mark.parametrize("argv", [["bogus", "x.json"], ["pa"], []])
     def test_unknown_verb_or_missing_path_exits_two(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and "usage: rgwa" in captured.err
+        usage_error(capsys, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["pa", "x.json", "y.json"],
+        ["pa", "--bogus", "x.json"],
+        ["pa", "x.json", "--budget"],
+    ], ids=["extra-word", "unknown-flag", "flag-without-value"])
+    def test_stray_words_and_flags_exit_two(self, capsys, argv):
+        usage_error(capsys, argv)
+
+
+def test_the_first_call_imports_nothing(corpus_dir):
+    # the command line is parsed without argparse, whose first parse imports
+    # locale for its messages, and a first validate imports nothing else
+    script = (
+        "import contextlib, io, sys\n"
+        "from rgwa.cli import main\n"
+        "before = set(sys.modules)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    main(['validate', {str(corpus_dir / 'z3.json')!r}])\n"
+        "print(sorted(set(sys.modules) - before), 'argparse' in sys.modules)\n"
+    )
+    src = Path(rgwa.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[] False"
 
 
 def test_verbs_do_not_import_numpy_ma(corpus_dir):

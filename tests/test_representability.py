@@ -242,6 +242,13 @@ class TestPaFill:
         stack = np.broadcast_to(ident, (2, 3, 4))
         assert f.find_map(stack, stack, stack, stack).tolist() == [[-1] * 3] * 2
 
+    def test_no_map_parts_pass_both_reports(self, corpus):
+        # an empty axis leaves every row nothing to scan, so both reports pass
+        klein4 = next(o for o in corpus if o.name == "klein4")
+        f = _pa_factors(klein4, [], [(0, 0, 0, 0)])
+        assert _pa_report(f) == PASSED
+        assert _pa_action_report(f) == PASSED
+
 
 def hand_made_factors(Cm, W):
     """Factors with the map-part sums ``Cm`` (M x M) over M identity map
