@@ -2,12 +2,12 @@
 
 Verbs: validate, corpus, pentactions, pa, analyze, noether, represent,
 oracle.  The command line is a verb, a path (the object file, or the output
-directory of corpus) and four flags shared by every verb, read by
-``getopt.gnu_getopt``: flags go before or after the verb, as ``--flag
-value`` or ``--flag=value``, a unique prefix of a flag name stands for it,
-and ``--`` ends the flags (with POSIXLY_CORRECT set, as for GNU tools, so
-does the verb).  A usage error writes the usage and the error to stderr and
-exits 2; -h/--help prints one help text and exits 0.  Exit codes: 0
+directory of corpus) and four flags shared by every verb, read in order by
+``getopt.getopt`` between the words: flags go before or after the verb, as
+``--flag value`` or ``--flag=value``, a unique prefix of a flag name stands
+for it, and ``--`` ends the flags.  A usage error writes the usage and the
+error to stderr and exits 2; -h/--help prints one help text and exits 0,
+unless a bad verb or flag value comes before it.  Exit codes: 0
 all checks passed, 1 a verified violation (with witnesses in the JSON), 2
 input or format error, 3 enumeration budget exceeded.  Output is canonical
 JSON on stdout (--pretty for indentation); --out first writes the same
@@ -138,14 +138,16 @@ _VERBS = {
     "oracle": _cmd_oracle,
 }
 
+_MAX_ORDER = 3
+_LONGOPTS = ["help", "budget=", "max-order=", "pretty", "out="]
+
 _USAGE = "usage: rgwa [-h] [--budget N] [--max-order N] [--pretty] [--out FILE] VERB PATH\n"
 
 _HELP = f"""{_USAGE}
 Finite-model workbench for reduced groups with action.
 
 arguments:
-  VERB             what to run: validate, corpus, pentactions, pa, analyze,
-                   noether, represent, oracle
+  VERB             what to run: {', '.join(_VERBS)}
   PATH             object file (JSON); for corpus, the directory receiving
                    the corpus files
 
@@ -153,7 +155,7 @@ options (before or after VERB; --flag=value and unique prefixes such as
 --bud work too):
   -h, --help       show this help message and exit
   --budget N       candidate-visit budget for enumerations (default {DEFAULT_BUDGET})
-  --max-order N    largest acting-object order for represent (default 3)
+  --max-order N    largest acting-object order for represent (default {_MAX_ORDER})
   --pretty         indent the JSON output
   --out FILE       also write the JSON document to this path
 """
@@ -175,28 +177,41 @@ def _count(flag: str, text: str) -> int:
     return value
 
 
-def _parse(argv: list[str]) -> SimpleNamespace:
-    try:
-        opts, words = getopt.gnu_getopt(argv, "h", ["help", "budget=", "max-order=",
-                                                    "pretty", "out="])
-    except getopt.GetoptError as exc:
-        _usage_error(str(exc))
-    args = SimpleNamespace(budget=DEFAULT_BUDGET, max_order=3, pretty=False, out=None)
-    for flag, value in opts:
-        if flag in ("-h", "--help"):
-            sys.stdout.write(_HELP)
-            raise SystemExit(0)
-        if flag == "--budget":
-            args.budget = _count(flag, value)
-        elif flag == "--max-order":
-            args.max_order = _count(flag, value)
-        elif flag == "--pretty":
-            args.pretty = True
-        else:
-            args.out = value
+def _check_verb(words: list[str]) -> None:
     if words and words[0] not in _VERBS:
         _usage_error(f"argument verb: invalid choice: {words[0]!r} "
                      f"(choose from {', '.join(map(repr, _VERBS))})")
+
+
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """Read argv in order: each getopt.getopt call takes the flags up to the
+    next word, so a flag acts where it stands and the verb is checked before
+    the flags after it.  Words after the first ``--`` are never flags."""
+    args = SimpleNamespace(budget=DEFAULT_BUDGET, max_order=_MAX_ORDER, pretty=False, out=None)
+    end = argv.index("--") if "--" in argv else len(argv)
+    rest, words = argv[:end], []
+    while rest:
+        try:
+            opts, rest = getopt.getopt(rest, "h", _LONGOPTS)
+        except getopt.GetoptError as exc:
+            _usage_error(str(exc))
+        for flag, value in opts:
+            if flag in ("-h", "--help"):
+                sys.stdout.write(_HELP)
+                raise SystemExit(0)
+            if flag == "--budget":
+                args.budget = _count(flag, value)
+            elif flag == "--max-order":
+                args.max_order = _count(flag, value)
+            elif flag == "--pretty":
+                args.pretty = True
+            else:
+                args.out = value
+        words += rest[:1]
+        rest = rest[1:]
+        _check_verb(words)
+    words += argv[end + 1:]
+    _check_verb(words)
     if len(words) < 2:
         _usage_error("the following arguments are required: "
                      + ", ".join(("verb", "path")[len(words):]))

@@ -162,6 +162,19 @@ class TestEnumerationVerbs:
         assert code == 3
         assert "budget is 1" in json.loads(out)["error"]
 
+    def test_flags_after_the_path_whatever_posixly_correct_says(self, corpus_dir):
+        # GNU-style parsers stop at the first word when POSIXLY_CORRECT is
+        # set; this command line must read the same in every environment
+        src = Path(rgwa.__file__).resolve().parent.parent
+        proc = subprocess.run(
+            [sys.executable, "-m", "rgwa.cli", "pentactions", str(corpus_dir / "z3.json"),
+             "--pretty", "--bud", "1"],
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src), "POSIXLY_CORRECT": "1"})
+        assert proc.returncode == 3, proc.stderr
+        assert "budget is 1" in json.loads(proc.stdout)["error"]
+        assert proc.stdout.count("\n") > 1
+
     def test_oracle_equivalence(self, capsys, corpus_dir):
         code, out = run(capsys, "oracle", corpus_dir / "z3.json")
         assert code == 0
@@ -414,26 +427,23 @@ class TestUsage:
     VERBS = ("validate", "corpus", "pentactions", "pa", "analyze", "noether",
              "represent", "oracle")
 
+    FLAGS = ("--help", "--budget", "--max-order", "--pretty", "--out")
+
     @pytest.mark.parametrize("argv", [["--help"], ["pentactions", "--help"]])
     def test_help_exits_zero_and_names_every_verb(self, capsys, argv):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 0
-        out = capsys.readouterr().out
-        assert all(verb in out for verb in self.VERBS)
-
-    def test_help_is_one_text_naming_every_flag(self, capsys):
+        # one help text, the same alone or after a verb
         texts = []
-        for argv in (["--help"], ["pa", "--help"]):
+        for line in (["--help"], argv):
             with pytest.raises(SystemExit) as exc:
-                main(argv)
+                main(line)
             assert exc.value.code == 0
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1]
-        assert all(flag in texts[0] for flag in
-                   ("--help", "--budget", "--max-order", "--pretty", "--out"))
+        assert all(verb in texts[1] for verb in self.VERBS)
+        assert all(flag in texts[1] for flag in self.FLAGS)
 
-    @pytest.mark.parametrize("argv", [["bogus", "x.json"], ["pa"], []])
+    @pytest.mark.parametrize("argv", [["bogus", "x.json"], ["pa"], [],
+                                      ["bogus", "x.json", "--help"]])
     def test_unknown_verb_or_missing_path_exits_two(self, capsys, argv):
         usage_error(capsys, argv)
 
