@@ -25,17 +25,17 @@ of a pentaction.  So a derived action is its up family and its pow rows.
 
 With dot = id, 3B and a7 for a column up(., b) are its p5 and p9, so each
 column lies in Maps(A) (``pentactions._map_factor``), a group on any
-validated A (the ``rgwa.pa`` docstring).  A family is a (k, n_B) index
-array F into Maps(A), walked (``_families``) from F[0] = 0, the identity,
-by F[b + g] = Cm[F[b], F[g]] and F[b - g] = Cm[F[b], inv[F[g]]], Cm[i, j]
-being the index of up_j o up_i and inv[i] that of up_i^-1, both read from
-the factors of PA(A) (``pa._canonical_factors``).  So 1A, zeroB, 4A and a2
-hold by construction, 3B and a7 by membership, and a6 on every abelian A,
-as every reduced A is; on another it fails once n_B > 1, as each column is
-onto A.  The walk checks 2B and a5 as index comparisons
-(``_FAMILY_CHECKS``), 2B at B's generators b2 only: by associativity, the
-b2 at which it holds for all b are closed under +.  ``check_derived_action``
-and the brute-force oracle scan every cell.
+validated A (the ``rgwa.pa`` docstring).  A family is walked
+(``_families``) as its columns U[b] = up(., b), from U[0] = id, by
+U[b + g] = up_g o U[b] and U[b - g] = up_g^-1 o U[b] for the images up_g
+of B's generators, read with the inverses from the factors of PA(A)
+(``pa._canonical_factors``), and kept as a (k, n_B) index array into
+Maps(A).  So 1A, zeroB, 4A and a2 hold by construction, 3B and a7 by
+membership, and a6 on every abelian A, as every reduced A is; on another it
+fails once n_B > 1, as each column is onto A.  The walk checks 2B and a5 on
+the walked columns (``_FAMILY_CHECKS``), 2B at B's generators b2 only: by
+associativity, the b2 at which it holds for all b are closed under +.
+``check_derived_action`` and the brute-force oracle scan every cell.
 
 ``enumerate_derived_actions`` keeps its triples as one columnar batch
 (``_DerivedBatch``): the kept up tables, the pow rows W' that can occur,
@@ -335,14 +335,14 @@ def check_derived_action(triple: DerivedActionTriple) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 
-# 2B and a5 of up families F, (k, n_B) indices into Maps(A) with
-# composition table C (PA(A)'s Cm), as violation masks led by k over B's
-# _arrays; 2B is checked at the b2 in g, B's generators (module docstring).
+# 2B and a5 of up families U, (k, n_B, n_A) with U[k, b] the column
+# up(., b), as violation masks led by k over B's _arrays; 2B is checked at
+# the b2 in g, B's generators (module docstring).
 _FAMILY_CHECKS = (
     # up(., b + b2) = up(., b2) o up(., b)
-    ("2B", lambda C, B, g, F: F[:, B.add[:, g]] != C[F[:, :, None], F[:, None, g]]),
+    ("2B", lambda B, g, U: U[:, B.add[:, g]] != _pick(U, g[:, None], U[:, :, None])),
     # up(., b ^ b2) = up(., b)
-    ("a5", lambda C, B, g, F: F[:, B.act] != F[:, :, None]),
+    ("a5", lambda B, g, U: U[:, B.act] != U[:, :, None]),
 )
 
 
@@ -357,13 +357,14 @@ def _families(A: FiniteGwaObject, B: FiniteGwaObject) -> np.ndarray:
         return out[0]
 
     def rule(prev, img, step):
-        return f.Cm[prev, img if step[3] > 0 else f.inv[img]]
+        # up(., b + g) = up_g o up(., b), up(., b - g) = up_g^-1 o up(., b)
+        return f.up[(img if step[3] > 0 else f.inv[img])[:, None], prev]
 
-    for images in _image_chunks(len(f.Cm), len(gensB), B.order * B.order):
-        F = _generator_walk(stepsB, images, 0, rule)
+    for images in _image_chunks(len(f.up), len(gensB), B.order * B.order * A.order):
+        U = _generator_walk(stepsB, images, np.arange(A.order), rule)
         for _, mask in _FAMILY_CHECKS:
-            F = F[~_violated(mask(f.Cm, B._arrays, g, F))]
-        out.append(F)
+            U = U[~_violated(mask(B._arrays, g, U))]
+        out.append(f.find_up(U))
     return np.concatenate(out)
 
 
@@ -437,8 +438,8 @@ def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -
             f"{walked} candidate visits (refused before the additive-bijection search), "
             f"budget is {budget}"
         )
-    # the walk visits |Maps|^|gensB| families and Cm has |Maps|^2 cells
-    families = len(_map_factor(A)) ** max(len(gensB), 2)
+    n_maps = len(_map_factor(A))
+    families = n_maps ** len(gensB)
     if families > budget:
         raise BudgetExceededError(
             f"derived-action enumeration for {B.name!r} on {A.name!r} needs at least "
@@ -452,7 +453,8 @@ def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -
         return _DerivedBatch(ups, rows, np.zeros(0, np.intp), np.zeros((0, nb), np.intp))
     order = np.lexsort(ups.reshape(len(ups), -1).T[::-1])
     F, ups = F[order], ups[order]
-    total = len(ups) * len(rows) ** len(gensB) + len(rows) ** 2
+    # the pow stage's candidates, its 2A table and its 4B and a10 tables
+    total = len(ups) * len(rows) ** len(gensB) + len(rows) ** 2 + n_maps * len(rows)
     if total > budget:
         raise BudgetExceededError(
             f"derived-action enumeration for {B.name!r} on {A.name!r} needs "
@@ -498,11 +500,10 @@ def enumerate_derived_actions(
     indices sorts the batch.
 
     The budget is charged n_A^|gensA| before the additive bijections of A
-    and its pow factor are walked, |Maps(A)|^max(|gensB|, 2) (the family
-    walk and its composition table) before the family search, and after it
-    the |kept ups| * |W'|^|gensB| candidates of the pow stage plus the
-    |W'|^2 entries of its 2A table; with the family charge, that bounds its
-    |Maps(A)| * |W'| tables.
+    and its pow factor are walked, the |Maps(A)|^|gensB| families walked
+    before the family search, and after it the |kept ups| * |W'|^|gensB|
+    candidates of the pow stage plus the |W'|^2 entries of its 2A table and
+    the |Maps(A)| * |W'| entries of its 4B and a10 tables.
     """
     return _batch_triples(A, B, _derived_action_batch(A, B, budget))
 

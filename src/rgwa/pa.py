@@ -9,11 +9,11 @@ p.dotL(q.pow), depends on the two pow tables alone, and p^q, which has
 identity dots and p's up and upL, keeps p's map part.  The sum and power
 are index arithmetic over the factors (``_PaFactors``):
 
-    p+q = (Cm[i_p, i_q], pow_p + pow_q)   Cm: up_q o up_p
+    p+q = (up_q o up_p, pow_p + pow_q)
     p^q = (i_p, up_q o pow_p)
 
-where Cm is a table and the two pow parts are looked up at the cells read
-(``_assemble``).
+where each part is looked up among the factors at the cells read
+(``_assemble``); no table of sums is kept.
 
 For a reduced A and the canonical factors (``_canonical_factors``), no sum
 or power leaves the set: Maps is the set of additive bijections passing p5
@@ -22,9 +22,9 @@ follows.  With dotL = id, p5 reads up(a^a') = up(a)^a', p9 a^up(a') =
 a^a', p4 w(a+a') = w(a)^a' + w(a'), p7 w(a^a') = w(a), and p10 a^w(a') = a
 for a' != 0.
 
-- Maps under composition, so Cm is total: up_q o up_p is an additive
-  bijection; p5, since up_q(up_p(a^a')) = up_q(up_p(a)^a') =
-  up_q(up_p(a))^a'; p9, since a^up_q(up_p(a')) = a^up_p(a') = a^a'.
+- Maps under composition: up_q o up_p is an additive bijection; p5, since
+  up_q(up_p(a^a')) = up_q(up_p(a)^a') = up_q(up_p(a))^a'; p9, since
+  a^up_q(up_p(a')) = a^up_p(a') = a^a'.
 - W under pointwise +: p4 by action.add, since A is abelian (below), so
   w(a)^a' + w(a') + w'(a)^a' + w'(a') = (w(a) + w'(a))^a' + w(a') + w'(a');
   p7 termwise; p10 by action.compose, a^(w(a') + w'(a')) =
@@ -42,10 +42,10 @@ So only three laws can fail: reduced.central on the map parts, and a9 and
 a10 of the action of PA(A) on A.  Every other axiom and condition holds by
 construction, as follows.
 
-- Cm and the pow lookups are exact lookups of composition, pointwise sum
+- The map and pow lookups are exact lookups of composition, pointwise sum
   and up o pow.  Composition and + are associative and every up is
   additive, so group.assoc, action.add and action.compose hold; so do 2A
-  (the pow of a sum), 2B (the up of a sum, Cm) and 4B (the pow of a power).
+  (the pow of a sum), 2B (the up of a sum) and 4B (the pow of a power).
 - The identity is the least additive bijection and the zero table the least
   pow table, so map part 0 is the identity and pow table 0 is zero, and
   group.identity and action.zero hold.  Maps is a finite set of permutations
@@ -63,9 +63,9 @@ construction, as follows.
 
 The three laws are the rows of ``_OBSTRUCTIONS``, each giving its
 obstruction as an element of A, 0 where it holds, from the up and pow tables
-alone: central compares two compositions of up tables, not Cm.  Their values
-are the weak stabilizer's three families, so A has zero weak stabilizer
-exactly when PA(A) passes them.  ``_factor_report``, ``analysis.weak_stabilizer``
+alone: central compares two compositions of up tables.  Their values are
+the weak stabilizer's three families, so A has zero weak stabilizer exactly
+when PA(A) passes them.  ``_factor_report``, ``analysis.weak_stabilizer``
 and ``extensions._pow_products`` read the table, and ``_assemble`` builds
 the m x m tables for the callers that read them.
 """
@@ -89,22 +89,22 @@ from .report import CheckReport, Violation
 
 
 # The factors of PA(A).  With p = (i, j) for map part i and pow table j,
-#   p+q = (Cm[i_p, i_q], find_pow(pow_p + pow_q))   p^q = (i_p, find_pow(up_q o pow_p))
+#   p+q = (find_up(up_q o up_p), find_pow(pow_p + pow_q))
+#   p^q = (i_p, find_pow(up_q o pow_p))
 # where W is the number of pow tables.  up and pow are the up and pow tables,
 # as (|Maps|, n) and (W, n) arrays, inv[i] the index of up_i^-1 (or -1), and
-# A is A's _arrays.  find_map and find_pow give the index of a map part
-# (dotL, dotR, up, upL) and of a pow table, or -1.
-_PaFactors = namedtuple("_PaFactors", "Cm inv W up pow A find_map find_pow")
+# A is A's _arrays.  find_up, find_map and find_pow give the index of an up
+# table, of a map part (dotL, dotR, up, upL) and of a pow table, or -1.
+_PaFactors = namedtuple("_PaFactors", "find_up inv W up pow A find_map find_pow")
 
 
 def _pa_factors(obj: FiniteGwaObject, ups: Sequence, pows: Sequence) -> _PaFactors:
     """The factors of the sum and the power over the product of the map
-    parts with up tables ``ups`` and the pow tables ``pows``.  Cm is one
-    lookup over all |Maps|^2 cells, in chunks of its first index."""
+    parts with up tables ``ups`` and the pow tables ``pows``."""
     n = obj.order
     up = np.asarray(ups, dtype=np.intp).reshape(len(ups), n)
     w = np.asarray(pows, dtype=np.intp).reshape(len(pows), n)
-    M, find_up, ident = len(up), _row_finder(up), np.arange(n)
+    find_up, ident = _row_finder(up), np.arange(n)
 
     def find_map(dl, dr, u, ul):
         """The map part (dl, dr, u, ul), each over the last axis, or -1: one
@@ -112,8 +112,7 @@ def _pa_factors(obj: FiniteGwaObject, ups: Sequence, pows: Sequence) -> _PaFacto
         ok = (dl == ident) & (dr == ident) & (np.take_along_axis(ul, u, -1) == ident)
         return np.where(ok.all(-1), find_up(u), -1)
 
-    Cm = _chunked(M, M * n, lambda s: find_up(up[np.arange(M)[:, None], up[s, None]]))
-    return _PaFactors(Cm, find_up(np.argsort(up, axis=1)), len(w), up, w, obj._arrays,
+    return _PaFactors(find_up, find_up(np.argsort(up, axis=1)), len(w), up, w, obj._arrays,
                       find_map, _row_finder(w))
 
 
@@ -141,14 +140,15 @@ def _images(f: _PaFactors, negB: np.ndarray, dots: np.ndarray, ups: np.ndarray) 
 
 def _assemble(f: _PaFactors) -> tuple[np.ndarray, np.ndarray]:
     """The m x m sum and power tables, -1 where a result leaves the set.
-    The pow parts of x+y and x^y, the indices of pow_x + pow_y and of
-    up_y o pow_x, are looked up once per pair of factors, in chunks of the
-    pow table of x."""
-    M, W, n = len(f.Cm), f.W, f.pow.shape[1]
+    The map part of x+y, the index of up_y o up_x, and the pow parts of x+y
+    and x^y, the indices of pow_x + pow_y and of up_y o pow_x, are looked up
+    once per pair of factors, in chunks of the first factor."""
+    (M, n), W = f.up.shape, f.W
     i = np.arange(M)
+    map_add = _chunked(M, M * n, lambda s: f.find_up(f.up[i[:, None], f.up[s, None]]))
     pow_add = _chunked(W, W * n, lambda s: f.find_pow(f.A.add[f.pow[s, None], f.pow]))
     pow_act = _chunked(W, M * n, lambda s: f.find_pow(f.up[i[:, None], f.pow[s, None]]))
-    add = _element(f, f.Cm[:, None, :, None], pow_add[None, :, None, :])
+    add = _element(f, map_add[:, None, :, None], pow_add[None, :, None, :])
     act = _element(f, i[:, None, None, None], pow_act[None, :, :, None])
     return tuple(np.broadcast_to(x, (M, W, M, W)).reshape(M * W, M * W) for x in (add, act))
 

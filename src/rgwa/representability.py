@@ -79,9 +79,9 @@ class PAObject:
 
     Element i*|W| + j is the pentaction with map part i and pow table j; the
     zero pentaction sits at index 0 (identity maps and the constant 0 sort
-    first).  A sum has map part Cm[i_x, i_y] and the pow table pow_x +
-    pow_y, and a power x^y map part i_x and the pow table up_y o pow_x, over
-    the factors of the base.  ``order`` and ``action_report`` read the
+    first).  A sum has map part up_y o up_x and the pow table pow_x + pow_y,
+    and a power x^y map part i_x and the pow table up_y o pow_x, over the
+    factors of the base.  ``order`` and ``action_report`` read the
     factors; ``elements`` (m Pentactions) and ``object`` (the m x m tables,
     charged m^2 cells against ``budget``) are built on first access.
     PA(base) is a group with action (the ``rgwa.pa`` docstring), ``report``

@@ -520,34 +520,67 @@ LARGE_PA_BASES = {
 }
 
 
+# Runs the program in its argv and reports its exit code and peak resident
+# memory (KiB) on stderr.  The program is started from this small launcher,
+# not from pytest, because Linux carries the RSS peak of the process that
+# starts a program into that program's ru_maxrss.
+LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[1:])\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "proc.returncode = os.waitstatus_to_exitcode(status)\n"
+    "print(proc.returncode, usage.ru_maxrss, file=sys.stderr)\n"
+)
+
+
+def save_large_base(name, tmp_path):
+    orders = LARGE_PA_BASES[name][0]
+    base = rgwa.cyclic_trivial(orders[0])
+    for k in orders[1:]:
+        base = rgwa.direct_sum(base, rgwa.cyclic_trivial(k), name=name)
+    path = tmp_path / f"{name}.json"
+    save_object(base, path)
+    return path
+
+
 def test_pa_on_a_large_base_in_a_subprocess(tmp_path):
     # One m x m table of PA(z3xz3) alone would be 15 M cells, and one of
     # PA(z2xz2xz4) 3.9 G.  Each child exits 1 with the pinned output, its
     # peak resident memory stays under 100 MB, and it ends within the
-    # timeout.  A small launcher starts the child, because Linux carries the
-    # RSS peak of the process that starts a program into that program's
-    # ru_maxrss.
-    launcher = (
-        "import os, subprocess, sys\n"
-        "proc = subprocess.Popen(sys.argv[1:])\n"
-        "_, status, usage = os.wait4(proc.pid, 0)\n"
-        "proc.returncode = os.waitstatus_to_exitcode(status)\n"
-        "print(proc.returncode, usage.ru_maxrss, file=sys.stderr)\n"
-    )
+    # timeout.
     src = Path(rgwa.__file__).resolve().parent.parent
-    for name, (orders, stdout) in LARGE_PA_BASES.items():
-        base = rgwa.cyclic_trivial(orders[0])
-        for k in orders[1:]:
-            base = rgwa.direct_sum(base, rgwa.cyclic_trivial(k), name=name)
-        path = tmp_path / f"{name}.json"
-        save_object(base, path)
+    for name, (_, stdout) in LARGE_PA_BASES.items():
+        path = save_large_base(name, tmp_path)
         proc = subprocess.run(
-            [sys.executable, "-c", launcher, sys.executable, "-m", "rgwa.cli", "pa", str(path)],
+            [sys.executable, "-c", LAUNCHER, sys.executable, "-m", "rgwa.cli", "pa", str(path)],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
             timeout=60)
         code, maxrss_kib = map(int, proc.stderr.split())
         assert (code, proc.stdout) == (1, stdout), name
         assert maxrss_kib < 100 * 1024, name
+
+
+def test_pa_builds_no_table_of_map_part_sums(tmp_path):
+    # PA(z4xz4xz2) has 1,536 map parts: a |Maps|^2 table of their sums
+    # alone would be 2.4 M lookups and 19 MB, which `rgwa pa` never reads.
+    # The child reads its own peak resident memory after the verb returns.
+    child = (
+        "import resource, sys\n"
+        "from rgwa.cli import main\n"
+        "code = main(['pa', sys.argv[1]])\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    path = save_large_base("z4xz4xz2", tmp_path)
+    src = Path(rgwa.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, sys.executable, "-c", child, str(path)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60)
+    maxrss_kib, code, _ = map(int, proc.stderr.split())
+    assert code == 1
+    assert proc.stdout.startswith(
+        '{"pa_action":{"passed":false,"violations":[{"condition":"a9","witness":[1,8,8]}')
+    assert maxrss_kib < 64 * 1024
 
 
 def test_represent_on_shear64_in_a_subprocess(tmp_path):

@@ -110,22 +110,22 @@ def test_lead_matches_the_full_scan_on_walked_batches(chunking):
 
 
 def test_lead_matches_the_full_scan_on_walked_up_families(chunking):
-    # the index checks of the family walk, 2B at B's generators b2 and a5,
-    # give the verdicts of the full 2B and a5 scans of the up tables they
-    # stand for, and the lead the verdict of 2B at every b2
+    # the table checks of the family walk, 2B at B's generators b2 and a5,
+    # give the verdicts of the full 2B and a5 scans of the up tables whose
+    # columns they read, and the lead the verdict of 2B at every b2
     checks = dict(extensions._FAMILY_CHECKS)
     rows = [c for c in extensions._CONDITIONS if c[0] in checks]
     seen = set()
     for A, B in _up_pairs():
-        f = pa._canonical_factors(A)
-        maps, C = f.up, f.Cm
-        # the kept families, then copies with one index moved within Maps(A)
+        maps = pa._canonical_factors(A).up
+        # the kept families, then copies with one column moved within Maps(A)
         F = _corrupted(extensions._families(A, B), 32, len(maps), seed=A.order * B.order)
+        U = maps[F]
         dot = np.broadcast_to(np.arange(A.order), (len(F), B.order, A.order))
-        t = extensions._tables(A, B, dot=dot, up=maps[F].swapaxes(1, 2))
+        t = extensions._tables(A, B, dot=dot, up=U.swapaxes(1, 2))
         for row in rows:
-            lead = ~core._violated(checks[row[0]](C, B._arrays, _generator_lead(B), F))
-            full = ~core._violated(checks[row[0]](C, B._arrays, np.arange(B.order), F))
+            lead = ~core._violated(checks[row[0]](B._arrays, _generator_lead(B), U))
+            full = ~core._violated(checks[row[0]](B._arrays, np.arange(B.order), U))
             want = _passing(t, [row], extensions._sizes(A, B))
             assert lead.tolist() == full.tolist() == want.tolist(), (A.name, B.name, row[0])
             seen.update((row[0], v) for v in want.tolist())

@@ -479,13 +479,23 @@ class TestEnumeration:
 
     def test_walk_charge_counts_candidates_and_the_2a_table(self):
         # z8neg <- klein4: 16 kept ups and |W'| = 4, so the walk visits
-        # 16 * 4^2 candidates and the 2A table has 4^2 entries; the family
-        # check charges 4^2 = 16 before
+        # 16 * 4^2 candidates, the 2A table has 4^2 entries, and the 4B and
+        # a10 tables |Maps| * |W'| = 4 * 4; the family check charges 4^2 = 16
+        # before
         klein4 = rgwa.direct_sum(rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(2), name="klein4")
         z8neg = negation_cyclic(8)
-        with pytest.raises(rgwa.BudgetExceededError, match=r"needs 272 candidate visits"):
-            rgwa.enumerate_derived_actions(z8neg, klein4, budget=271)
-        assert len(rgwa.enumerate_derived_actions(z8neg, klein4, budget=272)) == 64
+        with pytest.raises(rgwa.BudgetExceededError, match=r"needs 288 candidate visits"):
+            rgwa.enumerate_derived_actions(z8neg, klein4, budget=287)
+        assert len(rgwa.enumerate_derived_actions(z8neg, klein4, budget=288)) == 64
+
+    def test_a_cyclic_acting_object_on_a_large_maps_is_walked(self):
+        # z2^4 has 20160 map parts and one generator of z2 walks 20160
+        # families, with no table over pairs of map parts; the pow stage's
+        # 4B and a10 tables are 20160 * |W'| = 20160 * 316 entries
+        z2 = rgwa.cyclic_trivial(2)
+        z2_4 = rgwa.direct_sum(rgwa.direct_sum(z2, z2), rgwa.direct_sum(z2, z2))
+        assert len(extensions._pow_rows(z2_4)[0]) == 316
+        assert len(rgwa.enumerate_derived_actions(z2_4, z2)) == 8296
 
     def test_bruteforce_cap(self):
         A, B = rgwa.cyclic_trivial(3), rgwa.cyclic_trivial(2)
