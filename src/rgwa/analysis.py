@@ -1,5 +1,8 @@
 """Structure analysis: derived subobject, perfectness, stabilizers, and the
-chain of quotients annihilating the weak stabilizer."""
+chain of quotients annihilating the weak stabilizer.
+
+The weak stabilizer reads the two factors of the pentaction set as they are
+cached, read-only (rows, n) index arrays, with no copy or conversion."""
 
 from __future__ import annotations
 
@@ -8,10 +11,10 @@ from math import prod
 
 import numpy as np
 
-from . import core
 from .core import (
     ElementSet,
     FiniteGwaObject,
+    _slices,
     derived_subobject,
     is_perfect,
     quotient_map,
@@ -19,7 +22,7 @@ from .core import (
 )
 from .errors import UnsupportedInputError, WorkbenchError
 from .pa import _OBSTRUCTIONS
-from .pentactions import DEFAULT_BUDGET, _check_budget, _pentaction_factors
+from .pentactions import DEFAULT_BUDGET, _check_budget, _map_factor, _pow_factor
 
 __all__ = [
     "derived_subobject",
@@ -54,20 +57,23 @@ def weak_stabilizer(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> Eleme
     budget is charged as for its exhaustive enumeration.  That set is the
     product of its map parts and its pow tables, so the families are the
     values of the rows a9, a10 and reduced.central of ``pa._OBSTRUCTIONS``
-    over the up tables U and the pow tables W, and the set is {0} exactly
-    when PA(obj) passes them.  Each row is evaluated in chunks of at most
-    ``core._CHUNK_CELLS`` cells and its values marked in a length-n table,
-    so memory stays O((|U|+|W|)*n).
+    over the up tables U and the pow tables W, the cached read-only arrays
+    ``pentactions._map_factor`` and ``_pow_factor``, and the set is {0}
+    exactly when PA(obj) passes them.  Each row is evaluated over the chunks
+    of ``core._slices`` and its values marked in a length-n table, so memory
+    stays O((|U|+|W|)*n).  The set only grows, so the scan stops once every
+    element is marked.
     """
     _check_budget(obj, budget)
     n = obj.order
     seen = np.zeros(n, dtype=bool)
-    up, pw = (np.asarray(x, dtype=np.intp) for x in _pentaction_factors(obj))
+    up, pw = _map_factor(obj), _pow_factor(obj)
     sizes = {"I": len(up), "J": len(pw), "A": n}
     for _, axes, value, _ in _OBSTRUCTIONS:
-        step = max(1, core._CHUNK_CELLS // max(prod(sizes[x] for x in axes[1:]), 1))
-        for lo in range(0, sizes[axes[0]], step):
-            seen[value(up, pw, obj._arrays, slice(lo, lo + step))] = True
+        for s in _slices(sizes[axes[0]], prod(sizes[x] for x in axes[1:])):
+            seen[value(up, pw, obj._arrays, s)] = True
+            if seen.all():
+                return ElementSet(obj, tuple(range(n)))
     return ElementSet(obj, tuple(int(v) for v in np.flatnonzero(seen)))
 
 

@@ -44,7 +44,8 @@ from .files import (
 from .pentactions import (
     DEFAULT_BUDGET,
     _check_budget,
-    _pentaction_factors,
+    _map_factor,
+    _pow_factor,
     enumerate_pentactions,
     enumerate_pentactions_bruteforce,
 )
@@ -76,7 +77,8 @@ def _cmd_corpus(args) -> tuple[int, dict]:
 def _cmd_pentactions(args) -> tuple[int, str]:
     obj = load_object(args.path)
     _check_budget(obj, args.budget)
-    return EXIT_PASSED, dumps_pentactions(obj.name, *_pentaction_factors(obj), pretty=args.pretty)
+    ups, rows = _map_factor(obj).tolist(), _pow_factor(obj).tolist()
+    return EXIT_PASSED, dumps_pentactions(obj.name, ups, rows, pretty=args.pretty)
 
 
 def _cmd_pa(args) -> tuple[int, dict]:

@@ -31,7 +31,10 @@ of a batch.  The walked filters (additive bijections, the pentaction pow and
 map factors) have ``_passing`` check their rows at the additive generators
 only, which the closure lemma (Clifford & Preston I, section 1.2) makes the
 full verdict; ``_violations``, which must give minimal witnesses, and the
-brute-force oracles scan in full.
+brute-force oracles scan in full.  Every chunked loop (``_violations``,
+``_passing``, ``_chunked``, ``_image_chunks`` and
+``analysis.weak_stabilizer``) takes its chunks from ``_slices``, the one
+rule that turns ``_CHUNK_CELLS`` into a step.
 The masks read an object's cached ``_arrays``: add, act, neg and the
 carrier ar as index arrays.  Outside tables are validated once by
 ``_check_table``; ``_scan_axioms`` then scans index arrays directly.
@@ -107,6 +110,14 @@ def _check_table(order: int, table, what: str) -> Table:
 _CHUNK_CELLS = 1 << 18
 
 
+def _slices(count: int, cells: int):
+    """The slices of range(count), in order, that hold at most
+    ``_CHUNK_CELLS`` cells at ``cells`` per index, one index at least; the
+    one place a chunk step is computed.  Lazy, as a count can reach 10^8."""
+    step = max(1, _CHUNK_CELLS // max(cells, 1))
+    return (slice(lo, min(count, lo + step)) for lo in range(0, count, step))
+
+
 def _violations(t, conditions, sizes):
     """Yield one minimal-witness Violation per failing condition, in order.
 
@@ -121,15 +132,13 @@ def _violations(t, conditions, sizes):
     the first chunk with a violation, whose C-order first hit is minimal.
     """
     for cid, axes, *reads, mask in conditions:
-        lead = sizes[axes[0]]
-        step = max(1, _CHUNK_CELLS // max(prod(sizes[x] for x in axes[1:]), 1))
-        for lo in range(0, lead, step):
-            hits = mask(t, slice(lo, min(lead, lo + step)))
+        for s in _slices(sizes[axes[0]], prod(sizes[x] for x in axes[1:])):
+            hits = mask(t, s)
             if reads:
                 hits = hits[0]
             if hits.any():
                 first = np.unravel_index(int(hits.argmax()), hits.shape)
-                yield Violation(cid, (lo + int(first[0]),) + tuple(int(v) for v in first[1:]))
+                yield Violation(cid, (s.start + int(first[0]),) + tuple(int(v) for v in first[1:]))
                 break
 
 
@@ -156,9 +165,8 @@ def _passing(t, conditions, sizes, lead=None) -> np.ndarray:
     rows = [(lead.get(axes[0], slice(None)), mask) for _, axes, _, mask in conditions]
     cells = max(len(lead[axes[0]]) * prod(sizes[x] for x in axes[1:]) if axes[0] in lead
                 else prod(sizes[x] for x in axes) for _, axes, _, _ in conditions)
-    step = max(1, _CHUNK_CELLS // max(8 * cells, 1))
-    for lo in range(0, k, step):
-        live = np.arange(lo, min(k, lo + step))
+    for s in _slices(k, 8 * cells):
+        live = np.arange(s.start, s.stop)
         chunk = t._replace(**{r: getattr(t, r)[live] for r in reads})
         for s, mask in rows:
             keep = ~_violated(mask(chunk, s))
@@ -175,9 +183,9 @@ def _passing(t, conditions, sizes, lead=None) -> np.ndarray:
 def _chunked(count: int, cells: int, build) -> np.ndarray:
     """``build(s)`` over the slices s of range(count) that hold at most
     ``_CHUNK_CELLS`` cells at ``cells`` per index, concatenated.  With count
-    0, ``build`` gets one empty slice, so the result keeps its trailing shape."""
-    step = max(1, _CHUNK_CELLS // max(cells, 1))
-    return np.concatenate([build(slice(lo, lo + step)) for lo in range(0, max(count, 1), step)])
+    0, ``build`` gets the one slice of range(1), empty on the count-long
+    axes, so the result keeps its trailing shape."""
+    return np.concatenate([build(s) for s in _slices(max(count, 1), cells)])
 
 
 def _pick(f: np.ndarray, *index) -> np.ndarray:
@@ -526,9 +534,8 @@ def generating_words(obj: FiniteGwaObject) -> tuple[tuple[int, ...], tuple[Step,
 def _image_chunks(base: int, count: int, cells: int):
     """All base**count generator-image rows in product order, in (k, count)
     chunks of at most ``_CHUNK_CELLS`` cells, each row costing ``cells``."""
-    total, step = base**count, max(1, _CHUNK_CELLS // cells)
-    for lo in range(0, total, step):
-        rest = np.arange(lo, min(total, lo + step))
+    for s in _slices(base**count, cells):
+        rest = np.arange(s.start, s.stop)
         images = np.empty((len(rest), count), dtype=np.intp)
         for gi in reversed(range(count)):
             rest, images[:, gi] = np.divmod(rest, base)

@@ -372,7 +372,7 @@ def _families(A: FiniteGwaObject, B: FiniteGwaObject) -> np.ndarray:
 def _pow_rows(A: FiniteGwaObject):
     """W', the rows r of A's pentaction pow factor with r o r = 0, and its
     row finder; the rows are shared by every batch on A, so read-only."""
-    rows = np.asarray(_pow_factor(A), dtype=np.intp)
+    rows = _pow_factor(A)
     rows = rows[(np.take_along_axis(rows, rows, axis=1) == 0).all(axis=1)]
     rows.setflags(write=False)
     return rows, _row_finder(rows)
@@ -401,12 +401,12 @@ def _pow_products(A: FiniteGwaObject):
 _DerivedBatch = namedtuple("_DerivedBatch", "ups rows pair J")
 
 
-# The pow stage's lookup of rows in W' (w of them) and its index tables, of
-# A alone, -1 marking a row outside W': Z[j, j2] is whether W'[j] o W'[j2] =
-# 0, S[j, j2] the index of W'[j] + W'[j2], TM[i, j] the index of up_i o
-# W'[j] and RM[i, j] whether W'[j] o up_i = W'[j], for up_i in Maps(A); F
-# holds the P kept up families as indices into Maps(A).
-_PowIndex = namedtuple("_PowIndex", "find Z S TM RM F addB actB")
+# The pow stage's index tables over the rows of W', of A alone, -1 marking
+# a row outside W': Z[j, j2] is whether W'[j] o W'[j2] = 0, S[j, j2] the
+# index of W'[j] + W'[j2], TM[i, j] the index of up_i o W'[j] and RM[i, j]
+# whether W'[j] o up_i = W'[j], for up_i in Maps(A); F holds the P kept up
+# families as indices into Maps(A).
+_PowIndex = namedtuple("_PowIndex", "Z S TM RM F addB actB")
 
 # The seven pow-reading conditions of walked candidates with kept up families
 # p and J[k, b] the index of row b in W', -1 outside, as violation masks led
@@ -460,7 +460,7 @@ def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -
             f"derived-action enumeration for {B.name!r} on {A.name!r} needs "
             f"{total} candidate visits, budget is {budget}; 0 candidates checked"
         )
-    x = _PowIndex(find, *_pow_products(A), F, B._arrays.add, B._arrays.act)
+    x = _PowIndex(*_pow_products(A), F, B._arrays.add, B._arrays.act)
     addA, negA = A._arrays.add, A._arrays.neg
 
     def rule(prev, row, step):

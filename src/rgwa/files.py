@@ -2,13 +2,11 @@
 
 Object file:     {"name": str, "order": n, "add": [[...]], "act": [[...]]}
 Report:          {"passed": bool, "violations": [{"condition", "witness"}]}
-Triple file:     {"A": name, "B": name, "dot": [[...]], "up": [[...]], "pow": [[...]]}
 Pentaction file: {"object": name, "dotL": [...], ..., "pow": [...]}
 Pentactions:     {"count": m, "object": name, "pentactions": [pentaction file, ...]},
                  written from the Maps x W factors in canonical key order
                  (``dumps_pentactions``): (2*|Maps| + |W| + 2)*n encoded
                  integers, since the dots are the identity
-Extension file:  {"A": path, "E": path, "B": path, "i": [...], "p": [...], "j": [...]}
 
 All emitters are byte-stable: keys sorted, fixed separators, trailing newline.
 """
@@ -18,10 +16,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import FiniteGwaObject, GwaMorphism, _freeze_table, as_index, invert_map, make_object
+from .core import FiniteGwaObject, as_index, invert_map, make_object
 from .corpus import s3_conjugation_tables, standard_corpus
 from .errors import InputError
-from .extensions import DerivedActionTriple, SplitExtension
 from .pentactions import Pentaction
 
 
@@ -127,28 +124,6 @@ def read_json(path):
         raise InputError(f"{path}: unreadable JSON: {exc}") from exc
 
 
-def triple_to_json(triple: DerivedActionTriple) -> dict:
-    return {
-        "A": triple.A.name,
-        "B": triple.B.name,
-        "dot": [list(r) for r in triple.dot],
-        "up": [list(r) for r in triple.up],
-        "pow": [list(r) for r in triple.pow],
-    }
-
-
-def triple_from_json(data: dict, A: FiniteGwaObject, B: FiniteGwaObject) -> DerivedActionTriple:
-    _require_keys(data, {"A", "B", "dot", "up", "pow"}, "triple")
-    if data["A"] != A.name or data["B"] != B.name:
-        raise InputError(
-            f"triple references ({data['A']!r}, {data['B']!r}), "
-            f"got objects ({A.name!r}, {B.name!r})"
-        )
-    return DerivedActionTriple(
-        A, B, *(_freeze_table(data[key]) for key in ("dot", "up", "pow"))
-    )
-
-
 def pentaction_to_json(pent: Pentaction) -> dict:
     out: dict = {"object": pent.parent.name}
     for slot, table in pent.tables().items():
@@ -164,38 +139,6 @@ def pentaction_from_json(data: dict, obj: FiniteGwaObject) -> Pentaction:
         )
     slots = ("dotL", "dotR", "up", "upL", "pow")
     return Pentaction(obj, *(_indices(data[slot], f"pentaction {slot}") for slot in slots))
-
-
-def extension_to_json(object_paths: dict[str, str], ext: SplitExtension) -> dict:
-    """Serialize by reference: the three object file paths plus map sequences."""
-    missing = {"A", "E", "B"} - object_paths.keys()
-    if missing:
-        raise InputError(f"extension document needs object paths for {sorted(missing)}")
-    return {
-        "A": object_paths["A"],
-        "E": object_paths["E"],
-        "B": object_paths["B"],
-        "i": list(ext.i.map),
-        "p": list(ext.p.map),
-        "j": list(ext.j.map),
-    }
-
-
-def load_split_extension(path) -> SplitExtension:
-    """Load an extension file, resolving object paths relative to it."""
-    data = read_json(path)
-    _require_keys(data, {"A", "E", "B", "i", "p", "j"}, f"{path}: extension")
-    base = Path(path).parent
-    for key in ("A", "E", "B"):
-        if not isinstance(data[key], str):
-            raise InputError(f"{path}: object path {key} must be a string, got {data[key]!r}")
-    a, e, b = (load_object(base / data[key]) for key in ("A", "E", "B"))
-    return SplitExtension(
-        a, e, b,
-        i=GwaMorphism(a, e, _indices(data["i"], f"{path}: map i")),
-        p=GwaMorphism(e, b, _indices(data["p"], f"{path}: map p")),
-        j=GwaMorphism(b, e, _indices(data["j"], f"{path}: map j")),
-    )
 
 
 def emit_corpus(directory) -> list[str]:

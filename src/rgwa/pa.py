@@ -118,9 +118,10 @@ def _pa_factors(obj: FiniteGwaObject, ups: Sequence, pows: Sequence) -> _PaFacto
 
 @object_cache(maxsize=32)
 def _canonical_factors(obj: FiniteGwaObject) -> _PaFactors:
-    """The factors of PA(obj), over Maps(obj) and the pow factor; both are
-    defined on any validated obj, so the family walk of a non-reduced obj
-    reads them too, and only ``PAObject`` requires a reduced obj."""
+    """The factors of PA(obj), over Maps(obj) and the pow factor, whose
+    cached read-only arrays are its up and pow; both are defined on any
+    validated obj, so the family walk of a non-reduced obj reads them too,
+    and only ``PAObject`` requires a reduced obj."""
     return _pa_factors(obj, _map_factor(obj), _pow_factor(obj))
 
 

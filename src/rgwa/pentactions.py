@@ -24,7 +24,11 @@ the identity (the lemma in ``rgwa.extensions``), so the map parts are the
 additive bijections up passing the map conditions, each with upL = up^-1.
 The pruned enumerator scans the two factors apart, visiting |ups| + n^|gens|
 candidates, while its budget is still charged the |ups|*n^|gens| candidates
-of the product.
+of the product.  Each factor is kept once per object, as a read-only
+(rows, n) intp array sorted by row (``_map_factor``, ``_pow_factor``): the
+form that PA(A), the weak stabilizer and the derived-action pow stage read.
+Only the writers of Python values, the enumerator and ``rgwa pentactions``,
+convert them with ``tolist``.
 
 Every walked map part (id, id, up, up^-1), up an additive bijection, meets
 p1, p1d, p2, p2d, p3, p3d, p6, p6d, p11 and p12 by construction, and over a
@@ -201,7 +205,6 @@ CONDITION_IDS = tuple(c[0] for c in _CONDITIONS)
 # and the other sixteen never read it.  So the pentactions are exactly the
 # maps passing the sixteen times the pow tables passing the three, and the
 # enumerator scans the two factors apart.
-_Table = tuple[int, ...]
 _MAP_CONDITIONS = tuple(c for c in _CONDITIONS if "pow" not in c[2])
 _POW_CONDITIONS = tuple(c for c in _CONDITIONS if c[2] == ("pow",))
 
@@ -371,37 +374,34 @@ def _pow_walk(obj: FiniteGwaObject):
 
 
 @object_cache(maxsize=32)
-def _pow_factor(obj: FiniteGwaObject) -> tuple[_Table, ...]:
-    """The pow tables passing p4, p7 and p10, sorted; by p4 they are crossed
-    maps, so the walked ones are filtered.  On a reduced obj each row is
-    checked at the generators (``core._passing``); p7 closes under + only
-    through reduced.collapse, so on another obj the rows scan in full."""
+def _pow_factor(obj: FiniteGwaObject) -> np.ndarray:
+    """The pow tables passing p4, p7 and p10, as a read-only (|W|, n) array
+    sorted by row; by p4 they are crossed maps, so the walked ones are
+    filtered.  On a reduced obj each row is checked at the generators
+    (``core._passing``); p7 closes under + only through reduced.collapse,
+    so on another obj the rows scan in full."""
     lead = {"A": _generator_lead(obj)} if obj.reduced else None
-    kept: list[list[int]] = []
-    for rows in _pow_walk(obj):
-        keep = _passing(_tables(obj, pow=rows), _POW_CONDITIONS, {"A": obj.order}, lead)
-        kept.extend(rows[keep].tolist())
-    return tuple(sorted(map(tuple, kept)))
+    kept = np.concatenate([rows[_passing(_tables(obj, pow=rows), _POW_CONDITIONS,
+                                         {"A": obj.order}, lead)]
+                           for rows in _pow_walk(obj)])
+    kept = kept[np.lexsort(kept.T[::-1])]
+    kept.setflags(write=False)  # the one copy, shared by every reader
+    return kept
 
 
 @object_cache(maxsize=32)
-def _map_factor(obj: FiniteGwaObject) -> tuple[_Table, ...]:
-    """Maps(obj): the additive bijections passing p5 and p9, sorted, each
-    checked at the generators, since their closure under + needs only the
-    additivity of up and action.add; so on any validated obj."""
+def _map_factor(obj: FiniteGwaObject) -> np.ndarray:
+    """Maps(obj): the up tables of the map parts (id, id, up, up^-1) passing
+    the conditions that do not read pow, as a read-only (|Maps|, n) array
+    sorted by row.  p3 and p3d force the identity dots and p12 the upL, so
+    they are the additive bijections passing p5 and p9 (module docstring),
+    each checked at the generators, since their closure under + needs only
+    the additivity of up and action.add; so on any validated obj."""
     t = _map_parts(obj)
     keep = _passing(t, _MAP_WALKED, {"A": obj.order}, {"A": _generator_lead(obj)})
-    return tuple(map(tuple, t.up[keep].tolist()))
-
-
-def _pentaction_factors(obj: FiniteGwaObject) -> tuple[tuple[_Table, ...], tuple[_Table, ...]]:
-    """The two factors of the pentaction set, each sorted: the up tables of
-    the map parts passing the conditions that do not read pow, and the pow
-    tables passing the conditions that read only pow.  A map part is
-    (id, id, up, up^-1): p3 and p3d force the identity dots, p12 the upL.
-    Over a reduced obj the map factor is ``_map_factor`` (module docstring)."""
-    _require_reduced(obj)
-    return _map_factor(obj), _pow_factor(obj)
+    ups = t.up[keep]
+    ups.setflags(write=False)  # the one copy, shared by every reader
+    return ups
 
 
 def _map_parts(obj: FiniteGwaObject) -> _Tables:
@@ -417,7 +417,8 @@ def _map_parts(obj: FiniteGwaObject) -> _Tables:
 def _enumerate_pentactions_uncapped(obj: FiniteGwaObject) -> tuple[Pentaction, ...]:
     # Maps outer, pow inner is the canonical key order: the dots are the
     # identity, the up tables are distinct and each factor is sorted.
-    ups, rows = _pentaction_factors(obj)
+    _require_reduced(obj)
+    ups, rows = (tuple(map(tuple, x.tolist())) for x in (_map_factor(obj), _pow_factor(obj)))
     ident = tuple(range(obj.order))
     return tuple(Pentaction(obj, ident, ident, up, upl, pw)
                  for up, upl in zip(ups, map(invert_map, ups)) for pw in rows)

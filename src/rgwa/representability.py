@@ -266,9 +266,11 @@ class RepresentabilityReport:
     """Aggregate outcome of representability verification for one base.
 
     ``failures`` entries are JSON-ready dicts naming the stage that broke
-    ("pa_rgwa", "pa_action", "represent", "morphism", "uniqueness"), the
-    acting object and triple index where applicable, and the conditions.
-    An unverified PA(A) gives one "represent" entry per B, triple None."""
+    ("pa_rgwa", "pa_action" or "represent"), the acting object and triple
+    index where applicable, and the conditions.  An unverified PA(A) gives
+    one "represent" entry per B with derived actions, triple None; on a
+    verified PA(A) no morphism or uniqueness check can fail (the module
+    docstring)."""
 
     base: str
     pa_order: int

@@ -5,11 +5,32 @@ import numpy as np
 import pytest
 
 import rgwa
+from rgwa import core, extensions, pa, pentactions
 
 
 @pytest.fixture(scope="session")
 def corpus():
     return rgwa.standard_corpus()
+
+
+def _clear_object_caches():
+    for cached in (core._additive_bijections_cached, pentactions._pow_factor,
+                   pentactions._map_factor, pentactions._enumerate_pentactions_uncapped,
+                   pa._canonical_factors, extensions._pow_rows, extensions._pow_products):
+        cached.cache_clear()
+
+
+@pytest.fixture(params=["default-chunks", "one-candidate-chunks"])
+def chunking(request, monkeypatch):
+    """The default chunks, then chunks of one cell: every chunk holds one
+    candidate, and the chunks of the additive-bijection search that keep no
+    bijective row are empty.  The object caches are cleared before and
+    after, so the cached factors are rebuilt in the chunks under test."""
+    if request.param == "one-candidate-chunks":
+        monkeypatch.setattr(core, "_CHUNK_CELLS", 1)
+    _clear_object_caches()
+    yield
+    _clear_object_caches()
 
 
 def negation_cyclic(n: int, name: str | None = None) -> rgwa.FiniteGwaObject:

@@ -4,6 +4,7 @@ import pytest
 
 import rgwa
 from conftest import negation_product, reference_weak_stabilizer
+from rgwa import analysis
 
 
 def weak_stabilizer_by_definition(obj):
@@ -92,6 +93,23 @@ class TestWeakStabilizer:
         for obj in list(corpus) + [z4neg, k4swap, shear16,
                                    negation_product(4, 4), negation_product(8, 2)]:
             assert rgwa.weak_stabilizer(obj) == reference_weak_stabilizer(obj), obj.name
+
+    def test_the_scan_stops_once_every_element_is_marked(self, monkeypatch, corpus):
+        # the set only grows: on klein4 the central row marks all of A, and
+        # on z2xz4 the central and a9 rows do, so the rows after never run
+        ran = []
+        rows = tuple((cid, axes, lambda *a, cid=cid, value=value: ran.append(cid) or value(*a),
+                      witness) for cid, axes, value, witness in analysis._OBSTRUCTIONS)
+        monkeypatch.setattr(analysis, "_OBSTRUCTIONS", rows)
+        by_name = {o.name: o for o in corpus}
+        for name, skipped in (("klein4", {"a9", "a10"}), ("z2xz4", {"a10"})):
+            obj = by_name[name]
+            ran.clear()
+            wst = rgwa.weak_stabilizer(obj)
+            assert wst == reference_weak_stabilizer(obj), name
+            assert len(wst) == obj.order, name
+            assert ran and not skipped & set(ran), (name, ran)
+        assert "a9" in ran
 
     def test_one_pentaction_per_chunk(self, monkeypatch, corpus, z4neg, shear16):
         monkeypatch.setattr(rgwa.core, "_CHUNK_CELLS", 1)

@@ -72,12 +72,6 @@ def _assert_prefixes_match(t, rows, sizes, lead, what):
             what, [r[0] for r in rows[:i]])
 
 
-@pytest.fixture(params=["default-chunks", "one-candidate-chunks"])
-def chunking(request, monkeypatch):
-    if request.param == "one-candidate-chunks":
-        monkeypatch.setattr(core, "_CHUNK_CELLS", 1)
-
-
 def _map_batch(obj):
     """The walked map parts and one-cell corruptions of their four slots,
     as the slot arrays of a pentaction batch."""
@@ -152,7 +146,7 @@ def test_the_pow_factor_scans_p7_in_full_on_a_non_reduced_object():
     sizes = {"A": 6}
     rows = np.concatenate(list(pentactions._pow_walk(s3)))
     full = rows[_passing(pentactions._tables(s3, pow=rows), pentactions._POW_CONDITIONS, sizes)]
-    assert list(pentactions._pow_factor(s3)) == sorted(map(tuple, full.tolist()))
+    assert pentactions._pow_factor(s3).tolist() == sorted(full.tolist())
 
 
 def test_the_map_factor_scans_p5_and_p9_at_the_generators_on_a_non_reduced_object():
@@ -161,7 +155,7 @@ def test_the_map_factor_scans_p5_and_p9_at_the_generators_on_a_non_reduced_objec
     s3 = rgwa.make_object("s3", 6, *s3_conjugation_tables(), require_reduced=False)
     t = pentactions._map_parts(s3)
     full = t.up[_passing(t, pentactions._MAP_WALKED, {"A": 6})]
-    assert list(pentactions._map_factor(s3)) == sorted(map(tuple, full.tolist()))
+    assert pentactions._map_factor(s3).tolist() == sorted(full.tolist())
 
 
 def test_dropped_rows_hold_on_every_walked_candidate():

@@ -528,7 +528,7 @@ class TestDotMapsAreTheIdentity:
     def test_every_map_part_has_identity_dots(self, corpus, z4neg, k4swap):
         # every additive bijection as dotL, dotR its inverse, with every up
         from rgwa.core import _passing
-        from rgwa.pentactions import _MAP_CONDITIONS, _SLOTS, _pentaction_factors, _tables
+        from rgwa.pentactions import _MAP_CONDITIONS, _SLOTS, _map_factor, _tables
 
         for A in self._carriers(corpus, z4neg, k4swap):
             bij = np.asarray(rgwa.additive_bijections(A), dtype=np.intp)
@@ -540,7 +540,7 @@ class TestDotMapsAreTheIdentity:
             identity = tuple(range(A.order))
             assert kept and all(m[0] == m[1] == identity for m in kept), A.name
             assert all(m[3] == tuple(np.argsort(m[2]).tolist()) for m in kept), A.name
-            assert tuple(m[2] for m in kept) == _pentaction_factors(A)[0], A.name
+            assert [list(m[2]) for m in kept] == _map_factor(A).tolist(), A.name
 
 
 def _check(name):
@@ -565,8 +565,8 @@ class TestPowIndexChecks:
         from rgwa.pa import _canonical_factors
 
         F = _row_finder(_canonical_factors(A).up)(batch.ups.swapaxes(1, 2))
-        return extensions._PowIndex(extensions._pow_rows(A)[1], *extensions._pow_products(A), F,
-                                    B._arrays.add, B._arrays.act)
+        return extensions._PowIndex(*extensions._pow_products(A), F, B._arrays.add,
+                                    B._arrays.act)
 
     def _pairs(self, z4neg, k4swap):
         corpus = {o.name: o for o in rgwa.standard_corpus()}
@@ -609,7 +609,7 @@ class TestPowIndexChecks:
         assert [c[0] for c in rows] == ["1B", "a4", "a8", "a9"]
         seen = set()
         for A in [p[0] for p in self._pairs(z4neg, k4swap)] + [negation_cyclic(8)]:
-            pool = np.asarray(_pow_factor(A), dtype=np.intp)
+            pool = _pow_factor(A)
             keep = _passing(extensions._tables(A, point, pow=pool[:, None]), rows,
                             extensions._sizes(A, point))
             assert extensions._pow_rows(A)[0].tolist() == pool[keep].tolist(), A.name
@@ -626,11 +626,9 @@ class TestPowIndexChecks:
         rng = np.random.default_rng(1)
         seen = set()
         for A, B in self._pairs(z4neg, k4swap):
-            batch = extensions._derived_action_batch(A, B, extensions.DEFAULT_BUDGET)
-            pool = np.concatenate([np.asarray(_pow_factor(A), dtype=np.intp),
-                                   rng.integers(0, A.order, (4, A.order))])
+            pool = np.concatenate([_pow_factor(A), rng.integers(0, A.order, (4, A.order))])
             pw = pool[rng.integers(0, len(pool), (200, B.order))]
-            J = self._index(A, B, batch).find(pw)
+            J = extensions._pow_rows(A)[1](pw)
             got = ~_violated(_check("1B a4 a8")(None, None, J))
             rows = [c for c in extensions._CONDITIONS if c[0] in ("1B", "a4", "a8")]
             squares = (np.take_along_axis(pw, pw, axis=2) == 0).all(axis=(1, 2))

@@ -57,26 +57,6 @@ class TestObjectFormat:
 
 
 class TestTripleAndPentactionFormats:
-    def test_triple_round_trip(self):
-        z2 = rgwa.cyclic_trivial(2)
-        triple = rgwa.enumerate_derived_actions(z2, z2)[0]
-        back = files.triple_from_json(files.triple_to_json(triple), z2, z2)
-        assert back == triple
-
-    def test_triple_name_mismatch(self):
-        z2, z3 = rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(3)
-        triple = rgwa.enumerate_derived_actions(z2, z2)[0]
-        with pytest.raises(rgwa.InputError):
-            files.triple_from_json(files.triple_to_json(triple), z2, z3)
-
-    @pytest.mark.parametrize("entry", [True, "1"])
-    def test_triple_entries_must_be_integers(self, entry):
-        z2 = rgwa.cyclic_trivial(2)
-        doc = files.triple_to_json(rgwa.enumerate_derived_actions(z2, z2)[0])
-        doc["pow"][1][1] = entry
-        with pytest.raises(rgwa.InputError):
-            files.triple_from_json(doc, z2, z2)
-
     def test_pentaction_round_trip(self, corpus):
         for obj in corpus[:4]:
             for pent in rgwa.enumerate_pentactions(obj):
@@ -89,79 +69,38 @@ class TestTripleAndPentactionFormats:
 
 
 class TestMalformedDocuments:
-    """The triple, pentaction and extension loaders refuse a document that is
-    not a JSON object, or whose table, slot or map is not a list, with
-    InputError."""
+    """The pentaction loader refuses a document that is not a JSON object,
+    or whose slot is not a list, with InputError; so does the object loader
+    a file that is not JSON, naming its path."""
 
     @pytest.fixture()
-    def load(self, tmp_path):
+    def load(self):
         z2 = rgwa.cyclic_trivial(2)
-        ext = rgwa.direct_sum_extension(z2, z2)
-        for key in ("A", "E", "B"):
-            files.save_object(getattr(ext, key), tmp_path / f"{key}.json")
+        doc = files.pentaction_to_json(rgwa.zero_pentaction(z2))
 
-        def extension(doc):
-            (tmp_path / "ext.json").write_text(json.dumps(doc), encoding="utf-8")
-            return files.load_split_extension(tmp_path / "ext.json")
-
-        loaders = {
-            "triple": (lambda doc: files.triple_from_json(doc, z2, z2),
-                       files.triple_to_json(rgwa.enumerate_derived_actions(z2, z2)[0])),
-            "pentaction": (lambda doc: files.pentaction_from_json(doc, z2),
-                           files.pentaction_to_json(rgwa.zero_pentaction(z2))),
-            "extension": (extension, files.extension_to_json(
-                {"A": "A.json", "E": "E.json", "B": "B.json"}, ext)),
-        }
-
-        def load(kind, change):
-            loader, doc = loaders[kind]
-            loader(doc)  # the unchanged document loads
-            return loader(change(doc))
+        def load(change):
+            files.pentaction_from_json(doc, z2)  # the unchanged document loads
+            return files.pentaction_from_json(change(doc), z2)
 
         return load
 
-    @pytest.mark.parametrize("kind,change", [
-        ("triple", lambda doc: [doc]),
-        ("triple", lambda doc: {**doc, "dot": 5}),
-        ("pentaction", lambda doc: list(doc.values())),
-        ("pentaction", lambda doc: {**doc, "dotL": 5}),
-        ("pentaction", lambda doc: {**doc, "pow": None}),
-        ("extension", lambda doc: [doc]),
-        ("extension", lambda doc: {**doc, "i": 5}),
-    ], ids=["triple-list", "triple-dot-int", "pentaction-list", "pentaction-dotL-int",
-            "pentaction-pow-null", "extension-list", "extension-map-int"])
-    def test_raises_input_error(self, load, kind, change):
+    @pytest.mark.parametrize("change", [
+        lambda doc: list(doc.values()),
+        lambda doc: {**doc, "dotL": 5},
+        lambda doc: {**doc, "pow": None},
+    ], ids=["pentaction-list", "pentaction-dotL-int", "pentaction-pow-null"])
+    def test_raises_input_error(self, load, change):
         with pytest.raises(rgwa.InputError):
-            load(kind, change)
-
-    @pytest.mark.parametrize("key", ["A", "E", "B"])
-    def test_object_path_that_is_not_a_string(self, load, key):
-        with pytest.raises(rgwa.InputError, match=f"object path {key} must be a string"):
-            load("extension", lambda doc: {**doc, key: 5})
+            load(change)
 
     @pytest.mark.parametrize("content", [
         b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000, b"1" * 5_000,
     ], ids=["not-utf8", "nested-past-the-recursion-limit", "integer-past-the-digit-limit"])
-    def test_unreadable_extension_names_the_path(self, tmp_path, content):
-        path = tmp_path / "ext.json"
+    def test_unreadable_object_names_the_path(self, tmp_path, content):
+        path = tmp_path / "obj.json"
         path.write_bytes(content)
         with pytest.raises(rgwa.InputError, match=f"^{path}: unreadable JSON: "):
-            files.load_split_extension(path)
-
-
-class TestExtensionFormat:
-    def test_round_trip_with_relative_paths(self, tmp_path):
-        z2, z3 = rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(3)
-        ext = rgwa.direct_sum_extension(z2, z3)
-        files.save_object(ext.A, tmp_path / "a.json")
-        files.save_object(ext.E, tmp_path / "e.json")
-        files.save_object(ext.B, tmp_path / "b.json")
-        doc = files.extension_to_json({"A": "a.json", "E": "e.json", "B": "b.json"}, ext)
-        (tmp_path / "ext.json").write_text(json.dumps(doc), encoding="utf-8")
-        loaded = files.load_split_extension(tmp_path / "ext.json")
-        assert rgwa.check_split_extension(loaded).passed
-        assert loaded.i.map == ext.i.map
-        assert rgwa.action_from_split_extension(loaded).report.passed
+            files.load_object(path)
 
 
 class TestCorpusEmission:

@@ -22,6 +22,7 @@ from conftest import (
 )
 from rgwa import core, pentactions
 from rgwa.files import pentaction_to_json
+from rgwa.pa import _canonical_factors
 from rgwa.pentactions import CONDITION_IDS, check_pentactions_batch
 
 
@@ -388,6 +389,18 @@ class TestEnumeration:
             assert needed == ("pow",) or "pow" not in needed, cid
         staged = pentactions._MAP_CONDITIONS + pentactions._POW_CONDITIONS
         assert sorted(c[0] for c in staged) == sorted(CONDITION_IDS)
+
+    def test_the_factors_are_one_read_only_copy(self, corpus, z4neg):
+        # PA(A), the weak stabilizer and the derived-action pow stage all
+        # read the cached arrays, so none of them may write into them
+        for obj in (corpus[3], z4neg):
+            f = _canonical_factors(obj)
+            for factor, view in ((pentactions._map_factor(obj), f.up),
+                                 (pentactions._pow_factor(obj), f.pow)):
+                assert factor.dtype == np.intp, obj.name
+                assert np.shares_memory(view, factor), obj.name
+                with pytest.raises(ValueError):
+                    factor[0, 0] = 1
 
     def test_only_kept_pentactions_are_built(self, monkeypatch, shear16):
         built = []

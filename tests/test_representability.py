@@ -32,7 +32,7 @@ from rgwa import core
 from rgwa import pa as pa_module
 from rgwa.core import invert_map
 from rgwa.extensions import _CONDITIONS, DerivedActionTriple
-from rgwa.pentactions import _pentaction_factors
+from rgwa.pentactions import _map_factor, _pow_factor
 from rgwa.report import PASSED
 from rgwa.pa import (
     _OBSTRUCTIONS,
@@ -161,6 +161,11 @@ def scalar_pa_tables(elements):
     return tables[0], tables[1], tuple(gaps)
 
 
+def pentaction_factors(obj):
+    """The map factor and the pow factor of obj as tuples of value tables."""
+    return tuple(tuple(map(tuple, x.tolist())) for x in (_map_factor(obj), _pow_factor(obj)))
+
+
 def factored_tables(obj, ups, pows):
     """The assembled tables of the product ups x pows."""
     return tuple(x.tolist() for x in _assemble(_pa_factors(obj, ups, pows)))
@@ -179,7 +184,7 @@ class TestPaFill:
         for obj in objs + [z4neg, shear16]:
             elements = rgwa.enumerate_pentactions(obj)
             add, act, gaps = scalar_pa_tables(elements)
-            assert factored_tables(obj, *_pentaction_factors(obj)) == (add, act), obj.name
+            assert factored_tables(obj, *pentaction_factors(obj)) == (add, act), obj.name
             assert gaps == ()
 
     def test_truncated_element_lists_report_the_scalar_gaps(self, corpus, z4neg, shear16):
@@ -190,7 +195,7 @@ class TestPaFill:
         by_name = {o.name: o for o in corpus}
         seen = set()
         for obj in (by_name["z3"], by_name["z7"], z4neg, shear16):
-            ups, pows = _pentaction_factors(obj)
+            ups, pows = pentaction_factors(obj)
             variants = [("map", ups[:k] + ups[k + 1:], pows)
                         for k in {0, 1, len(ups) // 2, len(ups) - 1}]
             variants += [("pow", ups, pows[:k] + pows[k + 1:])
@@ -217,7 +222,7 @@ class TestPaFill:
         by_name = {o.name: o for o in corpus}
         for obj in (by_name["z3"], by_name["z5"], shear16):
             add, act, _ = scalar_pa_tables(rgwa.enumerate_pentactions(obj))
-            assert factored_tables(obj, *_pentaction_factors(obj)) == (add, act), obj.name
+            assert factored_tables(obj, *pentaction_factors(obj)) == (add, act), obj.name
 
     def test_fill_composes_in_the_scalar_order(self, corpus):
         klein4 = next(o for o in corpus if o.name == "klein4")
@@ -257,7 +262,7 @@ def _factor_bases():
     every up.  None of them leaves the set."""
     objs = rgwa.standard_corpus()
     by_name = {o.name: o for o in objs}
-    bases = [_pa_factors(o, *_pentaction_factors(o))
+    bases = [_pa_factors(o, *pentaction_factors(o))
              for o in (by_name["z1"], by_name["z2"], by_name["z3"], by_name["z5"],
                        negation_cyclic(4), k4swap_object(), shear_object())]
     klein4 = by_name["klein4"]
@@ -536,7 +541,7 @@ def closed_sub_factors(obj, seed):
     """The factors of the sub-PA(A) of obj generated by two random map parts
     and one random pow table: the map parts closed under composition, and
     the sums of the pow table's images under them; each factor sorted."""
-    ups, pows = _pentaction_factors(obj)
+    ups, pows = pentaction_factors(obj)
     rng = random.Random(seed)
 
     def closure(start, gens, step):
@@ -585,7 +590,7 @@ def test_canonical_factors_close(seed, z4neg, shear16):
     # tables have no gap, and they are the assembled tables
     checked = []
     for obj in [perfbench_object(name, seed) for name in PERFBENCH_REDUCED] + [z4neg, shear16]:
-        ups, pows = _pentaction_factors(obj)
+        ups, pows = pentaction_factors(obj)
         if len(ups) * len(pows) <= 256:
             add, act, gaps = reference_pa_tables(obj, product_elements(obj, ups, pows))
             assert gaps == (), obj.name
