@@ -13,7 +13,9 @@ import rgwa
 z2 = rgwa.cyclic_trivial(2)
 print(f"wSt(z2) = {rgwa.weak_stabilizer(z2).members} (nonzero: hypotheses fail)")
 
-# ...which the quotient chain removes, here in a single collapsing step.
+# ...which the quotient chain removes in a single collapsing step: with a
+# trivial action every endomorphism is a pow table, the identity among them,
+# so the weak stabilizer is the whole carrier and A/A is already zero.
 for n in (2, 4, 6):
     chain = rgwa.noether_quotient(rgwa.cyclic_trivial(n))
     sizes = [len(w) for w in chain.subgroups]

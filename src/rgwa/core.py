@@ -474,9 +474,13 @@ def is_perfect(obj: FiniteGwaObject) -> bool:
     return len(derived_subobject(obj)) == obj.order
 
 
+# Every wrapper made by ``object_cache``, so that all of them can be cleared.
+_OBJECT_CACHES: list = []
+
+
 def object_cache(maxsize: int):
     """``lru_cache`` for a function of one object, keyed on its tables and
-    its name.
+    its name; each wrapper is listed in ``_OBJECT_CACHES``.
 
     Object equality ignores the name, so a plain ``lru_cache`` would hand one
     object's results, which may point back at it, to an equal-table object
@@ -490,6 +494,7 @@ def object_cache(maxsize: int):
             return cached(obj, obj.name)
 
         wrapper.cache_clear = cached.cache_clear
+        _OBJECT_CACHES.append(wrapper)
         return wrapper
 
     return decorate

@@ -131,14 +131,6 @@ def _element(f: _PaFactors, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     return np.where((i < 0) | (j < 0), -1, i * f.W + j)
 
 
-def _images(f: _PaFactors, negB: np.ndarray, dots: np.ndarray, ups: np.ndarray) -> np.ndarray:
-    """i[k, b]: the map part (dot[b], dot[-b], up[., b], up[., -b]) of the
-    image of b under ``represent``, for k pairs of dot tables (k, |B|, n)
-    and up tables (k, n, |B|), or -1 when it is not a map part of PA(A)."""
-    upc = ups.swapaxes(1, 2)
-    return f.find_map(dots, dots[:, negB], upc, upc[:, negB])
-
-
 def _assemble(f: _PaFactors) -> tuple[np.ndarray, np.ndarray]:
     """The m x m sum and power tables, -1 where a result leaves the set.
     The map part of x+y, the index of up_y o up_x, and the pow parts of x+y

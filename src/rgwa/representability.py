@@ -8,10 +8,10 @@ carry the failing conditions instead of raising.
 PA(A) and its action are checked over the factor tables of ``rgwa.pa``, with
 no m x m table and no Pentaction per element.  A ``PAObject`` is PA(base) by
 construction, so every lookup into it is a factor lookup, find_map * |W| +
-find_pow: ``index_of``, the images of ``represent`` (``_images``), and the
-match sets of ``verify_uniqueness``, which hold at most one element each,
-since find_map finds a map part only where dotL = dotR = id and upL =
-up^-1, as in every element.
+find_pow: ``index_of``, the images of ``represent`` (find_map on the dot
+and up columns of b and -b), and the match sets of ``verify_uniqueness``,
+which hold at most one element each, since find_map finds a map part only
+where dotL = dotR = id and upL = up^-1, as in every element.
 
 ``verify_representability`` reads the derived actions of each acting
 object B as one batch, and on a verified PA(A) no image, morphism law or
@@ -57,7 +57,6 @@ from .pa import (
     _assemble,
     _canonical_factors,
     _element,
-    _images,
     _pa_action_report,
     _pa_report,
     _PaFactors,
@@ -204,7 +203,9 @@ def represent(
     _require_verified(A, pa)
     f = pa._factors
     dot, up, pw = (np.asarray(x, dtype=np.intp) for x in (triple.dot, triple.up, triple.pow))
-    phi = _element(f, _images(f, B._arrays.neg, dot[None], up[None])[0], f.find_pow(pw))
+    # the map part (dot[b], dot[-b], up(., b), up(., -b)) of each image
+    negB, upc = B._arrays.neg, up.T
+    phi = _element(f, f.find_map(dot, dot[negB], upc, upc[negB]), f.find_pow(pw))
     for b in np.flatnonzero(phi < 0)[:1].tolist():
         tables = (dot[b], dot[B.neg[b]], up[:, b], up[:, B.neg[b]], pw[b])
         cand = Pentaction(A, *(tuple(x.tolist()) for x in tables))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import rgwa
-from rgwa import core, extensions, pa, pentactions
+from rgwa import core
 
 
 @pytest.fixture(scope="session")
@@ -14,9 +14,7 @@ def corpus():
 
 
 def _clear_object_caches():
-    for cached in (core._additive_bijections_cached, pentactions._pow_factor,
-                   pentactions._map_factor, pentactions._enumerate_pentactions_uncapped,
-                   pa._canonical_factors, extensions._pow_rows, extensions._pow_products):
+    for cached in core._OBJECT_CACHES:
         cached.cache_clear()
 
 
@@ -729,6 +727,29 @@ def reference_weak_stabilizer(obj) -> rgwa.ElementSet:
     members.update(np.unique(family2))
     members.update(np.unique(family3))
     return rgwa.ElementSet(obj, tuple(int(v) for v in sorted(members)))
+
+
+def reference_noether_quotient(obj, budget=rgwa.DEFAULT_BUDGET) -> rgwa.NoetherChain:
+    """The quotient chain as a fixed-point loop: pull the current quotient's
+    weak stabilizer back along the projection, close it up with the
+    subgroup so far, and re-quotient the carrier until the weak stabilizer
+    vanishes; the oracle for the one-step ``noether_quotient``."""
+    if not (obj.is_abelian and obj.has_trivial_action):
+        raise rgwa.UnsupportedInputError(f"{obj.name!r} is not abelian with trivial action")
+    chain, current = [], obj
+    projection, w_members = tuple(range(obj.order)), ()
+    for _ in range(obj.order + 1):
+        wst = rgwa.weak_stabilizer(current, budget=budget)
+        if wst.is_zero():
+            return rgwa.NoetherChain(obj, tuple(chain), current)
+        pullback = {x for x in range(obj.order) if projection[x] in wst}
+        w_next = rgwa.subobject_closure(obj, pullback | set(w_members))
+        assert len(w_next) > len(w_members), "the quotient chain failed to grow"
+        chain.append(w_next)
+        w_members = w_next.members
+        tau = rgwa.quotient_map(obj, w_next)
+        current, projection = tau.target, tau.map
+    raise AssertionError("the quotient chain did not terminate")
 
 
 def reference_pentactions_document(obj, pretty: bool = False) -> str:

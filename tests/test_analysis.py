@@ -3,8 +3,16 @@
 import pytest
 
 import rgwa
-from conftest import negation_product, reference_weak_stabilizer
+from conftest import negation_product, reference_noether_quotient, reference_weak_stabilizer
 from rgwa import analysis
+from rgwa.core import generating_words
+
+
+def abelian_trivial_carriers(corpus):
+    """z1, every abelian trivial-action corpus carrier, z2xz2xz4 and z3xz9."""
+    z, ds = rgwa.cyclic_trivial, rgwa.direct_sum
+    return ([z(1)] + [o for o in corpus if o.is_abelian and o.has_trivial_action]
+            + [ds(ds(z(2), z(2)), z(4)), ds(z(3), z(9))])
 
 
 def weak_stabilizer_by_definition(obj):
@@ -173,6 +181,38 @@ class TestNoetherQuotient:
         with pytest.raises(rgwa.UnsupportedInputError):
             rgwa.noether_quotient(z4neg)
 
+    def test_matches_the_loop_oracle(self, corpus):
+        # the lemma: the weak stabilizer of a nonzero carrier is all of it,
+        # so the loop stops after one round, at the zero object
+        for obj in abelian_trivial_carriers(corpus):
+            chain, want = rgwa.noether_quotient(obj), reference_noether_quotient(obj)
+            assert chain == want, obj.name
+            assert chain.quotient.name == want.quotient.name, obj.name
+            assert chain.quotient.order == 1, obj.name
+
+    @pytest.mark.parametrize("name", ["z1", "z8", "z2xz4"])
+    def test_budget_refusals_match_the_weak_stabilizer(self, corpus, name):
+        # the one charge is that of the scan of obj; below either bound both
+        # refuse with the same text, and at the charge both run
+        obj = {o.name: o for o in abelian_trivial_carriers(corpus)}[name]
+        rows = obj.order ** len(generating_words(obj)[0])
+        charge = len(rgwa.additive_bijections(obj)) * rows
+        for budget in sorted({0, rows - 1, rows, charge - 1} - {charge}):
+            with pytest.raises(rgwa.BudgetExceededError) as got:
+                rgwa.noether_quotient(obj, budget=budget)
+            with pytest.raises(rgwa.BudgetExceededError) as want:
+                rgwa.weak_stabilizer(obj, budget=budget)
+            assert str(got.value) == str(want.value), (name, budget)
+        assert rgwa.noether_quotient(obj, budget=charge) == reference_noether_quotient(obj)
+
+    def test_unreduced_carriers_stay_unsupported(self):
+        # abelian with trivial action, but not validated with the reduced checks
+        obj = rgwa.make_object("z4", 4, [[(x + y) % 4 for y in range(4)] for x in range(4)],
+                               [[x] * 4 for x in range(4)], require_reduced=False)
+        assert obj.is_abelian and obj.has_trivial_action and not obj.reduced
+        with pytest.raises(rgwa.UnsupportedInputError):
+            rgwa.noether_quotient(obj)
+
 
 class TestAnalysisReport:
     def test_json_shape_for_trivial_carrier(self):
@@ -183,6 +223,15 @@ class TestAnalysisReport:
             "weak_stabilizer": [0, 1],
             "noether_chain": {"subgroup_orders": [2], "quotient_order": 1},
         }
+
+    def test_scans_the_weak_stabilizer_once(self, monkeypatch):
+        calls = []
+        scan = analysis.weak_stabilizer
+        monkeypatch.setattr(analysis, "weak_stabilizer",
+                            lambda obj, budget: calls.append(obj.name) or scan(obj, budget))
+        report = rgwa.analysis_report(rgwa.cyclic_trivial(8))
+        assert calls == ["z8"]
+        assert report["noether_chain"] == {"subgroup_orders": [8], "quotient_order": 1}
 
     def test_chain_is_null_outside_scope(self, z4neg):
         report = rgwa.analysis_report(z4neg)

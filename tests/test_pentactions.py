@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import rgwa
 from conftest import (
+    _clear_object_caches,
     assert_batch_verdicts,
     assert_rows_read_only_their_tables,
     k4swap_object,
@@ -20,7 +21,7 @@ from conftest import (
     reference_enumerate_pentactions,
     shear_object,
 )
-from rgwa import core, pentactions
+from rgwa import core, extensions, pa, pentactions
 from rgwa.files import pentaction_to_json
 from rgwa.pa import _canonical_factors
 from rgwa.pentactions import CONDITION_IDS, check_pentactions_batch
@@ -465,6 +466,20 @@ class TestEnumeration:
         # reloading the same document is still served from the cache
         reload = rgwa.make_object("cache-first", 2, z2.add, z2.act)
         assert all(p.parent is first for p in rgwa.enumerate_pentactions(reload))
+
+    def test_every_object_cache_is_listed_and_cleared(self):
+        # the chunking fixture clears core._OBJECT_CACHES, so a cache left
+        # off the list would hand default-chunk results to one-cell chunks
+        caches = (core.generating_words, core._additive_bijections_cached,
+                  pentactions._map_factor, pentactions._pow_factor,
+                  pentactions._enumerate_pentactions_uncapped, pa._canonical_factors,
+                  extensions._pow_rows, extensions._pow_products)
+        assert set(caches) <= set(core._OBJECT_CACHES)
+        z4 = rgwa.cyclic_trivial(4)
+        words = core.generating_words(z4)
+        assert core.generating_words(z4) is words
+        _clear_object_caches()
+        assert core.generating_words(z4) is not words
 
 
 def direct_sum_of_cyclics(orders):
