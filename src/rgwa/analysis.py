@@ -14,12 +14,12 @@ import numpy as np
 from .core import (
     ElementSet,
     FiniteGwaObject,
+    _require_abelian_trivial,
     _slices,
     derived_subobject,
     is_perfect,
     quotient_by_subgroup,
 )
-from .errors import UnsupportedInputError
 from .pa import _OBSTRUCTIONS
 from .pentactions import DEFAULT_BUDGET, _check_budget, _map_factor, _pow_factor
 
@@ -103,11 +103,7 @@ def noether_quotient(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> Noet
     charged as for the one scan of A that the lemma replaces, which also
     refuses a carrier not validated with the reduced checks.
     """
-    if not (obj.is_abelian and obj.has_trivial_action):
-        raise UnsupportedInputError(
-            f"the quotient chain is only computed for abelian trivial-action "
-            f"carriers; {obj.name!r} is not one"
-        )
+    _require_abelian_trivial(obj, "the quotient chain")
     _check_budget(obj, budget)
     if obj.order == 1:
         return NoetherChain(obj, (), obj)

@@ -36,8 +36,14 @@ brute-force oracles scan in full.  Every chunked loop (``_violations``,
 ``analysis.weak_stabilizer``) takes its chunks from ``_slices``, the one
 rule that turns ``_CHUNK_CELLS`` into a step.
 The masks read an object's cached ``_arrays``: add, act, neg and the
-carrier ar as index arrays.  Outside tables are validated once by
-``_check_table``; ``_scan_axioms`` then scans index arrays directly.
+carrier ar as index arrays.  Every table from outside is validated once,
+by ``_check_table`` given its shape and the bound of its entries: the
+object tables (``_check_tables``, ``corpus.conjugation_object``), the five
+slots of a pentaction as one 5 x n table (``pentactions._validate_shape``),
+the dot, up and pow tables of a triple (``extensions._validate_triple_shape``)
+and a map as a 1 x n table (``is_morphism``).  ``ElementSet`` members and
+``subobject_closure`` seeds go through ``as_index``, its per-entry rule.
+``_scan_axioms`` then scans index arrays directly.
 
 Maps fixed by their values on additive generators (additive bijections,
 pow tables, up families as indices) are all built by ``_generator_walk``, one
@@ -74,33 +80,41 @@ def as_index(value) -> int:
         raise InputError(f"table entry {value!r} is not an integer") from None
 
 
-def _freeze_table(table) -> Table:
+def _freeze_table(table, names=None) -> Table:
     """A table given as rows of integers, frozen; any other shape of input
-    raises InputError.  A table of plain ints is taken as it is; only
-    another entry type needs the per-entry ``as_index``, which also names
-    the first bad entry."""
+    raises InputError, calling row x ``names[x]`` when names are given.  A
+    table of plain ints is taken as it is; only another entry type needs
+    the per-entry ``as_index``, which also names the first bad entry."""
     if not isinstance(table, Iterable):
         raise InputError(f"table {table!r} is not a list of rows")
     rows = tuple(table)
     for x, row in enumerate(rows):
         if not isinstance(row, Iterable):
-            raise InputError(f"table row {x} is {row!r}, not a list of entries")
+            name = names[x] if names else f"table row {x}"
+            raise InputError(f"{name} is {row!r}, not a list of entries")
     frozen = tuple(map(tuple, rows))
     if set(map(type, chain.from_iterable(frozen))) <= {int}:
         return frozen
     return tuple(tuple(as_index(v) for v in row) for row in frozen)
 
 
-def _check_table(order: int, table, what: str) -> Table:
-    frozen = _freeze_table(table)
-    if len(frozen) != order:
-        raise InputError(f"{what} table has {len(frozen)} rows, expected {order}")
+def _check_table(table, rows: int, cols: int, bound: int, what: str, names=None) -> Table:
+    """The one check of a table from outside: ``table`` frozen, once it is
+    rows x cols with entries in 0..bound-1, else InputError naming the first
+    fault.  Messages call row x ``names[x]`` when names are given (the
+    slots of a pentaction, the one row of a map), else by its index in
+    ``what``."""
+    frozen = _freeze_table(table, names)
+    if len(frozen) != rows:
+        raise InputError(f"{what} table has {len(frozen)} rows, expected {rows}")
     for x, row in enumerate(frozen):
-        if len(row) != order:
-            raise InputError(f"{what} table row {x} has {len(row)} entries, expected {order}")
-        if min(row) < 0 or max(row) >= order:
-            y, v = next((y, v) for y, v in enumerate(row) if not 0 <= v < order)
-            raise InputError(f"{what}[{x}][{y}] = {v} is out of range 0..{order - 1}")
+        if len(row) != cols:
+            name = names[x] if names else f"{what} table row {x}"
+            raise InputError(f"{name} has {len(row)} entries, expected {cols}")
+        if min(row) < 0 or max(row) >= bound:
+            y, v = next((y, v) for y, v in enumerate(row) if not 0 <= v < bound)
+            name = names[x] if names else f"{what}[{x}]"
+            raise InputError(f"{name}[{y}] = {v} is out of range 0..{bound - 1}")
     return frozen
 
 
@@ -244,10 +258,10 @@ _AXIOMS = (
 )
 
 
-def _check_tables(order: int, add, act) -> tuple[Table, Table]:
-    if order < 1:
-        raise InputError(f"order must be positive, got {order}")
-    return _check_table(order, add, "add"), _check_table(order, act, "act")
+def _check_tables(n: int, add, act) -> tuple[Table, Table]:
+    if n < 1:
+        raise InputError(f"order must be positive, got {n}")
+    return _check_table(add, n, n, n, "add"), _check_table(act, n, n, n, "act")
 
 
 def _scan_axioms(add: np.ndarray, act: np.ndarray, require_reduced: bool) -> CheckReport:
@@ -297,17 +311,11 @@ class FiniteGwaObject:
 
     @cached_property
     def is_abelian(self) -> bool:
-        return all(
-            self.add[x][y] == self.add[y][x]
-            for x in range(self.order)
-            for y in range(self.order)
-        )
+        return bool((self._arrays.add == self._arrays.add.T).all())
 
     @cached_property
     def has_trivial_action(self) -> bool:
-        return all(
-            self.act[x][y] == x for x in range(self.order) for y in range(self.order)
-        )
+        return bool((self._arrays.act == self._arrays.ar[:, None]).all())
 
     @property
     def elements(self) -> range:
@@ -372,14 +380,8 @@ def is_morphism(f: GwaMorphism) -> CheckReport:
 
     f(0)=0 is not checked separately: it is forced by hom.add at (0,0).
     """
-    if len(f.map) != f.source.order:
-        raise InputError(
-            f"map has length {len(f.map)}, expected {f.source.order}"
-        )
-    for x, v in enumerate(f.map):
-        if not 0 <= v < f.target.order:
-            raise InputError(f"map[{x}] = {v} is out of range for the target")
-    t = _Hom(np.asarray([f.map], dtype=np.intp), f.source._arrays, f.target._arrays)
+    f_map = _check_table((f.map,), 1, f.source.order, f.target.order, "map", ("map",))
+    t = _Hom(np.asarray(f_map, dtype=np.intp), f.source._arrays, f.target._arrays)
     return CheckReport(tuple(_violations(t, _HOM_LAWS, {"X": f.source.order})))
 
 
@@ -401,7 +403,7 @@ class ElementSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        normalized = tuple(sorted({int(v) for v in self.members}))
+        normalized = tuple(sorted(set(map(as_index, self.members))))
         object.__setattr__(self, "members", normalized)
         if normalized and not (0 <= normalized[0] and normalized[-1] < self.parent.order):
             raise InputError("member out of range for the parent carrier")
@@ -425,7 +427,7 @@ def subobject_closure(obj: FiniteGwaObject, seeds: Iterable[int]) -> ElementSet:
     additive inverse, and the action with both arguments inside the subset.
     """
     current = {0}
-    for s in seeds:
+    for s in map(as_index, seeds):
         if not 0 <= s < obj.order:
             raise InputError(f"seed {s} out of range")
         current.add(s)
@@ -614,13 +616,13 @@ def invert_map(f: Sequence[int]) -> tuple[int, ...]:
 def _require_abelian_trivial(obj: FiniteGwaObject, operation: str) -> None:
     if not (obj.is_abelian and obj.has_trivial_action):
         raise UnsupportedInputError(
-            f"{operation} is only supported for abelian carriers with trivial "
-            f"action; {obj.name!r} is not one"
+            f"{operation} is only computed for abelian trivial-action carriers; "
+            f"{obj.name!r} is not one"
         )
 
 
 def _quotient_with_map(obj: FiniteGwaObject, subgroup: ElementSet):
-    _require_abelian_trivial(obj, "quotient")
+    _require_abelian_trivial(obj, "a quotient")
     if subgroup.parent is not obj and not subgroup.parent.table_equal(obj):
         raise InputError("subgroup belongs to a different carrier")
     if subobject_closure(obj, subgroup.members).members != subgroup.members:

@@ -8,8 +8,16 @@ from itertools import permutations
 
 import numpy as np
 
-from .core import FiniteGwaObject, Table, _check_table, _freeze_table, _inverses, make_object
-from .errors import InputError, UnsupportedInputError
+from .core import (
+    FiniteGwaObject,
+    Table,
+    _check_table,
+    _freeze_table,
+    _inverses,
+    _require_abelian_trivial,
+    make_object,
+)
+from .errors import InputError
 
 
 def cyclic_trivial(n: int) -> FiniteGwaObject:
@@ -27,11 +35,7 @@ def direct_sum(a: FiniteGwaObject, b: FiniteGwaObject, name: str | None = None) 
     Pair (x, y) is indexed as x * b.order + y, so (0, 0) lands at index 0.
     """
     for obj in (a, b):
-        if not (obj.is_abelian and obj.has_trivial_action):
-            raise UnsupportedInputError(
-                f"direct_sum requires abelian trivial-action summands; "
-                f"{obj.name!r} is not one"
-            )
+        _require_abelian_trivial(obj, "a direct sum")
     n = a.order * b.order
 
     def idx(x: int, y: int) -> int:
@@ -68,8 +72,8 @@ def conjugation_object(add) -> tuple[Table, Table]:
     malformed table or an element with no inverse raises InputError.
     """
     add = _freeze_table(add)
-    add = _check_table(len(add), add, "add")
     n = len(add)
+    add = _check_table(add, n, n, n, "add")
     neg = _inverses(np.asarray(add, dtype=np.intp)).tolist()
     if -1 in neg:
         raise InputError(f"element {neg.index(-1)} has no two-sided inverse in the add table")

@@ -59,6 +59,7 @@ from .core import (
     FiniteGwaObject,
     GwaMorphism,
     Table,
+    _check_table,
     _chunked,
     _generator_lead,
     _generator_walk,
@@ -127,12 +128,7 @@ def _validate_triple_shape(triple: DerivedActionTriple) -> None:
         ("up", triple.up, na, nb),
         ("pow", triple.pow, nb, na),
     ):
-        if len(table) != rows or any(len(r) != cols for r in table):
-            raise InputError(f"{name} table must be {rows}x{cols}")
-        for r in table:
-            for v in r:
-                if not 0 <= v < na:
-                    raise InputError(f"{name} entry {v} out of range 0..{na - 1}")
+        _check_table(table, rows, cols, na, name)
 
 
 def check_split_extension(ext: SplitExtension) -> CheckReport:

@@ -8,7 +8,9 @@ Pentactions:     {"count": m, "object": name, "pentactions": [pentaction file, .
                  (``dumps_pentactions``): (2*|Maps| + |W| + 2)*n encoded
                  integers, since the dots are the identity
 
-All emitters are byte-stable: keys sorted, fixed separators, trailing newline.
+Object files are the only documents read; reports and pentactions are
+only written.  All emitters are byte-stable: keys sorted, fixed separators,
+trailing newline.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from .core import FiniteGwaObject, as_index, invert_map, make_object
+from .core import FiniteGwaObject, invert_map, make_object
 from .corpus import s3_conjugation_tables, standard_corpus
 from .errors import InputError
 from .pentactions import Pentaction
@@ -70,24 +72,14 @@ def object_to_json(obj: FiniteGwaObject) -> dict:
     }
 
 
-def _require_keys(data, keys: set[str], what: str) -> None:
-    if not isinstance(data, dict):
-        raise InputError(f"{what} document must be a JSON object")
-    missing = keys - data.keys()
-    if missing:
-        raise InputError(f"{what} document is missing keys: {sorted(missing)}")
-
-
-def _indices(value, what: str) -> tuple[int, ...]:
-    if not isinstance(value, list):
-        raise InputError(f"{what} must be a list of integers, got {value!r}")
-    return tuple(as_index(v) for v in value)
-
-
 def parse_object_json(data: dict) -> tuple[str, int, list, list]:
     """Pull the raw fields out of an object document without validating the
     axioms (the caller decides whether failures are errors or reports)."""
-    _require_keys(data, {"name", "order", "add", "act"}, "object")
+    if not isinstance(data, dict):
+        raise InputError("object document must be a JSON object")
+    missing = {"name", "order", "add", "act"} - data.keys()
+    if missing:
+        raise InputError(f"object document is missing keys: {sorted(missing)}")
     name, order = data["name"], data["order"]
     if not isinstance(name, str):
         raise InputError("object name must be a string")
@@ -129,16 +121,6 @@ def pentaction_to_json(pent: Pentaction) -> dict:
     for slot, table in pent.tables().items():
         out[slot] = list(table)
     return out
-
-
-def pentaction_from_json(data: dict, obj: FiniteGwaObject) -> Pentaction:
-    _require_keys(data, {"object", "dotL", "dotR", "up", "upL", "pow"}, "pentaction")
-    if data["object"] != obj.name:
-        raise InputError(
-            f"pentaction references object {data['object']!r}, got {obj.name!r}"
-        )
-    slots = ("dotL", "dotR", "up", "upL", "pow")
-    return Pentaction(obj, *(_indices(data[slot], f"pentaction {slot}") for slot in slots))
 
 
 def emit_corpus(directory) -> list[str]:

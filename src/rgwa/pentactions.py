@@ -58,6 +58,7 @@ import numpy as np
 
 from .core import (
     FiniteGwaObject,
+    _check_table,
     _generator_lead,
     _generator_walk,
     _image_chunks,
@@ -219,12 +220,7 @@ _MAP_WALKED = tuple(c for c in _MAP_CONDITIONS if c[0] in ("p5", "p9"))
 
 def _validate_shape(cand: Pentaction) -> None:
     n = cand.parent.order
-    for slot, table in cand.tables().items():
-        if len(table) != n:
-            raise InputError(f"{slot} has length {len(table)}, expected {n}")
-        for a, v in enumerate(table):
-            if not 0 <= v < n:
-                raise InputError(f"{slot}[{a}] = {v} is out of range 0..{n - 1}")
+    _check_table(cand.tables().values(), len(_SLOTS), n, n, "pentaction", _SLOTS)
 
 
 def check_pentaction(cand: Pentaction) -> CheckReport:

@@ -1,6 +1,7 @@
 """Axiom gate, morphisms, closures and quotients."""
 
 import random
+import re
 
 import numpy as np
 import pytest
@@ -92,39 +93,54 @@ class TestCheckAxioms:
         with pytest.raises(rgwa.InputError):
             rgwa.check_axioms(2, [[False, True], [True, False]], [[0, 0], [1, 1]])
 
-    @pytest.mark.parametrize("table", [
-        [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
-        [[0, 1, 2], [1, 2, 0]],
-        [[0, 1, 2], [1, 2], [2, 0, 1]],
-        [[0, 1, 2], [1, 3, 0], [2, 0]],
-        [[0, 1, 2], [1, 2, -1], [2, 0, 1]],
-        [[0, 1, 2], [1, 2, 0.0], [2, 0, 7]],
-        [[0, 1, 2], [1, True, 0], [2, 0, 1]],
-        [[0, 1, 2], [np.int64(1), 2, np.int8(0)], [2, 0, 1]],
-        [[0, 1, 2], [np.int64(1), 2, np.int8(5)], [2, 0, 1]],
-        [(0, 1, 2), range(3), "abc"],
-    ])
-    def test_table_check_matches_the_per_entry_loop(self, table):
+    # (table, (rows, cols, bound)): square object tables, then rectangular
+    # tables and bounds other than the side, as triples and maps are checked
+    _TABLE_CASES = [
+        ([[0, 1, 2], [1, 2, 0], [2, 0, 1]], (3, 3, 3)),
+        ([[0, 1, 2], [1, 2, 0]], (3, 3, 3)),
+        ([[0, 1, 2], [1, 2], [2, 0, 1]], (3, 3, 3)),
+        ([[0, 1, 2], [1, 3, 0], [2, 0]], (3, 3, 3)),
+        ([[0, 1, 2], [1, 2, -1], [2, 0, 1]], (3, 3, 3)),
+        ([[0, 1, 2], [1, 2, 0.0], [2, 0, 7]], (3, 3, 3)),
+        ([[0, 1, 2], [1, True, 0], [2, 0, 1]], (3, 3, 3)),
+        ([[0, 1, 2], [np.int64(1), 2, np.int8(0)], [2, 0, 1]], (3, 3, 3)),
+        ([[0, 1, 2], [np.int64(1), 2, np.int8(5)], [2, 0, 1]], (3, 3, 3)),
+        ([(0, 1, 2), range(3), "abc"], (3, 3, 3)),
+        ([[0, 1, 2], [2, 1, 0]], (2, 3, 3)),
+        ([[0, 1, 2], [1, 0, 1]], (2, 3, 2)),
+        ([[0, 1], [1, 0], [1, 1]], (2, 3, 2)),
+        ([[0, 1], [1, 0, 1], [0, 0]], (3, 2, 5)),
+        ([[0, 4], [3, 1]], (2, 2, 5)),
+        ([[0, 1, 0, np.int64(1)]], (1, 4, 2)),
+        ([[0, 1, 0, np.int64(2)]], (1, 4, 2)),
+        ([[0, 1.0]], (1, 2, 2)),
+        ([[0, 1], [1, 0]], (2, 2, 1)),
+        ([[1], [0]], (2, 1, 2)),
+    ]
+
+    @pytest.mark.parametrize("table, shape", _TABLE_CASES,
+                             ids=[f"table{i}" for i in range(len(_TABLE_CASES))])
+    def test_table_check_matches_the_per_entry_loop(self, table, shape):
         # the fast path for plain int tables accepts and refuses exactly what
         # the per-entry loop does, with the same message
-        def per_entry(order, table, what):
+        def per_entry(table, n_rows, cols, bound, what):
             rows = tuple(tuple(core.as_index(v) for v in row) for row in table)
-            if len(rows) != order:
-                raise rgwa.InputError(f"{what} table has {len(rows)} rows, expected {order}")
+            if len(rows) != n_rows:
+                raise rgwa.InputError(f"{what} table has {len(rows)} rows, expected {n_rows}")
             for x, row in enumerate(rows):
-                if len(row) != order:
+                if len(row) != cols:
                     raise rgwa.InputError(
-                        f"{what} table row {x} has {len(row)} entries, expected {order}")
+                        f"{what} table row {x} has {len(row)} entries, expected {cols}")
                 for y, v in enumerate(row):
-                    if not 0 <= v < order:
+                    if not 0 <= v < bound:
                         raise rgwa.InputError(
-                            f"{what}[{x}][{y}] = {v} is out of range 0..{order - 1}")
+                            f"{what}[{x}][{y}] = {v} is out of range 0..{bound - 1}")
             return rows
 
         outcomes = []
         for check in (core._check_table, per_entry):
             try:
-                got = check(3, table, "add")
+                got = check(table, *shape, "add")
                 outcomes.append(("ok", got, {type(v) for row in got for v in row}))
             except rgwa.InputError as exc:
                 outcomes.append(("error", str(exc)))
@@ -310,6 +326,20 @@ class TestMorphisms:
         with pytest.raises(rgwa.InputError):
             rgwa.is_morphism(rgwa.GwaMorphism(z2, z4, (0, 9)))
 
+    @pytest.mark.parametrize("mapping, message", [
+        ((0, 0.5), "table entry 0.5 is not an integer"),
+        ((0, True), "table entry True is not an integer"),
+        ((0.0, 1.5), "table entry 0.0 is not an integer"),
+        (5, "map is 5, not a list of entries"),
+        ((0,), "map has 1 entries, expected 2"),
+        ((0, 4), "map[1] = 4 is out of range 0..3"),
+    ], ids=["float", "bool", "first-bad-entry", "not-a-list", "length", "range"])
+    def test_malformed_maps_are_input_errors(self, mapping, message):
+        # (0, 0.5) is refused, not truncated to the zero map, which passes
+        z2, z4 = rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(4)
+        with pytest.raises(rgwa.InputError, match=f"^{re.escape(message)}$"):
+            rgwa.is_morphism(rgwa.GwaMorphism(z2, z4, mapping))
+
     def test_make_morphism_rejects_non_hom(self):
         z2, z4 = rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(4)
         with pytest.raises(rgwa.ValidationError):
@@ -354,6 +384,21 @@ class TestSubobjectClosure:
     def test_out_of_range_seed(self):
         with pytest.raises(rgwa.InputError):
             rgwa.subobject_closure(rgwa.cyclic_trivial(2), {5})
+
+    @pytest.mark.parametrize("members, message", [
+        ((0, 2.7), "table entry 2.7 is not an integer"),
+        ((0.5,), "table entry 0.5 is not an integer"),
+        ((True, 2), "table entry True is not an integer"),
+        ((0, [1], 0.5), "table entry [1] is not an integer"),
+        ((None,), "table entry None is not an integer"),
+    ], ids=["float", "float-alone", "bool", "first-bad-entry", "none"])
+    def test_non_index_members_and_seeds_are_input_errors(self, members, message):
+        # (0, 2.7) is refused, not truncated to the subgroup {0, 2}, and the
+        # seed 0.5 raises InputError, not a TypeError from a table lookup
+        z4 = rgwa.cyclic_trivial(4)
+        for build in (rgwa.ElementSet, rgwa.subobject_closure):
+            with pytest.raises(rgwa.InputError, match=f"^{re.escape(message)}$"):
+                build(z4, members)
 
 
 class TestGeneratorMachinery:

@@ -153,6 +153,23 @@ class TestCheckDerivedAction:
                 DerivedActionTriple(z2, z3, t.dot, t.up, (t.pow[0], (0, 9), t.pow[2]))
             )
 
+    @pytest.mark.parametrize("tables, message", [
+        ({"up": ((0, 0), (1, 0.9))}, "table entry 0.9 is not an integer"),
+        ({"dot": ((0, 1), (0, True)), "pow": ((0, 0), (0, 0.4))},
+         "table entry True is not an integer"),
+        ({"dot": 5}, "table 5 is not a list of rows"),
+        ({"pow": ((0, 0), None)}, "table row 1 is None, not a list of entries"),
+        ({"up": ((0, 0),)}, "up table has 1 rows, expected 2"),
+        ({"dot": ((0, 1), (0, 1, 0))}, "dot table row 1 has 3 entries, expected 2"),
+        ({"pow": ((0, 0), (0, 2))}, "pow[1][1] = 2 is out of range 0..1"),
+    ], ids=["float", "first-bad-entry", "not-a-list", "none-row", "rows", "row-length",
+            "range"])
+    def test_malformed_tables_are_input_errors(self, tables, message):
+        # an up table holding 0.9 is refused, not truncated to 0
+        z2 = rgwa.cyclic_trivial(2)
+        with pytest.raises(rgwa.InputError, match=f"^{re.escape(message)}$"):
+            rgwa.check_derived_action(replace(trivial_triple(z2, z2), **tables))
+
 
 @lru_cache(maxsize=None)
 def _scan_pairs():

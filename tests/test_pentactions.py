@@ -2,6 +2,7 @@
 
 import random
 import re
+from dataclasses import replace
 from functools import lru_cache, partial
 
 import numpy as np
@@ -84,6 +85,26 @@ class TestCheckPentaction:
             rgwa.check_pentaction(rgwa.Pentaction(z2, (0,), (0, 1), (0, 1), (0, 1), (0, 0)))
         with pytest.raises(rgwa.InputError):
             rgwa.check_pentaction(pent(z2, pw=(0, 7)))
+
+    @pytest.mark.parametrize("slots, message", [
+        ({"pow": (0, 0.7)}, "table entry 0.7 is not an integer"),
+        ({"up": (0, True), "pow": (0, 0.7)}, "table entry True is not an integer"),
+        ({"dotL": 5}, "dotL is 5, not a list of entries"),
+        ({"pow": None}, "pow is None, not a list of entries"),
+        ({"upL": (0,)}, "upL has 1 entries, expected 2"),
+        ({"dotR": (0, 2), "pow": (0, 0.7)}, "table entry 0.7 is not an integer"),
+        ({"dotR": (0, 2)}, "dotR[1] = 2 is out of range 0..1"),
+    ], ids=["float", "first-bad-entry", "not-a-list", "none", "length", "entries-first",
+            "range"])
+    def test_malformed_slots_are_input_errors(self, slots, message):
+        # one check for every slot, naming the first bad entry or the slot;
+        # no float is truncated into a table that passes
+        z2 = rgwa.cyclic_trivial(2)
+        cand = replace(rgwa.zero_pentaction(z2), **slots)
+        for check in (rgwa.check_pentaction,
+                      lambda c: check_pentactions_batch([rgwa.zero_pentaction(z2), c])):
+            with pytest.raises(rgwa.InputError, match=f"^{re.escape(message)}$"):
+                check(cand)
 
     def test_condition_ids_are_canonical(self):
         assert CONDITION_IDS == (

@@ -1,6 +1,7 @@
 """PA(A) assembly, its action, and the factorization morphism."""
 
 import random
+import re
 import runpy
 from dataclasses import FrozenInstanceError, replace
 from functools import lru_cache
@@ -811,6 +812,23 @@ class TestRepresent:
         bad = DerivedActionTriple(z2, z2, t.dot, t.up, ((0, 0), (0, 1)))
         with pytest.raises(rgwa.InputError):
             rgwa.represent(z2, z2, bad)
+
+    @pytest.mark.parametrize("tables, message", [
+        ({"pow": ((0, 0), (0, 0.4))}, "table entry 0.4 is not an integer"),
+        ({"up": ((0, 0), (1, True))}, "table entry True is not an integer"),
+        ({"pow": ((0, 0), None)}, "table row 1 is None, not a list of entries"),
+    ], ids=["float", "bool", "none-row"])
+    def test_malformed_triples_are_input_errors(self, tables, message):
+        # the pow row (0, 0.4) is refused, not truncated to the row (0, 0) of
+        # a verified triple and represented by the morphism (0, 0)
+        z2 = rgwa.cyclic_trivial(2)
+        triple = rgwa.enumerate_derived_actions(z2, z2)[0]
+        phi = rgwa.represent(z2, z2, triple)
+        for bad in (replace(triple, **tables), replace(triple, report=None, **tables)):
+            with pytest.raises(rgwa.InputError, match=f"^{re.escape(message)}$"):
+                rgwa.represent(z2, z2, bad)
+            with pytest.raises(rgwa.InputError, match=f"^{re.escape(message)}$"):
+                rgwa.verify_uniqueness(z2, z2, bad, phi)
 
     def test_factorization_reproduces_the_three_components(self, z4neg):
         for A in [rgwa.cyclic_trivial(2), z4neg]:
