@@ -31,7 +31,7 @@ from typing import NoReturn
 import numpy as np
 
 from .analysis import analysis_report, noether_quotient
-from .core import _check_tables, _scan_axioms
+from .core import _charge, _check_tables, _scan_axioms
 from .errors import BudgetExceededError, InputError, ValidationError
 from .files import (
     dumps_canonical,
@@ -61,10 +61,7 @@ def _cmd_validate(args) -> tuple[int, dict]:
     name, order, add, act = parse_object_json(read_json(args.path))
     tables = _check_tables(order, add, act)  # before the charge: costs only the document's size
     cells = order**3
-    if cells > args.budget:
-        raise BudgetExceededError(
-            f"axiom scan of {name!r} visits {cells} cells (order^3), budget is {args.budget}"
-        )
+    _charge(cells, args.budget, f"axiom scan of {name!r} visits {cells} cells (order^3)")
     report = _scan_axioms(*(np.asarray(x, dtype=np.intp) for x in tables), require_reduced=True)
     return (EXIT_PASSED if report.passed else EXIT_VIOLATION), report.to_json()
 

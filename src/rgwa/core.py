@@ -41,9 +41,14 @@ by ``_check_table`` given its shape and the bound of its entries: the
 object tables (``_check_tables``, ``corpus.conjugation_object``), the five
 slots of a pentaction as one 5 x n table (``pentactions._validate_shape``),
 the dot, up and pow tables of a triple (``extensions._validate_triple_shape``)
-and a map as a 1 x n table (``is_morphism``).  ``ElementSet`` members and
+and a map as a 1 x n table (``is_morphism``, ``make_morphism``); a bad
+entry is named by table and position.  ``ElementSet`` members and
 ``subobject_closure`` seeds go through ``as_index``, its per-entry rule.
-``_scan_axioms`` then scans index arrays directly.
+``_scan_axioms`` then scans index arrays directly.  Every budget refusal is
+raised by ``_charge``: ``rgwa validate`` (order^3), ``PAObject.object``
+(m^2), ``verify_uniqueness`` and ``verify_representability`` (|B|),
+``pentactions._check_budget`` and ``extensions._derived_action_batch``; the
+last two share ``pentactions._charge_walks``, the n^|gens| charge.
 
 Maps fixed by their values on additive generators (additive bijections,
 pow tables, up families as indices) are all built by ``_generator_walk``, one
@@ -63,39 +68,47 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InputError, UnsupportedInputError, ValidationError
+from .errors import BudgetExceededError, InputError, UnsupportedInputError, ValidationError
 from .report import CheckReport, Violation
 
 Table = tuple[tuple[int, ...], ...]
 _Arrays = namedtuple("_Arrays", "add act neg ar")
 
 
-def as_index(value) -> int:
-    """Coerce to an element index, rejecting bools, floats, strings and the like."""
-    if isinstance(value, bool):
-        raise InputError(f"table entry {value!r} is not an integer")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InputError(f"table entry {value!r} is not an integer") from None
+def as_index(value, where: str = "table entry") -> int:
+    """Coerce to an element index; a bool, float or string is refused as ``where``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InputError(f"{where} {value!r} is not an integer")
 
 
-def _freeze_table(table, names=None) -> Table:
-    """A table given as rows of integers, frozen; any other shape of input
-    raises InputError, calling row x ``names[x]`` when names are given.  A
-    table of plain ints is taken as it is; only another entry type needs
-    the per-entry ``as_index``, which also names the first bad entry."""
+def _indices(values, what: str) -> tuple[int, ...]:
+    """The ``what`` collection of element indices from outside, as ints."""
+    if not isinstance(values, Iterable):
+        raise InputError(f"{what} is {values!r}, not a list of entries")
+    return tuple(map(as_index, values))
+
+
+def _freeze_table(table, what: str, names=None) -> Table:
+    """``table`` as a tuple of int rows, else InputError naming the ``what``
+    table and the first bad row or entry, row x as ``names[x]`` when names
+    are given.  Only a table holding a type other than int takes the
+    per-entry ``as_index``."""
     if not isinstance(table, Iterable):
-        raise InputError(f"table {table!r} is not a list of rows")
+        raise InputError(f"{what} table is {table!r}, not a list of rows")
     rows = tuple(table)
     for x, row in enumerate(rows):
         if not isinstance(row, Iterable):
-            name = names[x] if names else f"table row {x}"
+            name = names[x] if names else f"{what} table row {x}"
             raise InputError(f"{name} is {row!r}, not a list of entries")
     frozen = tuple(map(tuple, rows))
     if set(map(type, chain.from_iterable(frozen))) <= {int}:
         return frozen
-    return tuple(tuple(as_index(v) for v in row) for row in frozen)
+    return tuple(tuple(as_index(v, f"{names[x] if names else f'{what}[{x}]'}[{y}] =")
+                       for y, v in enumerate(row)) for x, row in enumerate(frozen))
 
 
 def _check_table(table, rows: int, cols: int, bound: int, what: str, names=None) -> Table:
@@ -104,7 +117,7 @@ def _check_table(table, rows: int, cols: int, bound: int, what: str, names=None)
     fault.  Messages call row x ``names[x]`` when names are given (the
     slots of a pentaction, the one row of a map), else by its index in
     ``what``."""
-    frozen = _freeze_table(table, names)
+    frozen = _freeze_table(table, what, names)
     if len(frozen) != rows:
         raise InputError(f"{what} table has {len(frozen)} rows, expected {rows}")
     for x, row in enumerate(frozen):
@@ -116,6 +129,13 @@ def _check_table(table, rows: int, cols: int, bound: int, what: str, names=None)
             name = names[x] if names else f"{what}[{x}]"
             raise InputError(f"{name}[{y}] = {v} is out of range 0..{bound - 1}")
     return frozen
+
+
+def _charge(cost: int, budget: int, need: str) -> None:
+    """The one budget check: refuse a ``cost`` over ``budget``, saying what
+    is refused as ``need``, "<stage> needs <count> <unit>", and the budget."""
+    if cost > budget:
+        raise BudgetExceededError(f"{need}, budget is {budget}")
 
 
 # Upper bound on the cells of one violation mask.  Scans walk the leading
@@ -380,18 +400,21 @@ def is_morphism(f: GwaMorphism) -> CheckReport:
 
     f(0)=0 is not checked separately: it is forced by hom.add at (0,0).
     """
-    f_map = _check_table((f.map,), 1, f.source.order, f.target.order, "map", ("map",))
-    t = _Hom(np.asarray(f_map, dtype=np.intp), f.source._arrays, f.target._arrays)
+    f_map = _map_table(f.source, f.target, f.map)
+    t = _Hom(np.asarray((f_map,), dtype=np.intp), f.source._arrays, f.target._arrays)
     return CheckReport(tuple(_violations(t, _HOM_LAWS, {"X": f.source.order})))
 
 
+def _map_table(source: FiniteGwaObject, target: FiniteGwaObject, mapping) -> tuple[int, ...]:
+    """A map from outside, checked as a 1 x n_source table named "map"."""
+    return _check_table((mapping,), 1, source.order, target.order, "map", ("map",))[0]
+
+
 def make_morphism(source: FiniteGwaObject, target: FiniteGwaObject, mapping) -> GwaMorphism:
-    f = GwaMorphism(source, target, tuple(as_index(v) for v in mapping))
+    f = GwaMorphism(source, target, _map_table(source, target, mapping))
     report = is_morphism(f)
     if not report.passed:
-        raise ValidationError(
-            f"map violates {', '.join(report.conditions())}", report
-        )
+        raise ValidationError(f"map violates {', '.join(report.conditions())}", report)
     return f
 
 
@@ -403,7 +426,7 @@ class ElementSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        normalized = tuple(sorted(set(map(as_index, self.members))))
+        normalized = tuple(sorted(set(_indices(self.members, "members"))))
         object.__setattr__(self, "members", normalized)
         if normalized and not (0 <= normalized[0] and normalized[-1] < self.parent.order):
             raise InputError("member out of range for the parent carrier")
@@ -427,7 +450,7 @@ def subobject_closure(obj: FiniteGwaObject, seeds: Iterable[int]) -> ElementSet:
     additive inverse, and the action with both arguments inside the subset.
     """
     current = {0}
-    for s in map(as_index, seeds):
+    for s in _indices(seeds, "seeds"):
         if not 0 <= s < obj.order:
             raise InputError(f"seed {s} out of range")
         current.add(s)

@@ -71,7 +71,7 @@ def conjugation_object(add) -> tuple[Table, Table]:
     axioms but fails the reduced checks for any non-abelian input.  A
     malformed table or an element with no inverse raises InputError.
     """
-    add = _freeze_table(add)
+    add = _freeze_table(add, "add")
     n = len(add)
     add = _check_table(add, n, n, n, "add")
     neg = _inverses(np.asarray(add, dtype=np.intp)).tolist()

@@ -59,6 +59,7 @@ from .core import (
     FiniteGwaObject,
     GwaMorphism,
     Table,
+    _charge,
     _check_table,
     _chunked,
     _generator_lead,
@@ -73,9 +74,9 @@ from .core import (
     is_morphism,
     object_cache,
 )
-from .errors import BudgetExceededError, InputError, StructuralError, ValidationError
+from .errors import InputError, StructuralError, ValidationError
 from .pa import _OBSTRUCTIONS, _canonical_factors
-from .pentactions import DEFAULT_BUDGET, _map_factor, _pow_factor
+from .pentactions import DEFAULT_BUDGET, _charge_walks, _map_factor, _pow_factor
 from .report import PASSED, CheckReport, Violation
 
 _BRUTEFORCE_CAP = 4_194_304
@@ -427,20 +428,12 @@ def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -
     those of ``enumerate_derived_actions``."""
     gensB, stepsB = generating_words(B)
     na, nb = A.order, B.order
-    walked = na ** len(generating_words(A)[0])
-    if walked > budget:
-        raise BudgetExceededError(
-            f"derived-action enumeration for {B.name!r} on {A.name!r} needs at least "
-            f"{walked} candidate visits (refused before the additive-bijection search), "
-            f"budget is {budget}"
-        )
+    stage = f"derived-action enumeration for {B.name!r} on {A.name!r}"
+    _charge_walks(A, budget, stage)
     n_maps = len(_map_factor(A))
     families = n_maps ** len(gensB)
-    if families > budget:
-        raise BudgetExceededError(
-            f"derived-action enumeration for {B.name!r} on {A.name!r} needs at least "
-            f"{families} candidate visits (refused before the family search), budget is {budget}"
-        )
+    _charge(families, budget, f"{stage} needs at least {families} candidate visits "
+                              f"(refused before the family search)")
     F = _families(A, B)
     rows, find = _pow_rows(A)
     # ups[p, a, b] = up_{F[p, b]}(a), sorted by table
@@ -451,11 +444,7 @@ def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -
     F, ups = F[order], ups[order]
     # the pow stage's candidates, its 2A table and its 4B and a10 tables
     total = len(ups) * len(rows) ** len(gensB) + len(rows) ** 2 + n_maps * len(rows)
-    if total > budget:
-        raise BudgetExceededError(
-            f"derived-action enumeration for {B.name!r} on {A.name!r} needs "
-            f"{total} candidate visits, budget is {budget}; 0 candidates checked"
-        )
+    _charge(total, budget, f"{stage} needs {total} candidate visits")
     x = _PowIndex(*_pow_products(A), F, B._arrays.add, B._arrays.act)
     addA, negA = A._arrays.add, A._arrays.neg
 
@@ -486,20 +475,22 @@ def enumerate_derived_actions(
     Pruned: every dot map is the identity, the up families are walked over
     Maps(A) by index (both in the module docstring), and the pow table is
     generated from its values on additive generators of A and B (1B, 2A).
-    The rows W' are the rows r of A's cached pentaction pow factor (p4, p7, p10 are 1B, a4, a8 at one b)
-    with r o r = 0 (a9 at b = b2).  With dot = id, 2A is pw[b + b2] =
-    pw[b] + pw[b2], so each assignment of rows of W' to B's generators is
-    walked once, for every kept up table, and each walked row is looked up
-    in W'; the seven pow-reading conditions are then index comparisons
-    (``_POW_INDEX_CHECKS``), so every kept triple carries the passing report
-    without a rescan.  One ``np.lexsort`` on the up table and the row
-    indices sorts the batch.
+    The rows W' are the rows r of A's cached pentaction pow factor (p4, p7
+    and p10 are 1B, a4 and a8 at one b) with r o r = 0 (a9 at b = b2).
+    With dot = id, 2A is pw[b + b2] = pw[b] + pw[b2], so each assignment of
+    rows of W' to B's generators is walked once, for every kept up table,
+    and each walked row is looked up in W'; the seven pow-reading
+    conditions are then index comparisons (``_POW_INDEX_CHECKS``), so every
+    kept triple carries the passing report without a rescan.  One
+    ``np.lexsort`` on the up table and the row indices sorts the batch.
 
-    The budget is charged n_A^|gensA| before the additive bijections of A
-    and its pow factor are walked, the |Maps(A)|^|gensB| families walked
-    before the family search, and after it the |kept ups| * |W'|^|gensB|
-    candidates of the pow stage plus the |W'|^2 entries of its 2A table and
-    the |Maps(A)| * |W'| entries of its 4B and a10 tables.
+    Each charge goes through ``core._charge``: n_A^|gensA| before A's
+    additive bijections and pow factor are walked
+    (``pentactions._charge_walks``), the |Maps(A)|^|gensB| families before
+    the family search, and after it the |kept ups| * |W'|^|gensB| pow-stage
+    candidates plus the |W'|^2 entries of its 2A table and the
+    |Maps(A)| * |W'| of its 4B and a10 tables.  A refusal reads "<stage>
+    needs [at least] <count> candidate visits, budget is <budget>".
     """
     return _batch_triples(A, B, _derived_action_batch(A, B, budget))
 

@@ -58,6 +58,7 @@ import numpy as np
 
 from .core import (
     FiniteGwaObject,
+    _charge,
     _check_table,
     _generator_lead,
     _generator_walk,
@@ -71,7 +72,7 @@ from .core import (
     invert_map,
     object_cache,
 )
-from .errors import BudgetExceededError, InputError, UnsupportedInputError
+from .errors import InputError, UnsupportedInputError
 from .report import CheckReport
 
 DEFAULT_BUDGET = 100_000_000
@@ -329,27 +330,24 @@ def enumerate_pentactions(
 
 
 def _check_budget(obj: FiniteGwaObject, budget: int) -> None:
-    """Refuse an enumeration whose candidate space exceeds the budget.
-
-    The space is at least n^|gens| (the identity is an additive bijection),
-    so that bound is checked before the n^|gens| additive-bijection search.
-    """
+    """Refuse an enumeration whose candidate space exceeds the budget.  The
+    space is at least n^|gens| (the identity is an additive bijection), so
+    that bound is charged first, before A's factor walks (``_charge_walks``)."""
     _require_reduced(obj)
-    n = obj.order
-    gens, _ = generating_words(obj)
-    rows = n ** len(gens)
-    if rows > budget:
-        raise BudgetExceededError(
-            f"pentaction enumeration over {obj.name!r} needs at least {rows} "
-            f"candidate visits (refused before the additive-bijection search), "
-            f"budget is {budget}"
-        )
+    stage = f"pentaction enumeration over {obj.name!r}"
+    rows = _charge_walks(obj, budget, stage)
     total = len(additive_bijections(obj)) * rows
-    if total > budget:
-        raise BudgetExceededError(
-            f"pentaction enumeration over {obj.name!r} needs {total} candidate "
-            f"visits, budget is {budget}"
-        )
+    _charge(total, budget, f"{stage} needs {total} candidate visits")
+
+
+def _charge_walks(obj: FiniteGwaObject, budget: int, stage: str) -> int:
+    """Charge ``stage`` the n^|gens| generator images from which the
+    additive bijections and the pow factor of obj are walked, before either
+    walk runs; returns that count."""
+    rows = obj.order ** len(generating_words(obj)[0])
+    _charge(rows, budget, f"{stage} needs at least {rows} candidate visits "
+                          f"(refused before the additive-bijection search)")
+    return rows
 
 
 def _pow_walk(obj: FiniteGwaObject):

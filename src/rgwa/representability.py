@@ -44,7 +44,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import FiniteGwaObject, GwaMorphism
+from .core import FiniteGwaObject, GwaMorphism, _charge
 from .corpus import _corpus_up_to
 from .errors import BudgetExceededError, InputError, StructuralError
 from .extensions import (
@@ -108,11 +108,8 @@ class PAObject:
     @cached_property
     def object(self) -> FiniteGwaObject:
         m = self.order
-        if m * m > self.budget:
-            raise BudgetExceededError(
-                f"assembling the operation tables of PA({self.base.name}) needs {m * m} "
-                f"cells, budget is {self.budget}"
-            )
+        _charge(m * m, self.budget,
+                f"assembling the operation tables of PA({self.base.name}) needs {m * m} cells")
         add, act = (tuple(map(tuple, x.tolist())) for x in _assemble(self._factors))
         return FiniteGwaObject(f"PA({self.base.name})", m, add, act, reduced=self.report.passed)
 
@@ -240,7 +237,7 @@ def verify_uniqueness(
     _require_action_of(A, B, triple)
     _validate_triple_shape(triple)
     pa = _require_pa_of(A, pa)
-    _charge_uniqueness(B.order, budget)
+    _charge(B.order, budget, _lookups(B))
     f = pa._factors
     dot, up, pw = (np.asarray(x, dtype=np.intp) for x in (triple.dot, triple.up, triple.pow))
     i = f.find_map(dot, np.argsort(dot, axis=1), up.T, np.argsort(up.T, axis=1))
@@ -254,12 +251,9 @@ def verify_uniqueness(
     return CheckReport(tuple(violations))
 
 
-def _charge_uniqueness(columns: int, budget: int) -> None:
-    """Refuse the |B| uniqueness lookups over the budget."""
-    if columns > budget:
-        raise BudgetExceededError(
-            f"uniqueness lookup for {columns} columns costs {columns}, exceeds budget {budget}"
-        )
+def _lookups(B: FiniteGwaObject) -> str:
+    """What the uniqueness step needs: one factor lookup per element of B."""
+    return f"uniqueness lookup for {B.order} columns needs {B.order} lookups"
 
 
 @dataclass(frozen=True)
@@ -347,12 +341,8 @@ def verify_representability(
         except StructuralError as exc:
             failures.append(_failure("represent", B, None, [str(exc)]))
             continue
-        try:
-            _charge_uniqueness(B.order, budget)
-        except BudgetExceededError as exc:
-            raise BudgetExceededError(
-                f"representability check for {A.name!r}, B={B.name!r}, triple 0: {exc}"
-            ) from exc
+        _charge(B.order, budget,
+                f"representability check for {A.name!r}, B={B.name!r}, triple 0: {_lookups(B)}")
     return RepresentabilityReport(
         base=A.name,
         pa_order=pa.order,

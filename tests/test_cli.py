@@ -197,6 +197,68 @@ _PENTACTION_BASES = {
 }
 
 
+def _uniqueness_over_budget():
+    z2, z4 = rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(4)
+    triple = rgwa.enumerate_derived_actions(z2, z4)[0]
+    rgwa.verify_uniqueness(z2, z4, triple, rgwa.represent(z2, z4, triple), budget=3)
+
+
+_Z2, _Z3, _Z4 = (rgwa.cyclic_trivial(n) for n in (2, 3, 4))
+_KLEIN4 = rgwa.direct_sum(_Z2, _Z2, name="klein4")
+
+# (refusal, its whole message) per budget stage; None is `rgwa validate`
+_REFUSALS = {
+    "validate": (None, "axiom scan of 'z3' visits 27 cells (order^3), budget is 26"),
+    "pentaction-walk": (
+        lambda: rgwa.enumerate_pentactions(_Z4, budget=3),
+        "pentaction enumeration over 'z4' needs at least 4 candidate visits "
+        "(refused before the additive-bijection search), budget is 3"),
+    "pentaction-product": (
+        lambda: rgwa.enumerate_pentactions(_Z3, budget=5),
+        "pentaction enumeration over 'z3' needs 6 candidate visits, budget is 5"),
+    "derived-walk": (
+        lambda: rgwa.enumerate_derived_actions(_Z4, _Z2, budget=3),
+        "derived-action enumeration for 'z2' on 'z4' needs at least 4 candidate visits "
+        "(refused before the additive-bijection search), budget is 3"),
+    "derived-family": (
+        lambda: rgwa.enumerate_derived_actions(_KLEIN4, _KLEIN4, budget=35),
+        "derived-action enumeration for 'klein4' on 'klein4' needs at least 36 candidate "
+        "visits (refused before the family search), budget is 35"),
+    "derived-pow": (
+        lambda: rgwa.enumerate_derived_actions(negation_cyclic(8), _KLEIN4, budget=287),
+        "derived-action enumeration for 'klein4' on 'z8neg' needs 288 candidate visits, "
+        "budget is 287"),
+    "pa-object": (
+        lambda: rgwa.build_pa_object(_Z3, budget=35).object,
+        "assembling the operation tables of PA(z3) needs 36 cells, budget is 35"),
+    "uniqueness": (
+        _uniqueness_over_budget,
+        "uniqueness lookup for 4 columns needs 4 lookups, budget is 3"),
+    "represent-derived": (
+        lambda: rgwa.verify_representability(_Z2, 4, 2, [_KLEIN4]),
+        "representability check for 'z2': derived-action enumeration for 'klein4' on 'z2' "
+        "needs 3 candidate visits, budget is 2"),
+    "represent-uniqueness": (
+        lambda: rgwa.verify_representability(_Z2, 4, 3, [_Z4]),
+        "representability check for 'z2', B='z4', triple 0: uniqueness lookup for 4 "
+        "columns needs 4 lookups, budget is 3"),
+}
+
+
+@pytest.mark.parametrize("refuse, message", _REFUSALS.values(), ids=_REFUSALS)
+def test_every_budget_refusal_names_its_stage_count_and_budget(capsys, tmp_path, refuse,
+                                                               message):
+    # one form for every stage: "<stage> needs <count> <unit>, budget is <budget>"
+    if refuse is None:
+        save_object(_Z3, tmp_path / "z3.json")
+        code, out = run(capsys, "validate", "--budget", "26", tmp_path / "z3.json")
+        assert (code, out) == (3, dumps_canonical({"error": message}))
+        return
+    with pytest.raises(rgwa.BudgetExceededError) as refusal:
+        refuse()
+    assert str(refusal.value) == message
+
+
 def assert_same_text(out: str, expected: str) -> None:
     # names the first difference; pytest's own diff of two long documents
     # can take minutes

@@ -124,7 +124,8 @@ class TestCheckAxioms:
         # the fast path for plain int tables accepts and refuses exactly what
         # the per-entry loop does, with the same message
         def per_entry(table, n_rows, cols, bound, what):
-            rows = tuple(tuple(core.as_index(v) for v in row) for row in table)
+            rows = tuple(tuple(core.as_index(v, f"{what}[{x}][{y}] =") for y, v in enumerate(row))
+                         for x, row in enumerate(table))
             if len(rows) != n_rows:
                 raise rgwa.InputError(f"{what} table has {len(rows)} rows, expected {n_rows}")
             for x, row in enumerate(rows):
@@ -327,18 +328,22 @@ class TestMorphisms:
             rgwa.is_morphism(rgwa.GwaMorphism(z2, z4, (0, 9)))
 
     @pytest.mark.parametrize("mapping, message", [
-        ((0, 0.5), "table entry 0.5 is not an integer"),
-        ((0, True), "table entry True is not an integer"),
-        ((0.0, 1.5), "table entry 0.0 is not an integer"),
+        ((0, 0.5), "map[1] = 0.5 is not an integer"),
+        ((0, True), "map[1] = True is not an integer"),
+        ((0.0, 1.5), "map[0] = 0.0 is not an integer"),
         (5, "map is 5, not a list of entries"),
         ((0,), "map has 1 entries, expected 2"),
         ((0, 4), "map[1] = 4 is out of range 0..3"),
-    ], ids=["float", "bool", "first-bad-entry", "not-a-list", "length", "range"])
+        (None, "map is None, not a list of entries"),
+    ], ids=["float", "bool", "first-bad-entry", "not-a-list", "length", "range", "none"])
     def test_malformed_maps_are_input_errors(self, mapping, message):
-        # (0, 0.5) is refused, not truncated to the zero map, which passes
+        # (0, 0.5) is refused, not truncated to the zero map, which passes;
+        # make_morphism refuses a map through the same check
         z2, z4 = rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(4)
-        with pytest.raises(rgwa.InputError, match=f"^{re.escape(message)}$"):
-            rgwa.is_morphism(rgwa.GwaMorphism(z2, z4, mapping))
+        for check in (lambda m: rgwa.is_morphism(rgwa.GwaMorphism(z2, z4, m)),
+                      lambda m: rgwa.make_morphism(z2, z4, m)):
+            with pytest.raises(rgwa.InputError, match=f"^{re.escape(message)}$"):
+                check(mapping)
 
     def test_make_morphism_rejects_non_hom(self):
         z2, z4 = rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(4)
@@ -391,13 +396,16 @@ class TestSubobjectClosure:
         ((True, 2), "table entry True is not an integer"),
         ((0, [1], 0.5), "table entry [1] is not an integer"),
         ((None,), "table entry None is not an integer"),
-    ], ids=["float", "float-alone", "bool", "first-bad-entry", "none"])
+        (3, "{what} is 3, not a list of entries"),
+        (None, "{what} is None, not a list of entries"),
+    ], ids=["float", "float-alone", "bool", "first-bad-entry", "none", "int", "none-alone"])
     def test_non_index_members_and_seeds_are_input_errors(self, members, message):
         # (0, 2.7) is refused, not truncated to the subgroup {0, 2}, and the
         # seed 0.5 raises InputError, not a TypeError from a table lookup
         z4 = rgwa.cyclic_trivial(4)
-        for build in (rgwa.ElementSet, rgwa.subobject_closure):
-            with pytest.raises(rgwa.InputError, match=f"^{re.escape(message)}$"):
+        for build, what in ((rgwa.ElementSet, "members"), (rgwa.subobject_closure, "seeds")):
+            expected = re.escape(message.format(what=what))
+            with pytest.raises(rgwa.InputError, match=f"^{expected}$"):
                 build(z4, members)
 
 

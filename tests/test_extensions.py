@@ -154,11 +154,11 @@ class TestCheckDerivedAction:
             )
 
     @pytest.mark.parametrize("tables, message", [
-        ({"up": ((0, 0), (1, 0.9))}, "table entry 0.9 is not an integer"),
+        ({"up": ((0, 0), (1, 0.9))}, "up[1][1] = 0.9 is not an integer"),
         ({"dot": ((0, 1), (0, True)), "pow": ((0, 0), (0, 0.4))},
-         "table entry True is not an integer"),
-        ({"dot": 5}, "table 5 is not a list of rows"),
-        ({"pow": ((0, 0), None)}, "table row 1 is None, not a list of entries"),
+         "dot[1][1] = True is not an integer"),
+        ({"dot": 5}, "dot table is 5, not a list of rows"),
+        ({"pow": ((0, 0), None)}, "pow table row 1 is None, not a list of entries"),
         ({"up": ((0, 0),)}, "up table has 1 rows, expected 2"),
         ({"dot": ((0, 1), (0, 1, 0))}, "dot table row 1 has 3 entries, expected 2"),
         ({"pow": ((0, 0), (0, 2))}, "pow[1][1] = 2 is out of range 0..1"),

@@ -87,12 +87,12 @@ class TestCheckPentaction:
             rgwa.check_pentaction(pent(z2, pw=(0, 7)))
 
     @pytest.mark.parametrize("slots, message", [
-        ({"pow": (0, 0.7)}, "table entry 0.7 is not an integer"),
-        ({"up": (0, True), "pow": (0, 0.7)}, "table entry True is not an integer"),
+        ({"pow": (0, 0.7)}, "pow[1] = 0.7 is not an integer"),
+        ({"up": (0, True), "pow": (0, 0.7)}, "up[1] = True is not an integer"),
         ({"dotL": 5}, "dotL is 5, not a list of entries"),
         ({"pow": None}, "pow is None, not a list of entries"),
         ({"upL": (0,)}, "upL has 1 entries, expected 2"),
-        ({"dotR": (0, 2), "pow": (0, 0.7)}, "table entry 0.7 is not an integer"),
+        ({"dotR": (0, 2), "pow": (0, 0.7)}, "pow[1] = 0.7 is not an integer"),
         ({"dotR": (0, 2)}, "dotR[1] = 2 is out of range 0..1"),
     ], ids=["float", "first-bad-entry", "not-a-list", "none", "length", "entries-first",
             "range"])

@@ -814,9 +814,9 @@ class TestRepresent:
             rgwa.represent(z2, z2, bad)
 
     @pytest.mark.parametrize("tables, message", [
-        ({"pow": ((0, 0), (0, 0.4))}, "table entry 0.4 is not an integer"),
-        ({"up": ((0, 0), (1, True))}, "table entry True is not an integer"),
-        ({"pow": ((0, 0), None)}, "table row 1 is None, not a list of entries"),
+        ({"pow": ((0, 0), (0, 0.4))}, "pow[1][1] = 0.4 is not an integer"),
+        ({"up": ((0, 0), (1, True))}, "up[1][1] = True is not an integer"),
+        ({"pow": ((0, 0), None)}, "pow table row 1 is None, not a list of entries"),
     ], ids=["float", "bool", "none-row"])
     def test_malformed_triples_are_input_errors(self, tables, message):
         # the pow row (0, 0.4) is refused, not truncated to the row (0, 0) of
