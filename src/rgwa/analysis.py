@@ -35,13 +35,10 @@ __all__ = [
 
 
 def stabilizer(obj: FiniteGwaObject) -> ElementSet:
-    """Exponents fixing every element: {s : a^s = a for all a}."""
-    members = tuple(
-        s
-        for s in range(obj.order)
-        if all(obj.act[a][s] == a for a in range(obj.order))
-    )
-    return ElementSet(obj, members)
+    """Exponents fixing every element: {s : a^s = a for all a}, the columns
+    s of the act table that equal the carrier."""
+    t = obj._arrays
+    return ElementSet(obj, tuple(np.flatnonzero((t.act == t.ar[:, None]).all(axis=0)).tolist()))
 
 
 def weak_stabilizer(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> ElementSet:

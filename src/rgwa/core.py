@@ -54,6 +54,7 @@ Maps fixed by their values on additive generators (additive bijections,
 pow tables, up families as indices) are all built by ``_generator_walk``, one
 gather per BFS step for a chunk of candidate generator images from
 ``_image_chunks``; each caller filters the chunk with its violation masks.
+A's own two walks, additive bijections and pow tables, share ``_walk``.
 """
 
 from __future__ import annotations
@@ -445,58 +446,51 @@ class ElementSet:
         return self.members in ((), (0,))
 
 
+def _closure(seeds: Iterable[int], ops: Sequence[Table]) -> set[int]:
+    """0 and the seeds closed under each table in ``ops``, each element
+    combined once, as it joins, with every member in both orders; with no
+    negation step, as -x = (k-1)x in a finite group, k the order of x."""
+    members: set[int] = set()
+    todo = {0, *seeds}
+    while todo:
+        x = todo.pop()
+        members.add(x)
+        for op in ops:
+            todo.update([op[x][y] for y in members], [op[y][x] for y in members])
+        todo -= members
+    return members
+
+
 def subobject_closure(obj: FiniteGwaObject, seeds: Iterable[int]) -> ElementSet:
     """Smallest subset containing 0 and the seeds, closed under addition,
     additive inverse, and the action with both arguments inside the subset.
     """
-    current = {0}
-    for s in _indices(seeds, "seeds"):
+    seeds = _indices(seeds, "seeds")
+    for s in seeds:
         if not 0 <= s < obj.order:
             raise InputError(f"seed {s} out of range")
-        current.add(s)
-    while True:
-        new = set(current)
-        for x in current:
-            new.add(obj.neg[x])
-            for y in current:
-                new.add(obj.add[x][y])
-                new.add(obj.act[x][y])
-        if new == current:
-            return ElementSet(obj, tuple(sorted(current)))
-        current = new
+    return ElementSet(obj, tuple(_closure(seeds, (obj.add, obj.act))))
 
 
 def additive_closure(obj: FiniteGwaObject, seeds: Iterable[int]) -> set[int]:
     """Subgroup of (carrier, +) generated by the seeds (no action closure)."""
-    current = {0} | set(seeds)
-    while True:
-        new = set(current)
-        for x in current:
-            new.add(obj.neg[x])
-            for y in current:
-                new.add(obj.add[x][y])
-        if new == current:
-            return current
-        current = new
+    return _closure(seeds, (obj.add,))
 
 
 def derived_subobject(obj: FiniteGwaObject) -> ElementSet:
     """Subobject generated by the action values x^y with nonzero exponent.
 
     Exponent 0 is excluded: x^0 = x would make the generated subobject the
-    whole carrier for every object and void the perfectness notion.
+    whole carrier for every object and void the perfectness notion.  It is
+    the whole carrier anyway (lemma): x -> x^1 is a bijection, inverse
+    x -> x^(-1) by action.compose and action.zero, and n = 1 has no y != 0.
     """
-    gens = {
-        obj.act[x][y]
-        for x in range(obj.order)
-        for y in range(1, obj.order)
-    }
-    return subobject_closure(obj, gens)
+    return ElementSet(obj, tuple(obj.elements))
 
 
 def is_perfect(obj: FiniteGwaObject) -> bool:
-    """True when the derived subobject is the whole carrier."""
-    return len(derived_subobject(obj)) == obj.order
+    """True: the derived subobject is the whole carrier (its lemma)."""
+    return True
 
 
 # Every wrapper made by ``object_cache``, so that all of them can be cleared.
@@ -603,24 +597,37 @@ def _v_additive(t, f: np.ndarray, s) -> np.ndarray:
     return f[:, t.add[s]] != t.add[f[:, s, None], f[:, None]]
 
 
-@object_cache(maxsize=64)
-def _additive_bijections_cached(obj: FiniteGwaObject) -> tuple[tuple[int, ...], ...]:
-    n, t = obj.order, obj._arrays
+def _walk(obj: FiniteGwaObject, rule):
+    """The (k, n) value tables, 0 at 0, of the maps of obj walked under
+    ``rule`` from all n^|gens| generator images, chunk by chunk in product
+    order; a row holds n*|gens| cells, with its check at the generators."""
+    n = obj.order
     gens, steps = generating_words(obj)
-    lead = _generator_lead(obj)
-    found: list[list[int]] = []
-    for images in _image_chunks(n, len(gens), n * n):
-        # f(x + g) = f(x) + f(g) and f(x - g) = f(x) - f(g)
-        f = _generator_walk(steps, images, 0, lambda prev, img, step: t.add[
-            prev, img if step[3] > 0 else t.neg[img]])
+    for images in _image_chunks(n, len(gens), n * max(len(gens), 1)):
+        yield _generator_walk(steps, images, 0, rule)
+
+
+def _sorted_rows(rows: np.ndarray) -> np.ndarray:
+    """The rows sorted, as the one read-only copy every reader shares."""
+    rows = rows[np.lexsort(rows.T[::-1])]
+    rows.setflags(write=False)
+    return rows
+
+
+@object_cache(maxsize=64)
+def _additive_bijections_cached(obj: FiniteGwaObject) -> np.ndarray:
+    t, lead = obj._arrays, _generator_lead(obj)
+    kept = []
+    # f(x + g) = f(x) + f(g) and f(x - g) = f(x) - f(g)
+    for f in _walk(obj, lambda prev, img, step: t.add[prev, img if step[3] > 0 else t.neg[img]]):
         f = f[(np.sort(f, axis=1) == t.ar).all(axis=1)]
-        found.extend(f[~_violated(_v_additive(t, f, lead))].tolist())
-    return tuple(sorted(map(tuple, found)))
+        kept.append(f[~_violated(_v_additive(t, f, lead))])
+    return _sorted_rows(np.concatenate(kept))
 
 
 def additive_bijections(obj: FiniteGwaObject) -> list[tuple[int, ...]]:
     """All additive self-bijections, sorted by value table."""
-    return list(_additive_bijections_cached(obj))
+    return list(map(tuple, _additive_bijections_cached(obj).tolist()))
 
 
 def invert_map(f: Sequence[int]) -> tuple[int, ...]:

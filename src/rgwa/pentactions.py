@@ -58,16 +58,16 @@ import numpy as np
 
 from .core import (
     FiniteGwaObject,
+    _additive_bijections_cached,
     _charge,
     _check_table,
     _generator_lead,
-    _generator_walk,
-    _image_chunks,
     _passing,
     _pick,
+    _sorted_rows,
     _v_additive,
     _violations,
-    additive_bijections,
+    _walk,
     generating_words,
     invert_map,
     object_cache,
@@ -336,7 +336,7 @@ def _check_budget(obj: FiniteGwaObject, budget: int) -> None:
     _require_reduced(obj)
     stage = f"pentaction enumeration over {obj.name!r}"
     rows = _charge_walks(obj, budget, stage)
-    total = len(additive_bijections(obj)) * rows
+    total = len(_additive_bijections_cached(obj)) * rows
     _charge(total, budget, f"{stage} needs {total} candidate visits")
 
 
@@ -352,9 +352,8 @@ def _charge_walks(obj: FiniteGwaObject, budget: int, stage: str) -> int:
 
 def _pow_walk(obj: FiniteGwaObject):
     """The crossed maps walked from all n^|gens| generator images, in
-    product order, one (k, n) chunk at a time."""
-    n, t = obj.order, obj._arrays
-    gens, steps = generating_words(obj)
+    product order, one (k, n) chunk at a time (``core._walk``)."""
+    t, gens = obj._arrays, generating_words(obj)[0]
 
     def rule(prev, img, step):
         # f(x + g) = f(x)^g + f(g), so f(x - g) = (f(x) - f(g))^(-g)
@@ -363,8 +362,7 @@ def _pow_walk(obj: FiniteGwaObject):
             return t.add[t.act[prev, g], img]
         return t.act[t.add[prev, t.neg[img]], t.neg[g]]
 
-    for images in _image_chunks(n, len(gens), n * n):
-        yield _generator_walk(steps, images, 0, rule)
+    return _walk(obj, rule)
 
 
 @object_cache(maxsize=32)
@@ -375,12 +373,9 @@ def _pow_factor(obj: FiniteGwaObject) -> np.ndarray:
     (``core._passing``); p7 closes under + only through reduced.collapse,
     so on another obj the rows scan in full."""
     lead = {"A": _generator_lead(obj)} if obj.reduced else None
-    kept = np.concatenate([rows[_passing(_tables(obj, pow=rows), _POW_CONDITIONS,
-                                         {"A": obj.order}, lead)]
-                           for rows in _pow_walk(obj)])
-    kept = kept[np.lexsort(kept.T[::-1])]
-    kept.setflags(write=False)  # the one copy, shared by every reader
-    return kept
+    return _sorted_rows(np.concatenate([
+        rows[_passing(_tables(obj, pow=rows), _POW_CONDITIONS, {"A": obj.order}, lead)]
+        for rows in _pow_walk(obj)]))
 
 
 @object_cache(maxsize=32)
@@ -401,7 +396,7 @@ def _map_factor(obj: FiniteGwaObject) -> np.ndarray:
 def _map_parts(obj: FiniteGwaObject) -> _Tables:
     """The walked map parts (id, id, up, up^-1), one per additive bijection
     up, as a batch; each meets the ``_MAP_BY_CONSTRUCTION`` rows."""
-    ups = np.asarray(additive_bijections(obj), dtype=np.intp)
+    ups = _additive_bijections_cached(obj)
     ident = np.broadcast_to(np.arange(obj.order), ups.shape)
     maps = [ident, ident, ups, np.argsort(ups, axis=1)]
     return _tables(obj, **dict(zip(_SLOTS, maps)))

@@ -229,16 +229,16 @@ def verify_uniqueness(
     and upL = up^-1, so M_b is empty unless dot[b] is the identity, and
     holds at most the element with up[., b] and pow[b]: one factor lookup
     per b.  The budget is charged those |B| lookups, not the m^|B| maps of
-    an exhaustive search.  A malformed triple raises InputError.
+    an exhaustive search, before PA(A) is built when ``pa`` is None.  A
+    malformed triple raises InputError.
 
     Violation ids: "uniq.phi" when phi itself fails the filter, "uniq.extra"
     (witness: the one satisfying map) when that map is not phi.
     """
     _require_action_of(A, B, triple)
     _validate_triple_shape(triple)
-    pa = _require_pa_of(A, pa)
     _charge(B.order, budget, _lookups(B))
-    f = pa._factors
+    f = _require_pa_of(A, pa)._factors
     dot, up, pw = (np.asarray(x, dtype=np.intp) for x in (triple.dot, triple.up, triple.pow))
     i = f.find_map(dot, np.argsort(dot, axis=1), up.T, np.argsort(up.T, axis=1))
     found = tuple(_element(f, i, f.find_pow(pw)).tolist())

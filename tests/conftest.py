@@ -106,6 +106,37 @@ def shear16():
     return shear_object()
 
 
+def s3_object() -> rgwa.FiniteGwaObject:
+    """S3 acting on itself by conjugation: not abelian, so validated without
+    the reduced checks."""
+    return rgwa.make_object("s3", 6, *rgwa.s3_conjugation_tables(), require_reduced=False)
+
+
+def reference_closure(obj, seeds, with_action: bool = True) -> set[int]:
+    """The fixed-point loop that ``core._closure`` replaced: each round adds
+    the negative of every member and the sum and, with the action, the
+    action value of every pair of members, until a round adds nothing."""
+    current = {0, *seeds}
+    while True:
+        new = set(current)
+        for x in current:
+            new.add(obj.neg[x])
+            for y in current:
+                new.add(obj.add[x][y])
+                if with_action:
+                    new.add(obj.act[x][y])
+        if new == current:
+            return current
+        current = new
+
+
+def reference_derived_subobject(obj) -> set[int]:
+    """The closure of every action value x^y with y != 0: the oracle of the
+    lemma that makes ``derived_subobject`` the whole carrier."""
+    return reference_closure(obj, {obj.act[x][y] for x in obj.elements
+                                   for y in range(1, obj.order)})
+
+
 def relabeled(obj: rgwa.FiniteGwaObject, seed: int) -> rgwa.FiniteGwaObject:
     """The same object under a seeded relabeling of its elements that fixes
     0, named ``<name>@<seed>``."""

@@ -3,7 +3,13 @@
 import pytest
 
 import rgwa
-from conftest import negation_product, reference_noether_quotient, reference_weak_stabilizer
+from conftest import (
+    negation_product,
+    reference_derived_subobject,
+    reference_noether_quotient,
+    reference_weak_stabilizer,
+    s3_object,
+)
 from rgwa import analysis
 from rgwa.core import generating_words
 
@@ -43,11 +49,17 @@ class TestDerivedSubobject:
     def test_nontrivial_action_still_spans(self, z4neg):
         assert rgwa.derived_subobject(z4neg).members == (0, 1, 2, 3)
 
-    def test_every_valid_object_is_perfect(self, corpus, z4neg, k4swap):
+    def test_matches_the_closure_of_the_action_values(self, corpus, z4neg, k4swap, shear16):
+        for obj in list(corpus) + [z4neg, k4swap, shear16, s3_object()]:
+            want = tuple(sorted(reference_derived_subobject(obj)))
+            assert rgwa.derived_subobject(obj).members == want, obj.name
+
+    def test_every_valid_object_is_perfect(self, corpus, z4neg, k4swap, shear16):
         # exponent maps are bijections, so no validated carrier can confine
-        # its action values to a proper subgroup
-        for obj in list(corpus) + [z4neg, k4swap]:
-            assert rgwa.is_perfect(obj)
+        # its action values to a proper subgroup; the non-reduced s3 included
+        for obj in list(corpus) + [z4neg, k4swap, shear16, s3_object()]:
+            assert len(reference_derived_subobject(obj)) == obj.order, obj.name
+            assert rgwa.is_perfect(obj), obj.name
 
 
 class TestStabilizer:

@@ -10,10 +10,13 @@ from hypothesis import strategies as st
 
 import rgwa
 from conftest import (
+    k4swap_object,
     negation_cyclic,
     reference_check_axioms,
+    reference_closure,
     reference_is_morphism,
     reference_neg,
+    s3_object,
     shear_object,
 )
 from rgwa import core
@@ -381,6 +384,20 @@ class TestSubobjectClosure:
         assert rgwa.subobject_closure(obj, closed.members).members == closed.members
         bigger = rgwa.subobject_closure(obj, small | extra)
         assert set(closed.members) <= set(bigger.members)
+
+    def test_matches_the_fixed_point_loop(self, corpus):
+        # one frontier closure with no negation step gives what the loop
+        # over all pairs and negatives gave, with and without the action
+        rng = random.Random(0)
+        objects = list(corpus) + [negation_cyclic(4), k4swap_object(), shear_object(),
+                                  s3_object()]
+        for obj in objects:
+            for size in (0, 1, 1, 2, 3):
+                seeds = rng.sample(range(obj.order), min(size, obj.order))
+                want = tuple(sorted(reference_closure(obj, seeds)))
+                assert rgwa.subobject_closure(obj, seeds).members == want, (obj.name, seeds)
+                want = reference_closure(obj, seeds, with_action=False)
+                assert additive_closure(obj, seeds) == want, (obj.name, seeds)
 
     def test_closure_respects_nontrivial_action(self, z4neg):
         # 2 is fixed by negation, so {0, 2} is already action-closed

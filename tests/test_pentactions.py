@@ -441,11 +441,13 @@ class TestEnumeration:
             rgwa.enumerate_pentactions(rgwa.cyclic_trivial(3), budget=2)
 
     def test_refuses_before_the_additive_bijection_search(self, monkeypatch):
-        # 8^3 = 512 pow rows already exceed the budget, whatever the maps
-        def unreachable(obj):
-            raise AssertionError("additive_bijections ran before the budget check")
+        # 8^3 = 512 pow rows already exceed the budget, whatever the maps;
+        # neither the bijection array that the charge reads nor any walk runs
+        def unreachable(*args):
+            raise AssertionError("a walk ran before the budget check")
 
-        monkeypatch.setattr(pentactions, "additive_bijections", unreachable)
+        monkeypatch.setattr(pentactions, "_additive_bijections_cached", unreachable)
+        monkeypatch.setattr(core, "_generator_walk", unreachable)
         z2 = rgwa.cyclic_trivial(2)
         obj = rgwa.direct_sum(rgwa.direct_sum(z2, z2), z2, name="refuse-early")
         stage = re.escape(
@@ -487,6 +489,22 @@ class TestEnumeration:
         # reloading the same document is still served from the cache
         reload = rgwa.make_object("cache-first", 2, z2.add, z2.act)
         assert all(p.parent is first for p in rgwa.enumerate_pentactions(reload))
+
+    def test_a_walk_chunk_holds_the_cells_of_its_rows(self, monkeypatch, shear16):
+        # a walked row of shear16 and its check at the 2 generators hold
+        # 16 * 2 cells, so 64-cell chunks take 2 of its 16^2 image rows each
+        calls = []
+        walk = core._generator_walk
+        monkeypatch.setattr(core, "_CHUNK_CELLS", 64)
+        monkeypatch.setattr(core, "_generator_walk", lambda *a: calls.append(1) or walk(*a))
+        _clear_object_caches()
+        try:
+            for build in (rgwa.additive_bijections, pentactions._pow_factor):
+                calls.clear()
+                build(shear16)
+                assert len(calls) == 128, build.__name__
+        finally:
+            _clear_object_caches()
 
     def test_every_object_cache_is_listed_and_cleared(self):
         # the chunking fixture clears core._OBJECT_CACHES, so a cache left

@@ -29,7 +29,7 @@ from conftest import (
     relabeled,
     shear_object,
 )
-from rgwa import core
+from rgwa import core, representability
 from rgwa import pa as pa_module
 from rgwa.core import invert_map
 from rgwa.extensions import _CONDITIONS, DerivedActionTriple
@@ -965,6 +965,19 @@ class TestUniqueness:
         with pytest.raises(rgwa.BudgetExceededError):
             rgwa.verify_uniqueness(A, B, triple, phi, pa=pa, budget=cost - 1)
         assert rgwa.verify_uniqueness(A, B, triple, phi, pa=pa, budget=cost).passed
+
+    def test_budget_is_charged_before_pa_is_built(self, monkeypatch):
+        A, B = rgwa.cyclic_trivial(2), rgwa.cyclic_trivial(1)
+        triple = trivial_triple(A, B)
+        phi = rgwa.represent(A, B, triple)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("PA(A) was built before the uniqueness charge")
+
+        monkeypatch.setattr(representability, "build_pa_object", unreachable)
+        with pytest.raises(rgwa.BudgetExceededError) as err:
+            rgwa.verify_uniqueness(A, B, triple, phi, pa=None, budget=0)
+        assert str(err.value) == "uniqueness lookup for 1 columns needs 1 lookups, budget is 0"
 
 
 # The oracle visits m^|B| maps per phi; pairs above this many are left out
