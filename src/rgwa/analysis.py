@@ -16,6 +16,7 @@ from .core import (
     FiniteGwaObject,
     _require_abelian_trivial,
     _slices,
+    _stabilizer,
     derived_subobject,
     is_perfect,
     quotient_by_subgroup,
@@ -36,9 +37,8 @@ __all__ = [
 
 def stabilizer(obj: FiniteGwaObject) -> ElementSet:
     """Exponents fixing every element: {s : a^s = a for all a}, the columns
-    s of the act table that equal the carrier."""
-    t = obj._arrays
-    return ElementSet(obj, tuple(np.flatnonzero((t.act == t.ar[:, None]).all(axis=0)).tolist()))
+    s of the act table that equal the carrier (``core._stabilizer``)."""
+    return ElementSet(obj, tuple(_stabilizer(obj).tolist()))
 
 
 def weak_stabilizer(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> ElementSet:

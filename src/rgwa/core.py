@@ -32,7 +32,7 @@ map factors) have ``_passing`` check their rows at the additive generators
 only, which the closure lemma (Clifford & Preston I, section 1.2) makes the
 full verdict; ``_violations``, which must give minimal witnesses, and the
 brute-force oracles scan in full.  Every chunked loop (``_violations``,
-``_passing``, ``_chunked``, ``_image_chunks`` and
+``_passing``, ``_chunked``, ``_walk`` and
 ``analysis.weak_stabilizer``) takes its chunks from ``_slices``, the one
 rule that turns ``_CHUNK_CELLS`` into a step.
 The masks read an object's cached ``_arrays``: add, act, neg and the
@@ -50,22 +50,22 @@ raised by ``_charge``: ``rgwa validate`` (order^3), ``PAObject.object``
 ``pentactions._check_budget`` and ``extensions._derived_action_batch``; the
 last two share ``pentactions._charge_walks``, the n^|gens| charge.
 
-Maps fixed by their values on additive generators (additive bijections,
-pow tables, up families as indices) are all built by ``_generator_walk``, one
-gather per BFS step for a chunk of candidate generator images from
-``_image_chunks``; each caller filters the chunk with its violation masks.
-A's own two walks, additive bijections and pow tables, share ``_walk``.
+Maps fixed by their generator images are all walked by ``_walk``, one
+gather per BFS step for a chunk of image rows drawn from an array of
+choices: the carrier (additive bijections), St (``_stabilizer``; pow
+tables), the indices of Maps(A) (up families) or the rows of W' (the
+derived-action pow rows).  Each caller filters the chunks with its masks.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import namedtuple
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, wraps
 from itertools import chain
 from math import prod
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -336,7 +336,7 @@ class FiniteGwaObject:
 
     @cached_property
     def has_trivial_action(self) -> bool:
-        return bool((self._arrays.act == self._arrays.ar[:, None]).all())
+        return len(_stabilizer(self)) == self.order
 
     @property
     def elements(self) -> range:
@@ -539,31 +539,16 @@ def generating_words(obj: FiniteGwaObject) -> tuple[tuple[int, ...], tuple[Step,
         gens.append(min(x for x in range(obj.order) if x not in closure))
         closure = additive_closure(obj, gens)
     steps: list[Step] = []
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt: list[int] = []
-        for x in frontier:
-            for gi, g in enumerate(gens):
-                for sign, h in ((1, g), (-1, obj.neg[g])):
-                    y = obj.add[x][h]
-                    if y not in seen:
-                        seen.add(y)
-                        steps.append((y, x, gi, sign))
-                        nxt.append(y)
-        frontier = nxt
+    seen, queue = {0}, [0]
+    for x in queue:  # breadth first: the queue grows as it is read
+        for gi, g in enumerate(gens):
+            for sign, h in ((1, g), (-1, obj.neg[g])):
+                y = obj.add[x][h]
+                if y not in seen:
+                    seen.add(y)
+                    steps.append((y, x, gi, sign))
+                    queue.append(y)
     return tuple(gens), tuple(steps)
-
-
-def _image_chunks(base: int, count: int, cells: int):
-    """All base**count generator-image rows in product order, in (k, count)
-    chunks of at most ``_CHUNK_CELLS`` cells, each row costing ``cells``."""
-    for s in _slices(base**count, cells):
-        rest = np.arange(s.start, s.stop)
-        images = np.empty((len(rest), count), dtype=np.intp)
-        for gi in reversed(range(count)):
-            rest, images[:, gi] = np.divmod(rest, base)
-        yield images
 
 
 def _generator_walk(steps: Sequence[Step], images: np.ndarray, start, rule) -> np.ndarray:
@@ -597,14 +582,23 @@ def _v_additive(t, f: np.ndarray, s) -> np.ndarray:
     return f[:, t.add[s]] != t.add[f[:, s, None], f[:, None]]
 
 
-def _walk(obj: FiniteGwaObject, rule):
-    """The (k, n) value tables, 0 at 0, of the maps of obj walked under
-    ``rule`` from all n^|gens| generator images, chunk by chunk in product
-    order; a row holds n*|gens| cells, with its check at the generators."""
-    n = obj.order
-    gens, steps = generating_words(obj)
-    for images in _image_chunks(n, len(gens), n * max(len(gens), 1)):
-        yield _generator_walk(steps, images, 0, rule)
+def _walk(words, choices: np.ndarray, start, rule, cells: int):
+    """``_generator_walk`` along ``words`` = (gens, steps) from every row of
+    |gens| images drawn from ``choices``, in product order, in chunks of
+    ``_CHUNK_CELLS`` cells at ``cells`` per row."""
+    gens, steps = words
+    base = len(choices)
+    for s in _slices(base ** len(gens), cells):
+        rest = np.arange(s.start, s.stop)
+        index = np.empty((len(rest), len(gens)), dtype=np.intp)
+        for gi in reversed(range(len(gens))):
+            rest, index[:, gi] = np.divmod(rest, base)
+        yield _generator_walk(steps, choices[index], start, rule)
+
+
+def _stabilizer(obj: FiniteGwaObject) -> np.ndarray:
+    """St = {s : a^s = a for all a}: the act table's columns equal to the carrier."""
+    return np.flatnonzero((obj._arrays.act == obj._arrays.ar[:, None]).all(axis=0))
 
 
 def _sorted_rows(rows: np.ndarray) -> np.ndarray:
@@ -616,10 +610,15 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
 
 @object_cache(maxsize=64)
 def _additive_bijections_cached(obj: FiniteGwaObject) -> np.ndarray:
-    t, lead = obj._arrays, _generator_lead(obj)
+    t, lead, words = obj._arrays, _generator_lead(obj), generating_words(obj)
     kept = []
-    # f(x + g) = f(x) + f(g) and f(x - g) = f(x) - f(g)
-    for f in _walk(obj, lambda prev, img, step: t.add[prev, img if step[3] > 0 else t.neg[img]]):
+
+    def rule(prev, img, step):
+        # f(x + g) = f(x) + f(g) and f(x - g) = f(x) - f(g)
+        return t.add[prev, img if step[3] > 0 else t.neg[img]]
+
+    # a row holds n*|gens| cells, with its check at the generators
+    for f in _walk(words, t.ar, 0, rule, obj.order * max(len(words[0]), 1)):
         f = f[(np.sort(f, axis=1) == t.ar).all(axis=1)]
         kept.append(f[~_violated(_v_additive(t, f, lead))])
     return _sorted_rows(np.concatenate(kept))

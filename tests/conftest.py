@@ -1,4 +1,6 @@
+import runpy
 from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -104,6 +106,18 @@ def shear_object(k: int = 4) -> rgwa.FiniteGwaObject:
 @pytest.fixture(scope="session")
 def shear16():
     return shear_object()
+
+
+PERFBENCH = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+
+
+def perfbench_object(name: str, seed: int) -> rgwa.FiniteGwaObject:
+    """The benchmark carrier ``name`` relabeled by ``seed``, named
+    ``name@seed``; s3_conjugation, the one carrier that is not reduced, is
+    validated without the reduced checks."""
+    add, act = PERFBENCH["carrier_tables"](name, seed)
+    return rgwa.make_object(f"{name}@{seed}", len(add), add, act,
+                            require_reduced=name != "s3_conjugation")
 
 
 def s3_object() -> rgwa.FiniteGwaObject:
@@ -587,6 +601,21 @@ def reference_additive_bijections(obj) -> list[tuple[int, ...]]:
         ):
             found.add(f)
     return sorted(found)
+
+
+def reference_pow_factor(obj) -> list[list[int]]:
+    """The pow factor unrestricted: every crossed map extended from all
+    n^|gens| generator images, kept when the full p4, p7 and p10 scan
+    passes, sorted; the oracle for ``pentactions._pow_factor``, which walks
+    images in the stabilizer and scans fewer rows."""
+    from rgwa.core import _passing, generating_words
+    from rgwa.pentactions import _POW_CONDITIONS, _tables
+
+    gens, steps = generating_words(obj)
+    rows = np.asarray([reference_extend_crossed_map(obj, gens, steps, images)
+                       for images in product(range(obj.order), repeat=len(gens))])
+    keep = _passing(_tables(obj, pow=rows), _POW_CONDITIONS, {"A": obj.order})
+    return sorted(rows[keep].tolist())
 
 
 def scan_passes(t, conditions, sizes) -> bool:

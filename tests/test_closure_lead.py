@@ -183,6 +183,17 @@ def test_dropped_rows_hold_on_every_walked_candidate():
         assert _passing(t, dropped, extensions._sizes(A, B)).all(), (A.name, B.name)
 
 
+def test_p10_holds_on_every_pow_row_walked_from_the_stabilizer():
+    # St is closed under + and, by reduced.collapse, under x -> x^g, so on a
+    # reduced carrier every value walked from it lies in St; the pow factor
+    # scans p4 and p7 alone there
+    p10 = [c for c in pentactions._POW_CONDITIONS if c[0] == "p10"]
+    assert [c[0] for c in pentactions._POW_WALKED] == ["p4", "p7"]
+    for obj in _carriers():
+        rows = np.concatenate(list(pentactions._pow_walk(obj)))
+        assert _passing(pentactions._tables(obj, pow=rows), p10, {"A": obj.order}).all(), obj.name
+
+
 def test_p5d_and_p9d_agree_with_p5_and_p9_on_every_walked_candidate():
     # on a walked map part upL = up^-1 and dotR = id, so the map factor
     # scans p5 and p9 alone

@@ -7,13 +7,16 @@ from itertools import product
 
 import rgwa
 from conftest import (
+    PERFBENCH,
     k4swap_object,
     negation_cyclic,
     negation_product,
+    perfbench_object,
     reference_additive_bijections,
     reference_enumerate_derived_actions,
     reference_extend_crossed_map,
     reference_map_families,
+    reference_pow_factor,
     relabeled,
     scan_passes,
     shear_object,
@@ -103,6 +106,34 @@ def test_pow_factor_matches_the_scalar_filter(chunking):
     for obj in _carriers()[10:]:
         want = [list(row) for row in _reference_pow_rows(obj)]
         assert pentactions._pow_factor(obj).tolist() == want, obj.name
+
+
+@lru_cache(maxsize=None)
+def _pow_subjects():
+    """The benchmark carriers at seeds 0 and 1, the non-reduced
+    s3_conjugation included, and shear_{k^2} for k = 2..8."""
+    carriers = tuple(perfbench_object(name, seed) for seed in (0, 1)
+                     for name in PERFBENCH["CARRIERS"])
+    return carriers + tuple(shear_object(k) for k in range(2, 9))
+
+
+_reference_pow_factor = lru_cache(maxsize=None)(reference_pow_factor)
+
+
+def test_pow_factor_matches_the_unrestricted_walk(chunking):
+    # walked from St and, on a reduced carrier, scanned for p4 and p7 at the
+    # generators only, against every image row and the full three-row scan
+    for obj in _pow_subjects():
+        assert pentactions._pow_factor(obj).tolist() == _reference_pow_factor(obj), obj.name
+
+
+def test_the_pow_walk_draws_its_images_from_the_stabilizer(corpus, shear16):
+    # |St|^|gens| image rows: St is {0} x Z/4 on shear16 and the 8 elements
+    # with an even first coordinate on neg4x4; the whole carrier under the
+    # trivial action of z2xz4
+    walked = {obj.name: sum(map(len, pentactions._pow_walk(obj)))
+              for obj in (shear16, negation_product(4, 4), corpus[9])}
+    assert walked == {"shear16": 16, "neg4x4": 64, "z2xz4": 64}
 
 
 def test_derived_actions_match_the_reference(chunking):

@@ -492,17 +492,19 @@ class TestEnumeration:
 
     def test_a_walk_chunk_holds_the_cells_of_its_rows(self, monkeypatch, shear16):
         # a walked row of shear16 and its check at the 2 generators hold
-        # 16 * 2 cells, so 64-cell chunks take 2 of its 16^2 image rows each
+        # 16 * 2 cells, so 64-cell chunks take 2 image rows each: of the
+        # 16^2 rows of the additive bijections, and of the |St|^2 = 4^2 rows
+        # of the pow factor
         calls = []
         walk = core._generator_walk
         monkeypatch.setattr(core, "_CHUNK_CELLS", 64)
         monkeypatch.setattr(core, "_generator_walk", lambda *a: calls.append(1) or walk(*a))
         _clear_object_caches()
         try:
-            for build in (rgwa.additive_bijections, pentactions._pow_factor):
+            for build, count in ((rgwa.additive_bijections, 128), (pentactions._pow_factor, 8)):
                 calls.clear()
                 build(shear16)
-                assert len(calls) == 128, build.__name__
+                assert len(calls) == count, build.__name__
         finally:
             _clear_object_caches()
 

@@ -2,11 +2,9 @@
 
 import random
 import re
-import runpy
 from dataclasses import FrozenInstanceError, replace
 from functools import lru_cache
 from itertools import product
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,9 +14,11 @@ from hypothesis import strategies as st
 
 import rgwa
 from conftest import (
+    PERFBENCH,
     k4swap_object,
     negation_cyclic,
     negation_product,
+    perfbench_object,
     reference_build_pa_object,
     reference_pa_action,
     reference_pa_tables,
@@ -526,16 +526,10 @@ class TestPaActionScan:
                 assert _pa_action_report(_canonical_factors(A)) == want, A.name
 
 
-PERFBENCH = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
 # The benchmark's reduced carriers, a superset of standard_corpus;
 # s3_conjugation is not reduced.
 PERFBENCH_REDUCED = [name for name in PERFBENCH["CARRIERS"] if name != "s3_conjugation"]
 SUB_FACTOR_BASES = ("klein4", "z2xz4", "z8neg", "z16neg", "neg2x8", "shear16")
-
-
-def perfbench_object(name, seed):
-    add, act = PERFBENCH["carrier_tables"](name, seed)
-    return rgwa.make_object(f"{name}@{seed}", len(add), add, act)
 
 
 def closed_sub_factors(obj, seed):
