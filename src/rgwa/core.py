@@ -539,15 +539,19 @@ def generating_words(obj: FiniteGwaObject) -> tuple[tuple[int, ...], tuple[Step,
         gens.append(min(x for x in range(obj.order) if x not in closure))
         closure = additive_closure(obj, gens)
     steps: list[Step] = []
-    seen, queue = {0}, [0]
-    for x in queue:  # breadth first: the queue grows as it is read
-        for gi, g in enumerate(gens):
-            for sign, h in ((1, g), (-1, obj.neg[g])):
-                y = obj.add[x][h]
-                if y not in seen:
-                    seen.add(y)
-                    steps.append((y, x, gi, sign))
-                    queue.append(y)
+    seen = {0}
+    frontier = [0]
+    while frontier:
+        nxt: list[int] = []
+        for x in frontier:
+            for gi, g in enumerate(gens):
+                for sign, h in ((1, g), (-1, obj.neg[g])):
+                    y = obj.add[x][h]
+                    if y not in seen:
+                        seen.add(y)
+                        steps.append((y, x, gi, sign))
+                        nxt.append(y)
+        frontier = nxt
     return tuple(gens), tuple(steps)
 
 
@@ -582,13 +586,15 @@ def _v_additive(t, f: np.ndarray, s) -> np.ndarray:
     return f[:, t.add[s]] != t.add[f[:, s, None], f[:, None]]
 
 
-def _walk(words, choices: np.ndarray, start, rule, cells: int):
+def _walk(words, choices: np.ndarray, start, rule, cells: int = 0):
     """``_generator_walk`` along ``words`` = (gens, steps) from every row of
     |gens| images drawn from ``choices``, in product order, in chunks of
-    ``_CHUNK_CELLS`` cells at ``cells`` per row."""
+    ``_CHUNK_CELLS`` cells at ``cells`` per row.  By default the row is one
+    map of the walked object, its n = |steps| + 1 values checked at the
+    generators: n*max(|gens|, 1) cells."""
     gens, steps = words
     base = len(choices)
-    for s in _slices(base ** len(gens), cells):
+    for s in _slices(base ** len(gens), cells or (len(steps) + 1) * max(len(gens), 1)):
         rest = np.arange(s.start, s.stop)
         index = np.empty((len(rest), len(gens)), dtype=np.intp)
         for gi in reversed(range(len(gens))):
@@ -610,15 +616,11 @@ def _sorted_rows(rows: np.ndarray) -> np.ndarray:
 
 @object_cache(maxsize=64)
 def _additive_bijections_cached(obj: FiniteGwaObject) -> np.ndarray:
-    t, lead, words = obj._arrays, _generator_lead(obj), generating_words(obj)
+    t, lead = obj._arrays, _generator_lead(obj)
     kept = []
-
-    def rule(prev, img, step):
-        # f(x + g) = f(x) + f(g) and f(x - g) = f(x) - f(g)
-        return t.add[prev, img if step[3] > 0 else t.neg[img]]
-
-    # a row holds n*|gens| cells, with its check at the generators
-    for f in _walk(words, t.ar, 0, rule, obj.order * max(len(words[0]), 1)):
+    # f(x + g) = f(x) + f(g) and f(x - g) = f(x) - f(g)
+    for f in _walk(generating_words(obj), t.ar, 0,
+                   lambda prev, img, step: t.add[prev, img if step[3] > 0 else t.neg[img]]):
         f = f[(np.sort(f, axis=1) == t.ar).all(axis=1)]
         kept.append(f[~_violated(_v_additive(t, f, lead))])
     return _sorted_rows(np.concatenate(kept))

@@ -25,9 +25,8 @@ of a pentaction.  So a derived action is its up family and its pow rows.
 
 With dot = id, 3B and a7 for a column up(., b) are its p5 and p9, so each
 column lies in Maps(A) (``pentactions._map_factor``), a group on any
-validated A (the ``rgwa.pa`` docstring).  A family is walked
-(``_families``, by ``core._walk`` over the indices of Maps(A)) as its
-columns U[b] = up(., b), from U[0] = id, by
+validated A (the ``rgwa.pa`` docstring).  A family is walked by
+``core._walk`` (``_families``) as its columns U[b] = up(., b), from U[0] = id, by
 U[b + g] = up_g o U[b] and U[b - g] = up_g^-1 o U[b] for the images up_g
 of B's generators, read with the inverses from the factors of PA(A)
 (``pa._canonical_factors``), and kept as a (k, n_B) index array into
@@ -41,11 +40,10 @@ associativity, the b2 at which it holds for all b are closed under +.
 ``enumerate_derived_actions`` keeps its triples as one columnar batch
 (``_DerivedBatch``): the kept up tables, the pow rows W' that can occur,
 and per triple its up family and the index in W' of each of its pow rows.
-Its pow stage walks rows of W' from B's generators (``core._walk``), looks
-each walked row up in W', and reads the seven pow-reading conditions
-through those indices (``_POW_INDEX_CHECKS``), against tables of A alone;
-one ``np.lexsort`` puts the batch in canonical order.
-``verify_representability`` reads the batch as it is.
+Its pow stage walks rows of W' (``core._walk``) and reads the seven
+pow-reading conditions through their indices (``_POW_INDEX_CHECKS``),
+against tables of A alone; one ``np.lexsort`` puts the batch in canonical
+order.  ``verify_representability`` reads the batch as it is.
 """
 
 from __future__ import annotations
@@ -190,18 +188,29 @@ def action_from_split_extension(ext: SplitExtension) -> DerivedActionTriple:
                 f"image(i); the extension is not internal to the reduced category"
             ) from None
 
-    i, j = ext.i.map, ext.j.map
-
-    def row(op, what: str, b: int) -> tuple[int, ...]:
-        # (j(b) op i(a)) - j(b) for every a, read back through i
-        return tuple(readback(E.add[op[j[b]][i[a]]][E.neg[j[b]]], what, b, a)
-                     for a in range(A.order))
-
-    # per b, the dot row and then the pow row, so the first escape is reported
-    dot, pw = zip(*[(row(E.add, "b.a", b), row(E.act, "b^a", b)) for b in range(B.order)])
-    up = tuple(tuple(readback(E.act[i[a]][j[b]], "a^b", b, a) for b in range(B.order))
-               for a in range(A.order))
-    triple = DerivedActionTriple(A, B, dot, up, pw)
+    dot, pw = [], []
+    for b in range(B.order):
+        jb, njb = ext.j.map[b], E.neg[ext.j.map[b]]
+        dot.append(
+            tuple(
+                readback(E.add[E.add[jb][ext.i.map[a]]][njb], "b.a", b, a)
+                for a in range(A.order)
+            )
+        )
+        pw.append(
+            tuple(
+                readback(E.add[E.act[jb][ext.i.map[a]]][njb], "b^a", b, a)
+                for a in range(A.order)
+            )
+        )
+    up = tuple(
+        tuple(
+            readback(E.act[ext.i.map[a]][ext.j.map[b]], "a^b", b, a)
+            for b in range(B.order)
+        )
+        for a in range(A.order)
+    )
+    triple = DerivedActionTriple(A, B, tuple(dot), up, tuple(pw))
     return replace(triple, report=check_derived_action(triple))
 
 
@@ -415,11 +424,12 @@ _POW_INDEX_CHECKS = (
 def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -> _DerivedBatch:
     """The derived actions of B on A as one sorted batch; the stages are
     those of ``enumerate_derived_actions``."""
-    na, nb, wordsB = A.order, B.order, generating_words(B)
+    gensB, stepsB = generating_words(B)
+    na, nb = A.order, B.order
     stage = f"derived-action enumeration for {B.name!r} on {A.name!r}"
     _charge_walks(A, budget, stage)
     n_maps = len(_map_factor(A))
-    families = n_maps ** len(wordsB[0])
+    families = n_maps ** len(gensB)
     _charge(families, budget, f"{stage} needs at least {families} candidate visits "
                               f"(refused before the family search)")
     F = _families(A, B)
@@ -431,7 +441,7 @@ def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -
     order = np.lexsort(ups.reshape(len(ups), -1).T[::-1])
     F, ups = F[order], ups[order]
     # the pow stage's candidates, its 2A table and its 4B and a10 tables
-    total = len(ups) * len(rows) ** len(wordsB[0]) + len(rows) ** 2 + n_maps * len(rows)
+    total = len(ups) * len(rows) ** len(gensB) + len(rows) ** 2 + n_maps * len(rows)
     _charge(total, budget, f"{stage} needs {total} candidate visits")
     x = _PowIndex(*_pow_products(A), F, B._arrays.add, B._arrays.act)
     addA, negA = A._arrays.add, A._arrays.neg
@@ -441,8 +451,9 @@ def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -
         return addA[prev, row if step[3] > 0 else negA[row]]
 
     found = []
-    for walk in map(find, _walk(wordsB, rows, np.zeros(na, np.intp), rule, len(ups) * nb * na)):
+    for values in _walk((gensB, stepsB), rows, np.zeros(na, np.intp), rule, len(ups) * nb * na):
         # one walk per image row i, then every kept up table p with every i
+        walk = find(values)
         p, i = (v.ravel() for v in np.indices((len(ups), len(walk))))
         J = walk[i]
         live = np.arange(len(J))

@@ -23,12 +23,14 @@ pow, and they read nothing else, so the set is the product of its map parts
 the identity (the lemma in ``rgwa.extensions``), so the map parts are the
 additive bijections up passing the map conditions, each with upL = up^-1.
 The pruned enumerator scans the two factors apart, visiting
-|ups| + |St|^|gens| candidates (below), while its budget is still charged
-the |ups|*n^|gens| candidates of the product.  Each factor is kept once per
-object, as a read-only (rows, n) intp array sorted by row (``_map_factor``,
-``_pow_factor``): the form that PA(A), the weak stabilizer and the
-derived-action pow stage read.  Only the writers of Python values, the
-enumerator and ``rgwa pentactions``, convert them with ``tolist``.
+|ups| + |St|^|gens| candidates, St = {s : a^s = a for all a} (by p10 at a
+generator g, pow(g) lies in St, so the pow walk draws its images from St),
+while its budget is still charged the |ups|*n^|gens| candidates of the
+product.  Each factor is kept once per object, as a read-only (rows, n)
+intp array sorted by row (``_map_factor``, ``_pow_factor``): the form that
+PA(A), the weak stabilizer and the derived-action pow stage read.  Only the
+writers of Python values, the enumerator and ``rgwa pentactions``, convert
+them with ``tolist``.
 
 Every walked map part (id, id, up, up^-1), up an additive bijection, meets
 p1, p1d, p2, p2d, p3, p3d, p6, p6d, p11 and p12 by construction, and over a
@@ -40,17 +42,11 @@ does, and a ^ up(a') = a ^ a' for all a' exactly when a ^ up^-1(a') = a ^ a'
 for all a'.  So the map factor scans only p5 and p9 (``_MAP_WALKED``).  Both
 factors check their rows at the additive generators only (the closure lemma
 of ``core._passing``).  The set of leading values a at which a row holds is
-closed under + given: for p5, the additivity of up; for p9, action.add; for
-p4, associativity, action.add and action.compose; for p7, p4 (an earlier
-row) and reduced.collapse, so on an object validated without the reduced
-checks the pow factor scans in full.  ``check_pentaction``,
+closed under + given: for p5, the additivity of up; for p9 and p10,
+action.add; for p4, associativity, action.add and action.compose; for p7,
+p4 (an earlier row) and reduced.collapse, so on an object validated without
+the reduced checks the pow factor scans in full.  ``check_pentaction``,
 ``check_pentactions_batch`` and the brute-force oracle scan every cell.
-
-By p10 at a generator g, pow(g) lies in St = {s : a^s = a for all a}, so
-the pow factor is walked from the |St|^|gens| image rows in St.  St is
-closed under + and - (action.compose), and on a reduced parent under every
-x -> x^y, as a^(s^y) = a^s = a by reduced.collapse; so every walked value
-lies in St, p10 holds, and the pow factor scans p4 and p7 (``_POW_WALKED``).
 """
 
 from __future__ import annotations
@@ -224,8 +220,6 @@ _POW_CONDITIONS = tuple(c for c in _CONDITIONS if c[2] == ("pow",))
 _MAP_BY_CONSTRUCTION = ("p1", "p1d", "p2", "p2d", "p3", "p3d", "p6", "p6d", "p8", "p8d",
                         "p11", "p12")
 _MAP_WALKED = tuple(c for c in _MAP_CONDITIONS if c[0] in ("p5", "p9"))
-# p10 holds on every pow table walked from St over a reduced parent
-_POW_WALKED = tuple(c for c in _POW_CONDITIONS if c[0] != "p10")
 
 
 def _validate_shape(cand: Pentaction) -> None:
@@ -324,8 +318,7 @@ def enumerate_pentactions(
     is generated from its values on additive generators.  No condition links
     pow to the four maps, so the set is the product of the maps passing the
     sixteen map conditions and the pow tables passing p4, p7 and p10: the
-    search visits |ups| + |St|^|gens| candidates (p10 puts a pow table's
-    generator images in St) and builds only kept values.
+    search visits |ups| + |St|^|gens| candidates and builds only kept values.
     Each factor's filter skips only rows that its walked candidates meet by
     construction and checks the others at the additive generators, which
     the closure lemma of ``core._passing`` makes the full verdict, so the
@@ -362,8 +355,7 @@ def _charge_walks(obj: FiniteGwaObject, budget: int, stage: str) -> int:
 
 def _pow_walk(obj: FiniteGwaObject):
     """The crossed maps walked from all |St|^|gens| generator images in St,
-    in product order, one (k, n) chunk at a time (``core._walk``); a row
-    holds n*|gens| cells, with its check at the generators."""
+    in product order, one (k, n) chunk at a time (``core._walk``)."""
     t, words = obj._arrays, generating_words(obj)
 
     def rule(prev, img, step):
@@ -373,20 +365,19 @@ def _pow_walk(obj: FiniteGwaObject):
             return t.add[t.act[prev, g], img]
         return t.act[t.add[prev, t.neg[img]], t.neg[g]]
 
-    return _walk(words, _stabilizer(obj), 0, rule, obj.order * max(len(words[0]), 1))
+    return _walk(words, _stabilizer(obj), 0, rule)
 
 
 @object_cache(maxsize=32)
 def _pow_factor(obj: FiniteGwaObject) -> np.ndarray:
     """The pow tables passing p4, p7 and p10, as a read-only (|W|, n) array
     sorted by row; by p4 they are crossed maps, so the walked ones are
-    filtered.  On a reduced obj p4 and p7 are checked at the generators
+    filtered.  On a reduced obj each row is checked at the generators
     (``core._passing``); p7 closes under + only through reduced.collapse,
-    so on another obj all three rows scan in full (module docstring)."""
+    so on another obj the rows scan in full."""
     lead = {"A": _generator_lead(obj)} if obj.reduced else None
-    conditions = _POW_WALKED if obj.reduced else _POW_CONDITIONS
     return _sorted_rows(np.concatenate([
-        rows[_passing(_tables(obj, pow=rows), conditions, {"A": obj.order}, lead)]
+        rows[_passing(_tables(obj, pow=rows), _POW_CONDITIONS, {"A": obj.order}, lead)]
         for rows in _pow_walk(obj)]))
 
 

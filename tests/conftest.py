@@ -120,6 +120,23 @@ def perfbench_object(name: str, seed: int) -> rgwa.FiniteGwaObject:
                             require_reduced=name != "s3_conjugation")
 
 
+def twisted_object() -> rgwa.FiniteGwaObject:
+    """Z/2 (+) Z/2 (+) Z/4, (u, v, c) indexed 8u + 4v + c, where the exponent
+    (u', v', c') maps (u, v, c) to (u, v + c'u + v'c mod 2, c).  Abelian
+    but not reduced (f = (1, 0, 0) fixes every element, f^(0, 0, 1) does
+    not), so validated without the reduced checks.  Its stabilizer
+    {(u, 0, c) : c even} has four elements and is not closed under
+    x -> x^y, so pow tables walked from it can leave it and fail p10."""
+    def idx(u, v, c):
+        return 8 * u + 4 * v + c
+
+    cells = [(u, v, c) for u in range(2) for v in range(2) for c in range(4)]
+    add = [[idx((u + u2) % 2, (v + v2) % 2, (c + c2) % 4) for u2, v2, c2 in cells]
+           for u, v, c in cells]
+    act = [[idx(u, (v + c2 * u + v2 * c) % 2, c) for u2, v2, c2 in cells] for u, v, c in cells]
+    return rgwa.make_object("twisted16", 16, add, act, require_reduced=False)
+
+
 def s3_object() -> rgwa.FiniteGwaObject:
     """S3 acting on itself by conjugation: not abelian, so validated without
     the reduced checks."""
@@ -603,17 +620,25 @@ def reference_additive_bijections(obj) -> list[tuple[int, ...]]:
     return sorted(found)
 
 
-def reference_pow_factor(obj) -> list[list[int]]:
-    """The pow factor unrestricted: every crossed map extended from all
-    n^|gens| generator images, kept when the full p4, p7 and p10 scan
-    passes, sorted; the oracle for ``pentactions._pow_factor``, which walks
-    images in the stabilizer and scans fewer rows."""
-    from rgwa.core import _passing, generating_words
-    from rgwa.pentactions import _POW_CONDITIONS, _tables
+def reference_crossed_maps(obj) -> np.ndarray:
+    """The maps extended from all n^|gens| generator images, one at a time
+    in product order: the unrestricted pow walk (unverified)."""
+    from rgwa.core import generating_words
 
     gens, steps = generating_words(obj)
-    rows = np.asarray([reference_extend_crossed_map(obj, gens, steps, images)
+    return np.asarray([reference_extend_crossed_map(obj, gens, steps, images)
                        for images in product(range(obj.order), repeat=len(gens))])
+
+
+def reference_pow_factor(obj) -> list[list[int]]:
+    """The pow factor unrestricted: every crossed map of
+    ``reference_crossed_maps`` kept when the full p4, p7 and p10 scan
+    passes, sorted; the oracle for ``pentactions._pow_factor``, which walks
+    images in the stabilizer and checks at the generators."""
+    from rgwa.core import _passing
+    from rgwa.pentactions import _POW_CONDITIONS, _tables
+
+    rows = reference_crossed_maps(obj)
     keep = _passing(_tables(obj, pow=rows), _POW_CONDITIONS, {"A": obj.order})
     return sorted(rows[keep].tolist())
 

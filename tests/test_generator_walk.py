@@ -20,6 +20,7 @@ from conftest import (
     relabeled,
     scan_passes,
     shear_object,
+    twisted_object,
 )
 from rgwa import extensions, pa, pentactions
 from rgwa.core import generating_words
@@ -111,10 +112,11 @@ def test_pow_factor_matches_the_scalar_filter(chunking):
 @lru_cache(maxsize=None)
 def _pow_subjects():
     """The benchmark carriers at seeds 0 and 1, the non-reduced
-    s3_conjugation included, and shear_{k^2} for k = 2..8."""
+    s3_conjugation included, shear_{k^2} for k = 2..8 and the non-reduced
+    twisted16, whose pow walk leaves its stabilizer."""
     carriers = tuple(perfbench_object(name, seed) for seed in (0, 1)
                      for name in PERFBENCH["CARRIERS"])
-    return carriers + tuple(shear_object(k) for k in range(2, 9))
+    return carriers + tuple(shear_object(k) for k in range(2, 9)) + (twisted_object(),)
 
 
 _reference_pow_factor = lru_cache(maxsize=None)(reference_pow_factor)
