@@ -1,8 +1,9 @@
 """Structure analysis: derived subobject, perfectness, stabilizers, and the
 chain of quotients annihilating the weak stabilizer.
 
-The weak stabilizer reads the two factors of the pentaction set as they are
-cached, read-only (rows, n) index arrays, with no copy or conversion."""
+The weak stabilizer reads the two factors of the pentaction set from their
+one cache, the record of ``pentactions._canonical_factors``, as read-only
+(rows, n) index arrays, with no copy or conversion."""
 
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .core import (
     quotient_by_subgroup,
 )
 from .pa import _OBSTRUCTIONS
-from .pentactions import DEFAULT_BUDGET, _check_budget, _map_factor, _pow_factor
+from .pentactions import DEFAULT_BUDGET, _canonical_factors, _check_budget
 
 __all__ = [
     "derived_subobject",
@@ -53,17 +54,18 @@ def weak_stabilizer(obj: FiniteGwaObject, budget: int = DEFAULT_BUDGET) -> Eleme
     budget is charged as for its exhaustive enumeration.  That set is the
     product of its map parts and its pow tables, so the families are the
     values of the rows a9, a10 and reduced.central of ``pa._OBSTRUCTIONS``
-    over the up tables U and the pow tables W, the cached read-only arrays
-    ``pentactions._map_factor`` and ``_pow_factor``, and the set is {0}
-    exactly when PA(obj) passes them.  Each row is evaluated over the chunks
-    of ``core._slices`` and its values marked in a length-n table, so memory
-    stays O((|U|+|W|)*n).  The set only grows, so the scan stops once every
-    element is marked.
+    over the up tables U and the pow tables W, the read-only up and pow of
+    A's factor record (``pentactions._canonical_factors``), and the set is
+    {0} exactly when PA(obj) passes them.  Each row is evaluated over the
+    chunks of ``core._slices`` and its values marked in a length-n table, so
+    memory stays O((|U|+|W|)*n).  The set only grows, so the scan stops once
+    every element is marked.
     """
     _check_budget(obj, budget)
     n = obj.order
     seen = np.zeros(n, dtype=bool)
-    up, pw = _map_factor(obj), _pow_factor(obj)
+    f = _canonical_factors(obj)
+    up, pw = f.up, f.pow
     sizes = {"I": len(up), "J": len(pw), "A": n}
     for _, axes, value, _ in _OBSTRUCTIONS:
         for s in _slices(sizes[axes[0]], prod(sizes[x] for x in axes[1:])):

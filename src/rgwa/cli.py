@@ -43,9 +43,8 @@ from .files import (
 )
 from .pentactions import (
     DEFAULT_BUDGET,
+    _canonical_factors,
     _check_budget,
-    _map_factor,
-    _pow_factor,
     enumerate_pentactions,
     enumerate_pentactions_bruteforce,
 )
@@ -74,8 +73,9 @@ def _cmd_corpus(args) -> tuple[int, dict]:
 def _cmd_pentactions(args) -> tuple[int, str]:
     obj = load_object(args.path)
     _check_budget(obj, args.budget)
-    ups, rows = _map_factor(obj).tolist(), _pow_factor(obj).tolist()
-    return EXIT_PASSED, dumps_pentactions(obj.name, ups, rows, pretty=args.pretty)
+    f = _canonical_factors(obj)
+    return EXIT_PASSED, dumps_pentactions(obj.name, f.up.tolist(), f.pow.tolist(),
+                                          pretty=args.pretty)
 
 
 def _cmd_pa(args) -> tuple[int, dict]:

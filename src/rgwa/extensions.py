@@ -24,17 +24,18 @@ applies this to every dot[b], and p3 and p3d apply it to the dotL and dotR
 of a pentaction.  So a derived action is its up family and its pow rows.
 
 With dot = id, 3B and a7 for a column up(., b) are its p5 and p9, so each
-column lies in Maps(A) (``pentactions._map_factor``), a group on any
-validated A (the ``rgwa.pa`` docstring).  A family is walked by
-``core._walk`` (``_families``) as its columns U[b] = up(., b), from U[0] = id, by
+column lies in Maps(A), the up of A's factor record
+(``pentactions._canonical_factors``), a group on any validated A (the
+``rgwa.pa`` docstring).  A family is walked by ``core._walk``
+(``_families``) as its columns U[b] = up(., b), from U[0] = id, by
 U[b + g] = up_g o U[b] and U[b - g] = up_g^-1 o U[b] for the images up_g
-of B's generators, read with the inverses from the factors of PA(A)
-(``pa._canonical_factors``), and kept as a (k, n_B) index array into
-Maps(A).  So 1A, zeroB, 4A and a2 hold by construction, 3B and a7 by
-membership, and a6 on every abelian A, as every reduced A is; on another it
-fails once n_B > 1, as each column is onto A.  The walk checks 2B and a5 on
-the walked columns (``_FAMILY_CHECKS``), 2B at B's generators b2 only: by
-associativity, the b2 at which it holds for all b are closed under +.
+of B's generators, read with the inverses from that record, and kept as a
+(k, n_B) index array into Maps(A).  So 1A, zeroB, 4A and a2 hold by
+construction, 3B and a7 by membership, and a6 on every abelian A, as every
+reduced A is; on another it fails once n_B > 1, as each column is onto A.
+The walk checks 2B and a5 on the walked columns (``_FAMILY_CHECKS``), 2B at
+B's generators b2 only: by associativity, the b2 at which it holds for all
+b are closed under +.
 ``check_derived_action`` and the brute-force oracle scan every cell.
 
 ``enumerate_derived_actions`` keeps its triples as one columnar batch
@@ -74,8 +75,8 @@ from .core import (
     object_cache,
 )
 from .errors import InputError, StructuralError, ValidationError
-from .pa import _OBSTRUCTIONS, _canonical_factors
-from .pentactions import DEFAULT_BUDGET, _charge_walks, _map_factor, _pow_factor
+from .pa import _OBSTRUCTIONS
+from .pentactions import DEFAULT_BUDGET, _canonical_factors, _charge_walks
 from .report import PASSED, CheckReport, Violation
 
 _BRUTEFORCE_CAP = 4_194_304
@@ -367,7 +368,7 @@ def _families(A: FiniteGwaObject, B: FiniteGwaObject) -> np.ndarray:
 def _pow_rows(A: FiniteGwaObject):
     """W', the rows r of A's pentaction pow factor with r o r = 0, and its
     row finder; the rows are shared by every batch on A, so read-only."""
-    rows = _pow_factor(A)
+    rows = _canonical_factors(A).pow
     rows = rows[(np.take_along_axis(rows, rows, axis=1) == 0).all(axis=1)]
     rows.setflags(write=False)
     return rows, _row_finder(rows)
@@ -428,14 +429,15 @@ def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -
     na, nb = A.order, B.order
     stage = f"derived-action enumeration for {B.name!r} on {A.name!r}"
     _charge_walks(A, budget, stage)
-    n_maps = len(_map_factor(A))
+    maps = _canonical_factors(A).up
+    n_maps = len(maps)
     families = n_maps ** len(gensB)
     _charge(families, budget, f"{stage} needs at least {families} candidate visits "
                               f"(refused before the family search)")
     F = _families(A, B)
     rows, find = _pow_rows(A)
     # ups[p, a, b] = up_{F[p, b]}(a), sorted by table
-    ups = _canonical_factors(A).up[F].swapaxes(1, 2)
+    ups = maps[F].swapaxes(1, 2)
     if not len(F):
         return _DerivedBatch(ups, rows, np.zeros(0, np.intp), np.zeros((0, nb), np.intp))
     order = np.lexsort(ups.reshape(len(ups), -1).T[::-1])

@@ -7,7 +7,8 @@ j.  A map part is its up table, since every pentaction has dotL = dotR = id
 (p12).  So every dot is the identity, the pow part of a sum, p.pow +
 p.dotL(q.pow), depends on the two pow tables alone, and p^q, which has
 identity dots and p's up and upL, keeps p's map part.  The sum and power
-are index arithmetic over the factors (``_PaFactors``):
+are index arithmetic over the factors f, a ``pentactions._PaFactors``
+record, which every function here takes:
 
     p+q = (up_q o up_p, pow_p + pow_q)
     p^q = (i_p, up_q o pow_p)
@@ -15,12 +16,12 @@ are index arithmetic over the factors (``_PaFactors``):
 where each part is looked up among the factors at the cells read
 (``_assemble``); no table of sums is kept.
 
-For a reduced A and the canonical factors (``_canonical_factors``), no sum
-or power leaves the set: Maps is the set of additive bijections passing p5
-and p9, W the set of maps passing p4, p7 and p10, and both are closed, as
-follows.  With dotL = id, p5 reads up(a^a') = up(a)^a', p9 a^up(a') =
-a^a', p4 w(a+a') = w(a)^a' + w(a'), p7 w(a^a') = w(a), and p10 a^w(a') = a
-for a' != 0.
+For a reduced A and the canonical factors, kept once per object by
+``pentactions._canonical_factors``, no sum or power leaves the set: Maps is
+the set of additive bijections passing p5 and p9, W the set of maps passing
+p4, p7 and p10, and both are closed, as follows.  With dotL = id, p5
+reads up(a^a') = up(a)^a', p9 a^up(a') = a^a', p4 w(a+a') = w(a)^a' +
+w(a'), p7 w(a^a') = w(a), and p10 a^w(a') = a for a' != 0.
 
 - Maps under composition: up_q o up_p is an additive bijection; p5, since
   up_q(up_p(a^a')) = up_q(up_p(a)^a') = up_q(up_p(a))^a'; p9, since
@@ -72,66 +73,19 @@ the m x m tables for the callers that read them.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from typing import Sequence
-
 import numpy as np
 
-from .core import (
-    FiniteGwaObject,
-    _chunked,
-    _row_finder,
-    _violations,
-    object_cache,
-)
-from .pentactions import _map_factor, _pow_factor
+from .core import _chunked, _violations
 from .report import CheckReport, Violation
 
 
-# The factors of PA(A).  With p = (i, j) for map part i and pow table j,
-#   p+q = (find_up(up_q o up_p), find_pow(pow_p + pow_q))
-#   p^q = (i_p, find_pow(up_q o pow_p))
-# where W is the number of pow tables.  up and pow are the up and pow tables,
-# as (|Maps|, n) and (W, n) arrays, inv[i] the index of up_i^-1 (or -1), and
-# A is A's _arrays.  find_up, find_map and find_pow give the index of an up
-# table, of a map part (dotL, dotR, up, upL) and of a pow table, or -1.
-_PaFactors = namedtuple("_PaFactors", "find_up inv W up pow A find_map find_pow")
-
-
-def _pa_factors(obj: FiniteGwaObject, ups: Sequence, pows: Sequence) -> _PaFactors:
-    """The factors of the sum and the power over the product of the map
-    parts with up tables ``ups`` and the pow tables ``pows``."""
-    n = obj.order
-    up = np.asarray(ups, dtype=np.intp).reshape(len(ups), n)
-    w = np.asarray(pows, dtype=np.intp).reshape(len(pows), n)
-    find_up, ident = _row_finder(up), np.arange(n)
-
-    def find_map(dl, dr, u, ul):
-        """The map part (dl, dr, u, ul), each over the last axis, or -1: one
-        is found only when dotL = dotR = id, upL = up^-1 and up is in ups."""
-        ok = (dl == ident) & (dr == ident) & (np.take_along_axis(ul, u, -1) == ident)
-        return np.where(ok.all(-1), find_up(u), -1)
-
-    return _PaFactors(find_up, find_up(np.argsort(up, axis=1)), len(w), up, w, obj._arrays,
-                      find_map, _row_finder(w))
-
-
-@object_cache(maxsize=32)
-def _canonical_factors(obj: FiniteGwaObject) -> _PaFactors:
-    """The factors of PA(obj), over Maps(obj) and the pow factor, whose
-    cached read-only arrays are its up and pow; both are defined on any
-    validated obj, so the family walk of a non-reduced obj reads them too,
-    and only ``PAObject`` requires a reduced obj."""
-    return _pa_factors(obj, _map_factor(obj), _pow_factor(obj))
-
-
-def _element(f: _PaFactors, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+def _element(f, i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """The index i * |W| + j of the element with map part i and pow table j,
     or -1 where either is -1."""
     return np.where((i < 0) | (j < 0), -1, i * f.W + j)
 
 
-def _assemble(f: _PaFactors) -> tuple[np.ndarray, np.ndarray]:
+def _assemble(f) -> tuple[np.ndarray, np.ndarray]:
     """The m x m sum and power tables, -1 where a result leaves the set.
     The map part of x+y, the index of up_y o up_x, and the pow parts of x+y
     and x^y, the indices of pow_x + pow_y and of up_y o pow_x, are looked up
@@ -169,7 +123,7 @@ _OBSTRUCTIONS = (
 )
 
 
-def _factor_report(f: _PaFactors, rows) -> CheckReport:
+def _factor_report(f, rows) -> CheckReport:
     """Scan rows of ``_OBSTRUCTIONS`` for nonzero values with
     ``core._violations``: each failing row's id and minimal witness."""
     sizes = {"I": len(f.up), "J": f.W, "A": len(f.A.ar)}
@@ -180,13 +134,13 @@ def _factor_report(f: _PaFactors, rows) -> CheckReport:
                              for v in _violations(f, masks, sizes)))
 
 
-def _pa_report(f: _PaFactors) -> CheckReport:
+def _pa_report(f) -> CheckReport:
     """The reduced-axiom scan of PA(A): the same report as ``check_axioms``
     on the assembled tables, since only the reduced.central row can fail."""
     return _factor_report(f, _OBSTRUCTIONS[:1])
 
 
-def _pa_action_report(f: _PaFactors) -> CheckReport:
+def _pa_action_report(f) -> CheckReport:
     """The 22-condition report of the action of PA(A) on A: the same as
     ``check_derived_action`` on the assembled triple, since only a9 and a10
     can fail."""

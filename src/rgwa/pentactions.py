@@ -26,11 +26,14 @@ The pruned enumerator scans the two factors apart, visiting
 |ups| + |St|^|gens| candidates, St = {s : a^s = a for all a} (by p10 at a
 generator g, pow(g) lies in St, so the pow walk draws its images from St),
 while its budget is still charged the |ups|*n^|gens| candidates of the
-product.  Each factor is kept once per object, as a read-only (rows, n)
-intp array sorted by row (``_map_factor``, ``_pow_factor``): the form that
-PA(A), the weak stabilizer and the derived-action pow stage read.  Only the
-writers of Python values, the enumerator and ``rgwa pentactions``, convert
-them with ``tolist``.
+product.  ``_map_factor`` and ``_pow_factor`` walk the factors as
+read-only (rows, n) intp arrays sorted by row, and ``_canonical_factors``
+is the one cache that keeps them, once per object, as the up and pow of
+its record (``_PaFactors``) beside the row finders of PA(A).  PA(A), the
+enumerator, ``rgwa pentactions``, the weak stabilizer and the derived-action
+stages all read that record.  Only the writers of Python values, the
+enumerator and ``rgwa pentactions``, convert it with ``tolist``; the
+Pentactions the enumerator builds are not cached.
 
 Every walked map part (id, id, up, up^-1), up an additive bijection, meets
 p1, p1d, p2, p2d, p3, p3d, p6, p6d, p11 and p12 by construction, and over a
@@ -66,6 +69,7 @@ from .core import (
     _generator_lead,
     _passing,
     _pick,
+    _row_finder,
     _sorted_rows,
     _stabilizer,
     _v_additive,
@@ -368,7 +372,6 @@ def _pow_walk(obj: FiniteGwaObject):
     return _walk(words, _stabilizer(obj), 0, rule)
 
 
-@object_cache(maxsize=32)
 def _pow_factor(obj: FiniteGwaObject) -> np.ndarray:
     """The pow tables passing p4, p7 and p10, as a read-only (|W|, n) array
     sorted by row; by p4 they are crossed maps, so the walked ones are
@@ -381,7 +384,6 @@ def _pow_factor(obj: FiniteGwaObject) -> np.ndarray:
         for rows in _pow_walk(obj)]))
 
 
-@object_cache(maxsize=32)
 def _map_factor(obj: FiniteGwaObject) -> np.ndarray:
     """Maps(obj): the up tables of the map parts (id, id, up, up^-1) passing
     the conditions that do not read pow, as a read-only (|Maps|, n) array
@@ -405,12 +407,50 @@ def _map_parts(obj: FiniteGwaObject) -> _Tables:
     return _tables(obj, **dict(zip(_SLOTS, maps)))
 
 
+# The factors of PA(A).  With p = (i, j) for map part i and pow table j,
+#   p+q = (find_up(up_q o up_p), find_pow(pow_p + pow_q))
+#   p^q = (i_p, find_pow(up_q o pow_p))
+# where W is the number of pow tables.  up and pow are the up and pow tables,
+# as (|Maps|, n) and (W, n) arrays, inv[i] the index of up_i^-1 (or -1), and
+# A is A's _arrays.  find_up, find_map and find_pow give the index of an up
+# table, of a map part (dotL, dotR, up, upL) and of a pow table, or -1.
+_PaFactors = namedtuple("_PaFactors", "find_up inv W up pow A find_map find_pow")
+
+
+def _pa_factors(obj: FiniteGwaObject, ups: Sequence, pows: Sequence) -> _PaFactors:
+    """The factors of the sum and the power over the product of the map
+    parts with up tables ``ups`` and the pow tables ``pows``."""
+    n = obj.order
+    up = np.asarray(ups, dtype=np.intp).reshape(len(ups), n)
+    w = np.asarray(pows, dtype=np.intp).reshape(len(pows), n)
+    find_up, ident = _row_finder(up), np.arange(n)
+
+    def find_map(dl, dr, u, ul):
+        """The map part (dl, dr, u, ul), each over the last axis, or -1: one
+        is found only when dotL = dotR = id, upL = up^-1 and up is in ups."""
+        ok = (dl == ident) & (dr == ident) & (np.take_along_axis(ul, u, -1) == ident)
+        return np.where(ok.all(-1), find_up(u), -1)
+
+    return _PaFactors(find_up, find_up(np.argsort(up, axis=1)), len(w), up, w, obj._arrays,
+                      find_map, _row_finder(w))
+
+
 @object_cache(maxsize=32)
+def _canonical_factors(obj: FiniteGwaObject) -> _PaFactors:
+    """The factors of PA(obj) over Maps(obj) and the pow factor: the one
+    cache of obj's two factors, whose read-only arrays up and pow every
+    reader takes (module docstring).  Both are defined on any validated obj,
+    so the family walk of a non-reduced obj reads them too; the readers that
+    need a reduced obj check it themselves."""
+    return _pa_factors(obj, _map_factor(obj), _pow_factor(obj))
+
+
 def _enumerate_pentactions_uncapped(obj: FiniteGwaObject) -> tuple[Pentaction, ...]:
     # Maps outer, pow inner is the canonical key order: the dots are the
     # identity, the up tables are distinct and each factor is sorted.
     _require_reduced(obj)
-    ups, rows = (tuple(map(tuple, x.tolist())) for x in (_map_factor(obj), _pow_factor(obj)))
+    f = _canonical_factors(obj)
+    ups, rows = (tuple(map(tuple, x.tolist())) for x in (f.up, f.pow))
     ident = tuple(range(obj.order))
     return tuple(Pentaction(obj, ident, ident, up, upl, pw)
                  for up, upl in zip(ups, map(invert_map, ups)) for pw in rows)

@@ -5,13 +5,14 @@ The conditional theorems hold when the base object is perfect with zero weak
 stabilizer; outside that regime every builder here stays diagnostic: reports
 carry the failing conditions instead of raising.
 
-PA(A) and its action are checked over the factor tables of ``rgwa.pa``, with
-no m x m table and no Pentaction per element.  A ``PAObject`` is PA(base) by
-construction, so every lookup into it is a factor lookup, find_map * |W| +
-find_pow: ``index_of``, the images of ``represent`` (find_map on the dot
-and up columns of b and -b), and the match sets of ``verify_uniqueness``,
-which hold at most one element each, since find_map finds a map part only
-where dotL = dotR = id and upL = up^-1, as in every element.
+PA(A) and its action are checked by ``rgwa.pa`` over A's factor record
+(``pentactions._canonical_factors``), with no m x m table and no
+Pentaction per element.  A ``PAObject`` is PA(base) by construction, so
+every lookup into it is a factor lookup, find_map * |W| + find_pow:
+``index_of``, the images of ``represent`` (find_map on the dot and up
+columns of b and -b), and the match sets of ``verify_uniqueness``, which
+hold at most one element each, since find_map finds a map part only where
+dotL = dotR = id and upL = up^-1, as in every element.
 
 ``verify_representability`` reads the derived actions of each acting
 object B as one batch, and on a verified PA(A) no image, morphism law or
@@ -53,19 +54,14 @@ from .extensions import (
     _validate_triple_shape,
     check_derived_action,
 )
-from .pa import (
-    _assemble,
-    _canonical_factors,
-    _element,
-    _pa_action_report,
-    _pa_report,
-    _PaFactors,
-)
+from .pa import _assemble, _element, _pa_action_report, _pa_report
 from .pentactions import (
     DEFAULT_BUDGET,
     Pentaction,
+    _canonical_factors,
     _check_budget,
     _enumerate_pentactions_uncapped,
+    _PaFactors,
     _require_reduced,
     check_pentaction,
 )

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import rgwa
 from conftest import (
+    _clear_object_caches,
     assert_batch_verdicts,
     assert_rows_read_only_their_tables,
     k4swap_object,
@@ -24,7 +25,7 @@ from conftest import (
     scan_passes,
     shear_object,
 )
-from rgwa import core, extensions
+from rgwa import core, extensions, pentactions
 from rgwa.extensions import DerivedActionTriple
 
 
@@ -446,8 +447,9 @@ class TestEnumeration:
         def unreachable(*args, **kwargs):
             raise AssertionError("a walk over A ran before the budget check")
 
-        monkeypatch.setattr(extensions, "_map_factor", unreachable)
-        monkeypatch.setattr(extensions, "_pow_factor", unreachable)
+        monkeypatch.setattr(pentactions, "_map_factor", unreachable)
+        monkeypatch.setattr(pentactions, "_pow_factor", unreachable)
+        _clear_object_caches()  # so that A's factor record is walked afresh
         z2 = rgwa.cyclic_trivial(2)
         z2_4 = rgwa.direct_sum(rgwa.direct_sum(z2, z2), rgwa.direct_sum(z2, z2))
         stage = re.escape(f"needs at least {16 ** 4} candidate visits "
@@ -579,7 +581,7 @@ class TestPowIndexChecks:
     def _index(A, B, batch):
         # the batch's up families as indices into Maps(A)
         from rgwa.core import _row_finder
-        from rgwa.pa import _canonical_factors
+        from rgwa.pentactions import _canonical_factors
 
         F = _row_finder(_canonical_factors(A).up)(batch.ups.swapaxes(1, 2))
         return extensions._PowIndex(*extensions._pow_products(A), F, B._arrays.add,

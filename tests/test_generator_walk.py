@@ -22,7 +22,7 @@ from conftest import (
     shear_object,
     twisted_object,
 )
-from rgwa import extensions, pa, pentactions
+from rgwa import extensions, pentactions
 from rgwa.core import generating_words
 
 
@@ -96,7 +96,7 @@ def test_map_families_match_the_reference(chunking):
     # images, since Maps(A) is a sorted subset of the additive bijections
     seen = set()
     for A, B in _family_pairs():
-        ups = pa._canonical_factors(A).up[extensions._families(A, B)].swapaxes(1, 2)
+        ups = pentactions._canonical_factors(A).up[extensions._families(A, B)].swapaxes(1, 2)
         got = [tuple(map(tuple, up)) for up in ups.tolist()]
         assert got == _reference_up_families(A, B), (A.name, B.name)
         seen.add(bool(got))

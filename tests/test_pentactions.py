@@ -1,7 +1,9 @@
 """Pentaction conditions, operations, and the two enumerators."""
 
+import gc
 import random
 import re
+import weakref
 from dataclasses import replace
 from functools import lru_cache, partial
 
@@ -22,10 +24,9 @@ from conftest import (
     reference_enumerate_pentactions,
     shear_object,
 )
-from rgwa import core, extensions, pa, pentactions
+from rgwa import core, extensions, pentactions
 from rgwa.files import pentaction_to_json
-from rgwa.pa import _canonical_factors
-from rgwa.pentactions import CONDITION_IDS, check_pentactions_batch
+from rgwa.pentactions import CONDITION_IDS, _canonical_factors, check_pentactions_batch
 
 
 def ident(n):
@@ -398,8 +399,7 @@ class TestEnumeration:
         if chunk_cells is not None:
             # one cell per chunk: the map factor is scanned one candidate at a time
             monkeypatch.setattr(core, "_CHUNK_CELLS", chunk_cells)
-        pentactions._map_factor.cache_clear()
-        pentactions._enumerate_pentactions_uncapped.cache_clear()
+        _clear_object_caches()
         subjects = list(corpus) + [z4neg, z6neg, k4swap, shear16,
                                    negation_product(4, 4), negation_product(8, 2)]
         for obj in subjects:
@@ -413,16 +413,24 @@ class TestEnumeration:
         assert sorted(c[0] for c in staged) == sorted(CONDITION_IDS)
 
     def test_the_factors_are_one_read_only_copy(self, corpus, z4neg):
-        # PA(A), the weak stabilizer and the derived-action pow stage all
-        # read the cached arrays, so none of them may write into them
+        # PA(A), the enumerator, the weak stabilizer and the derived-action
+        # stages all read the one cached record, so none may write into it
         for obj in (corpus[3], z4neg):
             f = _canonical_factors(obj)
-            for factor, view in ((pentactions._map_factor(obj), f.up),
-                                 (pentactions._pow_factor(obj), f.pow)):
+            assert _canonical_factors(obj) is f, obj.name
+            for factor in (f.up, f.pow):
                 assert factor.dtype == np.intp, obj.name
-                assert np.shares_memory(view, factor), obj.name
                 with pytest.raises(ValueError):
                     factor[0, 0] = 1
+
+    def test_no_cache_keeps_the_enumerated_pentactions(self, z4neg):
+        # a PAObject keeps its elements; a module-level cache would keep
+        # every enumerated list alive after its caller dropped it
+        pents = rgwa.enumerate_pentactions(z4neg)
+        refs = [weakref.ref(p) for p in pents]
+        del pents
+        gc.collect()
+        assert refs and all(ref() is None for ref in refs)
 
     def test_only_kept_pentactions_are_built(self, monkeypatch, shear16):
         built = []
@@ -488,7 +496,7 @@ class TestEnumeration:
         assert {pentaction_to_json(p)["object"] for p in pents} == {"cache-alias"}
         # reloading the same document is still served from the cache
         reload = rgwa.make_object("cache-first", 2, z2.add, z2.act)
-        assert all(p.parent is first for p in rgwa.enumerate_pentactions(reload))
+        assert _canonical_factors(reload) is _canonical_factors(first)
 
     def test_a_walk_chunk_holds_the_cells_of_its_rows(self, monkeypatch, shear16):
         # a walked row of shear16 and its check at the 2 generators hold
@@ -510,12 +518,12 @@ class TestEnumeration:
 
     def test_every_object_cache_is_listed_and_cleared(self):
         # the chunking fixture clears core._OBJECT_CACHES, so a cache left
-        # off the list would hand default-chunk results to one-cell chunks
+        # off the list would hand default-chunk results to one-cell chunks;
+        # the set is exact, so a new cache must be named here too
         caches = (core.generating_words, core._additive_bijections_cached,
-                  pentactions._map_factor, pentactions._pow_factor,
-                  pentactions._enumerate_pentactions_uncapped, pa._canonical_factors,
-                  extensions._pow_rows, extensions._pow_products)
-        assert set(caches) <= set(core._OBJECT_CACHES)
+                  pentactions._canonical_factors, extensions._pow_rows,
+                  extensions._pow_products)
+        assert set(caches) == set(core._OBJECT_CACHES)
         z4 = rgwa.cyclic_trivial(4)
         words = core.generating_words(z4)
         assert core.generating_words(z4) is words

@@ -30,19 +30,11 @@ from conftest import (
     shear_object,
 )
 from rgwa import core, representability
-from rgwa import pa as pa_module
 from rgwa.core import invert_map
 from rgwa.extensions import _CONDITIONS, DerivedActionTriple
-from rgwa.pentactions import _map_factor, _pow_factor
+from rgwa.pentactions import _canonical_factors, _map_factor, _pa_factors, _pow_factor
 from rgwa.report import PASSED
-from rgwa.pa import (
-    _OBSTRUCTIONS,
-    _assemble,
-    _canonical_factors,
-    _pa_action_report,
-    _pa_factors,
-    _pa_report,
-)
+from rgwa.pa import _OBSTRUCTIONS, _assemble, _pa_action_report, _pa_report
 from rgwa.representability import PAObject
 
 
@@ -683,18 +675,19 @@ class TestZeroWeakStabilizerIsPaPassing:
         assert set(verdicts) == {True, False}
 
     def test_weak_stabilizer_builds_no_composition_table(self, monkeypatch):
-        # the rows read the up and pow tables, not PA(A)'s factor record
+        # the rows read the up and pow tables of A's factor record, never
+        # the m x m tables of PA(A) that PAObject.object assembles
         z2 = rgwa.cyclic_trivial(2)
         fresh = rgwa.direct_sum(z2, z2, name="klein4-fresh")
         want = reference_weak_stabilizer(fresh)
 
         def refuse(*args):
-            raise AssertionError("weak_stabilizer built PA(A)'s factors")
+            raise AssertionError("built PA(A)'s composition tables")
 
-        monkeypatch.setattr(pa_module, "_pa_factors", refuse)
+        monkeypatch.setattr(representability, "_assemble", refuse)
         assert rgwa.weak_stabilizer(fresh) == want
         with pytest.raises(AssertionError, match="built PA"):
-            rgwa.build_pa_object(fresh)
+            rgwa.build_pa_object(fresh).object
 
 
 class TestPaAction:
