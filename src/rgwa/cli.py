@@ -228,9 +228,7 @@ def main(argv=None) -> int:
         code, payload = EXIT_VIOLATION, exc.report.to_json()
     except BudgetExceededError as exc:
         code, payload = EXIT_BUDGET, {"error": str(exc)}
-    except InputError as exc:
-        code, payload = EXIT_INPUT, {"error": str(exc)}
-    except OSError as exc:
+    except (InputError, OSError) as exc:
         code, payload = EXIT_INPUT, {"error": str(exc)}
     text = payload if isinstance(payload, str) else dumps_canonical(payload, pretty=args.pretty)
     if args.out:  # before stdout, so a failed write prints only its error

@@ -55,6 +55,8 @@ gather per BFS step for a chunk of image rows drawn from an array of
 choices: the carrier (additive bijections), St (``_stabilizer``; pow
 tables), the indices of Maps(A) (up families) or the rows of W' (the
 derived-action pow rows).  Each caller filters the chunks with its masks.
+The greedy generating set makes the kept tables come out sorted (the order
+lemma of ``_walk``), so no walked factor is sorted after its walk.
 """
 
 from __future__ import annotations
@@ -348,7 +350,7 @@ class FiniteGwaObject:
 
     def table_equal(self, other: "FiniteGwaObject") -> bool:
         """Same order and bit-identical operation tables (relabeling-free)."""
-        return (
+        return other is self or (
             self.order == other.order
             and self.add == other.add
             and self.act == other.act
@@ -591,7 +593,18 @@ def _walk(words, choices: np.ndarray, start, rule, cells: int = 0):
     |gens| images drawn from ``choices``, in product order, in chunks of
     ``_CHUNK_CELLS`` cells at ``cells`` per row.  By default the row is one
     map of the walked object, its n = |steps| + 1 values checked at the
-    generators: n*max(|gens|, 1) cells."""
+    generators: n*max(|gens|, 1) cells.
+
+    Order lemma: the tables a caller keeps come out sorted.  The generating
+    set is greedy, each g_k the least element outside <g_0, ..., g_{k-1}>,
+    so every x < g_k lies in that subgroup.  A kept table is a map fixed by
+    its generator images (an additive map, a crossed map, or a pow family
+    that passed 2A), so its cells below g_k depend on the first k images
+    only, and its cell at g_k is the k-th image (in W', that image's index).
+    Two kept tables therefore compare cell by cell as their image rows
+    compare lexicographically, and the image rows come in product order of
+    ascending choices: the carrier, St from ``np.flatnonzero`` or the sorted
+    rows of W'."""
     gens, steps = words
     base = len(choices)
     for s in _slices(base ** len(gens), cells or (len(steps) + 1) * max(len(gens), 1)):
@@ -607,13 +620,6 @@ def _stabilizer(obj: FiniteGwaObject) -> np.ndarray:
     return np.flatnonzero((obj._arrays.act == obj._arrays.ar[:, None]).all(axis=0))
 
 
-def _sorted_rows(rows: np.ndarray) -> np.ndarray:
-    """The rows sorted, as the one read-only copy every reader shares."""
-    rows = rows[np.lexsort(rows.T[::-1])]
-    rows.setflags(write=False)
-    return rows
-
-
 @object_cache(maxsize=64)
 def _additive_bijections_cached(obj: FiniteGwaObject) -> np.ndarray:
     t, lead = obj._arrays, _generator_lead(obj)
@@ -623,7 +629,9 @@ def _additive_bijections_cached(obj: FiniteGwaObject) -> np.ndarray:
                    lambda prev, img, step: t.add[prev, img if step[3] > 0 else t.neg[img]]):
         f = f[(np.sort(f, axis=1) == t.ar).all(axis=1)]
         kept.append(f[~_violated(_v_additive(t, f, lead))])
-    return _sorted_rows(np.concatenate(kept))
+    rows = np.concatenate(kept)  # sorted by the order lemma of _walk
+    rows.setflags(write=False)  # the one copy, shared by every reader
+    return rows
 
 
 def additive_bijections(obj: FiniteGwaObject) -> list[tuple[int, ...]]:
@@ -654,7 +662,7 @@ def _require_abelian_trivial(obj: FiniteGwaObject, operation: str) -> None:
 
 def _quotient_with_map(obj: FiniteGwaObject, subgroup: ElementSet):
     _require_abelian_trivial(obj, "a quotient")
-    if subgroup.parent is not obj and not subgroup.parent.table_equal(obj):
+    if not subgroup.parent.table_equal(obj):
         raise InputError("subgroup belongs to a different carrier")
     if subobject_closure(obj, subgroup.members).members != subgroup.members:
         raise InputError("the given set is not a subgroup (not closed)")

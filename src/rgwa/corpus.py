@@ -56,7 +56,7 @@ def symmetric_group_table(n: int) -> Table:
     composed left-to-right ((p+q)(i) = p(q(i))); identity sits at index 0."""
     if n < 1:
         raise InputError(f"degree must be positive, got {n}")
-    perms = sorted(permutations(range(n)))
+    perms = list(permutations(range(n)))  # lexicographic already
     index = {p: i for i, p in enumerate(perms)}
     return tuple(
         tuple(index[tuple(p[q[i]] for i in range(n))] for q in perms) for p in perms

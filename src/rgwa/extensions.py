@@ -43,8 +43,11 @@ b are closed under +.
 and per triple its up family and the index in W' of each of its pow rows.
 Its pow stage walks rows of W' (``core._walk``) and reads the seven
 pow-reading conditions through their indices (``_POW_INDEX_CHECKS``),
-against tables of A alone; one ``np.lexsort`` puts the batch in canonical
-order.  ``verify_representability`` reads the batch as it is.
+against tables of A alone.  One ``np.lexsort`` puts the kept families in
+the order of their up tables, and a stable order by family puts the batch
+in canonical order: within a family the walk already gives ascending pow
+rows (the order lemma of ``core._walk``).  ``verify_representability``
+reads the batch as it is.
 """
 
 from __future__ import annotations
@@ -118,10 +121,6 @@ class DerivedActionTriple:
         )
 
 
-def _same_obj(x: FiniteGwaObject, y: FiniteGwaObject) -> bool:
-    return x is y or x.table_equal(y)
-
-
 def _validate_triple_shape(triple: DerivedActionTriple) -> None:
     na, nb = triple.A.order, triple.B.order
     for name, table, rows, cols in (
@@ -144,7 +143,7 @@ def check_split_extension(ext: SplitExtension) -> CheckReport:
         (ext.j.target, ext.E, "j.target"),
     )
     for got, want, label in endpoint_pairs:
-        if not _same_obj(got, want):
+        if not got.table_equal(want):
             raise InputError(f"extension endpoint mismatch at {label}")
     violations: list[Violation] = []
     for label, f in (("i", ext.i), ("p", ext.p), ("j", ext.j)):
@@ -463,7 +462,8 @@ def _derived_action_batch(A: FiniteGwaObject, B: FiniteGwaObject, budget: int) -
             live = live[~_violated(mask(x, p[live], J[live]))]
         found.append((p[live], J[live]))
     pair, J = (np.concatenate(c) for c in zip(*found))
-    order = np.lexsort((*J.T[::-1], pair))
+    # the chunks follow the walk, so each family's J rows already ascend
+    order = np.argsort(pair, kind="stable")
     return _DerivedBatch(ups, rows, pair[order], J[order])
 
 
@@ -481,8 +481,8 @@ def enumerate_derived_actions(
     rows of W' to B's generators is walked once, for every kept up table,
     and each walked row is looked up in W'; the seven pow-reading
     conditions are then index comparisons (``_POW_INDEX_CHECKS``), so every
-    kept triple carries the passing report without a rescan.  One
-    ``np.lexsort`` on the up table and the row indices sorts the batch.
+    kept triple carries the passing report without a rescan.  The batch is
+    sorted by its up tables; within one, the walk gives ascending rows.
 
     Each charge goes through ``core._charge``: n_A^|gensA| before A's
     additive bijections and pow factor are walked

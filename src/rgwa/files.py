@@ -131,19 +131,11 @@ def emit_corpus(directory) -> list[str]:
     """
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
+    add, act = s3_conjugation_tables()
+    negative = make_object("s3_conjugation", len(add), add, act, require_reduced=False)
     written = []
-    for obj in standard_corpus():
+    for obj in (*standard_corpus(), negative):
         path = out_dir / f"{obj.name}.json"
         save_object(obj, path)
         written.append(str(path))
-    add, act = s3_conjugation_tables()
-    negative = {
-        "name": "s3_conjugation",
-        "order": len(add),
-        "add": [list(row) for row in add],
-        "act": [list(row) for row in act],
-    }
-    path = out_dir / "s3_conjugation.json"
-    path.write_text(dumps_canonical(negative, pretty=True), encoding="utf-8")
-    written.append(str(path))
     return written

@@ -27,7 +27,9 @@ The pruned enumerator scans the two factors apart, visiting
 generator g, pow(g) lies in St, so the pow walk draws its images from St),
 while its budget is still charged the |ups|*n^|gens| candidates of the
 product.  ``_map_factor`` and ``_pow_factor`` walk the factors as
-read-only (rows, n) intp arrays sorted by row, and ``_canonical_factors``
+read-only (rows, n) intp arrays, sorted by row by construction (the order
+lemma of ``core._walk``: the generating set is greedy and the walks take
+ascending choices, so no sort follows them), and ``_canonical_factors``
 is the one cache that keeps them, once per object, as the up and pow of
 its record (``_PaFactors``) beside the row finders of PA(A).  PA(A), the
 enumerator, ``rgwa pentactions``, the weak stabilizer and the derived-action
@@ -42,7 +44,8 @@ reduced.central makes its values central), also p8 and p8d
 (``_MAP_BY_CONSTRUCTION``).  On such a map part p5d and p9d are p5 and p9
 read through up^-1: up commutes with every a -> a^a' exactly when up^-1
 does, and a ^ up(a') = a ^ a' for all a' exactly when a ^ up^-1(a') = a ^ a'
-for all a'.  So the map factor scans only p5 and p9 (``_MAP_WALKED``).  Both
+for all a'.  So the map factor scans only p5 and p9 (``_MAP_WALKED``), which
+read up and the identity dotL alone, so it builds no upL.  Both
 factors check their rows at the additive generators only (the closure lemma
 of ``core._passing``).  The set of leading values a at which a row holds is
 closed under + given: for p5, the additivity of up; for p9 and p10,
@@ -70,7 +73,6 @@ from .core import (
     _passing,
     _pick,
     _row_finder,
-    _sorted_rows,
     _stabilizer,
     _v_additive,
     _violations,
@@ -125,7 +127,7 @@ def _require_reduced(obj: FiniteGwaObject) -> None:
 
 
 def _same_parent(p: Pentaction, q: Pentaction) -> None:
-    if p.parent is not q.parent and not p.parent.table_equal(q.parent):
+    if not p.parent.table_equal(q.parent):
         raise InputError("pentactions live over different parent objects")
 
 
@@ -379,9 +381,11 @@ def _pow_factor(obj: FiniteGwaObject) -> np.ndarray:
     (``core._passing``); p7 closes under + only through reduced.collapse,
     so on another obj the rows scan in full."""
     lead = {"A": _generator_lead(obj)} if obj.reduced else None
-    return _sorted_rows(np.concatenate([
+    pows = np.concatenate([
         rows[_passing(_tables(obj, pow=rows), _POW_CONDITIONS, {"A": obj.order}, lead)]
-        for rows in _pow_walk(obj)]))
+        for rows in _pow_walk(obj)])
+    pows.setflags(write=False)  # the one copy, shared by every reader
+    return pows
 
 
 def _map_factor(obj: FiniteGwaObject) -> np.ndarray:
@@ -390,21 +394,13 @@ def _map_factor(obj: FiniteGwaObject) -> np.ndarray:
     sorted by row.  p3 and p3d force the identity dots and p12 the upL, so
     they are the additive bijections passing p5 and p9 (module docstring),
     each checked at the generators, since their closure under + needs only
-    the additivity of up and action.add; so on any validated obj."""
-    t = _map_parts(obj)
-    keep = _passing(t, _MAP_WALKED, {"A": obj.order}, {"A": _generator_lead(obj)})
-    ups = t.up[keep]
+    the additivity of up and action.add; so on any validated obj.  The two
+    rows read only up and the identity dotL."""
+    ups = _additive_bijections_cached(obj)
+    t = _tables(obj, up=ups, dotL=np.broadcast_to(np.arange(obj.order), ups.shape))
+    ups = ups[_passing(t, _MAP_WALKED, {"A": obj.order}, {"A": _generator_lead(obj)})]
     ups.setflags(write=False)  # the one copy, shared by every reader
     return ups
-
-
-def _map_parts(obj: FiniteGwaObject) -> _Tables:
-    """The walked map parts (id, id, up, up^-1), one per additive bijection
-    up, as a batch; each meets the ``_MAP_BY_CONSTRUCTION`` rows."""
-    ups = _additive_bijections_cached(obj)
-    ident = np.broadcast_to(np.arange(obj.order), ups.shape)
-    maps = [ident, ident, ups, np.argsort(ups, axis=1)]
-    return _tables(obj, **dict(zip(_SLOTS, maps)))
 
 
 # The factors of PA(A).  With p = (i, j) for map part i and pow table j,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import rgwa
-from rgwa import core
+from rgwa import core, pentactions
 
 
 @pytest.fixture(scope="session")
@@ -141,6 +141,16 @@ def s3_object() -> rgwa.FiniteGwaObject:
     """S3 acting on itself by conjugation: not abelian, so validated without
     the reduced checks."""
     return rgwa.make_object("s3", 6, *rgwa.s3_conjugation_tables(), require_reduced=False)
+
+
+def _map_parts(obj):
+    """The walked map parts (id, id, up, up^-1), one per additive bijection
+    up, as a pentaction batch of all four map slots; each meets the
+    ``pentactions._MAP_BY_CONSTRUCTION`` rows."""
+    ups = core._additive_bijections_cached(obj)
+    ident = np.broadcast_to(np.arange(obj.order), ups.shape)
+    maps = [ident, ident, ups, np.argsort(ups, axis=1)]
+    return pentactions._tables(obj, **dict(zip(pentactions._SLOTS, maps)))
 
 
 def reference_closure(obj, seeds, with_action: bool = True) -> set[int]:

@@ -17,6 +17,7 @@ import pytest
 
 import rgwa
 from conftest import (
+    _map_parts,
     k4swap_object,
     negation_cyclic,
     negation_product,
@@ -80,7 +81,7 @@ def _assert_prefixes_match(t, rows, sizes, lead, what):
 def _map_batch(obj):
     """The walked map parts and one-cell corruptions of their four slots,
     as the slot arrays of a pentaction batch."""
-    t = pentactions._map_parts(obj)
+    t = _map_parts(obj)
     slots = pentactions._SLOTS[:4]
     maps = np.stack([np.broadcast_to(getattr(t, s), t.up.shape) for s in slots], axis=1)
     maps = _corrupted(maps, 48, obj.order, seed=obj.order)
@@ -98,7 +99,7 @@ def test_lead_matches_the_full_scan_on_walked_batches(chunking):
         maps = _map_batch(obj)
         t = pentactions._tables(obj, **maps)
         _assert_prefixes_match(t, pentactions._MAP_CONDITIONS, sizes, lead, (obj.name, "map"))
-        walked = pentactions._map_parts(obj)
+        walked = _map_parts(obj)
         assert (_passing(walked, pentactions._MAP_WALKED, sizes, lead).tolist()
                 == _passing(walked, pentactions._MAP_CONDITIONS, sizes).tolist()), obj.name
 
@@ -164,7 +165,7 @@ def test_the_map_factor_scans_p5_and_p9_at_the_generators_on_a_non_reduced_objec
     # the closure of p5 and p9 under + needs only the additivity of up and
     # action.add, so the generator lead holds on s3 too
     s3 = rgwa.make_object("s3", 6, *s3_conjugation_tables(), require_reduced=False)
-    t = pentactions._map_parts(s3)
+    t = _map_parts(s3)
     full = t.up[_passing(t, pentactions._MAP_WALKED, {"A": 6})]
     assert pentactions._map_factor(s3).tolist() == sorted(full.tolist())
 
@@ -173,7 +174,7 @@ def test_dropped_rows_hold_on_every_walked_candidate():
     by_id = {c[0]: c for c in pentactions._MAP_CONDITIONS}
     dropped = [by_id[c] for c in pentactions._MAP_BY_CONSTRUCTION]
     for obj in _carriers():
-        assert _passing(pentactions._map_parts(obj), dropped, {"A": obj.order}).all(), obj.name
+        assert _passing(_map_parts(obj), dropped, {"A": obj.order}).all(), obj.name
 
     # every up family with up(., 0) = id and its columns in Maps(A) meets
     # 1A, zeroB, 4A and a2 by construction, 3B and a7 by membership, and a6
@@ -199,7 +200,7 @@ def test_p5d_and_p9d_agree_with_p5_and_p9_on_every_walked_candidate():
     # scans p5 and p9 alone
     by_id = {c[0]: c for c in pentactions._MAP_CONDITIONS}
     for obj in _carriers():
-        t, sizes = pentactions._map_parts(obj), {"A": obj.order}
+        t, sizes = _map_parts(obj), {"A": obj.order}
         for row, dual in (("p5", "p5d"), ("p9", "p9d")):
             want = _passing(t, [by_id[row]], sizes)
             assert _passing(t, [by_id[dual]], sizes).tolist() == want.tolist(), (obj.name, dual)

@@ -1,9 +1,11 @@
 """The shared generator walk against the one-candidate-at-a-time loops it
-replaced, in the default chunks and in chunks of one candidate."""
+replaced, in the default chunks and in chunks of one candidate; and its
+order lemma: the rows it keeps come out sorted, with no sort after it."""
 
 from functools import lru_cache
 from itertools import product
 
+import numpy as np
 
 import rgwa
 from conftest import (
@@ -18,11 +20,12 @@ from conftest import (
     reference_map_families,
     reference_pow_factor,
     relabeled,
+    s3_object,
     scan_passes,
     shear_object,
     twisted_object,
 )
-from rgwa import extensions, pentactions
+from rgwa import core, extensions, pentactions
 from rgwa.core import generating_words
 
 
@@ -163,3 +166,59 @@ def test_derived_actions_match_the_reference(chunking):
         assert rgwa.enumerate_derived_actions(A, B) == want, (A.name, B.name)
     counts = [len(rgwa.enumerate_derived_actions(_s3(), B)) for B in (_carriers()[0], z2, klein4)]
     assert counts == [1, 0, 0]
+
+
+def _in_lexsort_order(rows: np.ndarray) -> bool:
+    return (np.lexsort(rows.T[::-1]) == np.arange(len(rows))).all()
+
+
+@lru_cache(maxsize=None)
+def _order_subjects():
+    """The reduced benchmark carriers at seeds 0-3, shear_{k^2} for
+    k = 2..5, z8neg, neg4x2, k4swap, and the non-reduced twisted16 and s3."""
+    carriers = tuple(perfbench_object(name, seed) for seed in range(4)
+                     for name in PERFBENCH["CARRIERS"] if name != "s3_conjugation")
+    return carriers + tuple(shear_object(k) for k in range(2, 6)) + (
+        negation_cyclic(8), negation_product(4, 2), k4swap_object(), twisted_object(), s3_object())
+
+
+@lru_cache(maxsize=None)
+def _order_pairs():
+    """The benchmark carriers at seeds 0 and 1, shear9 and z6neg, each acted
+    on by z1-z4, klein4, k4swap and z4neg."""
+    corpus = rgwa.standard_corpus()
+    acting = (*corpus[:4], corpus[8], k4swap_object(), negation_cyclic(4))
+    bases = tuple(perfbench_object(name, seed) for seed in (0, 1)
+                  for name in PERFBENCH["CARRIERS"]) + (shear_object(3), negation_cyclic(6))
+    return tuple((A, B) for A in bases for B in acting)
+
+
+def test_walked_factors_come_out_sorted(chunking):
+    # the order lemma of core._walk: no sort follows the two walks of A
+    for obj in _order_subjects():
+        assert _in_lexsort_order(core._additive_bijections_cached(obj)), obj.name
+        assert _in_lexsort_order(pentactions._pow_factor(obj)), obj.name
+
+
+def test_the_pow_rows_of_each_family_come_out_sorted(chunking):
+    # the batch is ordered by family alone; the J rows of each family keep
+    # the walk's order, which is ascending
+    kept = 0
+    for A, B in _order_pairs():
+        batch = extensions._derived_action_batch(A, B, extensions.DEFAULT_BUDGET)
+        assert _in_lexsort_order(np.column_stack([batch.pair, batch.J])), (A.name, B.name)
+        kept += len(batch.pair)
+    assert kept > 0
+
+
+def test_the_order_needs_the_greedy_generators(monkeypatch, corpus):
+    # walked with klein4's two generators swapped, the same bijections come
+    # out ordered by their image at 2 first, which is not table order
+    klein4 = corpus[8]
+    want = core._additive_bijections_cached(klein4).tolist()
+    gens, steps = generating_words(klein4)
+    swapped = (gens[::-1], tuple((y, x, 1 - gi, sign) for y, x, gi, sign in steps))
+    monkeypatch.setattr(core, "generating_words", lambda obj: swapped)
+    rows = core._additive_bijections_cached.__wrapped__(klein4)
+    assert sorted(rows.tolist()) == want
+    assert not _in_lexsort_order(rows)
